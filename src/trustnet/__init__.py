@@ -4,7 +4,7 @@ Library layout:
 
 - ``graph``: typed user/object graph, dataset loaders, role views, splits
 - ``embed``: comment-based user vectors, translation-based entity vectors
-- ``ppr``: forward-push personalized PageRank and top-k trust augmentation
+- ``ppr``: sparse forward-push personalized PageRank and top-k trust augmentation
 - ``conv``: dual-role attention convolution and gated fusion
 - ``predict``: pairwise trust head, loss, classification metrics
 - ``train``: autodiff-driven training loop, Adam, gradient checking

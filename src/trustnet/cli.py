@@ -8,12 +8,15 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
 from . import experiment, fixtures
 from .errors import ConfigError, DataError, NumericalError
 from .experiment import ABLATION_VARIANTS, SWEEP_PARAMS, ExperimentConfig
+
+logger = logging.getLogger(__name__)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -135,11 +138,32 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _ablation_variants(config: ExperimentConfig, requested) -> list[str]:
+    """The requested variants, or every variant that applies to ``config``.
+
+    A requested variant that does not apply raises ConfigError before any
+    training starts; the default skips it and logs why.
+    """
+    if requested:
+        for variant in requested:
+            experiment.make_ablation(config, variant)
+        return requested
+    variants = []
+    for variant in ABLATION_VARIANTS:
+        try:
+            experiment.make_ablation(config, variant)
+        except ConfigError as exc:
+            logger.warning("skipping ablation %s: %s", variant, exc)
+        else:
+            variants.append(variant)
+    return variants
+
+
 def _cmd_ablate(args) -> int:
     config = build_config(args)
     config.validate()
+    variants = _ablation_variants(config, args.variant)
     dataset = experiment.load_dataset(config)
-    variants = args.variant or list(ABLATION_VARIANTS)
     base = experiment.run(config, out_dir=args.out, dataset=dataset)
     print(f"full: accuracy {base.accuracy:.4f}  f1 {base.f1:.4f}")
     for variant in variants:

@@ -305,6 +305,21 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
     return h0_users, h0_objects
 
 
+def _augment(train_graph, ppr: PprConfig):
+    """PPR top-k pairs and their scores (None unless weighted); no pairs when off."""
+    if not ppr.enabled:
+        return np.zeros((0, 2), dtype=np.int64), None
+    out = topk_augment(
+        train_graph,
+        k=ppr.k,
+        lam=ppr.lam,
+        epsilon=ppr.epsilon,
+        transition=ppr.transition,
+        weighted=ppr.weighted,
+    )
+    return out if ppr.weighted else (out, None)
+
+
 def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """Train once with every stochastic choice derived from ``run_seed``."""
     state = np.random.SeedSequence(run_seed).generate_state(5)
@@ -320,20 +335,7 @@ def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Run
     ).reshape(-1, 2)
     train_graph = dataset.graph.with_trust_edges(train_edges)
 
-    aug_pairs, aug_weights = np.zeros((0, 2), dtype=np.int64), None
-    if config.ppr.enabled:
-        out = topk_augment(
-            train_graph,
-            k=config.ppr.k,
-            lam=config.ppr.lam,
-            epsilon=config.ppr.epsilon,
-            transition=config.ppr.transition,
-            weighted=config.ppr.weighted,
-        )
-        if config.ppr.weighted:
-            aug_pairs, aug_weights = out
-        else:
-            aug_pairs = out
+    aug_pairs, aug_weights = _augment(train_graph, config.ppr)
 
     views = {}
     if config.roles.trustor_enabled:
@@ -633,18 +635,7 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Data
         dtype=np.int64,
     ).reshape(-1, 2)
     train_graph = dataset.graph.with_trust_edges(train_edges)
-    aug = np.zeros((0, 2), dtype=np.int64)
-    weights = None
-    if config.ppr.enabled:
-        out = topk_augment(
-            train_graph,
-            k=config.ppr.k,
-            lam=config.ppr.lam,
-            epsilon=config.ppr.epsilon,
-            transition=config.ppr.transition,
-            weighted=config.ppr.weighted,
-        )
-        aug, weights = out if config.ppr.weighted else (out, None)
+    aug, weights = _augment(train_graph, config.ppr)
     views = {}
     if params.trustor is not None:
         views[Role.TRUSTOR] = build_view(train_graph, aug, Role.TRUSTOR, weights)

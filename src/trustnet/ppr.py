@@ -1,23 +1,33 @@
 """Approximate personalized PageRank on the directed trust subgraph.
 
-Forward push maintains an estimate vector p and a residual vector r with
-the loop invariant  p_exact = p + sum_u r[u] * p_exact^(u).  A node is
-pushed while its residual is at least epsilon times its out-degree, so
-the returned scores carry a per-entry error bounded by the leftover
-residual mass. Dangling users (no outgoing trust) return their walk mass
-to the source, matching restart semantics.
+Forward push (Andersen, Chung & Lang, FOCS 2006) keeps, per source s, an
+estimate row p_s and a residual row r_s with the invariant
+p_exact(s) = p_s + sum_u r_s[u] * p_exact(u); it starts from r_s = e_s.
+All sources run at once as synchronous sweeps over two sparse
+(sources x users) CSR matrices. Each sweep pushes every entry whose
+residual is at least epsilon * max(out_degree, 1): a fraction ``lam`` of
+its mass moves to the estimate and the rest spreads along the transition
+weights. Dangling users (no outgoing trust) return their walk mass to the
+source, matching restart semantics; a dangling source keeps all of its
+mass and scores exactly 1 in one step.
+
+Sweeps stop once no entry reaches its threshold, so every leftover
+residual r_s[u] is below epsilon * max(out_degree(u), 1). Each score then
+underestimates the exact one, by at most the row's leftover residual mass,
+which is below epsilon * sum of max(out_degree, 1) over the users the
+source reaches. Column indices stay sorted, so every sum runs in ascending
+user order and the scores do not depend on the order of the input edges.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, NumericalError
-from .graph import HeteroGraph, Role
+from .graph import HeteroGraph
 
 
 @dataclass(frozen=True)
@@ -42,18 +52,6 @@ class TrustGraph:
     @classmethod
     def from_hetero(cls, graph: HeteroGraph) -> "TrustGraph":
         return cls.from_edges(graph.num_users, graph.trust_edges)
-
-    def out_degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
-    def edge_weights(self, u: int) -> np.ndarray:
-        if self.weights is None:
-            d = self.out_degree(u)
-            return np.full(d, 1.0 / d)
-        return self.weights[self.indptr[u] : self.indptr[u + 1]]
 
 
 def symmetric_trust_graph(num_users: int, edges) -> TrustGraph:
@@ -81,69 +79,6 @@ def symmetric_trust_graph(num_users: int, edges) -> TrustGraph:
     return TrustGraph(num_users, indptr, all_edges[:, 1].copy(), weights)
 
 
-@dataclass(frozen=True)
-class PprRow:
-    """Sparse approximate PPR scores of one source user."""
-
-    source: int
-    scores: dict[int, float]
-    epsilon: float
-
-
-def ppr_push(trust_graph: TrustGraph, source: int, lam: float, epsilon: float) -> PprRow:
-    """One row of personalized PageRank via forward push.
-
-    ``lam`` is the restart probability; a node is pushed while its
-    residual is >= epsilon * max(out_degree, 1). When the source itself is
-    dangling its whole mass provably lands on it, which the push absorbs
-    in one step (score exactly 1).
-    """
-    if not 0.0 < lam < 1.0:
-        raise DataError(f"restart probability must lie in (0, 1), got {lam}")
-    if epsilon <= 0.0:
-        raise DataError(f"push threshold must be positive, got {epsilon}")
-    if not 0 <= source < trust_graph.num_users:
-        raise DataError(f"source {source} out of range")
-
-    p: dict[int, float] = {}
-    r: dict[int, float] = {source: 1.0}
-    queue: deque[int] = deque([source])
-    queued = {source}
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        res = r.get(u, 0.0)
-        deg = trust_graph.out_degree(u)
-        if res < epsilon * max(deg, 1):
-            continue
-        if deg == 0:
-            if u == source:
-                # all remaining mass restarts here and never leaves
-                p[u] = p.get(u, 0.0) + res
-                r[u] = 0.0
-                continue
-            p[u] = p.get(u, 0.0) + lam * res
-            r[u] = 0.0
-            back = (1.0 - lam) * res
-            r[source] = r.get(source, 0.0) + back
-            sdeg = trust_graph.out_degree(source)
-            if r[source] >= epsilon * max(sdeg, 1) and source not in queued:
-                queue.append(source)
-                queued.add(source)
-            continue
-        p[u] = p.get(u, 0.0) + lam * res
-        r[u] = 0.0
-        spread = (1.0 - lam) * res
-        for v, w in zip(trust_graph.neighbors(u), trust_graph.edge_weights(u)):
-            v = int(v)
-            rv = r.get(v, 0.0) + spread * w
-            r[v] = rv
-            if rv >= epsilon * max(trust_graph.out_degree(v), 1) and v not in queued:
-                queue.append(v)
-                queued.add(v)
-    return PprRow(source=source, scores=p, epsilon=epsilon)
-
-
 def _transition_csr(tg: TrustGraph):
     n = tg.num_users
     if tg.weights is None:
@@ -154,55 +89,50 @@ def _transition_csr(tg: TrustGraph):
     return sp.csr_matrix((data, tg.indices, tg.indptr), shape=(n, n))
 
 
-def ppr_push_batch(
-    tg: TrustGraph, sources: np.ndarray, lam: float, epsilon: float
-) -> np.ndarray:
-    """Forward push for many sources at once (simultaneous residual sweeps).
+def forward_push(tg: TrustGraph, sources, lam: float, epsilon: float) -> sp.csr_matrix:
+    """PPR scores of every source by synchronous sparse forward push.
 
-    Each sweep pushes every node whose residual is >= epsilon * max(deg, 1),
-    exactly the per-source rule, so the returned estimates satisfy the same
-    termination condition. Sources must have at least one out-edge (the
-    dangling-source case is trivial and handled by the caller).
-
-    Returns a dense (len(sources), num_users) score matrix.
+    ``lam`` is the restart probability; an entry is pushed while its
+    residual is >= epsilon * max(out_degree, 1). Returns a
+    (len(sources), num_users) CSR matrix whose row i holds the positive
+    scores of ``sources[i]``.
     """
     if not 0.0 < lam < 1.0:
         raise DataError(f"restart probability must lie in (0, 1), got {lam}")
     if epsilon <= 0.0:
         raise DataError(f"push threshold must be positive, got {epsilon}")
-    sources = np.asarray(sources, dtype=np.int64)
     n = tg.num_users
-    m = len(sources)
+    sources = np.asarray(sources, dtype=np.int64)
+    if np.any((sources < 0) | (sources >= n)):
+        raise DataError(f"PPR source out of range for {n} users")
+    m = sources.size
     w = _transition_csr(tg)
-    deg = np.diff(tg.indptr).astype(np.int64)
+    deg = np.diff(tg.indptr)
     thresh = epsilon * np.maximum(deg, 1)
-    dangling = np.flatnonzero(deg == 0)
+    dangling = deg == 0
 
     rows = np.arange(m)
-    p = np.zeros((m, n))
-    r = np.zeros((m, n))
-    r[rows, sources] = 1.0
+    absorbed = dangling[sources]
+    p = sp.csr_matrix((np.ones(absorbed.sum()), (rows[absorbed], sources[absorbed])), shape=(m, n))
+    r = sp.csr_matrix((np.ones(m - absorbed.sum()), (rows[~absorbed], sources[~absorbed])), shape=(m, n))
     for _ in range(100_000):
-        active = r >= thresh[None, :]
+        active = r.data >= thresh[r.indices]
         if not active.any():
-            break
-        ra = np.where(active, r, 0.0)
-        p += lam * ra
+            return p
+        active_rows = np.repeat(rows, np.diff(r.indptr))[active]
+        indptr = np.searchsorted(active_rows, np.arange(m + 1))
+        ra = sp.csr_matrix((r.data[active], r.indices[active], indptr), shape=(m, n))
+        p = p + lam * ra
+        r.data[active] = 0.0
         spread = (1.0 - lam) * (ra @ w)
-        r = r - ra + spread
-        if dangling.size:
-            back = (1.0 - lam) * ra[:, dangling].sum(axis=1)
-            r[rows, sources] += back
-    else:
-        raise NumericalError("personalized PageRank sweeps failed to converge")
-    return p
-
-
-def top_neighbors(row: PprRow, k: int) -> list[int]:
-    """The k highest-scoring targets other than the source, ties to smaller id."""
-    items = [(t, s) for t, s in row.scores.items() if t != row.source and s > 0.0]
-    items.sort(key=lambda ts: (-ts[1], ts[0]))
-    return [t for t, _ in items[:k]]
+        spread.sort_indices()  # the product leaves rows unsorted; sums must run in user order
+        r = r + spread
+        back = dangling[ra.indices]
+        if back.any():
+            mass = (1.0 - lam) * np.bincount(active_rows[back], weights=ra.data[back], minlength=m)
+            hit = np.flatnonzero(mass)
+            r = r + sp.csr_matrix((mass[hit], (hit, sources[hit])), shape=(m, n))
+    raise NumericalError("personalized PageRank sweeps failed to converge")
 
 
 def topk_augment(
@@ -215,8 +145,10 @@ def topk_augment(
 ):
     """Augmented trust pairs: each user's top-k PPR neighbors.
 
-    Users that reach fewer than k other users emit fewer pairs. With
-    ``weighted=True`` returns (pairs, scores); otherwise just the pairs
+    Pairs come grouped by source in ascending order, then by descending
+    score with ties to the smaller target id; the source itself is never
+    a target. Users that reach fewer than k other users emit fewer pairs.
+    With ``weighted=True`` returns (pairs, scores); otherwise just the pairs
     as an (m, 2) array. ``transition`` selects uniform out-edge walks
     ("walk") or symmetric-normalized transitions ("symmetric").
     """
@@ -228,46 +160,15 @@ def topk_augment(
         tg = symmetric_trust_graph(graph.num_users, graph.trust_edges)
     else:
         raise DataError(f"unknown transition kind {transition!r}")
-    deg = np.diff(tg.indptr)
-    sources = np.flatnonzero(deg > 0)  # isolated sources keep all mass on themselves
-    pairs: list[tuple[int, int]] = []
-    scores: list[float] = []
-    chunk = max(1, 4_000_000 // max(graph.num_users, 1))
-    for start in range(0, len(sources), chunk):
-        batch = sources[start : start + chunk]
-        p = ppr_push_batch(tg, batch, lam, epsilon)
-        for row_idx, source in enumerate(batch):
-            s = p[row_idx].copy()
-            s[source] = 0.0
-            reachable = np.flatnonzero(s > 0.0)
-            if reachable.size == 0:
-                continue
-            # descending score, ascending id on ties
-            order = reachable[np.lexsort((reachable, -s[reachable]))][:k]
-            for target in order:
-                pairs.append((int(source), int(target)))
-                scores.append(float(s[target]))
-    pairs_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    users = np.arange(graph.num_users)
+    p = forward_push(tg, users, lam, epsilon)
+    sources = np.repeat(users, np.diff(p.indptr))
+    other = p.indices != sources
+    sources, targets, scores = sources[other], p.indices[other], p.data[other]
+    order = np.lexsort((targets, -scores, sources))
+    sources, targets, scores = sources[order], targets[order], scores[order]
+    top = np.arange(sources.size) - np.searchsorted(sources, sources) < k
+    pairs = np.stack([sources[top], targets[top]], axis=1).astype(np.int64)
     if weighted:
-        return pairs_arr, np.asarray(scores)
-    return pairs_arr
-
-
-def dense_ppr_row(trust_graph: TrustGraph, source: int, lam: float) -> np.ndarray:
-    """Exact PPR row by dense linear solve; reference for the push scheme.
-
-    Solves (I - (1-lam) W^T) p = lam e_source where W is the transition
-    matrix (dangling rows redirect to the source).
-    """
-    n = trust_graph.num_users
-    w = np.zeros((n, n))
-    for u in range(n):
-        deg = trust_graph.out_degree(u)
-        if deg == 0:
-            w[u, source] = 1.0
-            continue
-        for v, wt in zip(trust_graph.neighbors(u), trust_graph.edge_weights(u)):
-            w[u, int(v)] += wt
-    e = np.zeros(n)
-    e[source] = lam
-    return np.linalg.solve(np.eye(n) - (1.0 - lam) * w.T, e)
+        return pairs, scores[top]
+    return pairs

@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -270,6 +272,36 @@ class TestCli:
         assert rc == 0
         text = (tmp_path / "ao" / "metrics.csv").read_text()
         assert ",woPPR," in text and ",full," in text
+
+    def test_ablate_default_runs_every_applicable_variant(self, film_dir, tmp_path, caplog):
+        out = tmp_path / "ab"
+        args = [
+            "ablate",
+            "--dataset", str(film_dir),
+            "--kind", "filmtrust",
+            "--runs", "1",
+            "--epochs", "2",
+            "--latent-dim", "6",
+            "--user-dim", "6",
+            "--object-dim", "6",
+            "--ppr-k", "2",
+            "--workers", "1",
+            "--out", str(out),
+        ]
+        with caplog.at_level(logging.WARNING, logger="trustnet.cli"):
+            assert cli_main(args) == 0
+        with (out / "metrics.csv").open(newline="") as fh:
+            variants = {row["variant"] for row in csv.DictReader(fh)}
+        assert variants == {"full", "woPPR", "woTrustee", "woTrustor", "concat"}
+        assert any("woTriples" in rec.getMessage() for rec in caplog.records)
+
+    def test_ablate_inapplicable_variant_is_config_error(self, film_dir, tmp_path):
+        rc = cli_main(
+            ["ablate", "--dataset", str(film_dir), "--kind", "filmtrust", "--epochs", "2",
+             "--variant", "woTriples", "--out", str(tmp_path / "ab")]
+        )
+        assert rc == 1
+        assert not (tmp_path / "ab" / "metrics.csv").exists()
 
     def test_checkpoint_roundtrip_via_cli(self, film_dir, tmp_path):
         ckpt = tmp_path / "model.npz"

@@ -3,7 +3,7 @@ import pytest
 
 from trustnet.errors import DataError
 from trustnet.graph import HeteroGraph
-from trustnet.ppr import PprRow, TrustGraph, ppr_push, top_neighbors, topk_augment
+from trustnet.ppr import TrustGraph, forward_push, topk_augment
 
 
 def oracle_ppr(num_users, edges, source, lam):
@@ -24,11 +24,29 @@ def oracle_ppr(num_users, edges, source, lam):
     return np.linalg.solve(mat, rhs)
 
 
-def scores_vector(row: PprRow, n: int) -> np.ndarray:
-    v = np.zeros(n)
-    for t, s in row.scores.items():
-        v[t] = s
-    return v
+def oracle_symmetric_ppr(num_users, edges, source, lam):
+    """Independent dense PPR over self-looped, symmetric-normalized trust.
+
+    Every user gets a self-loop; the step i -> j has weight 1/sqrt(d_i d_j)
+    with d the self-looped in + out trust degree. Rows are substochastic, so
+    the walk loses the missing mass instead of restarting.
+    """
+    deg = np.ones(num_users)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    w = np.diag(1.0 / deg)
+    for i, j in edges:
+        w[i, j] += 1.0 / np.sqrt(deg[i] * deg[j])
+    mat = np.eye(num_users) - (1.0 - lam) * w.T
+    rhs = np.zeros(num_users)
+    rhs[source] = lam
+    return np.linalg.solve(mat, rhs)
+
+
+def push_rows(n, edges, sources, lam, eps) -> np.ndarray:
+    """Dense (len(sources), n) scores from one push over all ``sources``."""
+    return forward_push(TrustGraph.from_edges(n, edges), sources, lam, eps).toarray()
 
 
 def random_digraph(rng, max_nodes=50):
@@ -42,57 +60,81 @@ def random_digraph(rng, max_nodes=50):
     return n, sorted(edges)
 
 
+def pairs_by_source(pairs):
+    got = {}
+    for i, j in pairs:
+        got.setdefault(int(i), set()).add(int(j))
+    return got
+
+
+def oracle_topk(n, edges, k, oracle, lam=0.15):
+    """Exact top-k targets per source (ties to smaller id); sources that reach no one are omitted."""
+    expected = {}
+    for src in range(n):
+        exact = oracle(n, edges, src, lam)
+        ranked = sorted(
+            (t for t in range(n) if t != src and exact[t] > 1e-12),
+            key=lambda t: (-exact[t], t),
+        )[:k]
+        if ranked:
+            expected[src] = set(ranked)
+    return expected
+
+
 class TestPush:
     def test_isolated_source_scores_one(self):
         tg = TrustGraph.from_edges(3, [(1, 2)])
-        row = ppr_push(tg, 0, 0.15, 1e-8)
-        assert row.scores == {0: 1.0}
+        scores = forward_push(tg, [0], 0.15, 1e-8)
+        assert dict(zip(scores.indices.tolist(), scores.data.tolist())) == {0: 1.0}
 
     def test_two_node_cycle_matches_dense(self):
         n, edges = 2, [(0, 1), (1, 0)]
-        tg = TrustGraph.from_edges(n, edges)
-        row = ppr_push(tg, 0, 0.15, 1e-7)
+        got = push_rows(n, edges, [0], 0.15, 1e-7)[0]
         exact = oracle_ppr(n, edges, 0, 0.15)
-        assert np.abs(scores_vector(row, n) - exact).max() < 1e-5
+        assert np.abs(got - exact).max() < 1e-5
 
     def test_three_node_path_matches_dense(self):
         n, edges = 3, [(0, 1), (1, 2)]
-        tg = TrustGraph.from_edges(n, edges)
-        row = ppr_push(tg, 0, 0.15, 1e-9)
+        got = push_rows(n, edges, [0], 0.15, 1e-9)[0]
         exact = oracle_ppr(n, edges, 0, 0.15)
-        assert np.abs(scores_vector(row, n) - exact).max() < 1e-6
+        assert np.abs(got - exact).max() < 1e-6
         # end of the chain sits two decayed hops away
-        assert row.scores[2] == pytest.approx(exact[2], rel=1e-4)
+        assert got[2] == pytest.approx(exact[2], rel=1e-4)
 
     def test_random_graphs_small_l1_error(self):
         rng = np.random.default_rng(42)
         for _ in range(15):
             n, edges = random_digraph(rng)
-            tg = TrustGraph.from_edges(n, edges)
-            src = int(rng.integers(n))
-            row = ppr_push(tg, src, 0.15, 1e-8)
-            exact = oracle_ppr(n, edges, src, 0.15)
-            assert np.abs(scores_vector(row, n) - exact).sum() <= 1e-5
+            # every source in one push, as topk_augment runs it
+            got = push_rows(n, edges, np.arange(n), 0.15, 1e-8)
+            for src in range(n):
+                exact = oracle_ppr(n, edges, src, 0.15)
+                assert np.abs(got[src] - exact).sum() <= 1e-5
+
+    def test_batched_rows_equal_single_source_rows(self):
+        rng = np.random.default_rng(11)
+        n, edges = random_digraph(rng, max_nodes=30)
+        together = push_rows(n, edges, np.arange(n), 0.15, 1e-7)
+        for src in range(n):
+            assert np.array_equal(together[src], push_rows(n, edges, [src], 0.15, 1e-7)[0])
 
     def test_scores_nonnegative_and_mass_bounded(self):
         rng = np.random.default_rng(3)
+        eps = 1e-6
         for _ in range(10):
             n, edges = random_digraph(rng, max_nodes=25)
-            tg = TrustGraph.from_edges(n, edges)
-            row = ppr_push(tg, 0, 0.2, 1e-6)
-            vals = np.array(list(row.scores.values()))
+            vals = forward_push(TrustGraph.from_edges(n, edges), [0], 0.2, eps).data
             assert np.all(vals >= 0)
-            assert vals.sum() <= 1.0 + n * row.epsilon
+            assert vals.sum() <= 1.0 + n * eps
 
     def test_decreasing_epsilon_never_hurts(self):
         rng = np.random.default_rng(8)
         n, edges = random_digraph(rng, max_nodes=30)
-        tg = TrustGraph.from_edges(n, edges)
         exact = oracle_ppr(n, edges, 0, 0.15)
         errs = []
         for eps in (1e-3, 1e-5, 1e-7):
-            row = ppr_push(tg, 0, 0.15, eps)
-            errs.append(np.abs(scores_vector(row, n) - exact).max())
+            got = push_rows(n, edges, [0], 0.15, eps)[0]
+            errs.append(np.abs(got - exact).max())
         assert errs[0] >= errs[1] >= errs[2]
 
     def test_permutation_equivariance(self):
@@ -100,19 +142,20 @@ class TestPush:
         n, edges = random_digraph(rng, max_nodes=20)
         perm = rng.permutation(n)
         edges_p = [(int(perm[i]), int(perm[j])) for i, j in edges]
-        row = ppr_push(TrustGraph.from_edges(n, edges), 0, 0.15, 1e-9)
-        row_p = ppr_push(TrustGraph.from_edges(n, edges_p), int(perm[0]), 0.15, 1e-9)
-        for t, s in row.scores.items():
-            assert row_p.scores.get(int(perm[t]), 0.0) == pytest.approx(s, abs=1e-9)
+        row = push_rows(n, edges, [0], 0.15, 1e-9)[0]
+        row_p = push_rows(n, edges_p, [int(perm[0])], 0.15, 1e-9)[0]
+        np.testing.assert_allclose(row_p[perm], row, rtol=0, atol=1e-9)
 
     def test_invalid_parameters(self):
         tg = TrustGraph.from_edges(2, [(0, 1)])
         with pytest.raises(DataError):
-            ppr_push(tg, 0, 0.0, 1e-6)
+            forward_push(tg, [0], 0.0, 1e-6)
         with pytest.raises(DataError):
-            ppr_push(tg, 0, 1.0, 1e-6)
+            forward_push(tg, [0], 1.0, 1e-6)
         with pytest.raises(DataError):
-            ppr_push(tg, 0, 0.15, 0.0)
+            forward_push(tg, [0], 0.15, 0.0)
+        with pytest.raises(DataError):
+            forward_push(tg, [2], 0.15, 1e-6)
 
 
 class TestTopkAugment:
@@ -138,19 +181,21 @@ class TestTopkAugment:
                 seen.add((int(i), int(j)))
         edges = sorted(seen)
         g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
-        pairs = topk_augment(g, k=4, epsilon=1e-10)
-        got = {}
-        for i, j in pairs:
-            got.setdefault(int(i), set()).add(int(j))
+        got = pairs_by_source(topk_augment(g, k=4, epsilon=1e-10))
+        expected = oracle_topk(n, edges, 4, oracle_ppr)
         for src in range(n):
-            exact = oracle_ppr(n, edges, src, 0.15)
-            ranked = sorted(
-                (t for t in range(n) if t != src and exact[t] > 1e-12),
-                key=lambda t: (-exact[t], t),
-            )[:4]
             has_out = any(i == src for i, _ in edges)
-            expected = set(ranked) if has_out else set()
-            assert got.get(src, set()) == expected, f"source {src}"
+            want = expected.get(src, set()) if has_out else set()
+            assert got.get(src, set()) == want, f"source {src}"
+
+    def test_symmetric_transition_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        n, edges = random_digraph(rng, max_nodes=15)
+        g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
+        pairs, scores = topk_augment(g, k=3, epsilon=1e-10, transition="symmetric", weighted=True)
+        for (i, j), s in zip(pairs, scores):
+            assert s == pytest.approx(oracle_symmetric_ppr(n, edges, int(i), 0.15)[j], abs=1e-6)
+        assert pairs_by_source(pairs) == oracle_topk(n, edges, 3, oracle_symmetric_ppr)
 
     def test_weighted_mode_returns_scores(self):
         g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1), (1, 2)])
@@ -174,7 +219,38 @@ class TestTopkAugment:
         b = topk_augment(g, k=5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("transition", ["walk", "symmetric"])
+    def test_edge_order_invariance(self, transition):
+        rng = np.random.default_rng(13)
+        n, edges = random_digraph(rng, max_nodes=40)
+        shuffled = np.asarray(edges)[rng.permutation(len(edges))]
+        a = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=5,
+                         transition=transition, weighted=True)
+        b = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=shuffled), k=5,
+                         transition=transition, weighted=True)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
-def test_top_neighbors_excludes_source():
-    row = PprRow(source=1, scores={0: 0.2, 1: 0.5, 2: 0.2}, epsilon=1e-6)
-    assert top_neighbors(row, 5) == [0, 2]
+    def test_relabelling_maps_pairs(self):
+        rng = np.random.default_rng(0)
+        n, edges = random_digraph(rng, max_nodes=30)
+        k = 3
+        # no tie at any top-k cutoff, so ids never decide which pairs are kept
+        for src in range(n):
+            exact = np.sort(np.delete(oracle_ppr(n, edges, src, 0.15), src))[::-1]
+            assert exact[k - 1] - exact[k] > 1e-9 or exact[k - 1] < 1e-12
+        perm = rng.permutation(n)
+        edges_p = [(int(perm[i]), int(perm[j])) for i, j in edges]
+        pairs = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k)
+        pairs_p = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges_p), k=k)
+        assert len(pairs) > 0
+        assert {(int(perm[i]), int(perm[j])) for i, j in pairs} == {tuple(p) for p in pairs_p.tolist()}
+
+
+def test_topk_excludes_source_and_breaks_ties_by_id():
+    # source 1 keeps the highest score; targets 0 and 2 tie exactly
+    g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(1, 0), (1, 2)])
+    pairs, scores = topk_augment(g, k=5, epsilon=1e-9, weighted=True)
+    assert not np.any(pairs[:, 0] == pairs[:, 1])
+    assert pairs[pairs[:, 0] == 1].tolist() == [[1, 0], [1, 2]]
+    assert scores[0] == scores[1]
