@@ -1,13 +1,15 @@
 """Initial node embeddings: comment-based user vectors and knowledge-based
-object vectors, plus the type-specific projection into the shared latent
-space.
+object vectors. The type-specific projection into the shared latent space
+is a trainable model parameter and lives in ``train``.
 
 User vectors come from a stripped-down paragraph-vector scheme: token
 vectors are fixed seeded random directions (hashed from the token string)
 and only the per-document vector is trained, by SGD with negative
 sampling over the document's bag of words. Freezing the token table keeps
 users fully decoupled, so identical corpora give identical vectors and
-the whole table is permutation-equivariant over user ids.
+the whole table is permutation-equivariant over user ids. It also lets
+all documents step in lockstep, one numpy update over the active
+documents per SGD step, while each document keeps its own RNG stream.
 
 Object vectors come from translation-based triple embedding trained with
 a margin ranking loss; aligned objects take their entity vector, the rest
@@ -104,9 +106,22 @@ def embed_users(
     strings. Vocabulary keeps tokens appearing at least ``min_count``
     times across the corpus; users whose comments contain no in-vocabulary
     token get the zero vector.
+
+    Each document has its own RNG stream, seeded from its text. It draws,
+    in order, the initial vector, the noise tokens of every event, and one
+    token permutation per epoch. An event is one positive token followed
+    by ``negatives`` noise tokens, each an SGD step. All documents then
+    step in lockstep: step ``s`` applies the ``s``-th event of every
+    document that has one, as numpy updates over those documents' rows.
+    Token and noise ids are stored flat as int32, so memory is O(total
+    events x (1 + negatives)).
     """
     if dim <= 0:
         raise DataError(f"embedding dim must be positive, got {dim}")
+    if epochs < 0:
+        raise DataError(f"epochs must be >= 0, got {epochs}")
+    if negatives < 0:
+        raise DataError(f"negatives must be >= 0, got {negatives}")
     docs = [" ".join(c) if isinstance(c, (list, tuple)) else str(c) for c in corpus]
     token_lists = [tokenize(d) for d in docs]
     freq: dict[str, int] = {}
@@ -127,30 +142,53 @@ def embed_users(
         counts = np.array([freq[t] for t in vocab], dtype=np.float64) ** 0.75
         noise_cdf = np.cumsum(counts / counts.sum())
 
-    out = np.zeros((len(docs), dim))
-    for d, toks in enumerate(token_lists):
-        ids = np.array([vocab_index[t] for t in toks if t in vocab_index], dtype=np.int64)
-        if ids.size == 0:
-            continue
+    doc_ids = [
+        np.array([vocab_index[t] for t in toks if t in vocab_index], dtype=np.int64)
+        for toks in token_lists
+    ]
+    # longest documents first, so the documents active at any step are a prefix
+    order = sorted(
+        (d for d in range(len(docs)) if doc_ids[d].size), key=lambda d: -doc_ids[d].size
+    )
+    n_events = np.array([doc_ids[d].size * epochs for d in order], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(n_events)))
+    pos = np.empty(starts[-1], dtype=np.int32)
+    neg = np.empty((starts[-1], negatives), dtype=np.int32)
+    vecs = np.empty((len(order), dim))
+    for r, d in enumerate(order):
+        ids = doc_ids[d]
         drng = np.random.default_rng(_hash_seed(b"doc", seed_bytes, docs[d].encode()))
-        v = drng.normal(0.0, 0.1, size=dim)
-        n_events = ids.size * epochs
-        neg_draws = np.searchsorted(noise_cdf, drng.random((n_events, negatives)))
-        event = 0
-        for _ in range(epochs):
-            for w in drng.permutation(ids):
-                u = token_vecs[w]
-                v += lr * (1.0 - _expit(v @ u)) * u
-                for nw in neg_draws[event]:
-                    un = token_vecs[nw]
-                    v -= lr * _expit(v @ un) * un
-                event += 1
-        out[d] = v
+        vecs[r] = drng.normal(0.0, 0.1, size=dim)
+        lo, hi = starts[r], starts[r + 1]
+        neg[lo:hi] = np.searchsorted(noise_cdf, drng.random((hi - lo, negatives)))
+        for e in range(lo, hi, ids.size):
+            pos[e : e + ids.size] = drng.permutation(ids)
+
+    steps = int(n_events[0]) if order else 0
+    active = np.searchsorted(-n_events, -np.arange(steps), side="left")
+    for s, n in enumerate(active):
+        v = vecs[:n]
+        events = starts[:n] + s
+        u = token_vecs[pos[events]]
+        v += (lr * (1.0 - _logistic(_row_dot(v, u))))[:, None] * u
+        for noise in neg[events].T:
+            un = token_vecs[noise]
+            v -= (lr * _logistic(_row_dot(v, un)))[:, None] * un
+
+    out = np.zeros((len(docs), dim))
+    out[order] = vecs
     return EmbeddingTable(out)
 
 
-def _expit(x):
-    return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+def _row_dot(a, b):
+    """Rowwise dot products; rounds as a 1-D ``a[i] @ b[i]`` does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _logistic(x):
+    """Elementwise 1 / (1 + exp(-x)), without overflow for either sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
@@ -286,20 +324,6 @@ def random_table(count: int, dim: int, seed: int) -> EmbeddingTable:
     """Seeded unit-norm random vectors (featureless-node fallback)."""
     rng = np.random.default_rng(seed)
     return EmbeddingTable(_unit_rows(rng.normal(size=(count, dim))))
-
-
-def project(table: EmbeddingTable, weight: np.ndarray) -> EmbeddingTable:
-    """Rowwise linear map into the shared latent space: out = vec @ weight.
-
-    ``weight`` has shape (input_dim, latent_dim); the trainable projection
-    lives in the model parameters, this is the inference-time view.
-    """
-    weight = np.asarray(weight, dtype=np.float64)
-    if table.dim != weight.shape[0]:
-        raise DataError(
-            f"projection expects input dim {weight.shape[0]}, table has {table.dim}"
-        )
-    return EmbeddingTable(table.vectors @ weight)
 
 
 def load_triples(path) -> tuple[list[KnowledgeTriple], dict[str, int], dict[str, int]]:

@@ -140,6 +140,11 @@ class ExperimentConfig:
             raise ConfigError("optim.lr must be positive")
         if self.optim.weight_decay < 0:
             raise ConfigError("optim.weight_decay must be >= 0")
+        for name, low in (("epochs", 0), ("negatives", 0), ("min_count", 1)):
+            if getattr(self.user_embed, name) < low:
+                raise ConfigError(f"user_embed.{name} must be >= {low}")
+        if self.user_embed.lr <= 0:
+            raise ConfigError("user_embed.lr must be positive")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import KnowledgeTriple
 from .errors import DataError
 from .graph import HeteroGraph, Role, TrustSample, build_view
 from .ppr import topk_augment
@@ -376,40 +375,6 @@ def make_siot_files(
         "head_entity,relation,tail_entity\n" + "".join(f"{h},{r},{t}\n" for h, r, t in triples)
     )
     return out_dir
-
-
-def make_satisfiable_kg(
-    num_relations: int = 3,
-    pairs_per_relation: int = 40,
-    dim: int = 8,
-    seed: int = 0,
-    relation_norm: float = 0.8,
-) -> tuple[list[KnowledgeTriple], int, int]:
-    """A triple set solvable exactly under unit-norm entity constraints.
-
-    For each relation vector r, head entities are sampled on the sphere
-    slice {x : |x| = 1, x . r = -|r|^2 / 2}, so t = h + r is unit-norm as
-    well: a witness embedding exists with every score exactly zero.
-    """
-    if dim < 2:
-        raise DataError("satisfiable construction needs dim >= 2")
-    rng = np.random.default_rng(seed)
-    triples: list[KnowledgeTriple] = []
-    entities = 0
-    for rel in range(num_relations):
-        direction = rng.normal(size=dim)
-        direction /= np.linalg.norm(direction)
-        rho = relation_norm
-        for _ in range(pairs_per_relation):
-            raw = rng.normal(size=dim)
-            raw -= (raw @ direction) * direction
-            raw /= np.linalg.norm(raw)
-            head = -0.5 * rho * direction + np.sqrt(1.0 - 0.25 * rho * rho) * raw
-            # tail = head + rho * direction; both are unit vectors by design
-            h_id, t_id = entities, entities + 1
-            entities += 2
-            triples.append(KnowledgeTriple(h_id, rel, t_id))
-    return triples, entities, num_relations
 
 
 def make_pipeline_fixture(

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trustnet.embed import (
     EmbeddingTable,
     KnowledgeTriple,
     TransEModel,
+    _hash_seed,
     embed_users,
     filter_object_head_triples,
     init_objects,
     load_triples,
     load_user_vectors,
-    project,
     random_table,
     tokenize,
     transe_score,
@@ -18,6 +20,67 @@ from trustnet.embed import (
 )
 from trustnet.errors import DataError, ParseError
 from trustnet.graph import HeteroGraph
+
+
+def oracle_embed_users(corpus, dim, epochs=10, seed=0, lr=0.05, negatives=5, min_count=2):
+    """``embed_users`` one document, one token and one noise sample at a time."""
+    docs = [" ".join(c) if isinstance(c, (list, tuple)) else str(c) for c in corpus]
+    token_lists = [tokenize(d) for d in docs]
+    freq = {}
+    for toks in token_lists:
+        for t in toks:
+            freq[t] = freq.get(t, 0) + 1
+    vocab = sorted(t for t, c in freq.items() if c >= min_count)
+    vocab_index = {t: i for i, t in enumerate(vocab)}
+
+    seed_bytes = str(seed).encode()
+    token_vecs = np.zeros((len(vocab), dim))
+    for t, i in vocab_index.items():
+        trng = np.random.default_rng(_hash_seed(b"token", seed_bytes, t.encode()))
+        token_vecs[i] = trng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
+    if vocab:
+        counts = np.array([freq[t] for t in vocab], dtype=np.float64) ** 0.75
+        noise_cdf = np.cumsum(counts / counts.sum())
+
+    def expit(x):
+        return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+
+    out = np.zeros((len(docs), dim))
+    for d, toks in enumerate(token_lists):
+        ids = np.array([vocab_index[t] for t in toks if t in vocab_index], dtype=np.int64)
+        if ids.size == 0:
+            continue
+        drng = np.random.default_rng(_hash_seed(b"doc", seed_bytes, docs[d].encode()))
+        v = drng.normal(0.0, 0.1, size=dim)
+        n_events = ids.size * epochs
+        neg_draws = np.searchsorted(noise_cdf, drng.random((n_events, negatives)))
+        event = 0
+        for _ in range(epochs):
+            for w in drng.permutation(ids):
+                u = token_vecs[w]
+                v += lr * (1.0 - expit(v @ u)) * u
+                for nw in neg_draws[event]:
+                    un = token_vecs[nw]
+                    v -= lr * expit(v @ un) * un
+                event += 1
+        out[d] = v
+    return EmbeddingTable(out)
+
+
+def project(table: EmbeddingTable, weight: np.ndarray) -> EmbeddingTable:
+    """Rowwise linear map into the shared latent space: out = vec @ weight."""
+    weight = np.asarray(weight, dtype=np.float64)
+    if table.dim != weight.shape[0]:
+        raise DataError(
+            f"projection expects input dim {weight.shape[0]}, table has {table.dim}"
+        )
+    return EmbeddingTable(table.vectors @ weight)
+
+
+def random_corpus(rng, num_docs, words, max_len):
+    """Documents of 0..max_len tokens drawn from the first ``words`` of a fixed list."""
+    pool = [f"w{i}" for i in range(words)]
+    return [" ".join(rng.choice(pool, size=rng.integers(max_len + 1))) for _ in range(num_docs)]
 
 
 def cosine(a, b):
@@ -77,6 +140,82 @@ class TestEmbedUsers:
     def test_accepts_comment_lists(self):
         table = embed_users([["good phone", "good screen"], ["bad phone bad"]], dim=8, seed=1)
         assert table.vectors.shape == (2, 8)
+
+    def test_rejects_negative_epochs_and_negatives(self):
+        with pytest.raises(DataError, match="epochs"):
+            embed_users(["hello world hello"], dim=4, epochs=-1)
+        with pytest.raises(DataError, match="negatives"):
+            embed_users(["hello world hello"], dim=4, negatives=-2)
+
+    def test_permutation_equivariance_exact(self):
+        rng = np.random.default_rng(8)
+        corpus = random_corpus(rng, num_docs=9, words=12, max_len=15)
+        table = embed_users(corpus, dim=6, seed=2)
+        perm = rng.permutation(len(corpus))
+        permuted = embed_users([corpus[p] for p in perm], dim=6, seed=2)
+        assert np.array_equal(permuted.vectors, table.vectors[perm])
+
+
+def matches_oracle(corpus, **kw):
+    """``embed_users`` output after asserting it equals the oracle's bit for bit."""
+    got = embed_users(corpus, **kw).vectors
+    assert np.array_equal(got, oracle_embed_users(corpus, **kw).vectors)
+    return got
+
+
+class TestEmbedUsersOracle:
+    @pytest.mark.parametrize("seed,dim", [(0, 8), (3, 5), (11, 16), (2024, 1)])
+    def test_ragged_lengths(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, num_docs=12, words=20, max_len=40)
+        corpus += ["w1", "w2 w3 w2 w4 " * 10]
+        matches_oracle(corpus, dim=dim, seed=seed, epochs=3)
+
+    def test_documents_without_vocabulary_tokens(self):
+        corpus = ["solid value solid value", "lonely words only", "", "value deal solid"]
+        got = matches_oracle(corpus, dim=8, seed=4)
+        assert np.all(got[1] == 0.0) and np.all(got[2] == 0.0)
+
+    def test_duplicate_documents(self):
+        corpus = ["great fast camera great", "slow lamp", "great fast camera great", "slow lamp"]
+        got = matches_oracle(corpus, dim=7, seed=9, min_count=1)
+        assert np.array_equal(got[0], got[2])
+
+    def test_comment_lists(self):
+        corpus = [["good phone", "good screen"], ("bad phone bad",), "good bad screen", []]
+        matches_oracle(corpus, dim=8, seed=1)
+
+    def test_all_tokens_out_of_vocabulary(self):
+        got = matches_oracle(["alpha beta", "gamma", "delta epsilon zeta"], dim=4, seed=0)
+        assert np.all(got == 0.0)
+
+    def test_zero_negatives(self):
+        corpus = random_corpus(np.random.default_rng(5), num_docs=8, words=10, max_len=20)
+        matches_oracle(corpus, dim=6, seed=5, negatives=0)
+
+    def test_zero_epochs_keeps_initial_vectors(self):
+        corpus = ["red green red green", "blue", "red blue blue"]
+        got = matches_oracle(corpus, dim=5, seed=6, epochs=0)
+        for d in (0, 2):
+            drng = np.random.default_rng(_hash_seed(b"doc", b"6", corpus[d].encode()))
+            assert np.array_equal(got[d], drng.normal(0.0, 0.1, size=5))
+
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=12),
+            max_size=8,
+        ),
+        dim=st.integers(1, 6),
+        epochs=st.integers(0, 3),
+        negatives=st.integers(0, 3),
+        min_count=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_corpora_match_oracle(self, docs, dim, epochs, negatives, min_count, seed):
+        corpus = [" ".join(toks) for toks in docs]
+        matches_oracle(
+            corpus, dim=dim, epochs=epochs, seed=seed, negatives=negatives, min_count=min_count
+        )
 
 
 def test_tokenize_lowercase_punctuation():

@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "field,value", [("epochs", -2), ("negatives", -1), ("lr", 0.0), ("min_count", 0)]
+    )
+    def test_validate_catches_bad_user_embed(self, film_dir, field, value):
+        cfg = small_config(film_dir)
+        setattr(cfg.user_embed, field, value)
+        with pytest.raises(ConfigError, match=f"user_embed.{field}"):
+            cfg.validate()
+
     def test_json_roundtrip(self, film_dir, tmp_path):
         cfg = small_config(film_dir)
         cfg.ppr.k = 17
@@ -233,6 +242,15 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         rc = cli_main(["run", "--dataset", str(tmp_path), "--kind", "filmtrust", "--train-ratio", "2.0"])
         assert rc == 1
+
+    def test_bad_user_embed_config_file_exit_code(self, siot_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(
+            json.dumps({"dataset": str(siot_dir), "kind": "siot_csv", "user_embed": {"negatives": -1}})
+        )
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: user_embed.negatives" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path):
         rc = cli_main(["run", "--dataset", str(tmp_path / "missing"), "--kind", "filmtrust"])

@@ -52,7 +52,8 @@ class TestForwardBackward:
     def test_loss_composes_component_oracles(self, fixture):
         # recompute through the public inference surfaces and compare
         from trustnet.conv import encode_role, fuse
-        from trustnet.embed import EmbeddingTable, project
+        from test_embed import project
+        from trustnet.embed import EmbeddingTable
         from trustnet.graph import Role
         from trustnet.predict import batch_loss
 
