@@ -154,6 +154,10 @@ class Tape:
             raise TapeError("no output marked on this tape")
         self._spent = True
         grads: dict[Tensor, np.ndarray] = {self._output: np.ones_like(self._output.value)}
+        # Tensors whose entry in ``grads`` is a sum the tape allocated itself.
+        # Only those are accumulated in place: a contribution may be shared
+        # (``add`` hands the same ``g`` to both operands) and is never mutated.
+        owned: set[Tensor] = set()
         for out, backward in reversed(self._records):
             g = grads.pop(out, None)
             if g is None:
@@ -162,7 +166,14 @@ class Tape:
                 if contrib is None or not t.requires_grad:
                     continue
                 prev = grads.get(t)
-                grads[t] = contrib if prev is None else prev + contrib
+                if prev is None:
+                    grads[t] = contrib
+                elif t in owned:
+                    prev += contrib
+                    grads[t] = prev  # a 0-d sum is a numpy scalar; += rebinds it
+                else:
+                    grads[t] = prev + contrib
+                    owned.add(t)
         return grads
 
 
@@ -314,13 +325,15 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     return out
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
+def elu(a) -> Tensor:
     a = as_tensor(a)
     x = a.value
+    # exp(min(x, 0)) is exactly 1 where x >= 0, so it is also the derivative
     ex = np.exp(np.minimum(x, 0.0))
-    out = Tensor(np.where(x >= 0, x, alpha * (ex - 1.0)), requires_grad=a.requires_grad)
-    deriv = np.where(x >= 0, 1.0, alpha * ex)
-    _record(out, lambda g: [(a, g * deriv)])
+    value = ex - 1.0
+    np.copyto(value, x, where=x >= 0)
+    out = Tensor(value, requires_grad=a.requires_grad)
+    _record(out, lambda g: [(a, g * ex)])
     return out
 
 
@@ -516,6 +529,30 @@ class EdgeMap:
         )
 
 
+EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient
+
+
+def _edge_dots(g: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
+    """Per-edge dot products g[rows[e]] . x[cols[e]], a block of edges at a time.
+
+    Two reused block buffers replace the two E x d gathers a single einsum
+    would need; each edge's dot product is computed exactly as it would be
+    over the whole edge list.
+    """
+    n_edges = emap.rows.shape[0]
+    d = g.shape[1]
+    dots = np.empty(n_edges)
+    g_blk = np.empty((min(EDGE_BLOCK, n_edges), d))
+    x_blk = np.empty_like(g_blk)
+    for s in range(0, n_edges, EDGE_BLOCK):
+        e = min(s + EDGE_BLOCK, n_edges)
+        gb, xb = g_blk[: e - s], x_blk[: e - s]
+        np.take(g, emap.rows[s:e], axis=0, out=gb)
+        np.take(x, emap.cols[s:e], axis=0, out=xb)
+        np.einsum("ed,ed->e", gb, xb, out=dots[s:e])
+    return dots
+
+
 def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
     """Weighted-adjacency product: out[i] = sum_e values[e] * x[cols[e]].
 
@@ -531,7 +568,7 @@ def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
     def backward(g):
         dvals = None
         if values.requires_grad:
-            dvals = np.einsum("ed,ed->e", g[emap.rows], x.value[emap.cols])
+            dvals = _edge_dots(g, x.value, emap)
         dx = emap.matrix_t(values.value) @ g if x.requires_grad else None
         return [(values, dvals), (x, dx)]
 

@@ -55,19 +55,6 @@ def predict_scores(z: np.ndarray, trustors, trustees, params: PredictorParams) -
     return probs[:, TRUST_CLASS]
 
 
-def batch_loss(samples, table, params: PredictorParams) -> float:
-    """Mean cross-entropy of the predictor over labelled pairs."""
-    if len(samples) == 0:
-        raise DataError("batch_loss needs at least one sample")
-    z = np.asarray(table.vectors if hasattr(table, "vectors") else table, dtype=np.float64)
-    i = np.array([s.trustor for s in samples])
-    j = np.array([s.trustee for s in samples])
-    y = np.array([s.label for s in samples])
-    probs = predict_pair(z[i], z[j], params)
-    picked = probs[np.arange(len(samples)), y]
-    return float(-np.mean(np.log(picked)))
-
-
 def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) -> Tensor:
     """Tape-aware mean cross-entropy from fused user embeddings.
 

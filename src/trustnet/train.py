@@ -87,9 +87,6 @@ class ModelParams:
             if not np.all(np.isfinite(tensor.value)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
 
-    def zdim(self) -> int:
-        return self.latent_dim
-
     def set_initial_tables(self, h0_users, h0_objects, trainable: bool) -> None:
         """Attach initial embedding tables; trainable tables join the tape."""
         hu = np.asarray(h0_users.vectors if hasattr(h0_users, "vectors") else h0_users)

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trustnet import autodiff as ad
 
@@ -227,3 +231,191 @@ def test_fanout_accumulates():
         tape.mark_output(out)
     grads = tape.gradients()
     assert np.isclose(grads[x], 11.0)
+
+
+# ---------------------------------------------------------------------------
+# exactness against the straightforward formulations
+
+
+def oracle_edge_matmul_backward(values, x, emap, g):
+    """Both edge_matmul gradients from two whole E x d gathers and a CSR product."""
+    dvals = np.einsum("ed,ed->e", g[emap.rows], x[emap.cols])
+    dx = emap.matrix_t(values) @ g
+    return dvals, dx
+
+
+B = ad.EDGE_BLOCK
+
+
+@pytest.mark.parametrize("n_edges", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_edge_matmul_backward_matches_oracle_at_block_boundaries(n_edges):
+    rng = np.random.default_rng(n_edges)
+    n_rows, n_cols, d = 53, 41, 5
+    emap = ad.EdgeMap.from_edges(
+        rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges), n_rows, n_cols
+    )
+    values, x = rng.normal(size=n_edges), rng.normal(size=(n_cols, d))
+    g = rng.normal(size=(n_rows, d))
+    tv, tx = ad.Tensor(values.copy()), ad.Tensor(x.copy())
+    with ad.Tape() as tape:
+        # the upstream gradient of edge_matmul's output is exactly 1.0 * g
+        out = ad.reduce_sum(ad.edge_matmul(tv, tx, emap) * ad.Tensor(g, requires_grad=False))
+        tape.mark_output(out)
+    grads = tape.gradients()
+    dvals, dx = oracle_edge_matmul_backward(values, x, emap, g)
+    assert np.array_equal(grads[tv], dvals)
+    assert np.array_equal(grads[tx], dx)
+
+
+def test_edge_matmul_backward_allocates_less_than_one_gather():
+    # The value gradient must not materialise an E x d gather; a whole
+    # g[rows] or x[cols] alone would be E * d * 8 bytes.
+    rng = np.random.default_rng(0)
+    n, n_edges, d = 2000, 50_000, 16
+    emap = ad.EdgeMap.from_edges(
+        rng.integers(n, size=n_edges), rng.integers(n, size=n_edges), n, n
+    )
+    w, x = ad.Tensor(rng.random(n_edges)), ad.Tensor(rng.normal(size=(n, d)))
+    with ad.Tape() as tape:
+        tape.mark_output(ad.reduce_sum(ad.edge_matmul(w, x, emap)))
+    tracemalloc.start()
+    try:
+        tape.gradients()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_edges * d * 8
+
+
+def oracle_elu(x):
+    """ELU value and derivative with alpha = 1, as two np.where selections."""
+    ex = np.exp(np.minimum(x, 0.0))
+    return np.where(x >= 0, x, 1.0 * (ex - 1.0)), np.where(x >= 0, 1.0, 1.0 * ex)
+
+
+def test_elu_matches_where_formula_bitwise():
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -800.0, 800.0, np.nan]
+    x = np.concatenate([special, np.random.default_rng(11).normal(size=500)])
+    t = ad.Tensor(x.copy())
+    with ad.Tape() as tape:
+        out = ad.elu(t)
+        tape.mark_output(ad.reduce_sum(out))
+    deriv = tape.gradients()[t]  # upstream gradient is all ones
+    want_value, want_deriv = oracle_elu(x)
+    assert np.array_equal(out.value.view(np.int64), want_value.view(np.int64))
+    assert np.array_equal(deriv.view(np.int64), want_deriv.view(np.int64))
+    assert np.signbit(out.value[1])  # elu(-0.0) stays -0.0
+
+
+# ---------------------------------------------------------------------------
+# gradient accumulation on the tape
+
+
+def oracle_gradients(tape):
+    """Replays a tape's records, summing every contribution into a new array."""
+    grads = {tape._output: np.ones_like(tape._output.value)}
+    for out, backward in reversed(tape._records):
+        g = grads.pop(out, None)
+        if g is None:
+            continue
+        for t, contrib in backward(g):
+            if contrib is None or not t.requires_grad:
+                continue
+            prev = grads.get(t)
+            grads[t] = contrib if prev is None else prev + contrib
+    return grads
+
+
+def tape_and_oracle(build, leaves):
+    """Gradients of ``build(*leaves)`` from Tape.gradients and from the replay oracle."""
+    result = []
+    for replay in (lambda tape: tape.gradients(), oracle_gradients):
+        with ad.Tape() as tape:
+            tape.mark_output(build(*leaves))
+        result.append(replay(tape))
+    return result
+
+
+def test_shared_contribution_is_not_mutated():
+    # add hands one g to both operands; a then takes two more contributions,
+    # and b's gradient must stay exactly what add gave it
+    rng = np.random.default_rng(12)
+    a, b = ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(4, 3)))
+    w = rng.normal(size=(4, 3))
+
+    def build(a, b):
+        u = a * 2.0
+        v = ad.exp(a)
+        c = ad.add(a, b)
+        return ad.reduce_sum(c * ad.Tensor(w, requires_grad=False)) + ad.reduce_sum(u + v)
+
+    grads, want = tape_and_oracle(build, (a, b))
+    assert np.array_equal(grads[b], w)
+    assert np.array_equal(grads[a], want[a])
+    assert np.array_equal(grads[b], want[b])
+
+
+def test_scalar_fanout_accumulates_every_contribution():
+    x = ad.Tensor(np.array(0.7))
+    grads, want = tape_and_oracle(lambda x: x * x + 3.0 * x + ad.exp(x) + ad.neg(x), (x,))
+    assert np.array_equal(grads[x], want[x])
+    assert np.isclose(grads[x], 2 * 0.7 + 3.0 + np.exp(0.7) - 1.0)
+
+
+UNARY = {
+    "neg": ad.neg,
+    "sigmoid": ad.sigmoid,
+    "elu": ad.elu,
+    "leaky_relu": ad.leaky_relu,
+    "gather": lambda t: ad.gather(t, np.array([0, 2, 2, 1])),
+}
+BINARY = {
+    "add": ad.add,
+    "sub": ad.sub,
+    "mul": ad.mul,
+    "splice": lambda p, q: ad.concat_rows(ad.slice_rows(p, 0, 2), ad.slice_rows(q, 2, 4)),
+}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(UNARY) + sorted(BINARY) + ["bias", "scale"]),
+            st.integers(0, 63),
+            st.integers(0, 63),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+)
+def test_random_composites_match_replay_oracle(seed, steps):
+    rng = np.random.default_rng(seed)
+    leaves = (
+        ad.Tensor(rng.normal(size=(4, 3))),
+        ad.Tensor(rng.normal(size=(4, 3))),
+        ad.Tensor(rng.normal(size=(3,))),  # broadcast bias
+        ad.Tensor(rng.normal()),  # 0-d scale
+    )
+
+    def build(a, b, bias, scale):
+        pool = [a, b]
+        for op, i, j in steps:
+            p, q = pool[i % len(pool)], pool[j % len(pool)]
+            if op == "bias":
+                pool.append(ad.add(p, bias))
+            elif op == "scale":
+                pool.append(ad.mul(ad.sigmoid(p), scale))
+            elif op in UNARY:
+                pool.append(UNARY[op](p))
+            else:
+                pool.append(BINARY[op](p, q))
+        total = pool[0]
+        for t in pool[1:]:
+            total = total + t
+        return ad.reduce_sum(total)
+
+    grads, want = tape_and_oracle(build, leaves)
+    assert grads.keys() == want.keys()
+    for t in want:
+        assert np.array_equal(grads[t], want[t])

@@ -7,12 +7,24 @@ from trustnet.errors import DataError
 from trustnet.graph import TrustSample
 from trustnet.predict import (
     PredictorParams,
-    batch_loss,
     metrics,
     pair_loss,
     predict_pair,
     predict_scores,
 )
+
+
+def batch_loss(samples, table, params: PredictorParams) -> float:
+    """Mean cross-entropy of the predictor over labelled pairs (oracle for pair_loss)."""
+    if len(samples) == 0:
+        raise DataError("batch_loss needs at least one sample")
+    z = np.asarray(table.vectors if hasattr(table, "vectors") else table, dtype=np.float64)
+    i = np.array([s.trustor for s in samples])
+    j = np.array([s.trustee for s in samples])
+    y = np.array([s.label for s in samples])
+    probs = predict_pair(z[i], z[j], params)
+    picked = probs[np.arange(len(samples)), y]
+    return float(-np.mean(np.log(picked)))
 
 
 def make_params(zdim, rng=None, zero=False):

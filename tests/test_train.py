@@ -55,7 +55,7 @@ class TestForwardBackward:
         from test_embed import project
         from trustnet.embed import EmbeddingTable
         from trustnet.graph import Role
-        from trustnet.predict import batch_loss
+        from test_predict import batch_loss
 
         params = fresh_params(fixture, seed=5)
         hu = project(EmbeddingTable(fixture.h0_users), params.proj_user.value)
