@@ -272,7 +272,7 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if b.value.ndim == 1:
-            da = np.outer(g, b.value) if a.requires_grad else None
+            da = np.einsum("i,j->ij", g, b.value) if a.requires_grad else None
             db = a.value.T @ g if b.requires_grad else None
         else:
             da = g @ b.value.T if a.requires_grad else None
@@ -319,7 +319,7 @@ def sigmoid(a) -> Tensor:
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    slope_mask = np.where(x >= 0, 1.0, negative_slope)
+    slope_mask = np.array([negative_slope, 1.0]).take((x >= 0).view(np.uint8))
     out = Tensor(x * slope_mask, requires_grad=a.requires_grad)
     _record(out, lambda g: [(a, g * slope_mask)])
     return out
@@ -328,10 +328,12 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 def elu(a) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    # exp(min(x, 0)) is exactly 1 where x >= 0, so it is also the derivative
+    # exp(min(x, 0)) is exactly 1 where x >= 0, so it is also the derivative,
+    # and max(0, x) - (1 - ex) is x there and ex - 1 below 0. The argument
+    # order keeps max(0.0, -0.0) at -0.0.
     ex = np.exp(np.minimum(x, 0.0))
-    value = ex - 1.0
-    np.copyto(value, x, where=x >= 0)
+    value = np.maximum(0.0, x)
+    value -= 1.0 - ex
     out = Tensor(value, requires_grad=a.requires_grad)
     _record(out, lambda g: [(a, g * ex)])
     return out
@@ -413,18 +415,26 @@ def concat_cols(a, b) -> Tensor:
 
 
 def gather(a, idx: np.ndarray) -> Tensor:
-    """Row gather a[idx]; scatter-add on the way back."""
+    """Row gather a[idx]; scatter-add on the way back.
+
+    The 2-D scatter is a product with the 0/1 matrix whose row r lists the
+    positions k with idx[k] == r in ascending order, so every output row sums
+    its contributions from +0 in the order ``np.add.at`` would.
+    """
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(a.value[idx], requires_grad=a.requires_grad)
 
     def backward(g):
+        n = a.value.shape[0]
         if a.value.ndim == 1:
-            da = np.bincount(idx, weights=g, minlength=a.value.shape[0])
-        else:
-            da = np.zeros_like(a.value)
-            np.add.at(da, idx, g)
-        return [(a, da)]
+            return [(a, np.bincount(idx, weights=g, minlength=n))]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+        scatter = sp.csr_matrix(
+            (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr), shape=(n, idx.size)
+        )
+        return [(a, scatter @ g)]
 
     _record(out, backward)
     return out
@@ -470,15 +480,16 @@ def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # sparse structure
 
 
-def sparse_matmul(mat: sp.csr_matrix, mat_t: sp.csr_matrix, x) -> Tensor:
+def sparse_matmul(mat: sp.csr_matrix, x) -> Tensor:
     """Product ``mat @ x`` with a constant sparse matrix.
 
-    ``mat_t`` must be the CSR transpose of ``mat``; it drives the backward
-    pass without a conversion per call.
+    The backward product ``mat.T @ g`` runs scipy's CSC kernel on the same
+    arrays, which sums each output row in ascending source-row order, as a
+    stored CSR transpose would.
     """
     x = as_tensor(x)
     out = Tensor(mat @ x.value, requires_grad=x.requires_grad)
-    _record(out, lambda g: [(x, mat_t @ g)])
+    _record(out, lambda g: [(x, mat.T @ g)])
     return out
 
 
@@ -486,10 +497,10 @@ def sparse_matmul(mat: sp.csr_matrix, mat_t: sp.csr_matrix, x) -> Tensor:
 class EdgeMap:
     """Fixed sparsity pattern of an edge list, sorted row-major.
 
-    Precomputes CSR structure for the pattern and its transpose so a
-    weighted adjacency product only has to drop edge values into place.
-    ``order`` is the permutation that sorted the constructor input; apply
-    it to any parallel per-edge arrays.
+    Precomputes the CSR structure of the pattern so a weighted adjacency
+    product only has to drop edge values into place; its transpose is the
+    same arrays read column-wise. ``order`` is the permutation that sorted
+    the constructor input; apply it to any parallel per-edge arrays.
     """
 
     rows: np.ndarray
@@ -498,9 +509,6 @@ class EdgeMap:
     n_cols: int
     order: np.ndarray
     indptr: np.ndarray
-    t_perm: np.ndarray
-    t_indptr: np.ndarray
-    t_indices: np.ndarray
 
     @classmethod
     def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> "EdgeMap":
@@ -511,22 +519,10 @@ class EdgeMap:
         indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(rows, minlength=n_rows)))
         ).astype(np.int32)
-        t_perm = np.lexsort((rows, cols))
-        t_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(cols, minlength=n_cols)))
-        ).astype(np.int32)
-        return cls(
-            rows, cols, n_rows, n_cols, order, indptr, t_perm, t_indptr, rows[t_perm]
-        )
+        return cls(rows, cols, n_rows, n_cols, order, indptr)
 
     def matrix(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
-
-    def matrix_t(self, values: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (values[self.t_perm], self.t_indices, self.t_indptr),
-            shape=(self.n_cols, self.n_rows),
-        )
 
 
 EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient
@@ -560,16 +556,14 @@ def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
     order); gradients flow into both the edge values and ``x``.
     """
     values, x = as_tensor(values), as_tensor(x)
-    out = Tensor(
-        emap.matrix(values.value) @ x.value,
-        requires_grad=values.requires_grad or x.requires_grad,
-    )
+    mat = emap.matrix(values.value)
+    out = Tensor(mat @ x.value, requires_grad=values.requires_grad or x.requires_grad)
 
     def backward(g):
         dvals = None
         if values.requires_grad:
             dvals = _edge_dots(g, x.value, emap)
-        dx = emap.matrix_t(values.value) @ g if x.requires_grad else None
+        dx = mat.T @ g if x.requires_grad else None
         return [(values, dvals), (x, dx)]
 
     _record(out, backward)

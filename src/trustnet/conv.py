@@ -156,9 +156,9 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     ho = ad.slice_rows(h, nu, n)
     projected = ad.concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
 
-    # per-type aggregated neighborhoods (normalized adjacency, masked by type)
-    t_user = ad.sparse_matmul(view.s_user, view.s_user_t, h)
-    t_obj = ad.sparse_matmul(view.s_obj, view.s_obj_t, h)
+    # per-type aggregated neighborhoods (normalized adjacency, split by column type)
+    t_user = ad.sparse_matmul(view.s_user, h)
+    t_obj = ad.sparse_matmul(view.s_obj, h)
 
     eu1 = ad.slice_rows(params.eta_user, 0, d)
     eu2 = ad.slice_rows(params.eta_user, d, 2 * d)

@@ -91,12 +91,6 @@ class HeteroGraph:
     def node_type(self, node: int) -> int:
         return USER if node < self.num_users else OBJECT
 
-    @property
-    def node_types(self) -> np.ndarray:
-        t = np.zeros(self.num_nodes, dtype=np.int64)
-        t[self.num_users :] = OBJECT
-        return t
-
     def with_trust_edges(self, edges) -> "HeteroGraph":
         """Same graph with the trust edge set replaced (e.g. a train split)."""
         return replace(self, trust_edges=_as_edge_array(edges))
@@ -134,7 +128,9 @@ class GraphView:
     ``matrix`` holds self-looped, symmetric-normalized entries
     1/sqrt(deg_i * deg_j) where deg is the self-looped total degree
     (orientation-independent, so both role views share one degree
-    vector and differ only in the user-block orientation).
+    vector and differ only in the user-block orientation). ``s_user`` and
+    ``s_obj`` split ``matrix`` by the column's node type; each stores only
+    its own edges, in its own index arrays.
     """
 
     role: Role
@@ -144,14 +140,11 @@ class GraphView:
     degrees: np.ndarray
     edge_rows: np.ndarray
     edge_cols: np.ndarray
-    edge_values: np.ndarray
     edge_col_is_user: np.ndarray
     indptr: np.ndarray
     emap: EdgeMap
     s_user: sp.csr_matrix
-    s_user_t: sp.csr_matrix
     s_obj: sp.csr_matrix
-    s_obj_t: sp.csr_matrix
     has_user_neighbor: np.ndarray
     has_obj_neighbor: np.ndarray
 
@@ -183,6 +176,15 @@ def _merge_user_block(
     edges = np.concatenate([trust_edges, augmented[keep]]) if trust_edges.size else augmented[keep]
     w = np.concatenate([np.ones(len(trust_edges)), aug_w[keep]])
     return edges, w
+
+
+def _edge_subset(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, keep: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """CSR matrix of the kept row-major edges, in freshly allocated arrays."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(n, n))
 
 
 def build_view(
@@ -238,11 +240,12 @@ def build_view(
     values = raw / np.sqrt(deg[rows] * deg[cols])
 
     matrix = emap.matrix(values)
-    col_is_user = (cols < nu).astype(np.float64)
-    mask_u = sp.csr_matrix((values * col_is_user, cols, emap.indptr), shape=(n, n))
-    mask_o = sp.csr_matrix((values * (1.0 - col_is_user), cols, emap.indptr), shape=(n, n))
-    has_user = (np.bincount(rows, weights=col_is_user, minlength=n) > 0).astype(np.float64)
-    has_obj = (np.bincount(rows, weights=1.0 - col_is_user, minlength=n) > 0).astype(np.float64)
+    user_col = cols < nu
+    col_is_user = user_col.astype(np.float64)
+    s_user = _edge_subset(rows, emap.cols, values, user_col, n)
+    s_obj = _edge_subset(rows, emap.cols, values, ~user_col, n)
+    has_user = (np.diff(s_user.indptr) > 0).astype(np.float64)
+    has_obj = (np.diff(s_obj.indptr) > 0).astype(np.float64)
 
     return GraphView(
         role=role,
@@ -252,14 +255,11 @@ def build_view(
         degrees=deg,
         edge_rows=rows,
         edge_cols=cols,
-        edge_values=values,
         edge_col_is_user=col_is_user,
         indptr=emap.indptr.astype(np.int64),
         emap=emap,
-        s_user=mask_u,
-        s_user_t=mask_u.T.tocsr(),
-        s_obj=mask_o,
-        s_obj_t=mask_o.T.tocsr(),
+        s_user=s_user,
+        s_obj=s_obj,
         has_user_neighbor=has_user,
         has_obj_neighbor=has_obj,
     )

@@ -146,8 +146,7 @@ def test_sparse_matmul():
     rng = np.random.default_rng(7)
     dense = (rng.random((5, 5)) < 0.4) * rng.normal(size=(5, 5))
     mat = sp.csr_matrix(dense)
-    mat_t = mat.T.tocsr()
-    check_op(lambda x: ad.mean(ad.sparse_matmul(mat, mat_t, x) * 1.7), (5, 3))
+    check_op(lambda x: ad.mean(ad.sparse_matmul(mat, x) * 1.7), (5, 3))
 
 
 def test_edge_matmul_grads_both_sides():
@@ -240,7 +239,7 @@ def test_fanout_accumulates():
 def oracle_edge_matmul_backward(values, x, emap, g):
     """Both edge_matmul gradients from two whole E x d gathers and a CSR product."""
     dvals = np.einsum("ed,ed->e", g[emap.rows], x[emap.cols])
-    dx = emap.matrix_t(values) @ g
+    dx = emap.matrix(values).T.tocsr() @ g
     return dvals, dx
 
 
@@ -285,6 +284,44 @@ def test_edge_matmul_backward_allocates_less_than_one_gather():
     finally:
         tracemalloc.stop()
     assert peak < n_edges * d * 8
+
+
+def upstream_grad(build, leaf, g):
+    """Gradient reaching ``leaf`` when ``build(leaf)``'s output receives exactly ``g``."""
+    with ad.Tape() as tape:
+        out = build(leaf)
+        tape.mark_output(ad.reduce_sum(out * ad.Tensor(g, requires_grad=False)))
+    return tape.gradients()[leaf]
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [[3, 0, 3, 1, 3, 0], [5, 4, 3, 2, 1, 0, 0], [2, 2, 2, 2], []],
+    ids=["repeated", "unsorted", "one_row", "empty"],
+)
+def test_gather_backward_matches_add_at_bitwise(idx):
+    idx = np.array(idx, dtype=np.int64)
+    rng = np.random.default_rng(idx.size)
+    g = rng.normal(size=(idx.size, 4)) * 10.0 ** rng.integers(-12, 12, size=(idx.size, 1))
+    g[::2, 1] = -0.0  # a sum of -0.0 contributions alone reads +0.0, as with add.at
+    a = ad.Tensor(rng.normal(size=(7, 4)))
+    want = np.zeros((7, 4))
+    np.add.at(want, idx, g)
+    got = upstream_grad(lambda t: ad.gather(t, idx), a, g)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sparse_matmul_backward_matches_stored_transpose_bitwise():
+    rng = np.random.default_rng(3)
+    n_rows, n_cols = 60, 45
+    dense = (rng.random((n_rows, n_cols)) < 0.2) * rng.normal(size=(n_rows, n_cols))
+    mat = sp.csr_matrix(dense * 10.0 ** rng.integers(-8, 8, size=(n_rows, n_cols)))
+    x = ad.Tensor(rng.normal(size=(n_cols, 6)))
+    g = rng.normal(size=(n_rows, 6))
+    got = upstream_grad(lambda t: ad.sparse_matmul(mat, t), x, g)
+    want = mat.T.tocsr() @ g
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def oracle_elu(x):

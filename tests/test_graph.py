@@ -11,6 +11,7 @@ from trustnet.graph import (
     load_siot_csv,
     split_samples,
 )
+from trustnet.ppr import topk_augment
 
 
 def dense_view_oracle(graph, augmented, role):
@@ -132,6 +133,24 @@ class TestBuildView:
         assert np.allclose(trustor[:nu, :nu].T, trustee[:nu, :nu])
         assert np.allclose(trustor[nu:, :], trustee[nu:, :])
         assert np.allclose(trustor[:, nu:], trustee[:, nu:])
+
+    def test_type_matrices_store_only_their_own_edges(self):
+        rng = np.random.default_rng(5)
+        nu, no = 12, 7
+        trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(30, 2)) if i != j}
+        inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
+        g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1), (nu + 2, nu + 5)])
+        aug, weights = topk_augment(g, k=3, weighted=True)
+        for role in (Role.TRUSTOR, Role.TRUSTEE):
+            view = build_view(g, aug, role, weights)
+            for mat in (view.s_user, view.s_obj):
+                assert mat.nnz > 0 and np.all(mat.data != 0)
+                for arr in (view.emap.indptr, view.emap.cols):
+                    assert not np.shares_memory(mat.indptr, arr)
+                    assert not np.shares_memory(mat.indices, arr)
+            assert view.s_user.nnz + view.s_obj.nnz == view.emap.rows.size
+            assert np.all(view.s_user.indices < nu) and np.all(view.s_obj.indices >= nu)
+            assert np.array_equal((view.s_user + view.s_obj).toarray(), view.matrix.toarray())
 
     def test_augmented_duplicates_collapse(self):
         g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1)])
