@@ -39,6 +39,8 @@ __all__ = [
     "slice_rows",
     "concat_rows",
     "concat_cols",
+    "stack_halves",
+    "column",
     "gather",
     "gather_pairs",
     "segment_sum",
@@ -409,6 +411,43 @@ def concat_cols(a, b) -> Tensor:
             (a, g[:, :ka] if a.requires_grad else None),
             (b, g[:, ka:] if b.requires_grad else None),
         ]
+
+    _record(out, backward)
+    return out
+
+
+def stack_halves(*vectors) -> Tensor:
+    """Both halves of each (2d,) vector as columns of one (d, 2k) matrix.
+
+    Column 2i is ``vectors[i][:d]`` and column 2i+1 is ``vectors[i][d:]``,
+    so a single product ``x @ stack_halves(...)`` dots ``x`` with every half.
+    """
+    vectors = [as_tensor(v) for v in vectors]
+    d = vectors[0].value.shape[0] // 2
+    out = Tensor(
+        np.concatenate([v.value.reshape(2, d).T for v in vectors], axis=1),
+        requires_grad=any(v.requires_grad for v in vectors),
+    )
+
+    def backward(g):
+        return [
+            (v, g[:, 2 * i : 2 * i + 2].T.reshape(-1) if v.requires_grad else None)
+            for i, v in enumerate(vectors)
+        ]
+
+    _record(out, backward)
+    return out
+
+
+def column(a, k: int) -> Tensor:
+    """Column a[:, k] of a 2-D tensor, as a contiguous vector."""
+    a = as_tensor(a)
+    out = Tensor(np.ascontiguousarray(a.value[:, k]), requires_grad=a.requires_grad)
+
+    def backward(g):
+        full = np.zeros_like(a.value)
+        full[:, k] = g
+        return [(a, full)]
 
     _record(out, backward)
     return out

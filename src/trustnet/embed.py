@@ -225,16 +225,6 @@ def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
 # translation-based triple embedding
 
 
-def transe_score(model: TransEModel, triple: KnowledgeTriple) -> float:
-    """Plausibility score -||h + r - t||^2; 0 iff the translation is exact."""
-    diff = (
-        model.entity_vectors[triple.head]
-        + model.relation_vectors[triple.relation]
-        - model.entity_vectors[triple.tail]
-    )
-    return -float(diff @ diff)
-
-
 def transe_train(
     triples: list[KnowledgeTriple],
     num_entities: int,

@@ -130,7 +130,11 @@ class GraphView:
     (orientation-independent, so both role views share one degree
     vector and differ only in the user-block orientation). ``s_user`` and
     ``s_obj`` split ``matrix`` by the column's node type; each stores only
-    its own edges, in its own index arrays.
+    its own edges, in its own index arrays. The convolution multiplies them
+    with per-node attention scores, not with embeddings: since
+    eta . sum_j a_ij h_j = sum_j a_ij (eta . h_j), one sparse product over
+    an n-vector of scores gives each node's type-attention term, where
+    aggregating h first would cost d times the work and an n x d array.
     """
 
     role: Role

@@ -149,6 +149,26 @@ def test_sparse_matmul():
     check_op(lambda x: ad.mean(ad.sparse_matmul(mat, x) * 1.7), (5, 3))
 
 
+def test_stack_halves():
+    check_op(
+        lambda x, a, b, c: ad.reduce_sum(ad.exp(ad.matmul(x, ad.stack_halves(a, b, c)) * 0.3)),
+        (4, 3),
+        (6,),
+        (6,),
+        (6,),
+    )
+
+
+def test_stack_halves_layout():
+    v, w = np.arange(8.0), -np.arange(8.0)
+    out = ad.stack_halves(ad.Tensor(v), ad.Tensor(w)).value
+    assert np.array_equal(out, np.stack([v[:4], v[4:], w[:4], w[4:]], axis=1))
+
+
+def test_column():
+    check_op(lambda a: ad.reduce_sum(ad.exp(ad.column(a, 1)) * ad.column(a, 3)), (5, 4))
+
+
 def test_edge_matmul_grads_both_sides():
     rows = np.array([0, 0, 1, 2, 2, 2])
     cols = np.array([1, 2, 0, 0, 1, 2])
@@ -322,6 +342,21 @@ def test_sparse_matmul_backward_matches_stored_transpose_bitwise():
     got = upstream_grad(lambda t: ad.sparse_matmul(mat, t), x, g)
     want = mat.T.tocsr() @ g
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sparse_matmul_vector_operand_bitwise():
+    rng = np.random.default_rng(4)
+    n_rows, n_cols = 60, 45
+    dense = (rng.random((n_rows, n_cols)) < 0.2) * rng.normal(size=(n_rows, n_cols))
+    mat = sp.csr_matrix(dense * 10.0 ** rng.integers(-8, 8, size=(n_rows, n_cols)))
+    x = ad.Tensor(rng.normal(size=n_cols))
+    g = rng.normal(size=n_rows)
+    out = ad.sparse_matmul(mat, x).value
+    assert out.shape == (n_rows,)
+    assert np.array_equal(out.view(np.int64), (mat @ x.value).view(np.int64))
+    got = upstream_grad(lambda t: ad.sparse_matmul(mat, t), x, g)
+    assert got.shape == (n_cols,)
+    assert np.array_equal(got.view(np.int64), (mat.T @ g).view(np.int64))
 
 
 def oracle_elu(x):

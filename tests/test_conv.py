@@ -1,21 +1,173 @@
 import numpy as np
 import pytest
 
-from trustnet.autodiff import Tensor
-from trustnet.conv import (
-    GateParams,
-    LayerParams,
-    RoleEncoder,
-    encode_role,
-    fuse,
-    layer_forward,
-    node_attention,
-    propagate_layer,
-    type_attention,
-    type_embedding,
-)
+from trustnet import autodiff as ad
+from trustnet.autodiff import Tape, Tensor
+from trustnet.conv import LEAKY_SLOPE, GateParams, LayerParams, RoleEncoder, layer_forward
+from trustnet.embed import EmbeddingTable
 from trustnet.errors import DataError
-from trustnet.graph import OBJECT, USER, HeteroGraph, Role, build_view
+from trustnet.fixtures import make_pipeline_fixture
+from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
+from trustnet.train import forward, init_params
+
+
+# ---------------------------------------------------------------------------
+# per-node oracles and inference wrappers around the production layer
+
+
+def _vectors(table) -> np.ndarray:
+    if isinstance(table, EmbeddingTable):
+        return table.vectors
+    if isinstance(table, Tensor):
+        return table.value
+    return np.asarray(table, dtype=np.float64)
+
+
+def type_embedding(target: int, node_type: int, view: GraphView, table) -> np.ndarray:
+    """Sum of normalized-adjacency-weighted neighbors of one type.
+
+    Includes the self-loop when the target's own type matches; returns a
+    zero vector when the target has no neighbors of that type.
+    """
+    h = _vectors(table)
+    row = view.matrix.getrow(target)
+    out = np.zeros(h.shape[1])
+    for j, a in zip(row.indices, row.data):
+        j_type = USER if j < view.num_users else OBJECT
+        if j_type == node_type:
+            out += a * h[j]
+    return out
+
+
+def type_attention(h_target: np.ndarray, type_embeddings: dict, params: LayerParams) -> dict:
+    """Softmax over present types of LeakyReLU(eta_t . [h_i || h_t])."""
+    if not type_embeddings:
+        raise DataError("at least one type must be present")
+    etas = {USER: params.eta_user.value, OBJECT: params.eta_obj.value}
+    logits = {}
+    for t, h_t in type_embeddings.items():
+        cat = np.concatenate([h_target, h_t])
+        x = float(etas[t] @ cat)
+        logits[t] = x if x >= 0 else LEAKY_SLOPE * x
+    shift = max(logits.values())
+    exps = {t: np.exp(v - shift) for t, v in logits.items()}
+    total = sum(exps.values())
+    return {t: e / total for t, e in exps.items()}
+
+
+def node_attention(
+    target: int,
+    neighbors,
+    table,
+    type_weights: dict,
+    params: LayerParams,
+    num_users: int | None = None,
+) -> np.ndarray:
+    """Per-neighbor softmax weights scaled by each neighbor's type weight.
+
+    ``neighbors`` lists node ids (include ``target`` itself for the
+    self-loop term); an empty list degenerates to the self contribution
+    and returns the single weight 1.
+    """
+    h = _vectors(table)
+    if num_users is None:
+        num_users = h.shape[0]
+    neighbors = list(neighbors)
+    if not neighbors:
+        return np.array([1.0])
+    gamma = params.gamma.value
+    d = h.shape[1]
+    g1, g2 = gamma[:d], gamma[d:]
+    logits = np.empty(len(neighbors))
+    for idx, j in enumerate(neighbors):
+        t = USER if j < num_users else OBJECT
+        x = type_weights[t] * (g1 @ h[target] + g2 @ h[j])
+        logits[idx] = x if x >= 0 else LEAKY_SLOPE * x
+    ex = np.exp(logits - logits.max())
+    return ex / ex.sum()
+
+
+def propagate_layer(table, view: GraphView, params: LayerParams) -> EmbeddingTable:
+    """Inference-time single production layer: plain arrays in, plain arrays out."""
+    h = Tensor(_vectors(table), requires_grad=False)
+    return EmbeddingTable(layer_forward(h, view, params).value)
+
+
+def encode_role(
+    graph: HeteroGraph, view: GraphView, table, encoder: RoleEncoder
+) -> EmbeddingTable:
+    """Stacked production layers over one role's view (all nodes, users and objects)."""
+    if view.role is not encoder.role:
+        raise DataError(f"view role {view.role} does not match encoder role {encoder.role}")
+    h = Tensor(_vectors(table), requires_grad=False)
+    for layer in encoder.layers:
+        h = layer_forward(h, view, layer)
+    return EmbeddingTable(h.value)
+
+
+def fuse(h_trustor, h_trustee, gate: GateParams) -> np.ndarray:
+    """Elementwise convex combination g*h + (1-g)*h_bar with g = sigmoid(gate)."""
+    a = np.asarray(h_trustor, dtype=np.float64)
+    b = np.asarray(h_trustee, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DataError(f"fuse expects matching shapes, got {a.shape} and {b.shape}")
+    g = gate.effective()
+    if g.shape[0] != a.shape[-1]:
+        raise DataError(f"gate dim {g.shape[0]} does not match embedding dim {a.shape[-1]}")
+    return g * a + (1.0 - g) * b
+
+
+def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
+    """``layer_forward`` op by op: aggregates h per type, then dots the n x d sums.
+
+    Each attention half-vector is its own slice and product, so the type
+    logits come from the definition eta_t . [h_i || h_t] directly.
+    """
+    n, nu = view.num_nodes, view.num_users
+    d = params.w_user.value.shape[0]
+    rows, cols = view.edge_rows, view.edge_cols
+
+    hu = ad.slice_rows(h, 0, nu)
+    ho = ad.slice_rows(h, nu, n)
+    projected = ad.concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
+
+    t_user = ad.sparse_matmul(view.s_user, h)
+    t_obj = ad.sparse_matmul(view.s_obj, h)
+
+    eu1 = ad.slice_rows(params.eta_user, 0, d)
+    eu2 = ad.slice_rows(params.eta_user, d, 2 * d)
+    eo1 = ad.slice_rows(params.eta_obj, 0, d)
+    eo2 = ad.slice_rows(params.eta_obj, d, 2 * d)
+    logit_u = ad.leaky_relu(ad.matmul(h, eu1) + ad.matmul(t_user, eu2), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(ad.matmul(h, eo1) + ad.matmul(t_obj, eo2), LEAKY_SLOPE)
+
+    mask_u, mask_o = view.has_user_neighbor, view.has_obj_neighbor
+    shift = np.maximum(
+        np.where(mask_u > 0, logit_u.value, -np.inf),
+        np.where(mask_o > 0, logit_o.value, -np.inf),
+    )
+    exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
+    exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
+    denom = exp_u + exp_o
+    alpha_u = exp_u / denom
+    alpha_o = exp_o / denom
+
+    is_user_col = view.edge_col_is_user
+    alpha_edge = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (
+        1.0 - is_user_col
+    )
+    g1 = ad.slice_rows(params.gamma, 0, d)
+    g2 = ad.slice_rows(params.gamma, d, 2 * d)
+    s_own = ad.gather(ad.matmul(h, g1), rows)
+    s_nbr = ad.gather(ad.matmul(h, g2), cols)
+    pair_logit = ad.leaky_relu(alpha_edge * (s_own + s_nbr), LEAKY_SLOPE)
+
+    seg_shift = ad.segment_max_values(pair_logit.value, view.indptr)
+    ex = ad.exp(pair_logit - seg_shift[rows])
+    denom_e = ad.segment_sum(ex, rows, n)
+    beta = ex / ad.gather(denom_e, rows)
+
+    return ad.elu(ad.edge_matmul(beta, projected, view.emap))
 
 
 def make_layer(rng, dim):
@@ -326,3 +478,63 @@ class TestFuse:
         gate = GateParams(Tensor(np.zeros(3)))
         with pytest.raises(DataError):
             fuse(np.zeros(3), np.zeros(4), gate)
+
+
+def random_oracle_case(rng, d, role):
+    """A random view with weighted PPR pairs, users without interactions and
+    objects without users, plus random input rows and parameters."""
+    nu = int(rng.integers(4, 9))
+    no = int(rng.integers(3, 6))
+    trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(2 * nu, 2)) if i != j}
+    # the last user has no object neighbor; the last object has no user neighbor
+    inter = {(int(rng.integers(nu - 1)), nu + int(rng.integers(no - 1))) for _ in range(2 * nu)}
+    objs = [(nu + i, nu + j) for i, j in rng.integers(no, size=(no, 2)) if i < j]
+    g = HeteroGraph(nu, no, sorted(trust), sorted(inter), sorted(set(objs)))
+    aug = sorted({(int(i), int(j)) for i, j in rng.integers(nu, size=(nu, 2)) if i != j})
+    view = build_view(g, aug, role, augmented_weights=rng.uniform(0.05, 1.0, size=len(aug)))
+    assert view.has_obj_neighbor.min() == 0 and view.has_user_neighbor.min() == 0
+    h = Tensor(rng.normal(size=(nu + no, d)))
+    return view, h, make_layer(rng, d)
+
+
+def layer_grads(layer, view, h, lp, weights):
+    with Tape() as tape:
+        out = layer(h, view, lp)
+        tape.mark_output(ad.reduce_sum(out * Tensor(weights, requires_grad=False)))
+    grads = tape.gradients()
+    leaves = [h, lp.w_user, lp.w_obj, lp.eta_user, lp.eta_obj, lp.gamma]
+    return out.value, [grads[t] for t in leaves]
+
+
+class TestLayerMatchesOpByOpOracle:
+    @pytest.mark.parametrize("role", [Role.TRUSTOR, Role.TRUSTEE], ids=["trustor", "trustee"])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_output_and_gradients_agree(self, d, role):
+        rng = np.random.default_rng([d, role is Role.TRUSTEE])
+        for _ in range(4):
+            view, h, lp = random_oracle_case(rng, d, role)
+            weights = rng.normal(size=h.shape)
+            got = layer_grads(layer_forward, view, h, lp, weights)
+            want = layer_grads(oracle_layer_forward, view, h, lp, weights)
+            for a, b in zip([got[0], *got[1]], [want[0], *want[1]]):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_records_fewer_ops_than_oracle(self):
+        view, h, lp = random_oracle_case(np.random.default_rng(0), 4, Role.TRUSTOR)
+        counts = []
+        for layer in (layer_forward, oracle_layer_forward):
+            with Tape() as tape:
+                layer(h, view, lp)
+            counts.append(tape.num_records)
+        assert counts[0] < counts[1]
+
+    def test_default_forward_records_fewer_than_227(self):
+        fx = make_pipeline_fixture(seed=1)
+        params = init_params(
+            seed=0, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=3
+        )
+        assert params.trustor is not None and params.trustee is not None
+        assert len(params.trustor.layers) == len(params.trustee.layers) == 2
+        _, tape = forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)
+        assert tape.num_records < 227

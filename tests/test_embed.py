@@ -15,11 +15,20 @@ from trustnet.embed import (
     load_user_vectors,
     random_table,
     tokenize,
-    transe_score,
     transe_train,
 )
 from trustnet.errors import DataError, ParseError
 from trustnet.graph import HeteroGraph
+
+
+def transe_score(model: TransEModel, triple: KnowledgeTriple) -> float:
+    """Plausibility score -||h + r - t||^2; 0 iff the translation is exact."""
+    diff = (
+        model.entity_vectors[triple.head]
+        + model.relation_vectors[triple.relation]
+        - model.entity_vectors[triple.tail]
+    )
+    return -float(diff @ diff)
 
 
 def oracle_embed_users(corpus, dim, epochs=10, seed=0, lr=0.05, negatives=5, min_count=2):

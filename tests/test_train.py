@@ -51,7 +51,7 @@ class TestForwardBackward:
 
     def test_loss_composes_component_oracles(self, fixture):
         # recompute through the public inference surfaces and compare
-        from trustnet.conv import encode_role, fuse
+        from test_conv import encode_role, fuse
         from test_embed import project
         from trustnet.embed import EmbeddingTable
         from trustnet.graph import Role
