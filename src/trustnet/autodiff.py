@@ -8,7 +8,15 @@ float64 and gradients are exact analytic expressions.
 A forward pass runs inside a ``Tape`` context; each differentiable
 operation appends one record. ``Tape.gradients`` replays the records in
 reverse execution order (which is a reverse topological order, since
-records are appended eagerly) and may be called exactly once.
+records are appended eagerly) and may be called exactly once. It releases
+each record as it replays it, so a backward closure, and every array only
+that closure holds, is freed during the replay rather than after it;
+``Tape.num_records`` still counts what was recorded.
+
+The attention layer's softmaxes and its per-type projection are single
+ops with hand-written backwards (``type_softmax``, ``segment_softmax``,
+``row_block_matmul``): each keeps one output array for its gradient where
+the equivalent chain of generic ops would keep a dozen intermediates.
 """
 
 from __future__ import annotations
@@ -41,10 +49,13 @@ __all__ = [
     "concat_cols",
     "stack_halves",
     "column",
+    "row_block_matmul",
     "gather",
     "gather_pairs",
     "segment_sum",
     "segment_max_values",
+    "type_softmax",
+    "segment_softmax",
     "sparse_matmul",
     "edge_matmul",
     "as_tensor",
@@ -124,6 +135,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, object]] = []
+        self._num_recorded = 0
         self._output: Tensor | None = None
         self._spent = False
 
@@ -142,13 +154,17 @@ class Tape:
 
     @property
     def num_records(self) -> int:
-        return len(self._records)
+        """Records appended by the forward pass, also after ``gradients``."""
+        return self._num_recorded
 
     def gradients(self) -> dict[Tensor, np.ndarray]:
         """Run the backward pass; returns gradients keyed by tensor.
 
-        Each record is visited once, in reverse execution order. Calling
-        this a second time raises ``TapeError``.
+        Each record is visited once, in reverse execution order, and is
+        popped off the tape before its backward runs. Once the loop moves
+        on, nothing refers to that closure or its output any more, so
+        their arrays are freed as the replay goes. Calling this a second
+        time raises ``TapeError``.
         """
         if self._spent:
             raise TapeError("tape has already been replayed")
@@ -160,28 +176,43 @@ class Tape:
         # Only those are accumulated in place: a contribution may be shared
         # (``add`` hands the same ``g`` to both operands) and is never mutated.
         owned: set[Tensor] = set()
-        for out, backward in reversed(self._records):
+        records = self._records
+        while records:
+            # rebinding ``out``, ``backward`` and ``g`` on the next pass drops
+            # the last references to this record before the next one runs
+            out, backward = records.pop()
             g = grads.pop(out, None)
-            if g is None:
-                continue
-            for t, contrib in backward(g):
-                if contrib is None or not t.requires_grad:
-                    continue
-                prev = grads.get(t)
-                if prev is None:
-                    grads[t] = contrib
-                elif t in owned:
-                    prev += contrib
-                    grads[t] = prev  # a 0-d sum is a numpy scalar; += rebinds it
-                else:
-                    grads[t] = prev + contrib
-                    owned.add(t)
+            owned.discard(out)
+            if g is not None:
+                _accumulate(grads, owned, backward(g))
         return grads
+
+
+def _accumulate(grads: dict, owned: set, contribs) -> None:
+    """Add one record's (tensor, contribution) pairs into ``grads``.
+
+    A function of its own so that its loop variables, which may be the last
+    references to a replayed tensor, do not outlive the record.
+    """
+    for t, contrib in contribs:
+        if contrib is None or not t.requires_grad:
+            continue
+        prev = grads.get(t)
+        if prev is None:
+            grads[t] = contrib
+        elif t in owned:
+            prev += contrib
+            grads[t] = prev  # a 0-d sum is a numpy scalar; += rebinds it
+        else:
+            grads[t] = prev + contrib
+            owned.add(t)
 
 
 def _record(out: Tensor, backward) -> None:
     if _TAPE_STACK and out.requires_grad:
-        _TAPE_STACK[-1]._records.append((out, backward))
+        tape = _TAPE_STACK[-1]
+        tape._records.append((out, backward))
+        tape._num_recorded += 1
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -280,6 +311,40 @@ def matmul(a, b) -> Tensor:
             da = g @ b.value.T if a.requires_grad else None
             db = a.value.T @ g if b.requires_grad else None
         return [(a, da), (b, db)]
+
+    _record(out, backward)
+    return out
+
+
+def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
+    """Row blocks under their own weights: [a[:split] @ w_top; a[split:] @ w_bottom].
+
+    Each block's product is written into its rows of one output, and the
+    backward writes both input-row gradients into one array, so neither
+    direction builds zero-padded or concatenated copies.
+    """
+    a, w_top, w_bottom = as_tensor(a), as_tensor(w_top), as_tensor(w_bottom)
+    x = a.value
+    top, bottom = x[:split], x[split:]
+    value = np.empty((x.shape[0], w_top.value.shape[1]))
+    np.matmul(top, w_top.value, out=value[:split])
+    np.matmul(bottom, w_bottom.value, out=value[split:])
+    out = Tensor(
+        value, requires_grad=a.requires_grad or w_top.requires_grad or w_bottom.requires_grad
+    )
+
+    def backward(g):
+        g_top, g_bottom = g[:split], g[split:]
+        da = None
+        if a.requires_grad:
+            da = np.empty_like(x)
+            np.matmul(g_top, w_top.value.T, out=da[:split])
+            np.matmul(g_bottom, w_bottom.value.T, out=da[split:])
+        return [
+            (a, da),
+            (w_top, top.T @ g_top if w_top.requires_grad else None),
+            (w_bottom, bottom.T @ g_bottom if w_bottom.requires_grad else None),
+        ]
 
     _record(out, backward)
     return out
@@ -513,6 +578,64 @@ def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     Segments must be non-empty; used as a detached shift inside softmax.
     """
     return np.maximum.reduceat(values, indptr[:-1])
+
+
+# ---------------------------------------------------------------------------
+# attention softmaxes
+
+
+def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> Tensor:
+    """Per-node softmax over the types present there, as one 2n vector.
+
+    ``mask_u``/``mask_o`` are 0/1 vectors marking the present types, at
+    least one per node. The output is [alpha_u; alpha_o]; an absent type
+    gets weight 0, so the backward a * (g - sum_t a_t g_t) sends it none.
+    """
+    logit_u, logit_o = as_tensor(logit_u), as_tensor(logit_o)
+    shift = np.maximum(
+        np.where(mask_u > 0, logit_u.value, -np.inf),
+        np.where(mask_o > 0, logit_o.value, -np.inf),
+    )
+    exp_u = np.exp((logit_u.value - shift) * mask_u) * mask_u
+    exp_o = np.exp((logit_o.value - shift) * mask_o) * mask_o
+    denom = exp_u + exp_o
+    n = denom.shape[0]
+    alpha = np.empty(2 * n)
+    np.divide(exp_u, denom, out=alpha[:n])
+    np.divide(exp_o, denom, out=alpha[n:])
+    out = Tensor(alpha, requires_grad=logit_u.requires_grad or logit_o.requires_grad)
+
+    def backward(g):
+        a_u, a_o = alpha[:n], alpha[n:]
+        g_u, g_o = g[:n], g[n:]
+        dot = a_u * g_u + a_o * g_o
+        return [
+            (logit_u, a_u * (g_u - dot) if logit_u.requires_grad else None),
+            (logit_o, a_o * (g_o - dot) if logit_o.requires_grad else None),
+        ]
+
+    _record(out, backward)
+    return out
+
+
+def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> Tensor:
+    """Softmax of 1-D values within each row's contiguous run of edges.
+
+    ``rows`` is sorted and ``indptr`` delimits its runs; every run must be
+    non-empty. The backward is beta * (g - sum_segment beta * g).
+    """
+    a = as_tensor(a)
+    n = indptr.shape[0] - 1
+    beta = np.exp(a.value - segment_max_values(a.value, indptr)[rows])
+    beta /= np.bincount(rows, weights=beta, minlength=n)[rows]
+    out = Tensor(beta, requires_grad=a.requires_grad)
+
+    def backward(g):
+        dot = np.bincount(rows, weights=beta * g, minlength=n)
+        return [(a, beta * (g - dot[rows]))]
+
+    _record(out, backward)
+    return out
 
 
 # ---------------------------------------------------------------------------

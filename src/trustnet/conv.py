@@ -12,6 +12,11 @@ the logit is eta_t1 . h_i + sum_j a_ij (eta_t2 . h_j): the neighbor sum runs
 over per-node scalar scores, one sparse product over the edges, instead of
 over d-vectors, which would cost d times that and an n x d result per type.
 
+The two softmaxes in (2) and (3) and the type projection in (4) are each
+one autodiff op with its own backward (``ad.type_softmax``,
+``ad.segment_softmax``, ``ad.row_block_matmul``), so the tape keeps one
+output per step instead of every intermediate of a generic op chain.
+
 Two stacked layers per role; the trustor view propagates along outgoing
 trust, the trustee view along incoming trust. A learned sigmoid gate
 fuses the two user embeddings elementwise.
@@ -20,8 +25,6 @@ fuses the two user embeddings elementwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -55,10 +58,6 @@ class GateParams:
 
     raw_gate: Tensor
 
-    def effective(self) -> np.ndarray:
-        x = self.raw_gate.value
-        return 1.0 / (1.0 + np.exp(-x))
-
 
 # ---------------------------------------------------------------------------
 # vectorized layer
@@ -72,14 +71,17 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     attention half-vectors gives every per-node score; the type logits then
     aggregate the neighbor scores through ``view.s_user``/``view.s_obj``
     rather than aggregating ``h`` and dotting the n x d sums.
+
+    Each softmax is one tape op: ``type_softmax`` returns both type weights
+    as one 2n vector [alpha_u; alpha_o], from which every edge reads its
+    neighbor type's weight at ``view.typed_rows``, and ``segment_softmax``
+    normalises the pair logits within each node's edges. The per-type
+    projection is one ``row_block_matmul`` over the user and object rows.
     """
-    n, nu = view.num_nodes, view.num_users
     rows, cols = view.edge_rows, view.edge_cols
 
     # type-projected neighbor embeddings (users and objects use their own map)
-    hu = ad.slice_rows(h, 0, nu)
-    ho = ad.slice_rows(h, nu, n)
-    projected = ad.concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
+    projected = ad.row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
 
     # per-node scores against each attention half-vector, one product for all six
     scores = ad.matmul(h, ad.stack_halves(params.eta_user, params.eta_obj, params.gamma))
@@ -90,29 +92,13 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     logit_o = ad.leaky_relu(so_own + ad.sparse_matmul(view.s_obj, so_nbr), LEAKY_SLOPE)
 
     # softmax over the types present at each node
-    mask_u, mask_o = view.has_user_neighbor, view.has_obj_neighbor
-    shift = np.maximum(
-        np.where(mask_u > 0, logit_u.value, -np.inf),
-        np.where(mask_o > 0, logit_o.value, -np.inf),
-    )
-    exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
-    exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
-    denom = exp_u + exp_o
-    alpha_u = exp_u / denom
-    alpha_o = exp_o / denom
+    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
 
     # node-level attention: the neighbor's type weight scales the pair logit
-    is_user_col = view.edge_col_is_user
-    alpha_edge = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (
-        1.0 - is_user_col
-    )
+    alpha_edge = ad.gather(alpha, view.typed_rows)
     pair_logit = ad.leaky_relu(
         alpha_edge * (ad.gather(s_own, rows) + ad.gather(s_nbr, cols)), LEAKY_SLOPE
     )
-
-    seg_shift = ad.segment_max_values(pair_logit.value, view.indptr)
-    ex = ad.exp(pair_logit - seg_shift[rows])
-    denom_e = ad.segment_sum(ex, rows, n)
-    beta = ex / ad.gather(denom_e, rows)
+    beta = ad.segment_softmax(pair_logit, rows, view.indptr)
 
     return ad.elu(ad.edge_matmul(beta, projected, view.emap))

@@ -135,16 +135,19 @@ class GraphView:
     eta . sum_j a_ij h_j = sum_j a_ij (eta . h_j), one sparse product over
     an n-vector of scores gives each node's type-attention term, where
     aggregating h first would cost d times the work and an n x d array.
+
+    ``typed_rows`` is each edge's row plus ``num_nodes`` where its column
+    is an object: the edge's slot in a per-node vector of user-type
+    weights followed by one of object-type weights.
     """
 
     role: Role
     num_users: int
     num_nodes: int
     matrix: sp.csr_matrix
-    degrees: np.ndarray
     edge_rows: np.ndarray
     edge_cols: np.ndarray
-    edge_col_is_user: np.ndarray
+    typed_rows: np.ndarray
     indptr: np.ndarray
     emap: EdgeMap
     s_user: sp.csr_matrix
@@ -245,7 +248,6 @@ def build_view(
 
     matrix = emap.matrix(values)
     user_col = cols < nu
-    col_is_user = user_col.astype(np.float64)
     s_user = _edge_subset(rows, emap.cols, values, user_col, n)
     s_obj = _edge_subset(rows, emap.cols, values, ~user_col, n)
     has_user = (np.diff(s_user.indptr) > 0).astype(np.float64)
@@ -256,10 +258,9 @@ def build_view(
         num_users=nu,
         num_nodes=n,
         matrix=matrix,
-        degrees=deg,
         edge_rows=rows,
         edge_cols=cols,
-        edge_col_is_user=col_is_user,
+        typed_rows=rows + n * ~user_col,
         indptr=emap.indptr.astype(np.int64),
         emap=emap,
         s_user=s_user,

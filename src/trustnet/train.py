@@ -244,22 +244,48 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> ModelParams:
-    """In-place Adam update; L2 decay is added to decay-flagged gradients."""
+    """In-place Adam update; L2 decay is added to decay-flagged gradients.
+
+    The moments are updated in place, and the decayed gradient and the step
+    are formed in two scratch rows that every tensor of the step reuses, in
+    the same arithmetic order as ``m = beta1 * m + (1 - beta1) * g`` and so
+    on. The arrays in ``grads`` are only read: one may be shared by several
+    tensors. The scratch is freed on return rather than kept for the next
+    step, so it does not add to the memory held through the next forward.
+    """
     params.step += 1
     t = params.step
-    for name, tensor, decay in params.named():
+    named = params.named()
+    size = max(tensor.value.size for _, tensor, _ in named)
+    scratch = np.empty((2, size))
+    for name, tensor, decay in named:
+        value = tensor.value
+        buf, step = (b[: value.size].reshape(value.shape) for b in scratch)
         g = grads.get(tensor)
         if g is None:
-            g = np.zeros_like(tensor.value)
+            g = np.zeros_like(value)
         if decay and weight_decay:
-            g = g + weight_decay * tensor.value
-        m, v = params.moments.get(name, (np.zeros_like(tensor.value), np.zeros_like(tensor.value)))
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        params.moments[name] = (m, v)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        tensor.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(value, weight_decay, out=buf)
+            buf += g
+            g = buf
+        if name not in params.moments:
+            params.moments[name] = (np.zeros_like(value), np.zeros_like(value))
+        m, v = params.moments[name]
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=step)
+        m += step
+        v *= beta2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - beta2
+        v += step
+        # buf (the decayed gradient) is free again: it takes the v_hat root
+        np.divide(v, 1.0 - beta2**t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        step /= buf
+        value -= step
     return params
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -491,3 +492,190 @@ def test_random_composites_match_replay_oracle(seed, steps):
     assert grads.keys() == want.keys()
     for t in want:
         assert np.array_equal(grads[t], want[t])
+
+
+# ---------------------------------------------------------------------------
+# fused attention ops against finite differences and the op chains they replace
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# node 0 has both types, node 1 only users, node 2 only objects
+TYPE_MASKS = (np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 1.0]))
+# rows of a CSR edge list: node 1 and node 3 have a single edge each
+SEG_ROWS = np.array([0, 0, 0, 1, 2, 2, 3])
+SEG_INDPTR = np.array([0, 3, 4, 6, 7])
+
+
+def test_type_softmax_gradient():
+    w = ad.Tensor(np.random.default_rng(21).normal(size=8), requires_grad=False)
+    check_op(
+        lambda lu, lo: ad.reduce_sum(ad.type_softmax(lu, lo, *TYPE_MASKS) * w), (4,), (4,)
+    )
+
+
+def test_segment_softmax_gradient():
+    w = ad.Tensor(np.random.default_rng(22).normal(size=7), requires_grad=False)
+    check_op(lambda x: ad.reduce_sum(ad.segment_softmax(x, SEG_ROWS, SEG_INDPTR) * w), (7,))
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("split", [0, 2, 5])
+def test_row_block_matmul_gradient(d, split):
+    check_op(
+        lambda a, wt, wb: ad.mean(ad.exp(ad.row_block_matmul(a, split, wt, wb) * 0.5)),
+        (5, d),
+        (d, 3),
+        (d, 3),
+    )
+
+
+def chain_type_softmax(logit_u, logit_o, mask_u, mask_o):
+    """The generic op chain ``type_softmax`` replaces: shift, masked exp, divide."""
+    shift = np.maximum(
+        np.where(mask_u > 0, logit_u.value, -np.inf),
+        np.where(mask_o > 0, logit_o.value, -np.inf),
+    )
+    exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
+    exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
+    denom = exp_u + exp_o
+    return exp_u / denom, exp_o / denom
+
+
+def chain_segment_softmax(x, rows, indptr):
+    """The generic op chain ``segment_softmax`` replaces."""
+    n = indptr.shape[0] - 1
+    ex = ad.exp(x - ad.segment_max_values(x.value, indptr)[rows])
+    return ex / ad.gather(ad.segment_sum(ex, rows, n), rows)
+
+
+def fused_and_chain(fused, chain, leaves, g):
+    """Output and leaf gradients of ``fused(*leaves)`` and ``chain(*leaves)`` under ``g``."""
+    result = []
+    for build in (fused, chain):
+        with ad.Tape() as tape:
+            out = build(*leaves)
+            tape.mark_output(ad.reduce_sum(out * ad.Tensor(g, requires_grad=False)))
+        grads = tape.gradients()
+        result.append((out.value, [grads[t] for t in leaves]))
+    return result
+
+
+def assert_close_grads(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def random_types(rng, n):
+    mask_u = (rng.random(n) < 0.7).astype(np.float64)
+    mask_o = np.where(mask_u > 0, (rng.random(n) < 0.5), 1.0).astype(np.float64)
+    return mask_u, mask_o
+
+
+def test_type_softmax_forward_is_the_chain_bitwise():
+    rng = np.random.default_rng(23)
+    n = 300
+    mask_u, mask_o = random_types(rng, n)
+    assert {(1, 0), (0, 1), (1, 1)} <= set(zip(mask_u.astype(int), mask_o.astype(int)))
+    leaves = [ad.Tensor(rng.normal(size=n) * 5.0), ad.Tensor(rng.normal(size=n) * 5.0)]
+    (got, got_g), (want, want_g) = fused_and_chain(
+        lambda lu, lo: ad.type_softmax(lu, lo, mask_u, mask_o),
+        lambda lu, lo: ad.concat_rows(*chain_type_softmax(lu, lo, mask_u, mask_o)),
+        leaves,
+        rng.normal(size=2 * n),
+    )
+    assert np.array_equal(bits(got), bits(want))
+    assert_close_grads(got_g, want_g)
+
+
+def test_typed_gather_is_the_masked_pair_of_gathers_bitwise():
+    # one gather at rows + n * [col is object] reads the same weight as the
+    # two 0/1-masked gathers it replaces
+    rng = np.random.default_rng(24)
+    n, n_edges = 40, 400
+    rows = np.sort(rng.integers(n, size=n_edges))
+    is_user_col = (rng.random(n_edges) < 0.5).astype(np.float64)
+    typed_rows = rows + n * (is_user_col == 0)
+    mask_u, mask_o = random_types(rng, n)
+    alpha_u, alpha_o = chain_type_softmax(
+        ad.Tensor(rng.normal(size=n)), ad.Tensor(rng.normal(size=n)), mask_u, mask_o
+    )
+    want = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (1.0 - is_user_col)
+    got = ad.gather(ad.concat_rows(alpha_u, alpha_o), typed_rows)
+    assert np.array_equal(bits(got.value), bits(want.value))
+
+
+def test_segment_softmax_forward_is_the_chain_bitwise():
+    rng = np.random.default_rng(25)
+    n = 200
+    counts = rng.integers(1, 6, size=n)
+    counts[:20] = 1  # single-edge segments
+    rows = np.repeat(np.arange(n), counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    leaves = [ad.Tensor(rng.normal(size=rows.size) * 3.0)]
+    (got, got_g), (want, want_g) = fused_and_chain(
+        lambda x: ad.segment_softmax(x, rows, indptr),
+        lambda x: chain_segment_softmax(x, rows, indptr),
+        leaves,
+        rng.normal(size=rows.size),
+    )
+    assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(got[np.cumsum(counts)[:20] - 1], np.ones(20))
+    assert_close_grads(got_g, want_g)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_row_block_matmul_is_the_slice_chain_bitwise(d):
+    rng = np.random.default_rng(d)
+    n, split = 57, 23
+    leaves = [ad.Tensor(rng.normal(size=(n, d))), ad.Tensor(rng.normal(size=(d, d))),
+              ad.Tensor(rng.normal(size=(d, d)))]
+    (got, got_g), (want, want_g) = fused_and_chain(
+        lambda a, wt, wb: ad.row_block_matmul(a, split, wt, wb),
+        lambda a, wt, wb: ad.concat_rows(
+            ad.matmul(ad.slice_rows(a, 0, split), wt), ad.matmul(ad.slice_rows(a, split, n), wb)
+        ),
+        leaves,
+        rng.normal(size=(n, d)),
+    )
+    assert np.array_equal(bits(got), bits(want))
+    for a, b in zip(got_g, want_g):
+        assert np.array_equal(bits(a), bits(b))
+
+
+# ---------------------------------------------------------------------------
+# the tape releases what it has replayed
+
+
+def test_replay_frees_an_intermediate_once_past_it():
+    x = ad.Tensor(np.random.default_rng(26).normal(size=(50, 4)))
+    freed = []
+
+    def probe_backward(g):
+        # runs after the records of everything computed from ``probe``
+        freed.append(ref() is None)
+        return [(x, g)]
+
+    with ad.Tape() as tape:
+        probe = ad.Tensor(x.value)
+        ad._record(probe, probe_backward)
+        mid = ad.exp(probe)  # also captured by the closure of the mul below
+        ref = weakref.ref(mid.value)
+        tape.mark_output(ad.reduce_sum(ad.mul(mid, 2.0)))
+        del mid
+    assert ref() is not None  # the unreplayed tape holds it
+    grads = tape.gradients()
+    assert freed == [True]
+    assert np.array_equal(grads[x], np.exp(x.value) * 2.0)
+
+
+def test_num_records_counts_what_was_recorded_after_replay():
+    x = ad.Tensor(np.arange(6.0))
+    with ad.Tape() as tape:
+        tape.mark_output(ad.reduce_sum(ad.exp(x) * x + x))
+    before = tape.num_records
+    tape.gradients()
+    assert before == tape.num_records == 4

@@ -14,32 +14,42 @@ from trustnet.graph import (
 from trustnet.ppr import topk_augment
 
 
-def dense_view_oracle(graph, augmented, role):
-    """Explicit D^{-1/2} (A + I) D^{-1/2}.
+def _user_pairs(graph, augmented) -> set:
+    return {tuple(map(int, e)) for e in graph.trust_edges} | {tuple(map(int, e)) for e in augmented}
 
-    The self-looped degree counts every incident edge once per direction
-    for the user block (in + out) and once for undirected blocks, so it is
-    the same in both role views.
+
+def oracle_degrees(graph, augmented) -> np.ndarray:
+    """Self-looped degree of every node, counted edge by edge.
+
+    Every incident edge counts once per direction for the user block
+    (in + out) and once for undirected blocks, so it is the same in both
+    role views.
     """
-    n = graph.num_nodes
-    a = np.zeros((n, n))
-    deg = np.ones(n)  # self-loops
-    pairs = {tuple(e) for e in graph.trust_edges}
-    pairs |= {tuple(map(int, e)) for e in augmented}
-    for i, j in pairs:
-        if role is Role.TRUSTOR:
-            a[i, j] = 1.0
-        else:
-            a[j, i] = 1.0
+    deg = np.ones(graph.num_nodes)  # self-loops
+    for i, j in _user_pairs(graph, augmented):
         deg[i] += 1.0
         deg[j] += 1.0
     for blocks in (graph.interaction_edges, graph.object_edges):
         for p, q in blocks:
-            a[p, q] = a[q, p] = 1.0
             deg[p] += 1.0
             deg[q] += 1.0
+    return deg
+
+
+def dense_view_oracle(graph, augmented, role):
+    """Explicit D^{-1/2} (A + I) D^{-1/2} with the degrees of ``oracle_degrees``."""
+    n = graph.num_nodes
+    a = np.zeros((n, n))
+    for i, j in _user_pairs(graph, augmented):
+        if role is Role.TRUSTOR:
+            a[i, j] = 1.0
+        else:
+            a[j, i] = 1.0
+    for blocks in (graph.interaction_edges, graph.object_edges):
+        for p, q in blocks:
+            a[p, q] = a[q, p] = 1.0
     a += np.eye(n)
-    dinv = 1.0 / np.sqrt(deg)
+    dinv = 1.0 / np.sqrt(oracle_degrees(graph, augmented))
     return a * dinv[:, None] * dinv[None, :]
 
 
@@ -123,7 +133,8 @@ class TestBuildView:
                 assert np.allclose(view.matrix.toarray(), oracle, atol=1e-12)
                 # entries are 1/sqrt(d_i d_j) on the support
                 mat = view.matrix.tocoo()
-                expect = 1.0 / np.sqrt(view.degrees[mat.row] * view.degrees[mat.col])
+                deg = oracle_degrees(g, aug)
+                expect = 1.0 / np.sqrt(deg[mat.row] * deg[mat.col])
                 assert np.allclose(mat.data, expect)
 
     def test_trustee_equals_transposed_user_block(self, small_graph):

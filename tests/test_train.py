@@ -168,6 +168,80 @@ class TestAdam:
             assert v.shape == tensor.value.shape
 
 
+def oracle_adam_step(values, moments, step, grads, lr, weight_decay, decays,
+                     beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam on plain arrays in whole-array expressions, every intermediate a new array."""
+    for name, value in values.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(value)
+        if decays[name] and weight_decay:
+            g = g + weight_decay * value
+        m, v = moments.get(name, (np.zeros_like(value), np.zeros_like(value)))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        moments[name] = (m, v)
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        values[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def random_grads(rng, params, step):
+    """Gradients of mixed scales; two tensors share one array, as ``add``'s
+    operands do, and every other step one tensor gets none."""
+    grads = {
+        t: rng.normal(size=t.value.shape) * 10.0 ** rng.integers(-6, 2) for _, t, _ in params.named()
+    }
+    layer = params.trustor.layers[0]
+    grads[layer.w_obj] = grads[layer.w_user]
+    if step % 2:
+        del grads[params.proj_obj]
+    return grads
+
+
+class TestAdamMatchesWholeArrayFormula:
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.0], ids=["decay", "no_decay"])
+    def test_twenty_steps_bitwise(self, fixture, weight_decay):
+        rng = np.random.default_rng(31)
+        params = fresh_params(fixture, seed=7)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
+        names = {id(t): n for n, t, _ in params.named()}
+        decays = {n: d for n, _, d in params.named()}
+        values = {n: t.value.copy() for n, t, _ in params.named()}
+        moments = {}
+        for step in range(1, 21):
+            grads = random_grads(rng, params, step)
+            kept = {id(g): g.copy() for g in grads.values()}
+            adam_step(params, grads, lr=0.01, weight_decay=weight_decay)
+            oracle_adam_step(values, moments, step, {names[id(t)]: g for t, g in grads.items()},
+                             lr=0.01, weight_decay=weight_decay, decays=decays)
+            for g in grads.values():
+                assert np.array_equal(g, kept[id(g)])  # gradients are only read
+        for name, tensor, _ in params.named():
+            assert np.array_equal(tensor.value, values[name]), name
+            for got, want in zip(params.moments[name], moments[name]):
+                assert np.array_equal(got, want), name
+
+    def test_checkpoint_round_trip_continues_identically(self, fixture, tmp_path):
+        rng = np.random.default_rng(32)
+        params = fresh_params(fixture, seed=8)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
+        for step in range(1, 4):
+            adam_step(params, random_grads(rng, params, step))
+        save_params(params, tmp_path / "ckpt.npz")
+        loaded = load_params(tmp_path / "ckpt.npz")
+        for step in range(4, 8):
+            grads = random_grads(rng, params, step)
+            by_name = {n: grads.get(t) for n, t, _ in params.named()}
+            adam_step(params, grads)
+            adam_step(loaded, {t: by_name[n] for n, t, _ in loaded.named() if by_name[n] is not None})
+        assert loaded.step == params.step == 7
+        for (name, a, _), (_, b, _) in zip(params.named(), loaded.named()):
+            assert np.array_equal(a.value, b.value), name
+            for x, y in zip(params.moments[name], loaded.moments[name]):
+                assert np.array_equal(x, y), name
+
+
 class TestGradCheck:
     def test_full_pipeline_gradients(self, fixture):
         params = fresh_params(fixture, seed=11)
