@@ -52,7 +52,6 @@ __all__ = [
     "row_block_matmul",
     "gather",
     "gather_pairs",
-    "segment_sum",
     "segment_max_values",
     "type_softmax",
     "segment_softmax",
@@ -557,18 +556,6 @@ def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         return [(a, da)]
 
     _record(out, backward)
-    return out
-
-
-def segment_sum(a, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Sum 1-D values into ``num_segments`` buckets given per-element ids."""
-    a = as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    out = Tensor(
-        np.bincount(segments, weights=a.value, minlength=num_segments),
-        requires_grad=a.requires_grad,
-    )
-    _record(out, lambda g: [(a, g[segments])])
     return out
 
 

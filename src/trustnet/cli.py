@@ -44,9 +44,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ppr-epsilon", type=float, dest="ppr_epsilon")
     p.add_argument("--ppr-transition", choices=["walk", "symmetric"], dest="ppr_transition")
     p.add_argument("--ppr-weighted", action="store_true", default=None, dest="ppr_weighted")
-    p.add_argument("--no-ppr", action="store_true", help="disable PPR trust augmentation")
-    p.add_argument("--no-trustor", action="store_true", help="disable the trustor role")
-    p.add_argument("--no-trustee", action="store_true", help="disable the trustee role")
+    p.add_argument("--no-ppr", action="store_false", default=None, help="disable PPR trust augmentation")
+    p.add_argument("--no-trustor", action="store_false", default=None, help="disable the trustor role")
+    p.add_argument("--no-trustee", action="store_false", default=None, help="disable the trustee role")
     p.add_argument("--triples", action="store_true", default=None, help="enable triple-based object init")
     p.add_argument("--triples-path", dest="triples_path")
     p.add_argument("--triples-epochs", type=int, dest="triples_epochs")
@@ -56,62 +56,52 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--user-vectors", dest="user_vectors", help="precomputed user-vector file")
 
 
+# argparse dest -> dotted config field, with a converter where the flag's
+# value is not the field's. Flags left unset (None) keep the --config value;
+# store_true/store_false flags default to None, so they set their field only
+# when given. A dest may set several fields.
+_FLAG_FIELDS = [
+    ("dataset", "dataset", None),
+    ("kind", "kind", None),
+    ("train_ratio", "train_ratio", None),
+    ("seed", "seed", None),
+    ("runs", "runs", None),
+    ("epochs", "epochs", None),
+    ("latent_dim", "latent_dim", None),
+    ("user_dim", "user_dim", None),
+    ("object_dim", "object_dim", None),
+    ("num_layers", "num_layers", None),
+    ("fusion", "fusion", None),
+    ("workers", "workers", None),
+    ("train_initial", "train_initial", {"auto": None, "true": True, "false": False}.get),
+    ("ppr_k", "ppr.k", None),
+    ("ppr_lambda", "ppr.lam", None),
+    ("ppr_epsilon", "ppr.epsilon", None),
+    ("ppr_transition", "ppr.transition", None),
+    ("ppr_weighted", "ppr.weighted", None),
+    ("no_ppr", "ppr.enabled", None),
+    ("no_trustor", "roles.trustor_enabled", None),
+    ("no_trustee", "roles.trustee_enabled", None),
+    ("triples", "triples.enabled", None),
+    ("triples_path", "triples.path", None),
+    ("triples_path", "triples.enabled", lambda path: True),
+    ("triples_epochs", "triples.epochs", None),
+    ("full_kg", "triples.full_kg", None),
+    ("lr", "optim.lr", None),
+    ("weight_decay", "optim.weight_decay", None),
+    ("user_vectors", "user_embed.vectors_path", None),
+]
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-    else:
-        config = ExperimentConfig()
-    direct = (
-        "dataset",
-        "kind",
-        "train_ratio",
-        "seed",
-        "runs",
-        "epochs",
-        "latent_dim",
-        "user_dim",
-        "object_dim",
-        "num_layers",
-        "fusion",
-        "workers",
-    )
-    for name in direct:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "train_initial", None) is not None:
-        config.train_initial = {"auto": None, "true": True, "false": False}[args.train_initial]
-    if getattr(args, "ppr_k", None) is not None:
-        config.ppr.k = args.ppr_k
-    if getattr(args, "ppr_lambda", None) is not None:
-        config.ppr.lam = args.ppr_lambda
-    if getattr(args, "ppr_epsilon", None) is not None:
-        config.ppr.epsilon = args.ppr_epsilon
-    if getattr(args, "ppr_transition", None) is not None:
-        config.ppr.transition = args.ppr_transition
-    if getattr(args, "ppr_weighted", None):
-        config.ppr.weighted = True
-    if getattr(args, "no_ppr", False):
-        config.ppr.enabled = False
-    if getattr(args, "no_trustor", False):
-        config.roles.trustor_enabled = False
-    if getattr(args, "no_trustee", False):
-        config.roles.trustee_enabled = False
-    if getattr(args, "triples", None):
-        config.triples.enabled = True
-    if getattr(args, "triples_path", None) is not None:
-        config.triples.path = args.triples_path
-        config.triples.enabled = True
-    if getattr(args, "triples_epochs", None) is not None:
-        config.triples.epochs = args.triples_epochs
-    if getattr(args, "full_kg", None):
-        config.triples.full_kg = True
-    if getattr(args, "lr", None) is not None:
-        config.optim.lr = args.lr
-    if getattr(args, "weight_decay", None) is not None:
-        config.optim.weight_decay = args.weight_decay
-    if getattr(args, "user_vectors", None) is not None:
-        config.user_embed.vectors_path = args.user_vectors
+    config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    for dest, dotted, convert in _FLAG_FIELDS:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        section, _, name = dotted.rpartition(".")
+        owner = getattr(config, section) if section else config
+        setattr(owner, name, convert(value) if convert else value)
     return config
 
 
@@ -208,25 +198,9 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_fixtures(args) -> int:
     out = Path(args.out)
     seed = args.seed if args.seed is not None else 0
-    if args.fixture_kind == "filmtrust":
-        make = fixtures.make_filmtrust_files
-        kwargs = {}
-        if args.users:
-            kwargs["num_users"] = args.users
-        if args.objects:
-            kwargs["num_objects"] = args.objects
-        if args.trust:
-            kwargs["num_trust"] = args.trust
-        make(out, seed=seed, **kwargs)
-    else:
-        kwargs = {}
-        if args.users:
-            kwargs["num_users"] = args.users
-        if args.objects:
-            kwargs["num_objects"] = args.objects
-        if args.trust:
-            kwargs["num_trust"] = args.trust
-        fixtures.make_siot_files(out, seed=seed, **kwargs)
+    make = fixtures.make_filmtrust_files if args.fixture_kind == "filmtrust" else fixtures.make_siot_files
+    sizes = {"num_users": args.users, "num_objects": args.objects, "num_trust": args.trust}
+    make(out, seed=seed, **{name: value for name, value in sizes.items() if value})
     print(f"wrote {args.fixture_kind} fixture to {out}")
     return 0
 

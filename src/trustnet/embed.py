@@ -235,13 +235,11 @@ def transe_train(
     neg_per_pos: int = 1,
     lr: float = 0.05,
     seed: int = 0,
-    on_epoch=None,
 ) -> TransEModel:
     """Margin-ranking training with uniform head-or-tail corruption.
 
     Entity vectors are renormalized to unit length after every epoch (and
     start unit-norm, so a zero-epoch call returns the raw initialization).
-    ``on_epoch(epoch, model)`` is invoked after each epoch when given.
     """
     if margin <= 0:
         raise DataError(f"margin must be positive, got {margin}")
@@ -282,8 +280,6 @@ def transe_train(
             np.add.at(ent, tc[viol], -gneg)
             np.add.at(rel, r[viol], gneg)
         ent = _unit_rows(ent)
-        if on_epoch is not None:
-            on_epoch(epoch, TransEModel(ent, rel))
     return TransEModel(ent, rel)
 
 

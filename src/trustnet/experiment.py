@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .errors import ConfigError, DataError, NumericalError
 from .graph import (
     HeteroGraph,
     Role,
-    TrustSample,
     build_view,
     load_filmtrust,
     load_siot_csv,
@@ -325,32 +325,56 @@ def _augment(train_graph, ppr: PprConfig):
     return out if ppr.weighted else (out, None)
 
 
-def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
-    """Train once with every stochastic choice derived from ``run_seed``."""
+def _enabled_roles(roles: RolesConfig) -> list[Role]:
+    flags = ((Role.TRUSTOR, roles.trustor_enabled), (Role.TRUSTEE, roles.trustee_enabled))
+    return [role for role, enabled in flags if enabled]
+
+
+@dataclass
+class PreparedRun:
+    """A seeded run up to the model: derived seeds, split pairs, role views."""
+
+    seeds: dict  # split, user_embed, transe, obj_init, params
+    train: tuple  # (trustor, trustee, label) arrays
+    test: tuple
+    views: dict  # Role -> GraphView, one per enabled role
+
+
+def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> PreparedRun:
+    """Split, augment the train graph and build the views, seeded by ``run_seed``.
+
+    Training and checkpoint scoring both start here, so a checkpoint is
+    scored on the split and augmentation its run was trained with.
+    """
     state = np.random.SeedSequence(run_seed).generate_state(5)
     seeds = dict(zip(("split", "user_embed", "transe", "obj_init", "params"), map(int, state)))
 
     samples = split_samples(
         dataset.positives, config.train_ratio, seeds["split"], num_users=dataset.graph.num_users
     )
-    train_samples = [s for s in samples if s.split == "train"]
-    test_samples = [s for s in samples if s.split == "test"]
-    train_edges = np.array(
-        [(s.trustor, s.trustee) for s in train_samples if s.label == 1], dtype=np.int64
-    ).reshape(-1, 2)
-    train_graph = dataset.graph.with_trust_edges(train_edges)
+    train = samples_to_arrays([s for s in samples if s.split == "train"])
+    test = samples_to_arrays([s for s in samples if s.split == "test"])
+    if train[0].size == 0:
+        raise DataError("empty training split")
+    if test[0].size == 0:
+        raise DataError("empty test split")
+    i, j, y = train
+    train_graph = dataset.graph.with_trust_edges(np.stack([i[y == 1], j[y == 1]], axis=1))
 
     aug_pairs, aug_weights = _augment(train_graph, config.ppr)
+    views = {
+        role: build_view(train_graph, aug_pairs, role, aug_weights)
+        for role in _enabled_roles(config.roles)
+    }
+    return PreparedRun(seeds=seeds, train=train, test=test, views=views)
 
-    views = {}
-    if config.roles.trustor_enabled:
-        views[Role.TRUSTOR] = build_view(train_graph, aug_pairs, Role.TRUSTOR, aug_weights)
-    if config.roles.trustee_enabled:
-        views[Role.TRUSTEE] = build_view(train_graph, aug_pairs, Role.TRUSTEE, aug_weights)
 
-    h0_users, h0_objects = _initial_tables(dataset, config, seeds)
+def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
+    """Train once with every stochastic choice derived from ``run_seed``."""
+    prep = prepare_run(dataset, config, run_seed)
+    h0_users, h0_objects = _initial_tables(dataset, config, prep.seeds)
     params = init_params(
-        seed=seeds["params"],
+        seed=prep.seeds["params"],
         user_dim=config.user_dim,
         object_dim=config.object_dim,
         latent_dim=config.latent_dim,
@@ -365,37 +389,39 @@ def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Run
         trainable = config.train_initial
     params.set_initial_tables(h0_users, h0_objects, trainable=trainable)
 
-    return _train_loop(config, views, params, train_samples, test_samples, run_seed)
+    return _train_loop(config, prep, params, run_seed)
 
 
-def _train_loop(config, views, params, train_samples, test_samples, run_seed) -> RunResult:
-    i_tr, j_tr, y_tr = samples_to_arrays(train_samples)
-    i_te, j_te, y_te = samples_to_arrays(test_samples)
-    if i_tr.size == 0:
-        raise DataError("empty training split")
-    if i_te.size == 0:
-        raise DataError("empty test split")
+def _score(z_values: np.ndarray, params: ModelParams, pairs: tuple) -> tuple[float, float]:
+    """Accuracy and F1, in percent, of the predictions on ``(trustor, trustee, label)``."""
+    i, j, y = pairs
+    acc, f1 = classification_metrics(predict_scores(z_values, i, j, params.predictor), y)
+    return 100.0 * acc, 100.0 * f1
 
+
+def _train_loop(config, prep: PreparedRun, params, run_seed) -> RunResult:
+    """Score epochs 0..E, with an Adam step after each but the last.
+
+    Epoch k's loss and accuracy are those of the parameters after k steps.
+    """
+    i_tr, j_tr, y_tr = prep.train
     best_acc, best_f1, best_epoch = -1.0, 0.0, 0
     trace = []
-
-    def evaluate(z_values) -> tuple[float, float]:
-        scores = predict_scores(z_values, i_te, j_te, params.predictor)
-        acc, f1 = classification_metrics(scores, y_te)
-        return 100.0 * acc, 100.0 * f1
-
-    for epoch in range(config.epochs):
-        with Tape() as tape:
-            z = train_mod.fused_users(views, params, None, None)
+    for epoch in range(config.epochs + 1):
+        step = epoch < config.epochs
+        with (Tape() if step else nullcontext()) as tape:
+            z = train_mod.fused_users(prep.views, params, None, None)
             loss = pair_loss(z, i_tr, j_tr, y_tr, params.predictor)
-            tape.mark_output(loss)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite training loss at epoch {epoch}")
-        acc, f1 = evaluate(z.value)
+        acc, f1 = _score(z.value, params, prep.test)
         trace.append((epoch, loss_value, acc))
         if acc > best_acc:
             best_acc, best_f1, best_epoch = acc, f1, epoch
+        if not step:
+            break
+        tape.mark_output(loss)
         grads = backward(tape)
         adam_step(
             params,
@@ -407,15 +433,6 @@ def _train_loop(config, views, params, train_samples, test_samples, run_seed) ->
             eps=config.optim.eps,
         )
         params.assert_finite()
-
-    # state after the final step
-    z_final = train_mod.fused_users(views, params, None, None)
-    i_all, j_all, y_all = samples_to_arrays(train_samples)
-    final_loss = pair_loss(z_final, i_all, j_all, y_all, params.predictor).item()
-    acc, f1 = evaluate(z_final.value)
-    trace.append((config.epochs, final_loss, acc))
-    if acc > best_acc:
-        best_acc, best_f1, best_epoch = acc, f1, config.epochs
 
     return RunResult(
         seed=run_seed,
@@ -623,31 +640,20 @@ def sweep(
 
 
 def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Dataset | None = None):
-    """Evaluation-only pass: rebuild the split and score a saved model."""
+    """Score a saved model on the test split of the first run ``config`` derives.
+
+    Nothing is trained: the split, augmentation and views come from
+    ``prepare_run`` and the embedding tables from the checkpoint. The
+    checkpoint's encoders must be exactly the roles the config enables.
+    """
     config.validate()
+    params = train_mod.load_params(checkpoint_path)
+    stored = [enc.role.value for enc in (params.trustor, params.trustee) if enc is not None]
+    enabled = [role.value for role in _enabled_roles(config.roles)]
+    if stored != enabled:
+        raise DataError(f"checkpoint encodes roles {stored} but the config enables {enabled}")
     if dataset is None:
         dataset = load_dataset(config)
-    params = train_mod.load_params(checkpoint_path)
-    run_seed = derive_run_seeds(config.seed, 1)[0]
-    state = np.random.SeedSequence(run_seed).generate_state(5)
-    seeds = dict(zip(("split", "user_embed", "transe", "obj_init", "params"), map(int, state)))
-    samples = split_samples(
-        dataset.positives, config.train_ratio, seeds["split"], num_users=dataset.graph.num_users
-    )
-    test_samples = [s for s in samples if s.split == "test"]
-    train_edges = np.array(
-        [(s.trustor, s.trustee) for s in samples if s.split == "train" and s.label == 1],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    train_graph = dataset.graph.with_trust_edges(train_edges)
-    aug, weights = _augment(train_graph, config.ppr)
-    views = {}
-    if params.trustor is not None:
-        views[Role.TRUSTOR] = build_view(train_graph, aug, Role.TRUSTOR, weights)
-    if params.trustee is not None:
-        views[Role.TRUSTEE] = build_view(train_graph, aug, Role.TRUSTEE, weights)
-    z = train_mod.fused_users(views, params, None, None)
-    i_te, j_te, y_te = samples_to_arrays(test_samples)
-    scores = predict_scores(z.value, i_te, j_te, params.predictor)
-    acc, f1 = classification_metrics(scores, y_te)
-    return 100.0 * acc, 100.0 * f1
+    prep = prepare_run(dataset, config, derive_run_seeds(config.seed, 1)[0])
+    z = train_mod.fused_users(prep.views, params, None, None)
+    return _score(z.value, params, prep.test)

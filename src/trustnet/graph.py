@@ -88,9 +88,6 @@ class HeteroGraph:
     def num_nodes(self) -> int:
         return self.num_users + self.num_objects
 
-    def node_type(self, node: int) -> int:
-        return USER if node < self.num_users else OBJECT
-
     def with_trust_edges(self, edges) -> "HeteroGraph":
         """Same graph with the trust edge set replaced (e.g. a train split)."""
         return replace(self, trust_edges=_as_edge_array(edges))
@@ -125,12 +122,12 @@ def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class GraphView:
     """Normalized adjacency of one role plus cached edge structure.
 
-    ``matrix`` holds self-looped, symmetric-normalized entries
-    1/sqrt(deg_i * deg_j) where deg is the self-looped total degree
-    (orientation-independent, so both role views share one degree
-    vector and differ only in the user-block orientation). ``s_user`` and
-    ``s_obj`` split ``matrix`` by the column's node type; each stores only
-    its own edges, in its own index arrays. The convolution multiplies them
+    The normalized adjacency holds self-looped, symmetric-normalized
+    entries 1/sqrt(deg_i * deg_j) where deg is the self-looped total degree
+    (orientation-independent, so both role views share one degree vector
+    and differ only in the user-block orientation). ``s_user`` and ``s_obj``
+    split it by the column's node type and sum to it; each stores only its
+    own edges, in its own index arrays. The convolution multiplies them
     with per-node attention scores, not with embeddings: since
     eta . sum_j a_ij h_j = sum_j a_ij (eta . h_j), one sparse product over
     an n-vector of scores gives each node's type-attention term, where
@@ -144,7 +141,6 @@ class GraphView:
     role: Role
     num_users: int
     num_nodes: int
-    matrix: sp.csr_matrix
     edge_rows: np.ndarray
     edge_cols: np.ndarray
     typed_rows: np.ndarray
@@ -246,7 +242,6 @@ def build_view(
     rows, cols, raw = emap.rows.astype(np.int64), emap.cols.astype(np.int64), raw[emap.order]
     values = raw / np.sqrt(deg[rows] * deg[cols])
 
-    matrix = emap.matrix(values)
     user_col = cols < nu
     s_user = _edge_subset(rows, emap.cols, values, user_col, n)
     s_obj = _edge_subset(rows, emap.cols, values, ~user_col, n)
@@ -257,7 +252,6 @@ def build_view(
         role=role,
         num_users=nu,
         num_nodes=n,
-        matrix=matrix,
         edge_rows=rows,
         edge_cols=cols,
         typed_rows=rows + n * ~user_col,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from trustnet import autodiff as ad
 from trustnet.autodiff import Tape, Tensor
@@ -23,6 +24,11 @@ def _vectors(table) -> np.ndarray:
     return np.asarray(table, dtype=np.float64)
 
 
+def adjacency(view: GraphView) -> sp.csr_matrix:
+    """The view's whole normalized adjacency: its user and object column parts."""
+    return (view.s_user + view.s_obj).tocsr()
+
+
 def type_embedding(target: int, node_type: int, view: GraphView, table) -> np.ndarray:
     """Sum of normalized-adjacency-weighted neighbors of one type.
 
@@ -30,7 +36,7 @@ def type_embedding(target: int, node_type: int, view: GraphView, table) -> np.nd
     zero vector when the target has no neighbors of that type.
     """
     h = _vectors(table)
-    row = view.matrix.getrow(target)
+    row = adjacency(view).getrow(target)
     out = np.zeros(h.shape[1])
     for j, a in zip(row.indices, row.data):
         j_type = USER if j < view.num_users else OBJECT
@@ -169,7 +175,9 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
 
     seg_shift = ad.segment_max_values(pair_logit.value, view.indptr)
     ex = ad.exp(pair_logit - seg_shift[rows])
-    denom_e = ad.segment_sum(ex, rows, n)
+    # each row's edge weights summed in ascending edge order, through a 0/1 matrix
+    members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), view.indptr), (n, rows.size))
+    denom_e = ad.sparse_matmul(members, ex)
     beta = ex / ad.gather(denom_e, rows)
 
     return ad.elu(ad.edge_matmul(beta, projected, view.emap))
@@ -193,7 +201,7 @@ def reference_layer(h, view, lp):
     """Straight-line per-node recomputation of one convolution layer."""
     n, nu = view.num_nodes, view.num_users
     d = h.shape[1]
-    dense = view.matrix.toarray()
+    dense = adjacency(view).toarray()
     out = np.zeros_like(h)
     w = {USER: lp.w_user.value, OBJECT: lp.w_obj.value}
     eta = {USER: lp.eta_user.value, OBJECT: lp.eta_obj.value}
@@ -257,7 +265,7 @@ class TestTypeEmbedding:
         g = HeteroGraph(num_users=1, num_objects=1, interaction_edges=[(0, 1)])
         view = build_view(g, [], Role.TRUSTOR)
         h = np.array([[0.0, 0.0], [2.0, 0.0]])
-        a = view.matrix[0, 1]
+        a = adjacency(view)[0, 1]
         got = type_embedding(0, OBJECT, view, h)
         assert np.allclose(got, [2.0 * a, 0.0])
 
@@ -265,7 +273,7 @@ class TestTypeEmbedding:
         view = build_view(fixture_graph, [(2, 3)], Role.TRUSTOR)
         rng = np.random.default_rng(1)
         h = rng.normal(size=(6, 5))
-        dense = view.matrix.toarray()
+        dense = adjacency(view).toarray()
         for target in range(6):
             for t in (USER, OBJECT):
                 mask = np.array(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import logging
@@ -5,6 +6,8 @@ import logging
 import numpy as np
 import pytest
 
+from trustnet import experiment, train
+from trustnet.cli import _add_config_flags, build_config
 from trustnet.cli import main as cli_main
 from trustnet.errors import ConfigError
 from trustnet.experiment import (
@@ -20,6 +23,7 @@ from trustnet.experiment import (
     sweep,
 )
 from trustnet.fixtures import make_filmtrust_files, make_siot_files
+from trustnet.graph import Role
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +104,82 @@ class TestConfig:
         assert "ppr.k" in flat and "optim.lr" in flat and "fusion" in flat
 
 
+# every flag of _add_config_flags but --config, with the fields it sets
+FLAG_CASES = [
+    (["--dataset", "d"], {"dataset": "d"}),
+    (["--kind", "siot_csv"], {"kind": "siot_csv"}),
+    (["--train-ratio", "0.5"], {"train_ratio": 0.5}),
+    (["--seed", "3"], {"seed": 3}),
+    (["--runs", "2"], {"runs": 2}),
+    (["--epochs", "5"], {"epochs": 5}),
+    (["--latent-dim", "8"], {"latent_dim": 8}),
+    (["--user-dim", "9"], {"user_dim": 9}),
+    (["--object-dim", "10"], {"object_dim": 10}),
+    (["--num-layers", "3"], {"num_layers": 3}),
+    (["--fusion", "concat"], {"fusion": "concat"}),
+    (["--train-initial", "true"], {"train_initial": True}),
+    (["--train-initial", "false"], {"train_initial": False}),
+    (["--workers", "2"], {"workers": 2}),
+    (["--ppr-k", "5"], {"ppr.k": 5}),
+    (["--ppr-lambda", "0.3"], {"ppr.lam": 0.3}),
+    (["--ppr-epsilon", "1e-5"], {"ppr.epsilon": 1e-5}),
+    (["--ppr-transition", "symmetric"], {"ppr.transition": "symmetric"}),
+    (["--ppr-weighted"], {"ppr.weighted": True}),
+    (["--no-ppr"], {"ppr.enabled": False}),
+    (["--no-trustor"], {"roles.trustor_enabled": False}),
+    (["--no-trustee"], {"roles.trustee_enabled": False}),
+    (["--triples"], {"triples.enabled": True}),
+    (["--triples-path", "t.csv"], {"triples.path": "t.csv", "triples.enabled": True}),
+    (["--triples-epochs", "7"], {"triples.epochs": 7}),
+    (["--full-kg"], {"triples.full_kg": True}),
+    (["--lr", "0.01"], {"optim.lr": 0.01}),
+    (["--weight-decay", "0.001"], {"optim.weight_decay": 0.001}),
+    (["--user-vectors", "v.txt"], {"user_embed.vectors_path": "v.txt"}),
+]
+
+
+def config_flag_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    return parser
+
+
+def parse_config_flags(argv) -> argparse.Namespace:
+    return config_flag_parser().parse_args(argv)
+
+
+def changed_fields(config: ExperimentConfig, base: ExperimentConfig) -> dict:
+    flat, before = flatten_config(config), flatten_config(base)
+    return {key: value for key, value in flat.items() if value != before[key]}
+
+
+class TestBuildConfig:
+    def test_cases_cover_every_flag(self):
+        actions = config_flag_parser()._actions
+        flags = {opt for action in actions for opt in action.option_strings}
+        assert flags - {"-h", "--help", "--config"} == {argv[0] for argv, _ in FLAG_CASES}
+
+    @pytest.mark.parametrize("argv,expected", FLAG_CASES, ids=[" ".join(a) for a, _ in FLAG_CASES])
+    def test_flag_sets_exactly_its_fields(self, argv, expected):
+        config = build_config(parse_config_flags(argv))
+        assert changed_fields(config, ExperimentConfig()) == expected
+
+    def test_flags_override_the_config_file_and_unset_flags_keep_it(self, tmp_path):
+        stored = ExperimentConfig(epochs=3, train_initial=True)
+        stored.ppr.enabled = False
+        stored.triples.enabled = True
+        stored.roles.trustee_enabled = False
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(stored.to_dict()))
+
+        kept = build_config(parse_config_flags(["--config", str(path)]))
+        assert changed_fields(kept, stored) == {}
+        overridden = build_config(
+            parse_config_flags(["--config", str(path), "--epochs", "9", "--train-initial", "auto"])
+        )
+        assert changed_fields(overridden, stored) == {"epochs": 9, "train_initial": None}
+
+
 class TestAblations:
     def test_each_variant_changes_exactly_one_field(self, film_dir):
         cfg = small_config(film_dir)
@@ -157,6 +237,33 @@ class TestRun:
         summary = run(cfg)
         assert 0.0 <= summary.accuracy <= 100.0
 
+    @pytest.mark.parametrize("trustor,trustee", [(True, True), (True, False), (False, True)])
+    def test_one_forward_and_score_per_epoch_one_view_per_role(
+        self, film_dir, monkeypatch, trustor, trustee
+    ):
+        # the benchmark wraps these names and times epochs between fused_users calls
+        seen = {}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(train, "fused_users")
+        spy(experiment, "classification_metrics")
+        spy(experiment, "build_view")
+        cfg = small_config(film_dir, epochs=3)
+        cfg.roles.trustor_enabled, cfg.roles.trustee_enabled = trustor, trustee
+        run_single(load_dataset(cfg), cfg, 42)
+        assert len(seen["fused_users"]) == cfg.epochs + 1
+        assert len(seen["classification_metrics"]) == cfg.epochs + 1
+        roles = [role for role, on in ((Role.TRUSTOR, trustor), (Role.TRUSTEE, trustee)) if on]
+        assert [args[2] for args in seen["build_view"]] == roles
+
     def test_siot_with_triples(self, siot_dir):
         cfg = ExperimentConfig(
             dataset=str(siot_dir),
@@ -195,6 +302,20 @@ class TestSweep:
     def test_unknown_param(self, film_dir):
         with pytest.raises(ConfigError):
             sweep(small_config(film_dir), "dropout", [0.1])
+
+
+def checkpoint_run_flags(film_dir) -> list[str]:
+    return [
+        "--dataset", str(film_dir),
+        "--kind", "filmtrust",
+        "--runs", "1",
+        "--epochs", "4",
+        "--latent-dim", "6",
+        "--user-dim", "6",
+        "--object-dim", "6",
+        "--ppr-k", "3",
+        "--workers", "1",
+    ]
 
 
 class TestCli:
@@ -321,22 +442,32 @@ class TestCli:
         assert rc == 1
         assert not (tmp_path / "ab" / "metrics.csv").exists()
 
-    def test_checkpoint_roundtrip_via_cli(self, film_dir, tmp_path):
+    def test_checkpoint_roundtrip_via_cli(self, film_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
-        base = [
-            "--dataset", str(film_dir),
-            "--kind", "filmtrust",
-            "--runs", "1",
-            "--epochs", "4",
-            "--latent-dim", "6",
-            "--user-dim", "6",
-            "--object-dim", "6",
-            "--ppr-k", "3",
-            "--workers", "1",
-        ]
-        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        base = checkpoint_run_flags(film_dir)
+        out = tmp_path / "out"
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt), "--out", str(out)]) == 0
         assert ckpt.exists()
+        capsys.readouterr()
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
+        printed = capsys.readouterr().out.split()
+        # the checkpoint holds the parameters the last trace row was scored with
+        with (out / "trace.csv").open(newline="") as fh:
+            last_test_acc = list(csv.DictReader(fh))[-1]["test_acc"]
+        assert printed[:3] == ["eval-only:", "accuracy", last_test_acc]
+
+    @pytest.mark.parametrize(
+        "train_flags,eval_flags", [([], ["--no-trustee"]), (["--no-trustor"], [])]
+    )
+    def test_checkpoint_roles_must_match_the_config(
+        self, film_dir, tmp_path, capsys, train_flags, eval_flags
+    ):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, *train_flags, "--checkpoint-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", *base, *eval_flags, "--eval-checkpoint", str(ckpt)]) == 2
+        assert "data error: checkpoint encodes roles" in capsys.readouterr().err
 
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(

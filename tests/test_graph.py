@@ -14,11 +14,16 @@ from trustnet.graph import (
 from trustnet.ppr import topk_augment
 
 
-def _user_pairs(graph, augmented) -> set:
-    return {tuple(map(int, e)) for e in graph.trust_edges} | {tuple(map(int, e)) for e in augmented}
+def _user_pairs(graph, augmented, weights=None) -> dict:
+    """Directed user pair -> weight: 1 for trust edges, and for augmented
+    pairs their first given weight (1 when unweighted) unless already a trust edge."""
+    pairs = {tuple(map(int, e)): 1.0 for e in graph.trust_edges}
+    for k, e in enumerate(augmented):
+        pairs.setdefault(tuple(map(int, e)), 1.0 if weights is None else float(weights[k]))
+    return pairs
 
 
-def oracle_degrees(graph, augmented) -> np.ndarray:
+def oracle_degrees(graph, augmented, weights=None) -> np.ndarray:
     """Self-looped degree of every node, counted edge by edge.
 
     Every incident edge counts once per direction for the user block
@@ -26,9 +31,9 @@ def oracle_degrees(graph, augmented) -> np.ndarray:
     role views.
     """
     deg = np.ones(graph.num_nodes)  # self-loops
-    for i, j in _user_pairs(graph, augmented):
-        deg[i] += 1.0
-        deg[j] += 1.0
+    for (i, j), w in _user_pairs(graph, augmented, weights).items():
+        deg[i] += w
+        deg[j] += w
     for blocks in (graph.interaction_edges, graph.object_edges):
         for p, q in blocks:
             deg[p] += 1.0
@@ -36,20 +41,25 @@ def oracle_degrees(graph, augmented) -> np.ndarray:
     return deg
 
 
-def dense_view_oracle(graph, augmented, role):
+def adjacency(view):
+    """The view's whole normalized adjacency: its user and object column parts."""
+    return (view.s_user + view.s_obj).tocsr()
+
+
+def dense_view_oracle(graph, augmented, role, weights=None):
     """Explicit D^{-1/2} (A + I) D^{-1/2} with the degrees of ``oracle_degrees``."""
     n = graph.num_nodes
     a = np.zeros((n, n))
-    for i, j in _user_pairs(graph, augmented):
+    for (i, j), w in _user_pairs(graph, augmented, weights).items():
         if role is Role.TRUSTOR:
-            a[i, j] = 1.0
+            a[i, j] = w
         else:
-            a[j, i] = 1.0
+            a[j, i] = w
     for blocks in (graph.interaction_edges, graph.object_edges):
         for p, q in blocks:
             a[p, q] = a[q, p] = 1.0
     a += np.eye(n)
-    dinv = 1.0 / np.sqrt(oracle_degrees(graph, augmented))
+    dinv = 1.0 / np.sqrt(oracle_degrees(graph, augmented, weights))
     return a * dinv[:, None] * dinv[None, :]
 
 
@@ -67,8 +77,6 @@ def small_graph():
 class TestHeteroGraph:
     def test_counts(self, small_graph):
         assert small_graph.num_nodes == 5
-        assert small_graph.node_type(0) == 0
-        assert small_graph.node_type(3) == 1
 
     def test_rejects_self_trust(self):
         with pytest.raises(DataError):
@@ -91,13 +99,13 @@ class TestBuildView:
     def test_isolated_node_is_unit_self_loop(self):
         g = HeteroGraph(num_users=1, num_objects=0)
         view = build_view(g, [], Role.TRUSTOR)
-        assert view.matrix.shape == (1, 1)
-        assert view.matrix[0, 0] == pytest.approx(1.0)
+        assert adjacency(view).shape == (1, 1)
+        assert adjacency(view)[0, 0] == pytest.approx(1.0)
 
     def test_trustee_view_reverses_trust_edge(self):
         g = HeteroGraph(num_users=2, num_objects=0, trust_edges=[(0, 1)])
-        trustor = build_view(g, [], Role.TRUSTOR).matrix.toarray()
-        trustee = build_view(g, [], Role.TRUSTEE).matrix.toarray()
+        trustor = adjacency(build_view(g, [], Role.TRUSTOR)).toarray()
+        trustee = adjacency(build_view(g, [], Role.TRUSTEE)).toarray()
         assert trustor[0, 1] > 0 and trustor[1, 0] == 0
         assert trustee[1, 0] > 0 and trustee[0, 1] == 0
 
@@ -105,7 +113,7 @@ class TestBuildView:
         for role in (Role.TRUSTOR, Role.TRUSTEE):
             view = build_view(small_graph, [], role)
             oracle = dense_view_oracle(small_graph, [], role)
-            assert np.allclose(view.matrix.toarray(), oracle, atol=1e-12)
+            assert np.allclose(adjacency(view).toarray(), oracle, atol=1e-12)
 
     def test_matches_dense_oracle_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -130,16 +138,16 @@ class TestBuildView:
             for role in (Role.TRUSTOR, Role.TRUSTEE):
                 view = build_view(g, aug, role)
                 oracle = dense_view_oracle(g, np.array(aug).reshape(-1, 2), role)
-                assert np.allclose(view.matrix.toarray(), oracle, atol=1e-12)
+                assert np.allclose(adjacency(view).toarray(), oracle, atol=1e-12)
                 # entries are 1/sqrt(d_i d_j) on the support
-                mat = view.matrix.tocoo()
+                mat = adjacency(view).tocoo()
                 deg = oracle_degrees(g, aug)
                 expect = 1.0 / np.sqrt(deg[mat.row] * deg[mat.col])
                 assert np.allclose(mat.data, expect)
 
     def test_trustee_equals_transposed_user_block(self, small_graph):
-        trustor = build_view(small_graph, [(2, 0)], Role.TRUSTOR).matrix.toarray()
-        trustee = build_view(small_graph, [(2, 0)], Role.TRUSTEE).matrix.toarray()
+        trustor = adjacency(build_view(small_graph, [(2, 0)], Role.TRUSTOR)).toarray()
+        trustee = adjacency(build_view(small_graph, [(2, 0)], Role.TRUSTEE)).toarray()
         nu = small_graph.num_users
         assert np.allclose(trustor[:nu, :nu].T, trustee[:nu, :nu])
         assert np.allclose(trustor[nu:, :], trustee[nu:, :])
@@ -161,12 +169,18 @@ class TestBuildView:
                     assert not np.shares_memory(mat.indices, arr)
             assert view.s_user.nnz + view.s_obj.nnz == view.emap.rows.size
             assert np.all(view.s_user.indices < nu) and np.all(view.s_obj.indices >= nu)
-            assert np.array_equal((view.s_user + view.s_obj).toarray(), view.matrix.toarray())
+            # together the two hold every edge of the map, in its row-major order,
+            # with the normalized weights of the dense oracle
+            both = adjacency(view)
+            assert np.array_equal(both.indptr, view.emap.indptr)
+            assert np.array_equal(both.indices, view.emap.cols)
+            oracle = dense_view_oracle(g, aug, role, weights)
+            assert np.allclose(both.toarray(), oracle, rtol=1e-12, atol=1e-12)
 
     def test_augmented_duplicates_collapse(self):
         g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1)])
         view = build_view(g, [(0, 1), (0, 2), (0, 2)], Role.TRUSTOR)
-        dense = view.matrix.toarray()
+        dense = adjacency(view).toarray()
         # edge (0,1) present once; all diagonal entries positive
         assert dense[0, 1] > 0
         assert np.all(np.diag(dense) > 0)
