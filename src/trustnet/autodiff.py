@@ -34,8 +34,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "matmul",
     "exp",
     "log",
@@ -109,18 +107,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
@@ -259,13 +245,6 @@ def sub(a, b) -> Tensor:
     return out
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.value, requires_grad=a.requires_grad)
-    _record(out, lambda g: [(a, -g)])
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.value * b.value, requires_grad=a.requires_grad or b.requires_grad)
@@ -275,23 +254,6 @@ def mul(a, b) -> Tensor:
             (a, _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None),
             (b, _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None),
         ]
-
-    _record(out, backward)
-    return out
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value / b.value, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        da = _unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None
-        db = (
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
-            if b.requires_grad
-            else None
-        )
-        return [(a, da), (b, db)]
 
     _record(out, backward)
     return out
@@ -522,10 +484,12 @@ def gather(a, idx: np.ndarray) -> Tensor:
 
     The 2-D scatter is a product with the 0/1 matrix whose row r lists the
     positions k with idx[k] == r in ascending order, so every output row sums
-    its contributions from +0 in the order ``np.add.at`` would.
+    its contributions from +0 in the order ``np.add.at`` would. ``idx`` is
+    used as given, in any integer dtype: a converted copy would be one more
+    index array for the tape to hold until the backward runs.
     """
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     out = Tensor(a.value[idx], requires_grad=a.requires_grad)
 
     def backward(g):
@@ -648,30 +612,35 @@ class EdgeMap:
 
     Precomputes the CSR structure of the pattern so a weighted adjacency
     product only has to drop edge values into place; its transpose is the
-    same arrays read column-wise. ``order`` is the permutation that sorted
-    the constructor input; apply it to any parallel per-edge arrays.
+    same arrays read column-wise. The arrays are int64, numpy's index type,
+    so gathers and bincounts over them convert nothing, and ``matrix`` hands
+    them to a scipy sparse array, which keeps them without a copy.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     n_rows: int
     n_cols: int
-    order: np.ndarray
     indptr: np.ndarray
 
     @classmethod
-    def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> "EdgeMap":
-        rows = np.asarray(rows, dtype=np.int32)
-        cols = np.asarray(cols, dtype=np.int32)
+    def from_edges(
+        cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+    ) -> tuple["EdgeMap", np.ndarray]:
+        """The map of an edge list, and the permutation that sorted it.
+
+        Apply the permutation to any per-edge arrays parallel to the input;
+        the map does not keep it.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=n_rows)))
-        ).astype(np.int32)
-        return cls(rows, cols, n_rows, n_cols, order, indptr)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+        return cls(rows, cols, n_rows, n_cols, indptr), order
 
-    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
+    def matrix(self, values: np.ndarray) -> sp.csr_array:
+        return sp.csr_array((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
 
 
 EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient

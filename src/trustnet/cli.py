@@ -115,11 +115,10 @@ def _cmd_run(args) -> int:
     keep = args.checkpoint_out is not None
     if keep and config.runs != 1:
         raise ConfigError("--checkpoint-out needs --runs 1")
-    summary = experiment.run(config, out_dir=args.out, keep_params=keep)
+    dataset = experiment.load_dataset(config)
+    summary = experiment.run(config, out_dir=args.out, keep_params=keep, dataset=dataset)
     if keep:
-        from .train import save_params
-
-        save_params(summary.results[0].params, args.checkpoint_out)
+        experiment.save_checkpoint(summary, dataset, args.checkpoint_out)
         print(f"checkpoint written to {args.checkpoint_out}")
     print(
         f"{summary.dataset_name} ratio={config.train_ratio:g} runs={config.runs}: "

@@ -78,7 +78,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     normalises the pair logits within each node's edges. The per-type
     projection is one ``row_block_matmul`` over the user and object rows.
     """
-    rows, cols = view.edge_rows, view.edge_cols
+    emap = view.emap
 
     # type-projected neighbor embeddings (users and objects use their own map)
     projected = ad.row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
@@ -97,8 +97,8 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     # node-level attention: the neighbor's type weight scales the pair logit
     alpha_edge = ad.gather(alpha, view.typed_rows)
     pair_logit = ad.leaky_relu(
-        alpha_edge * (ad.gather(s_own, rows) + ad.gather(s_nbr, cols)), LEAKY_SLOPE
+        alpha_edge * (ad.gather(s_own, emap.rows) + ad.gather(s_nbr, emap.cols)), LEAKY_SLOPE
     )
-    beta = ad.segment_softmax(pair_logit, rows, view.indptr)
+    beta = ad.segment_softmax(pair_logit, emap.rows, emap.indptr)
 
-    return ad.elu(ad.edge_matmul(beta, projected, view.emap))
+    return ad.elu(ad.edge_matmul(beta, projected, emap))

@@ -18,7 +18,6 @@ fall back to seeded unit-norm random vectors.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import re
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError
-from .graph import HeteroGraph
+from .graph import HeteroGraph, _read_csv
 
 _TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
 
@@ -318,34 +317,17 @@ def load_triples(path) -> tuple[list[KnowledgeTriple], dict[str, int], dict[str,
     Entity and relation ids follow first appearance order. Returns the
     triples plus the two name -> id tables.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing triples file: {path}")
     entities: dict[str, int] = {}
     relations: dict[str, int] = {}
     triples: list[KnowledgeTriple] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise ParseError(f"{path}:1: empty triples file") from exc
-        if [h.strip() for h in header] != ["head_entity", "relation", "tail_entity"]:
-            raise ParseError(f"{path}:1: expected header head_entity,relation,tail_entity")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            head, relation, tail = (x.strip() for x in row)
-            for name in (head, tail):
-                if name not in entities:
-                    entities[name] = len(entities)
-            if relation not in relations:
-                relations[relation] = len(relations)
-            triples.append(
-                KnowledgeTriple(entities[head], relations[relation], entities[tail])
-            )
+    for row in _read_csv(Path(path), ["head_entity", "relation", "tail_entity"]):
+        head, relation, tail = (x.strip() for x in row)
+        for name in (head, tail):
+            if name not in entities:
+                entities[name] = len(entities)
+        if relation not in relations:
+            relations[relation] = len(relations)
+        triples.append(KnowledgeTriple(entities[head], relations[relation], entities[tail]))
     return triples, entities, relations
 
 

@@ -31,7 +31,6 @@ from .graph import (
     build_view,
     load_filmtrust,
     load_siot_csv,
-    samples_to_arrays,
     split_samples,
 )
 from .ppr import topk_augment
@@ -215,7 +214,6 @@ class Dataset:
     name: str
     kind: str
     graph: HeteroGraph
-    positives: list
     corpus: list | None = None
     alignment: dict | None = None  # object local id -> entity id
     triples: list | None = None
@@ -227,16 +225,10 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     path = Path(config.dataset)
     name = path.name or str(path)
     if config.kind == "filmtrust":
-        graph, positives = load_filmtrust(path / "ratings.txt", path / "trust.txt")
-        return Dataset(name=name, kind=config.kind, graph=graph, positives=positives)
-    graph, positives, corpus, name_alignment = load_siot_csv(path)
-    dataset = Dataset(
-        name=name,
-        kind=config.kind,
-        graph=graph,
-        positives=positives,
-        corpus=corpus,
-    )
+        graph = load_filmtrust(path / "ratings.txt", path / "trust.txt")
+        return Dataset(name=name, kind=config.kind, graph=graph)
+    graph, corpus, name_alignment = load_siot_csv(path)
+    dataset = Dataset(name=name, kind=config.kind, graph=graph, corpus=corpus)
     if config.triples.enabled:
         triple_path = Path(config.triples.path) if config.triples.path else path / "triples.csv"
         triples, entities, relations = embed_mod.load_triples(triple_path)
@@ -349,11 +341,9 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     state = np.random.SeedSequence(run_seed).generate_state(5)
     seeds = dict(zip(("split", "user_embed", "transe", "obj_init", "params"), map(int, state)))
 
-    samples = split_samples(
-        dataset.positives, config.train_ratio, seeds["split"], num_users=dataset.graph.num_users
+    train, test = split_samples(
+        dataset.graph.trust_edges, config.train_ratio, seeds["split"], num_users=dataset.graph.num_users
     )
-    train = samples_to_arrays([s for s in samples if s.split == "train"])
-    test = samples_to_arrays([s for s in samples if s.split == "test"])
     if train[0].size == 0:
         raise DataError("empty training split")
     if test[0].size == 0:
@@ -639,21 +629,51 @@ def sweep(
     return summaries
 
 
+def save_checkpoint(summary: Summary, dataset: Dataset, path) -> None:
+    """Save a one-run summary's parameters with the config, run seed and graph they came from."""
+    (result,) = summary.results
+    provenance = {
+        "config": summary.config.to_dict(),
+        "run_seed": result.seed,
+        "graph_sha256": dataset.graph.fingerprint(),
+    }
+    train_mod.save_params(result.params, path, provenance)
+
+
+def _read_by_prepare_run(field: str) -> bool:
+    return field in ("train_ratio", "seed") or field.startswith(("ppr.", "roles."))
+
+
 def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Dataset | None = None):
-    """Score a saved model on the test split of the first run ``config`` derives.
+    """Score a saved model on the test split of the run it was trained in.
 
     Nothing is trained: the split, augmentation and views come from
     ``prepare_run`` and the embedding tables from the checkpoint. The
-    checkpoint's encoders must be exactly the roles the config enables.
+    checkpoint's encoders must be exactly the roles the config enables, the
+    fields ``prepare_run`` reads must equal those it was trained with, and
+    the dataset graph must be the one it was trained on; otherwise the test
+    split would not be that run's and a ``DataError`` is raised.
     """
     config.validate()
-    params = train_mod.load_params(checkpoint_path)
+    params, provenance = train_mod.load_params(checkpoint_path)
     stored = [enc.role.value for enc in (params.trustor, params.trustee) if enc is not None]
     enabled = [role.value for role in _enabled_roles(config.roles)]
     if stored != enabled:
         raise DataError(f"checkpoint encodes roles {stored} but the config enables {enabled}")
+    if provenance is None:
+        raise DataError("checkpoint records no training config, run seed or dataset fingerprint")
+    trained, given = flatten_config(ExperimentConfig.from_dict(provenance["config"])), flatten_config(config)
+    changed = [
+        f"{k}={trained[k]!r} (config: {given[k]!r})"
+        for k in trained
+        if _read_by_prepare_run(k) and trained[k] != given[k]
+    ]
+    if changed:
+        raise DataError(f"checkpoint was trained with {', '.join(changed)}")
     if dataset is None:
         dataset = load_dataset(config)
-    prep = prepare_run(dataset, config, derive_run_seeds(config.seed, 1)[0])
+    if dataset.graph.fingerprint() != provenance["graph_sha256"]:
+        raise DataError(f"checkpoint was trained on another dataset graph than {dataset.name}")
+    prep = prepare_run(dataset, config, provenance["run_seed"])
     z = train_mod.fused_users(prep.views, params, None, None)
     return _score(z.value, params, prep.test)

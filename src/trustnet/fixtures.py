@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .graph import HeteroGraph, Role, TrustSample, build_view
+from .graph import HeteroGraph, Role, build_view
 from .ppr import topk_augment
 from .train import PipelineFixture
 
@@ -408,19 +408,13 @@ def make_pipeline_fixture(
     }
     h0_users = rng.normal(size=(num_users, user_dim))
     h0_objects = rng.normal(size=(num_objects, object_dim))
-    samples = [
-        TrustSample(0, 1, 1),
-        TrustSample(1, 2, 1),
-        TrustSample(2, 1, 0),
-        TrustSample(3, 4, 0),
-        TrustSample(0, 3, 0),
-        TrustSample(3, 1, 1),
-    ]
-    samples = [s for s in samples if s.trustor < num_users and s.trustee < num_users]
+    # (trustor, trustee, label) rows
+    samples = np.array([(0, 1, 1), (1, 2, 1), (2, 1, 0), (3, 4, 0), (0, 3, 0), (3, 1, 1)])
+    samples = samples[(samples[:, 0] < num_users) & (samples[:, 1] < num_users)]
     return PipelineFixture(
         graph=graph,
         views=views,
         h0_users=h0_users,
         h0_objects=h0_objects,
-        samples=samples,
+        samples=tuple(samples.T.copy()),
     )

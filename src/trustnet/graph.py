@@ -9,6 +9,7 @@ undirected.
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -88,30 +89,17 @@ class HeteroGraph:
     def num_nodes(self) -> int:
         return self.num_users + self.num_objects
 
+    def fingerprint(self) -> str:
+        """SHA-256 of the node counts and the three edge arrays, in hex."""
+        digest = hashlib.sha256(np.array([self.num_users, self.num_objects], dtype=np.int64).tobytes())
+        for edges in (self.trust_edges, self.interaction_edges, self.object_edges):
+            digest.update(np.int64(len(edges)).tobytes())
+            digest.update(np.ascontiguousarray(edges, dtype=np.int64).tobytes())
+        return digest.hexdigest()
+
     def with_trust_edges(self, edges) -> "HeteroGraph":
         """Same graph with the trust edge set replaced (e.g. a train split)."""
         return replace(self, trust_edges=_as_edge_array(edges))
-
-
-@dataclass(frozen=True)
-class TrustSample:
-    """Ordered (trustor, trustee) pair with a binary trust label."""
-
-    trustor: int
-    trustee: int
-    label: int
-    split: str = "train"
-
-    def __post_init__(self):
-        if self.trustor == self.trustee:
-            raise DataError("trust sample must pair distinct users")
-
-
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    i = np.fromiter((s.trustor for s in samples), dtype=np.int64, count=len(samples))
-    j = np.fromiter((s.trustee for s in samples), dtype=np.int64, count=len(samples))
-    y = np.fromiter((s.label for s in samples), dtype=np.int64, count=len(samples))
-    return i, j, y
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +121,16 @@ class GraphView:
     an n-vector of scores gives each node's type-attention term, where
     aggregating h first would cost d times the work and an n x d array.
 
-    ``typed_rows`` is each edge's row plus ``num_nodes`` where its column
-    is an object: the edge's slot in a per-node vector of user-type
-    weights followed by one of object-type weights.
+    ``emap`` holds the edge list once, sorted row-major with its CSR row
+    pointers. ``typed_rows`` is each edge's row plus ``num_nodes`` where
+    its column is an object: the edge's slot in a per-node vector of
+    user-type weights followed by one of object-type weights.
     """
 
     role: Role
     num_users: int
     num_nodes: int
-    edge_rows: np.ndarray
-    edge_cols: np.ndarray
     typed_rows: np.ndarray
-    indptr: np.ndarray
     emap: EdgeMap
     s_user: sp.csr_matrix
     s_obj: sp.csr_matrix
@@ -238,13 +224,13 @@ def build_view(
     if user_edges.size:
         np.add.at(deg, user_edges[:, 1], user_w)  # incoming side of directed pairs
 
-    emap = EdgeMap.from_edges(rows, cols, n, n)
-    rows, cols, raw = emap.rows.astype(np.int64), emap.cols.astype(np.int64), raw[emap.order]
-    values = raw / np.sqrt(deg[rows] * deg[cols])
+    emap, order = EdgeMap.from_edges(rows, cols, n, n)
+    rows, cols = emap.rows, emap.cols
+    values = raw[order] / np.sqrt(deg[rows] * deg[cols])
 
     user_col = cols < nu
-    s_user = _edge_subset(rows, emap.cols, values, user_col, n)
-    s_obj = _edge_subset(rows, emap.cols, values, ~user_col, n)
+    s_user = _edge_subset(rows, cols, values, user_col, n)
+    s_obj = _edge_subset(rows, cols, values, ~user_col, n)
     has_user = (np.diff(s_user.indptr) > 0).astype(np.float64)
     has_obj = (np.diff(s_obj.indptr) > 0).astype(np.float64)
 
@@ -252,10 +238,7 @@ def build_view(
         role=role,
         num_users=nu,
         num_nodes=n,
-        edge_rows=rows,
-        edge_cols=cols,
         typed_rows=rows + n * ~user_col,
-        indptr=emap.indptr.astype(np.int64),
         emap=emap,
         s_user=s_user,
         s_obj=s_obj,
@@ -270,78 +253,77 @@ def build_view(
 
 def _parse_int(token: str, path, lineno: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: expected integer, got {token!r}") from exc
+    if not -(2**63) <= value < 2**63:  # ids are held as int64
+        raise ParseError(f"{path}:{lineno}: integer {token!r} is out of the int64 range")
+    return value
 
 
-def load_filmtrust(ratings_path, trust_path) -> tuple[HeteroGraph, list[TrustSample]]:
+def _read_id_pairs(path: Path, label: str, numeric_value: bool) -> np.ndarray:
+    """The two integer ids of each ``id id value`` line, as an (m, 2) array.
+
+    Fields are whitespace-separated and blank lines are skipped. The value
+    must parse as a number when ``numeric_value`` is set and is otherwise
+    not read.
+    """
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {label} file {path}: {exc}") from exc
+    ids: list[int] = []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        ids.append(_parse_int(parts[0], path, lineno))
+        ids.append(_parse_int(parts[1], path, lineno))
+        if numeric_value:
+            try:
+                float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad rating value {parts[2]!r}") from exc
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
+
+
+def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Distinct rows of a pair array of ids below ``n``, sorted lexicographically."""
+    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+def load_filmtrust(ratings_path, trust_path) -> HeteroGraph:
     """Load whitespace-separated rating and trust files.
 
     Rating lines are ``user item rating``; trust lines are
     ``trustor trustee value``. Ids are remapped to dense integers (sorted
     by original id, users before objects). Self-trust lines are skipped
-    with a logged count; trust values are binarized to label 1.
+    with a logged count; every other trust line is an observed trust pair,
+    whatever its value. Repeated lines count once.
     """
     ratings_path, trust_path = Path(ratings_path), Path(trust_path)
-    rating_pairs: set[tuple[int, int]] = set()
-    users: set[int] = set()
-    items: set[int] = set()
-    try:
-        lines = ratings_path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read ratings file {ratings_path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{ratings_path}:{lineno}: expected 3 fields, got {len(parts)}")
-        u = _parse_int(parts[0], ratings_path, lineno)
-        o = _parse_int(parts[1], ratings_path, lineno)
-        try:
-            float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"{ratings_path}:{lineno}: bad rating value {parts[2]!r}") from exc
-        users.add(u)
-        items.add(o)
-        rating_pairs.add((u, o))
+    ratings = _read_id_pairs(ratings_path, "ratings", numeric_value=True)
+    trust = _read_id_pairs(trust_path, "trust", numeric_value=False)
+    self_trust = trust[:, 0] == trust[:, 1]
+    if self_trust.any():
+        logger.warning("skipped %d self-trust line(s) in %s", int(self_trust.sum()), trust_path)
+        trust = trust[~self_trust]
 
-    trust_pairs: set[tuple[int, int]] = set()
-    skipped_self = 0
-    try:
-        tlines = trust_path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read trust file {trust_path}: {exc}") from exc
-    for lineno, line in enumerate(tlines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{trust_path}:{lineno}: expected 3 fields, got {len(parts)}")
-        a = _parse_int(parts[0], trust_path, lineno)
-        b = _parse_int(parts[1], trust_path, lineno)
-        if a == b:
-            skipped_self += 1
-            continue
-        users.add(a)
-        users.add(b)
-        trust_pairs.add((a, b))
-    if skipped_self:
-        logger.warning("skipped %d self-trust line(s) in %s", skipped_self, trust_path)
-
-    user_ids = {u: i for i, u in enumerate(sorted(users))}
-    object_ids = {o: len(user_ids) + i for i, o in enumerate(sorted(items))}
-    graph = HeteroGraph(
-        num_users=len(user_ids),
-        num_objects=len(object_ids),
-        trust_edges=[(user_ids[a], user_ids[b]) for a, b in sorted(trust_pairs)],
-        interaction_edges=[(user_ids[u], object_ids[o]) for u, o in sorted(rating_pairs)],
+    users = np.unique(np.concatenate([ratings[:, 0], trust.ravel()]))
+    items = np.unique(ratings[:, 1])
+    nu, n = users.size, users.size + items.size
+    rated = np.stack(
+        [np.searchsorted(users, ratings[:, 0]), nu + np.searchsorted(items, ratings[:, 1])], axis=1
     )
-    positives = [
-        TrustSample(user_ids[a], user_ids[b], 1) for a, b in sorted(trust_pairs)
-    ]
-    return graph, positives
+    return HeteroGraph(
+        num_users=nu,
+        num_objects=items.size,
+        trust_edges=_unique_pairs(np.searchsorted(users, trust), n),
+        interaction_edges=_unique_pairs(rated, n),
+    )
 
 
 def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
@@ -369,14 +351,14 @@ def load_siot_csv(
     directory,
     min_user_comments: int = 15,
     min_object_comments: int = 10,
-) -> tuple[HeteroGraph, list[TrustSample], list[list[str]], dict[int, str]]:
+) -> tuple[HeteroGraph, list[list[str]], dict[int, str]]:
     """Load a CSV bundle: trust.csv, interactions.csv, objects.csv.
 
     Users with at most ``min_user_comments`` comment rows and objects with
     at most ``min_object_comments`` are removed (thresholds are strict:
     a node needs strictly more comments to survive). Returns the remapped
-    graph, positive trust samples, the per-user comment corpus, and the
-    object -> entity-name alignment for objects that have one.
+    graph, the per-user comment corpus, and the object -> entity-name
+    alignment for objects that have one.
 
     An optional object_edges.csv (header ``object_a,object_b``) adds
     object-object edges.
@@ -435,8 +417,7 @@ def load_siot_csv(
         interaction_edges=sorted(interaction_pairs),
         object_edges=sorted(set(tuple(sorted(e)) for e in object_edges)),
     )
-    positives = [TrustSample(a, b, 1) for a, b in sorted(trust_pairs)]
-    return graph, positives, corpus, alignment
+    return graph, corpus, alignment
 
 
 # ---------------------------------------------------------------------------
@@ -444,60 +425,56 @@ def load_siot_csv(
 
 
 def split_samples(
-    positives: list[TrustSample],
+    trust_edges,
     ratio: float,
     seed: int,
     *,
     num_users: int,
-) -> list[TrustSample]:
-    """Split positives into train/test and draw matched negatives.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Split the observed trust pairs into train and test, with matched negatives.
 
-    The test side takes floor((1-ratio) * n) positives, the rest train.
-    Negatives are unlinked ordered user pairs, disjoint from all observed
-    positives and from each other, with the same per-split counts.
+    The pairs are shuffled; the test side takes the last floor((1-ratio) * n),
+    the train side the rest. Negatives are unlinked ordered user pairs,
+    disjoint from all observed pairs and from each other, with the same
+    per-split counts. Each side is a (trustor, trustee, label) triple of
+    int64 arrays: its positives, then its negatives.
     """
     if not 0.0 < ratio < 1.0:
         raise DataError(f"train ratio must lie in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
+    positives = _as_edge_array(trust_edges)
     n = len(positives)
-    order = rng.permutation(n)
-    n_test = int(np.floor((1.0 - ratio) * n))
-    n_train = n - n_test
+    positives = positives[rng.permutation(n)]
+    n_train = n - int(np.floor((1.0 - ratio) * n))
 
-    out: list[TrustSample] = []
-    forbidden = {(s.trustor, s.trustee) for s in positives}
-    for pos, idx in enumerate(order):
-        s = positives[idx]
-        split = "train" if pos < n_train else "test"
-        out.append(TrustSample(s.trustor, s.trustee, 1, split))
-
-    needed = n
-    total_pairs = num_users * (num_users - 1)
-    if total_pairs - len(forbidden) < needed:
-        raise DataError(
-            f"cannot draw {needed} negative pairs: only "
-            f"{total_pairs - len(forbidden)} unlinked ordered pairs exist"
-        )
-    negatives: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # a pair (i, j) is the key i * num_users + j, so keys sort row-major
+    taken = positives[:, 0] * num_users + positives[:, 1]
+    free = num_users * (num_users - 1) - np.unique(taken).size
+    if free < n:
+        raise DataError(f"cannot draw {n} negative pairs: only {free} unlinked ordered pairs exist")
     if num_users <= 200:
-        pool = [
-            (i, j)
-            for i in range(num_users)
-            for j in range(num_users)
-            if i != j and (i, j) not in forbidden
-        ]
-        picks = rng.choice(len(pool), size=needed, replace=False)
-        negatives = [pool[p] for p in picks]
+        pool = np.arange(num_users * num_users)
+        pool = pool[(pool // num_users != pool % num_users) & ~np.isin(pool, taken)]
+        negatives = pool[rng.choice(pool.size, size=n, replace=False)]
     else:
-        while len(negatives) < needed:
+        seen = set(taken.tolist())
+        drawn: list[int] = []
+        while len(drawn) < n:
             i = int(rng.integers(num_users))
             j = int(rng.integers(num_users))
-            if i == j or (i, j) in forbidden or (i, j) in seen:
+            key = i * num_users + j
+            if i == j or key in seen:
                 continue
-            seen.add((i, j))
-            negatives.append((i, j))
-    for pos, (i, j) in enumerate(negatives):
-        split = "train" if pos < n_train else "test"
-        out.append(TrustSample(i, j, 0, split))
-    return out
+            seen.add(key)
+            drawn.append(key)
+        negatives = np.array(drawn, dtype=np.int64)
+    negatives = np.stack(np.divmod(negatives, num_users), axis=1)
+
+    def side(pos: np.ndarray, neg: np.ndarray):
+        trustor, trustee = np.concatenate([pos, neg]).T.copy()
+        return trustor, trustee, np.repeat(np.array([1, 0]), [len(pos), len(neg)])
+
+    return (
+        side(positives[:n_train], negatives[:n_train]),
+        side(positives[n_train:], negatives[n_train:]),
+    )

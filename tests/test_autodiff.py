@@ -55,11 +55,29 @@ def test_add_broadcast_bias():
 
 
 def test_sub_and_neg():
-    check_op(lambda a, b: ad.reduce_sum(ad.sub(a, b) * 2.0 + ad.neg(a)), (5,), (5,))
+    check_op(lambda a, b: ad.reduce_sum(ad.sub(a, b) * 2.0 + (0.0 - a)), (5,), (5,))
 
 
 def test_mul_broadcast_vector():
     check_op(lambda a, b: ad.mean(ad.mul(a, b)), (4, 3), (3,))
+
+
+def div(a, b) -> ad.Tensor:
+    """Elementwise a / b as a tape op, for the op chains the fused ops replace."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    out = ad.Tensor(a.value / b.value, requires_grad=a.requires_grad or b.requires_grad)
+
+    def backward(g):
+        da = ad._unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None
+        db = (
+            ad._unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
+            if b.requires_grad
+            else None
+        )
+        return [(a, da), (b, db)]
+
+    ad._record(out, backward)
+    return out
 
 
 def test_div():
@@ -68,21 +86,21 @@ def test_div():
     b = rng.normal(size=(3, 2)) + 3.0
     ta, tb = ad.Tensor(a.copy()), ad.Tensor(b.copy())
     with ad.Tape() as tape:
-        out = ad.mean(ad.div(ta, tb))
+        out = ad.mean(div(ta, tb))
         tape.mark_output(out)
     grads = tape.gradients()
-    num_a = numeric_grad(lambda x: float(ad.mean(ad.div(ad.Tensor(x), ad.Tensor(b))).value), a)
-    num_b = numeric_grad(lambda x: float(ad.mean(ad.div(ad.Tensor(a), ad.Tensor(x))).value), b)
+    num_a = numeric_grad(lambda x: float(ad.mean(div(ad.Tensor(x), ad.Tensor(b))).value), a)
+    num_b = numeric_grad(lambda x: float(ad.mean(div(ad.Tensor(a), ad.Tensor(x))).value), b)
     assert np.allclose(grads[ta], num_a, atol=1e-6)
     assert np.allclose(grads[tb], num_b, atol=1e-6)
 
 
 def test_matmul_2d_2d():
-    check_op(lambda a, b: ad.mean(a @ b), (4, 3), (3, 2))
+    check_op(lambda a, b: ad.mean(ad.matmul(a, b)), (4, 3), (3, 2))
 
 
 def test_matmul_2d_1d():
-    check_op(lambda a, b: ad.reduce_sum(ad.exp(a @ b) * 0.1), (4, 3), (3,))
+    check_op(lambda a, b: ad.reduce_sum(ad.exp(ad.matmul(a, b)) * 0.1), (4, 3), (3,))
 
 
 @pytest.mark.parametrize(
@@ -185,23 +203,32 @@ def test_column():
 def test_edge_matmul_grads_both_sides():
     rows = np.array([0, 0, 1, 2, 2, 2])
     cols = np.array([1, 2, 0, 0, 1, 2])
-    emap = ad.EdgeMap.from_edges(rows, cols, 3, 3)
+    emap, _ = ad.EdgeMap.from_edges(rows, cols, 3, 3)
     check_op(lambda w, x: ad.mean(ad.edge_matmul(w, x, emap) * 0.9), (6,), (3, 4))
 
 
 def test_edge_map_sorts_and_permutes():
     rows = np.array([2, 0, 1, 0])
     cols = np.array([1, 2, 0, 1])
-    emap = ad.EdgeMap.from_edges(rows, cols, 3, 3)
+    emap, order = ad.EdgeMap.from_edges(rows, cols, 3, 3)
     assert np.all(np.diff(emap.rows) >= 0)
-    assert np.array_equal(emap.rows, rows[emap.order])
-    assert np.array_equal(emap.cols, cols[emap.order])
+    assert np.array_equal(emap.rows, rows[order])
+    assert np.array_equal(emap.cols, cols[order])
     w = np.array([10.0, 20.0, 30.0, 40.0])
-    dense = emap.matrix(w[emap.order]).toarray()
+    dense = emap.matrix(w[order]).toarray()
     expected = np.zeros((3, 3))
     for r, c, v in zip(rows, cols, w):
         expected[r, c] += v
     assert np.array_equal(dense, expected)
+
+
+def test_edge_map_matrix_shares_its_index_arrays():
+    # edge_matmul builds this matrix on every forward: a converted copy of the
+    # index arrays would cost one more pass over the edges per call
+    emap, _ = ad.EdgeMap.from_edges(np.array([2, 0, 1]), np.array([0, 1, 2]), 3, 3)
+    mat = emap.matrix(np.ones(3))
+    assert np.shares_memory(mat.indices, emap.cols)
+    assert np.shares_memory(mat.indptr, emap.indptr)
 
 
 def test_segment_max_values():
@@ -250,7 +277,7 @@ def test_scalar_quadratic_gradient():
 
 def test_no_tape_means_plain_eval():
     a = ad.Tensor(np.ones((2, 2)))
-    out = ad.elu(a @ a)
+    out = ad.elu(ad.matmul(a, a))
     assert isinstance(out, ad.Tensor)
     assert np.allclose(out.value, 2.0)
 
@@ -283,7 +310,7 @@ B = ad.EDGE_BLOCK
 def test_edge_matmul_backward_matches_oracle_at_block_boundaries(n_edges):
     rng = np.random.default_rng(n_edges)
     n_rows, n_cols, d = 53, 41, 5
-    emap = ad.EdgeMap.from_edges(
+    emap, _ = ad.EdgeMap.from_edges(
         rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges), n_rows, n_cols
     )
     values, x = rng.normal(size=n_edges), rng.normal(size=(n_cols, d))
@@ -304,7 +331,7 @@ def test_edge_matmul_backward_allocates_less_than_one_gather():
     # g[rows] or x[cols] alone would be E * d * 8 bytes.
     rng = np.random.default_rng(0)
     n, n_edges, d = 2000, 50_000, 16
-    emap = ad.EdgeMap.from_edges(
+    emap, _ = ad.EdgeMap.from_edges(
         rng.integers(n, size=n_edges), rng.integers(n, size=n_edges), n, n
     )
     w, x = ad.Tensor(rng.random(n_edges)), ad.Tensor(rng.normal(size=(n, d)))
@@ -343,6 +370,24 @@ def test_gather_backward_matches_add_at_bitwise(idx):
     got = upstream_grad(lambda t: ad.gather(t, idx), a, g)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 4)], ids=["1d", "2d"])
+def test_gather_int32_indices_match_int64_bitwise(shape):
+    # gather indexes with the caller's array as given, whatever its integer dtype
+    rng = np.random.default_rng(len(shape))
+    idx = rng.integers(shape[0], size=40).astype(np.int32)
+    g = rng.normal(size=(idx.size, *shape[1:])) * 10.0 ** rng.integers(-9, 9, size=idx.size).reshape(
+        -1, *[1] * (len(shape) - 1)
+    )
+    a = ad.Tensor(rng.normal(size=shape))
+    results = []
+    for index in (idx, idx.astype(np.int64)):
+        out = ad.gather(a, index).value
+        results.append((out, upstream_grad(lambda t: ad.gather(t, index), a, g)))
+    (out32, grad32), (out64, grad64) = results
+    assert np.array_equal(out32.view(np.int64), out64.view(np.int64))
+    assert np.array_equal(grad32.view(np.int64), grad64.view(np.int64))
 
 
 def test_sparse_matmul_backward_matches_stored_transpose_bitwise():
@@ -442,13 +487,13 @@ def test_shared_contribution_is_not_mutated():
 
 def test_scalar_fanout_accumulates_every_contribution():
     x = ad.Tensor(np.array(0.7))
-    grads, want = tape_and_oracle(lambda x: x * x + 3.0 * x + ad.exp(x) + ad.neg(x), (x,))
+    grads, want = tape_and_oracle(lambda x: x * x + 3.0 * x + ad.exp(x) + (0.0 - x), (x,))
     assert np.array_equal(grads[x], want[x])
     assert np.isclose(grads[x], 2 * 0.7 + 3.0 + np.exp(0.7) - 1.0)
 
 
 UNARY = {
-    "neg": ad.neg,
+    "neg": lambda t: 0.0 - t,
     "sigmoid": ad.sigmoid,
     "elu": ad.elu,
     "leaky_relu": ad.leaky_relu,
@@ -553,14 +598,14 @@ def chain_type_softmax(logit_u, logit_o, mask_u, mask_o):
     exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
     exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
     denom = exp_u + exp_o
-    return exp_u / denom, exp_o / denom
+    return div(exp_u, denom), div(exp_o, denom)
 
 
 def chain_segment_softmax(x, rows, indptr):
     """The generic op chain ``segment_softmax`` replaces."""
     n = indptr.shape[0] - 1
     ex = ad.exp(x - ad.segment_max_values(x.value, indptr)[rows])
-    return ex / ad.gather(segment_sum(ex, rows, n), rows)
+    return div(ex, ad.gather(segment_sum(ex, rows, n), rows))
 
 
 def fused_and_chain(fused, chain, leaves, g):

@@ -11,6 +11,8 @@ from trustnet.fixtures import make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
 from trustnet.train import forward, init_params
 
+from test_autodiff import div
+
 
 # ---------------------------------------------------------------------------
 # per-node oracles and inference wrappers around the production layer
@@ -136,7 +138,7 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     """
     n, nu = view.num_nodes, view.num_users
     d = params.w_user.value.shape[0]
-    rows, cols = view.edge_rows, view.edge_cols
+    rows, cols, indptr = view.emap.rows, view.emap.cols, view.emap.indptr
 
     hu = ad.slice_rows(h, 0, nu)
     ho = ad.slice_rows(h, nu, n)
@@ -160,8 +162,8 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
     exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
     denom = exp_u + exp_o
-    alpha_u = exp_u / denom
-    alpha_o = exp_o / denom
+    alpha_u = div(exp_u, denom)
+    alpha_o = div(exp_o, denom)
 
     is_user_col = (cols < nu).astype(np.float64)
     alpha_edge = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (
@@ -173,12 +175,12 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     s_nbr = ad.gather(ad.matmul(h, g2), cols)
     pair_logit = ad.leaky_relu(alpha_edge * (s_own + s_nbr), LEAKY_SLOPE)
 
-    seg_shift = ad.segment_max_values(pair_logit.value, view.indptr)
+    seg_shift = ad.segment_max_values(pair_logit.value, indptr)
     ex = ad.exp(pair_logit - seg_shift[rows])
     # each row's edge weights summed in ascending edge order, through a 0/1 matrix
-    members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), view.indptr), (n, rows.size))
+    members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), indptr), (n, rows.size))
     denom_e = ad.sparse_matmul(members, ex)
-    beta = ex / ad.gather(denom_e, rows)
+    beta = div(ex, ad.gather(denom_e, rows))
 
     return ad.elu(ad.edge_matmul(beta, projected, view.emap))
 

@@ -413,6 +413,30 @@ class TestTripleFiles:
         with pytest.raises(ParseError):
             load_triples(path)
 
+    def test_load_triples_strips_fields_and_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "triples.csv"
+        path.write_text("head_entity, relation ,tail_entity\n b , r,a\n\na,r , b\n")
+        triples, entities, relations = load_triples(path)
+        assert entities == {"b": 0, "a": 1}
+        assert relations == {"r": 0}
+        assert triples == [KnowledgeTriple(0, 0, 1), KnowledgeTriple(1, 0, 0)]
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            (None, DataError, "missing required file"),
+            ("", ParseError, r"triples\.csv:1: empty file"),
+            ("head_entity,relation,tail_entity\na,r,b\na,r\n", ParseError, r"triples\.csv:3: expected 3"),
+        ],
+        ids=["missing", "empty", "short_row"],
+    )
+    def test_load_triples_rejects_bad_files(self, tmp_path, text, error, message):
+        path = tmp_path / "triples.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(error, match=message):
+            load_triples(path)
+
 
 class TestUserVectorFile:
     def test_roundtrip(self, tmp_path):

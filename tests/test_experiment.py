@@ -469,6 +469,51 @@ class TestCli:
         assert cli_main(["run", *base, *eval_flags, "--eval-checkpoint", str(ckpt)]) == 2
         assert "data error: checkpoint encodes roles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "eval_flags,fields",
+        [
+            (["--train-ratio", "0.6"], ["train_ratio=0.9 (config: 0.6)"]),
+            (["--seed", "8"], ["seed=7 (config: 8)"]),
+            (["--ppr-k", "5", "--no-ppr"], ["ppr.enabled=True (config: False)", "ppr.k=3 (config: 5)"]),
+            (["--epochs", "9", "--lr", "0.1"], []),
+        ],
+        ids=["train_ratio", "seed", "ppr", "not_read_by_prepare_run"],
+    )
+    def test_checkpoint_split_settings_must_match(self, film_dir, tmp_path, capsys, eval_flags, fields):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        code = cli_main(["run", *base, *eval_flags, "--eval-checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == (2 if fields else 0)
+        if fields:
+            assert err.startswith("data error: checkpoint was trained with ")
+            assert all(field in err for field in fields)
+
+    def test_checkpoint_must_be_scored_on_its_dataset(self, film_dir, siot_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        film = checkpoint_run_flags(film_dir)
+        siot = ["--dataset", str(siot_dir), "--kind", "siot_csv", *film[4:]]
+        assert cli_main(["run", *siot, "--checkpoint-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", *film, "--eval-checkpoint", str(ckpt)]) == 2
+        assert "data error: checkpoint was trained on another dataset graph" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_a_data_error(self, film_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        data = dict(np.load(ckpt))
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        meta["version"] = 1
+        del meta["provenance"]
+        data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **data)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        assert "data error: unsupported checkpoint version 1" in capsys.readouterr().err
+
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(
             [

@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from trustnet.errors import DataError, ParseError
 from trustnet.graph import (
     HeteroGraph,
     Role,
-    TrustSample,
     build_view,
     load_filmtrust,
     load_siot_csv,
@@ -89,10 +91,6 @@ class TestHeteroGraph:
     def test_rejects_user_object_confusion(self):
         with pytest.raises(DataError):
             HeteroGraph(num_users=2, num_objects=1, interaction_edges=[(2, 0)])
-
-    def test_trust_sample_rejects_self_pair(self):
-        with pytest.raises(DataError):
-            TrustSample(1, 1, 1)
 
 
 class TestBuildView:
@@ -188,25 +186,127 @@ class TestBuildView:
         assert np.allclose(dense, oracle)
 
 
+def _oracle_parse_int(token: str, path, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: expected integer, got {token!r}") from exc
+
+
+def oracle_load_filmtrust(ratings_path, trust_path) -> HeteroGraph:
+    """FilmTrust loading with sets of tuples, dicts and sorted lists, file by file."""
+    ratings_path, trust_path = Path(ratings_path), Path(trust_path)
+    rating_pairs: set[tuple[int, int]] = set()
+    users: set[int] = set()
+    items: set[int] = set()
+    try:
+        lines = ratings_path.read_text().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read ratings file {ratings_path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{ratings_path}:{lineno}: expected 3 fields, got {len(parts)}")
+        u = _oracle_parse_int(parts[0], ratings_path, lineno)
+        o = _oracle_parse_int(parts[1], ratings_path, lineno)
+        try:
+            float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{ratings_path}:{lineno}: bad rating value {parts[2]!r}") from exc
+        users.add(u)
+        items.add(o)
+        rating_pairs.add((u, o))
+
+    trust_pairs: set[tuple[int, int]] = set()
+    try:
+        tlines = trust_path.read_text().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read trust file {trust_path}: {exc}") from exc
+    for lineno, line in enumerate(tlines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{trust_path}:{lineno}: expected 3 fields, got {len(parts)}")
+        a = _oracle_parse_int(parts[0], trust_path, lineno)
+        b = _oracle_parse_int(parts[1], trust_path, lineno)
+        if a == b:
+            continue
+        users.add(a)
+        users.add(b)
+        trust_pairs.add((a, b))
+
+    user_ids = {u: i for i, u in enumerate(sorted(users))}
+    object_ids = {o: len(user_ids) + i for i, o in enumerate(sorted(items))}
+    return HeteroGraph(
+        num_users=len(user_ids),
+        num_objects=len(object_ids),
+        trust_edges=[(user_ids[a], user_ids[b]) for a, b in sorted(trust_pairs)],
+        interaction_edges=[(user_ids[u], object_ids[o]) for u, o in sorted(rating_pairs)],
+    )
+
+
+def assert_same_graph(got: HeteroGraph, want: HeteroGraph) -> None:
+    assert (got.num_users, got.num_objects) == (want.num_users, want.num_objects)
+    for name in ("trust_edges", "interaction_edges", "object_edges"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), name
+
+
+def write_filmtrust(tmp_path, ratings: str, trust: str):
+    ratings_path, trust_path = tmp_path / "ratings.txt", tmp_path / "trust.txt"
+    ratings_path.write_text(ratings)
+    trust_path.write_text(trust)
+    return ratings_path, trust_path
+
+
+def random_filmtrust_text(rng) -> tuple[str, str]:
+    """Rating and trust files with repeated, self-trust, blank and whitespace-only lines."""
+    num_users = int(rng.integers(1, 40))
+    user_pool = rng.choice(10_000, size=num_users, replace=False) - 500
+    item_pool = rng.choice(10_000, size=int(rng.integers(1, 30)), replace=False)
+    blanks = ["", "   ", "\t", " \t "]
+    ratings, trust = [], []
+    for _ in range(int(rng.integers(0, 120))):
+        u, o = rng.choice(user_pool), rng.choice(item_pool)
+        ratings.append(f"{u} {o} {rng.integers(1, 9) / 2}")
+    for _ in range(int(rng.integers(0, 80))):
+        a, b = rng.choice(user_pool, size=2)
+        if rng.random() < 0.1:
+            b = a  # self-trust
+        trust.append(f"{a}\t{b}  {rng.integers(0, 2)}")
+    for lines in (ratings, trust):
+        for _ in range(int(rng.integers(0, 6))):
+            pos = int(rng.integers(len(lines) + 1))
+            if lines and rng.random() < 0.5:
+                lines.insert(pos, lines[int(rng.integers(len(lines)))])  # repeated line
+            else:
+                lines.insert(pos, blanks[int(rng.integers(len(blanks)))])
+    return "\n".join(ratings) + "\n", "\n".join(trust)
+
+
 class TestLoadFilmtrust:
     def test_minimal_files(self, tmp_path):
         ratings = tmp_path / "ratings.txt"
         trust = tmp_path / "trust.txt"
         ratings.write_text("1 10 3.5\n2 10 4.0\n2 20 1.0\n")
         trust.write_text("1 2 1\n2 1 1\n")
-        graph, positives = load_filmtrust(ratings, trust)
+        graph = load_filmtrust(ratings, trust)
         assert graph.num_users == 2
         assert graph.num_objects == 2
         assert len(graph.trust_edges) == 2
-        assert len(positives) == 2
-        assert all(s.label == 1 for s in positives)
+        assert np.array_equal(graph.trust_edges, [[0, 1], [1, 0]])
+        assert np.array_equal(graph.interaction_edges, [[0, 2], [1, 2], [1, 3]])
 
     def test_two_line_trust_file_remaps_ids(self, tmp_path):
         ratings = tmp_path / "ratings.txt"
         trust = tmp_path / "trust.txt"
         ratings.write_text("")
         trust.write_text("7 9 1\n9 7 1\n")
-        graph, positives = load_filmtrust(ratings, trust)
+        graph = load_filmtrust(ratings, trust)
         assert graph.num_users == 2
         assert len(graph.trust_edges) == 2
         assert {tuple(e) for e in graph.trust_edges} == {(0, 1), (1, 0)}
@@ -216,9 +316,9 @@ class TestLoadFilmtrust:
         trust = tmp_path / "trust.txt"
         ratings.write_text("1 10 3.0\n")
         trust.write_text("")
-        graph, positives = load_filmtrust(ratings, trust)
+        graph = load_filmtrust(ratings, trust)
         assert len(graph.trust_edges) == 0
-        assert positives == []
+        assert graph.trust_edges.shape == (0, 2)
 
     def test_self_trust_skipped_with_warning(self, tmp_path, caplog):
         ratings = tmp_path / "r.txt"
@@ -226,8 +326,8 @@ class TestLoadFilmtrust:
         ratings.write_text("")
         trust.write_text("0 0 1\n1 0 1\n")
         with caplog.at_level("WARNING"):
-            graph, positives = load_filmtrust(ratings, trust)
-        assert len(positives) == 1
+            graph = load_filmtrust(ratings, trust)
+        assert len(graph.trust_edges) == 1
         assert "1 self-trust" in caplog.text
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -237,6 +337,58 @@ class TestLoadFilmtrust:
         trust.write_text("")
         with pytest.raises(ParseError, match=":2"):
             load_filmtrust(ratings, trust)
+
+    def test_matches_set_based_oracle_on_random_files(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            paths = write_filmtrust(tmp_path, *random_filmtrust_text(rng))
+            assert_same_graph(load_filmtrust(*paths), oracle_load_filmtrust(*paths))
+
+    def test_matches_oracle_on_duplicate_self_trust_and_blank_lines(self, tmp_path):
+        paths = write_filmtrust(
+            tmp_path,
+            "\n5 30 1.0\n  \n5 30 2.0\n-3 30 0.5\n5 7 4\n\n",
+            "9 9 1\n5 -3 1\n\t\n5 -3 0\n-3 5 1\n9 5 1\n",
+        )
+        graph = load_filmtrust(*paths)
+        assert_same_graph(graph, oracle_load_filmtrust(*paths))
+        # users -3, 5, 9 and items 7, 30; (9, 9) is skipped, (5, -3) counted once
+        assert (graph.num_users, graph.num_objects) == (3, 2)
+        assert np.array_equal(graph.trust_edges, [[0, 1], [1, 0], [2, 1]])
+        assert np.array_equal(graph.interaction_edges, [[0, 4], [1, 3], [1, 4]])
+
+    @pytest.mark.parametrize("bad_file", ["ratings", "trust"])
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["1 2", "1 2 3 4", "x 2 1", "1 2.5 1", "1 2 oops", "1\u00a02 3 4"],
+        ids=["two_fields", "four_fields", "first_id", "second_id", "value", "nbsp"],
+    )
+    def test_malformed_lines_fail_where_the_oracle_does(self, tmp_path, bad_file, bad_line):
+        good = "\n4 8 1\n  \n"
+        texts = {"ratings": "1 10 2.5\n" + good, "trust": "1 4 1\n" + good}
+        texts[bad_file] += bad_line + "\n4 1 1\n"
+        paths = write_filmtrust(tmp_path, texts["ratings"], texts["trust"])
+        outcomes = []
+        for loader in (load_filmtrust, oracle_load_filmtrust):
+            try:
+                outcomes.append(("loaded", loader(*paths).trust_edges.tolist()))
+            except ParseError as exc:
+                outcomes.append(("ParseError", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if bad_line != "1 2 oops" or bad_file == "ratings":
+            assert outcomes[0] == ("ParseError", outcomes[0][1])
+            assert outcomes[0][1].startswith(f"{paths[bad_file == 'trust']}:5: ")
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        ratings, trust = write_filmtrust(tmp_path, "1 2 3\n", "")
+        trust.unlink()
+        with pytest.raises(DataError, match="cannot read trust file"):
+            load_filmtrust(ratings, trust)
+
+    def test_id_beyond_int64_is_a_parse_error(self, tmp_path):
+        paths = write_filmtrust(tmp_path, "1 2 3\n", f"1 5 1\n1 {2**63} 1\n")
+        with pytest.raises(ParseError, match=r"t\.txt:2: integer .* int64"):
+            load_filmtrust(*paths)
 
 
 def write_siot_fixture(tmp_path, interactions, trust, objects):
@@ -260,9 +412,9 @@ class TestLoadSiotCsv:
         inter += [("u2", "hub", "text")] * 11
         objects = [("hub", "entity_hub")]
         write_siot_fixture(tmp_path, inter, [("u1", "u2")], objects)
-        graph, positives, corpus, alignment = load_siot_csv(tmp_path)
+        graph, corpus, alignment = load_siot_csv(tmp_path)
         assert graph.num_users == 1  # only u2
-        assert positives == []  # trust edge dropped with u1
+        assert len(graph.trust_edges) == 0  # trust edge dropped with u1
         assert len(corpus) == 1
 
     def test_no_op_filter(self, tmp_path):
@@ -271,17 +423,17 @@ class TestLoadSiotCsv:
             for i in range(20):
                 inter.append((u, "obj", f"word{i}"))
         write_siot_fixture(tmp_path, inter, [("a", "b")], [("obj", "ent_obj")])
-        graph, positives, corpus, alignment = load_siot_csv(tmp_path)
+        graph, corpus, alignment = load_siot_csv(tmp_path)
         assert graph.num_users == 2
         assert graph.num_objects == 1
-        assert len(positives) == 1
+        assert len(graph.trust_edges) == 1
         assert alignment == {0: "ent_obj"}
 
     def test_unlisted_object_retained_without_alignment(self, tmp_path):
         inter = [("a", "mystery", f"c{i}") for i in range(20)]
         inter += [("a", "known", f"d{i}") for i in range(20)]
         write_siot_fixture(tmp_path, inter, [], [("known", "ent_known")])
-        graph, _, _, alignment = load_siot_csv(tmp_path)
+        graph, _, alignment = load_siot_csv(tmp_path)
         assert graph.num_objects == 2
         assert len(alignment) == 1
 
@@ -303,7 +455,7 @@ class TestLoadSiotCsv:
             if a != b:
                 trust.add((users[int(a)], users[int(b)]))
         write_siot_fixture(tmp_path, inter, sorted(trust), [(o, f"e_{o}") for o in objects])
-        graph, positives, corpus, _ = load_siot_csv(tmp_path)
+        graph, corpus, _ = load_siot_csv(tmp_path)
 
         # independent recount over the raw rows
         from collections import Counter
@@ -317,57 +469,139 @@ class TestLoadSiotCsv:
         assert graph.num_users == len(surv_u)
         assert graph.num_objects == len(surv_o)
         assert len(graph.interaction_edges) == len(surv_inter)
-        assert len(positives) == len(surv_trust)
+        assert len(graph.trust_edges) == len(surv_trust)
         assert sum(len(c) for c in corpus) == sum(
             1 for u, o, _ in inter if u in surv_u and o in surv_o
         )
 
 
-class TestSplitSamples:
-    def _positives(self, n, num_users, seed=0):
-        rng = np.random.default_rng(seed)
-        pairs = set()
-        while len(pairs) < n:
-            i, j = rng.integers(num_users, size=2)
-            if i != j:
-                pairs.add((int(i), int(j)))
-        return [TrustSample(i, j, 1) for i, j in sorted(pairs)]
+@dataclass(frozen=True)
+class TrustSample:
+    """Ordered (trustor, trustee) pair with a binary trust label and its split."""
 
+    trustor: int
+    trustee: int
+    label: int
+    split: str = "train"
+
+
+def oracle_split_samples(positives: list, ratio: float, seed: int, *, num_users: int) -> list:
+    """The split as one TrustSample per pair, with tuple sets for the negative draws."""
+    rng = np.random.default_rng(seed)
+    n = len(positives)
+    order = rng.permutation(n)
+    n_test = int(np.floor((1.0 - ratio) * n))
+    n_train = n - n_test
+
+    out = []
+    forbidden = {(s.trustor, s.trustee) for s in positives}
+    for pos, idx in enumerate(order):
+        s = positives[idx]
+        out.append(TrustSample(s.trustor, s.trustee, 1, "train" if pos < n_train else "test"))
+    if num_users * (num_users - 1) - len(forbidden) < n:
+        raise DataError("not enough unlinked pairs")
+    if num_users <= 200:
+        pool = [
+            (i, j)
+            for i in range(num_users)
+            for j in range(num_users)
+            if i != j and (i, j) not in forbidden
+        ]
+        negatives = [pool[p] for p in rng.choice(len(pool), size=n, replace=False)]
+    else:
+        negatives, seen = [], set()
+        while len(negatives) < n:
+            i = int(rng.integers(num_users))
+            j = int(rng.integers(num_users))
+            if i == j or (i, j) in forbidden or (i, j) in seen:
+                continue
+            seen.add((i, j))
+            negatives.append((i, j))
+    for pos, (i, j) in enumerate(negatives):
+        out.append(TrustSample(i, j, 0, "train" if pos < n_train else "test"))
+    return out
+
+
+def oracle_split_arrays(edges: np.ndarray, ratio: float, seed: int, num_users: int):
+    """``oracle_split_samples`` as (trustor, trustee, label) arrays, train then test."""
+    samples = oracle_split_samples(
+        [TrustSample(int(i), int(j), 1) for i, j in edges], ratio, seed, num_users=num_users
+    )
+    return tuple(
+        tuple(
+            np.array([getattr(s, f) for s in samples if s.split == split], dtype=np.int64)
+            for f in ("trustor", "trustee", "label")
+        )
+        for split in ("train", "test")
+    )
+
+
+def random_pairs(n, num_users, seed=0) -> np.ndarray:
+    """``n`` distinct ordered pairs of distinct users, sorted."""
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    while len(pairs) < n:
+        i, j = rng.integers(num_users, size=2)
+        if i != j:
+            pairs.add((int(i), int(j)))
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def counts(side) -> tuple[int, int]:
+    """Positives and negatives on one side of a split."""
+    labels = side[2]
+    return int((labels == 1).sum()), int((labels == 0).sum())
+
+
+class TestSplitSamples:
     def test_filmtrust_arithmetic(self):
-        positives = self._positives(1853, 1508)
-        samples = split_samples(positives, 0.9, seed=1, num_users=1508)
-        train_pos = [s for s in samples if s.split == "train" and s.label == 1]
-        test_pos = [s for s in samples if s.split == "test" and s.label == 1]
-        train_neg = [s for s in samples if s.split == "train" and s.label == 0]
-        test_neg = [s for s in samples if s.split == "test" and s.label == 0]
-        assert (len(train_pos), len(test_pos)) == (1668, 185)
-        assert (len(train_neg), len(test_neg)) == (1668, 185)
+        train, test = split_samples(random_pairs(1853, 1508), 0.9, seed=1, num_users=1508)
+        assert counts(train) == (1668, 1668)
+        assert counts(test) == (185, 185)
 
     def test_even_split(self):
-        positives = self._positives(10, 30)
-        samples = split_samples(positives, 0.5, seed=3, num_users=30)
-        train_pos = [s for s in samples if s.split == "train" and s.label == 1]
-        test_pos = [s for s in samples if s.split == "test" and s.label == 1]
-        assert (len(train_pos), len(test_pos)) == (5, 5)
+        train, test = split_samples(random_pairs(10, 30), 0.5, seed=3, num_users=30)
+        assert counts(train)[0] == counts(test)[0] == 5
 
     def test_deterministic(self):
-        positives = self._positives(40, 60)
+        positives = random_pairs(40, 60)
         a = split_samples(positives, 0.8, seed=9, num_users=60)
         b = split_samples(positives, 0.8, seed=9, num_users=60)
-        assert a == b
+        for side_a, side_b in zip(a, b):
+            for x, y in zip(side_a, side_b):
+                assert np.array_equal(x, y)
 
     def test_negatives_never_collide_with_positives(self):
-        positives = self._positives(200, 40, seed=2)
-        samples = split_samples(positives, 0.7, seed=4, num_users=40)
-        pos_pairs = {(s.trustor, s.trustee) for s in positives}
-        negs = [(s.trustor, s.trustee) for s in samples if s.label == 0]
+        positives = random_pairs(200, 40, seed=2)
+        train, test = split_samples(positives, 0.7, seed=4, num_users=40)
+        pos_pairs = {tuple(p) for p in positives.tolist()}
+        negs = [
+            (int(i), int(j)) for side in (train, test) for i, j, y in zip(*side) if y == 0
+        ]
         assert len(set(negs)) == len(negs)
         assert not (set(negs) & pos_pairs)
+        assert all(i != j for i, j in negs)
 
     def test_error_when_pool_exhausted(self):
         # complete directed graph on 3 users leaves no unlinked pairs
-        positives = [
-            TrustSample(i, j, 1) for i in range(3) for j in range(3) if i != j
-        ]
+        positives = [(i, j) for i in range(3) for j in range(3) if i != j]
         with pytest.raises(DataError):
             split_samples(positives, 0.5, seed=0, num_users=3)
+
+    @pytest.mark.parametrize(
+        "num_users,n_pos",
+        [(3, 2), (30, 60), (60, 40), (200, 300), (201, 300), (500, 800), (1508, 1853)],
+    )
+    def test_matches_sample_list_oracle(self, num_users, n_pos):
+        # both sides of the 200-user switch between the pair pool and rejection
+        edges = random_pairs(n_pos, num_users, seed=num_users)
+        shuffled = edges[np.random.default_rng(n_pos).permutation(len(edges))]
+        for positives in (edges, shuffled):
+            for seed in (0, 1, 12345):
+                for ratio in (0.5, 0.6, 0.9, 0.99):
+                    got = split_samples(positives, ratio, seed, num_users=num_users)
+                    want = oracle_split_arrays(positives, ratio, seed, num_users)
+                    for side_got, side_want in zip(got, want):
+                        for a, b in zip(side_got, side_want):
+                            assert a.dtype == np.int64
+                            assert np.array_equal(a, b)

@@ -4,7 +4,6 @@ import pytest
 from trustnet import autodiff as ad
 from trustnet.autodiff import Tensor
 from trustnet.errors import DataError
-from trustnet.graph import TrustSample
 from trustnet.predict import (
     PredictorParams,
     metrics,
@@ -15,15 +14,13 @@ from trustnet.predict import (
 
 
 def batch_loss(samples, table, params: PredictorParams) -> float:
-    """Mean cross-entropy of the predictor over labelled pairs (oracle for pair_loss)."""
-    if len(samples) == 0:
+    """Mean cross-entropy of the predictor over (trustor, trustee, label) arrays (oracle for pair_loss)."""
+    i, j, y = (np.asarray(a, dtype=np.int64) for a in samples)
+    if len(y) == 0:
         raise DataError("batch_loss needs at least one sample")
     z = np.asarray(table.vectors if hasattr(table, "vectors") else table, dtype=np.float64)
-    i = np.array([s.trustor for s in samples])
-    j = np.array([s.trustee for s in samples])
-    y = np.array([s.label for s in samples])
     probs = predict_pair(z[i], z[j], params)
-    picked = probs[np.arange(len(samples)), y]
+    picked = probs[np.arange(len(y)), y]
     return float(-np.mean(np.log(picked)))
 
 
@@ -80,38 +77,34 @@ class TestBatchLoss:
             bias=Tensor(np.zeros(2)),
         )
         z = np.array([[1.0], [-1.0]])
-        samples = [TrustSample(0, 1, 0), TrustSample(1, 0, 1)]
+        samples = ([0, 1], [1, 0], [0, 1])
         # pair (0,1): cat=[1,-1] -> logits [200,-200] -> class 0
         assert batch_loss(samples, z, params) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_predictions_ln2(self):
         params = make_params(2, zero=True)
         z = np.random.default_rng(3).normal(size=(4, 2))
-        samples = [TrustSample(0, 1, 1), TrustSample(2, 3, 0)]
+        samples = ([0, 2], [1, 3], [1, 0])
         assert batch_loss(samples, z, params) == pytest.approx(np.log(2.0))
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(4)
         params = make_params(3, rng)
         z = rng.normal(size=(6, 3))
-        samples = [
-            TrustSample(int(i), int(j), int(y))
-            for i, j, y in zip(
-                rng.integers(6, size=8), rng.integers(6, size=8), rng.integers(2, size=8)
-            )
-            if i != j
-        ]
+        i, j, y = rng.integers(6, size=8), rng.integers(6, size=8), rng.integers(2, size=8)
+        distinct = i != j
+        samples = (i[distinct], j[distinct], y[distinct])
         got = batch_loss(samples, z, params)
         total = 0.0
-        for s in samples:
-            probs = predict_pair(z[s.trustor], z[s.trustee], params)
-            total += -np.log(probs[s.label])
-        assert got == pytest.approx(total / len(samples), abs=1e-12)
+        for a, b, label in zip(*samples):
+            probs = predict_pair(z[a], z[b], params)
+            total += -np.log(probs[label])
+        assert got == pytest.approx(total / len(samples[2]), abs=1e-12)
 
     def test_empty_batch_rejected(self):
         params = make_params(2, zero=True)
         with pytest.raises(DataError):
-            batch_loss([], np.zeros((2, 2)), params)
+            batch_loss(([], [], []), np.zeros((2, 2)), params)
 
 
 class TestPairLossTensor:
@@ -119,11 +112,8 @@ class TestPairLossTensor:
         rng = np.random.default_rng(5)
         params = make_params(3, rng)
         z = rng.normal(size=(5, 3))
-        samples = [TrustSample(0, 1, 1), TrustSample(2, 3, 0), TrustSample(4, 0, 1)]
-        i = [s.trustor for s in samples]
-        j = [s.trustee for s in samples]
-        y = [s.label for s in samples]
-        loss_t = pair_loss(Tensor(z, requires_grad=False), i, j, y, params)
+        samples = ([0, 2, 4], [1, 3, 0], [1, 0, 1])
+        loss_t = pair_loss(Tensor(z, requires_grad=False), *samples, params)
         assert loss_t.item() == pytest.approx(batch_loss(samples, z, params), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):

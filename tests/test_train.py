@@ -5,6 +5,7 @@ from trustnet.autodiff import TapeError, Tensor
 from trustnet.conv import GateParams
 from trustnet.predict import PredictorParams
 from trustnet.errors import DataError
+from trustnet import train as train_mod
 from trustnet.fixtures import make_pipeline_fixture
 from trustnet.train import (
     ModelParams,
@@ -36,8 +37,9 @@ def fresh_params(fixture, seed=0, **kw):
 class TestForwardBackward:
     def test_empty_samples_rejected(self, fixture):
         params = fresh_params(fixture)
+        empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(DataError):
-            forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, [])
+            forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, (empty,) * 3)
 
     def test_deterministic_loss(self, fixture):
         params = fresh_params(fixture, seed=3)
@@ -229,7 +231,7 @@ class TestAdamMatchesWholeArrayFormula:
         for step in range(1, 4):
             adam_step(params, random_grads(rng, params, step))
         save_params(params, tmp_path / "ckpt.npz")
-        loaded = load_params(tmp_path / "ckpt.npz")
+        loaded, _ = load_params(tmp_path / "ckpt.npz")
         for step in range(4, 8):
             grads = random_grads(rng, params, step)
             by_name = {n: grads.get(t) for n, t, _ in params.named()}
@@ -297,10 +299,23 @@ class TestGradCheck:
         assert "h0/users" in report.errors
         assert report.passed, str(report)
 
-    def test_corrupted_gradient_fails(self, fixture):
+    def test_corrupted_gradient_fails(self, fixture, monkeypatch):
         params = fresh_params(fixture, seed=11)
-        report = grad_check(params, fixture, tolerance=1e-4, corrupt_param="trustor/layer0/w_user")
+        target = params.trustor.layers[0].w_user
+        exact = train_mod.backward
+
+        def corrupted(tape):
+            grads = exact(tape)
+            bad = grads[target].copy()
+            bad.reshape(-1)[0] += 10.0 * (np.abs(bad).mean() + 1.0)
+            grads[target] = bad
+            return grads
+
+        monkeypatch.setattr(train_mod, "backward", corrupted)
+        report = grad_check(params, fixture, tolerance=1e-4)
         assert not report.passed
+        assert report.errors["trustor/layer0/w_user"] >= 1e-4
+        assert all(err < 1e-4 for name, err in report.errors.items() if name != "trustor/layer0/w_user")
 
     def test_linear_model_near_exact(self, fixture):
         # predictor-only gradients on a fixed embedding are exact for the
@@ -317,8 +332,9 @@ class TestCheckpoint:
         _, tape = forward(fixture.graph, fixture.views, None, None, params, fixture.samples)
         adam_step(params, backward(tape))
         path = tmp_path / "model.npz"
-        save_params(params, path)
-        loaded = load_params(path)
+        save_params(params, path, {"run_seed": 5, "config": {"train_ratio": 0.8}})
+        loaded, provenance = load_params(path)
+        assert provenance == {"run_seed": 5, "config": {"train_ratio": 0.8}}
         assert loaded.step == params.step
         for (name_a, t_a, _), (name_b, t_b, _) in zip(params.named(), loaded.named()):
             assert name_a == name_b
