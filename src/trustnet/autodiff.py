@@ -14,9 +14,13 @@ that closure holds, is freed during the replay rather than after it;
 ``Tape.num_records`` still counts what was recorded.
 
 The attention layer's softmaxes and its per-type projection are single
-ops with hand-written backwards (``type_softmax``, ``segment_softmax``,
-``row_block_matmul``): each keeps one output array for its gradient where
-the equivalent chain of generic ops would keep a dozen intermediates.
+ops (``type_softmax``, ``segment_softmax``, ``row_block_matmul``). The
+layer itself (``conv.layer_forward``) calls them and the generic ops on
+plain arrays, which record nothing, and adds one record of its own through
+``record`` with a backward that replays the chain's gradient arithmetic
+(``edge_dots`` is the per-edge half of ``edge_matmul``'s). It runs the ops
+rather than inlining them because the benchmark wraps them by name and its
+gradient check replaces ``leaky_relu``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "Tape",
     "TapeError",
     "EdgeMap",
+    "record",
     "add",
     "sub",
     "mul",
@@ -55,6 +60,7 @@ __all__ = [
     "segment_softmax",
     "sparse_matmul",
     "edge_matmul",
+    "edge_dots",
     "as_tensor",
 ]
 
@@ -193,7 +199,14 @@ def _accumulate(grads: dict, owned: set, contribs) -> None:
             owned.add(t)
 
 
-def _record(out: Tensor, backward) -> None:
+def record(out: Tensor, backward) -> None:
+    """Append ``out`` and its backward to the active tape, if any.
+
+    ``backward(g)`` gets the gradient of ``out`` and returns (tensor,
+    contribution) pairs; a tensor may appear in several pairs, which are
+    summed in list order. Nothing is recorded outside a tape or when ``out``
+    does not require a gradient.
+    """
     if _TAPE_STACK and out.requires_grad:
         tape = _TAPE_STACK[-1]
         tape._records.append((out, backward))
@@ -227,7 +240,7 @@ def add(a, b) -> Tensor:
             (b, _unbroadcast(g, b.value.shape) if b.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -241,7 +254,7 @@ def sub(a, b) -> Tensor:
             (b, _unbroadcast(-g, b.value.shape) if b.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -255,7 +268,7 @@ def mul(a, b) -> Tensor:
             (b, _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -273,7 +286,7 @@ def matmul(a, b) -> Tensor:
             db = a.value.T @ g if b.requires_grad else None
         return [(a, da), (b, db)]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -307,7 +320,7 @@ def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
             (w_bottom, bottom.T @ g_bottom if w_bottom.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -319,14 +332,14 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.value), requires_grad=a.requires_grad)
     val = out.value
-    _record(out, lambda g: [(a, g * val)])
+    record(out, lambda g: [(a, g * val)])
     return out
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.log(a.value), requires_grad=a.requires_grad)
-    _record(out, lambda g: [(a, g / a.value)])
+    record(out, lambda g: [(a, g / a.value)])
     return out
 
 
@@ -340,7 +353,7 @@ def sigmoid(a) -> Tensor:
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
     out = Tensor(s, requires_grad=a.requires_grad)
-    _record(out, lambda g: [(a, g * s * (1.0 - s))])
+    record(out, lambda g: [(a, g * s * (1.0 - s))])
     return out
 
 
@@ -349,7 +362,7 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     x = a.value
     slope_mask = np.array([negative_slope, 1.0]).take((x >= 0).view(np.uint8))
     out = Tensor(x * slope_mask, requires_grad=a.requires_grad)
-    _record(out, lambda g: [(a, g * slope_mask)])
+    record(out, lambda g: [(a, g * slope_mask)])
     return out
 
 
@@ -363,7 +376,7 @@ def elu(a) -> Tensor:
     value = np.maximum(0.0, x)
     value -= 1.0 - ex
     out = Tensor(value, requires_grad=a.requires_grad)
-    _record(out, lambda g: [(a, g * ex)])
+    record(out, lambda g: [(a, g * ex)])
     return out
 
 
@@ -380,7 +393,7 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
             return [(a, np.broadcast_to(g, a.value.shape).copy())]
         return [(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -388,7 +401,7 @@ def mean(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.value.mean(), requires_grad=a.requires_grad)
     size = a.value.size
-    _record(out, lambda g: [(a, np.full(a.value.shape, float(g) / size))])
+    record(out, lambda g: [(a, np.full(a.value.shape, float(g) / size))])
     return out
 
 
@@ -402,7 +415,7 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
         full[start:stop] = g
         return [(a, full)]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -420,7 +433,7 @@ def concat_rows(a, b) -> Tensor:
             (b, g[na:] if b.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -438,7 +451,7 @@ def concat_cols(a, b) -> Tensor:
             (b, g[:, ka:] if b.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -461,7 +474,7 @@ def stack_halves(*vectors) -> Tensor:
             for i, v in enumerate(vectors)
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -475,7 +488,7 @@ def column(a, k: int) -> Tensor:
         full[:, k] = g
         return [(a, full)]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -503,7 +516,7 @@ def gather(a, idx: np.ndarray) -> Tensor:
         )
         return [(a, scatter @ g)]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -519,7 +532,7 @@ def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         np.add.at(da, (rows, cols), g)
         return [(a, da)]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -565,7 +578,7 @@ def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> Te
             (logit_o, a_o * (g_o - dot) if logit_o.requires_grad else None),
         ]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -585,7 +598,7 @@ def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> Tensor:
         dot = np.bincount(rows, weights=beta * g, minlength=n)
         return [(a, beta * (g - dot[rows]))]
 
-    _record(out, backward)
+    record(out, backward)
     return out
 
 
@@ -602,7 +615,7 @@ def sparse_matmul(mat: sp.csr_matrix, x) -> Tensor:
     """
     x = as_tensor(x)
     out = Tensor(mat @ x.value, requires_grad=x.requires_grad)
-    _record(out, lambda g: [(x, mat.T @ g)])
+    record(out, lambda g: [(x, mat.T @ g)])
     return out
 
 
@@ -646,7 +659,7 @@ class EdgeMap:
 EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient
 
 
-def _edge_dots(g: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
+def edge_dots(g: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
     """Per-edge dot products g[rows[e]] . x[cols[e]], a block of edges at a time.
 
     Two reused block buffers replace the two E x d gathers a single einsum
@@ -680,9 +693,9 @@ def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
     def backward(g):
         dvals = None
         if values.requires_grad:
-            dvals = _edge_dots(g, x.value, emap)
+            dvals = edge_dots(g, x.value, emap)
         dx = mat.T @ g if x.requires_grad else None
         return [(values, dvals), (x, dx)]
 
-    _record(out, backward)
+    record(out, backward)
     return out

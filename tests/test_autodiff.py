@@ -76,7 +76,7 @@ def div(a, b) -> ad.Tensor:
         )
         return [(a, da), (b, db)]
 
-    ad._record(out, backward)
+    ad.record(out, backward)
     return out
 
 
@@ -718,7 +718,7 @@ def test_replay_frees_an_intermediate_once_past_it():
 
     with ad.Tape() as tape:
         probe = ad.Tensor(x.value)
-        ad._record(probe, probe_backward)
+        ad.record(probe, probe_backward)
         mid = ad.exp(probe)  # also captured by the closure of the mul below
         ref = weakref.ref(mid.value)
         tape.mark_output(ad.reduce_sum(ad.mul(mid, 2.0)))

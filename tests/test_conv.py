@@ -1,15 +1,21 @@
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from trustnet import autodiff as ad
+from trustnet import experiment, train
 from trustnet.autodiff import Tape, Tensor
 from trustnet.conv import LEAKY_SLOPE, GateParams, LayerParams, RoleEncoder, layer_forward
 from trustnet.embed import EmbeddingTable
 from trustnet.errors import DataError
-from trustnet.fixtures import make_pipeline_fixture
+from trustnet.experiment import ExperimentConfig
+from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
-from trustnet.train import forward, init_params
+from trustnet.train import backward, forward, init_params
 
 from test_autodiff import div
 
@@ -128,6 +134,34 @@ def fuse(h_trustor, h_trustee, gate: GateParams) -> np.ndarray:
     if g.shape[0] != a.shape[-1]:
         raise DataError(f"gate dim {g.shape[0]} does not match embedding dim {a.shape[-1]}")
     return g * a + (1.0 - g) * b
+
+
+def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
+    """``layer_forward`` as a chain of 25 tape ops, each with its own record.
+
+    The production layer runs this same chain untaped and replays its
+    gradient arithmetic in one record, so its output and gradients must be
+    bitwise equal to this chain's.
+    """
+    emap = view.emap
+
+    projected = ad.row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
+
+    scores = ad.matmul(h, ad.stack_halves(params.eta_user, params.eta_obj, params.gamma))
+    su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (ad.column(scores, k) for k in range(6))
+
+    logit_u = ad.leaky_relu(su_own + ad.sparse_matmul(view.s_user, su_nbr), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(so_own + ad.sparse_matmul(view.s_obj, so_nbr), LEAKY_SLOPE)
+
+    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
+
+    alpha_edge = ad.gather(alpha, view.typed_rows)
+    pair_logit = ad.leaky_relu(
+        alpha_edge * (ad.gather(s_own, emap.rows) + ad.gather(s_nbr, emap.cols)), LEAKY_SLOPE
+    )
+    beta = ad.segment_softmax(pair_logit, emap.rows, emap.indptr)
+
+    return ad.elu(ad.edge_matmul(beta, projected, emap))
 
 
 def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
@@ -518,7 +552,7 @@ def layer_grads(layer, view, h, lp, weights):
         tape.mark_output(ad.reduce_sum(out * Tensor(weights, requires_grad=False)))
     grads = tape.gradients()
     leaves = [h, lp.w_user, lp.w_obj, lp.eta_user, lp.eta_obj, lp.gamma]
-    return out.value, [grads[t] for t in leaves]
+    return out.value, [grads.get(t) for t in leaves]
 
 
 class TestLayerMatchesOpByOpOracle:
@@ -544,7 +578,9 @@ class TestLayerMatchesOpByOpOracle:
             counts.append(tape.num_records)
         assert counts[0] < counts[1]
 
-    def test_default_forward_records_fewer_than_227(self):
+    def test_default_forward_records_at_most_30(self):
+        # one record per convolution layer; the rest is the input projection,
+        # the role slices, the gate and the loss head
         fx = make_pipeline_fixture(seed=1)
         params = init_params(
             seed=0, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=3
@@ -552,18 +588,123 @@ class TestLayerMatchesOpByOpOracle:
         assert params.trustor is not None and params.trustee is not None
         assert len(params.trustor.layers) == len(params.trustee.layers) == 2
         _, tape = forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)
-        assert tape.num_records < 227
+        assert tape.num_records <= 30
 
-    def test_default_forward_records_fewer_than_130(self):
-        # 25 records per layer since the softmaxes and the type projection
-        # are one op each
-        fx = make_pipeline_fixture(seed=1)
+
+def frozen(t: Tensor) -> Tensor:
+    return Tensor(t.value, requires_grad=False)
+
+
+# which of h and the layer parameters take gradients
+TRAINABLE = {
+    "all": lambda h, lp: (h, lp),
+    "frozen_h": lambda h, lp: (frozen(h), lp),
+    "only_h": lambda h, lp: (h, LayerParams(**{k: frozen(t) for k, t in vars(lp).items()})),
+    "only_projections": lambda h, lp: (
+        frozen(h),
+        replace(lp, eta_user=frozen(lp.eta_user), eta_obj=frozen(lp.eta_obj), gamma=frozen(lp.gamma)),
+    ),
+}
+
+
+class TestLayerMatchesChainBitwise:
+    @pytest.mark.parametrize("trainable", sorted(TRAINABLE))
+    @pytest.mark.parametrize("role", [Role.TRUSTOR, Role.TRUSTEE], ids=["trustor", "trustee"])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_output_and_gradients_equal(self, d, role, trainable):
+        rng = np.random.default_rng([d, role is Role.TRUSTEE, 7])
+        for _ in range(4):
+            view, h, lp = random_oracle_case(rng, d, role)
+            h, lp = TRAINABLE[trainable](h, lp)
+            weights = rng.normal(size=h.shape)
+            out, grads = layer_grads(layer_forward, view, h, lp, weights)
+            want_out, want_grads = layer_grads(chain_layer_forward, view, h, lp, weights)
+            assert np.array_equal(out, want_out)
+            for got, want in zip(grads, want_grads):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trainable_tables", [False, True], ids=["frozen", "trainable"])
+    def test_pipeline_gradients_equal(self, monkeypatch, trainable_tables):
+        # h0 feeds both roles' first layers, so its gradient sums four
+        # contributions in the tape's order
+        fx = make_pipeline_fixture(seed=2)
         params = init_params(
-            seed=0, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=3
+            seed=3, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=4
         )
-        assert len(params.trustor.layers) == len(params.trustee.layers) == 2
-        _, tape = forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)
-        assert tape.num_records < 130
+        tables = (fx.h0_users, fx.h0_objects)
+        if trainable_tables:
+            params.set_initial_tables(*tables, trainable=True)
+            tables = (None, None)
+
+        def run():
+            loss, tape = forward(fx.graph, fx.views, *tables, params, fx.samples)
+            grads = backward(tape)
+            return loss, [grads.get(t) for _, t, _ in params.named()]
+
+        loss, grads = run()
+        monkeypatch.setattr(train, "layer_forward", chain_layer_forward)
+        want_loss, want_grads = run()
+        assert loss == want_loss
+        assert len(grads) == len(want_grads) == len(params.named())
+        for got, want in zip(grads, want_grads):
+            assert want is not None and np.array_equal(got, want)
+
+    def test_patched_leaky_relu_changes_layer_as_it_changes_chain(self, monkeypatch):
+        # the benchmark's gradient check replaces ad.leaky_relu and edits the
+        # values it returns; the layer must carry those values on
+        rng = np.random.default_rng(5)
+        view, h, lp = random_oracle_case(rng, 4, Role.TRUSTOR)
+        weights = rng.normal(size=h.shape)
+        layers = (layer_forward, chain_layer_forward)
+        plain = [layer_grads(layer, view, h, lp, weights) for layer in layers]
+        original = ad.leaky_relu
+
+        def shifted(a, *args, **kwargs):
+            out = original(a, *args, **kwargs)
+            out.value[0] += 0.5
+            return out
+
+        monkeypatch.setattr(ad, "leaky_relu", shifted)
+        patched = [layer_grads(layer, view, h, lp, weights) for layer in layers]
+        (out, grads), (want_out, want_grads) = patched
+        assert not np.array_equal(out, plain[0][0])
+        assert np.array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want)
+
+
+def tape_bytes_after_forward(run, params) -> int:
+    """Bytes that the tape of one training forward holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, tape = forward(None, run.views, None, None, params, run.train)  # noqa: F841 (held)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer_tape_holds_less_than_the_chain(tmp_path, monkeypatch):
+    # a small FilmTrust run at the default widths, trainable tables and PPR
+    # on; the chain's 25 records per layer keep every E-sized intermediate
+    make_filmtrust_files(tmp_path, seed=0, num_users=300, num_objects=410, num_trust=370)
+    config = ExperimentConfig(dataset=str(tmp_path), kind="filmtrust")
+    run = experiment.prepare_run(experiment.load_dataset(config), config, run_seed=1)
+    params = init_params(seed=0, user_dim=32, object_dim=32, latent_dim=32)
+    rng = np.random.default_rng(0)
+    num_users = run.views[Role.TRUSTOR].num_users
+    num_objects = run.views[Role.TRUSTOR].num_nodes - num_users
+    params.set_initial_tables(
+        rng.normal(size=(num_users, 32)), rng.normal(size=(num_objects, 32)), trainable=True
+    )
+    fused = tape_bytes_after_forward(run, params)
+    monkeypatch.setattr(train, "layer_forward", chain_layer_forward)
+    chain = tape_bytes_after_forward(run, params)
+    assert fused <= 0.7 * chain
 
 
 # names the benchmark wraps (bench/child.py LAYERS) or patches (checks.HeldKinks)
