@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Implements exactly the operations the trust pipeline needs: dense and
-sparse matrix products, row gather/scatter/slicing, segment reductions
-over edge lists, and the usual elementwise activations. Everything is
-float64 and gradients are exact analytic expressions.
+sparse matrix products, row gather/scatter/slicing, the attention
+softmaxes, and the activations the layer and the gate apply. Everything
+is float64 and gradients are exact analytic expressions.
 
 A forward pass runs inside a ``Tape`` context; each differentiable
 operation appends one record. ``Tape.gradients`` replays the records in
@@ -20,7 +20,10 @@ plain arrays, which record nothing, and adds one record of its own through
 ``record`` with a backward that replays the chain's gradient arithmetic
 (``edge_dots`` is the per-edge half of ``edge_matmul``'s). It runs the ops
 rather than inlining them because the benchmark wraps them by name and its
-gradient check replaces ``leaky_relu``.
+gradient check replaces ``leaky_relu``. The loss head
+(``predict.pair_loss``) and the fusion gate (``train.gate_fusion``) are
+one record each in the same way; the loss head's backward scatters its
+pair-row gradients with ``scatter_rows``, ``gather``'s backward.
 """
 
 from __future__ import annotations
@@ -40,13 +43,10 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "exp",
-    "log",
     "sigmoid",
     "leaky_relu",
     "elu",
     "reduce_sum",
-    "mean",
     "slice_rows",
     "concat_rows",
     "concat_cols",
@@ -54,7 +54,7 @@ __all__ = [
     "column",
     "row_block_matmul",
     "gather",
-    "gather_pairs",
+    "scatter_rows",
     "segment_max_values",
     "type_softmax",
     "segment_softmax",
@@ -328,21 +328,6 @@ def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
 # nonlinearities
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.exp(a.value), requires_grad=a.requires_grad)
-    val = out.value
-    record(out, lambda g: [(a, g * val)])
-    return out
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.value), requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, g / a.value)])
-    return out
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     # exp on the negative half-line only, for stability on both tails
@@ -394,14 +379,6 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
         return [(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())]
 
     record(out, backward)
-    return out
-
-
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.value.mean(), requires_grad=a.requires_grad)
-    size = a.value.size
-    record(out, lambda g: [(a, np.full(a.value.shape, float(g) / size))])
     return out
 
 
@@ -492,14 +469,26 @@ def column(a, k: int) -> Tensor:
     return out
 
 
-def gather(a, idx: np.ndarray) -> Tensor:
-    """Row gather a[idx]; scatter-add on the way back.
+def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) sums of the rows of ``g`` at ``idx``: ``np.add.at(zeros, idx, g)``.
 
-    The 2-D scatter is a product with the 0/1 matrix whose row r lists the
-    positions k with idx[k] == r in ascending order, so every output row sums
-    its contributions from +0 in the order ``np.add.at`` would. ``idx`` is
-    used as given, in any integer dtype: a converted copy would be one more
-    index array for the tape to hold until the backward runs.
+    A product with the 0/1 matrix whose row r lists the positions k with
+    idx[k] == r in ascending order, so every output row sums its
+    contributions from +0 in the order ``np.add.at`` would.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
+    scatter = sp.csr_matrix(
+        (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr), shape=(n, idx.size)
+    )
+    return scatter @ g
+
+
+def gather(a, idx: np.ndarray) -> Tensor:
+    """Row gather a[idx]; scatter-add on the way back (``scatter_rows`` for 2-D).
+
+    ``idx`` is used as given, in any integer dtype: a converted copy would be
+    one more index array for the tape to hold until the backward runs.
     """
     a = as_tensor(a)
     idx = np.asarray(idx)
@@ -509,28 +498,7 @@ def gather(a, idx: np.ndarray) -> Tensor:
         n = a.value.shape[0]
         if a.value.ndim == 1:
             return [(a, np.bincount(idx, weights=g, minlength=n))]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-        scatter = sp.csr_matrix(
-            (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr), shape=(n, idx.size)
-        )
-        return [(a, scatter @ g)]
-
-    record(out, backward)
-    return out
-
-
-def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Elementwise gather a[rows, cols] from a 2-D tensor."""
-    a = as_tensor(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.value[rows, cols], requires_grad=a.requires_grad)
-
-    def backward(g):
-        da = np.zeros_like(a.value)
-        np.add.at(da, (rows, cols), g)
-        return [(a, da)]
+        return [(a, scatter_rows(g, idx, n))]
 
     record(out, backward)
     return out

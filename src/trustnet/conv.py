@@ -96,11 +96,15 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     output exactly as it would change the taped chain's. The one record's
     backward replays the chain's gradient arithmetic in the chain's order,
     so its gradients are bit-identical to the chain's.
-    It keeps the arrays that arithmetic reads -- ``projected``, the pre-ELU
-    product, the edge weights, the type weights, the two pair-score columns
-    and the stacked attention vectors -- plus ``>= 0`` masks of the three
-    leaky-ReLU inputs, and recomputes the E-sized gathers and the ELU
-    derivative.
+    It keeps the arrays that arithmetic reads -- the pre-ELU product, the
+    edge weights, the type weights, the two pair-score columns and the
+    stacked attention vectors -- plus ``>= 0`` masks of the three
+    leaky-ReLU inputs and a reference to the input ``h``. It recomputes the
+    E-sized gathers, the ELU derivative and ``projected``: the two
+    products that rebuild ``projected`` from the input are cheaper than
+    holding an n x d array per layer until the backward reaches it, and
+    they are the same ``np.matmul`` calls ``ad.row_block_matmul`` makes, so
+    the rebuilt array is bitwise the forward's.
     """
     emap = view.emap
     rows, cols, n, nu = emap.rows, emap.cols, view.num_nodes, view.num_users
@@ -141,6 +145,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     del pair_logit
 
     pre = ad.edge_matmul(beta, projected, emap).value
+    del projected
     # whether gradients flow through the attention weights and through ``projected``
     attend = h.requires_grad or any(p.requires_grad for p in attn)
     project = h.requires_grad or params.w_user.requires_grad or params.w_obj.requires_grad
@@ -149,7 +154,14 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     def backward(g):
         # elu, then edge_matmul's value and input gradients
         d_pre = g * np.exp(np.minimum(pre, 0.0))
-        d_beta = ad.edge_dots(d_pre, projected, emap) if attend else None
+        d_beta = None
+        if attend:
+            # ``projected`` again, by row_block_matmul's two products
+            projected = np.empty((n, w_user.shape[1]))
+            np.matmul(x[:nu], w_user, out=projected[:nu])
+            np.matmul(x[nu:], w_obj, out=projected[nu:])
+            d_beta = ad.edge_dots(d_pre, projected, emap)
+            del projected
         d_proj = emap.matrix(beta).T @ d_pre if project else None
         del d_pre
         pairs = []

@@ -55,23 +55,92 @@ def predict_scores(z: np.ndarray, trustors, trustees, params: PredictorParams) -
     return probs[:, TRUST_CLASS]
 
 
+def _pair_arrays(n_users: int, trustors, trustees, labels):
+    """The pair columns as integer arrays, rejecting what would be misread.
+
+    Fancy indexing would wrap a negative id to the last rows, and the loss
+    would score a label of -1 as class 1.
+    """
+    i, j, y = (np.asarray(a) for a in (trustors, trustees, labels))
+    if not i.shape == j.shape == y.shape == (y.size,):
+        raise DataError(
+            f"trustors, trustees and labels must be 1-D of one length, got shapes "
+            f"{i.shape}, {j.shape} and {y.shape}"
+        )
+    if len(y) == 0:
+        raise DataError("cannot compute a loss over zero samples")
+    for name, a in (("trustor ids", i), ("trustee ids", j), ("labels", y)):
+        if a.dtype.kind not in "iu":
+            raise DataError(f"{name} must be integers, got dtype {a.dtype}")
+    if y.min() < 0 or y.max() > 1:
+        raise DataError("labels must be 0 (no trust) or 1 (trust)")
+    for name, ids in (("trustor", i), ("trustee", j)):
+        if ids.min() < 0 or ids.max() >= n_users:
+            raise DataError(f"{name} ids must lie in [0, {n_users})")
+    return i, j, y
+
+
 def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) -> Tensor:
-    """Tape-aware mean cross-entropy from fused user embeddings.
+    """Tape-aware mean cross-entropy from fused user embeddings, as one record.
 
     Numerically stable: computed as mean(logsumexp(logits) - logit_true)
-    with a detached per-row shift.
+    with a detached per-row shift, where the logits are
+    ``concat([z[i], z[j]]) @ W + b``. The forward and the backward replay
+    the arithmetic of the op chain this record replaces (gather,
+    concat_cols, matmul, add, exp, reduce_sum, log, gather_pairs, sub,
+    mean), so the loss and its gradients are bitwise the chain's when ``z``
+    has two or more columns. With one, numpy multiplies each one-row half
+    of ``W`` as a matrix-vector product, which may round otherwise.
+
+    The record keeps the softmax numerators ``ex``, their row sums, the
+    pair arrays and references to ``z``, ``W`` and ``b``. Its backward
+    never forms the m x 2d pair features or their gradient: each half of
+    ``W`` meets its own half of the features, and ``z`` gets the trustee
+    rows' scatter plus the trustor rows', in the chain's order.
+
+    Raises ``DataError`` for an empty batch, pair columns of different
+    lengths or of a non-integer dtype, labels other than 0 and 1, and user
+    ids outside [0, n_users).
     """
-    m = len(labels)
-    if m == 0:
-        raise DataError("cannot compute a loss over zero samples")
-    zi = ad.gather(z, np.asarray(trustors))
-    zj = ad.gather(z, np.asarray(trustees))
-    logits = ad.matmul(ad.concat_cols(zi, zj), params.weight) + params.bias
-    shift = logits.value.max(axis=1)
-    ex = ad.exp(logits - shift[:, None])
-    lse = ad.log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
-    picked = ad.gather_pairs(logits, np.arange(m), np.asarray(labels))
-    return ad.mean(lse - (picked - shift))
+    zv, w, b = z.value, params.weight, params.bias
+    n, d = zv.shape
+    i, j, y = _pair_arrays(n, trustors, trustees, labels)
+    m = y.shape[0]
+    # row k of the (m, 2, d) gather is [z[i[k]], z[j[k]]]: the concatenated
+    # pair features, with no separate copy of either half
+    cat = zv[np.stack((i, j), axis=1)].reshape(m, 2 * d)
+    logits = cat @ w.value + b.value
+    del cat
+    shift = logits.max(axis=1)
+    ex = np.exp(logits - shift[:, None])
+    sums = ex.sum(axis=1)
+    loss = (np.log(sums) - (logits[np.arange(m), y] - shift)).mean()
+    out = Tensor(loss, requires_grad=z.requires_grad or w.requires_grad or b.requires_grad)
+    del logits, shift
+
+    def backward(g):
+        # mean, then the two subs: each pair's log-sum-exp gets d_pair and its
+        # picked logit -d_pair
+        d_pair = float(g) / m
+        # gather_pairs' zero-padded share, then log, reduce_sum and exp's added on
+        d_logits = np.zeros_like(ex)
+        d_logits[np.arange(m), y] = -d_pair
+        d_logits += (d_pair / sums)[:, None] * ex
+        wv = w.value
+        pairs = [(b, d_logits.sum(axis=0) if b.requires_grad else None)]
+        if w.requires_grad:
+            d_w = np.empty_like(wv)
+            np.matmul(zv[i].T, d_logits, out=d_w[:d])
+            np.matmul(zv[j].T, d_logits, out=d_w[d:])
+            pairs.append((w, d_w))
+        if z.requires_grad:
+            d_z = ad.scatter_rows(d_logits @ wv[d:].T, j, n)
+            d_z += ad.scatter_rows(d_logits @ wv[:d].T, i, n)
+            pairs.append((z, d_z))
+        return pairs
+
+    ad.record(out, backward)
+    return out
 
 
 def metrics(predictions, labels) -> tuple[float, float]:

@@ -172,8 +172,49 @@ def init_params(
 # forward / backward
 
 
+def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
+    """The sigmoid gate g * z_tor + (1 - g) * z_tee, g = sigmoid(raw_gate), as one record.
+
+    The value is the sigmoid, mul, sub, mul and add chain's, computed by the
+    same numpy calls; ``ad.sigmoid`` runs on a plain array, so it records
+    nothing. The backward replays the chain's arithmetic: with G the
+    output's gradient, the gate's is -sum(G * z_tee) + sum(G * z_tor) over
+    the users, in that order, times s * (1 - s). The record keeps only the
+    sigmoid and references to the two role embeddings, not the two
+    products. The role slices stay records of their own: folded into this
+    one, the trustor's zero-padded n x d gradient would be allocated here
+    and held through the whole trustee backward.
+    """
+    s = ad.sigmoid(raw_gate.value).value
+    zor, zee = z_tor.value, z_tee.value
+    out = Tensor(
+        s * zor + (1.0 - s) * zee,
+        requires_grad=z_tor.requires_grad or z_tee.requires_grad or raw_gate.requires_grad,
+    )
+
+    def backward(g):
+        d_raw = None
+        if raw_gate.requires_grad:
+            d_gate = -(g * zee).sum(axis=0)
+            d_gate += (g * zor).sum(axis=0)
+            d_raw = d_gate * s * (1.0 - s)
+        return [
+            (raw_gate, d_raw),
+            (z_tee, g * (1.0 - s) if z_tee.requires_grad else None),
+            (z_tor, g * s if z_tor.requires_grad else None),
+        ]
+
+    ad.record(out, backward)
+    return out
+
+
 def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
-    """Tape-aware pipeline up to the fused per-user embeddings."""
+    """Tape-aware pipeline up to the fused per-user embeddings.
+
+    Records 3 entries for the input projection, one per convolution layer,
+    one role slice per role, and one for the fusion (``gate_fusion`` or
+    ``ad.concat_cols``) when both roles run.
+    """
     if h0_users is None:
         hu = params.h0_users
     else:
@@ -201,8 +242,7 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
         z_tee = role_users[Role.TRUSTEE]
         if params.fusion == "concat":
             return ad.concat_cols(z_tor, z_tee)
-        g = ad.sigmoid(params.gate.raw_gate)
-        return g * z_tor + (1.0 - g) * z_tee
+        return gate_fusion(z_tor, z_tee, params.gate.raw_gate)
     (only,) = role_users.values()
     return only
 

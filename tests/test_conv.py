@@ -17,7 +17,8 @@ from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
 from trustnet.train import backward, forward, init_params
 
-from test_autodiff import div
+from test_autodiff import div, exp
+from test_predict import chain_pair_loss, frozen
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,12 @@ def fuse(h_trustor, h_trustee, gate: GateParams) -> np.ndarray:
     return g * a + (1.0 - g) * b
 
 
+def chain_gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
+    """``train.gate_fusion`` as a chain of five tape ops, each with its own record."""
+    g = ad.sigmoid(raw_gate)
+    return g * z_tor + (1.0 - g) * z_tee
+
+
 def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     """``layer_forward`` as a chain of 25 tape ops, each with its own record.
 
@@ -193,8 +200,8 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
         np.where(mask_u > 0, logit_u.value, -np.inf),
         np.where(mask_o > 0, logit_o.value, -np.inf),
     )
-    exp_u = ad.exp((logit_u - shift) * mask_u) * mask_u
-    exp_o = ad.exp((logit_o - shift) * mask_o) * mask_o
+    exp_u = exp((logit_u - shift) * mask_u) * mask_u
+    exp_o = exp((logit_o - shift) * mask_o) * mask_o
     denom = exp_u + exp_o
     alpha_u = div(exp_u, denom)
     alpha_o = div(exp_o, denom)
@@ -210,7 +217,7 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     pair_logit = ad.leaky_relu(alpha_edge * (s_own + s_nbr), LEAKY_SLOPE)
 
     seg_shift = ad.segment_max_values(pair_logit.value, indptr)
-    ex = ad.exp(pair_logit - seg_shift[rows])
+    ex = exp(pair_logit - seg_shift[rows])
     # each row's edge weights summed in ascending edge order, through a 0/1 matrix
     members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), indptr), (n, rows.size))
     denom_e = ad.sparse_matmul(members, ex)
@@ -600,9 +607,10 @@ class TestLayerMatchesOpByOpOracle:
         # the role slices, the gate and the loss head
         assert self.default_forward_records() <= 30
 
-
-def frozen(t: Tensor) -> Tensor:
-    return Tensor(t.value, requires_grad=False)
+    def test_default_forward_records_at_most_11(self):
+        # 3 for the input projection, 4 layers, 2 role slices, the gate and
+        # the loss head
+        assert self.default_forward_records() <= 11
 
 
 # which of h and the layer parameters take gradients
@@ -685,22 +693,99 @@ class TestLayerMatchesChainBitwise:
             assert np.array_equal(got, want)
 
 
-def tape_bytes_after_forward(run, params) -> int:
-    """Bytes that the tape of one training forward holds, by tracemalloc."""
+class TestGateMatchesChainBitwise:
+    @pytest.mark.parametrize("trainable", ["all", "frozen_roles", "frozen_gate"])
+    def test_output_and_gradients_equal(self, trainable):
+        rng = np.random.default_rng(11)
+        # gate values from saturated to balanced, on both tails of the sigmoid
+        raw = Tensor(np.array([-30.0, -2.0, -0.0, 0.5, 3.0, 30.0]))
+        z_tor, z_tee = Tensor(rng.normal(size=(9, 6))), Tensor(rng.normal(size=(9, 6)))
+        if trainable == "frozen_roles":
+            z_tor, z_tee = frozen(z_tor), frozen(z_tee)
+        elif trainable == "frozen_gate":
+            raw = frozen(raw)
+        weights = Tensor(rng.normal(size=(9, 6)), requires_grad=False)
+        results = []
+        for fusion in (train.gate_fusion, chain_gate_fusion):
+            with Tape() as tape:
+                out = fusion(z_tor, z_tee, raw)
+                tape.mark_output(ad.reduce_sum(out * weights))
+            grads = tape.gradients()
+            results.append((out.value, [grads.get(t) for t in (raw, z_tor, z_tee)]))
+        (out, grads), (want_out, want_grads) = results
+        assert np.array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# model shapes the pipeline runs: fusion mode and enabled roles
+PIPELINES = {
+    "gate": dict(fusion="gate"),
+    "concat": dict(fusion="concat"),
+    "trustor_only": dict(trustee_enabled=False),
+    "trustee_only": dict(trustor_enabled=False),
+}
+
+
+def chains(monkeypatch) -> None:
+    """Replace the layer, the gate and the loss head by their op chains."""
+    monkeypatch.setattr(train, "layer_forward", chain_layer_forward)
+    monkeypatch.setattr(train, "gate_fusion", chain_gate_fusion)
+    monkeypatch.setattr(train, "pair_loss", chain_pair_loss)
+
+
+class TestPipelineMatchesChainsBitwise:
+    @pytest.mark.parametrize("trainable_tables", [False, True], ids=["frozen", "trainable"])
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_loss_and_gradients_equal(self, monkeypatch, pipeline, trainable_tables):
+        fx = make_pipeline_fixture(seed=4)
+        params = init_params(
+            seed=5, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1],
+            latent_dim=4, **PIPELINES[pipeline],
+        )
+        tables = (fx.h0_users, fx.h0_objects)
+        if trainable_tables:
+            params.set_initial_tables(*tables, trainable=True)
+            tables = (None, None)
+
+        def run():
+            loss, tape = forward(fx.graph, fx.views, *tables, params, fx.samples)
+            grads = backward(tape)
+            return loss, tape.num_records, [grads.get(t) for _, t, _ in params.named()]
+
+        loss, records, grads = run()
+        chains(monkeypatch)
+        want_loss, want_records, want_grads = run()
+        assert loss == want_loss and records < want_records
+        assert len(grads) == len(want_grads) == len(params.named())
+        ungated = [name for (name, _, _), g in zip(params.named(), want_grads) if g is None]
+        assert ungated == ([] if pipeline == "gate" else ["gate/raw"])
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
+
+def traced_step(run, params) -> tuple[int, int]:
+    """Bytes the tape of one training forward holds, and the traced peak over
+    that forward and its backward, both above what was held before, by tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _, tape = forward(None, run.views, None, None, params, run.train)  # noqa: F841 (held)
+        _, tape = forward(None, run.views, None, None, params, run.train)
         gc.collect()
-        return tracemalloc.get_traced_memory()[0] - base
+        held = tracemalloc.get_traced_memory()[0] - base
+        backward(tape)
+        return held, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
-def test_layer_tape_holds_less_than_the_chain(tmp_path, monkeypatch):
-    # a small FilmTrust run at the default widths, trainable tables and PPR
-    # on; the chain's 25 records per layer keep every E-sized intermediate
+def small_filmtrust_run(tmp_path):
+    """A 300-user FilmTrust run at the default widths, with PPR and trainable tables."""
     make_filmtrust_files(tmp_path, seed=0, num_users=300, num_objects=410, num_trust=370)
     config = ExperimentConfig(dataset=str(tmp_path), kind="filmtrust")
     run = experiment.prepare_run(experiment.load_dataset(config), config, run_seed=1)
@@ -711,10 +796,28 @@ def test_layer_tape_holds_less_than_the_chain(tmp_path, monkeypatch):
     params.set_initial_tables(
         rng.normal(size=(num_users, 32)), rng.normal(size=(num_objects, 32)), trainable=True
     )
-    fused = tape_bytes_after_forward(run, params)
+    return run, params
+
+
+def test_layer_tape_holds_less_than_the_chain(tmp_path, monkeypatch):
+    # the chain's 25 records per layer keep every E-sized intermediate
+    run, params = small_filmtrust_run(tmp_path)
+    fused, _ = traced_step(run, params)
     monkeypatch.setattr(train, "layer_forward", chain_layer_forward)
-    chain = tape_bytes_after_forward(run, params)
+    chain, _ = traced_step(run, params)
     assert fused <= 0.7 * chain
+
+
+def test_training_step_peaks_lower_than_the_chains(tmp_path, monkeypatch):
+    # the peak, not what the tape holds after the forward, is what a run's
+    # peak RSS sees; it falls in the backward while most of the tape is held
+    run, params = small_filmtrust_run(tmp_path)
+    _, fused = traced_step(run, params)
+    chains(monkeypatch)
+    _, chain = traced_step(run, params)
+    # 0.54 with the one-record loss head and gate and the recomputed
+    # ``projected``; 0.63 with only the one-record layer
+    assert fused <= 0.6 * chain
 
 
 # names the benchmark wraps (bench/child.py LAYERS) or patches (checks.HeldKinks)

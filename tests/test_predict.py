@@ -12,6 +12,26 @@ from trustnet.predict import (
     predict_scores,
 )
 
+from test_autodiff import exp, gather_pairs, log, mean
+
+
+def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> Tensor:
+    """``pair_loss`` as a chain of 13 tape ops, each with its own record.
+
+    The production loss computes the same values and replays this chain's
+    gradient arithmetic in one record, so its loss and gradients must be
+    bitwise equal to this chain's.
+    """
+    m = len(labels)
+    zi = ad.gather(z, np.asarray(trustors))
+    zj = ad.gather(z, np.asarray(trustees))
+    logits = ad.matmul(ad.concat_cols(zi, zj), params.weight) + params.bias
+    shift = logits.value.max(axis=1)
+    ex = exp(logits - shift[:, None])
+    lse = log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
+    picked = gather_pairs(logits, np.arange(m), np.asarray(labels))
+    return mean(lse - (picked - shift))
+
 
 def batch_loss(samples, table, params: PredictorParams) -> float:
     """Mean cross-entropy of the predictor over (trustor, trustee, label) arrays (oracle for pair_loss)."""
@@ -139,6 +159,89 @@ class TestPairLossTensor:
                 zm[a, b] -= h
                 num[a, b] = (loss_of(zp) - loss_of(zm)) / (2 * h)
         assert np.allclose(grads[z], num, atol=1e-6)
+
+
+def frozen(t: Tensor) -> Tensor:
+    return Tensor(t.value, requires_grad=False)
+
+
+# which of z, W and b take gradients
+TRAINABLE = {
+    "all": lambda z, p: (z, p),
+    "frozen_z": lambda z, p: (frozen(z), p),
+    "only_z": lambda z, p: (z, PredictorParams(frozen(p.weight), frozen(p.bias))),
+    "only_bias": lambda z, p: (frozen(z), PredictorParams(frozen(p.weight), p.bias)),
+}
+
+
+def loss_grads(loss_fn, z, i, j, y, params):
+    with ad.Tape() as tape:
+        out = loss_fn(z, i, j, y, params)
+        tape.mark_output(out)
+    grads = tape.gradients()
+    return out.value, [grads.get(t) for t in (z, params.weight, params.bias)]
+
+
+class TestPairLossMatchesChainBitwise:
+    @staticmethod
+    def both(n, d, m, trainable):
+        """Loss and gradients of the fused loss and of the chain on one random case."""
+        rng = np.random.default_rng([n, d, m])
+        z, params = TRAINABLE[trainable](Tensor(rng.normal(size=(n, d))), make_params(d, rng))
+        # repeated rows, ids at both ends, and both labels
+        i, j = rng.integers(n, size=m), rng.integers(n, size=m)
+        i[0], j[-1] = n - 1, 0
+        y = rng.integers(2, size=m)
+        return (loss_grads(f, z, i, j, y, params) for f in (pair_loss, chain_pair_loss))
+
+    @pytest.mark.parametrize("trainable", sorted(TRAINABLE))
+    @pytest.mark.parametrize(
+        "n, d, m", [(2, 2, 1), (5, 3, 7), (40, 16, 300), (15000, 32, 20000)]
+    )
+    def test_loss_and_gradients_equal(self, n, d, m, trainable):
+        (got, got_grads), (want, want_grads) = self.both(n, d, m, trainable)
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_grads, want_grads):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    def test_one_dimensional_embeddings_round_alike(self, m):
+        # at d = 1 numpy multiplies each one-row half of W by a matrix-vector
+        # product, which may round otherwise than the chain's matrix product
+        (got, got_grads), (want, want_grads) = self.both(5, 1, m, "all")
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_records_once(self):
+        rng = np.random.default_rng(0)
+        with ad.Tape() as tape:
+            pair_loss(Tensor(rng.normal(size=(4, 2))), [0, 1], [2, 3], [1, 0], make_params(2, rng))
+        assert tape.num_records == 1
+
+
+class TestPairLossRejectsMalformedPairs:
+    CASES = {
+        "negative_label": ([0, 1], [1, 2], [1, -1]),
+        "label_above_one": ([0, 1], [1, 2], [2, 0]),
+        "negative_trustor": ([-1, 1], [1, 2], [1, 0]),
+        "negative_trustee": ([0, 1], [1, -3], [1, 0]),
+        "trustor_past_last_user": ([0, 4], [1, 2], [1, 0]),
+        "trustee_past_last_user": ([0, 1], [1, 9], [1, 0]),
+        "lengths_differ": ([0, 1, 2], [1, 2], [1, 0]),
+        "labels_shorter": ([0, 1], [1, 2], [1]),
+        "float_ids": ([0.0, 1.0], [1, 2], [1, 0]),
+        "empty": ([], [], []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_data_error(self, case):
+        rng = np.random.default_rng(9)
+        z = Tensor(rng.normal(size=(4, 2)))
+        with pytest.raises(DataError):
+            pair_loss(z, *self.CASES[case], make_params(2, rng))
 
 
 class TestMetrics:
