@@ -17,13 +17,21 @@ The attention layer's softmaxes and its per-type projection are single
 ops (``type_softmax``, ``segment_softmax``, ``row_block_matmul``). The
 layer itself (``conv.layer_forward``) calls them and the generic ops on
 plain arrays, which record nothing, and adds one record of its own through
-``record`` with a backward that replays the chain's gradient arithmetic
-(``edge_dots`` is the per-edge half of ``edge_matmul``'s). It runs the ops
-rather than inlining them because the benchmark wraps them by name and its
-gradient check replaces ``leaky_relu``. The loss head
-(``predict.pair_loss``) and the fusion gate (``train.gate_fusion``) are
-one record each in the same way; the loss head's backward scatters its
-pair-row gradients with ``scatter_rows``, ``gather``'s backward.
+``record``. It runs the ops rather than inlining them because the
+benchmark wraps them by name and its gradient check replaces
+``leaky_relu``. The loss head (``predict.pair_loss``) and the fusion gate
+(``train.gate_fusion``) are one record each in the same way.
+
+Kernels. Arithmetic that an op and a fused record share is written once,
+as a plain-array kernel that both call. ``row_block_product`` is
+``row_block_matmul``'s product. ``row_block_grads``, ``leaky_slopes``,
+``stack_halves_grads``, ``type_softmax_grads`` and ``segment_softmax_grad``
+are the gradients of ``row_block_matmul``, ``leaky_relu``,
+``stack_halves`` and the two softmaxes; the layer's backward calls them in
+the chain's reverse order. ``edge_dots`` is the per-edge half of
+``edge_matmul``'s gradient, and the loss head shares ``scatter_rows``,
+``gather``'s 2-D backward. ``logistic`` is the sigmoid, which ``embed``
+also calls on every SGD step.
 """
 
 from __future__ import annotations
@@ -39,6 +47,13 @@ __all__ = [
     "TapeError",
     "EdgeMap",
     "record",
+    "logistic",
+    "leaky_slopes",
+    "row_block_product",
+    "row_block_grads",
+    "stack_halves_grads",
+    "type_softmax_grads",
+    "segment_softmax_grad",
     "add",
     "sub",
     "mul",
@@ -51,7 +66,6 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "stack_halves",
-    "column",
     "row_block_matmul",
     "gather",
     "scatter_rows",
@@ -290,6 +304,23 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def row_block_product(x, split: int, w_top, w_bottom) -> np.ndarray:
+    """[x[:split] @ w_top; x[split:] @ w_bottom], each block's product written into its rows."""
+    value = np.empty((x.shape[0], w_top.shape[1]))
+    np.matmul(x[:split], w_top, out=value[:split])
+    np.matmul(x[split:], w_bottom, out=value[split:])
+    return value
+
+
+def row_block_grads(x, split: int, w_top, w_bottom, g: np.ndarray):
+    """Gradients of ``row_block_product`` for x, w_top and w_bottom, given the output's ``g``."""
+    g_top, g_bottom = g[:split], g[split:]
+    dx = np.empty_like(x)
+    np.matmul(g_top, w_top.T, out=dx[:split])
+    np.matmul(g_bottom, w_bottom.T, out=dx[split:])
+    return dx, x[:split].T @ g_top, x[split:].T @ g_bottom
+
+
 def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
     """Row blocks under their own weights: [a[:split] @ w_top; a[split:] @ w_bottom].
 
@@ -297,30 +328,12 @@ def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
     backward writes both input-row gradients into one array, so neither
     direction builds zero-padded or concatenated copies.
     """
-    a, w_top, w_bottom = as_tensor(a), as_tensor(w_top), as_tensor(w_bottom)
-    x = a.value
-    top, bottom = x[:split], x[split:]
-    value = np.empty((x.shape[0], w_top.value.shape[1]))
-    np.matmul(top, w_top.value, out=value[:split])
-    np.matmul(bottom, w_bottom.value, out=value[split:])
+    inputs = [as_tensor(t) for t in (a, w_top, w_bottom)]
+    x, top, bottom = (t.value for t in inputs)
     out = Tensor(
-        value, requires_grad=a.requires_grad or w_top.requires_grad or w_bottom.requires_grad
+        row_block_product(x, split, top, bottom), requires_grad=any(t.requires_grad for t in inputs)
     )
-
-    def backward(g):
-        g_top, g_bottom = g[:split], g[split:]
-        da = None
-        if a.requires_grad:
-            da = np.empty_like(x)
-            np.matmul(g_top, w_top.value.T, out=da[:split])
-            np.matmul(g_bottom, w_bottom.value.T, out=da[split:])
-        return [
-            (a, da),
-            (w_top, top.T @ g_top if w_top.requires_grad else None),
-            (w_bottom, bottom.T @ g_bottom if w_bottom.requires_grad else None),
-        ]
-
-    record(out, backward)
+    record(out, lambda g: zip(inputs, row_block_grads(x, split, top, bottom, g)))
     return out
 
 
@@ -328,26 +341,30 @@ def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
 # nonlinearities
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)), without overflow for either sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # exp on the negative half-line only, for stability on both tails
-    x = a.value
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    s = logistic(a.value)
     out = Tensor(s, requires_grad=a.requires_grad)
     record(out, lambda g: [(a, g * s * (1.0 - s))])
     return out
 
 
+def leaky_slopes(nonneg: np.ndarray, negative_slope: float) -> np.ndarray:
+    """The leaky ReLU's derivative at each input, from the inputs' ``>= 0`` mask."""
+    return np.array([negative_slope, 1.0]).take(nonneg.view(np.uint8))
+
+
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
-    x = a.value
-    slope_mask = np.array([negative_slope, 1.0]).take((x >= 0).view(np.uint8))
-    out = Tensor(x * slope_mask, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, g * slope_mask)])
+    slopes = leaky_slopes(a.value >= 0, negative_slope)
+    out = Tensor(a.value * slopes, requires_grad=a.requires_grad)
+    record(out, lambda g: [(a, g * slopes)])
     return out
 
 
@@ -432,6 +449,11 @@ def concat_cols(a, b) -> Tensor:
     return out
 
 
+def stack_halves_grads(g: np.ndarray) -> list[np.ndarray]:
+    """Each vector's gradient from the gradient ``g`` of ``stack_halves``' (d, 2k) output."""
+    return [g[:, 2 * i : 2 * i + 2].T.reshape(-1) for i in range(g.shape[1] // 2)]
+
+
 def stack_halves(*vectors) -> Tensor:
     """Both halves of each (2d,) vector as columns of one (d, 2k) matrix.
 
@@ -444,28 +466,7 @@ def stack_halves(*vectors) -> Tensor:
         np.concatenate([v.value.reshape(2, d).T for v in vectors], axis=1),
         requires_grad=any(v.requires_grad for v in vectors),
     )
-
-    def backward(g):
-        return [
-            (v, g[:, 2 * i : 2 * i + 2].T.reshape(-1) if v.requires_grad else None)
-            for i, v in enumerate(vectors)
-        ]
-
-    record(out, backward)
-    return out
-
-
-def column(a, k: int) -> Tensor:
-    """Column a[:, k] of a 2-D tensor, as a contiguous vector."""
-    a = as_tensor(a)
-    out = Tensor(np.ascontiguousarray(a.value[:, k]), requires_grad=a.requires_grad)
-
-    def backward(g):
-        full = np.zeros_like(a.value)
-        full[:, k] = g
-        return [(a, full)]
-
-    record(out, backward)
+    record(out, lambda g: zip(vectors, stack_halves_grads(g)))
     return out
 
 
@@ -516,6 +517,15 @@ def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # attention softmaxes
 
 
+def type_softmax_grads(alpha: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both type logits' gradients from the output [alpha_u; alpha_o] and its gradient ``g``."""
+    n = alpha.shape[0] // 2
+    a_u, a_o = alpha[:n], alpha[n:]
+    g_u, g_o = g[:n], g[n:]
+    dot = a_u * g_u + a_o * g_o
+    return a_u * (g_u - dot), a_o * (g_o - dot)
+
+
 def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> Tensor:
     """Per-node softmax over the types present there, as one 2n vector.
 
@@ -536,18 +546,14 @@ def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> Te
     np.divide(exp_u, denom, out=alpha[:n])
     np.divide(exp_o, denom, out=alpha[n:])
     out = Tensor(alpha, requires_grad=logit_u.requires_grad or logit_o.requires_grad)
-
-    def backward(g):
-        a_u, a_o = alpha[:n], alpha[n:]
-        g_u, g_o = g[:n], g[n:]
-        dot = a_u * g_u + a_o * g_o
-        return [
-            (logit_u, a_u * (g_u - dot) if logit_u.requires_grad else None),
-            (logit_o, a_o * (g_o - dot) if logit_o.requires_grad else None),
-        ]
-
-    record(out, backward)
+    record(out, lambda g: zip((logit_u, logit_o), type_softmax_grads(alpha, g)))
     return out
+
+
+def segment_softmax_grad(beta: np.ndarray, g: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The logits' gradient from the output ``beta`` of ``n`` segments and its gradient ``g``."""
+    dot = np.bincount(rows, weights=beta * g, minlength=n)
+    return beta * (g - dot[rows])
 
 
 def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> Tensor:
@@ -561,12 +567,7 @@ def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> Tensor:
     beta = np.exp(a.value - segment_max_values(a.value, indptr)[rows])
     beta /= np.bincount(rows, weights=beta, minlength=n)[rows]
     out = Tensor(beta, requires_grad=a.requires_grad)
-
-    def backward(g):
-        dot = np.bincount(rows, weights=beta * g, minlength=n)
-        return [(a, beta * (g - dot[rows]))]
-
-    record(out, backward)
+    record(out, lambda g: [(a, segment_softmax_grad(beta, g, rows, n))])
     return out
 
 

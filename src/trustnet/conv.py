@@ -15,11 +15,13 @@ over d-vectors, which would cost d times that and an n x d result per type.
 A whole layer is one tape record. Its forward runs a chain of autodiff ops
 (the two softmaxes in (2) and (3) and the type projection in (4) are the
 fused ``ad.type_softmax``, ``ad.segment_softmax`` and ``ad.row_block_matmul``)
-on plain arrays, so none of them records anything; a hand-written backward
-replays the chain's gradient arithmetic from the few arrays it reads. The
-forward still calls each op through the ``autodiff`` module, because the
-benchmark wraps those names to time them and its gradient check replaces
-``ad.leaky_relu`` to hold each kink on one side (``bench/checks.HeldKinks``).
+on plain arrays, so none of them records anything. It calls them through
+the ``autodiff`` module because the benchmark wraps those names to time
+them and its gradient check replaces ``ad.leaky_relu`` to hold each kink on
+one side (``bench/checks.HeldKinks``). Its backward composes the ops' own
+gradient kernels in the chain's reverse order, so no gradient is written
+here a second time. It keeps what those kernels read and recomputes the
+cheap intermediates, ``projected`` among them (see ``layer_forward``).
 
 Two stacked layers per role; the trustor view propagates along outgoing
 trust, the trustee view along incoming trust. A learned sigmoid gate
@@ -69,11 +71,6 @@ class GateParams:
 # vectorized layer
 
 
-def _slopes(nonneg: np.ndarray) -> np.ndarray:
-    """The leaky ReLU's derivative at each input, from the input's ``>= 0`` mask."""
-    return np.array([LEAKY_SLOPE, 1.0]).take(nonneg.view(np.uint8))
-
-
 def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     """One convolution layer over a whole view, recorded as one tape op.
 
@@ -90,21 +87,23 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     per-type projection.
 
     The forward calls each op of the chain, ``ad.row_block_matmul``
-    through ``ad.elu``, on plain arrays, so none of them records, and reads
-    the values they return: a caller that patches one of them (as the
-    benchmark's gradient check patches ``leaky_relu``) changes the layer's
-    output exactly as it would change the taped chain's. The one record's
-    backward replays the chain's gradient arithmetic in the chain's order,
-    so its gradients are bit-identical to the chain's.
-    It keeps the arrays that arithmetic reads -- the pre-ELU product, the
-    edge weights, the type weights, the two pair-score columns and the
-    stacked attention vectors -- plus ``>= 0`` masks of the three
-    leaky-ReLU inputs and a reference to the input ``h``. It recomputes the
-    E-sized gathers, the ELU derivative and ``projected``: the two
-    products that rebuild ``projected`` from the input are cheaper than
-    holding an n x d array per layer until the backward reaches it, and
-    they are the same ``np.matmul`` calls ``ad.row_block_matmul`` makes, so
-    the rebuilt array is bitwise the forward's.
+    through ``ad.elu``, on plain arrays and reads the values they return:
+    a caller that patches one of them (as the benchmark's gradient check
+    patches ``leaky_relu``) changes the layer's output exactly as it would
+    change the taped chain's. The backward calls the kernels the ops'
+    backwards call, in reverse chain order (``ad.edge_dots``,
+    ``ad.segment_softmax_grad``, ``ad.leaky_slopes``,
+    ``ad.type_softmax_grads``, ``ad.stack_halves_grads``,
+    ``ad.row_block_grads``), so its gradients are bitwise the chain's; ``h``
+    takes the attention's contribution, then the projection's. It gives
+    every input a gradient; the tape drops those of frozen inputs.
+
+    It keeps the pre-ELU product, the edge and type weights, the two
+    pair-score columns, the stacked attention vectors, ``>= 0`` masks of
+    the three leaky-ReLU inputs and a reference to ``h``. It recomputes the
+    E-sized gathers, the ELU derivative and ``projected``, whose rebuild by
+    ``ad.row_block_product`` goes straight into ``ad.edge_dots`` and is
+    freed before ``edge_matmul``'s input gradient is formed.
     """
     emap = view.emap
     rows, cols, n, nu = emap.rows, emap.cols, view.num_nodes, view.num_users
@@ -146,73 +145,48 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
 
     pre = ad.edge_matmul(beta, projected, emap).value
     del projected
-    # whether gradients flow through the attention weights and through ``projected``
-    attend = h.requires_grad or any(p.requires_grad for p in attn)
-    project = h.requires_grad or params.w_user.requires_grad or params.w_obj.requires_grad
-    out = Tensor(ad.elu(pre).value, requires_grad=attend or project)
+    trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
+    out = Tensor(ad.elu(pre).value, requires_grad=trainable)
 
     def backward(g):
-        # elu, then edge_matmul's value and input gradients
+        # elu, then edge_matmul's value gradient (against ``projected``,
+        # rebuilt) and its input gradient
         d_pre = g * np.exp(np.minimum(pre, 0.0))
-        d_beta = None
-        if attend:
-            # ``projected`` again, by row_block_matmul's two products
-            projected = np.empty((n, w_user.shape[1]))
-            np.matmul(x[:nu], w_user, out=projected[:nu])
-            np.matmul(x[nu:], w_obj, out=projected[nu:])
-            d_beta = ad.edge_dots(d_pre, projected, emap)
-            del projected
-        d_proj = emap.matrix(beta).T @ d_pre if project else None
+        d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
+        d_proj = emap.matrix(beta).T @ d_pre
         del d_pre
-        pairs = []
-        if attend:
-            # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
-            dot = np.bincount(rows, weights=beta * d_beta, minlength=n)
-            d_pair = beta * (d_beta - dot[rows])
-            del d_beta, dot
-            d_pair *= _slopes(nonneg_pair)
-            d_alpha_edge = d_pair * (s_own[rows] + s_nbr[cols])
-            d_sum = d_pair * alpha[view.typed_rows]
-            del d_pair
-            # each column gradient is added onto zeros, as the chain summed its
-            # zero-padded one-column gradients (this also turns -0.0 into +0.0)
-            d_scores = np.zeros((n, 6))
-            d_scores[:, 5] += np.bincount(cols, weights=d_sum, minlength=n)
-            d_scores[:, 4] += np.bincount(rows, weights=d_sum, minlength=n)
-            del d_sum
-            d_alpha = np.bincount(view.typed_rows, weights=d_alpha_edge, minlength=2 * n)
-            del d_alpha_edge
-            # type_softmax, then each type's leaky ReLU, sum and sparse product
-            a_u, a_o = alpha[:n], alpha[n:]
-            g_u, g_o = d_alpha[:n], d_alpha[n:]
-            dot = a_u * g_u + a_o * g_o
-            d_logit_u = a_u * (g_u - dot)
-            d_logit_o = a_o * (g_o - dot)
-            del d_alpha, dot
-            d_logit_o *= _slopes(nonneg_o)
-            d_scores[:, 2] += d_logit_o
-            d_scores[:, 3] += view.s_obj.T @ d_logit_o
-            d_logit_u *= _slopes(nonneg_u)
-            d_scores[:, 0] += d_logit_u
-            d_scores[:, 1] += view.s_user.T @ d_logit_u
-            del d_logit_u, d_logit_o
-            # the score product and stack_halves
-            if h.requires_grad:
-                pairs.append((h, d_scores @ stacked.T))
-            d_stacked = x.T @ d_scores
-            del d_scores
-            for i, p in enumerate(attn):
-                pairs.append((p, d_stacked[:, 2 * i : 2 * i + 2].T.reshape(-1)))
-        if project:
-            # row_block_matmul
-            g_top, g_bottom = d_proj[:nu], d_proj[nu:]
-            if h.requires_grad:
-                dx = np.empty_like(x)
-                np.matmul(g_top, w_user.T, out=dx[:nu])
-                np.matmul(g_bottom, w_obj.T, out=dx[nu:])
-                pairs.append((h, dx))
-            pairs += [(params.w_user, x[:nu].T @ g_top), (params.w_obj, x[nu:].T @ g_bottom)]
-        return pairs
+        # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
+        d_pair = ad.segment_softmax_grad(beta, d_beta, rows, n)
+        del d_beta
+        d_pair *= ad.leaky_slopes(nonneg_pair, LEAKY_SLOPE)
+        d_alpha_edge = d_pair * (s_own[rows] + s_nbr[cols])
+        d_sum = d_pair * alpha[view.typed_rows]
+        del d_pair
+        # each column gradient is added onto zeros, as the chain summed its
+        # zero-padded one-column gradients (this also turns -0.0 into +0.0)
+        d_scores = np.zeros((n, 6))
+        d_scores[:, 5] += np.bincount(cols, weights=d_sum, minlength=n)
+        d_scores[:, 4] += np.bincount(rows, weights=d_sum, minlength=n)
+        del d_sum
+        d_alpha = np.bincount(view.typed_rows, weights=d_alpha_edge, minlength=2 * n)
+        del d_alpha_edge
+        # type_softmax, then each type's leaky ReLU, sum and sparse product
+        d_logit_u, d_logit_o = ad.type_softmax_grads(alpha, d_alpha)
+        del d_alpha
+        d_logit_o *= ad.leaky_slopes(nonneg_o, LEAKY_SLOPE)
+        d_scores[:, 2] += d_logit_o
+        d_scores[:, 3] += view.s_obj.T @ d_logit_o
+        d_logit_u *= ad.leaky_slopes(nonneg_u, LEAKY_SLOPE)
+        d_scores[:, 0] += d_logit_u
+        d_scores[:, 1] += view.s_user.T @ d_logit_u
+        del d_logit_u, d_logit_o
+        # the score product and stack_halves, then row_block_matmul
+        d_h = d_scores @ stacked.T
+        d_attn = ad.stack_halves_grads(x.T @ d_scores)
+        del d_scores
+        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        del d_proj
+        return [(h, d_h), *zip(attn, d_attn), (h, d_x), *zip((params.w_user, params.w_obj), d_w)]
 
     ad.record(out, backward)
     return out

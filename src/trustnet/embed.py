@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import logistic
 from .errors import DataError, ParseError
 from .graph import HeteroGraph, _read_csv
 
@@ -169,10 +170,10 @@ def embed_users(
         v = vecs[:n]
         events = starts[:n] + s
         u = token_vecs[pos[events]]
-        v += (lr * (1.0 - _logistic(_row_dot(v, u))))[:, None] * u
+        v += (lr * (1.0 - logistic(_row_dot(v, u))))[:, None] * u
         for noise in neg[events].T:
             un = token_vecs[noise]
-            v -= (lr * _logistic(_row_dot(v, un)))[:, None] * un
+            v -= (lr * logistic(_row_dot(v, un)))[:, None] * un
 
     out = np.zeros((len(docs), dim))
     out[order] = vecs
@@ -182,12 +183,6 @@ def embed_users(
 def _row_dot(a, b):
     """Rowwise dot products; rounds as a 1-D ``a[i] @ b[i]`` does."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _logistic(x):
-    """Elementwise 1 / (1 + exp(-x)), without overflow for either sign."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:

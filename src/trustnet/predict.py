@@ -96,7 +96,8 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
     pair arrays and references to ``z``, ``W`` and ``b``. Its backward
     never forms the m x 2d pair features or their gradient: each half of
     ``W`` meets its own half of the features, and ``z`` gets the trustee
-    rows' scatter plus the trustor rows', in the chain's order.
+    rows' scatter plus the trustor rows', in the chain's order. Every input
+    gets its gradient, and the tape drops a frozen one's.
 
     Raises ``DataError`` for an empty batch, pair columns of different
     lengths or of a non-integer dtype, labels other than 0 and 1, and user
@@ -127,17 +128,12 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
         d_logits[np.arange(m), y] = -d_pair
         d_logits += (d_pair / sums)[:, None] * ex
         wv = w.value
-        pairs = [(b, d_logits.sum(axis=0) if b.requires_grad else None)]
-        if w.requires_grad:
-            d_w = np.empty_like(wv)
-            np.matmul(zv[i].T, d_logits, out=d_w[:d])
-            np.matmul(zv[j].T, d_logits, out=d_w[d:])
-            pairs.append((w, d_w))
-        if z.requires_grad:
-            d_z = ad.scatter_rows(d_logits @ wv[d:].T, j, n)
-            d_z += ad.scatter_rows(d_logits @ wv[:d].T, i, n)
-            pairs.append((z, d_z))
-        return pairs
+        d_w = np.empty_like(wv)
+        np.matmul(zv[i].T, d_logits, out=d_w[:d])
+        np.matmul(zv[j].T, d_logits, out=d_w[d:])
+        d_z = ad.scatter_rows(d_logits @ wv[d:].T, j, n)
+        d_z += ad.scatter_rows(d_logits @ wv[:d].T, i, n)
+        return [(b, d_logits.sum(axis=0)), (w, d_w), (z, d_z)]
 
     ad.record(out, backward)
     return out

@@ -179,7 +179,8 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     same numpy calls; ``ad.sigmoid`` runs on a plain array, so it records
     nothing. The backward replays the chain's arithmetic: with G the
     output's gradient, the gate's is -sum(G * z_tee) + sum(G * z_tor) over
-    the users, in that order, times s * (1 - s). The record keeps only the
+    the users, in that order, times s * (1 - s); every input gets its
+    gradient, and the tape drops a frozen one's. The record keeps only the
     sigmoid and references to the two role embeddings, not the two
     products. The role slices stay records of their own: folded into this
     one, the trustor's zero-padded n x d gradient would be allocated here
@@ -193,16 +194,9 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     )
 
     def backward(g):
-        d_raw = None
-        if raw_gate.requires_grad:
-            d_gate = -(g * zee).sum(axis=0)
-            d_gate += (g * zor).sum(axis=0)
-            d_raw = d_gate * s * (1.0 - s)
-        return [
-            (raw_gate, d_raw),
-            (z_tee, g * (1.0 - s) if z_tee.requires_grad else None),
-            (z_tor, g * s if z_tor.requires_grad else None),
-        ]
+        d_gate = -(g * zee).sum(axis=0)
+        d_gate += (g * zor).sum(axis=0)
+        return [(raw_gate, d_gate * s * (1.0 - s)), (z_tee, g * (1.0 - s)), (z_tor, g * s)]
 
     ad.record(out, backward)
     return out
@@ -435,7 +429,12 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
 
 
 def load_params(path) -> tuple[ModelParams, dict | None]:
-    """Rebuild a ModelParams, and its provenance, from a checkpoint written by save_params."""
+    """Rebuild a ModelParams, and its provenance, from a checkpoint written by save_params.
+
+    Raises ``DataError`` for an unknown version, a missing or misshapen
+    parameter, and Adam moments that lack their pair, are misshapen or
+    belong to no parameter.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION:
@@ -461,6 +460,7 @@ def load_params(path) -> tuple[ModelParams, dict | None]:
                 hu = data["frozen::h0/users"]
                 ho = data["frozen::h0/objects"]
             params.set_initial_tables(hu, ho, trainable=meta["h0_trainable"])
+        shapes = {}
         for name, tensor, _ in params.named():
             key = f"param::{name}"
             if key not in data:
@@ -472,8 +472,19 @@ def load_params(path) -> tuple[ModelParams, dict | None]:
                     f"{stored.shape} vs {tensor.value.shape}"
                 )
             tensor.value = stored.astype(np.float64)
-        for key in data.files:
-            if key.startswith("moment_m::"):
-                name = key[len("moment_m::") :]
-                params.moments[name] = (data[key], data[f"moment_v::{name}"])
+            shapes[name] = stored.shape
+        moment_keys = [k for k in data.files if k.startswith(("moment_m::", "moment_v::"))]
+        for name in dict.fromkeys(k.partition("::")[2] for k in moment_keys):
+            if name not in shapes:
+                raise DataError(f"checkpoint has Adam moments for unknown parameter {name}")
+            keys = (f"moment_m::{name}", f"moment_v::{name}")
+            if not all(k in moment_keys for k in keys):
+                raise DataError(f"checkpoint has only one of the two Adam moments for {name}")
+            m, v = (data[k] for k in keys)
+            if not m.shape == v.shape == shapes[name]:
+                raise DataError(
+                    f"checkpoint moment shape mismatch for {name}: "
+                    f"{m.shape} and {v.shape} vs {shapes[name]}"
+                )
+            params.moments[name] = (m, v)
     return params, meta["provenance"]

@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +108,20 @@ def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> ad.Tensor:
         da = np.zeros_like(a.value)
         np.add.at(da, (rows, cols), g)
         return [(a, da)]
+
+    ad.record(out, backward)
+    return out
+
+
+def column(a, k: int) -> ad.Tensor:
+    """Column a[:, k] of a 2-D tensor, as a contiguous vector."""
+    a = ad.as_tensor(a)
+    out = ad.Tensor(np.ascontiguousarray(a.value[:, k]), requires_grad=a.requires_grad)
+
+    def backward(g):
+        full = np.zeros_like(a.value)
+        full[:, k] = g
+        return [(a, full)]
 
     ad.record(out, backward)
     return out
@@ -240,7 +256,7 @@ def test_stack_halves_layout():
 
 
 def test_column():
-    check_op(lambda a: ad.reduce_sum(exp(ad.column(a, 1)) * ad.column(a, 3)), (5, 4))
+    check_op(lambda a: ad.reduce_sum(exp(column(a, 1)) * column(a, 3)), (5, 4))
 
 
 def test_edge_matmul_grads_both_sides():
@@ -478,6 +494,63 @@ def test_elu_matches_where_formula_bitwise():
     assert np.array_equal(out.value.view(np.int64), want_value.view(np.int64))
     assert np.array_equal(deriv.view(np.int64), want_deriv.view(np.int64))
     assert np.signbit(out.value[1])  # elu(-0.0) stays -0.0
+
+
+def masked_logistic(x):
+    """The sigmoid with exp taken on each half-line separately, through boolean masks."""
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
+def test_logistic_matches_masked_formula_bitwise():
+    rng = np.random.default_rng(15)
+    special = [0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0, np.inf, -np.inf]
+    scaled = [rng.normal(size=2000) * scale for scale in (1e-8, 1e-3, 1.0, 30.0, 800.0)]
+    x = np.concatenate([special, *scaled])
+    want = masked_logistic(x).view(np.int64)
+    assert np.array_equal(ad.logistic(x).view(np.int64), want)
+    assert np.array_equal(ad.sigmoid(ad.Tensor(x)).value.view(np.int64), want)
+    assert np.isnan(ad.logistic(np.array([np.nan]))).all()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def autodiff_uses(path: Path) -> set[str]:
+    """Names a module takes from ``autodiff``: ``ad.X``, ``autodiff.X`` or imported by name."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("ad", "autodiff"):
+                used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "autodiff":
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def names_used_inside(path: Path) -> set[str]:
+    """Names a module reads outside the definition that binds them."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = getattr(stmt, "name", None)
+        used.update(
+            node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and node.id != own
+        )
+    return used
+
+
+def test_every_export_has_a_caller():
+    # library code holds only what the pipeline calls: a name that only the
+    # tests use belongs in the tests
+    modules = sorted((REPO / "src" / "trustnet").glob("*.py")) + sorted((REPO / "bench").glob("*.py"))
+    called = names_used_inside(REPO / "src" / "trustnet" / "autodiff.py")
+    for path in modules:
+        called |= autodiff_uses(path)
+    assert sorted(set(ad.__all__) - called) == []
 
 
 # ---------------------------------------------------------------------------

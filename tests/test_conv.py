@@ -17,7 +17,7 @@ from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
 from trustnet.train import backward, forward, init_params
 
-from test_autodiff import div, exp
+from test_autodiff import column, div, exp
 from test_predict import chain_pair_loss, frozen
 
 
@@ -155,7 +155,7 @@ def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tens
     projected = ad.row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
 
     scores = ad.matmul(h, ad.stack_halves(params.eta_user, params.eta_obj, params.gamma))
-    su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (ad.column(scores, k) for k in range(6))
+    su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (column(scores, k) for k in range(6))
 
     logit_u = ad.leaky_relu(su_own + ad.sparse_matmul(view.s_user, su_nbr), LEAKY_SLOPE)
     logit_o = ad.leaky_relu(so_own + ad.sparse_matmul(view.s_obj, so_nbr), LEAKY_SLOPE)
@@ -691,6 +691,55 @@ class TestLayerMatchesChainBitwise:
         assert np.array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert np.array_equal(got, want)
+
+
+def doubled(kernel):
+    """``kernel`` with every array it returns doubled."""
+
+    def double(*args):
+        out = kernel(*args)
+        return 2.0 * out if isinstance(out, np.ndarray) else type(out)(2.0 * a for a in out)
+
+    return double
+
+
+# every kernel the layer shares with the ops of its chain
+LAYER_KERNELS = [
+    "row_block_product",
+    "row_block_grads",
+    "leaky_slopes",
+    "stack_halves_grads",
+    "type_softmax_grads",
+    "segment_softmax_grad",
+]
+
+
+@pytest.mark.parametrize("kernel", LAYER_KERNELS)
+def test_layer_and_chain_share_each_kernel(monkeypatch, kernel):
+    # a doubled kernel moves the layer's gradients, and moves them exactly as
+    # it moves the chain's: the layer calls the kernel instead of a copy of it
+    rng = np.random.default_rng(13)
+    view, h, lp = random_oracle_case(rng, 4, Role.TRUSTEE)
+    weights = rng.normal(size=h.shape)
+    plain = layer_grads(layer_forward, view, h, lp, weights)
+    monkeypatch.setattr(ad, kernel, doubled(getattr(ad, kernel)))
+    out, grads = layer_grads(layer_forward, view, h, lp, weights)
+    want_out, want_grads = layer_grads(chain_layer_forward, view, h, lp, weights)
+    assert any(not np.array_equal(got, was) for got, was in zip(grads, plain[1]))
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
+
+
+def test_gate_and_sigmoid_share_the_logistic(monkeypatch):
+    rng = np.random.default_rng(14)
+    raw = Tensor(rng.normal(size=5))
+    z_tor, z_tee = Tensor(rng.normal(size=(7, 5))), Tensor(rng.normal(size=(7, 5)))
+    plain = train.gate_fusion(z_tor, z_tee, raw).value
+    monkeypatch.setattr(ad, "logistic", doubled(ad.logistic))
+    out = train.gate_fusion(z_tor, z_tee, raw).value
+    assert not np.array_equal(out, plain)
+    assert np.array_equal(out, chain_gate_fusion(z_tor, z_tee, raw).value)
 
 
 class TestGateMatchesChainBitwise:

@@ -469,6 +469,18 @@ class TestCli:
         assert cli_main(["run", *base, *eval_flags, "--eval-checkpoint", str(ckpt)]) == 2
         assert "data error: checkpoint encodes roles" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_lone_moment_exits_2(self, film_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        with np.load(ckpt) as stored:
+            data = dict(stored)
+        del data["moment_v::predictor/weight"]
+        np.savez(ckpt, **data)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        assert "predictor/weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "eval_flags,fields",
         [

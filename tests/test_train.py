@@ -343,6 +343,46 @@ class TestCheckpoint:
         loss_b, _ = forward(fixture.graph, fixture.views, None, None, loaded, fixture.samples)
         assert loss_a == loss_b
 
+    @staticmethod
+    def trained_checkpoint(fixture, path, edit) -> None:
+        """A checkpoint after one Adam step, its arrays rewritten by ``edit``."""
+        params = fresh_params(fixture, seed=22)
+        _, tape = forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects,
+                          params, fixture.samples)
+        adam_step(params, backward(tape))
+        save_params(params, path)
+        with np.load(path) as stored:
+            data = dict(stored)
+        edit(data)
+        np.savez(path, **data)
+
+    def test_moment_without_its_pair_is_a_data_error(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        self.trained_checkpoint(fixture, path, lambda data: data.pop("moment_v::predictor/weight"))
+        with pytest.raises(DataError, match="predictor/weight"):
+            load_params(path)
+
+    def test_moment_of_the_wrong_shape_is_a_data_error(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+
+        def transpose(data):
+            data["moment_m::predictor/weight"] = data["moment_m::predictor/weight"].T
+
+        self.trained_checkpoint(fixture, path, transpose)
+        with pytest.raises(DataError, match="predictor/weight"):
+            load_params(path)
+
+    def test_moment_of_an_unknown_parameter_is_a_data_error(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+
+        def add_unknown(data):
+            data["moment_m::extra/weight"] = data["moment_m::predictor/weight"]
+            data["moment_v::extra/weight"] = data["moment_v::predictor/weight"]
+
+        self.trained_checkpoint(fixture, path, add_unknown)
+        with pytest.raises(DataError, match="extra/weight"):
+            load_params(path)
+
     def test_version_check(self, fixture, tmp_path):
         params = fresh_params(fixture)
         path = tmp_path / "model.npz"
