@@ -616,7 +616,8 @@ class EdgeMap:
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        order = np.lexsort((cols, rows))
+        # a stable sort of the row-major keys is np.lexsort((cols, rows))
+        order = np.argsort(rows * n_cols + cols, kind="stable")
         rows, cols = rows[order], cols[order]
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
         return cls(rows, cols, n_rows, n_cols, indptr), order
@@ -643,8 +644,10 @@ def edge_dots(g: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
     for s in range(0, n_edges, EDGE_BLOCK):
         e = min(s + EDGE_BLOCK, n_edges)
         gb, xb = g_blk[: e - s], x_blk[: e - s]
-        np.take(g, emap.rows[s:e], axis=0, out=gb)
-        np.take(x, emap.cols[s:e], axis=0, out=xb)
+        # the indices are in range; under the default mode="raise" numpy
+        # would gather into a temporary and copy it into ``out``
+        np.take(g, emap.rows[s:e], axis=0, out=gb, mode="clip")
+        np.take(x, emap.cols[s:e], axis=0, out=xb, mode="clip")
         np.einsum("ed,ed->e", gb, xb, out=dots[s:e])
     return dots
 

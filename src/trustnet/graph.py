@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -39,11 +40,27 @@ def _as_edge_array(edges) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array, by one sort.
+
+    From numpy 2.3, ``np.unique`` without index outputs builds a hash table
+    first, which reads about 25x slower than a sort on 10^5 int64 pair keys.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _check_unique(edges: np.ndarray, label: str, n: int) -> None:
     if edges.shape[0] == 0:
         return
     keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
-    if np.unique(keys).size != keys.size:
+    # strictly increasing keys (the loaders' row-major order) are distinct
+    # without a sort
+    if np.all(keys[1:] > keys[:-1]):
+        return
+    if _sorted_unique(keys).size != keys.size:
         raise DataError(f"duplicate {label} edges")
 
 
@@ -267,11 +284,32 @@ def _read_id_pairs(path: Path, label: str, numeric_value: bool) -> np.ndarray:
     Fields are whitespace-separated and blank lines are skipped. The value
     must parse as a number when ``numeric_value`` is set and is otherwise
     not read.
+
+    One ``np.loadtxt`` call parses the lines in bulk. What it accepts, the
+    line loop below accepts with the same values: it splits at the same
+    whitespace and reads ids as ASCII digits with an optional sign, in the
+    int64 range. It fails on any other id spelling (``1_000``, ``٣``), on a
+    line without exactly three fields and on a file without data (its
+    warning is raised as an error), and then the loop parses the lines
+    again. The loop is the reference for what parses, and it raises every
+    ``ParseError``. ``comments=None`` keeps ``#`` lines that the loop
+    rejects from being skipped, and all three fields are read because
+    ``usecols`` would let 2- and 4-field lines through.
     """
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {label} file {path}: {exc}") from exc
+    value = "f8" if numeric_value else "U1"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=[("a", "i8"), ("b", "i8"), ("v", value)], comments=None, ndmin=1
+            )
+        return np.stack((table["a"], table["b"]), axis=1)
+    except Exception:  # whatever failed, the loop decides what the lines hold
+        pass
     ids: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split()
@@ -291,7 +329,7 @@ def _read_id_pairs(path: Path, label: str, numeric_value: bool) -> np.ndarray:
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     """Distinct rows of a pair array of ids below ``n``, sorted lexicographically."""
-    keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    keys = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
     return np.stack(np.divmod(keys, n), axis=1)
 
 
@@ -312,16 +350,14 @@ def load_filmtrust(ratings_path, trust_path) -> HeteroGraph:
         logger.warning("skipped %d self-trust line(s) in %s", int(self_trust.sum()), trust_path)
         trust = trust[~self_trust]
 
-    users = np.unique(np.concatenate([ratings[:, 0], trust.ravel()]))
-    items = np.unique(ratings[:, 1])
+    users, user_ids = np.unique(np.concatenate([ratings[:, 0], trust.ravel()]), return_inverse=True)
+    items, item_ids = np.unique(ratings[:, 1], return_inverse=True)
     nu, n = users.size, users.size + items.size
-    rated = np.stack(
-        [np.searchsorted(users, ratings[:, 0]), nu + np.searchsorted(items, ratings[:, 1])], axis=1
-    )
+    rated = np.stack([user_ids[: len(ratings)], nu + item_ids], axis=1)
     return HeteroGraph(
         num_users=nu,
         num_objects=items.size,
-        trust_edges=_unique_pairs(np.searchsorted(users, trust), n),
+        trust_edges=_unique_pairs(user_ids[len(ratings) :].reshape(-1, 2), n),
         interaction_edges=_unique_pairs(rated, n),
     )
 
@@ -449,7 +485,8 @@ def split_samples(
 
     # a pair (i, j) is the key i * num_users + j, so keys sort row-major
     taken = positives[:, 0] * num_users + positives[:, 1]
-    free = num_users * (num_users - 1) - np.unique(taken).size
+    seen = _sorted_unique(taken)
+    free = num_users * (num_users - 1) - seen.size
     if free < n:
         raise DataError(f"cannot draw {n} negative pairs: only {free} unlinked ordered pairs exist")
     if num_users <= 200:
@@ -457,17 +494,25 @@ def split_samples(
         pool = pool[(pool // num_users != pool % num_users) & ~np.isin(pool, taken)]
         negatives = pool[rng.choice(pool.size, size=n, replace=False)]
     else:
-        seen = set(taken.tolist())
-        drawn: list[int] = []
-        while len(drawn) < n:
-            i = int(rng.integers(num_users))
-            j = int(rng.integers(num_users))
-            key = i * num_users + j
-            if i == j or key in seen:
-                continue
-            seen.add(key)
-            drawn.append(key)
-        negatives = np.array(drawn, dtype=np.int64)
+        # Rejection sampling: draw i, then j, and keep the pair unless i == j
+        # or it is observed or already kept. A batch of draws reads the same
+        # stream as one scalar draw at a time and keeps its pairs in draw
+        # order, so this keeps what a scalar loop would. Nothing draws from
+        # ``rng`` afterwards, so the last batch's unread draws change nothing.
+        drawn = [np.zeros(0, dtype=np.int64)]
+        need = n
+        while need:
+            left = free - (n - need)  # unlinked pairs not drawn yet
+            batch = int(min(1.25 * need * float(num_users) ** 2 / left, 1 << 20)) + 64
+            i, j = rng.integers(num_users, size=2 * batch).reshape(-1, 2).T
+            keys = i * num_users + j
+            keys = keys[(i != j) & ~np.isin(keys, seen)]
+            _, first = np.unique(keys, return_index=True)
+            keys = keys[np.sort(first)[:need]]
+            seen = np.sort(np.concatenate([seen, keys]))  # keys are new
+            drawn.append(keys)
+            need -= keys.size
+        negatives = np.concatenate(drawn)
     negatives = np.stack(np.divmod(negatives, num_users), axis=1)
 
     def side(pos: np.ndarray, neg: np.ndarray):

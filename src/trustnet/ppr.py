@@ -42,8 +42,7 @@ class TrustGraph:
     @classmethod
     def from_edges(cls, num_users: int, edges) -> "TrustGraph":
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((edges[:, 1], edges[:, 0])) if edges.size else np.zeros(0, dtype=np.int64)
-        edges = edges[order]
+        edges = edges[np.argsort(edges[:, 0] * num_users + edges[:, 1], kind="stable")]
         indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(edges[:, 0], minlength=num_users)))
         ).astype(np.int64)
@@ -70,8 +69,7 @@ def symmetric_trust_graph(num_users: int, edges) -> TrustGraph:
     if edges.size:
         deg += np.bincount(edges[:, 0], minlength=num_users)
         deg += np.bincount(edges[:, 1], minlength=num_users)
-    order = np.lexsort((all_edges[:, 1], all_edges[:, 0]))
-    all_edges = all_edges[order]
+    all_edges = all_edges[np.argsort(all_edges[:, 0] * num_users + all_edges[:, 1], kind="stable")]
     indptr = np.concatenate(
         ([0], np.cumsum(np.bincount(all_edges[:, 0], minlength=num_users)))
     ).astype(np.int64)

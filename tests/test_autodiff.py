@@ -281,6 +281,15 @@ def test_edge_map_sorts_and_permutes():
     assert np.array_equal(dense, expected)
 
 
+@pytest.mark.parametrize("n_rows,n_cols,n_edges", [(1, 1, 4), (7, 3, 60), (50, 80, 400), (3, 2**20, 50)])
+def test_edge_map_sorts_in_lexsort_order(n_rows, n_cols, n_edges):
+    # the small patterns repeat pairs; a repeated pair keeps its input order
+    rng = np.random.default_rng(n_edges)
+    rows, cols = rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges)
+    emap, order = ad.EdgeMap.from_edges(rows, cols, n_rows, n_cols)
+    assert np.array_equal(order, np.lexsort((cols, rows)))
+
+
 def test_edge_map_matrix_shares_its_index_arrays():
     # edge_matmul builds this matrix on every forward: a converted copy of the
     # index arrays would cost one more pass over the edges per call
@@ -483,7 +492,7 @@ def oracle_elu(x):
 
 
 def test_elu_matches_where_formula_bitwise():
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -800.0, 800.0, np.nan]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -800.0, 800.0, np.inf, -np.inf, np.nan]
     x = np.concatenate([special, np.random.default_rng(11).normal(size=500)])
     t = ad.Tensor(x.copy())
     with ad.Tape() as tape:

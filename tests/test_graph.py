@@ -3,8 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from trustnet import graph
 from trustnet.errors import DataError, ParseError
+from trustnet.fixtures import make_filmtrust_files
 from trustnet.graph import (
     HeteroGraph,
     Role,
@@ -87,6 +91,23 @@ class TestHeteroGraph:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(DataError):
             HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {"trust_edges": [(0, 1), (0, 1), (1, 2)]},
+            {"trust_edges": [(1, 2), (0, 1), (1, 2)]},
+            {"interaction_edges": [(0, 3), (1, 3), (1, 3)]},
+            {"interaction_edges": [(1, 3), (0, 3), (1, 3)]},
+            {"object_edges": [(3, 4), (4, 3)]},
+            {"object_edges": [(4, 3), (3, 4)]},
+        ],
+        ids=["trust_sorted", "trust_unsorted", "interaction_sorted", "interaction_unsorted",
+             "object_sorted", "object_unsorted"],
+    )
+    def test_rejects_duplicates_in_any_order(self, edges):
+        with pytest.raises(DataError, match="duplicate"):
+            HeteroGraph(num_users=3, num_objects=2, **edges)
 
     def test_rejects_user_object_confusion(self):
         with pytest.raises(DataError):
@@ -188,9 +209,12 @@ class TestBuildView:
 
 def _oracle_parse_int(token: str, path, lineno: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: expected integer, got {token!r}") from exc
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"{path}:{lineno}: integer {token!r} is out of the int64 range")
+    return value
 
 
 def oracle_load_filmtrust(ratings_path, trust_path) -> HeteroGraph:
@@ -286,6 +310,49 @@ def random_filmtrust_text(rng) -> tuple[str, str]:
             else:
                 lines.insert(pos, blanks[int(rng.integers(len(blanks)))])
     return "\n".join(ratings) + "\n", "\n".join(trust)
+
+
+# Ids the line loop reads but the bulk parse may not (sign, zeros, "_",
+# non-ASCII digits), floats, non-numbers, "#", and both int64 edges
+ODD_TOKENS = ["+7", "007", "-0", "1_000", "\u0663", "1.0", "1e3", "nan", "inf", "#", "#5",
+              "x", "1,5", str(2**63), str(-(2**63)), str(2**63 - 1)]
+# field separators, including the line breaks that splitlines() honours
+# (\x0b, \x1c) and Unicode spaces that str.split() honours
+SEPARATORS = [" ", "\t", "  ", "\x0b", "\x1c", "\x1f", "\u00a0", "\u2003", "\u3000"]
+
+
+@st.composite
+def filmtrust_text(draw) -> str:
+    """A rating or trust file: blank, comment, well-formed and odd lines.
+
+    An odd line has one token from ``ODD_TOKENS``, one separator from
+    ``SEPARATORS`` and two to four fields. Most lines are well-formed, so
+    about half the files load.
+    """
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t", "#", "# 1 2 3"])))
+            continue
+        fields = [str(draw(st.integers(-2, 9))) for _ in range(3)]
+        seps = [draw(st.sampled_from([" ", "\t"])) for _ in fields[1:]]
+        if kind == 1:
+            fields[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_TOKENS))
+            seps[draw(st.integers(0, 1))] = draw(st.sampled_from(SEPARATORS))
+            fields = (fields + ["5"])[: draw(st.sampled_from([3, 3, 2, 4]))]
+            seps = (seps + [" "])[: len(fields) - 1]
+        line = fields[0] + "".join(sep + f for sep, f in zip(seps, fields[1:]))
+        lines.append(draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def load_outcome(loader, paths):
+    try:
+        return loader(*paths)
+    except ParseError as exc:
+        return str(exc)
 
 
 class TestLoadFilmtrust:
@@ -389,6 +456,28 @@ class TestLoadFilmtrust:
         paths = write_filmtrust(tmp_path, "1 2 3\n", f"1 5 1\n1 {2**63} 1\n")
         with pytest.raises(ParseError, match=r"t\.txt:2: integer .* int64"):
             load_filmtrust(*paths)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ratings=filmtrust_text(), trust=filmtrust_text())
+    def test_matches_oracle_on_odd_tokens_and_separators(self, tmp_path, ratings, trust):
+        # the same graph, or a ParseError with the same text
+        paths = write_filmtrust(tmp_path, ratings, trust)
+        got, want = load_outcome(load_filmtrust, paths), load_outcome(oracle_load_filmtrust, paths)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_graph(got, want)
+
+    def test_well_formed_files_take_the_bulk_parse(self, tmp_path, monkeypatch):
+        make_filmtrust_files(tmp_path, seed=0)
+        paths = tmp_path / "ratings.txt", tmp_path / "trust.txt"
+        want = oracle_load_filmtrust(*paths)
+
+        def line_loop_ran(*args):
+            raise AssertionError("the line loop parsed a well-formed file")
+
+        monkeypatch.setattr(graph, "_parse_int", line_loop_ran)
+        assert_same_graph(load_filmtrust(*paths), want)
 
 
 def write_siot_fixture(tmp_path, interactions, trust, objects):
@@ -553,6 +642,29 @@ def counts(side) -> tuple[int, int]:
     return int((labels == 1).sum()), int((labels == 0).sum())
 
 
+class CountingRng:
+    """A numpy Generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.integer_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("high", [201, 400, 15080, 2**16 + 1, 2**32 - 1, 2**32 + 1, 3 * 10**9])
+def test_batched_integers_read_the_scalar_stream(high):
+    # split_samples draws its negatives in batches and relies on this
+    scalar, batched = np.random.default_rng(7), np.random.default_rng(7)
+    want = [int(scalar.integers(high)) for _ in range(101)]
+    assert batched.integers(high, size=101).tolist() == want
+    assert int(batched.integers(high)) == int(scalar.integers(high))
+
+
 class TestSplitSamples:
     def test_filmtrust_arithmetic(self):
         train, test = split_samples(random_pairs(1853, 1508), 0.9, seed=1, num_users=1508)
@@ -605,3 +717,29 @@ class TestSplitSamples:
                         for a, b in zip(side_got, side_want):
                             assert a.dtype == np.int64
                             assert np.array_equal(a, b)
+
+    def test_dense_graph_matches_the_oracle_over_several_batches(self, monkeypatch):
+        # positives fill half of the ordered pairs and the negatives the
+        # other half, so the last draws are mostly rejected and span many
+        # batches (10 here)
+        num_users = 201
+        n_pairs = num_users * (num_users - 1)
+        i, j = np.divmod(np.arange(num_users * num_users), num_users)
+        every_pair = np.stack([i[i != j], j[i != j]], axis=1)
+        rng = np.random.default_rng(num_users)
+        positives = every_pair[np.sort(rng.choice(n_pairs, size=n_pairs // 2, replace=False))]
+        want = oracle_split_arrays(positives, 0.9, 5, num_users)
+        made = []
+        real_default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            made.append(CountingRng(real_default_rng(seed)))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", counting_rng)
+            got = split_samples(positives, 0.9, 5, num_users=num_users)
+        assert made[0].integer_calls >= 5
+        for side_got, side_want in zip(got, want):
+            for a, b in zip(side_got, side_want):
+                assert np.array_equal(a, b)

@@ -3,7 +3,7 @@ import pytest
 
 from trustnet.errors import DataError
 from trustnet.graph import HeteroGraph
-from trustnet.ppr import TrustGraph, forward_push, topk_augment
+from trustnet.ppr import TrustGraph, forward_push, symmetric_trust_graph, topk_augment
 
 
 def oracle_ppr(num_users, edges, source, lam):
@@ -254,3 +254,17 @@ def test_topk_excludes_source_and_breaks_ties_by_id():
     assert not np.any(pairs[:, 0] == pairs[:, 1])
     assert pairs[pairs[:, 0] == 1].tolist() == [[1, 0], [1, 2]]
     assert scores[0] == scores[1]
+
+
+@pytest.mark.parametrize("num_users,n_edges", [(1, 3), (4, 40), (60, 500), (5, 0)])
+def test_trust_graphs_sort_edges_in_lexsort_order(num_users, n_edges):
+    # repeated pairs included: each CSR row lists its targets as lexsort does
+    edges = np.random.default_rng(n_edges).integers(num_users, size=(n_edges, 2))
+    loops = np.repeat(np.arange(num_users), 2).reshape(-1, 2)
+    for tg, listed in (
+        (TrustGraph.from_edges(num_users, edges), edges),
+        (symmetric_trust_graph(num_users, edges), np.concatenate([edges, loops])),
+    ):
+        want = listed[np.lexsort((listed[:, 1], listed[:, 0]))]
+        assert np.array_equal(tg.indices, want[:, 1])
+        assert np.array_equal(np.repeat(np.arange(num_users), np.diff(tg.indptr)), want[:, 0])
