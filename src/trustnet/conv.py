@@ -151,9 +151,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     def backward(g):
         # elu, then edge_matmul's value gradient (against ``projected``,
         # rebuilt) and its input gradient
-        d_pre = np.minimum(pre, 0.0)
-        np.exp(d_pre, out=d_pre)
-        np.multiply(g, d_pre, out=d_pre)
+        d_pre = g * np.exp(np.minimum(pre, 0.0))
         d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
         d_proj = emap.matrix(beta).T @ d_pre
         del d_pre

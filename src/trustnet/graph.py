@@ -56,10 +56,6 @@ def _check_unique(edges: np.ndarray, label: str, n: int) -> None:
     if edges.shape[0] == 0:
         return
     keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
-    # strictly increasing keys (the loaders' row-major order) are distinct
-    # without a sort
-    if np.all(keys[1:] > keys[:-1]):
-        return
     if _sorted_unique(keys).size != keys.size:
         raise DataError(f"duplicate {label} edges")
 
@@ -502,8 +498,10 @@ def split_samples(
         drawn = [np.zeros(0, dtype=np.int64)]
         need = n
         while need:
+            # about the draws expected to yield ``need`` new pairs, so a pool
+            # near exhaustion still fills in a few batches
             left = free - (n - need)  # unlinked pairs not drawn yet
-            batch = int(min(1.25 * need * float(num_users) ** 2 / left, 1 << 20)) + 64
+            batch = min(need * num_users**2 // left, 1 << 20) + 64
             i, j = rng.integers(num_users, size=2 * batch).reshape(-1, 2).T
             keys = i * num_users + j
             keys = keys[(i != j) & ~np.isin(keys, seen)]
