@@ -25,13 +25,14 @@ benchmark wraps them by name and its gradient check replaces
 Kernels. Arithmetic that an op and a fused record share is written once,
 as a plain-array kernel that both call. ``row_block_product`` is
 ``row_block_matmul``'s product. ``row_block_grads``, ``leaky_slopes``,
-``stack_halves_grads``, ``type_softmax_grads`` and ``segment_softmax_grad``
-are the gradients of ``row_block_matmul``, ``leaky_relu``,
-``stack_halves`` and the two softmaxes; the layer's backward calls them in
+``elu_slopes``, ``stack_halves_grads``, ``type_softmax_grads``,
+``segment_softmax_grad`` and ``scatter_values`` are the gradients of
+``row_block_matmul``, ``leaky_relu``, ``elu``, ``stack_halves``, the two
+softmaxes and ``gather`` on a vector; the layer's backward calls them in
 the chain's reverse order. ``edge_dots`` is the per-edge half of
 ``edge_matmul``'s gradient, and the loss head shares ``scatter_rows``,
 ``gather``'s 2-D backward. ``logistic`` is the sigmoid, which ``embed``
-also calls on every SGD step.
+also calls on every SGD step, and the gate shares ``sigmoid_grad``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ __all__ = [
     "EdgeMap",
     "record",
     "logistic",
+    "sigmoid_grad",
     "leaky_slopes",
+    "elu_slopes",
     "row_block_product",
     "row_block_grads",
     "stack_halves_grads",
@@ -69,6 +72,7 @@ __all__ = [
     "row_block_matmul",
     "gather",
     "scatter_rows",
+    "scatter_values",
     "segment_max_values",
     "type_softmax",
     "segment_softmax",
@@ -347,11 +351,16 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def sigmoid_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The sigmoid's input gradient from its output ``s`` and output gradient ``g``."""
+    return g * s * (1.0 - s)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     s = logistic(a.value)
     out = Tensor(s, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, g * s * (1.0 - s))])
+    record(out, lambda g: [(a, sigmoid_grad(s, g))])
     return out
 
 
@@ -368,13 +377,18 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     return out
 
 
+def elu_slopes(x: np.ndarray) -> np.ndarray:
+    """The ELU's derivative at each input, exp(min(x, 0)): exactly 1 where x >= 0."""
+    return np.exp(np.minimum(x, 0.0))
+
+
 def elu(a) -> Tensor:
     a = as_tensor(a)
     x = a.value
-    # exp(min(x, 0)) is exactly 1 where x >= 0, so it is also the derivative,
-    # and max(0, x) - (1 - ex) is x there and ex - 1 below 0. The argument
-    # order keeps max(0.0, -0.0) at -0.0.
-    ex = np.exp(np.minimum(x, 0.0))
+    # the derivative ex is also what the value needs: max(0, x) - (1 - ex)
+    # is x where x >= 0 and ex - 1 below 0. The argument order keeps
+    # max(0.0, -0.0) at -0.0.
+    ex = elu_slopes(x)
     value = np.maximum(0.0, x)
     value -= 1.0 - ex
     out = Tensor(value, requires_grad=a.requires_grad)
@@ -485,8 +499,13 @@ def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return scatter @ g
 
 
+def scatter_values(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The length-n sums of the entries of ``g`` at ``idx``: ``gather``'s 1-D backward."""
+    return np.bincount(idx, weights=g, minlength=n)
+
+
 def gather(a, idx: np.ndarray) -> Tensor:
-    """Row gather a[idx]; scatter-add on the way back (``scatter_rows`` for 2-D).
+    """Row gather a[idx]; scatter-add on the way back (``scatter_values``/``scatter_rows``).
 
     ``idx`` is used as given, in any integer dtype: a converted copy would be
     one more index array for the tape to hold until the backward runs.
@@ -498,7 +517,7 @@ def gather(a, idx: np.ndarray) -> Tensor:
     def backward(g):
         n = a.value.shape[0]
         if a.value.ndim == 1:
-            return [(a, np.bincount(idx, weights=g, minlength=n))]
+            return [(a, scatter_values(g, idx, n))]
         return [(a, scatter_rows(g, idx, n))]
 
     record(out, backward)
@@ -606,21 +625,12 @@ class EdgeMap:
     indptr: np.ndarray
 
     @classmethod
-    def from_edges(
-        cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
-    ) -> tuple["EdgeMap", np.ndarray]:
-        """The map of an edge list, and the permutation that sorted it.
-
-        Apply the permutation to any per-edge arrays parallel to the input;
-        the map does not keep it.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        # a stable sort of the row-major keys is np.lexsort((cols, rows))
-        order = np.argsort(rows * n_cols + cols, kind="stable")
-        rows, cols = rows[order], cols[order]
+    def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> "EdgeMap":
+        """The map of an edge list, in np.lexsort((cols, rows)) order."""
+        keys = np.asarray(rows, dtype=np.int64) * n_cols + np.asarray(cols, dtype=np.int64)
+        rows, cols = np.divmod(np.sort(keys), n_cols)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
-        return cls(rows, cols, n_rows, n_cols, indptr), order
+        return cls(rows, cols, n_rows, n_cols, indptr)
 
     def matrix(self, values: np.ndarray) -> sp.csr_array:
         return sp.csr_array((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))

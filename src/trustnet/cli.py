@@ -42,8 +42,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ppr-k", type=int, dest="ppr_k")
     p.add_argument("--ppr-lambda", type=float, dest="ppr_lambda")
     p.add_argument("--ppr-epsilon", type=float, dest="ppr_epsilon")
-    p.add_argument("--ppr-transition", choices=["walk", "symmetric"], dest="ppr_transition")
-    p.add_argument("--ppr-weighted", action="store_true", default=None, dest="ppr_weighted")
     p.add_argument("--no-ppr", action="store_false", default=None, help="disable PPR trust augmentation")
     p.add_argument("--no-trustor", action="store_false", default=None, help="disable the trustor role")
     p.add_argument("--no-trustee", action="store_false", default=None, help="disable the trustee role")
@@ -77,8 +75,6 @@ _FLAG_FIELDS = [
     ("ppr_k", "ppr.k", None),
     ("ppr_lambda", "ppr.lam", None),
     ("ppr_epsilon", "ppr.epsilon", None),
-    ("ppr_transition", "ppr.transition", None),
-    ("ppr_weighted", "ppr.weighted", None),
     ("no_ppr", "ppr.enabled", None),
     ("no_trustor", "roles.trustor_enabled", None),
     ("no_trustee", "roles.trustee_enabled", None),

@@ -91,12 +91,13 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     a caller that patches one of them (as the benchmark's gradient check
     patches ``leaky_relu``) changes the layer's output exactly as it would
     change the taped chain's. The backward calls the kernels the ops'
-    backwards call, in reverse chain order (``ad.edge_dots``,
-    ``ad.segment_softmax_grad``, ``ad.leaky_slopes``,
-    ``ad.type_softmax_grads``, ``ad.stack_halves_grads``,
-    ``ad.row_block_grads``), so its gradients are bitwise the chain's; ``h``
-    takes the attention's contribution, then the projection's. It gives
-    every input a gradient; the tape drops those of frozen inputs.
+    backwards call, in reverse chain order (``ad.elu_slopes``,
+    ``ad.edge_dots``, ``ad.segment_softmax_grad``, ``ad.leaky_slopes``,
+    ``ad.scatter_values``, ``ad.type_softmax_grads``,
+    ``ad.stack_halves_grads``, ``ad.row_block_grads``), so its gradients
+    are bitwise the chain's; ``h`` takes the attention's contribution, then
+    the projection's. It gives every input a gradient; the tape drops those
+    of frozen inputs.
 
     It keeps the pre-ELU product, the edge and type weights, the two
     pair-score columns, the stacked attention vectors, ``>= 0`` masks of
@@ -151,7 +152,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     def backward(g):
         # elu, then edge_matmul's value gradient (against ``projected``,
         # rebuilt) and its input gradient
-        d_pre = g * np.exp(np.minimum(pre, 0.0))
+        d_pre = g * ad.elu_slopes(pre)
         d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
         d_proj = emap.matrix(beta).T @ d_pre
         del d_pre
@@ -165,10 +166,10 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
         # each column gradient is added onto zeros, as the chain summed its
         # zero-padded one-column gradients (this also turns -0.0 into +0.0)
         d_scores = np.zeros((n, 6))
-        d_scores[:, 5] += np.bincount(cols, weights=d_sum, minlength=n)
-        d_scores[:, 4] += np.bincount(rows, weights=d_sum, minlength=n)
+        d_scores[:, 5] += ad.scatter_values(d_sum, cols, n)
+        d_scores[:, 4] += ad.scatter_values(d_sum, rows, n)
         del d_sum
-        d_alpha = np.bincount(view.typed_rows, weights=d_alpha_edge, minlength=2 * n)
+        d_alpha = ad.scatter_values(d_alpha_edge, view.typed_rows, 2 * n)
         del d_alpha_edge
         # type_softmax, then each type's leaky ReLU, sum and sparse product
         d_logit_u, d_logit_o = ad.type_softmax_grads(alpha, d_alpha)

@@ -48,8 +48,6 @@ class PprConfig:
     k: int = 20
     lam: float = 0.15
     epsilon: float = 1e-6
-    transition: str = "walk"
-    weighted: bool = False
 
 
 @dataclass
@@ -133,8 +131,6 @@ class ExperimentConfig:
                 raise ConfigError("ppr.lam must lie in (0, 1)")
             if self.ppr.epsilon <= 0:
                 raise ConfigError("ppr.epsilon must be positive")
-            if self.ppr.transition not in ("walk", "symmetric"):
-                raise ConfigError(f"unknown ppr.transition {self.ppr.transition!r}")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
         if self.optim.weight_decay < 0:
@@ -302,21 +298,6 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
     return h0_users, h0_objects
 
 
-def _augment(train_graph, ppr: PprConfig):
-    """PPR top-k pairs and their scores (None unless weighted); no pairs when off."""
-    if not ppr.enabled:
-        return np.zeros((0, 2), dtype=np.int64), None
-    out = topk_augment(
-        train_graph,
-        k=ppr.k,
-        lam=ppr.lam,
-        epsilon=ppr.epsilon,
-        transition=ppr.transition,
-        weighted=ppr.weighted,
-    )
-    return out if ppr.weighted else (out, None)
-
-
 def _enabled_roles(roles: RolesConfig) -> list[Role]:
     flags = ((Role.TRUSTOR, roles.trustor_enabled), (Role.TRUSTEE, roles.trustee_enabled))
     return [role for role, enabled in flags if enabled]
@@ -351,11 +332,11 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     i, j, y = train
     train_graph = dataset.graph.with_trust_edges(np.stack([i[y == 1], j[y == 1]], axis=1))
 
-    aug_pairs, aug_weights = _augment(train_graph, config.ppr)
-    views = {
-        role: build_view(train_graph, aug_pairs, role, aug_weights)
-        for role in _enabled_roles(config.roles)
-    }
+    ppr, aug_pairs = config.ppr, np.zeros((0, 2), dtype=np.int64)
+    if ppr.enabled:
+        # by keyword: the benchmark wraps this name and reads k, lam and epsilon by name
+        aug_pairs = topk_augment(train_graph, k=ppr.k, lam=ppr.lam, epsilon=ppr.epsilon)
+    views = {role: build_view(train_graph, aug_pairs, role) for role in _enabled_roles(config.roles)}
     return PreparedRun(seeds=seeds, train=train, test=test, views=views)
 
 
@@ -640,6 +621,30 @@ def save_checkpoint(summary: Summary, dataset: Dataset, path) -> None:
     train_mod.save_params(result.params, path, provenance)
 
 
+# PPR fields that older checkpoints store, each with the one value this code still runs
+_RETIRED_PPR_FIELDS = {"transition": "walk", "weighted": False}
+
+
+def _trained_config(stored) -> ExperimentConfig:
+    """The training config a checkpoint stores; a ``DataError`` if it does not parse.
+
+    A retired PPR field is dropped when it holds the value that is still
+    run; any other value names a run this code cannot reproduce.
+    """
+    ppr = stored.get("ppr") if isinstance(stored, dict) else None
+    if isinstance(ppr, dict):
+        ppr = dict(ppr)
+        for name, kept in _RETIRED_PPR_FIELDS.items():
+            value = ppr.pop(name, kept)
+            if value != kept:
+                raise DataError(f"checkpoint was trained with ppr.{name}={value!r}, which no longer runs")
+        stored = {**stored, "ppr": ppr}
+    try:
+        return ExperimentConfig.from_dict(stored)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint stores a training config that does not parse: {exc}") from exc
+
+
 def _read_by_prepare_run(field: str) -> bool:
     return field in ("train_ratio", "seed") or field.startswith(("ppr.", "roles."))
 
@@ -662,7 +667,7 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Data
         raise DataError(f"checkpoint encodes roles {stored} but the config enables {enabled}")
     if provenance is None:
         raise DataError("checkpoint records no training config, run seed or dataset fingerprint")
-    trained, given = flatten_config(ExperimentConfig.from_dict(provenance["config"])), flatten_config(config)
+    trained, given = flatten_config(_trained_config(provenance.get("config"))), flatten_config(config)
     changed = [
         f"{k}={trained[k]!r} (config: {given[k]!r})"
         for k in trained

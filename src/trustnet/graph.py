@@ -52,6 +52,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Distinct rows of a pair array of ids below ``n``, sorted lexicographically."""
+    keys = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 def _check_unique(edges: np.ndarray, label: str, n: int) -> None:
     if edges.shape[0] == 0:
         return
@@ -151,35 +157,6 @@ class GraphView:
     has_obj_neighbor: np.ndarray
 
 
-def _merge_user_block(
-    trust_edges: np.ndarray,
-    augmented: np.ndarray,
-    weights: np.ndarray | None,
-    num_users: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dedup union of original and augmented directed user pairs.
-
-    Original edges carry weight 1; augmented-only pairs carry their given
-    weight (1 when unweighted). A pair present in both keeps weight 1.
-    """
-    if augmented.size == 0:
-        base = trust_edges
-        w = np.ones(len(base))
-        return base, w
-    aug_w = np.ones(len(augmented)) if weights is None else np.asarray(weights, dtype=np.float64)
-    keys_orig = trust_edges[:, 0] * num_users + trust_edges[:, 1] if trust_edges.size else np.zeros(0, dtype=np.int64)
-    keys_aug = augmented[:, 0] * num_users + augmented[:, 1]
-    fresh = ~np.isin(keys_aug, keys_orig)
-    # within augmented, drop duplicates keeping the first occurrence
-    _, first = np.unique(keys_aug, return_index=True)
-    keep = np.zeros(len(keys_aug), dtype=bool)
-    keep[first] = True
-    keep &= fresh
-    edges = np.concatenate([trust_edges, augmented[keep]]) if trust_edges.size else augmented[keep]
-    w = np.concatenate([np.ones(len(trust_edges)), aug_w[keep]])
-    return edges, w
-
-
 def _edge_subset(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, keep: np.ndarray, n: int
 ) -> sp.csr_matrix:
@@ -189,57 +166,37 @@ def _edge_subset(
     return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(n, n))
 
 
-def build_view(
-    graph: HeteroGraph,
-    augmented,
-    role: Role,
-    augmented_weights=None,
-) -> GraphView:
+def build_view(graph: HeteroGraph, augmented, role: Role) -> GraphView:
     """Build the normalized adjacency view for one role.
 
-    The trustor view keeps directed user pairs as given; the trustee view
-    reverses them. Interaction and object edges enter both views in both
-    directions, and every node gets a self-loop.
+    The user block is the union of the trust edges and the ``augmented``
+    pairs (each PPR pair that is not already a trust edge becomes one);
+    the trustor view keeps these directed pairs as given and the trustee
+    view reverses them. Interaction and object edges enter both views in
+    both directions, and every node gets a self-loop. Every edge has
+    weight 1 before the normalization.
     """
     augmented = _as_edge_array(augmented)
     if augmented.size and (augmented.max() >= graph.num_users or augmented.min() < 0):
         raise DataError("augmented pairs must connect user nodes")
     n, nu = graph.num_nodes, graph.num_users
-
-    user_edges, user_w = _merge_user_block(
-        graph.trust_edges, augmented, augmented_weights, nu
-    )
-    if role is Role.TRUSTEE and user_edges.size:
+    user_edges = _unique_pairs(np.concatenate([graph.trust_edges, augmented]), nu)
+    if role is Role.TRUSTEE:
         user_edges = user_edges[:, ::-1]
 
-    blocks_r = [user_edges[:, 0] if user_edges.size else np.zeros(0, dtype=np.int64)]
-    blocks_c = [user_edges[:, 1] if user_edges.size else np.zeros(0, dtype=np.int64)]
-    blocks_w = [user_w]
-    for und in (graph.interaction_edges, graph.object_edges):
-        if und.size:
-            blocks_r += [und[:, 0], und[:, 1]]
-            blocks_c += [und[:, 1], und[:, 0]]
-            blocks_w += [np.ones(len(und)), np.ones(len(und))]
+    und = np.concatenate([graph.interaction_edges, graph.object_edges])
     loops = np.arange(n, dtype=np.int64)
-    blocks_r.append(loops)
-    blocks_c.append(loops)
-    blocks_w.append(np.ones(n))
-
-    rows = np.concatenate(blocks_r)
-    cols = np.concatenate(blocks_c)
-    raw = np.concatenate(blocks_w)
+    rows = np.concatenate([user_edges[:, 0], und[:, 0], und[:, 1], loops])
+    cols = np.concatenate([user_edges[:, 1], und[:, 1], und[:, 0], loops])
 
     # orientation-independent self-looped degree: the user block counts
     # incident trust pairs regardless of direction, so both role views
     # normalize identically and differ only in the user-block orientation
-    deg = np.zeros(n)
-    np.add.at(deg, rows, raw)
-    if user_edges.size:
-        np.add.at(deg, user_edges[:, 1], user_w)  # incoming side of directed pairs
+    deg = np.bincount(rows, minlength=n) + np.bincount(user_edges[:, 1], minlength=n)
 
-    emap, order = EdgeMap.from_edges(rows, cols, n, n)
+    emap = EdgeMap.from_edges(rows, cols, n, n)
     rows, cols = emap.rows, emap.cols
-    values = raw[order] / np.sqrt(deg[rows] * deg[cols])
+    values = 1.0 / np.sqrt(deg[rows] * deg[cols])
 
     user_col = cols < nu
     s_user = _edge_subset(rows, cols, values, user_col, n)
@@ -321,12 +278,6 @@ def _read_id_pairs(path: Path, label: str, numeric_value: bool) -> np.ndarray:
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad rating value {parts[2]!r}") from exc
     return np.array(ids, dtype=np.int64).reshape(-1, 2)
-
-
-def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Distinct rows of a pair array of ids below ``n``, sorted lexicographically."""
-    keys = _sorted_unique(pairs[:, 0] * n + pairs[:, 1])
-    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def load_filmtrust(ratings_path, trust_path) -> HeteroGraph:

@@ -179,8 +179,8 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     same numpy calls; ``ad.sigmoid`` runs on a plain array, so it records
     nothing. The backward replays the chain's arithmetic: with G the
     output's gradient, the gate's is -sum(G * z_tee) + sum(G * z_tor) over
-    the users, in that order, times s * (1 - s); every input gets its
-    gradient, and the tape drops a frozen one's. The record keeps only the
+    the users, in that order, through ``ad.sigmoid_grad``; every input gets
+    its gradient, and the tape drops a frozen one's. The record keeps only the
     sigmoid and references to the two role embeddings, not the two
     products. The role slices stay records of their own: folded into this
     one, the trustor's zero-padded n x d gradient would be allocated here
@@ -196,7 +196,7 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     def backward(g):
         d_gate = -(g * zee).sum(axis=0)
         d_gate += (g * zor).sum(axis=0)
-        return [(raw_gate, d_gate * s * (1.0 - s)), (z_tee, g * (1.0 - s)), (z_tor, g * s)]
+        return [(raw_gate, ad.sigmoid_grad(s, d_gate)), (z_tee, g * (1.0 - s)), (z_tor, g * s)]
 
     ad.record(out, backward)
     return out

@@ -537,7 +537,7 @@ class TestFuse:
 
 
 def random_oracle_case(rng, d, role):
-    """A random view with weighted PPR pairs, users without interactions and
+    """A random view with augmented pairs, users without interactions and
     objects without users, plus random input rows and parameters."""
     nu = int(rng.integers(4, 9))
     no = int(rng.integers(3, 6))
@@ -547,7 +547,7 @@ def random_oracle_case(rng, d, role):
     objs = [(nu + i, nu + j) for i, j in rng.integers(no, size=(no, 2)) if i < j]
     g = HeteroGraph(nu, no, sorted(trust), sorted(inter), sorted(set(objs)))
     aug = sorted({(int(i), int(j)) for i, j in rng.integers(nu, size=(nu, 2)) if i != j})
-    view = build_view(g, aug, role, augmented_weights=rng.uniform(0.05, 1.0, size=len(aug)))
+    view = build_view(g, aug, role)
     assert view.has_obj_neighbor.min() == 0 and view.has_user_neighbor.min() == 0
     h = Tensor(rng.normal(size=(nu + no, d)))
     return view, h, make_layer(rng, d)
@@ -708,6 +708,8 @@ LAYER_KERNELS = [
     "row_block_product",
     "row_block_grads",
     "leaky_slopes",
+    "elu_slopes",
+    "scatter_values",
     "stack_halves_grads",
     "type_softmax_grads",
     "segment_softmax_grad",
@@ -731,15 +733,32 @@ def test_layer_and_chain_share_each_kernel(monkeypatch, kernel):
         assert np.array_equal(got, want)
 
 
+def gate_grads(fusion, z_tor, z_tee, raw):
+    with Tape() as tape:
+        out = fusion(z_tor, z_tee, raw)
+        tape.mark_output(ad.reduce_sum(out * out))
+    grads = tape.gradients()
+    return out.value, [grads[t] for t in (raw, z_tor, z_tee)]
+
+
 def test_gate_and_sigmoid_share_the_logistic(monkeypatch):
+    # the sigmoid's value and its gradient kernel, each doubled in turn
     rng = np.random.default_rng(14)
     raw = Tensor(rng.normal(size=5))
     z_tor, z_tee = Tensor(rng.normal(size=(7, 5))), Tensor(rng.normal(size=(7, 5)))
-    plain = train.gate_fusion(z_tor, z_tee, raw).value
+    plain = gate_grads(train.gate_fusion, z_tor, z_tee, raw)
     monkeypatch.setattr(ad, "logistic", doubled(ad.logistic))
     out = train.gate_fusion(z_tor, z_tee, raw).value
-    assert not np.array_equal(out, plain)
+    assert not np.array_equal(out, plain[0])
     assert np.array_equal(out, chain_gate_fusion(z_tor, z_tee, raw).value)
+    monkeypatch.undo()
+    monkeypatch.setattr(ad, "sigmoid_grad", doubled(ad.sigmoid_grad))
+    out, grads = gate_grads(train.gate_fusion, z_tor, z_tee, raw)
+    want_out, want_grads = gate_grads(chain_gate_fusion, z_tor, z_tee, raw)
+    assert np.array_equal(out, plain[0]) and not np.array_equal(grads[0], plain[1][0])
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
 
 
 class TestGateMatchesChainBitwise:

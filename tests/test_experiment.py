@@ -123,8 +123,6 @@ FLAG_CASES = [
     (["--ppr-k", "5"], {"ppr.k": 5}),
     (["--ppr-lambda", "0.3"], {"ppr.lam": 0.3}),
     (["--ppr-epsilon", "1e-5"], {"ppr.epsilon": 1e-5}),
-    (["--ppr-transition", "symmetric"], {"ppr.transition": "symmetric"}),
-    (["--ppr-weighted"], {"ppr.weighted": True}),
     (["--no-ppr"], {"ppr.enabled": False}),
     (["--no-trustor"], {"roles.trustor_enabled": False}),
     (["--no-trustee"], {"roles.trustee_enabled": False}),
@@ -304,6 +302,15 @@ class TestSweep:
             sweep(small_config(film_dir), "dropout", [0.1])
 
 
+def rewrite_stored_config(ckpt, edit) -> None:
+    """Apply ``edit`` to the training config stored in a checkpoint's provenance."""
+    data = dict(np.load(ckpt))
+    meta = json.loads(bytes(data["__meta__"]).decode())
+    meta["provenance"]["config"] = edit(meta["provenance"]["config"])
+    data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(ckpt, **data)
+
+
 def checkpoint_run_flags(film_dir) -> list[str]:
     return [
         "--dataset", str(film_dir),
@@ -372,6 +379,15 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: user_embed.negatives" in capsys.readouterr().err
+
+    def test_config_file_naming_retired_ppr_fields_exit_code(self, film_dir, tmp_path, capsys):
+        stored = small_config(film_dir).to_dict()
+        stored["ppr"].update(transition="walk", weighted=False)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(stored))
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error: unknown ppr fields: ['transition', 'weighted']" in capsys.readouterr().err
 
     def test_data_error_exit_code(self, tmp_path):
         rc = cli_main(["run", "--dataset", str(tmp_path / "missing"), "--kind", "filmtrust"])
@@ -525,6 +541,68 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         assert "data error: unsupported checkpoint version 1" in capsys.readouterr().err
+
+    def test_checkpoint_storing_the_retired_ppr_defaults_still_scores(self, film_dir, tmp_path, capsys):
+        # checkpoints written while the transition and weighting options existed
+        # store their values; the uniform walk and unweighted pairs still run
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
+        scored = capsys.readouterr().out
+
+        def add_retired(config):
+            config["ppr"].update(transition="walk", weighted=False)
+            return config
+
+        rewrite_stored_config(ckpt, add_retired)
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
+        assert capsys.readouterr().out == scored
+
+    @pytest.mark.parametrize(
+        "stored,named",
+        [
+            ({"transition": "symmetric"}, "ppr.transition='symmetric'"),
+            ({"transition": "walk", "weighted": True}, "ppr.weighted=True"),
+        ],
+        ids=["symmetric", "weighted"],
+    )
+    def test_checkpoint_storing_a_retired_ppr_mode_is_a_data_error(
+        self, film_dir, tmp_path, capsys, stored, named
+    ):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+
+        def add_retired(config):
+            config["ppr"].update(stored)
+            return config
+
+        rewrite_stored_config(ckpt, add_retired)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        assert f"data error: checkpoint was trained with {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda config: {**config, "bogus": 1},
+            lambda config: {**config, "ppr": {**config["ppr"], "bogus": 1}},
+            lambda config: None,
+            lambda config: ["dataset"],
+        ],
+        ids=["unknown_field", "unknown_ppr_field", "null", "list"],
+    )
+    def test_checkpoint_config_that_does_not_parse_is_a_data_error(self, film_dir, tmp_path, capsys, edit):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        rewrite_stored_config(ckpt, edit)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: checkpoint stores a training config that does not parse" in err
 
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(

@@ -20,16 +20,12 @@ from trustnet.graph import (
 from trustnet.ppr import topk_augment
 
 
-def _user_pairs(graph, augmented, weights=None) -> dict:
-    """Directed user pair -> weight: 1 for trust edges, and for augmented
-    pairs their first given weight (1 when unweighted) unless already a trust edge."""
-    pairs = {tuple(map(int, e)): 1.0 for e in graph.trust_edges}
-    for k, e in enumerate(augmented):
-        pairs.setdefault(tuple(map(int, e)), 1.0 if weights is None else float(weights[k]))
-    return pairs
+def _user_pairs(graph, augmented) -> set:
+    """The distinct directed user pairs of the trust edges and the augmented pairs."""
+    return {tuple(map(int, e)) for block in (graph.trust_edges, augmented) for e in block}
 
 
-def oracle_degrees(graph, augmented, weights=None) -> np.ndarray:
+def oracle_degrees(graph, augmented) -> np.ndarray:
     """Self-looped degree of every node, counted edge by edge.
 
     Every incident edge counts once per direction for the user block
@@ -37,9 +33,9 @@ def oracle_degrees(graph, augmented, weights=None) -> np.ndarray:
     role views.
     """
     deg = np.ones(graph.num_nodes)  # self-loops
-    for (i, j), w in _user_pairs(graph, augmented, weights).items():
-        deg[i] += w
-        deg[j] += w
+    for i, j in _user_pairs(graph, augmented):
+        deg[i] += 1.0
+        deg[j] += 1.0
     for blocks in (graph.interaction_edges, graph.object_edges):
         for p, q in blocks:
             deg[p] += 1.0
@@ -52,20 +48,20 @@ def adjacency(view):
     return (view.s_user + view.s_obj).tocsr()
 
 
-def dense_view_oracle(graph, augmented, role, weights=None):
+def dense_view_oracle(graph, augmented, role):
     """Explicit D^{-1/2} (A + I) D^{-1/2} with the degrees of ``oracle_degrees``."""
     n = graph.num_nodes
     a = np.zeros((n, n))
-    for (i, j), w in _user_pairs(graph, augmented, weights).items():
+    for i, j in _user_pairs(graph, augmented):
         if role is Role.TRUSTOR:
-            a[i, j] = w
+            a[i, j] = 1.0
         else:
-            a[j, i] = w
+            a[j, i] = 1.0
     for blocks in (graph.interaction_edges, graph.object_edges):
         for p, q in blocks:
             a[p, q] = a[q, p] = 1.0
     a += np.eye(n)
-    dinv = 1.0 / np.sqrt(oracle_degrees(graph, augmented, weights))
+    dinv = 1.0 / np.sqrt(oracle_degrees(graph, augmented))
     return a * dinv[:, None] * dinv[None, :]
 
 
@@ -178,9 +174,9 @@ class TestBuildView:
         trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(30, 2)) if i != j}
         inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
         g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1), (nu + 2, nu + 5)])
-        aug, weights = topk_augment(g, k=3, weighted=True)
+        aug = topk_augment(g, k=3)
         for role in (Role.TRUSTOR, Role.TRUSTEE):
-            view = build_view(g, aug, role, weights)
+            view = build_view(g, aug, role)
             for mat in (view.s_user, view.s_obj):
                 assert mat.nnz > 0 and np.all(mat.data != 0)
                 for arr in (view.emap.indptr, view.emap.cols):
@@ -193,7 +189,7 @@ class TestBuildView:
             both = adjacency(view)
             assert np.array_equal(both.indptr, view.emap.indptr)
             assert np.array_equal(both.indices, view.emap.cols)
-            oracle = dense_view_oracle(g, aug, role, weights)
+            oracle = dense_view_oracle(g, aug, role)
             assert np.allclose(both.toarray(), oracle, rtol=1e-12, atol=1e-12)
 
     def test_augmented_duplicates_collapse(self):

@@ -3,7 +3,7 @@ import pytest
 
 from trustnet.errors import DataError
 from trustnet.graph import HeteroGraph
-from trustnet.ppr import TrustGraph, forward_push, symmetric_trust_graph, topk_augment
+from trustnet.ppr import forward_push, topk_augment, walk_transition
 
 
 def oracle_ppr(num_users, edges, source, lam):
@@ -24,29 +24,9 @@ def oracle_ppr(num_users, edges, source, lam):
     return np.linalg.solve(mat, rhs)
 
 
-def oracle_symmetric_ppr(num_users, edges, source, lam):
-    """Independent dense PPR over self-looped, symmetric-normalized trust.
-
-    Every user gets a self-loop; the step i -> j has weight 1/sqrt(d_i d_j)
-    with d the self-looped in + out trust degree. Rows are substochastic, so
-    the walk loses the missing mass instead of restarting.
-    """
-    deg = np.ones(num_users)
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    w = np.diag(1.0 / deg)
-    for i, j in edges:
-        w[i, j] += 1.0 / np.sqrt(deg[i] * deg[j])
-    mat = np.eye(num_users) - (1.0 - lam) * w.T
-    rhs = np.zeros(num_users)
-    rhs[source] = lam
-    return np.linalg.solve(mat, rhs)
-
-
 def push_rows(n, edges, sources, lam, eps) -> np.ndarray:
     """Dense (len(sources), n) scores from one push over all ``sources``."""
-    return forward_push(TrustGraph.from_edges(n, edges), sources, lam, eps).toarray()
+    return forward_push(walk_transition(n, edges), sources, lam, eps).toarray()
 
 
 def random_digraph(rng, max_nodes=50):
@@ -67,11 +47,11 @@ def pairs_by_source(pairs):
     return got
 
 
-def oracle_topk(n, edges, k, oracle, lam=0.15):
+def oracle_topk(n, edges, k, lam=0.15):
     """Exact top-k targets per source (ties to smaller id); sources that reach no one are omitted."""
     expected = {}
     for src in range(n):
-        exact = oracle(n, edges, src, lam)
+        exact = oracle_ppr(n, edges, src, lam)
         ranked = sorted(
             (t for t in range(n) if t != src and exact[t] > 1e-12),
             key=lambda t: (-exact[t], t),
@@ -83,8 +63,7 @@ def oracle_topk(n, edges, k, oracle, lam=0.15):
 
 class TestPush:
     def test_isolated_source_scores_one(self):
-        tg = TrustGraph.from_edges(3, [(1, 2)])
-        scores = forward_push(tg, [0], 0.15, 1e-8)
+        scores = forward_push(walk_transition(3, [(1, 2)]), [0], 0.15, 1e-8)
         assert dict(zip(scores.indices.tolist(), scores.data.tolist())) == {0: 1.0}
 
     def test_two_node_cycle_matches_dense(self):
@@ -123,7 +102,7 @@ class TestPush:
         eps = 1e-6
         for _ in range(10):
             n, edges = random_digraph(rng, max_nodes=25)
-            vals = forward_push(TrustGraph.from_edges(n, edges), [0], 0.2, eps).data
+            vals = forward_push(walk_transition(n, edges), [0], 0.2, eps).data
             assert np.all(vals >= 0)
             assert vals.sum() <= 1.0 + n * eps
 
@@ -147,7 +126,7 @@ class TestPush:
         np.testing.assert_allclose(row_p[perm], row, rtol=0, atol=1e-9)
 
     def test_invalid_parameters(self):
-        tg = TrustGraph.from_edges(2, [(0, 1)])
+        tg = walk_transition(2, [(0, 1)])
         with pytest.raises(DataError):
             forward_push(tg, [0], 0.0, 1e-6)
         with pytest.raises(DataError):
@@ -182,34 +161,11 @@ class TestTopkAugment:
         edges = sorted(seen)
         g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
         got = pairs_by_source(topk_augment(g, k=4, epsilon=1e-10))
-        expected = oracle_topk(n, edges, 4, oracle_ppr)
+        expected = oracle_topk(n, edges, 4)
         for src in range(n):
             has_out = any(i == src for i, _ in edges)
             want = expected.get(src, set()) if has_out else set()
             assert got.get(src, set()) == want, f"source {src}"
-
-    def test_symmetric_transition_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        n, edges = random_digraph(rng, max_nodes=15)
-        g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
-        pairs, scores = topk_augment(g, k=3, epsilon=1e-10, transition="symmetric", weighted=True)
-        for (i, j), s in zip(pairs, scores):
-            assert s == pytest.approx(oracle_symmetric_ppr(n, edges, int(i), 0.15)[j], abs=1e-6)
-        assert pairs_by_source(pairs) == oracle_topk(n, edges, 3, oracle_symmetric_ppr)
-
-    def test_weighted_mode_returns_scores(self):
-        g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1), (1, 2)])
-        pairs, scores = topk_augment(g, k=2, epsilon=1e-9, weighted=True)
-        assert len(pairs) == len(scores)
-        assert np.all(scores > 0)
-
-    def test_symmetric_transition_runs(self):
-        g = HeteroGraph(num_users=4, num_objects=0, trust_edges=[(0, 1), (1, 2), (2, 3)])
-        pairs = topk_augment(g, k=2, epsilon=1e-8, transition="symmetric")
-        assert len(pairs) > 0
-        # deterministic output
-        again = topk_augment(g, k=2, epsilon=1e-8, transition="symmetric")
-        assert np.array_equal(pairs, again)
 
     def test_determinism(self):
         rng = np.random.default_rng(77)
@@ -219,17 +175,19 @@ class TestTopkAugment:
         b = topk_augment(g, k=5)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("transition", ["walk", "symmetric"])
-    def test_edge_order_invariance(self, transition):
+    def test_edge_order_invariance(self):
         rng = np.random.default_rng(13)
         n, edges = random_digraph(rng, max_nodes=40)
         shuffled = np.asarray(edges)[rng.permutation(len(edges))]
-        a = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=5,
-                         transition=transition, weighted=True)
-        b = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=shuffled), k=5,
-                         transition=transition, weighted=True)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        a = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=5)
+        b = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=shuffled), k=5)
+        assert np.array_equal(a, b)
+        # the scores the pairs are ranked by, bitwise
+        users = np.arange(n)
+        sa = forward_push(walk_transition(n, edges), users, 0.15, 1e-6)
+        sb = forward_push(walk_transition(n, shuffled), users, 0.15, 1e-6)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sa, attr), getattr(sb, attr))
 
     def test_relabelling_maps_pairs(self):
         rng = np.random.default_rng(0)
@@ -249,22 +207,19 @@ class TestTopkAugment:
 
 def test_topk_excludes_source_and_breaks_ties_by_id():
     # source 1 keeps the highest score; targets 0 and 2 tie exactly
-    g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(1, 0), (1, 2)])
-    pairs, scores = topk_augment(g, k=5, epsilon=1e-9, weighted=True)
+    edges = [(1, 0), (1, 2)]
+    pairs = topk_augment(HeteroGraph(num_users=3, num_objects=0, trust_edges=edges), k=5, epsilon=1e-9)
     assert not np.any(pairs[:, 0] == pairs[:, 1])
     assert pairs[pairs[:, 0] == 1].tolist() == [[1, 0], [1, 2]]
-    assert scores[0] == scores[1]
+    scores = forward_push(walk_transition(3, edges), [1], 0.15, 1e-9).toarray()[0]
+    assert scores[0] == scores[2] > 0
 
 
 @pytest.mark.parametrize("num_users,n_edges", [(1, 3), (4, 40), (60, 500), (5, 0)])
 def test_trust_graphs_sort_edges_in_lexsort_order(num_users, n_edges):
     # repeated pairs included: each CSR row lists its targets as lexsort does
     edges = np.random.default_rng(n_edges).integers(num_users, size=(n_edges, 2))
-    loops = np.repeat(np.arange(num_users), 2).reshape(-1, 2)
-    for tg, listed in (
-        (TrustGraph.from_edges(num_users, edges), edges),
-        (symmetric_trust_graph(num_users, edges), np.concatenate([edges, loops])),
-    ):
-        want = listed[np.lexsort((listed[:, 1], listed[:, 0]))]
-        assert np.array_equal(tg.indices, want[:, 1])
-        assert np.array_equal(np.repeat(np.arange(num_users), np.diff(tg.indptr)), want[:, 0])
+    w = walk_transition(num_users, edges)
+    want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    assert np.array_equal(w.indices, want[:, 1])
+    assert np.array_equal(np.repeat(np.arange(num_users), np.diff(w.indptr)), want[:, 0])
