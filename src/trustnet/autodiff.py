@@ -346,9 +346,14 @@ def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)), without overflow for either sign."""
+    """Elementwise 1 / (1 + exp(-x)), without overflow for either sign.
+
+    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` for ``x >= 0`` and
+    ``e / (1 + e)`` below, taken as one quotient over a single ``1 + e``.
+    The gate and the user embedding share it.
+    """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:

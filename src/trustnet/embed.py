@@ -10,10 +10,14 @@ users fully decoupled, so identical corpora give identical vectors and
 the whole table is permutation-equivariant over user ids. It also lets
 all documents step in lockstep, one numpy update over the active
 documents per SGD step, while each document keeps its own RNG stream.
+Noise tokens are drawn from the unigram^0.75 distribution (Mikolov et al.,
+2013), looked up through an exact guide table (Chen & Asau, 1974) rather
+than a binary search per draw.
 
 Object vectors come from translation-based triple embedding trained with
 a margin ranking loss; aligned objects take their entity vector, the rest
-fall back to seeded unit-norm random vectors.
+fall back to seeded unit-norm random vectors. Its gradient scatters run
+over the raveled tables, one element index per value.
 """
 
 from __future__ import annotations
@@ -113,8 +117,16 @@ def embed_users(
     by ``negatives`` noise tokens, each an SGD step. All documents then
     step in lockstep: step ``s`` applies the ``s``-th event of every
     document that has one, as numpy updates over those documents' rows.
-    Token and noise ids are stored flat as int32, so memory is O(total
-    events x (1 + negatives)).
+
+    Noise ids come from the unigram^0.75 CDF through a guide table of ``B``
+    buckets, ``B`` the power of two at or above 8x the vocabulary size: a
+    draw reads its bucket's first CDF entry and compares once, and only
+    draws in buckets holding several entries are binary-searched. The ids
+    equal ``np.searchsorted(cdf, draws)``.
+
+    Memory: token and noise ids are stored flat as int32, O(total events x
+    (1 + negatives)); the guide table takes O(B), and one document's noise
+    draws are held as float64 while they are looked up.
     """
     if dim <= 0:
         raise DataError(f"embedding dim must be positive, got {dim}")
@@ -137,10 +149,9 @@ def embed_users(
         trng = np.random.default_rng(_hash_seed(b"token", seed_bytes, t.encode()))
         token_vecs[i] = trng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
 
-    # unigram^0.75 negative-sampling distribution
     if vocab:
-        counts = np.array([freq[t] for t in vocab], dtype=np.float64) ** 0.75
-        noise_cdf = np.cumsum(counts / counts.sum())
+        noise_cdf = _noise_cdf([freq[t] for t in vocab])
+        guide = _guide_table(noise_cdf)
 
     doc_ids = [
         np.array([vocab_index[t] for t in toks if t in vocab_index], dtype=np.int64)
@@ -160,7 +171,7 @@ def embed_users(
         drng = np.random.default_rng(_hash_seed(b"doc", seed_bytes, docs[d].encode()))
         vecs[r] = drng.normal(0.0, 0.1, size=dim)
         lo, hi = starts[r], starts[r + 1]
-        neg[lo:hi] = np.searchsorted(noise_cdf, drng.random((hi - lo, negatives)))
+        neg[lo:hi] = _noise_ids(noise_cdf, guide, drng.random((hi - lo, negatives)))
         for e in range(lo, hi, ids.size):
             pos[e : e + ids.size] = drng.permutation(ids)
 
@@ -169,15 +180,62 @@ def embed_users(
     for s, n in enumerate(active):
         v = vecs[:n]
         events = starts[:n] + s
-        u = token_vecs[pos[events]]
-        v += (lr * (1.0 - logistic(_row_dot(v, u))))[:, None] * u
-        for noise in neg[events].T:
-            un = token_vecs[noise]
-            v -= (lr * logistic(_row_dot(v, un)))[:, None] * un
+        u = token_vecs.take(pos.take(events), axis=0)
+        u *= (lr * (1.0 - logistic(_row_dot(v, u))))[:, None]
+        v += u
+        for noise in neg.take(events, axis=0).T:
+            un = token_vecs.take(noise, axis=0)
+            un *= (lr * logistic(_row_dot(v, un)))[:, None]
+            v -= un
 
     out = np.zeros((len(docs), dim))
     out[order] = vecs
     return EmbeddingTable(out)
+
+
+def _noise_cdf(counts) -> np.ndarray:
+    """The unigram^0.75 noise CDF over token counts (Mikolov et al., 2013).
+
+    The last entry is pinned to 1, since the cumulative sum can round below
+    it and a draw in the gap would name a token one past the vocabulary.
+    """
+    weights = np.asarray(counts, dtype=np.float64) ** 0.75
+    cdf = np.cumsum(weights / weights.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _guide_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An exact guide table over ``cdf`` (Chen & Asau, 1974).
+
+    ``[0, 1)`` splits into ``B`` equal buckets, ``B`` the power of two at or
+    above ``8 * len(cdf)``, so most buckets hold no CDF entry or one. Returns
+    ``searchsorted(cdf, b / B)`` for each bucket ``b`` (the first entry at or
+    above the bucket's start) and whether the bucket holds more than one entry.
+    """
+    buckets = 1 << (8 * cdf.size - 1).bit_length()
+    edges = np.searchsorted(cdf, np.arange(buckets + 1) / buckets)
+    return edges[:-1], np.diff(edges) > 1
+
+
+def _noise_ids(cdf: np.ndarray, guide, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys)`` for keys in ``[0, 1)``, through ``guide``.
+
+    A key ``u`` lies in bucket ``b = floor(u * B)`` (exact, as ``B`` is a power
+    of two), and its id between the first entries at or above ``b / B`` and
+    ``(b + 1) / B``. With at most one entry in the bucket, comparing ``u`` with
+    ``cdf[first[b]]`` decides it: an empty bucket's next entry lies at or
+    above ``(b + 1) / B > u``. Keys in buckets holding more entries are
+    searched. ``cdf[-1]`` must be 1, so that ``first[b]`` is an index of it.
+    """
+    first, crowded = guide
+    b = (keys * first.size).astype(np.intp)
+    ids = first[b]
+    ids += cdf[ids] < keys
+    hard = crowded[b]
+    if hard.any():
+        ids[hard] = np.searchsorted(cdf, keys[hard])
+    return ids
 
 
 def _row_dot(a, b):
@@ -186,10 +244,10 @@ def _row_dot(a, b):
 
 
 def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
-    """Read precomputed user vectors: one line ``user_id v1 ... vd``."""
+    """Read precomputed user vectors: one line ``user_id v1 ... vd`` per user."""
     path = Path(path)
     vecs = np.zeros((num_users, dim))
-    seen = np.zeros(num_users, dtype=bool)
+    seen_at = np.zeros(num_users, dtype=np.int64)  # line of each user's vector, 0 if none yet
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -207,10 +265,12 @@ def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
             raise ParseError(f"{path}:{lineno}: bad numeric field") from exc
         if not 0 <= uid < num_users:
             raise ParseError(f"{path}:{lineno}: user id {uid} out of range")
+        if seen_at[uid]:
+            raise ParseError(f"{path}:{lineno}: user id {uid} repeats line {seen_at[uid]}")
         vecs[uid] = vals
-        seen[uid] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
+        seen_at[uid] = lineno
+    if not seen_at.all():
+        missing = int(np.flatnonzero(seen_at == 0)[0])
         raise DataError(f"user vector file {path} is missing user {missing}")
     return EmbeddingTable(vecs)
 
@@ -267,14 +327,25 @@ def transe_train(
             scale = 2.0 * lr / m
             gpos = pos_diff[viol] * scale
             gneg = neg_diff[viol] * scale
-            np.add.at(ent, h[viol], -gpos)
-            np.add.at(ent, t[viol], gpos)
-            np.add.at(rel, r[viol], -gpos)
-            np.add.at(ent, hc[viol], gneg)
-            np.add.at(ent, tc[viol], -gneg)
-            np.add.at(rel, r[viol], gneg)
+            _add_rows(ent, h[viol], -gpos)
+            _add_rows(ent, t[viol], gpos)
+            _add_rows(rel, r[viol], -gpos)
+            _add_rows(ent, hc[viol], gneg)
+            _add_rows(ent, tc[viol], -gneg)
+            _add_rows(rel, r[viol], gneg)
         ent = _unit_rows(ent)
     return TransEModel(ent, rel)
+
+
+def _add_rows(table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """``np.add.at(table, rows, vals)`` as one scatter over the raveled table.
+
+    Element ``(i, j)`` sits at ``i * dim + j`` and receives the same additions
+    in the same order as under the 2-D form, which dispatches once per row.
+    ``table`` must be C-contiguous, so that its ravel is a view.
+    """
+    dim = table.shape[1]
+    np.add.at(table.reshape(-1), (rows[:, None] * dim + np.arange(dim)).ravel(), vals.ravel())
 
 
 def init_objects(

@@ -649,6 +649,18 @@ def _read_by_prepare_run(field: str) -> bool:
     return field in ("train_ratio", "seed") or field.startswith(("ppr.", "roles."))
 
 
+def _check_provenance(provenance) -> None:
+    """A ``DataError`` unless the provenance holds a run seed and a dataset fingerprint."""
+    if not isinstance(provenance, dict):
+        raise DataError("checkpoint records no training config, run seed or dataset fingerprint")
+    seed = provenance.get("run_seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DataError(f"checkpoint run_seed must be a non-negative integer, got {seed!r}")
+    fingerprint = provenance.get("graph_sha256")
+    if not isinstance(fingerprint, str):
+        raise DataError(f"checkpoint graph_sha256 must be a string, got {fingerprint!r}")
+
+
 def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Dataset | None = None):
     """Score a saved model on the test split of the run it was trained in.
 
@@ -665,8 +677,7 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Data
     enabled = [role.value for role in _enabled_roles(config.roles)]
     if stored != enabled:
         raise DataError(f"checkpoint encodes roles {stored} but the config enables {enabled}")
-    if provenance is None:
-        raise DataError("checkpoint records no training config, run seed or dataset fingerprint")
+    _check_provenance(provenance)
     trained, given = flatten_config(_trained_config(provenance.get("config"))), flatten_config(config)
     changed = [
         f"{k}={trained[k]!r} (config: {given[k]!r})"

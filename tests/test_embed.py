@@ -7,7 +7,10 @@ from trustnet.embed import (
     EmbeddingTable,
     KnowledgeTriple,
     TransEModel,
+    _guide_table,
     _hash_seed,
+    _noise_cdf,
+    _noise_ids,
     embed_users,
     filter_object_head_triples,
     init_objects,
@@ -18,7 +21,8 @@ from trustnet.embed import (
     transe_train,
 )
 from trustnet.errors import DataError, ParseError
-from trustnet.graph import HeteroGraph
+from trustnet.fixtures import make_siot_files
+from trustnet.graph import HeteroGraph, load_siot_csv
 
 
 def transe_score(model: TransEModel, triple: KnowledgeTriple) -> float:
@@ -50,6 +54,7 @@ def oracle_embed_users(corpus, dim, epochs=10, seed=0, lr=0.05, negatives=5, min
     if vocab:
         counts = np.array([freq[t] for t in vocab], dtype=np.float64) ** 0.75
         noise_cdf = np.cumsum(counts / counts.sum())
+        noise_cdf[-1] = 1.0
 
     def expit(x):
         return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
@@ -225,6 +230,81 @@ class TestEmbedUsersOracle:
         matches_oracle(
             corpus, dim=dim, epochs=epochs, seed=seed, negatives=negatives, min_count=min_count
         )
+
+
+def vocabulary_counts(corpus, min_count=2):
+    """Counts of the tokens ``embed_users`` keeps, in vocabulary order."""
+    freq = {}
+    for doc in corpus:
+        for t in tokenize(" ".join(doc) if isinstance(doc, list) else doc):
+            freq[t] = freq.get(t, 0) + 1
+    return [c for _, c in sorted(freq.items()) if c >= min_count]
+
+
+def adversarial_keys(cdf, buckets):
+    """Every CDF entry and bucket edge with both float neighbours, 0 and the largest key below 1."""
+    points = np.concatenate([cdf, np.arange(buckets + 1) / buckets, [0.0, 1.0]])
+    keys = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+def cdf_of(weights):
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64) / np.sum(weights))
+    cdf[-1] = 1.0
+    return cdf
+
+
+# 75 entries, several of them in one bucket of the 1024
+CROWDED = cdf_of([1e-6] * 40 + [1.0, 0.0, 1e-6, 1e-6, 2.0] + [1e-7] * 30)
+
+
+class TestNoiseLookup:
+    # counts whose unigram^0.75 cumulative sum ends at 0.9999999999999998
+    SHORT_COUNTS = [32, 26, 14, 16, 3, 5, 2, 10, 41, 33, 45, 26, 31, 48, 37, 32, 28, 28, 46,
+                    15, 41, 34, 2, 20, 43]
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            _noise_cdf(SHORT_COUNTS),
+            _noise_cdf([1]),
+            _noise_cdf(np.random.default_rng(4).integers(1, 60, size=633)),
+            cdf_of([0.3, 0.0, 0.0, 0.2, 0.0, 0.5]),  # repeated entries
+            CROWDED,
+            cdf_of(np.random.default_rng(5).pareto(0.5, size=300)),
+        ],
+        ids=["short", "single", "wide", "repeated", "crowded", "heavy_tail"],
+    )
+    def test_guide_table_matches_searchsorted(self, cdf):
+        guide = _guide_table(cdf)
+        keys = adversarial_keys(cdf, guide[0].size)
+        got = _noise_ids(cdf, guide, keys)
+        assert np.array_equal(got, np.searchsorted(cdf, keys))
+        rng = np.random.default_rng(6)
+        draws = rng.random((400, 5))
+        assert np.array_equal(_noise_ids(cdf, guide, draws), np.searchsorted(cdf, draws))
+
+    def test_crowded_buckets_are_searched(self):
+        first, crowded = _guide_table(CROWDED)
+        assert first.size == 1024  # the power of two at or above 8 x 75
+        assert crowded.any() and not crowded.all()
+
+    def test_short_cdf_tail_stays_in_the_vocabulary(self):
+        weights = np.array(self.SHORT_COUNTS, dtype=np.float64) ** 0.75
+        assert np.cumsum(weights / weights.sum())[-1] == 0.9999999999999998
+        cdf = _noise_cdf(self.SHORT_COUNTS)
+        assert cdf[-1] == 1.0
+        top = np.array([np.nextafter(1.0, 0.0)])
+        assert _noise_ids(cdf, _guide_table(cdf), top).tolist() == [len(self.SHORT_COUNTS) - 1]
+
+    def test_siot_fixture_draws_rarely_search(self, tmp_path):
+        make_siot_files(tmp_path, seed=0)
+        _, corpus, _ = load_siot_csv(tmp_path)
+        cdf = _noise_cdf(vocabulary_counts(corpus))
+        first, crowded = _guide_table(cdf)
+        assert cdf.size == 633 and first.size == 8192
+        # each bucket takes 1 / B of the uniform draws
+        assert crowded.mean() <= 0.01
 
 
 def test_tokenize_lowercase_punctuation():
@@ -449,6 +529,12 @@ class TestUserVectorFile:
         path = tmp_path / "vecs.txt"
         path.write_text("0 1.0 2.0\n")
         with pytest.raises(DataError, match="missing user 1"):
+            load_user_vectors(path, num_users=2, dim=2)
+
+    def test_repeated_user_names_both_lines(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("0 1 2\n1 3 4\n0 5 6\n")
+        with pytest.raises(ParseError, match=r"vecs\.txt:3: user id 0 repeats line 1"):
             load_user_vectors(path, num_users=2, dim=2)
 
     def test_bad_width(self, tmp_path):

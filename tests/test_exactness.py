@@ -14,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
+from trustnet import embed
 from trustnet.cli import main as cli_main
+from trustnet.experiment import (
+    ExperimentConfig,
+    TriplesConfig,
+    derive_run_seeds,
+    load_dataset,
+    prepare_run,
+)
 
 FIXTURE_DIGESTS = {
     "siot": {
@@ -47,6 +55,22 @@ OUTPUT_DIGESTS = {
     },
 }
 
+# SHA-256 of the set-up tables' float64 bytes for each run seed of the SIoT run above:
+# the comment-based user table and the TransE entity and relation tables. The CSVs
+# round to 4 and 6 decimals, so a last-bit change in these tables can hide there.
+SETUP_DIGESTS = {
+    2083679832: {
+        "users": "ca69ec2561b7b39ff0d2708e6fe4bdc2edeee8182552707988d88c80cf6b55eb",
+        "entities": "0ac0c6bfade7c3f52fc555bf228757bbed1e654f3a008e7007d53c805ac8250b",
+        "relations": "1960adcaeb42ad09ccef89799e6bdab614a5d6e8f7a4d944284de8da8538ca71",
+    },
+    3939563265: {
+        "users": "8bc42cb4e636e36675533fde33fd8a526cb141513e5e8902ebb61d5b2b5e770c",
+        "entities": "89f1dcad4a7539c487464bd9ecd8d16b4e1bdb9ad0893a56a40b8616f1aea849",
+        "relations": "5a0859e89d806597879e09e5ee6c629c380f0f47a2aadc872db38461697a2e64",
+    },
+}
+
 HOST_NOTE = (
     "The stored digests were taken on one host. OpenBLAS (DYNAMIC_ARCH) may pick other "
     "kernels on another CPU and change the last bits of a product, so before treating a "
@@ -69,3 +93,30 @@ def test_fixture_and_run_outputs_are_byte_identical(kind, tmp_path):
     args = ["run", "--dataset", str(data), *RUNS[kind], "--runs", "2", "--workers", "1"]
     assert cli_main([*args, "--out", str(out)]) == 0
     assert digests(out) == OUTPUT_DIGESTS[kind], f"{kind} run outputs changed. {HOST_NOTE}"
+
+
+def test_setup_tables_are_byte_identical(tmp_path):
+    data = tmp_path / "siot"
+    assert cli_main(["fixtures", "siot", "--out", str(data), "--seed", "0"]) == 0
+    config = ExperimentConfig(dataset=str(data), kind="siot_csv", triples=TriplesConfig(enabled=True))
+    dataset = load_dataset(config)
+    ue, kg = config.user_embed, config.triples
+    got = {}
+    for run_seed in derive_run_seeds(config.seed, 2):
+        seeds = prepare_run(dataset, config, run_seed).seeds
+        users = embed.embed_users(
+            dataset.corpus, config.user_dim, epochs=ue.epochs, seed=seeds["user_embed"],
+            lr=ue.lr, negatives=ue.negatives, min_count=ue.min_count,
+        )
+        model = embed.transe_train(
+            dataset.triples, dataset.num_entities, dataset.num_relations, dim=config.object_dim,
+            margin=kg.margin, epochs=kg.epochs, neg_per_pos=kg.neg_per_pos, lr=kg.lr,
+            seed=seeds["transe"],
+        )
+        tables = {
+            "users": users.vectors,
+            "entities": model.entity_vectors,
+            "relations": model.relation_vectors,
+        }
+        got[run_seed] = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in tables.items()}
+    assert got == SETUP_DIGESTS, f"SIoT set-up tables changed. {HOST_NOTE}"

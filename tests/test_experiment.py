@@ -302,13 +302,22 @@ class TestSweep:
             sweep(small_config(film_dir), "dropout", [0.1])
 
 
-def rewrite_stored_config(ckpt, edit) -> None:
-    """Apply ``edit`` to the training config stored in a checkpoint's provenance."""
+def rewrite_provenance(ckpt, edit) -> None:
+    """Apply ``edit`` to a checkpoint's stored provenance."""
     data = dict(np.load(ckpt))
     meta = json.loads(bytes(data["__meta__"]).decode())
-    meta["provenance"]["config"] = edit(meta["provenance"]["config"])
+    meta["provenance"] = edit(meta["provenance"])
     data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(ckpt, **data)
+
+
+def rewrite_stored_config(ckpt, edit) -> None:
+    """Apply ``edit`` to the training config stored in a checkpoint's provenance."""
+    rewrite_provenance(ckpt, lambda provenance: {**provenance, "config": edit(provenance["config"])})
+
+
+BAD_SEED = "run_seed must be a non-negative integer, got "
+BAD_GRAPH = "graph_sha256 must be a string, got "
 
 
 def checkpoint_run_flags(film_dir) -> list[str]:
@@ -603,6 +612,33 @@ class TestCli:
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert "data error: checkpoint stores a training config that does not parse" in err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: {k: v for k, v in p.items() if k != "run_seed"}, f"{BAD_SEED}None"),
+            (lambda p: {**p, "run_seed": True}, f"{BAD_SEED}True"),
+            (lambda p: {**p, "run_seed": -1}, f"{BAD_SEED}-1"),
+            (lambda p: {**p, "run_seed": str(p["run_seed"])}, f"{BAD_SEED}'"),
+            (lambda p: {**p, "run_seed": float(p["run_seed"])}, BAD_SEED),
+            (lambda p: {k: v for k, v in p.items() if k != "graph_sha256"}, f"{BAD_GRAPH}None"),
+            (lambda p: {**p, "graph_sha256": 7}, f"{BAD_GRAPH}7"),
+            (lambda p: [p], "records no training config, run seed or dataset fingerprint"),
+        ],
+        ids=[
+            "no_run_seed", "bool_run_seed", "negative_run_seed", "str_run_seed", "float_run_seed",
+            "no_graph_sha256", "int_graph_sha256", "list",
+        ],
+    )
+    def test_checkpoint_with_bad_provenance_exits_2(self, film_dir, tmp_path, capsys, edit, message):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        rewrite_provenance(ckpt, edit)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: checkpoint {message}") and err.count("\n") == 1
 
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(
