@@ -13,7 +13,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -131,6 +134,13 @@ class ExperimentConfig:
                 raise ConfigError("ppr.lam must lie in (0, 1)")
             if self.ppr.epsilon <= 0:
                 raise ConfigError("ppr.epsilon must be positive")
+        if self.triples.enabled:
+            for name, low in (("epochs", 0), ("neg_per_pos", 1)):
+                if getattr(self.triples, name) < low:
+                    raise ConfigError(f"triples.{name} must be >= {low}")
+            for name in ("lr", "margin"):
+                if getattr(self.triples, name) <= 0:
+                    raise ConfigError(f"triples.{name} must be positive")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
         if self.optim.weight_decay < 0:
@@ -148,25 +158,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for name, sub in (
-            ("ppr", PprConfig),
-            ("roles", RolesConfig),
-            ("triples", TriplesConfig),
-            ("optim", OptimConfig),
-            ("user_embed", UserEmbedConfig),
-        ):
-            if name in kwargs and isinstance(kwargs[name], dict):
-                subknown = {f.name for f in dataclasses.fields(sub)}
-                bad = set(kwargs[name]) - subknown
-                if bad:
-                    raise ConfigError(f"unknown {name} fields: {sorted(bad)}")
-                kwargs[name] = sub(**kwargs[name])
-        return cls(**kwargs)
+        """A config from parsed JSON; a ``ConfigError`` names the first bad field.
+
+        Each value must match its field's annotation: a bool is not an int,
+        an int is accepted (as a float) for a float, ``None`` only where the
+        annotation allows it, and a sub-config must be an object.
+        """
+        return _config_from(cls, data, "")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -177,6 +175,37 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _config_from(cls, data, prefix: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix or 'config'} must be a JSON object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {prefix or 'config'} fields: {sorted(unknown)}")
+    dotted = f"{prefix}." if prefix else ""
+    return cls(**{name: _checked(dotted + name, value, hints[name]) for name, value in data.items()})
+
+
+def _checked(name: str, value, annotation):
+    """``value`` if it matches ``annotation``; an int becomes a float for a float field."""
+    if dataclasses.is_dataclass(annotation):
+        return _config_from(annotation, value, name)
+    allowed = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    if value is None and type(None) in allowed:
+        return value
+    if isinstance(value, bool):
+        if bool in allowed:
+            return value
+    elif int in allowed and isinstance(value, numbers.Integral):
+        return value
+    elif float in allowed and isinstance(value, numbers.Real):
+        return float(value)
+    elif str in allowed and isinstance(value, str):
+        return value
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"{name} must be {names}, got {value!r}")
 
 
 def flatten_config(config: ExperimentConfig) -> dict:

@@ -5,22 +5,22 @@ trust pairs. The walk is uniform: a user passes its mass in equal shares
 along its outgoing trust edges (``walk_transition``).
 
 Forward push (Andersen, Chung & Lang, FOCS 2006) keeps, per source s, an
-estimate row p_s and a residual row r_s with the invariant
-p_exact(s) = p_s + sum_u r_s[u] * p_exact(u); it starts from r_s = e_s.
-All sources run at once as synchronous sweeps over two sparse
+estimate row q_s, a residual row r_s (starting at e_s) and an absorbed mass
+rho_s. All sources run at once as synchronous sweeps over two sparse
 (sources x users) CSR matrices. Each sweep pushes every entry whose
 residual is at least epsilon * max(out_degree, 1): a fraction ``lam`` of
-its mass moves to the estimate and the rest spreads along the walk.
-Dangling users (no outgoing trust) return their walk mass to the
-source, matching restart semantics; a dangling source keeps all of its
-mass and scores exactly 1 in one step.
+its mass moves to the estimate and the rest spreads along the walk, or is
+absorbed into rho_s at a dangling user (no outgoing trust). Absorbed mass
+would only restart the walk from s (Ipsen & Selee, SIAM J. Matrix Anal.
+Appl. 29(4), 2007), so each row is divided once by 1 - rho_s at the end.
+A dangling source absorbs nothing and scores exactly 1.
 
-Sweeps stop once no entry reaches its threshold, so every leftover
-residual r_s[u] is below epsilon * max(out_degree(u), 1). Each score then
-underestimates the exact one, by at most the row's leftover residual mass,
-which is below epsilon * sum of max(out_degree, 1) over the users the
-source reaches. Column indices stay sorted, so every sum runs in ascending
-user order and the scores do not depend on the order of the input edges.
+Sweeps stop once every leftover residual r_s[u] is below
+epsilon * max(out_degree(u), 1). Each score then underestimates the exact
+one by at most R_s / (1 - rho_s) <= R_s / lam, R_s the row's leftover
+residual mass, which is below epsilon * sum of max(out_degree, 1) over the
+users the source reaches. Column indices stay sorted, so every sum runs in
+ascending user order and the scores do not depend on input edge order.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def forward_push(w: sp.csr_matrix, sources, lam: float, epsilon: float) -> sp.cs
 
     ``w`` is a ``walk_transition`` matrix and ``lam`` the restart
     probability; an entry is pushed while its residual is
-    >= epsilon * max(out_degree, 1). Returns a
-    (len(sources), num_users) CSR matrix whose row i holds the positive
-    scores of ``sources[i]``.
+    >= epsilon * max(out_degree, 1), and each row is divided once by one
+    minus its absorbed dangling mass. Returns a (len(sources), num_users)
+    CSR matrix whose row i holds the positive scores of ``sources[i]``.
     """
     if not 0.0 < lam < 1.0:
         raise DataError(f"restart probability must lie in (0, 1), got {lam}")
@@ -72,9 +72,11 @@ def forward_push(w: sp.csr_matrix, sources, lam: float, epsilon: float) -> sp.cs
     absorbed = dangling[sources]
     p = sp.csr_matrix((np.ones(absorbed.sum()), (rows[absorbed], sources[absorbed])), shape=(m, n))
     r = sp.csr_matrix((np.ones(m - absorbed.sum()), (rows[~absorbed], sources[~absorbed])), shape=(m, n))
+    rho = np.zeros(m)
     for _ in range(100_000):
         active = r.data >= thresh[r.indices]
         if not active.any():
+            p.data /= np.repeat(1.0 - rho, np.diff(p.indptr))
             return p
         active_rows = np.repeat(rows, np.diff(r.indptr))[active]
         indptr = np.searchsorted(active_rows, np.arange(m + 1))
@@ -85,10 +87,7 @@ def forward_push(w: sp.csr_matrix, sources, lam: float, epsilon: float) -> sp.cs
         spread.sort_indices()  # the product leaves rows unsorted; sums must run in user order
         r = r + spread
         back = dangling[ra.indices]
-        if back.any():
-            mass = (1.0 - lam) * np.bincount(active_rows[back], weights=ra.data[back], minlength=m)
-            hit = np.flatnonzero(mass)
-            r = r + sp.csr_matrix((mass[hit], (hit, sources[hit])), shape=(m, n))
+        rho += (1.0 - lam) * np.bincount(active_rows[back], weights=ra.data[back], minlength=m)
     raise NumericalError("personalized PageRank sweeps failed to converge")
 
 

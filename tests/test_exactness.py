@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from trustnet import embed
+from trustnet.cli import build_config, build_parser
 from trustnet.cli import main as cli_main
 from trustnet.experiment import (
     ExperimentConfig,
@@ -45,13 +46,13 @@ RUNS = {
 OUTPUT_DIGESTS = {
     "siot": {
         "metrics.csv": "c77ee53eac33b50d4b613573b156ddccc0d34a362a432b79860b7ecae5bc2328",
-        "trace_seed0.csv": "41fc0b02df687ea9734eec50c934bf0a19c0d4b362a599514c68c96f9a8e4da6",
-        "trace_seed1.csv": "ec145eaf55af2d906d98a454a2b87c346794654f6100d1fbd13473038169e992",
+        "trace_seed0.csv": "b36f9d2e5bdd9715c9747212a72e47abcd6f95859d55b7c94e32e94f40b31d27",
+        "trace_seed1.csv": "57bb1bd63a37c7d463302c3e20bbd85161ed9d93da5e86600889d5fcba97135f",
     },
     "filmtrust": {
-        "metrics.csv": "dc34c8ed3b790ed5fd5e2550d47912a4b6ebc6ba8a93d0866c701aed60c7f981",
-        "trace_seed0.csv": "ed26314ef9a01e9b7d718a4c317fec6ea574ad02d58093f71f1e5f0ceeb52833",
-        "trace_seed1.csv": "1165da2d7dc151907172285d286d1fa9efd949db38f4558d5f3da417d1366d41",
+        "metrics.csv": "fccbc11efd467324f79633af3d78f4bb80118adfdbef516e2679de6a2735fc1d",
+        "trace_seed0.csv": "957f0e6a7d57b5eab7515ba81017ce1408f61512d722b68a7dec93c8741fc1a3",
+        "trace_seed1.csv": "38c66e0e4325e7596df4078510882e6cfa57689cce63e8dd71e59ef64f0bd41c",
     },
 }
 
@@ -68,6 +69,32 @@ SETUP_DIGESTS = {
         "users": "8bc42cb4e636e36675533fde33fd8a526cb141513e5e8902ebb61d5b2b5e770c",
         "entities": "89f1dcad4a7539c487464bd9ecd8d16b4e1bdb9ad0893a56a40b8616f1aea849",
         "relations": "5a0859e89d806597879e09e5ee6c629c380f0f47a2aadc872db38461697a2e64",
+    },
+}
+
+# SHA-256 of each role view's edge list (``emap.rows`` then ``emap.cols``, int64 bytes)
+# for each run seed of the two runs above. A moved PPR pair changes these even where
+# the rounded CSVs hide it.
+VIEW_DIGESTS = {
+    "siot": {
+        2083679832: {
+            "trustor": "501fbbe61096bb9da4faf037e76bf572d3b8e2164c15e79a7221255d42b66ba8",
+            "trustee": "21a9693e6a346291d807464201c38956289a3b5f9e75997b2b60e97fb06afaab",
+        },
+        3939563265: {
+            "trustor": "c1caff91bc40d7363f438c42cbe61b53441e2f4ce2f25f2c242866c690a9ac63",
+            "trustee": "78aeb0f62fd09ed93ed7f9b5a994122a637bb0389cdf007dffd861c0d4b2be52",
+        },
+    },
+    "filmtrust": {
+        2083679832: {
+            "trustor": "755bc0984852760c6834d589aa574f160f8b79cfd2299ed8074f44fa68774127",
+            "trustee": "e26af4474f3fb76062bc5da4e6e43ddb81f43161f30bdbeada59e609c0285aeb",
+        },
+        3939563265: {
+            "trustor": "35aecd1710d8af311ec22e3a04456980675a9c85b9c7e994ed73827ff1424075",
+            "trustee": "de968b50139a11423a513470bf02d36a3e75826a78662e0d03aff31e3655a06a",
+        },
     },
 }
 
@@ -120,3 +147,24 @@ def test_setup_tables_are_byte_identical(tmp_path):
         }
         got[run_seed] = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in tables.items()}
     assert got == SETUP_DIGESTS, f"SIoT set-up tables changed. {HOST_NOTE}"
+
+
+def run_config(kind: str, data: Path) -> ExperimentConfig:
+    """The config the exactness run of ``kind`` trains with."""
+    return build_config(build_parser().parse_args(["run", "--dataset", str(data), *RUNS[kind], "--runs", "2"]))
+
+
+@pytest.mark.parametrize("kind", ["siot", "filmtrust"])
+def test_role_views_are_byte_identical(kind, tmp_path):
+    data = tmp_path / kind
+    assert cli_main(["fixtures", kind, "--out", str(data), "--seed", "0"]) == 0
+    config = run_config(kind, data)
+    dataset = load_dataset(config)
+    got = {}
+    for run_seed in derive_run_seeds(config.seed, config.runs):
+        views = prepare_run(dataset, config, run_seed).views
+        got[run_seed] = {
+            role.value: hashlib.sha256(view.emap.rows.tobytes() + view.emap.cols.tobytes()).hexdigest()
+            for role, view in views.items()
+        }
+    assert got == VIEW_DIGESTS[kind], f"{kind} role views changed. {HOST_NOTE}"

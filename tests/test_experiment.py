@@ -99,6 +99,51 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"ppr": {"bogus": 2}})
 
+    def test_from_dict_takes_values_its_annotations_allow(self):
+        cfg = ExperimentConfig.from_dict(
+            {"train_ratio": 1, "workers": None, "train_initial": None, "ppr": {"lam": 0}, "triples": {"path": None}}
+        )
+        assert cfg.train_ratio == 1.0 and type(cfg.train_ratio) is float
+        assert cfg.ppr.lam == 0.0 and type(cfg.ppr.lam) is float
+        assert cfg.workers is None and cfg.train_initial is None and cfg.triples.path is None
+
+    @pytest.mark.parametrize(
+        "data,field",
+        [
+            ({"epochs": "3"}, "epochs"),
+            ({"epochs": True}, "epochs"),
+            ({"epochs": 3.0}, "epochs"),
+            ({"train_ratio": False}, "train_ratio"),
+            ({"train_ratio": None}, "train_ratio"),
+            ({"train_initial": 1}, "train_initial"),
+            ({"kind": None}, "kind"),
+            ({"workers": "2"}, "workers"),
+            ({"ppr": 5}, "ppr"),
+            ({"ppr": {"enabled": "yes"}}, "ppr.enabled"),
+            ({"optim": {"lr": None}}, "optim.lr"),
+            ({"triples": {"path": 3}}, "triples.path"),
+            ({"user_embed": []}, "user_embed"),
+        ],
+    )
+    def test_from_dict_rejects_values_of_another_type(self, data, field):
+        with pytest.raises(ConfigError, match=rf"^{field} must be "):
+            ExperimentConfig.from_dict(data)
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict([1])
+
+    @pytest.mark.parametrize(
+        "field,value", [("epochs", -3), ("neg_per_pos", 0), ("lr", 0.0), ("lr", -0.05), ("margin", 0.0)]
+    )
+    def test_validate_catches_bad_triples_when_enabled(self, film_dir, field, value):
+        cfg = small_config(film_dir)
+        setattr(cfg.triples, field, value)
+        cfg.validate()  # unused while triples are off, as ppr fields are while ppr is off
+        cfg.triples.enabled = True
+        with pytest.raises(ConfigError, match=f"triples.{field}"):
+            cfg.validate()
+
     def test_flatten_contains_nested_keys(self, film_dir):
         flat = flatten_config(small_config(film_dir))
         assert "ppr.k" in flat and "optim.lr" in flat and "fusion" in flat
@@ -388,6 +433,24 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error: user_embed.negatives" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"ppr": 5}, "ppr must be a JSON object, got 5"),
+            ({"optim": {"lr": None}}, "optim.lr must be float, got None"),
+            ({"epochs": "3"}, "epochs must be int, got '3'"),
+            ({"triples": {"enabled": True, "epochs": -3}}, "triples.epochs must be >= 0"),
+            ({"triples": {"enabled": True, "margin": 0.0}}, "triples.margin must be positive"),
+        ],
+    )
+    def test_malformed_config_file_exits_with_one_line(self, siot_dir, tmp_path, capsys, entry, message):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"dataset": str(siot_dir), "kind": "siot_csv", "epochs": 1, **entry}))
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_naming_retired_ppr_fields_exit_code(self, film_dir, tmp_path, capsys):
         stored = small_config(film_dir).to_dict()

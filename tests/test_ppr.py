@@ -40,6 +40,28 @@ def random_digraph(rng, max_nodes=50):
     return n, sorted(edges)
 
 
+def dangling_digraph(rng, max_nodes=50):
+    """Random digraph in which most users trust no one."""
+    n = int(rng.integers(4, max_nodes + 1))
+    trusters = rng.choice(n, size=max(1, n // 4), replace=False)
+    edges = {(int(i), int(j)) for i in trusters for j in rng.choice(n, size=int(rng.integers(1, 5)))}
+    return n, sorted((i, j) for i, j in edges if i != j)
+
+
+def reach_mass(n, edges, source, eps):
+    """eps * sum of max(out_degree, 1) over the users ``source`` reaches: R_s's ceiling."""
+    out = [[] for _ in range(n)]
+    for i, j in edges:
+        out[i].append(j)
+    seen, stack = {source}, [source]
+    while stack:
+        for v in out[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return eps * sum(max(len(out[u]), 1) for u in seen)
+
+
 def pairs_by_source(pairs):
     got = {}
     for i, j in pairs:
@@ -89,6 +111,19 @@ class TestPush:
             for src in range(n):
                 exact = oracle_ppr(n, edges, src, 0.15)
                 assert np.abs(got[src] - exact).sum() <= 1e-5
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_scores_within_the_certified_bound(self, eps):
+        # underestimates by at most R_s / (1 - rho_s) <= R_s / lam, R_s below reach_mass
+        rng = np.random.default_rng(17)
+        lam = 0.15
+        graphs = [dangling_digraph(rng) for _ in range(12)] + [random_digraph(rng) for _ in range(6)]
+        for n, edges in graphs:
+            got = push_rows(n, edges, np.arange(n), lam, eps)
+            for src in range(n):
+                gap = oracle_ppr(n, edges, src, lam) - got[src]
+                assert gap.min() >= -1e-12
+                assert gap.max() <= reach_mass(n, edges, src, eps) / lam + 1e-12
 
     def test_batched_rows_equal_single_source_rows(self):
         rng = np.random.default_rng(11)
@@ -188,6 +223,36 @@ class TestTopkAugment:
         sb = forward_push(walk_transition(n, shuffled), users, 0.15, 1e-6)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(sa, attr), getattr(sb, attr))
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_pairs_keep_the_exact_topk_floor(self, k, eps):
+        # the floor the benchmark's PPR check applies: exact k-th score minus eps * sum_reach max(deg, 1)
+        rng = np.random.default_rng(k)
+        cycle = [(i, (i + 1) % 9) for i in range(9)]
+        block = [(i, j) for i in range(4) for j in range(4, 10)]
+        graphs = [
+            (9, [(0, j) for j in range(1, 9)]),  # star out of 0; the leaves are dangling
+            (9, [(j, 0) for j in range(1, 9)]),  # star into 0
+            (10, block),  # complete bipartite block onto dangling users
+            (10, block + [(j, i) for i, j in block]),
+            (9, cycle),
+            (18, cycle + [(i, 9 + i) for i in range(9)]),  # a dangling leaf off each cycle user
+        ] + [dangling_digraph(rng, max_nodes=30) for _ in range(6)]
+        for n, edges in graphs:
+            pairs = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, epsilon=eps)
+            assert not np.any(pairs[:, 0] == pairs[:, 1])
+            assert np.bincount(pairs[:, 0], minlength=n).max() <= k
+            for src in {i for i, _ in edges}:
+                exact = oracle_ppr(n, edges, src, 0.15)
+                others = np.delete(exact, src)
+                positive = np.sort(others[others > 0])[::-1]
+                if positive.size >= k:
+                    floor = positive[k - 1] - reach_mass(n, edges, src, eps)
+                else:
+                    floor = np.nextafter(0.0, 1.0)
+                targets = pairs[pairs[:, 0] == src, 1]
+                assert np.all(exact[targets] >= floor), f"source {src} of {edges}"
 
     def test_relabelling_maps_pairs(self):
         rng = np.random.default_rng(0)
