@@ -1,38 +1,36 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Implements exactly the operations the trust pipeline needs: dense and
-sparse matrix products, row gather/scatter/slicing, the attention
-softmaxes, and the activations the layer and the gate apply. Everything
-is float64 and gradients are exact analytic expressions.
+Everything is float64 and gradients are exact analytic expressions.
 
-A forward pass runs inside a ``Tape`` context; each differentiable
-operation appends one record. ``Tape.gradients`` replays the records in
-reverse execution order (which is a reverse topological order, since
-records are appended eagerly) and may be called exactly once. It releases
-each record as it replays it, so a backward closure, and every array only
-that closure holds, is freed during the replay rather than after it;
-``Tape.num_records`` still counts what was recorded.
+A forward pass runs inside a ``Tape`` context; each taped op appends one
+record. ``Tape.gradients`` replays the records in reverse execution order
+(which is a reverse topological order, since records are appended eagerly)
+and may be called exactly once. It releases each record as it replays it,
+so a backward closure, and every array only that closure holds, is freed
+during the replay rather than after it; ``Tape.num_records`` still counts
+what was recorded.
 
-The attention layer's softmaxes and its per-type projection are single
-ops (``type_softmax``, ``segment_softmax``, ``row_block_matmul``). The
-layer itself (``conv.layer_forward``) calls them and the generic ops on
-plain arrays, which record nothing, and adds one record of its own through
-``record``. It runs the ops rather than inlining them because the
-benchmark wraps them by name and its gradient check replaces
-``leaky_relu``. The loss head (``predict.pair_loss``) and the fusion gate
-(``train.gate_fusion``) are one record each in the same way.
+Taped ops. The pipeline records through ``matmul``, ``concat_rows``,
+``slice_rows`` and ``concat_cols``, and through three fused records made
+with ``record``: the convolution layer (``conv.layer_forward``), the fusion
+gate (``train.gate_fusion``) and the loss head (``predict.pair_loss``). The
+other taped ops are here for the benchmark: ``bench/child.py`` wraps
+``edge_matmul``, ``sparse_matmul``, ``elu``, ``gather`` and ``matmul`` by
+name, ``bench/checks.HeldKinks`` patches ``leaky_relu`` and its test tapes
+``reduce_sum``. The layer calls the wrapped and patched ops on plain arrays,
+which records nothing, and reads their values; every other step of the
+layer and the gate calls its kernel.
 
-Kernels. Arithmetic that an op and a fused record share is written once,
-as a plain-array kernel that both call. ``row_block_product`` is
-``row_block_matmul``'s product. ``row_block_grads``, ``leaky_slopes``,
-``elu_slopes``, ``stack_halves_grads``, ``type_softmax_grads``,
-``segment_softmax_grad`` and ``scatter_values`` are the gradients of
-``row_block_matmul``, ``leaky_relu``, ``elu``, ``stack_halves``, the two
-softmaxes and ``gather`` on a vector; the layer's backward calls them in
-the chain's reverse order. ``edge_dots`` is the per-edge half of
-``edge_matmul``'s gradient, and the loss head shares ``scatter_rows``,
-``gather``'s 2-D backward. ``logistic`` is the sigmoid, which ``embed``
-also calls on every SGD step, and the gate shares ``sigmoid_grad``.
+Kernels. Plain-array functions, each forward next to its gradient:
+``row_block_product``/``row_block_grads``, ``stack_halves``/
+``stack_halves_grads``, ``type_softmax``/``type_softmax_grads``,
+``segment_softmax``/``segment_softmax_grad`` and ``logistic``/
+``sigmoid_grad``; ``leaky_slopes`` and ``elu_slopes`` are the activations'
+derivatives. ``scatter_values`` and ``scatter_rows`` are ``gather``'s 1-D
+and 2-D backward, and ``edge_dots`` is the per-edge half of
+``edge_matmul``'s. The fused backwards call these kernels in the chain's
+reverse order, so no gradient is written twice; ``embed`` also calls
+``logistic`` on every SGD step.
 """
 
 from __future__ import annotations
@@ -57,11 +55,7 @@ __all__ = [
     "stack_halves_grads",
     "type_softmax_grads",
     "segment_softmax_grad",
-    "add",
-    "sub",
-    "mul",
     "matmul",
-    "sigmoid",
     "leaky_relu",
     "elu",
     "reduce_sum",
@@ -69,7 +63,6 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "stack_halves",
-    "row_block_matmul",
     "gather",
     "scatter_rows",
     "scatter_values",
@@ -116,27 +109,9 @@ class Tensor:
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.value.shape}, grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, requires_grad=requires_grad)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x, requires_grad=False)
 
 
 class Tape:
@@ -182,8 +157,8 @@ class Tape:
         self._spent = True
         grads: dict[Tensor, np.ndarray] = {self._output: np.ones_like(self._output.value)}
         # Tensors whose entry in ``grads`` is a sum the tape allocated itself.
-        # Only those are accumulated in place: a contribution may be shared
-        # (``add`` hands the same ``g`` to both operands) and is never mutated.
+        # Only those are accumulated in place: a contribution may be shared (a
+        # backward may hand one ``g``, or views of it, on) and is never mutated.
         owned: set[Tensor] = set()
         records = self._records
         while records:
@@ -231,63 +206,8 @@ def record(out: Tensor, backward) -> None:
         tape._num_recorded += 1
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value + b.value, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        return [
-            (a, _unbroadcast(g, a.value.shape) if a.requires_grad else None),
-            (b, _unbroadcast(g, b.value.shape) if b.requires_grad else None),
-        ]
-
-    record(out, backward)
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value - b.value, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        return [
-            (a, _unbroadcast(g, a.value.shape) if a.requires_grad else None),
-            (b, _unbroadcast(-g, b.value.shape) if b.requires_grad else None),
-        ]
-
-    record(out, backward)
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value * b.value, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        return [
-            (a, _unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None),
-            (b, _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None),
-        ]
-
-    record(out, backward)
-    return out
+# products
 
 
 def matmul(a, b) -> Tensor:
@@ -325,22 +245,6 @@ def row_block_grads(x, split: int, w_top, w_bottom, g: np.ndarray):
     return dx, x[:split].T @ g_top, x[split:].T @ g_bottom
 
 
-def row_block_matmul(a, split: int, w_top, w_bottom) -> Tensor:
-    """Row blocks under their own weights: [a[:split] @ w_top; a[split:] @ w_bottom].
-
-    Each block's product is written into its rows of one output, and the
-    backward writes both input-row gradients into one array, so neither
-    direction builds zero-padded or concatenated copies.
-    """
-    inputs = [as_tensor(t) for t in (a, w_top, w_bottom)]
-    x, top, bottom = (t.value for t in inputs)
-    out = Tensor(
-        row_block_product(x, split, top, bottom), requires_grad=any(t.requires_grad for t in inputs)
-    )
-    record(out, lambda g: zip(inputs, row_block_grads(x, split, top, bottom, g)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -359,14 +263,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The sigmoid's input gradient from its output ``s`` and output gradient ``g``."""
     return g * s * (1.0 - s)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    s = logistic(a.value)
-    out = Tensor(s, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, sigmoid_grad(s, g))])
-    return out
 
 
 def leaky_slopes(nonneg: np.ndarray, negative_slope: float) -> np.ndarray:
@@ -468,25 +364,19 @@ def concat_cols(a, b) -> Tensor:
     return out
 
 
-def stack_halves_grads(g: np.ndarray) -> list[np.ndarray]:
-    """Each vector's gradient from the gradient ``g`` of ``stack_halves``' (d, 2k) output."""
-    return [g[:, 2 * i : 2 * i + 2].T.reshape(-1) for i in range(g.shape[1] // 2)]
-
-
-def stack_halves(*vectors) -> Tensor:
+def stack_halves(*vectors: np.ndarray) -> np.ndarray:
     """Both halves of each (2d,) vector as columns of one (d, 2k) matrix.
 
     Column 2i is ``vectors[i][:d]`` and column 2i+1 is ``vectors[i][d:]``,
     so a single product ``x @ stack_halves(...)`` dots ``x`` with every half.
     """
-    vectors = [as_tensor(v) for v in vectors]
-    d = vectors[0].value.shape[0] // 2
-    out = Tensor(
-        np.concatenate([v.value.reshape(2, d).T for v in vectors], axis=1),
-        requires_grad=any(v.requires_grad for v in vectors),
-    )
-    record(out, lambda g: zip(vectors, stack_halves_grads(g)))
-    return out
+    d = vectors[0].shape[0] // 2
+    return np.concatenate([v.reshape(2, d).T for v in vectors], axis=1)
+
+
+def stack_halves_grads(g: np.ndarray) -> list[np.ndarray]:
+    """Each vector's gradient from the gradient ``g`` of ``stack_halves``' (d, 2k) output."""
+    return [g[:, 2 * i : 2 * i + 2].T.reshape(-1) for i in range(g.shape[1] // 2)]
 
 
 def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -541,6 +431,26 @@ def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # attention softmaxes
 
 
+def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> np.ndarray:
+    """Per-node softmax over the types present there, as one 2n vector.
+
+    ``mask_u``/``mask_o`` are 0/1 vectors marking the present types, at
+    least one per node. The output is [alpha_u; alpha_o]; an absent type
+    gets weight 0, so the gradient a * (g - sum_t a_t g_t) sends it none.
+    """
+    shift = np.maximum(
+        np.where(mask_u > 0, logit_u, -np.inf), np.where(mask_o > 0, logit_o, -np.inf)
+    )
+    exp_u = np.exp((logit_u - shift) * mask_u) * mask_u
+    exp_o = np.exp((logit_o - shift) * mask_o) * mask_o
+    denom = exp_u + exp_o
+    n = denom.shape[0]
+    alpha = np.empty(2 * n)
+    np.divide(exp_u, denom, out=alpha[:n])
+    np.divide(exp_o, denom, out=alpha[n:])
+    return alpha
+
+
 def type_softmax_grads(alpha: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both type logits' gradients from the output [alpha_u; alpha_o] and its gradient ``g``."""
     n = alpha.shape[0] // 2
@@ -550,49 +460,21 @@ def type_softmax_grads(alpha: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np
     return a_u * (g_u - dot), a_o * (g_o - dot)
 
 
-def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> Tensor:
-    """Per-node softmax over the types present there, as one 2n vector.
+def segment_softmax(x: np.ndarray, rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Softmax of 1-D values within each row's contiguous run of edges.
 
-    ``mask_u``/``mask_o`` are 0/1 vectors marking the present types, at
-    least one per node. The output is [alpha_u; alpha_o]; an absent type
-    gets weight 0, so the backward a * (g - sum_t a_t g_t) sends it none.
+    ``rows`` is sorted and ``indptr`` delimits its runs; every run must be
+    non-empty. The gradient is beta * (g - sum_segment beta * g).
     """
-    logit_u, logit_o = as_tensor(logit_u), as_tensor(logit_o)
-    shift = np.maximum(
-        np.where(mask_u > 0, logit_u.value, -np.inf),
-        np.where(mask_o > 0, logit_o.value, -np.inf),
-    )
-    exp_u = np.exp((logit_u.value - shift) * mask_u) * mask_u
-    exp_o = np.exp((logit_o.value - shift) * mask_o) * mask_o
-    denom = exp_u + exp_o
-    n = denom.shape[0]
-    alpha = np.empty(2 * n)
-    np.divide(exp_u, denom, out=alpha[:n])
-    np.divide(exp_o, denom, out=alpha[n:])
-    out = Tensor(alpha, requires_grad=logit_u.requires_grad or logit_o.requires_grad)
-    record(out, lambda g: zip((logit_u, logit_o), type_softmax_grads(alpha, g)))
-    return out
+    beta = np.exp(x - segment_max_values(x, indptr)[rows])
+    beta /= np.bincount(rows, weights=beta, minlength=indptr.shape[0] - 1)[rows]
+    return beta
 
 
 def segment_softmax_grad(beta: np.ndarray, g: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """The logits' gradient from the output ``beta`` of ``n`` segments and its gradient ``g``."""
     dot = np.bincount(rows, weights=beta * g, minlength=n)
     return beta * (g - dot[rows])
-
-
-def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> Tensor:
-    """Softmax of 1-D values within each row's contiguous run of edges.
-
-    ``rows`` is sorted and ``indptr`` delimits its runs; every run must be
-    non-empty. The backward is beta * (g - sum_segment beta * g).
-    """
-    a = as_tensor(a)
-    n = indptr.shape[0] - 1
-    beta = np.exp(a.value - segment_max_values(a.value, indptr)[rows])
-    beta /= np.bincount(rows, weights=beta, minlength=n)[rows]
-    out = Tensor(beta, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, segment_softmax_grad(beta, g, rows, n))])
-    return out
 
 
 # ---------------------------------------------------------------------------

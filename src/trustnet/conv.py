@@ -12,16 +12,15 @@ the logit is eta_t1 . h_i + sum_j a_ij (eta_t2 . h_j): the neighbor sum runs
 over per-node scalar scores, one sparse product over the edges, instead of
 over d-vectors, which would cost d times that and an n x d result per type.
 
-A whole layer is one tape record. Its forward runs a chain of autodiff ops
-(the two softmaxes in (2) and (3) and the type projection in (4) are the
-fused ``ad.type_softmax``, ``ad.segment_softmax`` and ``ad.row_block_matmul``)
-on plain arrays, so none of them records anything. It calls them through
-the ``autodiff`` module because the benchmark wraps those names to time
-them and its gradient check replaces ``ad.leaky_relu`` to hold each kink on
-one side (``bench/checks.HeldKinks``). Its backward composes the ops' own
-gradient kernels in the chain's reverse order, so no gradient is written
-here a second time. It keeps what those kernels read and recomputes the
-cheap intermediates, ``projected`` among them (see ``layer_forward``).
+A whole layer is one tape record. Its forward calls the benchmark's taped
+ops, the names ``bench/child.py`` wraps to time them and
+``bench/checks.HeldKinks`` patches (``ad.leaky_relu``, to hold each kink on
+one side), on plain arrays, so none of them records anything; every other
+step calls its ``autodiff`` kernel (``row_block_product``, ``stack_halves``,
+``type_softmax``, ``segment_softmax``). Its backward composes the gradient
+kernels in the chain's reverse order, so no gradient is written here a
+second time. It keeps what those kernels read and recomputes the cheap
+intermediates, ``projected`` among them (see ``layer_forward``).
 
 Two stacked layers per role; the trustor view propagates along outgoing
 trust, the trustee view along incoming trust. A learned sigmoid gate
@@ -78,26 +77,17 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     neighbor of the node's own type. One product of ``h`` with the six
     attention half-vectors gives every per-node score; the type logits then
     aggregate the neighbor scores through ``view.s_user``/``view.s_obj``
-    rather than aggregating ``h`` and dotting the n x d sums.
+    rather than aggregating ``h`` and dotting the n x d sums. Each edge
+    reads its neighbor type's weight from ``type_softmax``'s [alpha_u;
+    alpha_o] at ``view.typed_rows``.
 
-    ``type_softmax`` returns both type weights as one 2n vector
-    [alpha_u; alpha_o], from which every edge reads its neighbor type's
-    weight at ``view.typed_rows``; ``segment_softmax`` normalises the pair
-    logits within each node's edges, and ``row_block_matmul`` applies the
-    per-type projection.
-
-    The forward calls each op of the chain, ``ad.row_block_matmul``
-    through ``ad.elu``, on plain arrays and reads the values they return:
-    a caller that patches one of them (as the benchmark's gradient check
-    patches ``leaky_relu``) changes the layer's output exactly as it would
-    change the taped chain's. The backward calls the kernels the ops'
-    backwards call, in reverse chain order (``ad.elu_slopes``,
-    ``ad.edge_dots``, ``ad.segment_softmax_grad``, ``ad.leaky_slopes``,
-    ``ad.scatter_values``, ``ad.type_softmax_grads``,
-    ``ad.stack_halves_grads``, ``ad.row_block_grads``), so its gradients
-    are bitwise the chain's; ``h`` takes the attention's contribution, then
-    the projection's. It gives every input a gradient; the tape drops those
-    of frozen inputs.
+    The forward reads the values the benchmark's taped ops return, so a
+    caller that patches one (as the gradient check patches ``leaky_relu``)
+    changes the layer's output exactly as it would change the taped chain's.
+    The backward calls the gradient kernels in reverse chain order, so its
+    gradients are bitwise the chain's; ``h`` takes the attention's
+    contribution, then the projection's. It gives every input a gradient;
+    the tape drops those of frozen inputs.
 
     It keeps the pre-ELU product, the edge and type weights, the two
     pair-score columns, the stacked attention vectors, ``>= 0`` masks of
@@ -113,10 +103,10 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     attn = (params.eta_user, params.eta_obj, params.gamma)
 
     # type-projected neighbor embeddings (users and objects use their own map)
-    projected = ad.row_block_matmul(x, nu, w_user, w_obj).value
+    projected = ad.row_block_product(x, nu, w_user, w_obj)
 
     # per-node scores against each attention half-vector, one product for all six
-    stacked = ad.stack_halves(*(p.value for p in attn)).value
+    stacked = ad.stack_halves(*(p.value for p in attn))
     scores = ad.matmul(x, stacked).value
     su_own, su_nbr, so_own, so_nbr, _, _ = scores.T
     # the backward reads only the pair-score columns: copies let the rest go
@@ -131,7 +121,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     del pre_u, pre_o
 
     # softmax over the types present at each node
-    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor).value
+    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
     del logit_u, logit_o
 
     # node-level attention: the neighbor's type weight scales the pair logit
@@ -141,7 +131,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     pair_logit = ad.leaky_relu(pre_pair, LEAKY_SLOPE).value
     nonneg_pair = pre_pair >= 0
     del pre_pair
-    beta = ad.segment_softmax(pair_logit, rows, emap.indptr).value
+    beta = ad.segment_softmax(pair_logit, rows, emap.indptr)
     del pair_logit
 
     pre = ad.edge_matmul(beta, projected, emap).value
@@ -181,7 +171,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
         d_scores[:, 0] += d_logit_u
         d_scores[:, 1] += view.s_user.T @ d_logit_u
         del d_logit_u, d_logit_o
-        # the score product and stack_halves, then row_block_matmul
+        # the score product and stack_halves, then row_block_product
         d_h = d_scores @ stacked.T
         d_attn = ad.stack_halves_grads(x.T @ d_scores)
         del d_scores

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -189,7 +190,7 @@ def _config_from(cls, data, prefix: str):
 
 
 def _checked(name: str, value, annotation):
-    """``value`` if it matches ``annotation``; an int becomes a float for a float field."""
+    """``value`` if it matches ``annotation``; a float field takes a finite int or float, as a float."""
     if dataclasses.is_dataclass(annotation):
         return _config_from(annotation, value, name)
     allowed = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
@@ -201,7 +202,9 @@ def _checked(name: str, value, annotation):
     elif int in allowed and isinstance(value, numbers.Integral):
         return value
     elif float in allowed and isinstance(value, numbers.Real):
-        return float(value)
+        if abs(value) <= sys.float_info.max:  # not for NaN, infinities or ints no float holds
+            return float(value)
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     elif str in allowed and isinstance(value, str):
         return value
     names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)

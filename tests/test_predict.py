@@ -12,7 +12,7 @@ from trustnet.predict import (
     predict_scores,
 )
 
-from test_autodiff import exp, gather_pairs, log, mean
+from test_autodiff import add, exp, gather_pairs, log, mean, sub
 
 
 def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> Tensor:
@@ -25,12 +25,12 @@ def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> T
     m = len(labels)
     zi = ad.gather(z, np.asarray(trustors))
     zj = ad.gather(z, np.asarray(trustees))
-    logits = ad.matmul(ad.concat_cols(zi, zj), params.weight) + params.bias
+    logits = add(ad.matmul(ad.concat_cols(zi, zj), params.weight), params.bias)
     shift = logits.value.max(axis=1)
-    ex = exp(logits - shift[:, None])
+    ex = exp(sub(logits, shift[:, None]))
     lse = log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
     picked = gather_pairs(logits, np.arange(m), np.asarray(labels))
-    return mean(lse - (picked - shift))
+    return mean(sub(lse, sub(picked, shift)))
 
 
 def batch_loss(samples, table, params: PredictorParams) -> float:
