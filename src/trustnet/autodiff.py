@@ -10,8 +10,8 @@ so a backward closure, and every array only that closure holds, is freed
 during the replay rather than after it; ``Tape.num_records`` still counts
 what was recorded.
 
-Taped ops. The pipeline records through ``matmul``, ``concat_rows``,
-``slice_rows`` and ``concat_cols``, and through three fused records made
+Taped ops. The pipeline records through ``matmul``, ``concat_rows`` and
+``concat_cols``, and through three fused records made
 with ``record``: the convolution layer (``conv.layer_forward``), the fusion
 gate (``train.gate_fusion``) and the loss head (``predict.pair_loss``). The
 other taped ops are here for the benchmark: ``bench/child.py`` wraps
@@ -59,7 +59,6 @@ __all__ = [
     "leaky_relu",
     "elu",
     "reduce_sum",
-    "slice_rows",
     "concat_rows",
     "concat_cols",
     "stack_halves",
@@ -309,20 +308,6 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
         if axis is None:
             return [(a, np.broadcast_to(g, a.value.shape).copy())]
         return [(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())]
-
-    record(out, backward)
-    return out
-
-
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """Contiguous row slice a[start:stop] (works on 1-D and 2-D tensors)."""
-    a = as_tensor(a)
-    out = Tensor(a.value[start:stop], requires_grad=a.requires_grad)
-
-    def backward(g):
-        full = np.zeros_like(a.value)
-        full[start:stop] = g
-        return [(a, full)]
 
     record(out, backward)
     return out

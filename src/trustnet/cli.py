@@ -111,6 +111,8 @@ def _cmd_run(args) -> int:
     keep = args.checkpoint_out is not None
     if keep and config.runs != 1:
         raise ConfigError("--checkpoint-out needs --runs 1")
+    if keep and not Path(args.checkpoint_out).parent.is_dir():
+        raise ConfigError(f"--checkpoint-out directory {Path(args.checkpoint_out).parent} does not exist")
     dataset = experiment.load_dataset(config)
     summary = experiment.run(config, out_dir=args.out, keep_params=keep, dataset=dataset)
     if keep:
@@ -160,12 +162,11 @@ def _cmd_ablate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = build_config(args)
     config.validate()
-    values = []
-    for tok in args.values.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        values.append(float(tok) if args.param == "train_ratio" else int(tok))
+    kind = float if args.param == "train_ratio" else int
+    try:
+        values = [kind(tok) for tok in map(str.strip, args.values.split(",")) if tok]
+    except ValueError:
+        raise ConfigError(f"--values must list {kind.__name__}s for {args.param}, got {args.values!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     summaries = experiment.sweep(config, args.param, values, out_dir=args.out)

@@ -23,8 +23,8 @@ second time. It keeps what those kernels read and recomputes the cheap
 intermediates, ``projected`` among them (see ``layer_forward``).
 
 Two stacked layers per role; the trustor view propagates along outgoing
-trust, the trustee view along incoming trust. A learned sigmoid gate
-fuses the two user embeddings elementwise.
+trust, the trustee view along incoming trust. The last layer computes only
+the user rows, which a learned sigmoid gate fuses elementwise.
 """
 
 from __future__ import annotations
@@ -70,16 +70,26 @@ class GateParams:
 # vectorized layer
 
 
-def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
-    """One convolution layer over a whole view, recorded as one tape op.
+def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int | None = None) -> Tensor:
+    """One convolution layer over a view, recorded as one tape op.
 
-    Computes steps (1)-(4) at every node, with the self-loop treated as a
-    neighbor of the node's own type. One product of ``h`` with the six
-    attention half-vectors gives every per-node score; the type logits then
-    aggregate the neighbor scores through ``view.s_user``/``view.s_obj``
-    rather than aggregating ``h`` and dotting the n x d sums. Each edge
-    reads its neighbor type's weight from ``type_softmax``'s [alpha_u;
-    alpha_o] at ``view.typed_rows``.
+    Computes steps (1)-(4) at the first ``out_rows`` nodes (all of them when
+    None), with the self-loop treated as a neighbor of the node's own type.
+    One product of ``h`` with the six attention half-vectors gives every
+    per-node score; the type logits then aggregate the neighbor scores
+    through ``view.s_user``/``view.s_obj`` rather than aggregating ``h`` and
+    dotting the n x d sums. Each edge reads its neighbor type's weight from
+    ``type_softmax``'s [alpha_u; alpha_o] at ``view.typed_rows``.
+
+    Rows are sorted, so the first m rows' edges are a prefix of the edge
+    list: the node attention, the aggregation and their gradients run over
+    that prefix, an (m, n) ``EdgeMap``, while ``projected``, the scores and
+    the type softmax stay over all n nodes, since the prefix's neighbors
+    include objects. The output is bitwise the full layer's first m rows
+    and each gradient the full layer's under a zero-padded output gradient:
+    rows and edges are computed independently, and every term the full
+    layer adds beyond the prefix is a +-0 landing in a sum that starts at
+    +0.0 (``bincount``, the sparse products), which changes no bit.
 
     The forward reads the values the benchmark's taped ops return, so a
     caller that patches one (as the gradient check patches ``leaky_relu``)
@@ -96,8 +106,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     ``ad.row_block_product`` goes straight into ``ad.edge_dots`` and is
     freed before ``edge_matmul``'s input gradient is formed.
     """
-    emap = view.emap
-    rows, cols, n, nu = emap.rows, emap.cols, view.num_nodes, view.num_users
+    n, nu = view.num_nodes, view.num_users
+    m = n if out_rows is None else out_rows
+    e = view.emap.indptr[m]
+    emap = ad.EdgeMap(view.emap.rows[:e], view.emap.cols[:e], m, n, view.emap.indptr[: m + 1])
+    rows, cols, typed_rows = emap.rows, emap.cols, view.typed_rows[:e]
     x = h.value
     w_user, w_obj = params.w_user.value, params.w_obj.value
     attn = (params.eta_user, params.eta_obj, params.gamma)
@@ -125,7 +138,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
     del logit_u, logit_o
 
     # node-level attention: the neighbor's type weight scales the pair logit
-    alpha_edge = ad.gather(alpha, view.typed_rows).value
+    alpha_edge = ad.gather(alpha, typed_rows).value
     pre_pair = alpha_edge * (ad.gather(s_own, rows).value + ad.gather(s_nbr, cols).value)
     del alpha_edge
     pair_logit = ad.leaky_relu(pre_pair, LEAKY_SLOPE).value
@@ -147,11 +160,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
         d_proj = emap.matrix(beta).T @ d_pre
         del d_pre
         # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
-        d_pair = ad.segment_softmax_grad(beta, d_beta, rows, n)
+        d_pair = ad.segment_softmax_grad(beta, d_beta, rows, m)
         del d_beta
         d_pair *= ad.leaky_slopes(nonneg_pair, LEAKY_SLOPE)
         d_alpha_edge = d_pair * (s_own[rows] + s_nbr[cols])
-        d_sum = d_pair * alpha[view.typed_rows]
+        d_sum = d_pair * alpha[typed_rows]
         del d_pair
         # each column gradient is added onto zeros, as the chain summed its
         # zero-padded one-column gradients (this also turns -0.0 into +0.0)
@@ -159,7 +172,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
         d_scores[:, 5] += ad.scatter_values(d_sum, cols, n)
         d_scores[:, 4] += ad.scatter_values(d_sum, rows, n)
         del d_sum
-        d_alpha = ad.scatter_values(d_alpha_edge, view.typed_rows, 2 * n)
+        d_alpha = ad.scatter_values(d_alpha_edge, typed_rows, 2 * n)
         del d_alpha_edge
         # type_softmax, then each type's leaky ReLU, sum and sparse product
         d_logit_u, d_logit_o = ad.type_softmax_grads(alpha, d_alpha)

@@ -9,6 +9,7 @@ perturbation 1e-5 is meaningful.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,23 +137,16 @@ def init_params(
     rng = np.random.default_rng(seed)
     proj_user = Tensor(_glorot(rng, user_dim, role_dim, (user_dim, role_dim)))
     proj_obj = Tensor(_glorot(rng, object_dim, role_dim, (object_dim, role_dim)))
-    trustor = (
-        RoleEncoder(Role.TRUSTOR, [_init_layer(rng, role_dim) for _ in range(num_layers)])
-        if trustor_enabled
-        else None
-    )
-    trustee = (
-        RoleEncoder(Role.TRUSTEE, [_init_layer(rng, role_dim) for _ in range(num_layers)])
-        if trustee_enabled
-        else None
+    # the trustor's layers draw from rng before the trustee's
+    trustor, trustee = (
+        RoleEncoder(role, [_init_layer(rng, role_dim) for _ in range(num_layers)]) if enabled else None
+        for role, enabled in ((Role.TRUSTOR, trustor_enabled), (Role.TRUSTEE, trustee_enabled))
     )
     # alternating-sign start biases alternate dimensions toward opposite
     # roles; a symmetric 0.5 start mixes the roles' gradients early on
     gate = GateParams(Tensor(np.where(np.arange(role_dim) % 2 == 0, 1.0, -1.0)))
-    predictor = PredictorParams(
-        weight=Tensor(_glorot(rng, 2 * latent_dim, 2, (2 * latent_dim, 2))),
-        bias=Tensor(np.zeros(2)),
-    )
+    weight = Tensor(_glorot(rng, 2 * latent_dim, 2, (2 * latent_dim, 2)))
+    predictor = PredictorParams(weight, Tensor(np.zeros(2)))
     return ModelParams(
         latent_dim=latent_dim,
         user_dim=user_dim,
@@ -183,10 +177,7 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     -sum(G * z_tee) + sum(G * z_tor) over the users, in that order, through
     ``ad.sigmoid_grad``; every input gets its gradient, and the tape drops a
     frozen one's. The record keeps only the sigmoid and references to the
-    two role embeddings, not the two products. The role slices stay records
-    of their own: folded into this one, the trustor's zero-padded n x d
-    gradient would be allocated here and held through the whole trustee
-    backward.
+    two role embeddings, not the two products.
     """
     s = ad.logistic(raw_gate.value)
     zor, zee = z_tor.value, z_tee.value
@@ -207,18 +198,16 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
 def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     """Tape-aware pipeline up to the fused per-user embeddings.
 
-    Records 3 entries for the input projection, one per convolution layer,
-    one role slice per role, and one for the fusion (``gate_fusion`` or
-    ``ad.concat_cols``) when both roles run.
+    Records 3 entries for the input projection, one per convolution layer
+    and one for the fusion (``gate_fusion`` or ``ad.concat_cols``) when both
+    roles run. Each role's last layer computes only the user rows, so its
+    output is the role's user embedding as it stands; the object rows,
+    which nothing downstream reads, are never formed.
     """
-    if h0_users is None:
-        hu = params.h0_users
-    else:
-        hu = ad.as_tensor(h0_users.vectors if hasattr(h0_users, "vectors") else h0_users)
-    if h0_objects is None:
-        ho = params.h0_objects
-    else:
-        ho = ad.as_tensor(h0_objects.vectors if hasattr(h0_objects, "vectors") else h0_objects)
+    hu, ho = (
+        kept if given is None else ad.as_tensor(getattr(given, "vectors", given))
+        for given, kept in ((h0_users, params.h0_users), (h0_objects, params.h0_objects))
+    )
     if hu is None or ho is None:
         raise DataError("initial embeddings missing: pass tables or attach them to params")
 
@@ -228,10 +217,11 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
         if enc is None:
             continue
         view = views[enc.role]
+        *inner, last = enc.layers
         h = h0
-        for layer in enc.layers:
+        for layer in inner:
             h = layer_forward(h, view, layer)
-        role_users[enc.role] = ad.slice_rows(h, 0, view.num_users)
+        role_users[enc.role] = layer_forward(h, view, last, out_rows=view.num_users)
 
     if len(role_users) == 2:
         z_tor = role_users[Role.TRUSTOR]
@@ -363,16 +353,11 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare tape gradients with central differences, entry by entry."""
 
-    def loss_value() -> float:
-        loss, _ = forward(
-            fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, fixture.samples
-        )
-        return loss
+    def run() -> tuple[float, Tape]:
+        f = fixture
+        return forward(f.graph, f.views, f.h0_users, f.h0_objects, params, f.samples)
 
-    _, tape = forward(
-        fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, fixture.samples
-    )
-    grads = backward(tape)
+    grads = backward(run()[1])
     analytic = {name: grads.get(tensor, np.zeros_like(tensor.value)) for name, tensor, _ in params.named()}
 
     errors: dict[str, float] = {}
@@ -383,9 +368,9 @@ def grad_check(
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + perturbation
-            up = loss_value()
+            up = run()[0]
             flat[idx] = orig - perturbation
-            down = loss_value()
+            down = run()[0]
             flat[idx] = orig
             numeric = (up - down) / (2.0 * perturbation)
             a = analytic[name].reshape(-1)[idx]
@@ -430,38 +415,54 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
+def _checked_meta(data) -> dict:
+    """The checkpoint's ``__meta__`` record, once every field ``load_params`` reads has its type."""
+    try:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"checkpoint has no JSON __meta__ record: {exc}") from exc
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version!r}")
+    for name, low in (("latent_dim", 1), ("user_dim", 1), ("object_dim", 1), ("num_layers", 1), ("step", 0)):
+        value = meta.get(name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise DataError(f"checkpoint {name} must be an integer >= {low}, got {value!r}")
+    for name in ("trustor", "trustee", "has_h0", "h0_trainable"):
+        if not isinstance(meta.get(name), bool):
+            raise DataError(f"checkpoint {name} must be a boolean, got {meta.get(name)!r}")
+    if meta.get("fusion") not in ("gate", "concat"):
+        raise DataError(f"checkpoint fusion must be 'gate' or 'concat', got {meta.get('fusion')!r}")
+    return meta
+
+
 def load_params(path) -> tuple[ModelParams, dict | None]:
     """Rebuild a ModelParams, and its provenance, from a checkpoint written by save_params.
 
-    Raises ``DataError`` for an unknown version, a missing or misshapen
-    parameter, and Adam moments that lack their pair, are misshapen or
-    belong to no parameter.
+    Raises ``DataError`` for a file that is not a readable npz archive with
+    a JSON ``__meta__`` record, an unknown version, a metadata field of the
+    wrong type, a missing or misshapen parameter, and Adam moments that
+    lack their pair, are misshapen or belong to no parameter.
     """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"unsupported checkpoint version {meta.get('version')!r}"
-            )
+    try:
+        data = np.load(path)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataError(f"checkpoint {path} is not an npz archive")
+    with data:
+        meta = _checked_meta(data)
         params = init_params(
-            seed=0,
-            user_dim=meta["user_dim"],
-            object_dim=meta["object_dim"],
-            latent_dim=meta["latent_dim"],
-            fusion=meta["fusion"],
-            trustor_enabled=meta["trustor"],
-            trustee_enabled=meta["trustee"],
-            num_layers=meta["num_layers"],
+            0, meta["user_dim"], meta["object_dim"], meta["latent_dim"], meta["fusion"],
+            meta["trustor"], meta["trustee"], meta["num_layers"],
         )
         params.step = meta["step"]
         if meta["has_h0"]:
-            if meta["h0_trainable"]:
-                hu = data["param::h0/users"]
-                ho = data["param::h0/objects"]
-            else:
-                hu = data["frozen::h0/users"]
-                ho = data["frozen::h0/objects"]
-            params.set_initial_tables(hu, ho, trainable=meta["h0_trainable"])
+            kind = "param" if meta["h0_trainable"] else "frozen"
+            tables = [f"{kind}::h0/users", f"{kind}::h0/objects"]
+            if not all(key in data for key in tables):
+                raise DataError(f"checkpoint missing initial tables {tables}")
+            params.set_initial_tables(*(data[key] for key in tables), trainable=meta["h0_trainable"])
         shapes = {}
         for name, tensor, _ in params.named():
             key = f"param::{name}"
@@ -489,4 +490,4 @@ def load_params(path) -> tuple[ModelParams, dict | None]:
                     f"{m.shape} and {v.shape} vs {shapes[name]}"
                 )
             params.moments[name] = (m, v)
-    return params, meta["provenance"]
+    return params, meta.get("provenance")

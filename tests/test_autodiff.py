@@ -162,6 +162,20 @@ def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> ad.Tensor:
     return out
 
 
+def slice_rows(a, start: int, stop: int) -> ad.Tensor:
+    """Contiguous row slice a[start:stop] (works on 1-D and 2-D tensors)."""
+    a = ad.as_tensor(a)
+    out = ad.Tensor(a.value[start:stop], requires_grad=a.requires_grad)
+
+    def backward(g):
+        full = np.zeros_like(a.value)
+        full[start:stop] = g
+        return [(a, full)]
+
+    ad.record(out, backward)
+    return out
+
+
 def column(a, k: int) -> ad.Tensor:
     """Column a[:, k] of a 2-D tensor, as a contiguous vector."""
     a = ad.as_tensor(a)
@@ -238,7 +252,7 @@ def test_reduce_sum_axis():
 
 def test_slice_and_concat_rows():
     check_op(
-        lambda a, b: mean(mul(ad.concat_rows(ad.slice_rows(a, 0, 2), b), 3.0)),
+        lambda a, b: mean(mul(ad.concat_rows(slice_rows(a, 0, 2), b), 3.0)),
         (4, 3),
         (2, 3),
     )
@@ -679,7 +693,7 @@ BINARY = {
     "add": add,
     "sub": sub,
     "mul": mul,
-    "splice": lambda p, q: ad.concat_rows(ad.slice_rows(p, 0, 2), ad.slice_rows(q, 2, 4)),
+    "splice": lambda p, q: ad.concat_rows(slice_rows(p, 0, 2), slice_rows(q, 2, 4)),
 }
 
 
@@ -869,7 +883,7 @@ def test_row_block_matmul_is_the_slice_chain_bitwise(d):
     (got, got_g), (want, want_g) = fused_and_chain(
         lambda a, wt, wb: row_block_matmul(a, split, wt, wb),
         lambda a, wt, wb: ad.concat_rows(
-            ad.matmul(ad.slice_rows(a, 0, split), wt), ad.matmul(ad.slice_rows(a, split, n), wb)
+            ad.matmul(slice_rows(a, 0, split), wt), ad.matmul(slice_rows(a, split, n), wb)
         ),
         leaves,
         rng.normal(size=(n, d)),

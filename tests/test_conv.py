@@ -22,7 +22,7 @@ from trustnet.train import backward, forward, init_params
 
 from test_autodiff import (
     REPO, add, assert_close_grads, column, div, exp, mul, row_block_matmul, segment_softmax, sigmoid,
-    stack_halves, sub, type_softmax,
+    slice_rows, stack_halves, sub, type_softmax,
 )
 from test_predict import chain_pair_loss, frozen
 
@@ -149,12 +149,16 @@ def chain_gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     return add(mul(g, z_tor), mul(sub(1.0, g), z_tee))
 
 
-def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
+def chain_layer_forward(
+    h: Tensor, view: GraphView, params: LayerParams, out_rows: int | None = None
+) -> Tensor:
     """``layer_forward`` as a chain of 25 tape ops, each with its own record.
 
     The production layer runs this same chain untaped and replays its
     gradient arithmetic in one record, so its output and gradients must be
-    bitwise equal to this chain's.
+    bitwise equal to this chain's. With ``out_rows`` the chain computes
+    every row and slices off the first ``out_rows``, which the production
+    layer computes alone.
     """
     emap = view.emap
 
@@ -174,7 +178,8 @@ def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tens
     )
     beta = segment_softmax(pair_logit, emap.rows, emap.indptr)
 
-    return ad.elu(ad.edge_matmul(beta, projected, emap))
+    out = ad.elu(ad.edge_matmul(beta, projected, emap))
+    return out if out_rows is None else slice_rows(out, 0, out_rows)
 
 
 def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
@@ -187,17 +192,17 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     d = params.w_user.value.shape[0]
     rows, cols, indptr = view.emap.rows, view.emap.cols, view.emap.indptr
 
-    hu = ad.slice_rows(h, 0, nu)
-    ho = ad.slice_rows(h, nu, n)
+    hu = slice_rows(h, 0, nu)
+    ho = slice_rows(h, nu, n)
     projected = ad.concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
 
     t_user = ad.sparse_matmul(view.s_user, h)
     t_obj = ad.sparse_matmul(view.s_obj, h)
 
-    eu1 = ad.slice_rows(params.eta_user, 0, d)
-    eu2 = ad.slice_rows(params.eta_user, d, 2 * d)
-    eo1 = ad.slice_rows(params.eta_obj, 0, d)
-    eo2 = ad.slice_rows(params.eta_obj, d, 2 * d)
+    eu1 = slice_rows(params.eta_user, 0, d)
+    eu2 = slice_rows(params.eta_user, d, 2 * d)
+    eo1 = slice_rows(params.eta_obj, 0, d)
+    eo2 = slice_rows(params.eta_obj, d, 2 * d)
     logit_u = ad.leaky_relu(add(ad.matmul(h, eu1), ad.matmul(t_user, eu2)), LEAKY_SLOPE)
     logit_o = ad.leaky_relu(add(ad.matmul(h, eo1), ad.matmul(t_obj, eo2)), LEAKY_SLOPE)
 
@@ -216,8 +221,8 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     alpha_edge = add(
         mul(ad.gather(alpha_u, rows), is_user_col), mul(ad.gather(alpha_o, rows), 1.0 - is_user_col)
     )
-    g1 = ad.slice_rows(params.gamma, 0, d)
-    g2 = ad.slice_rows(params.gamma, d, 2 * d)
+    g1 = slice_rows(params.gamma, 0, d)
+    g2 = slice_rows(params.gamma, d, 2 * d)
     s_own = ad.gather(ad.matmul(h, g1), rows)
     s_nbr = ad.gather(ad.matmul(h, g2), cols)
     pair_logit = ad.leaky_relu(mul(alpha_edge, add(s_own, s_nbr)), LEAKY_SLOPE)
@@ -619,9 +624,12 @@ class TestLayerMatchesOpByOpOracle:
         assert self.default_forward_records() <= 30
 
     def test_default_forward_records_at_most_11(self):
-        # 3 for the input projection, 4 layers, 2 role slices, the gate and
-        # the loss head
         assert self.default_forward_records() <= 11
+
+    def test_default_forward_records_9(self):
+        # 3 for the input projection, 4 layers, the gate and the loss head:
+        # each role's last layer computes the user rows, so no role slice
+        assert self.default_forward_records() == 9
 
 
 # which of h and the layer parameters take gradients
@@ -702,6 +710,53 @@ class TestLayerMatchesChainBitwise:
         assert np.array_equal(out, want_out)
         for got, want in zip(grads, want_grads):
             assert np.array_equal(got, want)
+
+
+def lonely_user_case(rng, d, role):
+    """``random_oracle_case`` with one more user, the last, whose only edge is its self-loop."""
+    g, aug = random_graph(rng)
+    nu = g.num_users
+
+    def shifted(edges):
+        return np.where(edges >= nu, edges + 1, edges)
+
+    g = HeteroGraph(
+        nu + 1, g.num_objects, g.trust_edges, shifted(g.interaction_edges), shifted(g.object_edges)
+    )
+    view = build_view(g, aug, role)
+    indptr = view.emap.indptr
+    assert indptr[nu + 1] - indptr[nu] == 1 and view.emap.cols[indptr[nu]] == nu
+    # random_graph's last old user has no object neighbor
+    assert view.has_obj_neighbor[nu - 1] == 0
+    return view, Tensor(rng.normal(size=(g.num_nodes, d))), make_layer(rng, d)
+
+
+class TestUsersOnlyLayer:
+    # the user rows alone are the full layer's first rows, and every gradient
+    # is the full layer's under an output gradient that is zero past them
+    @pytest.mark.parametrize("trainable", ["all", "frozen_h"])
+    @pytest.mark.parametrize("rows", ["users", "nodes", "first"])
+    @pytest.mark.parametrize("role", [Role.TRUSTOR, Role.TRUSTEE], ids=["trustor", "trustee"])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_rows_and_gradients_are_the_full_layers(self, d, role, rows, trainable):
+        rng = np.random.default_rng([d, role is Role.TRUSTEE, len(rows), 19])
+        for _ in range(4):
+            view, h, lp = lonely_user_case(rng, d, role)
+            h, lp = TRAINABLE[trainable](h, lp)
+            m = {"users": view.num_users, "nodes": view.num_nodes, "first": 1}[rows]
+            weights = rng.normal(size=h.shape)
+            weights[m:] = 0.0
+            want_out, want_grads = layer_grads(layer_forward, view, h, lp, weights)
+
+            def leading_rows(h, view, lp):
+                return layer_forward(h, view, lp, out_rows=m)
+
+            out, grads = layer_grads(leading_rows, view, h, lp, weights[:m])
+            assert out.shape == (m, d) and np.array_equal(out, want_out[:m])
+            for got, want in zip(grads, want_grads):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def doubled(kernel):
@@ -850,6 +905,30 @@ class TestPipelineMatchesChainsBitwise:
             if want is not None:
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_other_depths_equal(self, monkeypatch, num_layers, pipeline):
+        fx = make_pipeline_fixture(seed=6)
+        params = init_params(
+            seed=7, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1],
+            latent_dim=4, num_layers=num_layers, **PIPELINES[pipeline],
+        )
+        params.set_initial_tables(fx.h0_users, fx.h0_objects, trainable=True)
+
+        def run():
+            loss, tape = forward(fx.graph, fx.views, None, None, params, fx.samples)
+            grads = backward(tape)
+            return loss, [grads.get(t) for _, t, _ in params.named()]
+
+        loss, grads = run()
+        chains(monkeypatch)
+        want_loss, want_grads = run()
+        assert loss == want_loss
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+
 
 def traced_step(run, params) -> tuple[int, int]:
     """Bytes the tape of one training forward holds, and the traced peak over
@@ -903,6 +982,23 @@ def test_training_step_peaks_lower_than_the_chains(tmp_path, monkeypatch):
     assert fused <= 0.6 * chain
 
 
+def all_rows_then_sliced(h, view, params, out_rows=None):
+    """The production layer at every node, with its first ``out_rows`` rows sliced off after."""
+    out = layer_forward(h, view, params)
+    return out if out_rows is None else slice_rows(out, 0, out_rows)
+
+
+def test_users_only_last_layer_lowers_the_training_step_peak(tmp_path, monkeypatch):
+    # the last layers' n x d object rows, their E-sized edge arrays and the
+    # zero-padded slice gradients are never formed
+    run, params = small_filmtrust_run(tmp_path)
+    held, peak = traced_step(run, params)
+    monkeypatch.setattr(train, "layer_forward", all_rows_then_sliced)
+    all_held, all_peak = traced_step(run, params)
+    # 0.79 and 0.81 of the all-rows step's held tape and peak
+    assert held <= 0.9 * all_held and peak <= 0.9 * all_peak
+
+
 def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():
     # results do not depend on node ids: users renamed among users and
     # objects among objects permute the rows of every output and gradient
@@ -926,7 +1022,7 @@ def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():
         h_t = Tensor(table)
         with Tape() as tape:
             outs = [layer_forward(h_t, build_view(g, pairs, role), lp) for role, lp in roles.items()]
-            z = train.gate_fusion(*(ad.slice_rows(o, 0, nu) for o in outs), raw_gate)
+            z = train.gate_fusion(*(slice_rows(o, 0, nu) for o in outs), raw_gate)
             loss = pair_loss(z, ids[i], ids[j], y, predictor)
             tape.mark_output(loss)
         grads = tape.gradients()

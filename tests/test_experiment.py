@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import logging
 
@@ -351,18 +352,31 @@ class TestSweep:
             sweep(small_config(film_dir), "dropout", [0.1])
 
 
-def rewrite_provenance(ckpt, edit) -> None:
-    """Apply ``edit`` to a checkpoint's stored provenance."""
+def rewrite_meta(ckpt, edit) -> None:
+    """Replace a checkpoint's ``__meta__`` record by ``edit`` of it."""
     data = dict(np.load(ckpt))
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    meta["provenance"] = edit(meta["provenance"])
+    meta = edit(json.loads(bytes(data["__meta__"]).decode()))
     data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(ckpt, **data)
+
+
+def rewrite_provenance(ckpt, edit) -> None:
+    """Apply ``edit`` to a checkpoint's stored provenance."""
+    rewrite_meta(ckpt, lambda meta: {**meta, "provenance": edit(meta["provenance"])})
 
 
 def rewrite_stored_config(ckpt, edit) -> None:
     """Apply ``edit`` to the training config stored in a checkpoint's provenance."""
     rewrite_provenance(ckpt, lambda provenance: {**provenance, "config": edit(provenance["config"])})
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+MISSING = object()  # a checkpoint __meta__ field left out
 
 
 BAD_SEED = "run_seed must be a non-negative integer, got "
@@ -710,6 +724,95 @@ class TestCli:
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: checkpoint {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "write,message",
+        [
+            (lambda path: None, "cannot read checkpoint"),
+            (lambda path: path.write_text("not an archive"), "cannot read checkpoint"),
+            (lambda path: path.write_bytes(npy_bytes(np.zeros(3))), "is not an npz archive"),
+            (lambda path: np.savez(path, weights=np.zeros(3)), "has no JSON __meta__ record"),
+            (
+                lambda path: np.savez(path, __meta__=np.frombuffer(b"{version: 2", dtype=np.uint8)),
+                "has no JSON __meta__ record",
+            ),
+            (
+                lambda path: np.savez(path, __meta__=np.frombuffer(b"[2]", dtype=np.uint8)),
+                "unsupported checkpoint version None",
+            ),
+        ],
+        ids=["missing", "text", "npy", "no_meta", "meta_not_json", "meta_list"],
+    )
+    def test_unreadable_checkpoint_exits_2(self, film_dir, tmp_path, capsys, write, message):
+        ckpt = tmp_path / "model.npz"
+        write(ckpt)
+        rc = cli_main(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "field,value,want",
+        [
+            ("latent_dim", MISSING, "an integer >= 1"),
+            ("fusion", MISSING, "'gate' or 'concat'"),
+            ("step", MISSING, "an integer >= 0"),
+            ("has_h0", MISSING, "a boolean"),
+            ("num_layers", "2", "an integer >= 1"),
+            ("num_layers", 0, "an integer >= 1"),
+            ("latent_dim", "3", "an integer >= 1"),
+            ("latent_dim", True, "an integer >= 1"),
+            ("user_dim", None, "an integer >= 1"),
+            ("trustor", "false", "a boolean"),
+            ("trustee", 1, "a boolean"),
+            ("step", "3", "an integer >= 0"),
+            ("step", -1, "an integer >= 0"),
+            ("fusion", "sum", "'gate' or 'concat'"),
+        ],
+        ids=[
+            "no_latent_dim", "no_fusion", "no_step", "no_has_h0", "str_num_layers", "zero_num_layers",
+            "str_latent_dim", "bool_latent_dim", "null_user_dim", "str_trustor", "int_trustee",
+            "str_step", "negative_step", "unknown_fusion",
+        ],
+    )
+    def test_checkpoint_with_mistyped_meta_exits_2(self, film_dir, tmp_path, capsys, field, value, want):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+
+        def retype(meta):
+            kept = {k: v for k, v in meta.items() if k != field}
+            return kept if value is MISSING else {**kept, field: value}
+
+        rewrite_meta(ckpt, retype)
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        got = None if value is MISSING else value
+        assert err == f"data error: checkpoint {field} must be {want}, got {got!r}\n"
+
+    def test_checkpoint_out_into_a_missing_directory_fails_before_training(
+        self, film_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiment, "run", no_training)
+        ckpt = tmp_path / "missing" / "model.npz"
+        assert cli_main(["run", *checkpoint_run_flags(film_dir), "--checkpoint-out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --checkpoint-out directory") and err.count("\n") == 1
+        assert str(ckpt.parent) in err and not ckpt.parent.exists()
+
+    @pytest.mark.parametrize(
+        "param,values", [("ppr_k", "a,b"), ("latent_dim", "4,2.5"), ("train_ratio", "0.5,x")]
+    )
+    def test_sweep_values_that_do_not_parse_are_a_config_error(self, film_dir, capsys, param, values):
+        flags = checkpoint_run_flags(film_dir)
+        assert cli_main(["sweep", *flags, "--param", param, "--values", values]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --values must list ") and err.count("\n") == 1
+        assert param in err and repr(values) in err
 
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(

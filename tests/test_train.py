@@ -278,6 +278,14 @@ class TestGradCheck:
         report = grad_check(params, fixture, tolerance=1e-4)
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_other_depths_gradients(self, fixture, num_layers):
+        # the last layer computes only the user rows, whatever the depth
+        params = fresh_params(fixture, seed=23, num_layers=num_layers)
+        report = grad_check(params, fixture, tolerance=1e-4)
+        assert f"trustee/layer{num_layers - 1}/gamma" in report.errors
+        assert report.passed, str(report)
+
     def test_single_role_gradients(self, fixture):
         params = fresh_params(fixture, seed=15, trustee_enabled=False)
         report = grad_check(params, fixture, tolerance=1e-4)
