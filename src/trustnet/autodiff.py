@@ -144,10 +144,11 @@ class Tape:
         """Run the backward pass; returns gradients keyed by tensor.
 
         Each record is visited once, in reverse execution order, and is
-        popped off the tape before its backward runs. Once the loop moves
-        on, nothing refers to that closure or its output any more, so
-        their arrays are freed as the replay goes. Calling this a second
-        time raises ``TapeError``.
+        popped off the tape before its backward runs. The closure, its
+        output and the output's gradient are dropped before the
+        contributions it returned are summed, and those once they are, so
+        a record's arrays are freed as the replay goes and never sit next
+        to the sums. Calling this a second time raises ``TapeError``.
         """
         if self._spent:
             raise TapeError("tape has already been replayed")
@@ -167,7 +168,10 @@ class Tape:
             g = grads.pop(out, None)
             owned.discard(out)
             if g is not None:
-                _accumulate(grads, owned, backward(g))
+                contribs = backward(g)
+                del out, backward, g
+                _accumulate(grads, owned, contribs)
+                del contribs
         return grads
 
 

@@ -94,10 +94,13 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     The forward reads the values the benchmark's taped ops return, so a
     caller that patches one (as the gradient check patches ``leaky_relu``)
     changes the layer's output exactly as it would change the taped chain's.
-    The backward calls the gradient kernels in reverse chain order, so its
-    gradients are bitwise the chain's; ``h`` takes the attention's
-    contribution, then the projection's. It gives every input a gradient;
-    the tape drops those of frozen inputs.
+    The backward calls the gradient kernels in reverse chain order, except
+    that the projection's runs before the score product's, which does not
+    read it, so the projection's gradient is freed before ``h``'s attention
+    gradient is formed. Its gradients are bitwise the chain's; ``h`` takes
+    the attention's contribution, then the projection's, as the returned
+    pairs list them. It gives every input a gradient; the tape drops those
+    of frozen inputs.
 
     It keeps the pre-ELU product, the edge and type weights, the two
     pair-score columns, the stacked attention vectors, ``>= 0`` masks of
@@ -184,12 +187,13 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
         d_scores[:, 0] += d_logit_u
         d_scores[:, 1] += view.s_user.T @ d_logit_u
         del d_logit_u, d_logit_o
-        # the score product and stack_halves, then row_block_product
+        # row_block_product, then the score product and stack_halves: d_proj
+        # goes before d_h is formed, so two n x d gradients are held, not three
+        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        del d_proj
         d_h = d_scores @ stacked.T
         d_attn = ad.stack_halves_grads(x.T @ d_scores)
         del d_scores
-        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
-        del d_proj
         return [(h, d_h), *zip(attn, d_attn), (h, d_x), *zip((params.w_user, params.w_obj), d_w)]
 
     ad.record(out, backward)

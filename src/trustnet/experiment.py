@@ -128,6 +128,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown fusion mode {self.fusion!r}")
         if not (self.roles.trustor_enabled or self.roles.trustee_enabled):
             raise ConfigError("at least one role must be enabled")
+        both = self.roles.trustor_enabled and self.roles.trustee_enabled
+        if self.fusion == "concat" and both and self.latent_dim % 2:
+            raise ConfigError(f"concat fusion of both roles needs an even latent_dim, got {self.latent_dim}")
         if self.ppr.enabled:
             if self.ppr.k < 1:
                 raise ConfigError("ppr.k must be >= 1")
@@ -595,6 +598,7 @@ def make_ablation(config: ExperimentConfig, variant: str) -> ExperimentConfig:
         if config.fusion != "gate":
             raise ConfigError("concat ablation needs a gate-fusion base config")
         new.fusion = "concat"
+        new.validate()  # an odd latent_dim cannot be split between the two roles
     return new
 
 
@@ -628,15 +632,21 @@ def sweep(
     out_dir=None,
     dataset: Dataset | None = None,
 ) -> list[Summary]:
-    """One repeat-and-average summary per value; rows tagged sweep:param=value."""
+    """One repeat-and-average summary per value; rows tagged sweep:param=value.
+
+    Every cell's config is built and validated before any data is loaded or
+    any cell runs, so a bad value fails before the first cell's rows exist.
+    """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+    cells = [_apply_sweep_value(config, param, value) for value in values]
+    for cell in cells:
+        cell.validate()
     if dataset is None:
         config.validate()
         dataset = load_dataset(config)
     summaries = []
-    for value in values:
-        cell = _apply_sweep_value(config, param, value)
+    for value, cell in zip(values, cells):
         label = f"sweep:{param}={value:g}" if isinstance(value, float) else f"sweep:{param}={value}"
         summaries.append(run(cell, out_dir=out_dir, variant=label, dataset=dataset))
     return summaries

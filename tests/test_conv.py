@@ -1,5 +1,6 @@
 import ast
 import gc
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from trustnet import autodiff as ad
-from trustnet import experiment, train
+from trustnet import conv, experiment, train
 from trustnet.autodiff import Tape, Tensor
 from trustnet.conv import LEAKY_SLOPE, GateParams, LayerParams, RoleEncoder, layer_forward
 from trustnet.embed import EmbeddingTable
@@ -946,9 +947,9 @@ def traced_step(run, params) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def small_filmtrust_run(tmp_path):
-    """A 300-user FilmTrust run at the default widths, with PPR and trainable tables."""
-    make_filmtrust_files(tmp_path, seed=0, num_users=300, num_objects=410, num_trust=370)
+def small_filmtrust_run(tmp_path, num_users=300, num_objects=410, num_trust=370):
+    """A FilmTrust run (300 users by default) at the default widths, with PPR and trainable tables."""
+    make_filmtrust_files(tmp_path, seed=0, num_users=num_users, num_objects=num_objects, num_trust=num_trust)
     config = ExperimentConfig(dataset=str(tmp_path), kind="filmtrust")
     run = experiment.prepare_run(experiment.load_dataset(config), config, run_seed=1)
     params = init_params(seed=0, user_dim=32, object_dim=32, latent_dim=32)
@@ -997,6 +998,51 @@ def test_users_only_last_layer_lowers_the_training_step_peak(tmp_path, monkeypat
     all_held, all_peak = traced_step(run, params)
     # 0.79 and 0.81 of the all-rows step's held tape and peak
     assert held <= 0.9 * all_held and peak <= 0.9 * all_peak
+
+
+# the layer backward's last steps as they are, and in the old order (score product first)
+PROJECTION_FIRST = """\
+        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        del d_proj
+        d_h = d_scores @ stacked.T
+        d_attn = ad.stack_halves_grads(x.T @ d_scores)
+        del d_scores
+"""
+SCORES_FIRST = """\
+        d_h = d_scores @ stacked.T
+        d_attn = ad.stack_halves_grads(x.T @ d_scores)
+        del d_scores
+        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        del d_proj
+"""
+
+
+def scores_first_layer_forward():
+    """The production layer with its backward in the old order: ``d_h`` is
+    formed while ``d_proj`` is held, and ``d_x`` next to both."""
+    source = inspect.getsource(conv.layer_forward)
+    assert source.count(PROJECTION_FIRST) == 1
+    namespace = dict(vars(conv))
+    exec(source.replace(PROJECTION_FIRST, SCORES_FIRST), namespace)
+    return namespace["layer_forward"]
+
+
+def test_projection_gradient_first_lowers_the_training_step_peak(tmp_path, monkeypatch):
+    # the same gradients, bit for bit, with one n x d array fewer at the end
+    # of the layer backward, which at the 1x FilmTrust size (3579 nodes) is
+    # the step's peak. The tape sums h's two contributions into a third n x d
+    # array, so the peak falls only because it drops the record's own arrays
+    # and gradient first.
+    run, params = small_filmtrust_run(tmp_path, num_users=1508, num_objects=2071, num_trust=1853)
+    _, peak = traced_step(run, params)
+    grads = backward(forward(None, run.views, None, None, params, run.train)[1])
+    monkeypatch.setattr(train, "layer_forward", scores_first_layer_forward())
+    _, old_peak = traced_step(run, params)
+    old_grads = backward(forward(None, run.views, None, None, params, run.train)[1])
+    assert grads.keys() == old_grads.keys()
+    assert all(np.array_equal(grads[t], old_grads[t]) for t in grads)
+    # 0.945 of the old order's peak
+    assert peak <= 0.97 * old_peak
 
 
 def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():

@@ -12,9 +12,10 @@ The runs use two derived seeds each; ``trace_seed0.csv`` and
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trustnet import embed
+from trustnet import embed, ppr
 from trustnet.cli import build_config, build_parser
 from trustnet.cli import main as cli_main
 from trustnet.experiment import (
@@ -98,6 +99,21 @@ VIEW_DIGESTS = {
     },
 }
 
+# SHA-256 of the PPR push's scores for each run seed of the two runs above: ``data``
+# (float64), then ``indices`` and ``indptr`` as int64, taken with the push that adds into
+# the estimate once per sweep (``oracle_forward_push`` in tests/test_ppr.py). A change to
+# any score's bits fails here even where no top-k pair moves.
+PUSH_DIGESTS = {
+    "siot": {
+        2083679832: "a53cc71d1ed780f5b62810be787f6de014eda49f0685bbe2dff98acbf4dfa07a",
+        3939563265: "95bd0401adb3ac1ec172d6ecb661d25d9b8cc19c9880ad15ffe7806465a20807",
+    },
+    "filmtrust": {
+        2083679832: "5eae381f5e913de17f2d528492f19f959499064a62ecc122cc3c6cf6ebfe5a3f",
+        3939563265: "e9d383f5462bbda9b11fbc93233c178ae8239685f5ee74cc3b51584be280e5c1",
+    },
+}
+
 HOST_NOTE = (
     "The stored digests were taken on one host. OpenBLAS (DYNAMIC_ARCH) may pick other "
     "kernels on another CPU and change the last bits of a product, so before treating a "
@@ -168,3 +184,26 @@ def test_role_views_are_byte_identical(kind, tmp_path):
             for role, view in views.items()
         }
     assert got == VIEW_DIGESTS[kind], f"{kind} role views changed. {HOST_NOTE}"
+
+
+@pytest.mark.parametrize("kind", ["siot", "filmtrust"])
+def test_push_scores_are_byte_identical(kind, tmp_path, monkeypatch):
+    data = tmp_path / kind
+    assert cli_main(["fixtures", kind, "--out", str(data), "--seed", "0"]) == 0
+    config = run_config(kind, data)
+    dataset = load_dataset(config)
+    pushed, push = [], ppr.forward_push
+
+    def kept(*args, **kwargs):
+        pushed.append(push(*args, **kwargs))
+        return pushed[-1]
+
+    monkeypatch.setattr(ppr, "forward_push", kept)
+    got = {}
+    for run_seed in derive_run_seeds(config.seed, config.runs):
+        prepare_run(dataset, config, run_seed)
+        (p,) = pushed
+        pushed.clear()
+        blob = p.data.tobytes() + p.indices.astype(np.int64).tobytes() + p.indptr.astype(np.int64).tobytes()
+        got[run_seed] = hashlib.sha256(blob).hexdigest()
+    assert got == PUSH_DIGESTS[kind], f"{kind} PPR scores changed. {HOST_NOTE}"

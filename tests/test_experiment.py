@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trustnet import experiment, train
-from trustnet.cli import _add_config_flags, build_config
+from trustnet.cli import _ablation_variants, _add_config_flags, build_config
 from trustnet.cli import main as cli_main
 from trustnet.errors import ConfigError
 from trustnet.experiment import (
@@ -62,6 +62,14 @@ def small_config(film_dir, **kw):
 
 
 class TestConfig:
+    def test_concat_of_both_roles_needs_an_even_latent_dim(self, film_dir):
+        cfg = small_config(film_dir, latent_dim=5, fusion="concat")
+        with pytest.raises(ConfigError, match="concat fusion of both roles needs an even latent_dim, got 5"):
+            cfg.validate()
+        cfg.roles.trustee_enabled = False  # one role fills the whole width
+        cfg.validate()
+        small_config(film_dir, latent_dim=4, fusion="concat").validate()
+
     def test_validate_catches_bad_fields(self, film_dir):
         cfg = small_config(film_dir)
         cfg.train_ratio = 1.5
@@ -235,6 +243,16 @@ class TestAblations:
         for variant in ABLATION_VARIANTS:
             changed = config_diff(cfg, make_ablation(cfg, variant))
             assert len(changed) == 1, (variant, changed)
+
+    def test_concat_with_an_odd_latent_dim_is_rejected_or_skipped(self, film_dir, caplog):
+        cfg = small_config(film_dir, latent_dim=3)
+        cfg.validate()  # gate fusion takes any width
+        with pytest.raises(ConfigError, match="even latent_dim, got 3"):
+            make_ablation(cfg, "concat")
+        with caplog.at_level(logging.WARNING, logger="trustnet.cli"):
+            variants = _ablation_variants(cfg, None)
+        assert "concat" not in variants and "woTrustor" in variants
+        assert any("skipping ablation concat" in rec.getMessage() for rec in caplog.records)
 
     def test_wotriples_requires_triples(self, film_dir):
         with pytest.raises(ConfigError):
@@ -813,6 +831,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: --values must list ") and err.count("\n") == 1
         assert param in err and repr(values) in err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["run", "--latent-dim", "1", "--fusion", "concat"], "even latent_dim, got 1"),
+            (["ablate", "--variant", "concat", "--latent-dim", "3"], "even latent_dim, got 3"),
+            (["sweep", "--param", "ppr_k", "--values", "3,0"], "ppr.k must be >= 1"),
+            (["sweep", "--param", "latent_dim", "--values", "4,3", "--fusion", "concat"], "even latent_dim, got 3"),
+        ],
+    )
+    def test_config_mistakes_fail_before_any_data_is_loaded(
+        self, film_dir, tmp_path, capsys, monkeypatch, args, message
+    ):
+        def no_loading(*a, **kw):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(experiment, "load_dataset", no_loading)
+        out = tmp_path / "o"
+        verb, *rest = args
+        assert cli_main([verb, *checkpoint_run_flags(film_dir), *rest, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+        assert not (out / "metrics.csv").exists()
 
     def test_sweep_verb(self, film_dir, tmp_path):
         rc = cli_main(

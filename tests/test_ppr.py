@@ -1,9 +1,55 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from trustnet.errors import DataError
 from trustnet.graph import HeteroGraph
 from trustnet.ppr import forward_push, topk_augment, walk_transition
+
+
+def oracle_forward_push(w, sources, lam, epsilon):
+    """The push with one CSR addition per sweep into the estimate as well as the residual.
+
+    Every score is the left fold, in sweep order, of the mass pushed to it;
+    ``forward_push`` must match it bit for bit.
+    """
+    n = w.shape[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    m = sources.size
+    deg = np.diff(w.indptr)
+    thresh = epsilon * np.maximum(deg, 1)
+    dangling = deg == 0
+    rows = np.arange(m)
+    absorbed = dangling[sources]
+    p = sp.csr_matrix((np.ones(absorbed.sum()), (rows[absorbed], sources[absorbed])), shape=(m, n))
+    r = sp.csr_matrix((np.ones(m - absorbed.sum()), (rows[~absorbed], sources[~absorbed])), shape=(m, n))
+    rho = np.zeros(m)
+    while True:
+        active = r.data >= thresh[r.indices]
+        if not active.any():
+            p.data /= np.repeat(1.0 - rho, np.diff(p.indptr))
+            return p
+        active_rows = np.repeat(rows, np.diff(r.indptr))[active]
+        indptr = np.searchsorted(active_rows, np.arange(m + 1))
+        ra = sp.csr_matrix((r.data[active], r.indices[active], indptr), shape=(m, n))
+        p = p + lam * ra
+        r.data[active] = 0.0
+        spread = (1.0 - lam) * (ra @ w)
+        spread.sort_indices()
+        r = r + spread
+        back = dangling[ra.indices]
+        rho += (1.0 - lam) * np.bincount(active_rows[back], weights=ra.data[back], minlength=m)
+
+
+def oracle_topk_pairs(p, k):
+    """Top-k pairs of a score matrix by an explicit three-key sort: source, score down, target."""
+    sources = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+    other = p.indices != sources
+    sources, targets, scores = sources[other], p.indices[other], p.data[other]
+    order = np.lexsort((targets, -scores, sources))
+    sources, targets = sources[order], targets[order]
+    top = np.arange(sources.size) - np.searchsorted(sources, sources) < k
+    return np.stack([sources[top], targets[top]], axis=1).astype(np.int64)
 
 
 def oracle_ppr(num_users, edges, source, lam):
@@ -46,6 +92,20 @@ def dangling_digraph(rng, max_nodes=50):
     trusters = rng.choice(n, size=max(1, n // 4), replace=False)
     edges = {(int(i), int(j)) for i in trusters for j in rng.choice(n, size=int(rng.integers(1, 5)))}
     return n, sorted((i, j) for i, j in edges if i != j)
+
+
+def structured_graphs():
+    """Tie-heavy graphs: stars, complete bipartite blocks and cycles, with many exactly equal scores."""
+    cycle = [(i, (i + 1) % 9) for i in range(9)]
+    block = [(i, j) for i in range(4) for j in range(4, 10)]
+    return [
+        (9, [(0, j) for j in range(1, 9)]),  # star out of 0; the leaves are dangling
+        (9, [(j, 0) for j in range(1, 9)]),  # star into 0
+        (10, block),  # complete bipartite block onto dangling users
+        (10, block + [(j, i) for i, j in block]),
+        (9, cycle),
+        (18, cycle + [(i, 9 + i) for i in range(9)]),  # a dangling leaf off each cycle user
+    ]
 
 
 def reach_mass(n, edges, source, eps):
@@ -172,7 +232,72 @@ class TestPush:
             forward_push(tg, [2], 0.15, 1e-6)
 
 
+class TestPushMatchesPerSweepFold:
+    @pytest.mark.parametrize(
+        "lam,eps", [(0.05, 1e-3), (0.15, 1e-2), (0.15, 1e-6), (0.3, 1e-8), (0.5, 1e-5), (0.9, 1e-8)]
+    )
+    def test_scores_equal_bit_for_bit(self, lam, eps):
+        rng = np.random.default_rng(round(100 * lam) + round(-np.log10(eps)))
+        graphs = structured_graphs() + [dangling_digraph(rng) for _ in range(3)]
+        graphs += [random_digraph(rng, max_nodes=30) for _ in range(3)]
+        for n, edges in graphs:
+            w = walk_transition(n, edges)
+            # every user, a random list with repeats, and a repeated pair of sources
+            for sources in (np.arange(n), rng.integers(n, size=n), [n - 1, 0, n - 1]):
+                got = forward_push(w, sources, lam, eps)
+                want = oracle_forward_push(w, sources, lam, eps)
+                assert got.shape == want.shape and got.dtype == np.float64
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr)), (attr, n, edges)
+
+    @pytest.mark.parametrize("sources,eps", [([], 1e-6), ([0, 2], 10.0)])
+    def test_nothing_pushed_gives_a_float_matrix(self, sources, eps):
+        # no source at all, or thresholds above every residual: no estimate entry
+        w = walk_transition(3, [(0, 1), (2, 1)])
+        got = forward_push(w, sources, 0.15, eps)
+        assert got.shape == (len(sources), 3) and got.dtype == np.float64 and got.nnz == 0
+        assert np.array_equal(got.indptr, oracle_forward_push(w, sources, 0.15, eps).indptr)
+
+    def test_one_sparse_addition_per_sweep(self, monkeypatch):
+        counts = {"add": 0, "matmul": 0}
+        add, matmul = sp.csr_matrix.__add__, sp.csr_matrix.__matmul__
+
+        def counted_add(self, other):
+            counts["add"] += 1
+            return add(self, other)
+
+        def counted_matmul(self, other):  # one spread product per sweep
+            counts["matmul"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__add__", counted_add)
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+        n, edges = random_digraph(np.random.default_rng(4), max_nodes=40)
+        w = walk_transition(n, edges)
+        forward_push(w, np.arange(n), 0.15, 1e-6)
+        sweeps = counts["matmul"]
+        assert sweeps > 10 and counts["add"] <= sweeps
+        # the per-sweep fold also adds into the estimate, and the counters see it
+        counts.update(add=0, matmul=0)
+        oracle_forward_push(w, np.arange(n), 0.15, 1e-6)
+        assert counts["add"] == 2 * counts["matmul"] == 2 * sweeps
+
+
 class TestTopkAugment:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_pairs_equal_the_three_key_sort_on_tied_scores(self, k):
+        rng = np.random.default_rng(30 + k)
+        tied_rows = 0
+        for n, edges in structured_graphs() + [dangling_digraph(rng, max_nodes=30) for _ in range(6)]:
+            p = forward_push(walk_transition(n, edges), np.arange(n), 0.15, 1e-6)
+            for s in range(n):
+                lo, hi = p.indptr[s], p.indptr[s + 1]
+                row = p.data[lo:hi][p.indices[lo:hi] != s]
+                tied_rows += np.unique(row).size < row.size
+            got = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k)
+            assert np.array_equal(got, oracle_topk_pairs(p, k)), edges
+        assert tied_rows > 10
+
     def test_star_ties_break_to_smaller_ids(self):
         g = HeteroGraph(num_users=6, num_objects=0, trust_edges=[(0, j) for j in range(1, 6)])
         pairs = topk_augment(g, k=3, epsilon=1e-9)
@@ -229,16 +354,7 @@ class TestTopkAugment:
     def test_pairs_keep_the_exact_topk_floor(self, k, eps):
         # the floor the benchmark's PPR check applies: exact k-th score minus eps * sum_reach max(deg, 1)
         rng = np.random.default_rng(k)
-        cycle = [(i, (i + 1) % 9) for i in range(9)]
-        block = [(i, j) for i in range(4) for j in range(4, 10)]
-        graphs = [
-            (9, [(0, j) for j in range(1, 9)]),  # star out of 0; the leaves are dangling
-            (9, [(j, 0) for j in range(1, 9)]),  # star into 0
-            (10, block),  # complete bipartite block onto dangling users
-            (10, block + [(j, i) for i, j in block]),
-            (9, cycle),
-            (18, cycle + [(i, 9 + i) for i in range(9)]),  # a dangling leaf off each cycle user
-        ] + [dangling_digraph(rng, max_nodes=30) for _ in range(6)]
+        graphs = structured_graphs() + [dangling_digraph(rng, max_nodes=30) for _ in range(6)]
         for n, edges in graphs:
             pairs = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, epsilon=eps)
             assert not np.any(pairs[:, 0] == pairs[:, 1])
