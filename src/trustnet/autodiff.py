@@ -3,23 +3,35 @@
 Everything is float64 and gradients are exact analytic expressions.
 
 A forward pass runs inside a ``Tape`` context; each taped op appends one
-record. ``Tape.gradients`` replays the records in reverse execution order
-(which is a reverse topological order, since records are appended eagerly)
-and may be called exactly once. It releases each record as it replays it,
-so a backward closure, and every array only that closure holds, is freed
-during the replay rather than after it; ``Tape.num_records`` still counts
-what was recorded.
+record under its op's name. ``Tape.gradients`` replays the records in
+reverse execution order (which is a reverse topological order, since
+records are appended eagerly) and may be called exactly once. It releases
+each record as it replays it, so a backward closure, and every array only
+that closure holds, is freed during the replay rather than after it;
+``Tape.num_records`` and ``Tape.record_counts`` (records per name) still
+count what was recorded.
 
-Taped ops. The pipeline records through ``matmul``, ``concat_rows`` and
-``concat_cols``, and through three fused records made
-with ``record``: the convolution layer (``conv.layer_forward``), the fusion
-gate (``train.gate_fusion``) and the loss head (``predict.pair_loss``). The
-other taped ops are here for the benchmark: ``bench/child.py`` wraps
-``edge_matmul``, ``sparse_matmul``, ``elu``, ``gather`` and ``matmul`` by
-name, ``bench/checks.HeldKinks`` patches ``leaky_relu`` and its test tapes
-``reduce_sum``. The layer calls the wrapped and patched ops on plain arrays,
-which records nothing, and reads their values; every other step of the
-layer and the gate calls its kernel.
+In-place sums. A tensor that takes several contributions gets their sum
+in list order, record by record. A record made with ``fresh=True``
+declares that every contribution it returns is an array its backward
+allocated, or a view of one, that no other pair overlaps and nothing else
+holds, as the layer's ``d_h`` and ``d_x`` are;
+the tape keeps such an array as the tensor's gradient and adds later
+contributions into it in place (``a += b`` gives the bits of ``a + b``).
+Any other contribution may be shared (a backward may hand one ``g``, or
+views of it, on) and is never mutated: a second contribution is summed
+into a new array, which the tape then owns and adds into in place.
+
+Taped ops. The pipeline records four fused records made with ``record``:
+the input projection (``train.input_projection``), the convolution layer
+(``conv.layer_forward``), the fusion gate (``train.gate_fusion``) and the
+loss head (``predict.pair_loss``), plus ``concat_cols`` under concat
+fusion. The other taped ops are here for the benchmark: ``bench/child.py``
+wraps ``edge_matmul``, ``sparse_matmul``, ``elu``, ``gather`` and
+``matmul`` by name, ``bench/checks.HeldKinks`` patches ``leaky_relu`` and
+its test tapes ``reduce_sum``. The layer calls the wrapped and patched
+ops on plain arrays, which records nothing, and reads their values; every
+other step of the layer and the gate calls its kernel.
 
 Kernels. Plain-array functions, each forward next to its gradient:
 ``row_block_product``/``row_block_grads``, ``stack_halves``/
@@ -59,7 +71,6 @@ __all__ = [
     "leaky_relu",
     "elu",
     "reduce_sum",
-    "concat_rows",
     "concat_cols",
     "stack_halves",
     "gather",
@@ -117,8 +128,9 @@ class Tape:
     """Wengert list of one forward pass; replayable backward exactly once."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
-        self._num_recorded = 0
+        # (out, backward, fresh) per record, in execution order
+        self._records: list[tuple[Tensor, object, bool]] = []
+        self._counts: dict[str, int] = {}
         self._output: Tensor | None = None
         self._spent = False
 
@@ -138,7 +150,12 @@ class Tape:
     @property
     def num_records(self) -> int:
         """Records appended by the forward pass, also after ``gradients``."""
-        return self._num_recorded
+        return sum(self._counts.values())
+
+    @property
+    def record_counts(self) -> dict[str, int]:
+        """Records appended by the forward pass per op name, also after ``gradients``."""
+        return dict(self._counts)
 
     def gradients(self) -> dict[Tensor, np.ndarray]:
         """Run the backward pass; returns gradients keyed by tensor.
@@ -148,7 +165,8 @@ class Tape:
         output and the output's gradient are dropped before the
         contributions it returned are summed, and those once they are, so
         a record's arrays are freed as the replay goes and never sit next
-        to the sums. Calling this a second time raises ``TapeError``.
+        to the sums. Sums go in place wherever the module docstring's rule
+        allows. Calling this a second time raises ``TapeError``.
         """
         if self._spent:
             raise TapeError("tape has already been replayed")
@@ -156,27 +174,29 @@ class Tape:
             raise TapeError("no output marked on this tape")
         self._spent = True
         grads: dict[Tensor, np.ndarray] = {self._output: np.ones_like(self._output.value)}
-        # Tensors whose entry in ``grads`` is a sum the tape allocated itself.
-        # Only those are accumulated in place: a contribution may be shared (a
-        # backward may hand one ``g``, or views of it, on) and is never mutated.
+        # Tensors whose entry in ``grads`` is a sum the tape allocated or a
+        # fresh contribution; only those are accumulated in place.
         owned: set[Tensor] = set()
         records = self._records
         while records:
             # rebinding ``out``, ``backward`` and ``g`` on the next pass drops
             # the last references to this record before the next one runs
-            out, backward = records.pop()
+            out, backward, fresh = records.pop()
             g = grads.pop(out, None)
             owned.discard(out)
             if g is not None:
                 contribs = backward(g)
                 del out, backward, g
-                _accumulate(grads, owned, contribs)
+                _accumulate(grads, owned, contribs, fresh)
                 del contribs
         return grads
 
 
-def _accumulate(grads: dict, owned: set, contribs) -> None:
+def _accumulate(grads: dict, owned: set, contribs, fresh: bool) -> None:
     """Add one record's (tensor, contribution) pairs into ``grads``.
+
+    A first contribution becomes the gradient as it is, owned when the
+    record declared its contributions ``fresh``.
 
     A function of its own so that its loop variables, which may be the last
     references to a replayed tensor, do not outlive the record.
@@ -187,6 +207,8 @@ def _accumulate(grads: dict, owned: set, contribs) -> None:
         prev = grads.get(t)
         if prev is None:
             grads[t] = contrib
+            if fresh:
+                owned.add(t)
         elif t in owned:
             prev += contrib
             grads[t] = prev  # a 0-d sum is a numpy scalar; += rebinds it
@@ -195,18 +217,20 @@ def _accumulate(grads: dict, owned: set, contribs) -> None:
             owned.add(t)
 
 
-def record(out: Tensor, backward) -> None:
-    """Append ``out`` and its backward to the active tape, if any.
+def record(name: str, out: Tensor, backward, fresh: bool = False) -> None:
+    """Append ``out`` and its backward to the active tape, if any, as op ``name``.
 
     ``backward(g)`` gets the gradient of ``out`` and returns (tensor,
     contribution) pairs; a tensor may appear in several pairs, which are
-    summed in list order. Nothing is recorded outside a tape or when ``out``
-    does not require a gradient.
+    summed in list order. ``fresh`` declares every contribution an array
+    the backward allocated for that pair alone (see the module docstring),
+    which the tape may then add into in place. Nothing is recorded outside
+    a tape or when ``out`` does not require a gradient.
     """
     if _TAPE_STACK and out.requires_grad:
         tape = _TAPE_STACK[-1]
-        tape._records.append((out, backward))
-        tape._num_recorded += 1
+        tape._records.append((out, backward, fresh))
+        tape._counts[name] = tape._counts.get(name, 0) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +251,7 @@ def matmul(a, b) -> Tensor:
             db = a.value.T @ g if b.requires_grad else None
         return [(a, da), (b, db)]
 
-    record(out, backward)
+    record("matmul", out, backward)
     return out
 
 
@@ -277,7 +301,7 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     slopes = leaky_slopes(a.value >= 0, negative_slope)
     out = Tensor(a.value * slopes, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, g * slopes)])
+    record("leaky_relu", out, lambda g: [(a, g * slopes)])
     return out
 
 
@@ -286,17 +310,22 @@ def elu_slopes(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0))
 
 
-def elu(a) -> Tensor:
+def elu(a, slopes: np.ndarray | None = None) -> Tensor:
+    """The ELU, max(0, x) + exp(min(x, 0)) - 1.
+
+    ``slopes`` is ``elu_slopes`` of the input, for a caller that already
+    has it; it is computed here when None.
+    """
     a = as_tensor(a)
     x = a.value
     # the derivative ex is also what the value needs: max(0, x) - (1 - ex)
     # is x where x >= 0 and ex - 1 below 0. The argument order keeps
     # max(0.0, -0.0) at -0.0.
-    ex = elu_slopes(x)
+    ex = elu_slopes(x) if slopes is None else slopes
     value = np.maximum(0.0, x)
     value -= 1.0 - ex
     out = Tensor(value, requires_grad=a.requires_grad)
-    record(out, lambda g: [(a, g * ex)])
+    record("elu", out, lambda g: [(a, g * ex)])
     return out
 
 
@@ -313,25 +342,7 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
             return [(a, np.broadcast_to(g, a.value.shape).copy())]
         return [(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())]
 
-    record(out, backward)
-    return out
-
-
-def concat_rows(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(
-        np.concatenate([a.value, b.value], axis=0),
-        requires_grad=a.requires_grad or b.requires_grad,
-    )
-    na = a.value.shape[0]
-
-    def backward(g):
-        return [
-            (a, g[:na] if a.requires_grad else None),
-            (b, g[na:] if b.requires_grad else None),
-        ]
-
-    record(out, backward)
+    record("reduce_sum", out, backward)
     return out
 
 
@@ -349,7 +360,7 @@ def concat_cols(a, b) -> Tensor:
             (b, g[:, ka:] if b.requires_grad else None),
         ]
 
-    record(out, backward)
+    record("concat_cols", out, backward)
     return out
 
 
@@ -404,7 +415,7 @@ def gather(a, idx: np.ndarray) -> Tensor:
             return [(a, scatter_values(g, idx, n))]
         return [(a, scatter_rows(g, idx, n))]
 
-    record(out, backward)
+    record("gather", out, backward)
     return out
 
 
@@ -479,7 +490,7 @@ def sparse_matmul(mat: sp.csr_matrix, x) -> Tensor:
     """
     x = as_tensor(x)
     out = Tensor(mat @ x.value, requires_grad=x.requires_grad)
-    record(out, lambda g: [(x, mat.T @ g)])
+    record("sparse_matmul", out, lambda g: [(x, mat.T @ g)])
     return out
 
 
@@ -555,5 +566,5 @@ def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
         dx = mat.T @ g if x.requires_grad else None
         return [(values, dvals), (x, dx)]
 
-    record(out, backward)
+    record("edge_matmul", out, backward)
     return out

@@ -19,8 +19,11 @@ one side), on plain arrays, so none of them records anything; every other
 step calls its ``autodiff`` kernel (``row_block_product``, ``stack_halves``,
 ``type_softmax``, ``segment_softmax``). Its backward composes the gradient
 kernels in the chain's reverse order, so no gradient is written here a
-second time. It keeps what those kernels read and recomputes the cheap
-intermediates, ``projected`` among them (see ``layer_forward``).
+second time. It keeps what those kernels read, the ELU's slope in place of
+its input among them, and recomputes the cheap intermediates, ``projected``
+among them (see ``layer_forward``). Its gradients are arrays it allocates
+itself, so the record declares them fresh and the tape sums ``h``'s two
+contributions in place.
 
 Two stacked layers per role; the trustor view propagates along outgoing
 trust, the trustee view along incoming trust. The last layer computes only
@@ -102,12 +105,16 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     pairs list them. It gives every input a gradient; the tape drops those
     of frozen inputs.
 
-    It keeps the pre-ELU product, the edge and type weights, the two
-    pair-score columns, the stacked attention vectors, ``>= 0`` masks of
-    the three leaky-ReLU inputs and a reference to ``h``. It recomputes the
-    E-sized gathers, the ELU derivative and ``projected``, whose rebuild by
-    ``ad.row_block_product`` goes straight into ``ad.edge_dots`` and is
-    freed before ``edge_matmul``'s input gradient is formed.
+    It keeps the ELU's slope exp(min(pre, 0)), which the forward computes
+    once, hands to ``ad.elu`` and keeps in place of the pre-ELU product
+    (the same memory); the edge and type weights, the two pair-score
+    columns, the stacked attention vectors, ``>= 0`` masks of the three
+    leaky-ReLU inputs and a reference to ``h``. It recomputes the E-sized
+    gathers and ``projected``, whose rebuild by ``ad.row_block_product``
+    goes straight into ``ad.edge_dots`` and is freed before
+    ``edge_matmul``'s input gradient is formed. Every gradient it returns
+    is an array of its own, so the record is ``fresh``: the tape keeps
+    ``d_h`` as ``h``'s gradient and adds ``d_x`` into it in place.
     """
     n, nu = view.num_nodes, view.num_users
     m = n if out_rows is None else out_rows
@@ -152,13 +159,15 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
 
     pre = ad.edge_matmul(beta, projected, emap).value
     del projected
+    slope = ad.elu_slopes(pre)
     trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
-    out = Tensor(ad.elu(pre).value, requires_grad=trainable)
+    out = Tensor(ad.elu(pre, slope).value, requires_grad=trainable)
+    del pre
 
     def backward(g):
         # elu, then edge_matmul's value gradient (against ``projected``,
         # rebuilt) and its input gradient
-        d_pre = g * ad.elu_slopes(pre)
+        d_pre = g * slope
         d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
         d_proj = emap.matrix(beta).T @ d_pre
         del d_pre
@@ -196,5 +205,5 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
         del d_scores
         return [(h, d_h), *zip(attn, d_attn), (h, d_x), *zip((params.w_user, params.w_obj), d_w)]
 
-    ad.record(out, backward)
+    ad.record("layer", out, backward, fresh=True)
     return out

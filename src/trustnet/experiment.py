@@ -410,36 +410,13 @@ def _train_loop(config, prep: PreparedRun, params, run_seed) -> RunResult:
 
     Epoch k's loss and accuracy are those of the parameters after k steps.
     """
-    i_tr, j_tr, y_tr = prep.train
     best_acc, best_f1, best_epoch = -1.0, 0.0, 0
     trace = []
     for epoch in range(config.epochs + 1):
-        step = epoch < config.epochs
-        with (Tape() if step else nullcontext()) as tape:
-            z = train_mod.fused_users(prep.views, params, None, None)
-            loss = pair_loss(z, i_tr, j_tr, y_tr, params.predictor)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise NumericalError(f"non-finite training loss at epoch {epoch}")
-        acc, f1 = _score(z.value, params, prep.test)
+        loss_value, acc, f1 = _epoch(config, prep, params, epoch, step=epoch < config.epochs)
         trace.append((epoch, loss_value, acc))
         if acc > best_acc:
             best_acc, best_f1, best_epoch = acc, f1, epoch
-        if not step:
-            break
-        tape.mark_output(loss)
-        grads = backward(tape)
-        adam_step(
-            params,
-            grads,
-            lr=config.optim.lr,
-            weight_decay=config.optim.weight_decay,
-            beta1=config.optim.beta1,
-            beta2=config.optim.beta2,
-            eps=config.optim.eps,
-        )
-        params.assert_finite()
-
     return RunResult(
         seed=run_seed,
         accuracy=best_acc,
@@ -448,6 +425,30 @@ def _train_loop(config, prep: PreparedRun, params, run_seed) -> RunResult:
         trace=trace,
         params=params,
     )
+
+
+def _epoch(config, prep: PreparedRun, params, epoch: int, step: bool) -> tuple[float, float, float]:
+    """The training loss and the test accuracy and F1 of ``params``, then an Adam step if ``step``.
+
+    A function of its own, so the step's tape, fused output, loss and
+    gradients are freed when it returns, before the next epoch's forward.
+    The fused output goes before the backward, which reads only what the
+    tape keeps of it.
+    """
+    i_tr, j_tr, y_tr = prep.train
+    with (Tape() if step else nullcontext()) as tape:
+        z = train_mod.fused_users(prep.views, params, None, None)
+        loss = pair_loss(z, i_tr, j_tr, y_tr, params.predictor)
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise NumericalError(f"non-finite training loss at epoch {epoch}")
+    acc, f1 = _score(z.value, params, prep.test)
+    if step:
+        del z
+        tape.mark_output(loss)
+        adam_step(params, backward(tape), **dataclasses.asdict(config.optim))
+        params.assert_finite()
+    return loss_value, acc, f1
 
 
 # ---------------------------------------------------------------------------

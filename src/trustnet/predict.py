@@ -135,7 +135,7 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
         d_z += ad.scatter_rows(d_logits @ wv[:d].T, i, n)
         return [(b, d_logits.sum(axis=0)), (w, d_w), (z, d_z)]
 
-    ad.record(out, backward)
+    ad.record("loss", out, backward)
     return out
 
 

@@ -191,18 +191,47 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
         d_gate += (g * zor).sum(axis=0)
         return [(raw_gate, ad.sigmoid_grad(s, d_gate)), (z_tee, g * (1.0 - s)), (z_tor, g * s)]
 
-    ad.record(out, backward)
+    ad.record("gate", out, backward)
+    return out
+
+
+def input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor) -> Tensor:
+    """The layer input [hu @ proj_user; ho @ proj_obj], as one record.
+
+    Each block's product is written into its rows of one array, as
+    ``ad.row_block_product`` does, so the tape holds that array and not two
+    products and their concatenation. The value is the concatenated
+    ``ad.matmul`` products', and the backward is their backwards on the
+    output gradient's two row blocks, so every bit is the chain's.
+    """
+    nu = hu.value.shape[0]
+    value = np.empty((nu + ho.value.shape[0], proj_user.value.shape[1]))
+    np.matmul(hu.value, proj_user.value, out=value[:nu])
+    np.matmul(ho.value, proj_obj.value, out=value[nu:])
+    out = Tensor(value, requires_grad=any(t.requires_grad for t in (hu, ho, proj_user, proj_obj)))
+
+    def backward(g):
+        g_u, g_o = g[:nu], g[nu:]
+        return [
+            (hu, g_u @ proj_user.value.T if hu.requires_grad else None),
+            (proj_user, hu.value.T @ g_u if proj_user.requires_grad else None),
+            (ho, g_o @ proj_obj.value.T if ho.requires_grad else None),
+            (proj_obj, ho.value.T @ g_o if proj_obj.requires_grad else None),
+        ]
+
+    ad.record("input_projection", out, backward)
     return out
 
 
 def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     """Tape-aware pipeline up to the fused per-user embeddings.
 
-    Records 3 entries for the input projection, one per convolution layer
-    and one for the fusion (``gate_fusion`` or ``ad.concat_cols``) when both
-    roles run. Each role's last layer computes only the user rows, so its
-    output is the role's user embedding as it stands; the object rows,
-    which nothing downstream reads, are never formed.
+    Records one entry for the input projection (``input_projection``,
+    both tables' products in one array), one per convolution layer and one
+    for the fusion (``gate_fusion`` or ``ad.concat_cols``) when both roles
+    run. Each role's last layer computes only the user rows, so its output
+    is the role's user embedding as it stands; the object rows, which
+    nothing downstream reads, are never formed.
     """
     hu, ho = (
         kept if given is None else ad.as_tensor(getattr(given, "vectors", given))
@@ -211,7 +240,7 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     if hu is None or ho is None:
         raise DataError("initial embeddings missing: pass tables or attach them to params")
 
-    h0 = ad.concat_rows(ad.matmul(hu, params.proj_user), ad.matmul(ho, params.proj_obj))
+    h0 = input_projection(hu, ho, params.proj_user, params.proj_obj)
     role_users = {}
     for enc in (params.trustor, params.trustee):
         if enc is None:

@@ -71,7 +71,7 @@ def _binary(forward, grad_a, grad_b):
     def op(a, b) -> ad.Tensor:
         a, b = ad.as_tensor(a), ad.as_tensor(b)
         out = ad.Tensor(forward(a.value, b.value), requires_grad=a.requires_grad or b.requires_grad)
-        ad.record(out, lambda g: [
+        ad.record(forward.__name__, out, lambda g: [
             (t, _unbroadcast(grad(g, a.value, b.value), t.shape) if t.requires_grad else None)
             for t, grad in ((a, grad_a), (b, grad_b))
         ])
@@ -86,55 +86,57 @@ mul = _binary(np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 div = _binary(np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
 
-def taped(value: np.ndarray, inputs, backward) -> ad.Tensor:
-    """``value`` as one record over ``inputs``; ``backward(g)`` lists their gradients in order."""
+def taped(name: str, value: np.ndarray, inputs, backward) -> ad.Tensor:
+    """``value`` as one record ``name`` over ``inputs``; ``backward(g)`` lists their gradients in order."""
     out = ad.Tensor(value, requires_grad=any(t.requires_grad for t in inputs))
-    ad.record(out, lambda g: zip(inputs, backward(g)))
+    ad.record(name, out, lambda g: zip(inputs, backward(g)))
     return out
 
 
 def sigmoid(a) -> ad.Tensor:
     a = ad.as_tensor(a)
     s = ad.logistic(a.value)
-    return taped(s, [a], lambda g: [ad.sigmoid_grad(s, g)])
+    return taped("sigmoid", s, [a], lambda g: [ad.sigmoid_grad(s, g)])
 
 
 def row_block_matmul(a, split: int, w_top, w_bottom) -> ad.Tensor:
     inputs = [ad.as_tensor(t) for t in (a, w_top, w_bottom)]
     x, top, bottom = (t.value for t in inputs)
     value = ad.row_block_product(x, split, top, bottom)
-    return taped(value, inputs, lambda g: ad.row_block_grads(x, split, top, bottom, g))
+    return taped("row_block_matmul", value, inputs, lambda g: ad.row_block_grads(x, split, top, bottom, g))
 
 
 def stack_halves(*vectors) -> ad.Tensor:
     vectors = [ad.as_tensor(v) for v in vectors]
-    return taped(ad.stack_halves(*(v.value for v in vectors)), vectors, lambda g: ad.stack_halves_grads(g))
+    value = ad.stack_halves(*(v.value for v in vectors))
+    return taped("stack_halves", value, vectors, lambda g: ad.stack_halves_grads(g))
 
 
 def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> ad.Tensor:
     logits = [ad.as_tensor(logit_u), ad.as_tensor(logit_o)]
     alpha = ad.type_softmax(*(t.value for t in logits), mask_u, mask_o)
-    return taped(alpha, logits, lambda g: ad.type_softmax_grads(alpha, g))
+    return taped("type_softmax", alpha, logits, lambda g: ad.type_softmax_grads(alpha, g))
 
 
 def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> ad.Tensor:
     a = ad.as_tensor(a)
     beta = ad.segment_softmax(a.value, rows, indptr)
-    return taped(beta, [a], lambda g: [ad.segment_softmax_grad(beta, g, rows, indptr.shape[0] - 1)])
+    n = indptr.shape[0] - 1
+    return taped("segment_softmax", beta, [a], lambda g: [ad.segment_softmax_grad(beta, g, rows, n)])
 
 
 def exp(a) -> ad.Tensor:
     a = ad.as_tensor(a)
     out = ad.Tensor(np.exp(a.value), requires_grad=a.requires_grad)
     val = out.value
-    ad.record(out, lambda g: [(a, g * val)])
+    ad.record("exp", out, lambda g: [(a, g * val)])
     return out
 
 
 def log(a) -> ad.Tensor:
     a = ad.as_tensor(a)
     out = ad.Tensor(np.log(a.value), requires_grad=a.requires_grad)
-    ad.record(out, lambda g: [(a, g / a.value)])
+    ad.record("log", out, lambda g: [(a, g / a.value)])
     return out
 
 
@@ -142,7 +144,7 @@ def mean(a) -> ad.Tensor:
     a = ad.as_tensor(a)
     out = ad.Tensor(a.value.mean(), requires_grad=a.requires_grad)
     size = a.value.size
-    ad.record(out, lambda g: [(a, np.full(a.value.shape, float(g) / size))])
+    ad.record("mean", out, lambda g: [(a, np.full(a.value.shape, float(g) / size))])
     return out
 
 
@@ -158,7 +160,7 @@ def gather_pairs(a, rows: np.ndarray, cols: np.ndarray) -> ad.Tensor:
         np.add.at(da, (rows, cols), g)
         return [(a, da)]
 
-    ad.record(out, backward)
+    ad.record("gather_pairs", out, backward)
     return out
 
 
@@ -172,7 +174,26 @@ def slice_rows(a, start: int, stop: int) -> ad.Tensor:
         full[start:stop] = g
         return [(a, full)]
 
-    ad.record(out, backward)
+    ad.record("slice_rows", out, backward)
+    return out
+
+
+def concat_rows(a, b) -> ad.Tensor:
+    """[a; b]; the backward hands each input a view of its rows of the output gradient."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    out = ad.Tensor(
+        np.concatenate([a.value, b.value], axis=0),
+        requires_grad=a.requires_grad or b.requires_grad,
+    )
+    na = a.value.shape[0]
+
+    def backward(g):
+        return [
+            (a, g[:na] if a.requires_grad else None),
+            (b, g[na:] if b.requires_grad else None),
+        ]
+
+    ad.record("concat_rows", out, backward)
     return out
 
 
@@ -186,7 +207,7 @@ def column(a, k: int) -> ad.Tensor:
         full[:, k] = g
         return [(a, full)]
 
-    ad.record(out, backward)
+    ad.record("column", out, backward)
     return out
 
 
@@ -252,7 +273,7 @@ def test_reduce_sum_axis():
 
 def test_slice_and_concat_rows():
     check_op(
-        lambda a, b: mean(mul(ad.concat_rows(slice_rows(a, 0, 2), b), 3.0)),
+        lambda a, b: mean(mul(concat_rows(slice_rows(a, 0, 2), b), 3.0)),
         (4, 3),
         (2, 3),
     )
@@ -634,7 +655,7 @@ def test_every_export_has_a_caller():
 def oracle_gradients(tape):
     """Replays a tape's records, summing every contribution into a new array."""
     grads = {tape._output: np.ones_like(tape._output.value)}
-    for out, backward in reversed(tape._records):
+    for out, backward, _fresh in reversed(tape._records):
         g = grads.pop(out, None)
         if g is None:
             continue
@@ -682,6 +703,90 @@ def test_scalar_fanout_accumulates_every_contribution():
     assert np.isclose(grads[x], 2 * 0.7 + 3.0 + np.exp(0.7) - 1.0)
 
 
+def recorded(contributions, fresh: bool) -> ad.Tensor:
+    """A 0-d output whose one record hands on the given (tensor, array) pairs."""
+    out = ad.Tensor(np.array(1.0))
+    ad.record("probe", out, lambda g: list(contributions), fresh=fresh)
+    return out
+
+
+def test_fresh_contributions_are_summed_in_place():
+    # the layer's d_h and d_x: h's gradient is d_h itself, d_x is added into
+    # it, and the summation allocates no third array
+    rng = np.random.default_rng(28)
+    h = ad.Tensor(rng.normal(size=(400, 100)))
+    d_h, d_x = rng.normal(size=(2, 400, 100))
+    want, kept = d_h + d_x, d_x.copy()
+    with ad.Tape() as tape:
+        tape.mark_output(recorded([(h, d_h), (h, d_x)], fresh=True))
+    tracemalloc.start()
+    try:
+        grads = tape.gradients()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[h] is d_h and np.array_equal(grads[h], want)
+    assert np.array_equal(d_x, kept)
+    assert peak < d_h.nbytes // 10
+
+
+def test_contributions_not_declared_fresh_are_never_mutated():
+    rng = np.random.default_rng(29)
+    h = ad.Tensor(rng.normal(size=(6, 3)))
+    d_h, d_x = rng.normal(size=(2, 6, 3))
+    kept = d_h.copy(), d_x.copy()
+    with ad.Tape() as tape:
+        tape.mark_output(recorded([(h, d_h), (h, d_x)], fresh=False))
+    grads = tape.gradients()
+    assert grads[h] is not d_h and np.array_equal(grads[h], kept[0] + kept[1])
+    assert np.array_equal(d_h, kept[0]) and np.array_equal(d_x, kept[1])
+
+
+@pytest.mark.parametrize("shared_replayed", ["first", "last"])
+def test_fresh_records_and_a_shared_contribution(shared_replayed):
+    # two fresh records and one that is not give h's gradient the oracle's
+    # sum in replay order, and the shared contribution stays as it was
+    rng = np.random.default_rng(30)
+    h = ad.Tensor(rng.normal(size=(6, 3)))
+    arrays = rng.normal(size=(3, 6, 3))
+
+    def build(shared, first, second):
+        # records replay last-made first
+        if shared_replayed == "last":
+            plain = recorded([(h, shared)], fresh=False)
+        fresh = add(recorded([(h, first)], fresh=True), recorded([(h, second)], fresh=True))
+        if shared_replayed == "first":
+            plain = recorded([(h, shared)], fresh=False)
+        return add(fresh, plain)
+
+    shared = arrays[0].copy()
+    with ad.Tape() as tape:
+        tape.mark_output(build(shared, arrays[1].copy(), arrays[2].copy()))
+    grads = tape.gradients()
+    with ad.Tape() as tape:
+        tape.mark_output(build(*(a.copy() for a in arrays)))
+    want = oracle_gradients(tape)
+    assert np.array_equal(grads[h], want[h])
+    assert np.array_equal(shared, arrays[0])
+
+
+def test_record_counts_per_name_after_replay():
+    x = ad.Tensor(np.arange(6.0))
+    with ad.Tape() as tape:
+        tape.mark_output(ad.reduce_sum(add(mul(exp(x), x), mul(x, x))))
+    before = tape.record_counts
+    tape.gradients()
+    assert before == tape.record_counts == {"exp": 1, "multiply": 2, "add": 1, "reduce_sum": 1}
+    assert tape.num_records == 5
+
+
+def fresh_mul(a, b) -> ad.Tensor:
+    """``mul`` of two same-shape tensors as a record whose gradients are declared fresh."""
+    out = ad.Tensor(a.value * b.value, requires_grad=a.requires_grad or b.requires_grad)
+    ad.record("fresh_mul", out, lambda g: [(a, g * b.value), (b, g * a.value)], fresh=True)
+    return out
+
+
 UNARY = {
     "neg": lambda t: sub(0.0, t),
     "sigmoid": sigmoid,
@@ -693,7 +798,8 @@ BINARY = {
     "add": add,
     "sub": sub,
     "mul": mul,
-    "splice": lambda p, q: ad.concat_rows(slice_rows(p, 0, 2), slice_rows(q, 2, 4)),
+    "splice": lambda p, q: concat_rows(slice_rows(p, 0, 2), slice_rows(q, 2, 4)),
+    "fresh_mul": fresh_mul,
 }
 
 
@@ -830,7 +936,7 @@ def test_type_softmax_forward_is_the_chain_bitwise():
     leaves = [ad.Tensor(rng.normal(size=n) * 5.0), ad.Tensor(rng.normal(size=n) * 5.0)]
     (got, got_g), (want, want_g) = fused_and_chain(
         lambda lu, lo: type_softmax(lu, lo, mask_u, mask_o),
-        lambda lu, lo: ad.concat_rows(*chain_type_softmax(lu, lo, mask_u, mask_o)),
+        lambda lu, lo: concat_rows(*chain_type_softmax(lu, lo, mask_u, mask_o)),
         leaves,
         rng.normal(size=2 * n),
     )
@@ -851,7 +957,7 @@ def test_typed_gather_is_the_masked_pair_of_gathers_bitwise():
         ad.Tensor(rng.normal(size=n)), ad.Tensor(rng.normal(size=n)), mask_u, mask_o
     )
     want = add(mul(ad.gather(alpha_u, rows), is_user_col), mul(ad.gather(alpha_o, rows), 1.0 - is_user_col))
-    got = ad.gather(ad.concat_rows(alpha_u, alpha_o), typed_rows)
+    got = ad.gather(concat_rows(alpha_u, alpha_o), typed_rows)
     assert np.array_equal(bits(got.value), bits(want.value))
 
 
@@ -882,7 +988,7 @@ def test_row_block_matmul_is_the_slice_chain_bitwise(d):
               ad.Tensor(rng.normal(size=(d, d)))]
     (got, got_g), (want, want_g) = fused_and_chain(
         lambda a, wt, wb: row_block_matmul(a, split, wt, wb),
-        lambda a, wt, wb: ad.concat_rows(
+        lambda a, wt, wb: concat_rows(
             ad.matmul(slice_rows(a, 0, split), wt), ad.matmul(slice_rows(a, split, n), wb)
         ),
         leaves,
@@ -908,7 +1014,7 @@ def test_replay_frees_an_intermediate_once_past_it():
 
     with ad.Tape() as tape:
         probe = ad.Tensor(x.value)
-        ad.record(probe, probe_backward)
+        ad.record("probe", probe, probe_backward)
         mid = exp(probe)  # also captured by the closure of the mul below
         ref = weakref.ref(mid.value)
         tape.mark_output(ad.reduce_sum(mul(mid, 2.0)))

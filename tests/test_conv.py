@@ -22,8 +22,8 @@ from trustnet.predict import PredictorParams, pair_loss
 from trustnet.train import backward, forward, init_params
 
 from test_autodiff import (
-    REPO, add, assert_close_grads, column, div, exp, mul, row_block_matmul, segment_softmax, sigmoid,
-    slice_rows, stack_halves, sub, type_softmax,
+    REPO, add, assert_close_grads, column, concat_rows, div, exp, mul, row_block_matmul, segment_softmax,
+    sigmoid, slice_rows, stack_halves, sub, type_softmax,
 )
 from test_predict import chain_pair_loss, frozen
 
@@ -195,7 +195,7 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
 
     hu = slice_rows(h, 0, nu)
     ho = slice_rows(h, nu, n)
-    projected = ad.concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
+    projected = concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
 
     t_user = ad.sparse_matmul(view.s_user, h)
     t_obj = ad.sparse_matmul(view.s_obj, h)
@@ -603,15 +603,17 @@ class TestLayerMatchesOpByOpOracle:
         assert counts[0] < counts[1]
 
     @staticmethod
-    def default_forward_records() -> int:
+    def default_forward_tape() -> Tape:
         fx = make_pipeline_fixture(seed=1)
         params = init_params(
             seed=0, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=3
         )
         assert params.trustor is not None and params.trustee is not None
         assert len(params.trustor.layers) == len(params.trustee.layers) == 2
-        _, tape = forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)
-        return tape.num_records
+        return forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)[1]
+
+    def default_forward_records(self) -> int:
+        return self.default_forward_tape().num_records
 
     def test_default_forward_records_fewer_than_227(self):
         assert self.default_forward_records() < 227
@@ -627,10 +629,17 @@ class TestLayerMatchesOpByOpOracle:
     def test_default_forward_records_at_most_11(self):
         assert self.default_forward_records() <= 11
 
-    def test_default_forward_records_9(self):
-        # 3 for the input projection, 4 layers, the gate and the loss head:
-        # each role's last layer computes the user rows, so no role slice
-        assert self.default_forward_records() == 9
+    def test_default_forward_records_7(self):
+        # the input projection, 4 layers, the gate and the loss head: each
+        # role's last layer computes the user rows, so no role slice
+        assert self.default_forward_records() == 7
+
+    def test_default_forward_records_per_name(self):
+        tape = self.default_forward_tape()
+        want = {"input_projection": 1, "layer": 4, "gate": 1, "loss": 1}
+        assert tape.record_counts == want
+        tape.gradients()
+        assert tape.record_counts == want and tape.num_records == 7
 
 
 # which of h and the layer parameters take gradients
@@ -868,8 +877,14 @@ PIPELINES = {
 }
 
 
+def chain_input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor) -> Tensor:
+    """``train.input_projection`` as two ``ad.matmul`` records and their concatenation."""
+    return concat_rows(ad.matmul(hu, proj_user), ad.matmul(ho, proj_obj))
+
+
 def chains(monkeypatch) -> None:
-    """Replace the layer, the gate and the loss head by their op chains."""
+    """Replace the input projection, the layer, the gate and the loss head by their op chains."""
+    monkeypatch.setattr(train, "input_projection", chain_input_projection)
     monkeypatch.setattr(train, "layer_forward", chain_layer_forward)
     monkeypatch.setattr(train, "gate_fusion", chain_gate_fusion)
     monkeypatch.setattr(train, "pair_loss", chain_pair_loss)
@@ -1000,6 +1015,17 @@ def test_users_only_last_layer_lowers_the_training_step_peak(tmp_path, monkeypat
     assert held <= 0.9 * all_held and peak <= 0.9 * all_peak
 
 
+def rewritten_layer_forward(*replacements):
+    """The production layer with each (new, old) source snippet, found once, put back to old."""
+    source = inspect.getsource(conv.layer_forward)
+    for new, old in replacements:
+        assert source.count(new) == 1
+        source = source.replace(new, old)
+    namespace = dict(vars(conv))
+    exec(source, namespace)
+    return namespace["layer_forward"]
+
+
 # the layer backward's last steps as they are, and in the old order (score product first)
 PROJECTION_FIRST = """\
         d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
@@ -1020,19 +1046,14 @@ SCORES_FIRST = """\
 def scores_first_layer_forward():
     """The production layer with its backward in the old order: ``d_h`` is
     formed while ``d_proj`` is held, and ``d_x`` next to both."""
-    source = inspect.getsource(conv.layer_forward)
-    assert source.count(PROJECTION_FIRST) == 1
-    namespace = dict(vars(conv))
-    exec(source.replace(PROJECTION_FIRST, SCORES_FIRST), namespace)
-    return namespace["layer_forward"]
+    return rewritten_layer_forward((PROJECTION_FIRST, SCORES_FIRST))
 
 
 def test_projection_gradient_first_lowers_the_training_step_peak(tmp_path, monkeypatch):
     # the same gradients, bit for bit, with one n x d array fewer at the end
     # of the layer backward, which at the 1x FilmTrust size (3579 nodes) is
-    # the step's peak. The tape sums h's two contributions into a third n x d
-    # array, so the peak falls only because it drops the record's own arrays
-    # and gradient first.
+    # the step's peak. The tape adds d_x into d_h in place, after it drops
+    # the record's own arrays and gradient.
     run, params = small_filmtrust_run(tmp_path, num_users=1508, num_objects=2071, num_trust=1853)
     _, peak = traced_step(run, params)
     grads = backward(forward(None, run.views, None, None, params, run.train)[1])
@@ -1041,8 +1062,67 @@ def test_projection_gradient_first_lowers_the_training_step_peak(tmp_path, monke
     old_grads = backward(forward(None, run.views, None, None, params, run.train)[1])
     assert grads.keys() == old_grads.keys()
     assert all(np.array_equal(grads[t], old_grads[t]) for t in grads)
-    # 0.945 of the old order's peak
+    # 0.94 of the old order's peak
     assert peak <= 0.97 * old_peak
+
+
+# the layer's ELU and record as they are, and as they were: the record kept
+# ``pre``, the backward recomputed the slope and the gradients were not fresh
+SLOPE_KEPT = [
+    (
+        """\
+    slope = ad.elu_slopes(pre)
+    trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
+    out = Tensor(ad.elu(pre, slope).value, requires_grad=trainable)
+    del pre
+""",
+        """\
+    trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
+    out = Tensor(ad.elu(pre).value, requires_grad=trainable)
+""",
+    ),
+    ("        d_pre = g * slope\n", "        d_pre = g * ad.elu_slopes(pre)\n"),
+    ('    ad.record("layer", out, backward, fresh=True)\n', '    ad.record("layer", out, backward)\n'),
+]
+
+
+def test_layer_computes_the_elu_slope_once_and_hands_it_to_elu(monkeypatch):
+    slopes, handed = [], []
+    elu_slopes, elu = ad.elu_slopes, ad.elu
+
+    def counted_slopes(x):
+        slopes.append(elu_slopes(x))
+        return slopes[-1]
+
+    def counted_elu(a, *args):
+        handed.extend(args)
+        return elu(a, *args)
+
+    monkeypatch.setattr(ad, "elu_slopes", counted_slopes)
+    monkeypatch.setattr(ad, "elu", counted_elu)
+    view, h, lp = random_oracle_case(np.random.default_rng(2), 4, Role.TRUSTEE)
+    with Tape() as tape:
+        tape.mark_output(ad.reduce_sum(layer_forward(h, view, lp)))
+    tape.gradients()
+    assert len(slopes) == 1 and len(handed) == 1 and handed[0] is slopes[0]
+
+
+def test_training_step_holds_and_peaks_below_the_previous_step(tmp_path, monkeypatch):
+    # one input-projection record, the ELU slope kept in place of ``pre``
+    # and h's two layer gradients summed in place: the same gradients, bit
+    # for bit, as the two matmul records with their concatenation, the slope
+    # recomputed and a third n x d array for h's sum, at the 1x FilmTrust size
+    run, params = small_filmtrust_run(tmp_path, num_users=1508, num_objects=2071, num_trust=1853)
+    held, peak = traced_step(run, params)
+    grads = backward(forward(None, run.views, None, None, params, run.train)[1])
+    monkeypatch.setattr(train, "input_projection", chain_input_projection)
+    monkeypatch.setattr(train, "layer_forward", rewritten_layer_forward(*SLOPE_KEPT))
+    old_held, old_peak = traced_step(run, params)
+    old_grads = backward(forward(None, run.views, None, None, params, run.train)[1])
+    assert grads.keys() == old_grads.keys()
+    assert all(np.array_equal(grads[t], old_grads[t]) for t in grads)
+    # 0.90 and 0.92 of the previous step's held tape and peak
+    assert held <= 0.95 * old_held and peak <= 0.95 * old_peak
 
 
 def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():

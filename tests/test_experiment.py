@@ -1,11 +1,18 @@
 import argparse
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import logging
+import types
+import typing
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trustnet import experiment, train
 from trustnet.cli import _ablation_variants, _add_config_flags, build_config
@@ -296,6 +303,43 @@ class TestRun:
         assert len(result.trace) == cfg.epochs + 1
         epochs = [row[0] for row in result.trace]
         assert epochs == list(range(cfg.epochs + 1))
+
+    def test_next_forward_holds_nothing_of_the_previous_step(self, film_dir, monkeypatch):
+        # weak references to a step's fused output, loss, tape and gradients
+        # are dead when the next epoch's fused_users call starts, and the
+        # fused output already when the backward returns
+        refs, watched, leftovers, z_freed = {}, [], [], []
+        fused_users, pair_loss, backward = train.fused_users, experiment.pair_loss, experiment.backward
+
+        def spy_fused_users(*args):
+            if refs:
+                watched.append(sorted(refs))
+                leftovers.append(sorted(key for key, ref in refs.items() if ref() is not None))
+                refs.clear()
+            z = fused_users(*args)
+            refs["z"] = weakref.ref(z.value)
+            return z
+
+        def spy_pair_loss(*args):
+            loss = pair_loss(*args)
+            refs["loss"] = weakref.ref(loss.value)
+            return loss
+
+        def spy_backward(tape):
+            grads = backward(tape)
+            z_freed.append(refs["z"]() is None)
+            refs["tape"] = weakref.ref(tape)
+            refs.update((f"grad{k}", weakref.ref(g)) for k, g in enumerate(grads.values()))
+            return grads
+
+        monkeypatch.setattr(train, "fused_users", spy_fused_users)
+        monkeypatch.setattr(experiment, "pair_loss", spy_pair_loss)
+        monkeypatch.setattr(experiment, "backward", spy_backward)
+        cfg = small_config(film_dir, epochs=3)
+        run_single(load_dataset(cfg), cfg, 42)
+        assert all({"z", "loss", "tape", "grad0"} <= set(keys) for keys in watched)
+        assert len(watched) == cfg.epochs and leftovers == [[]] * cfg.epochs
+        assert z_freed == [True] * cfg.epochs
 
     def test_disabled_role_runs(self, film_dir):
         cfg = small_config(film_dir)
@@ -874,3 +918,96 @@ class TestCli:
             ]
         )
         assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed input ends in one documented line, never a traceback
+
+# one value of each JSON type
+JSON_VALUES = {"null": None, "bool": True, "int": 3, "float": 0.5, "str": "x", "list": [1], "object": {"k": 1}}
+
+
+def json_kind(value) -> str:
+    return next(kind for kind, example in JSON_VALUES.items() if type(value) is type(example))
+
+
+def accepted_kinds(annotation) -> set[str]:
+    """The JSON types a config field of this annotation takes."""
+    allowed = typing.get_args(annotation) if isinstance(annotation, types.UnionType) else (annotation,)
+    kinds = set()
+    for t in allowed:
+        if dataclasses.is_dataclass(t):
+            kinds.add("object")
+        else:
+            kinds |= {type(None): {"null"}, bool: {"bool"}, int: {"int"}, float: {"int", "float"}, str: {"str"}}[t]
+    return kinds
+
+
+def config_fields(cls, prefix="") -> list[tuple[str, set[str]]]:
+    """(dotted name, JSON types it takes) of every config field, sub-configs and their fields."""
+    fields = []
+    for name, annotation in typing.get_type_hints(cls).items():
+        fields.append((prefix + name, accepted_kinds(annotation)))
+        if dataclasses.is_dataclass(annotation):
+            fields += config_fields(annotation, f"{prefix}{name}.")
+    return fields
+
+
+CONFIG_FIELDS = config_fields(ExperimentConfig)
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """The exit code and the standard error of one CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli_main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(film_dir, workdir):
+    path = workdir / "trained.npz"
+    assert cli_main(["run", *checkpoint_run_flags(film_dir), "--checkpoint-out", str(path)]) == 0
+    return path
+
+
+class TestMalformedInput:
+    @given(data=st.data())
+    def test_config_field_of_another_type_is_one_config_error(self, film_dir, workdir, data):
+        name, kinds = data.draw(st.sampled_from(CONFIG_FIELDS), label="field")
+        kind = data.draw(st.sampled_from(sorted(set(JSON_VALUES) - kinds)), label="kind")
+        stored = small_config(film_dir, epochs=1).to_dict()
+        *path, leaf = name.split(".")
+        owner = stored
+        for part in path:
+            owner = owner[part]
+        owner[leaf] = JSON_VALUES[kind]
+        cfg_path = workdir / "c.json"
+        cfg_path.write_text(json.dumps(stored))
+        rc, err = run_cli(["run", "--config", str(cfg_path), "--out", str(workdir / "o")])
+        assert rc == 1 and err.startswith("config error: ") and err.count("\n") == 1
+        assert name in err and not (workdir / "o").exists()
+
+    @given(data=st.data())
+    def test_checkpoint_meta_with_a_key_dropped_or_retyped_is_one_data_error(
+        self, film_dir, workdir, trained_checkpoint, data
+    ):
+        meta = json.loads(bytes(np.load(trained_checkpoint)["__meta__"]).decode())
+        key = data.draw(st.sampled_from(sorted(meta)), label="key")
+        edits = ["drop", *sorted(set(JSON_VALUES) - {json_kind(meta[key])})]
+        edit = data.draw(st.sampled_from(edits), label="edit")
+
+        def edited(meta):
+            kept = {k: v for k, v in meta.items() if k != key}
+            return kept if edit == "drop" else {**kept, key: JSON_VALUES[edit]}
+
+        ckpt = workdir / "edited.npz"
+        ckpt.write_bytes(trained_checkpoint.read_bytes())
+        rewrite_meta(ckpt, edited)
+        rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and "checkpoint" in err
