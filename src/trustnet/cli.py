@@ -179,12 +179,15 @@ def _cmd_gradcheck(args) -> int:
     from .fixtures import make_pipeline_fixture
     from .train import grad_check, init_params
 
+    latent_dim = 3 if args.latent_dim is None else args.latent_dim
+    if latent_dim < 1:
+        raise ConfigError(f"--latent-dim must be >= 1, got {latent_dim}")
     fixture = make_pipeline_fixture(seed=args.seed if args.seed is not None else 1)
     params = init_params(
         seed=11,
         user_dim=fixture.h0_users.shape[1],
         object_dim=fixture.h0_objects.shape[1],
-        latent_dim=args.latent_dim or 3,
+        latent_dim=latent_dim,
     )
     report = grad_check(params, fixture, tolerance=args.tolerance)
     print(report)
@@ -195,8 +198,15 @@ def _cmd_fixtures(args) -> int:
     out = Path(args.out)
     seed = args.seed if args.seed is not None else 0
     make = fixtures.make_filmtrust_files if args.fixture_kind == "filmtrust" else fixtures.make_siot_files
-    sizes = {"num_users": args.users, "num_objects": args.objects, "num_trust": args.trust}
-    make(out, seed=seed, **{name: value for name, value in sizes.items() if value})
+    sizes = {}
+    for flag in ("users", "objects", "trust"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if value < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {value}")
+        sizes[f"num_{flag}"] = value
+    make(out, seed=seed, **sizes)
     print(f"wrote {args.fixture_kind} fixture to {out}")
     return 0
 
@@ -212,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_run)
     p_run.add_argument("--out", help="directory for metrics.csv / trace.csv")
     p_run.add_argument("--checkpoint-out", dest="checkpoint_out", help="save trained parameters (runs=1)")
-    p_run.add_argument("--eval-checkpoint", dest="eval_checkpoint", help="evaluate a saved checkpoint, no training")
+    p_run.add_argument(
+        "--eval-checkpoint",
+        dest="eval_checkpoint",
+        help="score a saved checkpoint without training: the model its stored config describes, "
+        "on the split and augmentation it was trained with",
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_ab = sub.add_parser("ablate", help="run the base config and named variants")

@@ -249,8 +249,8 @@ def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
     vecs = np.zeros((num_users, dim))
     seen_at = np.zeros(num_users, dtype=np.int64)  # line of each user's vector, 0 if none yet
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read user vectors {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

@@ -6,6 +6,8 @@ initializations per derived seed, trains full-batch, evaluates the test
 split every epoch, and reports the best-accuracy snapshot. Metrics are
 emitted as CSV rows ``dataset,ratio,seed,variant,accuracy,f1`` with
 accuracy/F1 in percent.
+
+A checkpoint stores its run's config, the only description of its model.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ class ExperimentConfig:
             for name in ("lr", "margin"):
                 if getattr(self.triples, name) <= 0:
                     raise ConfigError(f"triples.{name} must be positive")
+            if self.kind != "siot_csv":
+                raise ConfigError(f"triples need kind 'siot_csv', got {self.kind!r}")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
         if self.optim.weight_decay < 0:
@@ -173,8 +177,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
@@ -375,22 +379,24 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     return PreparedRun(seeds=seeds, train=train, test=test, views=views)
 
 
+def init_model(config: ExperimentConfig, seed: int) -> ModelParams:
+    """The untrained model a validated ``config`` describes, without initial tables.
+
+    Training builds its model here, and so does checkpoint scoring, from
+    the stored config, before the file's arrays fill it.
+    """
+    roles = config.roles
+    return init_params(seed, config.user_dim, config.object_dim, config.latent_dim, config.fusion,
+                       roles.trustor_enabled, roles.trustee_enabled, config.num_layers)
+
+
 def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """Train once with every stochastic choice derived from ``run_seed``."""
     prep = prepare_run(dataset, config, run_seed)
     h0_users, h0_objects = _initial_tables(dataset, config, prep.seeds)
-    params = init_params(
-        seed=prep.seeds["params"],
-        user_dim=config.user_dim,
-        object_dim=config.object_dim,
-        latent_dim=config.latent_dim,
-        fusion=config.fusion,
-        trustor_enabled=config.roles.trustor_enabled,
-        trustee_enabled=config.roles.trustee_enabled,
-        num_layers=config.num_layers,
-    )
-    if config.train_initial is None:
-        trainable = dataset.corpus is None and not config.triples.enabled
+    params = init_model(config, prep.seeds["params"])
+    if config.train_initial is None:  # auto: only a dataset without comments (FilmTrust) trains them
+        trainable = dataset.corpus is None
     else:
         trainable = config.train_initial
     params.set_initial_tables(h0_users, h0_objects, trainable=trainable)
@@ -664,36 +670,17 @@ def save_checkpoint(summary: Summary, dataset: Dataset, path) -> None:
     train_mod.save_params(result.params, path, provenance)
 
 
-# PPR fields that older checkpoints store, each with the one value this code still runs
-_RETIRED_PPR_FIELDS = {"transition": "walk", "weighted": False}
-
-
-def _trained_config(stored) -> ExperimentConfig:
-    """The training config a checkpoint stores; a ``DataError`` if it does not parse.
-
-    A retired PPR field is dropped when it holds the value that is still
-    run; any other value names a run this code cannot reproduce.
-    """
-    ppr = stored.get("ppr") if isinstance(stored, dict) else None
-    if isinstance(ppr, dict):
-        ppr = dict(ppr)
-        for name, kept in _RETIRED_PPR_FIELDS.items():
-            value = ppr.pop(name, kept)
-            if value != kept:
-                raise DataError(f"checkpoint was trained with ppr.{name}={value!r}, which no longer runs")
-        stored = {**stored, "ppr": ppr}
-    try:
-        return ExperimentConfig.from_dict(stored)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint stores a training config that does not parse: {exc}") from exc
-
-
 def _read_by_prepare_run(field: str) -> bool:
     return field in ("train_ratio", "seed") or field.startswith(("ppr.", "roles."))
 
 
-def _check_provenance(provenance) -> None:
-    """A ``DataError`` unless the provenance holds a run seed and a dataset fingerprint."""
+def _trained_config(provenance, config: ExperimentConfig) -> ExperimentConfig:
+    """The training config a checkpoint's provenance stores, parsed and validated.
+
+    A ``DataError`` unless the provenance holds a run seed, a dataset
+    fingerprint and a valid config whose fields ``prepare_run`` reads
+    equal ``config``'s.
+    """
     if not isinstance(provenance, dict):
         raise DataError("checkpoint records no training config, run seed or dataset fingerprint")
     seed = provenance.get("run_seed")
@@ -702,37 +689,46 @@ def _check_provenance(provenance) -> None:
     fingerprint = provenance.get("graph_sha256")
     if not isinstance(fingerprint, str):
         raise DataError(f"checkpoint graph_sha256 must be a string, got {fingerprint!r}")
+    try:
+        trained = ExperimentConfig.from_dict(provenance.get("config"))
+        trained.validate()
+    except ConfigError as exc:
+        raise DataError(f"checkpoint stores an invalid training config: {exc}") from exc
+    stored, given = flatten_config(trained), flatten_config(config)
+    changed = [
+        f"{k}={stored[k]!r} (config: {given[k]!r})"
+        for k in stored
+        if _read_by_prepare_run(k) and stored[k] != given[k]
+    ]
+    if changed:
+        raise DataError(f"checkpoint was trained with {', '.join(changed)}")
+    return trained
 
 
 def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Dataset | None = None):
     """Score a saved model on the test split of the run it was trained in.
 
-    Nothing is trained: the split, augmentation and views come from
-    ``prepare_run`` and the embedding tables from the checkpoint. The
-    checkpoint's encoders must be exactly the roles the config enables, the
-    fields ``prepare_run`` reads must equal those it was trained with, and
-    the dataset graph must be the one it was trained on; otherwise the test
-    split would not be that run's and a ``DataError`` is raised.
+    Nothing is trained: ``init_model`` builds the model the checkpoint's
+    stored config describes, the file fills it (embedding tables included)
+    and ``prepare_run`` gives the split, augmentation and views. The stored
+    config must validate, the fields ``prepare_run`` reads must equal
+    ``config``'s and the dataset graph must be the one it was trained on,
+    or the test split would not be that run's; the tables need a row per
+    node and the model's input width. Each failure is a ``DataError``.
     """
     config.validate()
-    params, provenance = train_mod.load_params(checkpoint_path)
-    stored = [enc.role.value for enc in (params.trustor, params.trustee) if enc is not None]
-    enabled = [role.value for role in _enabled_roles(config.roles)]
-    if stored != enabled:
-        raise DataError(f"checkpoint encodes roles {stored} but the config enables {enabled}")
-    _check_provenance(provenance)
-    trained, given = flatten_config(_trained_config(provenance.get("config"))), flatten_config(config)
-    changed = [
-        f"{k}={trained[k]!r} (config: {given[k]!r})"
-        for k in trained
-        if _read_by_prepare_run(k) and trained[k] != given[k]
-    ]
-    if changed:
-        raise DataError(f"checkpoint was trained with {', '.join(changed)}")
+    params, provenance = train_mod.load_params(
+        checkpoint_path, lambda provenance: init_model(_trained_config(provenance, config), 0)
+    )
     if dataset is None:
         dataset = load_dataset(config)
-    if dataset.graph.fingerprint() != provenance["graph_sha256"]:
+    graph = dataset.graph
+    if graph.fingerprint() != provenance["graph_sha256"]:
         raise DataError(f"checkpoint was trained on another dataset graph than {dataset.name}")
+    shapes = [table.value.shape for table in (params.h0_users, params.h0_objects) if table is not None]
+    need = [(graph.num_users, len(params.proj_user.value)), (graph.num_objects, len(params.proj_obj.value))]
+    if shapes != need:
+        raise DataError(f"checkpoint initial tables have shapes {shapes}, the model and graph need {need}")
     prep = prepare_run(dataset, config, provenance["run_seed"])
     z = train_mod.fused_users(prep.views, params, None, None)
     return _score(z.value, params, prep.test)

@@ -101,6 +101,8 @@ def _sample_trust_edges(
         members = np.flatnonzero((plan.social_comm == c) & plan.social)
         comm_social.append(members)
         comm_mass[c] = plan.out_weight[members].sum()
+    if not comm_mass.any():
+        raise DataError("trust sampling failed: no user can emit trust")
     comm_p = comm_mass / comm_mass.sum()
 
     base_target = num_trust - int(round(chain_fraction * num_trust))

@@ -250,8 +250,8 @@ def _read_id_pairs(path: Path, label: str, numeric_value: bool) -> np.ndarray:
     ``usecols`` would let 2- and 4-field lines through.
     """
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {label} file {path}: {exc}") from exc
     value = "f8" if numeric_value else "U1"
     try:
@@ -312,22 +312,25 @@ def load_filmtrust(ratings_path, trust_path) -> HeteroGraph:
 def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
     if not path.exists():
         raise DataError(f"missing required file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise ParseError(f"{path}:1: empty file, expected header {expected_header}") from exc
-        if [h.strip() for h in header] != expected_header:
-            raise ParseError(f"{path}:1: expected header {expected_header}, got {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            rows.append(row)
-        return rows
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration as exc:
+                raise ParseError(f"{path}:1: empty file, expected header {expected_header}") from exc
+            if [h.strip() for h in header] != expected_header:
+                raise ParseError(f"{path}:1: expected header {expected_header}, got {header}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(expected_header)} fields")
+                rows.append(row)
+            return rows
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def load_siot_csv(
@@ -436,32 +439,27 @@ def split_samples(
     free = num_users * (num_users - 1) - seen.size
     if free < n:
         raise DataError(f"cannot draw {n} negative pairs: only {free} unlinked ordered pairs exist")
-    if num_users <= 200:
-        pool = np.arange(num_users * num_users)
-        pool = pool[(pool // num_users != pool % num_users) & ~np.isin(pool, taken)]
-        negatives = pool[rng.choice(pool.size, size=n, replace=False)]
-    else:
-        # Rejection sampling: draw i, then j, and keep the pair unless i == j
-        # or it is observed or already kept. A batch of draws reads the same
-        # stream as one scalar draw at a time and keeps its pairs in draw
-        # order, so this keeps what a scalar loop would. Nothing draws from
-        # ``rng`` afterwards, so the last batch's unread draws change nothing.
-        drawn = [np.zeros(0, dtype=np.int64)]
-        need = n
-        while need:
-            # about the draws expected to yield ``need`` new pairs, so a pool
-            # near exhaustion still fills in a few batches
-            left = free - (n - need)  # unlinked pairs not drawn yet
-            batch = min(need * num_users**2 // left, 1 << 20) + 64
-            i, j = rng.integers(num_users, size=2 * batch).reshape(-1, 2).T
-            keys = i * num_users + j
-            keys = keys[(i != j) & ~np.isin(keys, seen)]
-            _, first = np.unique(keys, return_index=True)
-            keys = keys[np.sort(first)[:need]]
-            seen = np.sort(np.concatenate([seen, keys]))  # keys are new
-            drawn.append(keys)
-            need -= keys.size
-        negatives = np.concatenate(drawn)
+    # Rejection sampling: draw i, then j, and keep the pair unless i == j
+    # or it is observed or already kept. A batch of draws reads the same
+    # stream as one scalar draw at a time and keeps its pairs in draw
+    # order, so this keeps what a scalar loop would. Nothing draws from
+    # ``rng`` afterwards, so the last batch's unread draws change nothing.
+    drawn = [np.zeros(0, dtype=np.int64)]
+    need = n
+    while need:
+        # about the draws expected to yield ``need`` new pairs, so a pool
+        # near exhaustion still fills in a few batches
+        left = free - (n - need)  # unlinked pairs not drawn yet
+        batch = min(need * num_users**2 // left, 1 << 20) + 64
+        i, j = rng.integers(num_users, size=2 * batch).reshape(-1, 2).T
+        keys = i * num_users + j
+        keys = keys[(i != j) & ~np.isin(keys, seen)]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)[:need]]
+        seen = np.sort(np.concatenate([seen, keys]))  # keys are new
+        drawn.append(keys)
+        need -= keys.size
+    negatives = np.concatenate(drawn)
     negatives = np.stack(np.divmod(negatives, num_users), axis=1)
 
     def side(pos: np.ndarray, neg: np.ndarray):

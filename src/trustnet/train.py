@@ -1,6 +1,8 @@
 """Training machinery: parameter container, full-pipeline forward and
-backward passes on the autodiff tape, Adam with L2 weight decay, and a
-central-difference gradient checker.
+backward passes on the autodiff tape, Adam with L2 weight decay, a
+central-difference gradient checker, and checkpoints. A checkpoint stores
+arrays and the caller's provenance, not the model's shape: loading fills
+the model that the caller builds from that provenance.
 
 Everything runs in float64 so finite-difference verification at
 perturbation 1e-5 is meaningful.
@@ -21,7 +23,7 @@ from .errors import DataError, NumericalError
 from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -33,18 +35,11 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 class ModelParams:
     """All trainable tensors plus Adam state.
 
-    ``latent_dim`` is the dimension of the final fused embedding;
-    concat fusion therefore runs each role encoder at half width so the
-    fusion modes compare at an equal representation budget. Weight decay
-    applies to weight matrices, attention vectors, and trainable
-    embedding tables; never to the fusion gate or biases.
+    Weight decay applies to weight matrices, attention vectors, and
+    trainable embedding tables; never to the fusion gate or biases.
     """
 
-    latent_dim: int
-    user_dim: int
-    object_dim: int
     fusion: str
-    role_dim: int
     proj_user: Tensor
     proj_obj: Tensor
     trustor: RoleEncoder | None
@@ -118,22 +113,14 @@ def init_params(
 ) -> ModelParams:
     """Fresh parameters; encoders for both roles are independent.
 
-    With concat fusion both halves of the final embedding come from one
-    role each, so the per-role encoder width is latent_dim / 2; gate
-    fusion (and single-role setups) encode at the full latent width. The
-    predictor always reads 2 * latent_dim pair features.
+    ``latent_dim`` is the width of the fused embedding. With concat fusion
+    of both roles each role encodes at latent_dim / 2, so the fusion modes
+    compare at an equal budget; otherwise at the full width. The predictor
+    reads 2 * latent_dim pair features. Callers pass a validated config's
+    values (``experiment.init_model``) or constants.
     """
-    if fusion not in ("gate", "concat"):
-        raise DataError(f"unknown fusion mode {fusion!r}")
-    if not (trustor_enabled or trustee_enabled):
-        raise DataError("at least one role must be enabled")
     both = trustor_enabled and trustee_enabled
-    if fusion == "concat" and both:
-        if latent_dim % 2:
-            raise DataError("concat fusion needs an even latent_dim")
-        role_dim = latent_dim // 2
-    else:
-        role_dim = latent_dim
+    role_dim = latent_dim // 2 if fusion == "concat" and both else latent_dim
     rng = np.random.default_rng(seed)
     proj_user = Tensor(_glorot(rng, user_dim, role_dim, (user_dim, role_dim)))
     proj_obj = Tensor(_glorot(rng, object_dim, role_dim, (object_dim, role_dim)))
@@ -148,11 +135,7 @@ def init_params(
     weight = Tensor(_glorot(rng, 2 * latent_dim, 2, (2 * latent_dim, 2)))
     predictor = PredictorParams(weight, Tensor(np.zeros(2)))
     return ModelParams(
-        latent_dim=latent_dim,
-        user_dim=user_dim,
-        object_dim=object_dim,
         fusion=fusion,
-        role_dim=role_dim,
         proj_user=proj_user,
         proj_obj=proj_obj,
         trustor=trustor,
@@ -415,25 +398,14 @@ def grad_check(
 
 
 def save_params(params: ModelParams, path, provenance: dict | None = None) -> None:
-    """Versioned npz dump of all trainables, moments, and shape metadata.
+    """Versioned npz dump of all trainables, initial tables and moments.
 
-    ``provenance`` is a JSON-serialisable record of what the parameters were
-    trained on; ``load_params`` hands it back unchanged.
+    ``__meta__`` holds only the version, the Adam step and ``provenance``,
+    a JSON-serialisable record of what the parameters were trained on,
+    which ``load_params`` hands to its ``build`` and back unchanged.
+    Initial tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
     """
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "provenance": provenance,
-        "latent_dim": params.latent_dim,
-        "user_dim": params.user_dim,
-        "object_dim": params.object_dim,
-        "fusion": params.fusion,
-        "trustor": params.trustor is not None,
-        "trustee": params.trustee is not None,
-        "num_layers": len(params.trustor.layers) if params.trustor else len(params.trustee.layers),
-        "step": params.step,
-        "has_h0": params.h0_users is not None,
-        "h0_trainable": bool(params.h0_users is not None and params.h0_users.requires_grad),
-    }
+    meta = {"version": CHECKPOINT_VERSION, "step": params.step, "provenance": provenance}
     arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named()}
     if params.h0_users is not None and not params.h0_users.requires_grad:
         arrays["frozen::h0/users"] = params.h0_users.value
@@ -444,34 +416,16 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
-def _checked_meta(data) -> dict:
-    """The checkpoint's ``__meta__`` record, once every field ``load_params`` reads has its type."""
-    try:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"checkpoint has no JSON __meta__ record: {exc}") from exc
-    version = meta.get("version") if isinstance(meta, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version!r}")
-    for name, low in (("latent_dim", 1), ("user_dim", 1), ("object_dim", 1), ("num_layers", 1), ("step", 0)):
-        value = meta.get(name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise DataError(f"checkpoint {name} must be an integer >= {low}, got {value!r}")
-    for name in ("trustor", "trustee", "has_h0", "h0_trainable"):
-        if not isinstance(meta.get(name), bool):
-            raise DataError(f"checkpoint {name} must be a boolean, got {meta.get(name)!r}")
-    if meta.get("fusion") not in ("gate", "concat"):
-        raise DataError(f"checkpoint fusion must be 'gate' or 'concat', got {meta.get('fusion')!r}")
-    return meta
+def load_params(path, build) -> tuple[ModelParams, dict | None]:
+    """Fill ``build(provenance)``, fresh parameters without initial tables, from a checkpoint.
 
-
-def load_params(path) -> tuple[ModelParams, dict | None]:
-    """Rebuild a ModelParams, and its provenance, from a checkpoint written by save_params.
-
+    Returns them and the provenance ``save_params`` stored. The initial
+    tables are attached, trainable or frozen, as the keys present say.
     Raises ``DataError`` for a file that is not a readable npz archive with
-    a JSON ``__meta__`` record, an unknown version, a metadata field of the
-    wrong type, a missing or misshapen parameter, and Adam moments that
-    lack their pair, are misshapen or belong to no parameter.
+    a JSON ``__meta__`` record, an unknown version, a step that is not a
+    non-negative integer, one initial table without the other, a missing,
+    misshapen or unknown parameter, and Adam moments that lack their pair, are
+    misshapen or belong to no parameter; ``build`` may raise it too.
     """
     try:
         data = np.load(path)
@@ -480,18 +434,24 @@ def load_params(path) -> tuple[ModelParams, dict | None]:
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise DataError(f"checkpoint {path} is not an npz archive")
     with data:
-        meta = _checked_meta(data)
-        params = init_params(
-            0, meta["user_dim"], meta["object_dim"], meta["latent_dim"], meta["fusion"],
-            meta["trustor"], meta["trustee"], meta["num_layers"],
-        )
-        params.step = meta["step"]
-        if meta["has_h0"]:
-            kind = "param" if meta["h0_trainable"] else "frozen"
-            tables = [f"{kind}::h0/users", f"{kind}::h0/objects"]
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"checkpoint has no JSON __meta__ record: {exc}") from exc
+        version = meta.get("version") if isinstance(meta, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version!r}")
+        step = meta.get("step")
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise DataError(f"checkpoint step must be an integer >= 0, got {step!r}")
+        params = build(meta.get("provenance"))
+        params.step = step
+        kind = "param" if "param::h0/users" in data else "frozen"
+        tables = [f"{kind}::h0/users", f"{kind}::h0/objects"]
+        if any(key in data for key in tables):
             if not all(key in data for key in tables):
                 raise DataError(f"checkpoint missing initial tables {tables}")
-            params.set_initial_tables(*(data[key] for key in tables), trainable=meta["h0_trainable"])
+            params.set_initial_tables(*(data[key] for key in tables), trainable=kind == "param")
         shapes = {}
         for name, tensor, _ in params.named():
             key = f"param::{name}"
@@ -505,6 +465,9 @@ def load_params(path) -> tuple[ModelParams, dict | None]:
                 )
             tensor.value = stored.astype(np.float64)
             shapes[name] = stored.shape
+        extra = [k for k in data.files if k.startswith("param::") and k.partition("::")[2] not in shapes]
+        if extra:
+            raise DataError(f"checkpoint has parameters {extra} that the model does not")
         moment_keys = [k for k in data.files if k.startswith(("moment_m::", "moment_v::"))]
         for name in dict.fromkeys(k.partition("::")[2] for k in moment_keys):
             if name not in shapes:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import logging
+import shutil
 import types
 import typing
 import weakref
@@ -49,6 +50,21 @@ def siot_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("siot")
     make_siot_files(path, seed=3, num_users=60, num_objects=40, num_trust=220, communities=3)
     return path
+
+
+class FieldReads:
+    """A config stand-in that records the dotted name of each field read through it."""
+
+    def __init__(self, config, reads: set, prefix: str = ""):
+        self._config, self._reads, self._prefix = config, reads, prefix
+
+    def __getattr__(self, name):
+        value = getattr(self._config, name)
+        dotted = self._prefix + name
+        if dataclasses.is_dataclass(value):
+            return FieldReads(value, self._reads, dotted + ".")
+        self._reads.add(dotted)
+        return value
 
 
 def small_config(film_dir, **kw):
@@ -164,6 +180,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"triples.{field}"):
             cfg.validate()
 
+    def test_triples_need_the_siot_kind(self, film_dir, siot_dir):
+        # a FilmTrust dataset loads no triples, so with them on the auto
+        # train_initial would freeze random tables
+        cfg = small_config(film_dir)
+        cfg.triples.enabled = True
+        with pytest.raises(ConfigError, match="^triples need kind 'siot_csv', got 'filmtrust'$"):
+            cfg.validate()
+        cfg = small_config(siot_dir, kind="siot_csv")
+        cfg.triples.enabled = True
+        cfg.validate()
+
     def test_flatten_contains_nested_keys(self, film_dir):
         flat = flatten_config(small_config(film_dir))
         assert "ppr.k" in flat and "optim.lr" in flat and "fusion" in flat
@@ -244,8 +271,8 @@ class TestBuildConfig:
 
 
 class TestAblations:
-    def test_each_variant_changes_exactly_one_field(self, film_dir):
-        cfg = small_config(film_dir)
+    def test_each_variant_changes_exactly_one_field(self, siot_dir):
+        cfg = small_config(siot_dir, kind="siot_csv")
         cfg.triples.enabled = True  # so woTriples applies
         for variant in ABLATION_VARIANTS:
             changed = config_diff(cfg, make_ablation(cfg, variant))
@@ -374,6 +401,21 @@ class TestRun:
         roles = [role for role, on in ((Role.TRUSTOR, trustor), (Role.TRUSTEE, trustee)) if on]
         assert [args[2] for args in seen["build_view"]] == roles
 
+    @pytest.mark.parametrize("ppr", [True, False], ids=["ppr_on", "ppr_off"])
+    def test_prepare_run_reads_only_fields_the_checkpoint_check_compares(self, film_dir, ppr):
+        # evaluate_checkpoint rebuilds the split from the fields it compares;
+        # a field prepare_run read but the check skipped would let a
+        # checkpoint be scored on another run's split
+        cfg = small_config(film_dir)
+        cfg.ppr.enabled = ppr
+        reads = set()
+        prep = experiment.prepare_run(load_dataset(cfg), FieldReads(cfg, reads), 11)
+        assert len(prep.views) == 2
+        assert reads <= set(flatten_config(cfg))
+        assert {"train_ratio", "ppr.enabled", "roles.trustor_enabled", "roles.trustee_enabled"} <= reads
+        assert {"ppr.k", "ppr.lam", "ppr.epsilon"} <= reads if ppr else "ppr.k" not in reads
+        assert sorted(f for f in reads if not experiment._read_by_prepare_run(f)) == []
+
     def test_siot_with_triples(self, siot_dir):
         cfg = ExperimentConfig(
             dataset=str(siot_dir),
@@ -439,6 +481,47 @@ def npy_bytes(array) -> bytes:
 
 
 MISSING = object()  # a checkpoint __meta__ field left out
+
+
+def meta_edit(field, value):
+    """A checkpoint edit that drops (``MISSING``) or replaces one ``__meta__`` field."""
+
+    def edit(meta):
+        kept = {k: v for k, v in meta.items() if k != field}
+        return kept if value is MISSING else {**kept, field: value}
+
+    return lambda ckpt: rewrite_meta(ckpt, edit)
+
+
+def config_edit(field, value):
+    """A checkpoint edit that drops (``MISSING``) or replaces one field of the stored training config."""
+    *path, leaf = field.split(".")
+
+    def edit(config):
+        owner = config
+        for part in path:
+            owner = owner[part]
+        del owner[leaf]
+        if value is not MISSING:
+            owner[leaf] = value
+        return config
+
+    return lambda ckpt: rewrite_stored_config(ckpt, edit)
+
+
+def drop_array(key):
+    """A checkpoint edit that removes one stored array."""
+
+    def edit(ckpt):
+        with np.load(ckpt) as stored:
+            data = dict(stored)
+        del data[key]
+        np.savez(ckpt, **data)
+
+    return edit
+
+
+INVALID = "checkpoint stores an invalid training config: "
 
 
 BAD_SEED = "run_seed must be a non-negative integer, got "
@@ -628,17 +711,23 @@ class TestCli:
         assert printed[:3] == ["eval-only:", "accuracy", last_test_acc]
 
     @pytest.mark.parametrize(
-        "train_flags,eval_flags", [([], ["--no-trustee"]), (["--no-trustor"], [])]
+        "train_flags,eval_flags,field",
+        [
+            ([], ["--no-trustee"], "roles.trustee_enabled=True (config: False)"),
+            (["--no-trustor"], [], "roles.trustor_enabled=False (config: True)"),
+        ],
+        ids=["train_flags0-eval_flags0", "train_flags1-eval_flags1"],
     )
     def test_checkpoint_roles_must_match_the_config(
-        self, film_dir, tmp_path, capsys, train_flags, eval_flags
+        self, film_dir, tmp_path, capsys, train_flags, eval_flags, field
     ):
+        # the roles are among the fields prepare_run reads, so the field check names them
         ckpt = tmp_path / "model.npz"
         base = checkpoint_run_flags(film_dir)
         assert cli_main(["run", *base, *train_flags, "--checkpoint-out", str(ckpt)]) == 0
         capsys.readouterr()
         assert cli_main(["run", *base, *eval_flags, "--eval-checkpoint", str(ckpt)]) == 2
-        assert "data error: checkpoint encodes roles" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: checkpoint was trained with {field}\n"
 
     def test_checkpoint_with_a_lone_moment_exits_2(self, film_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -683,6 +772,61 @@ class TestCli:
         assert cli_main(["run", *film, "--eval-checkpoint", str(ckpt)]) == 2
         assert "data error: checkpoint was trained on another dataset graph" in capsys.readouterr().err
 
+    def test_checkpoint_meta_holds_only_version_step_and_provenance(self, film_dir, tmp_path):
+        ckpt = tmp_path / "model.npz"
+        assert cli_main(["run", *checkpoint_run_flags(film_dir), "--checkpoint-out", str(ckpt)]) == 0
+        with np.load(ckpt) as stored:
+            meta = json.loads(bytes(stored["__meta__"]).decode())
+        assert sorted(meta) == ["provenance", "step", "version"]
+        assert meta["version"] == 3 and meta["step"] == 4
+        assert sorted(meta["provenance"]) == ["config", "graph_sha256", "run_seed"]
+
+    def test_checkpoint_model_comes_from_its_stored_config(self, film_dir, tmp_path, capsys):
+        # scored with a config of another model shape, the checkpoint still
+        # builds the model it was trained as
+        ckpt, out = tmp_path / "model.npz", tmp_path / "out"
+        base = checkpoint_run_flags(film_dir)
+        shape = ["--fusion", "concat", "--num-layers", "1", "--latent-dim", "4", "--user-dim", "5"]
+        assert cli_main(["run", *base, *shape, "--checkpoint-out", str(ckpt), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
+        with (out / "trace.csv").open(newline="") as fh:
+            last_test_acc = list(csv.DictReader(fh))[-1]["test_acc"]
+        assert capsys.readouterr().out.split()[:3] == ["eval-only:", "accuracy", last_test_acc]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.update({"frozen::h0/users": data["frozen::h0/users"][:-1]}),
+            lambda data: data.update({"frozen::h0/objects": np.vstack([data["frozen::h0/objects"]] * 2)}),
+            lambda data: data.update({"frozen::h0/users": np.hstack([data["frozen::h0/users"]] * 2)}),
+            lambda data: [data.pop("frozen::h0/users"), data.pop("frozen::h0/objects")],
+        ],
+        ids=["user_row_short", "object_rows_doubled", "user_columns_doubled", "no_tables"],
+    )
+    def test_checkpoint_initial_tables_must_fit_the_model_and_graph(self, siot_dir, tmp_path, capsys, edit):
+        # SIoT tables are frozen, so no Adam moment's shape gives a misfit away
+        ckpt = tmp_path / "model.npz"
+        flags = ["--dataset", str(siot_dir), "--kind", "siot_csv", *checkpoint_run_flags(siot_dir)[4:]]
+        assert cli_main(["run", *flags, "--checkpoint-out", str(ckpt)]) == 0
+        with np.load(ckpt) as stored:
+            data = dict(stored)
+        edit(data)
+        np.savez(ckpt, **data)
+        capsys.readouterr()
+        assert cli_main(["run", *flags, "--eval-checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint initial tables have shapes ") and err.count("\n") == 1
+
+    def test_version_2_checkpoint_is_a_data_error(self, film_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        base = checkpoint_run_flags(film_dir)
+        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
+        rewrite_meta(ckpt, lambda meta: {**meta, "version": 2})
+        capsys.readouterr()
+        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == "data error: unsupported checkpoint version 2\n"
+
     def test_version_1_checkpoint_is_a_data_error(self, film_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
         base = checkpoint_run_flags(film_dir)
@@ -697,29 +841,11 @@ class TestCli:
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         assert "data error: unsupported checkpoint version 1" in capsys.readouterr().err
 
-    def test_checkpoint_storing_the_retired_ppr_defaults_still_scores(self, film_dir, tmp_path, capsys):
-        # checkpoints written while the transition and weighting options existed
-        # store their values; the uniform walk and unweighted pairs still run
-        ckpt = tmp_path / "model.npz"
-        base = checkpoint_run_flags(film_dir)
-        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
-        capsys.readouterr()
-        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
-        scored = capsys.readouterr().out
-
-        def add_retired(config):
-            config["ppr"].update(transition="walk", weighted=False)
-            return config
-
-        rewrite_stored_config(ckpt, add_retired)
-        assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 0
-        assert capsys.readouterr().out == scored
-
     @pytest.mark.parametrize(
         "stored,named",
         [
-            ({"transition": "symmetric"}, "ppr.transition='symmetric'"),
-            ({"transition": "walk", "weighted": True}, "ppr.weighted=True"),
+            ({"transition": "symmetric"}, "['transition']"),
+            ({"transition": "walk", "weighted": True}, "['transition', 'weighted']"),
         ],
         ids=["symmetric", "weighted"],
     )
@@ -737,7 +863,7 @@ class TestCli:
         rewrite_stored_config(ckpt, add_retired)
         capsys.readouterr()
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
-        assert f"data error: checkpoint was trained with {named}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {INVALID}unknown ppr fields: {named}\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -747,8 +873,16 @@ class TestCli:
             lambda config: None,
             lambda config: ["dataset"],
             lambda config: {**config, "optim": {**config["optim"], "lr": float("nan")}},
+            # the fields older checkpoints stored with the values that still run
+            lambda config: {**config, "ppr": {**config["ppr"], "transition": "walk", "weighted": False}},
+            # parses, but fails validate()
+            lambda config: {**config, "latent_dim": 0},
+            lambda config: {**config, "kind": "filmtrust", "triples": {**config["triples"], "enabled": True}},
         ],
-        ids=["unknown_field", "unknown_ppr_field", "null", "list", "nan_lr"],
+        ids=[
+            "unknown_field", "unknown_ppr_field", "null", "list", "nan_lr", "retired_ppr_defaults",
+            "zero_latent_dim", "filmtrust_triples",
+        ],
     )
     def test_checkpoint_config_that_does_not_parse_is_a_data_error(self, film_dir, tmp_path, capsys, edit):
         ckpt = tmp_path / "model.npz"
@@ -758,7 +892,7 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert "data error: checkpoint stores a training config that does not parse" in err
+        assert err.startswith(f"data error: {INVALID}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -814,22 +948,22 @@ class TestCli:
         assert message in err
 
     @pytest.mark.parametrize(
-        "field,value,want",
+        "edit,want",
         [
-            ("latent_dim", MISSING, "an integer >= 1"),
-            ("fusion", MISSING, "'gate' or 'concat'"),
-            ("step", MISSING, "an integer >= 0"),
-            ("has_h0", MISSING, "a boolean"),
-            ("num_layers", "2", "an integer >= 1"),
-            ("num_layers", 0, "an integer >= 1"),
-            ("latent_dim", "3", "an integer >= 1"),
-            ("latent_dim", True, "an integer >= 1"),
-            ("user_dim", None, "an integer >= 1"),
-            ("trustor", "false", "a boolean"),
-            ("trustee", 1, "a boolean"),
-            ("step", "3", "an integer >= 0"),
-            ("step", -1, "an integer >= 0"),
-            ("fusion", "sum", "'gate' or 'concat'"),
+            (config_edit("latent_dim", MISSING), "checkpoint shape mismatch for proj_user"),
+            (config_edit("fusion", MISSING), "checkpoint shape mismatch for proj_user"),
+            (meta_edit("step", MISSING), "checkpoint step must be an integer >= 0, got None"),
+            (drop_array("param::h0/objects"), "checkpoint missing initial tables"),
+            (config_edit("num_layers", "2"), f"{INVALID}num_layers must be int, got '2'"),
+            (config_edit("num_layers", 0), f"{INVALID}num_layers must be >= 1"),
+            (config_edit("latent_dim", "3"), f"{INVALID}latent_dim must be int, got '3'"),
+            (config_edit("latent_dim", True), f"{INVALID}latent_dim must be int, got True"),
+            (config_edit("user_dim", None), f"{INVALID}user_dim must be int, got None"),
+            (config_edit("roles.trustor_enabled", "false"), f"{INVALID}roles.trustor_enabled must be bool"),
+            (config_edit("roles.trustee_enabled", 1), f"{INVALID}roles.trustee_enabled must be bool, got 1"),
+            (meta_edit("step", "3"), "checkpoint step must be an integer >= 0, got '3'"),
+            (meta_edit("step", -1), "checkpoint step must be an integer >= 0, got -1"),
+            (config_edit("fusion", "sum"), f"{INVALID}unknown fusion mode 'sum'"),
         ],
         ids=[
             "no_latent_dim", "no_fusion", "no_step", "no_has_h0", "str_num_layers", "zero_num_layers",
@@ -837,21 +971,18 @@ class TestCli:
             "str_step", "negative_step", "unknown_fusion",
         ],
     )
-    def test_checkpoint_with_mistyped_meta_exits_2(self, film_dir, tmp_path, capsys, field, value, want):
+    def test_checkpoint_with_mistyped_meta_exits_2(self, film_dir, tmp_path, capsys, edit, want):
+        # __meta__ describes the model by its stored training config, so a
+        # mistyped or missing model field is one there; a missing one takes
+        # its default, which is not the concat model trained here
         ckpt = tmp_path / "model.npz"
         base = checkpoint_run_flags(film_dir)
-        assert cli_main(["run", *base, "--checkpoint-out", str(ckpt)]) == 0
-
-        def retype(meta):
-            kept = {k: v for k, v in meta.items() if k != field}
-            return kept if value is MISSING else {**kept, field: value}
-
-        rewrite_meta(ckpt, retype)
+        assert cli_main(["run", *base, "--fusion", "concat", "--checkpoint-out", str(ckpt)]) == 0
+        edit(ckpt)
         capsys.readouterr()
         assert cli_main(["run", *base, "--eval-checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        got = None if value is MISSING else value
-        assert err == f"data error: checkpoint {field} must be {want}, got {got!r}\n"
+        assert err.startswith(f"data error: {want}") and err.count("\n") == 1
 
     def test_checkpoint_out_into_a_missing_directory_fails_before_training(
         self, film_dir, tmp_path, capsys, monkeypatch
@@ -883,6 +1014,7 @@ class TestCli:
             (["ablate", "--variant", "concat", "--latent-dim", "3"], "even latent_dim, got 3"),
             (["sweep", "--param", "ppr_k", "--values", "3,0"], "ppr.k must be >= 1"),
             (["sweep", "--param", "latent_dim", "--values", "4,3", "--fusion", "concat"], "even latent_dim, got 3"),
+            (["run", "--triples"], "triples need kind 'siot_csv', got 'filmtrust'"),
         ],
     )
     def test_config_mistakes_fail_before_any_data_is_loaded(
@@ -964,6 +1096,14 @@ def run_cli(argv) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
+# (dataset kind, file) of every file the two fixture bundles hold
+DATASET_FILES = [
+    ("filmtrust", "ratings.txt"),
+    ("filmtrust", "trust.txt"),
+    *(("siot_csv", name) for name in ("trust.csv", "interactions.csv", "objects.csv", "triples.csv")),
+]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("malformed")
@@ -1011,3 +1151,65 @@ class TestMalformedInput:
         rewrite_meta(ckpt, edited)
         rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
         assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and "checkpoint" in err
+
+    @given(data=st.data())
+    def test_dataset_file_cut_at_any_byte_exits_0_or_2(self, film_dir, siot_dir, workdir, data):
+        kind, name = data.draw(st.sampled_from(DATASET_FILES), label="file")
+        source = siot_dir if kind == "siot_csv" else film_dir
+        content = (source / name).read_bytes()
+        cut = data.draw(st.integers(0, len(content)), label="cut")
+        dataset = workdir / "cut"
+        shutil.rmtree(dataset, ignore_errors=True)
+        shutil.copytree(source, dataset)
+        (dataset / name).write_bytes(content[:cut])
+        config = workdir / "fast.json"
+        config.write_text(json.dumps({"user_embed": {"epochs": 1}, "triples": {"epochs": 2}}))
+        flags = [*checkpoint_run_flags(film_dir)[4:], "--config", str(config), "--epochs", "1"]
+        flags += ["--dataset", str(dataset), "--kind", kind, *(["--triples"] if kind == "siot_csv" else [])]
+        rc, err = run_cli(["run", *flags])
+        assert rc in (0, 2) and err.count("\n") <= 1
+        assert err == "" if rc == 0 else err.startswith("data error: ")
+
+    @pytest.mark.parametrize("target", ["config", "ratings.txt", "interactions.csv", "user_vectors"])
+    def test_text_cut_inside_a_multibyte_character_is_one_line(self, film_dir, siot_dir, tmp_path, target):
+        cut = "caf\u00e9".encode()[:-1]  # ends inside the two bytes of the e-acute
+        flags = checkpoint_run_flags(film_dir)
+        if target == "config":
+            (tmp_path / "c.json").write_bytes(b'{"dataset": "' + cut)
+            flags = ["--config", str(tmp_path / "c.json")]
+        elif target == "user_vectors":
+            (tmp_path / "v.txt").write_bytes(b"0 " + cut)
+            flags += ["--user-vectors", str(tmp_path / "v.txt")]
+        else:
+            kind, source = ("filmtrust", film_dir) if target == "ratings.txt" else ("siot_csv", siot_dir)
+            dataset = tmp_path / "data"
+            shutil.copytree(source, dataset)
+            (dataset / target).write_bytes((dataset / target).read_bytes() + cut)
+            flags = ["--dataset", str(dataset), "--kind", kind, *flags[4:]]
+        rc, err = run_cli(["run", *flags])
+        want = 1 if target == "config" else 2
+        assert rc == want and err.count("\n") == 1 and "can't decode byte 0xc3" in err
+        assert err.startswith("config error: cannot read config file" if want == 1 else "data error: cannot read")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--latent-dim", "-1"],
+            ["gradcheck", "--latent-dim", "0"],
+            ["fixtures", "filmtrust", "--users", "-5"],
+            ["fixtures", "filmtrust", "--users", "0"],
+            ["fixtures", "siot", "--objects", "0"],
+            ["fixtures", "siot", "--trust", "0"],
+        ],
+        ids=lambda argv: "_".join(argv).replace("-", ""),
+    )
+    def test_cli_sizes_below_one_are_one_config_error(self, tmp_path, argv):
+        out = tmp_path / "fx"
+        *_, flag, value = argv
+        rc, err = run_cli([*argv, *(["--out", str(out)] if argv[0] == "fixtures" else [])])
+        assert rc == 1 and err == f"config error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_fixture_of_one_user_is_one_data_error(self, tmp_path):
+        rc, err = run_cli(["fixtures", "filmtrust", "--users", "1", "--out", str(tmp_path / "fx")])
+        assert rc == 2 and err == "data error: trust sampling failed: no user can emit trust\n"

@@ -526,6 +526,18 @@ class TestLoadSiotCsv:
         with pytest.raises(DataError, match="trust.csv"):
             load_siot_csv(tmp_path)
 
+    @pytest.mark.parametrize("damage", ["directory", "not_utf8"])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, damage):
+        write_siot_fixture(tmp_path, [("a", "obj", "text")] * 20, [], [("obj", "ent_obj")])
+        path = tmp_path / "interactions.csv"
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(path.read_bytes() + "\u00e9".encode()[:1])
+        with pytest.raises(DataError, match=r"^cannot read .*interactions\.csv: "):
+            load_siot_csv(tmp_path)
+
     def test_counts_match_brute_force_recount(self, tmp_path):
         rng = np.random.default_rng(5)
         users = [f"u{i}" for i in range(50)]
@@ -585,23 +597,14 @@ def oracle_split_samples(positives: list, ratio: float, seed: int, *, num_users:
         out.append(TrustSample(s.trustor, s.trustee, 1, "train" if pos < n_train else "test"))
     if num_users * (num_users - 1) - len(forbidden) < n:
         raise DataError("not enough unlinked pairs")
-    if num_users <= 200:
-        pool = [
-            (i, j)
-            for i in range(num_users)
-            for j in range(num_users)
-            if i != j and (i, j) not in forbidden
-        ]
-        negatives = [pool[p] for p in rng.choice(len(pool), size=n, replace=False)]
-    else:
-        negatives, seen = [], set()
-        while len(negatives) < n:
-            i = int(rng.integers(num_users))
-            j = int(rng.integers(num_users))
-            if i == j or (i, j) in forbidden or (i, j) in seen:
-                continue
-            seen.add((i, j))
-            negatives.append((i, j))
+    negatives, seen = [], set()
+    while len(negatives) < n:
+        i = int(rng.integers(num_users))
+        j = int(rng.integers(num_users))
+        if i == j or (i, j) in forbidden or (i, j) in seen:
+            continue
+        seen.add((i, j))
+        negatives.append((i, j))
     for pos, (i, j) in enumerate(negatives):
         out.append(TrustSample(i, j, 0, "train" if pos < n_train else "test"))
     return out
@@ -701,7 +704,7 @@ class TestSplitSamples:
         [(3, 2), (30, 60), (60, 40), (200, 300), (201, 300), (500, 800), (1508, 1853)],
     )
     def test_matches_sample_list_oracle(self, num_users, n_pos):
-        # both sides of the 200-user switch between the pair pool and rejection
+        # rejection sampling at every size, down to 3 users with 4 free pairs
         edges = random_pairs(n_pos, num_users, seed=num_users)
         shuffled = edges[np.random.default_rng(n_pos).permutation(len(edges))]
         for positives in (edges, shuffled):

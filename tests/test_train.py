@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,14 +26,26 @@ def fixture():
     return make_pipeline_fixture(seed=1)
 
 
-def fresh_params(fixture, seed=0, **kw):
+def fresh_params(fixture, seed=0, latent_dim=3, **kw):
     return init_params(
         seed=seed,
         user_dim=fixture.h0_users.shape[1],
         object_dim=fixture.h0_objects.shape[1],
-        latent_dim=3,
+        latent_dim=latent_dim,
         **kw,
     )
+
+
+def builder(fixture, **kw):
+    """A ``load_params`` build: the provenances it is given, and fresh parameters of ``fresh_params``."""
+    seen = []
+
+    def build(provenance):
+        seen.append(provenance)
+        return fresh_params(fixture, seed=99, **kw)
+
+    build.seen = seen
+    return build
 
 
 class TestForwardBackward:
@@ -108,11 +122,7 @@ class TestAdam:
         # one scalar parameter, gradient 1: first Adam step is ~ -lr
         w = Tensor(np.array(0.0))
         params = ModelParams(
-            latent_dim=1,
-            user_dim=1,
-            object_dim=1,
             fusion="gate",
-            role_dim=1,
             proj_user=w,
             proj_obj=Tensor(np.array(0.0)),
             trustor=None,
@@ -127,11 +137,7 @@ class TestAdam:
     def test_quadratic_bowl_descends(self):
         w = Tensor(np.array([3.0, -2.0]))
         params = ModelParams(
-            latent_dim=1,
-            user_dim=1,
-            object_dim=1,
             fusion="gate",
-            role_dim=1,
             proj_user=w,
             proj_obj=Tensor(np.zeros(1)),
             trustor=None,
@@ -231,7 +237,7 @@ class TestAdamMatchesWholeArrayFormula:
         for step in range(1, 4):
             adam_step(params, random_grads(rng, params, step))
         save_params(params, tmp_path / "ckpt.npz")
-        loaded, _ = load_params(tmp_path / "ckpt.npz")
+        loaded, _ = load_params(tmp_path / "ckpt.npz", builder(fixture))
         for step in range(4, 8):
             grads = random_grads(rng, params, step)
             by_name = {n: grads.get(t) for n, t, _ in params.named()}
@@ -341,8 +347,11 @@ class TestCheckpoint:
         adam_step(params, backward(tape))
         path = tmp_path / "model.npz"
         save_params(params, path, {"run_seed": 5, "config": {"train_ratio": 0.8}})
-        loaded, provenance = load_params(path)
+        build = builder(fixture)
+        loaded, provenance = load_params(path, build)
         assert provenance == {"run_seed": 5, "config": {"train_ratio": 0.8}}
+        assert build.seen == [provenance]
+        assert loaded.h0_users.requires_grad and loaded.h0_objects.requires_grad
         assert loaded.step == params.step
         for (name_a, t_a, _), (name_b, t_b, _) in zip(params.named(), loaded.named()):
             assert name_a == name_b
@@ -368,7 +377,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         self.trained_checkpoint(fixture, path, lambda data: data.pop("moment_v::predictor/weight"))
         with pytest.raises(DataError, match="predictor/weight"):
-            load_params(path)
+            load_params(path, builder(fixture))
 
     def test_moment_of_the_wrong_shape_is_a_data_error(self, fixture, tmp_path):
         path = tmp_path / "model.npz"
@@ -378,7 +387,7 @@ class TestCheckpoint:
 
         self.trained_checkpoint(fixture, path, transpose)
         with pytest.raises(DataError, match="predictor/weight"):
-            load_params(path)
+            load_params(path, builder(fixture))
 
     def test_moment_of_an_unknown_parameter_is_a_data_error(self, fixture, tmp_path):
         path = tmp_path / "model.npz"
@@ -389,7 +398,7 @@ class TestCheckpoint:
 
         self.trained_checkpoint(fixture, path, add_unknown)
         with pytest.raises(DataError, match="extra/weight"):
-            load_params(path)
+            load_params(path, builder(fixture))
 
     def test_version_check(self, fixture, tmp_path):
         params = fresh_params(fixture)
@@ -405,4 +414,76 @@ class TestCheckpoint:
         data["__meta__"] = np2.frombuffer(json.dumps(meta).encode(), dtype=np2.uint8)
         np2.savez(path, **data)
         with pytest.raises(DataError):
-            load_params(path)
+            load_params(path, builder(fixture))
+
+    def test_meta_holds_only_version_step_and_provenance(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        self.trained_checkpoint(fixture, path, lambda data: None)
+        with np.load(path) as stored:
+            meta = json.loads(bytes(stored["__meta__"]).decode())
+        assert meta == {"version": 3, "step": 1, "provenance": None}
+
+    def test_version_2_is_unsupported(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+
+        def version_2(data):
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            data["__meta__"] = np.frombuffer(json.dumps({**meta, "version": 2}).encode(), dtype=np.uint8)
+
+        self.trained_checkpoint(fixture, path, version_2)
+        with pytest.raises(DataError, match="^unsupported checkpoint version 2$"):
+            load_params(path, builder(fixture))
+
+    @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+    def test_initial_tables_come_back_as_stored(self, fixture, tmp_path, trainable):
+        params = fresh_params(fixture, seed=24)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        path = tmp_path / "model.npz"
+        save_params(params, path)
+        kind = "param" if trainable else "frozen"
+        with np.load(path) as stored:
+            assert {f"{kind}::h0/users", f"{kind}::h0/objects"} <= set(stored.files)
+        loaded, _ = load_params(path, builder(fixture))
+        for got, want in ((loaded.h0_users, fixture.h0_users), (loaded.h0_objects, fixture.h0_objects)):
+            assert got.requires_grad is trainable
+            assert np.array_equal(got.value, want)
+
+    @pytest.mark.parametrize("kind", ["param", "frozen"])
+    def test_one_initial_table_without_the_other_is_a_data_error(self, fixture, tmp_path, kind):
+        params = fresh_params(fixture, seed=25)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=kind == "param")
+        path = tmp_path / "model.npz"
+        save_params(params, path)
+        with np.load(path) as stored:
+            data = dict(stored)
+        del data[f"{kind}::h0/objects"]
+        np.savez(path, **data)
+        with pytest.raises(DataError, match="missing initial tables"):
+            load_params(path, builder(fixture))
+
+    def test_a_build_of_another_model_is_a_shape_mismatch(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        self.trained_checkpoint(fixture, path, lambda data: None)
+        with pytest.raises(DataError, match="shape mismatch for proj_user"):
+            load_params(path, builder(fixture, latent_dim=4))
+        with pytest.raises(DataError, match="missing parameter trustor/layer2/w_user"):
+            load_params(path, builder(fixture, num_layers=3))
+        with pytest.raises(DataError, match=r"\['param::trustor/layer1/w_user'.* the model does not"):
+            load_params(path, builder(fixture, num_layers=1))
+
+    def test_parameters_the_model_lacks_are_a_data_error_without_moments(self, fixture, tmp_path):
+        params = fresh_params(fixture, seed=26)
+        path = tmp_path / "model.npz"
+        save_params(params, path)  # no Adam step, so no moments to give the extra layer away
+        with pytest.raises(DataError, match="trustee/layer1/gamma"):
+            load_params(path, builder(fixture, trustee_enabled=False))
+
+    def test_a_build_error_is_raised_as_it_is(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        self.trained_checkpoint(fixture, path, lambda data: None)
+
+        def reject(provenance):
+            raise DataError(f"no model for {provenance!r}")
+
+        with pytest.raises(DataError, match="^no model for None$"):
+            load_params(path, reject)
