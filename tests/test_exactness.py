@@ -57,6 +57,18 @@ OUTPUT_DIGESTS = {
     },
 }
 
+# Study verbs on the same fixtures, two derived seeds each: ``ablate`` over the default
+# variant set of a SIoT config with triples, and a ``sweep`` of ``ppr.k`` on FilmTrust.
+STUDIES = {
+    "ablate": ("siot", ["--kind", "siot_csv", "--triples"]),
+    "sweep": ("filmtrust", ["--kind", "filmtrust", "--param", "ppr_k", "--values", "5,10,20"]),
+}
+
+STUDY_METRICS_DIGESTS = {
+    "ablate": "4c704b27b8a2a866940ec4980dbc8207eeaf0e527e7a421bad4c2f104c65270a",
+    "sweep": "c430af5341923a03e963e1fe956ec41a04c57ec1a0e321d70d6c04516e7da5a2",
+}
+
 # SHA-256 of the set-up tables' float64 bytes for each run seed of the SIoT run above:
 # the comment-based user table and the TransE entity and relation tables. The CSVs
 # round to 4 and 6 decimals, so a last-bit change in these tables can hide there.
@@ -136,6 +148,18 @@ def test_fixture_and_run_outputs_are_byte_identical(kind, tmp_path):
     args = ["run", "--dataset", str(data), *RUNS[kind], "--runs", "2", "--workers", "1"]
     assert cli_main([*args, "--out", str(out)]) == 0
     assert digests(out) == OUTPUT_DIGESTS[kind], f"{kind} run outputs changed. {HOST_NOTE}"
+
+
+@pytest.mark.parametrize("verb", sorted(STUDIES))
+def test_study_metrics_are_byte_identical(verb, tmp_path):
+    kind, flags = STUDIES[verb]
+    data = tmp_path / kind
+    assert cli_main(["fixtures", kind, "--out", str(data), "--seed", "0"]) == 0
+    out = tmp_path / "out"
+    args = [verb, "--dataset", str(data), *flags, "--epochs", "5", "--runs", "2", "--workers", "1"]
+    assert cli_main([*args, "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    assert got == STUDY_METRICS_DIGESTS[verb], f"{verb} metrics changed. {HOST_NOTE}"
 
 
 def test_setup_tables_are_byte_identical(tmp_path):
