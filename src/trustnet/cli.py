@@ -1,8 +1,11 @@
 """The ``trustnet`` command: run / ablate / sweep / gradcheck / fixtures.
 
-Every config field can come from a JSON file (--config) and be overridden
-by a command-line flag. Exit codes: 0 success, 1 config error, 2 data
-error, 3 numerical failure.
+Every config field can come from a JSON file (--config). The config verbs
+(run, ablate, sweep) take the flags of ``CONFIG_FLAGS``; a flag sets its
+dotted config field over the file's value (``--ppr-k`` sets ``ppr.k``, and
+``--triples-path`` also sets ``triples.enabled``). ``ablate`` and ``sweep``
+then run a study of cells derived from that config. Exit codes: 0 success,
+1 config error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,86 +22,60 @@ from .experiment import ABLATION_VARIANTS, SWEEP_PARAMS, ExperimentConfig
 logger = logging.getLogger(__name__)
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags below override it")
-    p.add_argument("--dataset", help="dataset directory")
-    p.add_argument("--kind", choices=["filmtrust", "siot_csv"])
-    p.add_argument("--train-ratio", type=float, dest="train_ratio")
-    p.add_argument("--seed", type=int, help="master seed; per-run seeds derive from it")
-    p.add_argument("--runs", type=int, help="repeat-and-average over this many derived seeds")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--user-dim", type=int, dest="user_dim")
-    p.add_argument("--object-dim", type=int, dest="object_dim")
-    p.add_argument("--num-layers", type=int, dest="num_layers")
-    p.add_argument("--fusion", choices=["gate", "concat"])
-    p.add_argument(
-        "--train-initial",
-        choices=["auto", "true", "false"],
-        dest="train_initial",
-        help="train the initial embedding tables (auto: only for random-init datasets)",
-    )
-    p.add_argument("--workers", type=int)
-    p.add_argument("--ppr-k", type=int, dest="ppr_k")
-    p.add_argument("--ppr-lambda", type=float, dest="ppr_lambda")
-    p.add_argument("--ppr-epsilon", type=float, dest="ppr_epsilon")
-    p.add_argument("--no-ppr", action="store_false", default=None, help="disable PPR trust augmentation")
-    p.add_argument("--no-trustor", action="store_false", default=None, help="disable the trustor role")
-    p.add_argument("--no-trustee", action="store_false", default=None, help="disable the trustee role")
-    p.add_argument("--triples", action="store_true", default=None, help="enable triple-based object init")
-    p.add_argument("--triples-path", dest="triples_path")
-    p.add_argument("--triples-epochs", type=int, dest="triples_epochs")
-    p.add_argument("--full-kg", action="store_true", default=None, dest="full_kg")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--user-vectors", dest="user_vectors", help="precomputed user-vector file")
+def _train_initial(text: str) -> bool | None:
+    values = {"auto": None, "true": True, "false": False}
+    if text not in values:
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'auto', 'true', 'false')")
+    return values[text]
 
 
-# argparse dest -> dotted config field, with a converter where the flag's
-# value is not the field's. Flags left unset (None) keep the --config value;
-# store_true/store_false flags default to None, so they set their field only
-# when given. A dest may set several fields.
-_FLAG_FIELDS = [
-    ("dataset", "dataset", None),
-    ("kind", "kind", None),
-    ("train_ratio", "train_ratio", None),
-    ("seed", "seed", None),
-    ("runs", "runs", None),
-    ("epochs", "epochs", None),
-    ("latent_dim", "latent_dim", None),
-    ("user_dim", "user_dim", None),
-    ("object_dim", "object_dim", None),
-    ("num_layers", "num_layers", None),
-    ("fusion", "fusion", None),
-    ("workers", "workers", None),
-    ("train_initial", "train_initial", {"auto": None, "true": True, "false": False}.get),
-    ("ppr_k", "ppr.k", None),
-    ("ppr_lambda", "ppr.lam", None),
-    ("ppr_epsilon", "ppr.epsilon", None),
-    ("no_ppr", "ppr.enabled", None),
-    ("no_trustor", "roles.trustor_enabled", None),
-    ("no_trustee", "roles.trustee_enabled", None),
-    ("triples", "triples.enabled", None),
-    ("triples_path", "triples.path", None),
-    ("triples_path", "triples.enabled", lambda path: True),
-    ("triples_epochs", "triples.epochs", None),
-    ("full_kg", "triples.full_kg", None),
-    ("lr", "optim.lr", None),
-    ("weight_decay", "optim.weight_decay", None),
-    ("user_vectors", "user_embed.vectors_path", None),
+# flag, the dotted config field it sets, add_argument keywords. A flag that
+# is not given leaves its field as --config (or the default) has it.
+CONFIG_FLAGS = [
+    ("--dataset", "dataset", {"help": "dataset directory"}),
+    ("--kind", "kind", {"choices": ["filmtrust", "siot_csv"]}),
+    ("--train-ratio", "train_ratio", {"type": float}),
+    ("--seed", "seed", {"type": int, "help": "master seed; per-run seeds derive from it"}),
+    ("--runs", "runs", {"type": int, "help": "repeat-and-average over this many derived seeds"}),
+    ("--epochs", "epochs", {"type": int}),
+    ("--latent-dim", "latent_dim", {"type": int}),
+    ("--user-dim", "user_dim", {"type": int}),
+    ("--object-dim", "object_dim", {"type": int}),
+    ("--num-layers", "num_layers", {"type": int}),
+    ("--fusion", "fusion", {"choices": ["gate", "concat"]}),
+    ("--train-initial", "train_initial", {
+        "type": _train_initial, "metavar": "{auto,true,false}",
+        "help": "train the initial embedding tables (auto: only for random-init datasets)"}),
+    ("--workers", "workers", {"type": int}),
+    ("--ppr-k", "ppr.k", {"type": int}),
+    ("--ppr-lambda", "ppr.lam", {"type": float}),
+    ("--ppr-epsilon", "ppr.epsilon", {"type": float}),
+    ("--no-ppr", "ppr.enabled", {"action": "store_false", "help": "disable PPR trust augmentation"}),
+    ("--no-trustor", "roles.trustor_enabled", {"action": "store_false", "help": "disable the trustor role"}),
+    ("--no-trustee", "roles.trustee_enabled", {"action": "store_false", "help": "disable the trustee role"}),
+    ("--triples", "triples.enabled", {"action": "store_true", "help": "enable triple-based object init"}),
+    ("--triples-path", "triples.path", {"help": "triples file; turns --triples on"}),
+    ("--triples-epochs", "triples.epochs", {"type": int}),
+    ("--full-kg", "triples.full_kg", {"action": "store_true"}),
+    ("--lr", "optim.lr", {"type": float}),
+    ("--weight-decay", "optim.weight_decay", {"type": float}),
+    ("--user-vectors", "user_embed.vectors_path", {"help": "precomputed user-vector file"}),
 ]
 
 
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config file; flags below override it")
+    for flag, dotted, kwargs in CONFIG_FLAGS:
+        p.add_argument(flag, dest=dotted, default=argparse.SUPPRESS, **kwargs)
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The --config file's config, or the defaults, with the given flags' fields set."""
     config = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    for dest, dotted, convert in _FLAG_FIELDS:
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        section, _, name = dotted.rpartition(".")
-        owner = getattr(config, section) if section else config
-        setattr(owner, name, convert(value) if convert else value)
-    return config
+    fields = {dotted: getattr(args, dotted) for _, dotted, _ in CONFIG_FLAGS if hasattr(args, dotted)}
+    if "triples.path" in fields:
+        fields["triples.enabled"] = True
+    return experiment.with_fields(config, fields)
 
 
 def _cmd_run(args) -> int:
@@ -126,14 +103,11 @@ def _cmd_run(args) -> int:
 
 
 def _ablation_variants(config: ExperimentConfig, requested) -> list[str]:
-    """The requested variants, or every variant that applies to ``config``.
+    """The requested variants, or every variant that applies to ``config``, logging why one does not.
 
-    A requested variant that does not apply raises ConfigError before any
-    training starts; the default skips it and logs why.
+    A requested variant that does not apply is a ConfigError when its cell is built.
     """
     if requested:
-        for variant in requested:
-            experiment.make_ablation(config, variant)
         return requested
     variants = []
     for variant in ABLATION_VARIANTS:
@@ -150,19 +124,16 @@ def _cmd_ablate(args) -> int:
     config = build_config(args)
     config.validate()
     variants = _ablation_variants(config, args.variant)
-    dataset = experiment.load_dataset(config)
-    base = experiment.run(config, out_dir=args.out, dataset=dataset)
-    print(f"full: accuracy {base.accuracy:.4f}  f1 {base.f1:.4f}")
-    for variant in variants:
-        summary = experiment.ablate(config, variant, out_dir=args.out, dataset=dataset)
-        print(f"{variant}: accuracy {summary.accuracy:.4f}  f1 {summary.f1:.4f}")
+    cells = [("full", config), *((v, experiment.make_ablation(config, v)) for v in variants)]
+    for summary in experiment.run_study(cells, out_dir=args.out):
+        print(f"{summary.variant}: accuracy {summary.accuracy:.4f}  f1 {summary.f1:.4f}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = build_config(args)
     config.validate()
-    kind = float if args.param == "train_ratio" else int
+    kind = experiment.field_type(SWEEP_PARAMS[args.param][0])
     try:
         values = [kind(tok) for tok in map(str.strip, args.values.split(",")) if tok]
     except ValueError:

@@ -350,24 +350,22 @@ def _add_rows(table: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
 
 def init_objects(
     graph: HeteroGraph,
-    alignment: dict[int, int] | None,
-    model: TransEModel | None,
+    alignment: dict[int, int],
+    model: TransEModel,
     dim: int,
     seed: int = 0,
 ) -> EmbeddingTable:
     """Initial object vectors: entity vectors where aligned, else random.
 
     ``alignment`` maps local object id (0..num_objects-1) to an entity id
-    in ``model``. Unaligned objects, or all objects when no model is
-    given, get seeded unit-norm random vectors.
+    in ``model``. Unaligned objects keep their rows of
+    ``random_table(graph.num_objects, dim, seed)``.
     """
-    if model is not None and model.dim != dim:
+    if model.dim != dim:
         raise DataError(f"model dim {model.dim} does not match requested dim {dim}")
-    rng = np.random.default_rng(seed)
-    vecs = _unit_rows(rng.normal(size=(graph.num_objects, dim)))
-    if model is not None and alignment:
-        for obj, entity in alignment.items():
-            vecs[obj] = model.entity_vectors[entity]
+    vecs = random_table(graph.num_objects, dim, seed).vectors
+    for obj, entity in alignment.items():
+        vecs[obj] = model.entity_vectors[entity]
     return EmbeddingTable(vecs)
 
 

@@ -1,11 +1,16 @@
 """Config-driven experiment harness: single runs, repeat-and-average,
-ablations, and hyperparameter sweeps.
+and studies (ablations and hyperparameter sweeps).
 
 A run resamples the split, the negative pairs, and all parameter
 initializations per derived seed, trains full-batch, evaluates the test
 split every epoch, and reports the best-accuracy snapshot. Metrics are
 emitted as CSV rows ``dataset,ratio,seed,variant,accuracy,f1`` with
 accuracy/F1 in percent.
+
+A study is a list of labelled cells, ``(label, config)``: each config is
+the base with the dotted fields of an ``ABLATION_VARIANTS`` or
+``SWEEP_PARAMS`` row set by ``with_fields``. ``run_study`` validates every
+cell, loads the dataset once and runs the cells in order.
 
 A checkpoint stores its run's config, the only description of its model.
 """
@@ -44,8 +49,20 @@ from .predict import pair_loss, predict_scores, metrics as classification_metric
 from .train import ModelParams, adam_step, backward, init_params
 
 METRICS_HEADER = ["dataset", "ratio", "seed", "variant", "accuracy", "f1"]
-ABLATION_VARIANTS = ("woTriples", "woPPR", "woTrustee", "woTrustor", "concat")
-SWEEP_PARAMS = ("ppr_k", "latent_dim", "train_ratio")
+# ablation variant -> (dotted field, the value the base config needs, the value the variant sets)
+ABLATION_VARIANTS = {
+    "woTriples": ("triples.enabled", True, False),
+    "woPPR": ("ppr.enabled", True, False),
+    "woTrustee": ("roles.trustee_enabled", True, False),
+    "woTrustor": ("roles.trustor_enabled", True, False),
+    "concat": ("fusion", "gate", "concat"),
+}
+# sweep parameter -> the dotted fields each of its values sets
+SWEEP_PARAMS = {
+    "ppr_k": ("ppr.k",),
+    "latent_dim": ("latent_dim", "user_dim", "object_dim"),
+    "train_ratio": ("train_ratio",),
+}
 
 
 @dataclass
@@ -234,10 +251,25 @@ def flatten_config(config: ExperimentConfig) -> dict:
     return flat
 
 
-def config_diff(a: ExperimentConfig, b: ExperimentConfig) -> list[str]:
-    """Dotted names of fields that differ between two configs."""
-    fa, fb = flatten_config(a), flatten_config(b)
-    return sorted(k for k in fa if fa[k] != fb[k])
+def with_fields(config: ExperimentConfig, fields: dict) -> ExperimentConfig:
+    """A copy of ``config`` with each dotted field of ``fields`` set, e.g. ``{"ppr.k": 5}``.
+
+    The copy is parsed by ``from_dict``, so a value of another type than its
+    field's is a ``ConfigError`` naming the field.
+    """
+    data = config.to_dict()
+    for dotted, value in fields.items():
+        section, _, name = dotted.rpartition(".")
+        (data[section] if section else data)[name] = value
+    return ExperimentConfig.from_dict(data)
+
+
+def field_type(dotted: str):
+    """The annotation of a dotted config field: ``int`` for ``"ppr.k"``."""
+    owner = ExperimentConfig
+    for name in dotted.split("."):
+        owner = typing.get_type_hints(owner)[name]
+    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +490,7 @@ def _epoch(config, prep: PreparedRun, params, epoch: int, step: bool) -> tuple[f
 
 
 # ---------------------------------------------------------------------------
-# repeat-and-average, ablations, sweeps
+# repeat-and-average, studies
 
 
 @dataclass
@@ -477,29 +509,11 @@ class Summary:
         return float(np.mean([r.f1 for r in self.results]))
 
     def rows(self) -> list[list[str]]:
-        out = []
-        for r in self.results:
-            out.append(
-                [
-                    self.dataset_name,
-                    f"{self.config.train_ratio:g}",
-                    str(r.seed),
-                    self.variant,
-                    f"{r.accuracy:.4f}",
-                    f"{r.f1:.4f}",
-                ]
-            )
-        out.append(
-            [
-                self.dataset_name,
-                f"{self.config.train_ratio:g}",
-                "mean",
-                self.variant,
-                f"{self.accuracy:.4f}",
-                f"{self.f1:.4f}",
-            ]
-        )
-        return out
+        """One metrics row per run, then the row of their mean."""
+        ratio = f"{self.config.train_ratio:g}"
+        scores = [(str(r.seed), r.accuracy, r.f1) for r in self.results] + [("mean", self.accuracy, self.f1)]
+        return [[self.dataset_name, ratio, seed, self.variant, f"{acc:.4f}", f"{f1:.4f}"]
+                for seed, acc, f1 in scores]
 
 
 _WORKER_STATE: dict = {}
@@ -581,82 +595,52 @@ def write_traces(summary: Summary, out_dir) -> None:
 
 
 def make_ablation(config: ExperimentConfig, variant: str) -> ExperimentConfig:
-    """Base config with exactly one field changed for the named variant."""
+    """Base config with the one field of ``variant`` changed, validated."""
     if variant not in ABLATION_VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; choose from {ABLATION_VARIANTS}")
-    new = ExperimentConfig.from_dict(config.to_dict())
-    if variant == "woTriples":
-        if not config.triples.enabled:
-            raise ConfigError("woTriples needs a triples-enabled base config")
-        new.triples.enabled = False
-    elif variant == "woPPR":
-        if not config.ppr.enabled:
-            raise ConfigError("woPPR needs a PPR-enabled base config")
-        new.ppr.enabled = False
-    elif variant == "woTrustee":
-        if not config.roles.trustee_enabled:
-            raise ConfigError("woTrustee needs the trustee role enabled in the base config")
-        new.roles.trustee_enabled = False
-    elif variant == "woTrustor":
-        if not config.roles.trustor_enabled:
-            raise ConfigError("woTrustor needs the trustor role enabled in the base config")
-        new.roles.trustor_enabled = False
-    elif variant == "concat":
-        if config.fusion != "gate":
-            raise ConfigError("concat ablation needs a gate-fusion base config")
-        new.fusion = "concat"
-        new.validate()  # an odd latent_dim cannot be split between the two roles
-    return new
-
-
-def ablate(
-    config: ExperimentConfig, variant: str, out_dir=None, dataset: Dataset | None = None
-) -> Summary:
-    new = make_ablation(config, variant)
-    assert len(config_diff(config, new)) == 1
-    return run(new, out_dir=out_dir, variant=variant, dataset=dataset)
-
-
-def _apply_sweep_value(config: ExperimentConfig, param: str, value) -> ExperimentConfig:
-    new = ExperimentConfig.from_dict(config.to_dict())
-    if param == "ppr_k":
-        new.ppr.k = int(value)
-    elif param == "latent_dim":
-        new.latent_dim = int(value)
-        new.user_dim = int(value)
-        new.object_dim = int(value)
-    elif param == "train_ratio":
-        new.train_ratio = float(value)
-    else:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
+        raise ConfigError(f"unknown ablation variant {variant!r}; choose from {tuple(ABLATION_VARIANTS)}")
+    dotted, need, value = ABLATION_VARIANTS[variant]
+    if flatten_config(config)[dotted] != need:
+        raise ConfigError(f"{variant} needs {dotted}={need!r} in the base config")
+    new = with_fields(config, {dotted: value})
+    new.validate()  # e.g. concat cannot split an odd latent_dim between the two roles
     return new
 
 
 def sweep(
-    config: ExperimentConfig,
-    param: str,
-    values,
-    out_dir=None,
-    dataset: Dataset | None = None,
+    config: ExperimentConfig, param: str, values, out_dir=None, dataset: Dataset | None = None
 ) -> list[Summary]:
     """One repeat-and-average summary per value; rows tagged sweep:param=value.
 
-    Every cell's config is built and validated before any data is loaded or
-    any cell runs, so a bad value fails before the first cell's rows exist.
+    A value sets every field ``SWEEP_PARAMS[param]`` names, so it must be
+    of their type: ``ppr_k=2.5`` is a ``ConfigError``, not a run of k=2.
     """
     if param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    cells = [_apply_sweep_value(config, param, value) for value in values]
-    for cell in cells:
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {tuple(SWEEP_PARAMS)}")
+    cells = [
+        (f"sweep:{param}={value:g}" if isinstance(value, float) else f"sweep:{param}={value}",
+         with_fields(config, dict.fromkeys(SWEEP_PARAMS[param], value)))
+        for value in values
+    ]
+    return list(run_study(cells, out_dir=out_dir, dataset=dataset))
+
+
+def run_study(cells, out_dir=None, dataset: Dataset | None = None):
+    """Run ``(label, config)`` cells in order on one dataset, yielding each summary as its cell ends.
+
+    Every cell validates before the first cell's config loads the dataset.
+    A cell appends its rows, tagged ``label``, to ``out_dir/metrics.csv``
+    and writes its traces to ``out_dir/<label>`` (':' written as '-').
+    """
+    for _, cell in cells:
         cell.validate()
-    if dataset is None:
-        config.validate()
-        dataset = load_dataset(config)
-    summaries = []
-    for value, cell in zip(values, cells):
-        label = f"sweep:{param}={value:g}" if isinstance(value, float) else f"sweep:{param}={value}"
-        summaries.append(run(cell, out_dir=out_dir, variant=label, dataset=dataset))
-    return summaries
+    for label, cell in cells:
+        if dataset is None:
+            dataset = load_dataset(cell)
+        summary = run(cell, variant=label, dataset=dataset)
+        if out_dir is not None:
+            write_metrics(summary, out_dir)
+            write_traces(summary, Path(out_dir) / label.replace(":", "-"))
+        yield summary
 
 
 def save_checkpoint(summary: Summary, dataset: Dataset, path) -> None:

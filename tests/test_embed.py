@@ -405,11 +405,11 @@ class TestInitObjects:
     def graph(self, num_objects=4):
         return HeteroGraph(num_users=2, num_objects=num_objects)
 
-    def test_no_model_gives_deterministic_random(self):
-        a = init_objects(self.graph(), None, None, dim=6, seed=5)
-        b = init_objects(self.graph(), None, None, dim=6, seed=5)
-        c = init_objects(self.graph(), None, None, dim=6, seed=6)
-        assert np.array_equal(a.vectors, b.vectors)
+    def test_without_alignment_gives_the_seeded_random_table(self):
+        model = transe_train(chain_triples(), 3, 1, dim=6, epochs=1, seed=0)
+        a = init_objects(self.graph(), {}, model, dim=6, seed=5)
+        c = init_objects(self.graph(), {}, model, dim=6, seed=6)
+        assert np.array_equal(a.vectors, random_table(4, 6, seed=5).vectors)
         assert not np.array_equal(a.vectors, c.vectors)
         assert np.allclose(np.linalg.norm(a.vectors, axis=1), 1.0)
 
@@ -425,7 +425,7 @@ class TestInitObjects:
         table = init_objects(self.graph(4), {0: 2, 2: 1}, model, dim=6, seed=1)
         assert np.array_equal(table.vectors[0], model.entity_vectors[2])
         assert np.array_equal(table.vectors[2], model.entity_vectors[1])
-        plain = init_objects(self.graph(4), None, None, dim=6, seed=1)
+        plain = random_table(4, 6, seed=1)
         assert np.array_equal(table.vectors[1], plain.vectors[1])
         assert np.array_equal(table.vectors[3], plain.vectors[3])
 

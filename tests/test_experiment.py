@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import logging
+import re
 import shutil
 import types
 import typing
@@ -16,13 +18,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trustnet import experiment, train
-from trustnet.cli import _ablation_variants, _add_config_flags, build_config
+from trustnet.cli import CONFIG_FLAGS, _ablation_variants, _add_config_flags, build_config
 from trustnet.cli import main as cli_main
 from trustnet.errors import ConfigError
 from trustnet.experiment import (
     ABLATION_VARIANTS,
     ExperimentConfig,
-    config_diff,
     derive_run_seeds,
     flatten_config,
     load_dataset,
@@ -123,7 +124,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         loaded = ExperimentConfig.from_json(path)
-        assert config_diff(cfg, loaded) == []
+        assert changed_fields(loaded, cfg) == {}
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
@@ -275,7 +276,7 @@ class TestAblations:
         cfg = small_config(siot_dir, kind="siot_csv")
         cfg.triples.enabled = True  # so woTriples applies
         for variant in ABLATION_VARIANTS:
-            changed = config_diff(cfg, make_ablation(cfg, variant))
+            changed = changed_fields(make_ablation(cfg, variant), cfg)
             assert len(changed) == 1, (variant, changed)
 
     def test_concat_with_an_odd_latent_dim_is_rejected_or_skipped(self, film_dir, caplog):
@@ -455,6 +456,14 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(small_config(film_dir), "dropout", [0.1])
 
+    @pytest.mark.parametrize("param,value,field", [("ppr_k", 2.5, "ppr.k"), ("latent_dim", True, "latent_dim")])
+    def test_a_value_of_another_type_than_its_field_is_a_config_error(
+        self, film_dir, tmp_path, param, value, field
+    ):
+        with pytest.raises(ConfigError, match=rf"^{field} must be int, got {value!r}$"):
+            sweep(small_config(film_dir), param, [3, value], out_dir=tmp_path)
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 def rewrite_meta(ckpt, edit) -> None:
     """Replace a checkpoint's ``__meta__`` record by ``edit`` of it."""
@@ -526,6 +535,10 @@ INVALID = "checkpoint stores an invalid training config: "
 
 BAD_SEED = "run_seed must be a non-negative integer, got "
 BAD_GRAPH = "graph_sha256 must be a string, got "
+
+
+def digests(directory, pattern="*") -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.glob(pattern)}
 
 
 def checkpoint_run_flags(film_dir) -> list[str]:
@@ -618,6 +631,16 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,field", [("--lr", "nan", "optim.lr"), ("--ppr-lambda", "inf", "ppr.lam"),
+                             ("--train-ratio", "nan", "train_ratio")]
+    )
+    def test_a_flag_gets_the_type_checks_of_its_config_field(self, film_dir, tmp_path, capsys, flag, value, field):
+        rc = cli_main(["run", *checkpoint_run_flags(film_dir), flag, value, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {field} must be finite, got {value}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_naming_retired_ppr_fields_exit_code(self, film_dir, tmp_path, capsys):
         stored = small_config(film_dir).to_dict()
         stored["ppr"].update(transition="walk", weighted=False)
@@ -695,6 +718,31 @@ class TestCli:
         )
         assert rc == 1
         assert not (tmp_path / "ab" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "study,cells",
+        [
+            (
+                ["ablate"],
+                {"full": [], "woPPR": ["--no-ppr"], "woTrustee": ["--no-trustee"],
+                 "woTrustor": ["--no-trustor"], "concat": ["--fusion", "concat"]},
+            ),
+            (
+                ["sweep", "--param", "ppr_k", "--values", "2,4"],
+                {"sweep-ppr_k=2": ["--ppr-k", "2"], "sweep-ppr_k=4": ["--ppr-k", "4"]},
+            ),
+        ],
+        ids=["ablate", "sweep"],
+    )
+    def test_each_study_cell_keeps_the_traces_of_its_own_run(self, film_dir, tmp_path, study, cells):
+        flags = [*checkpoint_run_flags(film_dir), "--runs", "2", "--epochs", "2"]
+        verb, *rest = study
+        assert cli_main([verb, *flags, *rest, "--out", str(tmp_path / "study")]) == 0
+        assert sorted(p.name for p in (tmp_path / "study").iterdir()) == sorted([*cells, "metrics.csv"])
+        for cell, extra in cells.items():
+            alone = tmp_path / "alone" / cell
+            assert cli_main(["run", *flags, *extra, "--out", str(alone)]) == 0
+            assert digests(tmp_path / "study" / cell) == digests(alone, "trace_seed*.csv"), cell
 
     def test_checkpoint_roundtrip_via_cli(self, film_dir, tmp_path, capsys):
         ckpt = tmp_path / "model.npz"
@@ -1050,6 +1098,34 @@ class TestCli:
             ]
         )
         assert rc == 0
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("verb", ["run", "ablate", "sweep", "gradcheck", "fixtures"])
+    def test_help_exits_0_and_the_config_verbs_list_every_table_flag(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([verb, "--help"])
+        assert exit_.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        if verb in ("run", "ablate", "sweep"):
+            assert {flag for flag, _, _ in CONFIG_FLAGS} <= listed
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["--train-initial", "maybe"],
+                "--train-initial: invalid choice: 'maybe' (choose from 'auto', 'true', 'false')",
+            ),
+            (["--kind", "x"], "--kind: invalid choice: 'x' (choose from 'filmtrust', 'siot_csv')"),
+        ],
+    )
+    def test_a_value_outside_a_flags_choices_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trustnet run ") and err.endswith(f"trustnet run: error: argument {message}\n")
 
 
 # ---------------------------------------------------------------------------
