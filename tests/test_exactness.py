@@ -64,9 +64,34 @@ STUDIES = {
     "sweep": ("filmtrust", ["--kind", "filmtrust", "--param", "ppr_k", "--values", "5,10,20"]),
 }
 
-STUDY_METRICS_DIGESTS = {
-    "ablate": "4c704b27b8a2a866940ec4980dbc8207eeaf0e527e7a421bad4c2f104c65270a",
-    "sweep": "c430af5341923a03e963e1fe956ec41a04c57ec1a0e321d70d6c04516e7da5a2",
+# SHA-256 of every file a study writes: ``metrics.csv`` and each cell's traces under
+# ``out/<label>/``. ``metrics.csv`` keeps only the best epoch's test accuracy, which
+# ``woTriples`` and ``full`` share on both seeds; the traces tell every epoch's loss apart.
+STUDY_DIGESTS = {
+    "ablate": {
+        "concat/trace_seed0.csv": "e387925d4f074f6b2e3165fdd0f3d12b6a798d1f396ac65743bb039cb576554b",
+        "concat/trace_seed1.csv": "f7f58de14e2d555ed1da0b43f3fa638a6d46793c6a4bb5b1e6490a86992db006",
+        "full/trace_seed0.csv": "6a54f200fac7cf466e258f0eaa374f2d964d7af1125c0cd0e624958581924fe5",
+        "full/trace_seed1.csv": "84b30ca2e38bb72cff235d3f74029bc1cecfcea7c4d00c3f41e9b2be7d865d18",
+        "metrics.csv": "4c704b27b8a2a866940ec4980dbc8207eeaf0e527e7a421bad4c2f104c65270a",
+        "woPPR/trace_seed0.csv": "0c56839b29e85a89718e086c2b08cbd65a2ad3b2a281eeb9c042c9f490270b8e",
+        "woPPR/trace_seed1.csv": "e31a285cb28a4754086470618389dda020953bd2414c2be442652274f66090e8",
+        "woTriples/trace_seed0.csv": "0ce597ec3c301ed47a60e9842a7dba92bc13a74fe304613315ecfc0bcede6928",
+        "woTriples/trace_seed1.csv": "0d15daf582dbec0396a89479da25be69420a5697d02c4ef1ef18c67f806fee9f",
+        "woTrustee/trace_seed0.csv": "174e55433225c0c81e144f7ea4b4ec428dc212aff8b92a43abe9c62a92c3c3f7",
+        "woTrustee/trace_seed1.csv": "b59d19cc79a416d417ea7de9e4dfe3bd3fcc34bc74268b8b8c64c3146d7f3012",
+        "woTrustor/trace_seed0.csv": "50d31a865c04e6468c85d8b893f0d9f485535fad2badf13ac812fae4ef502300",
+        "woTrustor/trace_seed1.csv": "e03722d6ef84bc3e9b260237e9f26fcdae47aa4d9a7cc30000730e1f1e790ee7",
+    },
+    "sweep": {
+        "metrics.csv": "c430af5341923a03e963e1fe956ec41a04c57ec1a0e321d70d6c04516e7da5a2",
+        "sweep-ppr_k=10/trace_seed0.csv": "66402c516f0ca037d4d6371a1cd0d82fc1add016a602990591d733661b5ed020",
+        "sweep-ppr_k=10/trace_seed1.csv": "f9b1a25e786b40789c11d5833a7d830fafc3b2e9610c3c1e6e9d6ba22bae1acc",
+        "sweep-ppr_k=20/trace_seed0.csv": "dc90f12e5dc3921266425893c9fa042170ac4d6aa488b762d7bb1bf173c7f68d",
+        "sweep-ppr_k=20/trace_seed1.csv": "0c6156ca26c6648d48e8ced6d0b18f103616ca2c892bbfa0a74dc9d688b71177",
+        "sweep-ppr_k=5/trace_seed0.csv": "ad27c7048a57de302e3353e6a4ef87b4916c561778c3120265be52c4c352a856",
+        "sweep-ppr_k=5/trace_seed1.csv": "d738750f994e5099d8ae87663edefa5e1499b6bf3c7e33eb2cd7d62881a362a3",
+    },
 }
 
 # SHA-256 of the set-up tables' float64 bytes for each run seed of the SIoT run above:
@@ -158,8 +183,11 @@ def test_study_metrics_are_byte_identical(verb, tmp_path):
     out = tmp_path / "out"
     args = [verb, "--dataset", str(data), *flags, "--epochs", "5", "--runs", "2", "--workers", "1"]
     assert cli_main([*args, "--out", str(out)]) == 0
-    got = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
-    assert got == STUDY_METRICS_DIGESTS[verb], f"{verb} metrics changed. {HOST_NOTE}"
+    got = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
+    assert got == STUDY_DIGESTS[verb], f"{verb} outputs changed. {HOST_NOTE}"
 
 
 def test_setup_tables_are_byte_identical(tmp_path):
