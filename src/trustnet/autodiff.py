@@ -499,10 +499,11 @@ class EdgeMap:
     """Fixed sparsity pattern of an edge list, sorted row-major.
 
     Precomputes the CSR structure of the pattern so a weighted adjacency
-    product only has to drop edge values into place; its transpose is the
-    same arrays read column-wise. The arrays are int64, numpy's index type,
-    so gathers and bincounts over them convert nothing, and ``matrix`` hands
-    them to a scipy sparse array, which keeps them without a copy.
+    product only has to drop edge values into place. ``matrix`` builds that
+    CSR array and ``matrix_t`` its transpose, a CSC array over the same
+    arrays read column-wise, without forming the CSR array first. The
+    arrays are int64, numpy's index type, so gathers and bincounts over
+    them convert nothing, and scipy keeps them without a copy.
     """
 
     rows: np.ndarray
@@ -521,6 +522,10 @@ class EdgeMap:
 
     def matrix(self, values: np.ndarray) -> sp.csr_array:
         return sp.csr_array((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
+
+    def matrix_t(self, values: np.ndarray) -> sp.csc_array:
+        """``matrix(values).T``, built as one CSC array."""
+        return sp.csc_array((values, self.cols, self.indptr), shape=(self.n_cols, self.n_rows))
 
 
 EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient

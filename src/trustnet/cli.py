@@ -141,8 +141,8 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     summaries = experiment.sweep(config, args.param, values, out_dir=args.out)
-    for value, summary in zip(values, summaries):
-        print(f"{args.param}={value:g}: accuracy {summary.accuracy:.4f}  f1 {summary.f1:.4f}")
+    for summary in summaries:
+        print(f"{summary.variant.partition(':')[2]}: accuracy {summary.accuracy:.4f}  f1 {summary.f1:.4f}")
     return 0
 
 

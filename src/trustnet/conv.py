@@ -166,10 +166,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
 
     def backward(g):
         # elu, then edge_matmul's value gradient (against ``projected``,
-        # rebuilt) and its input gradient
+        # rebuilt) and its input gradient, through the one sparse matrix
+        # the backward builds: beta's transpose, in CSC form
         d_pre = g * slope
         d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
-        d_proj = emap.matrix(beta).T @ d_pre
+        d_proj = emap.matrix_t(beta) @ d_pre
         del d_pre
         # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
         d_pair = ad.segment_softmax_grad(beta, d_beta, rows, m)
@@ -186,15 +187,16 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
         del d_sum
         d_alpha = ad.scatter_values(d_alpha_edge, typed_rows, 2 * n)
         del d_alpha_edge
-        # type_softmax, then each type's leaky ReLU, sum and sparse product
+        # type_softmax, then each type's leaky ReLU, sum and sparse product;
+        # the products' transposes are the view's CSC matrices, built once
         d_logit_u, d_logit_o = ad.type_softmax_grads(alpha, d_alpha)
         del d_alpha
         d_logit_o *= ad.leaky_slopes(nonneg_o, LEAKY_SLOPE)
         d_scores[:, 2] += d_logit_o
-        d_scores[:, 3] += view.s_obj.T @ d_logit_o
+        d_scores[:, 3] += view.s_obj_t @ d_logit_o
         d_logit_u *= ad.leaky_slopes(nonneg_u, LEAKY_SLOPE)
         d_scores[:, 0] += d_logit_u
-        d_scores[:, 1] += view.s_user.T @ d_logit_u
+        d_scores[:, 1] += view.s_user_t @ d_logit_u
         del d_logit_u, d_logit_o
         # row_block_product, then the score product and stack_halves: d_proj
         # goes before d_h is formed, so two n x d gradients are held, not three

@@ -425,14 +425,16 @@ def init_model(config: ExperimentConfig, seed: int) -> ModelParams:
 def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """Train once with every stochastic choice derived from ``run_seed``."""
     prep = prepare_run(dataset, config, run_seed)
-    h0_users, h0_objects = _initial_tables(dataset, config, prep.seeds)
+    tables = _initial_tables(dataset, config, prep.seeds)
     params = init_model(config, prep.seeds["params"])
     if config.train_initial is None:  # auto: only a dataset without comments (FilmTrust) trains them
         trainable = dataset.corpus is None
     else:
         trainable = config.train_initial
-    params.set_initial_tables(h0_users, h0_objects, trainable=trainable)
-
+    # the params keep a copy (Adam updates a trainable table in place), so
+    # training would otherwise hold each table twice
+    params.set_initial_tables(*tables, trainable=trainable)
+    del tables
     return _train_loop(config, prep, params, run_seed)
 
 
@@ -510,7 +512,7 @@ class Summary:
 
     def rows(self) -> list[list[str]]:
         """One metrics row per run, then the row of their mean."""
-        ratio = f"{self.config.train_ratio:g}"
+        ratio = repr(float(self.config.train_ratio))
         scores = [(str(r.seed), r.accuracy, r.f1) for r in self.results] + [("mean", self.accuracy, self.f1)]
         return [[self.dataset_name, ratio, seed, self.variant, f"{acc:.4f}", f"{f1:.4f}"]
                 for seed, acc, f1 in scores]
@@ -611,13 +613,16 @@ def sweep(
 ) -> list[Summary]:
     """One repeat-and-average summary per value; rows tagged sweep:param=value.
 
+    A float value is written as its ``repr``, the shortest string that
+    reads back as it, so distinct values get distinct labels.
+
     A value sets every field ``SWEEP_PARAMS[param]`` names, so it must be
     of their type: ``ppr_k=2.5`` is a ``ConfigError``, not a run of k=2.
     """
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}; choose from {tuple(SWEEP_PARAMS)}")
     cells = [
-        (f"sweep:{param}={value:g}" if isinstance(value, float) else f"sweep:{param}={value}",
+        (f"sweep:{param}={float(value)!r}" if isinstance(value, float) else f"sweep:{param}={value}",
          with_fields(config, dict.fromkeys(SWEEP_PARAMS[param], value)))
         for value in values
     ]
@@ -627,10 +632,16 @@ def sweep(
 def run_study(cells, out_dir=None, dataset: Dataset | None = None):
     """Run ``(label, config)`` cells in order on one dataset, yielding each summary as its cell ends.
 
-    Every cell validates before the first cell's config loads the dataset.
-    A cell appends its rows, tagged ``label``, to ``out_dir/metrics.csv``
-    and writes its traces to ``out_dir/<label>`` (':' written as '-').
+    Every cell validates before the first cell's config loads the dataset,
+    and two cells with one label are a ``ConfigError``: the second would
+    overwrite the first's traces. A cell appends its rows, tagged ``label``,
+    to ``out_dir/metrics.csv`` and writes its traces to ``out_dir/<label>``
+    (':' written as '-').
     """
+    labels = [label for label, _ in cells]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"study cells must have distinct labels; repeated: {', '.join(repeated)}")
     for _, cell in cells:
         cell.validate()
     for label, cell in cells:

@@ -140,6 +140,10 @@ class GraphView:
     an n-vector of scores gives each node's type-attention term, where
     aggregating h first would cost d times the work and an n x d array.
 
+    ``s_user_t`` and ``s_obj_t`` are their transposes, which the
+    convolution's backward multiplies with: CSC matrices over the same
+    three arrays, so they copy nothing and no step builds them again.
+
     ``emap`` holds the edge list once, sorted row-major with its CSR row
     pointers. ``typed_rows`` is each edge's row plus ``num_nodes`` where
     its column is an object: the edge's slot in a per-node vector of
@@ -153,6 +157,8 @@ class GraphView:
     emap: EdgeMap
     s_user: sp.csr_matrix
     s_obj: sp.csr_matrix
+    s_user_t: sp.csc_matrix
+    s_obj_t: sp.csc_matrix
     has_user_neighbor: np.ndarray
     has_obj_neighbor: np.ndarray
 
@@ -212,6 +218,8 @@ def build_view(graph: HeteroGraph, augmented, role: Role) -> GraphView:
         emap=emap,
         s_user=s_user,
         s_obj=s_obj,
+        s_user_t=s_user.T,
+        s_obj_t=s_obj.T,
         has_user_neighbor=has_user,
         has_obj_neighbor=has_obj,
     )

@@ -31,12 +31,69 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
+@dataclass(frozen=True)
+class WeightBuffer:
+    """Every model weight in one float64 buffer, and its Adam moments in two more.
+
+    A model weight is any tensor ``ModelParams.named()`` yields but the
+    initial tables. The decay-flagged weights come first, so decay applies
+    to ``values[:num_decay]``. Each weight's ``Tensor.value`` is a view into
+    ``values``, and its moments are views into ``m`` and ``v`` at the same
+    offsets. ``layout`` holds (name, tensor, value view, moment views) in
+    buffer order.
+    """
+
+    values: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    num_decay: int
+    layout: tuple
+
+    @classmethod
+    def pack(cls, weights, moments: dict) -> "WeightBuffer":
+        """Copy ``weights``, (name, tensor, decay) in buffer order, into fresh buffers.
+
+        Each tensor's value is rebound to its view. A weight with moments in
+        ``moments`` has them copied and rebound to views too; the others
+        start at zero and join ``moments`` at the next Adam step.
+        """
+        size = sum(tensor.value.size for _, tensor, _ in weights)
+        values, m, v = np.empty(size), np.zeros(size), np.zeros(size)
+        layout, start = [], 0
+        for name, tensor, _ in weights:
+            end = start + tensor.value.size
+            view, m_view, v_view = (a[start:end].reshape(tensor.value.shape) for a in (values, m, v))
+            view[...] = tensor.value
+            tensor.value = view
+            pair = (m_view, v_view)
+            if name in moments:
+                m_view[...], v_view[...] = moments[name]
+                moments[name] = pair
+            layout.append((name, tensor, view, pair))
+            start = end
+        num_decay = sum(tensor.value.size for _, tensor, decay in weights if decay)
+        return cls(values, m, v, num_decay, tuple(layout))
+
+    def holds(self, weights, moments: dict) -> bool:
+        """Whether ``weights`` are this buffer's, with values and moments still its views."""
+        return len(weights) == len(self.layout) and all(
+            tensor is kept and tensor.value is view and moments.get(name, pair) is pair
+            for (name, tensor, _), (_, kept, view, pair) in zip(weights, self.layout)
+        )
+
+
 @dataclass
 class ModelParams:
     """All trainable tensors plus Adam state.
 
     Weight decay applies to weight matrices, attention vectors, and
     trainable embedding tables; never to the fusion gate or biases.
+
+    The Adam update runs over parameter groups: one ``WeightBuffer`` that
+    holds every model weight, and each trainable initial table on its own.
+    ``weights()`` returns the buffer. A weight whose ``.value`` or moments
+    were rebound to another array since (a checkpoint load does this) is
+    not dropped: the buffer is packed again from the current arrays.
     """
 
     fusion: str
@@ -50,9 +107,16 @@ class ModelParams:
     h0_objects: Tensor | None = None
     step: int = 0
     moments: dict = field(default_factory=dict)
+    _buffer: WeightBuffer | None = field(default=None, init=False, repr=False, compare=False)
 
-    def named(self):
-        """Stable (name, tensor, decay) iteration over all trainables."""
+    def __post_init__(self) -> None:
+        self.weights()
+
+    def __getstate__(self) -> dict:
+        # a pickled view is a copy of its own, so the copy repacks on first use
+        return {**self.__dict__, "_buffer": None}
+
+    def _named_weights(self):
         out = [
             ("proj_user", self.proj_user, True),
             ("proj_obj", self.proj_obj, True),
@@ -72,13 +136,33 @@ class ModelParams:
         out.append(("gate/raw", self.gate.raw_gate, False))
         out.append(("predictor/weight", self.predictor.weight, True))
         out.append(("predictor/bias", self.predictor.bias, False))
-        if self.h0_users is not None and self.h0_users.requires_grad:
-            out.append(("h0/users", self.h0_users, True))
-        if self.h0_objects is not None and self.h0_objects.requires_grad:
-            out.append(("h0/objects", self.h0_objects, True))
         return out
 
+    def trainable_tables(self):
+        """(name, tensor) of each initial table that trains."""
+        tables = (("h0/users", self.h0_users), ("h0/objects", self.h0_objects))
+        return [(name, table) for name, table in tables if table is not None and table.requires_grad]
+
+    def named(self):
+        """Stable (name, tensor, decay) iteration over all trainables."""
+        return self._named_weights() + [(name, table, True) for name, table in self.trainable_tables()]
+
+    def weights(self) -> WeightBuffer:
+        """The buffer of every model weight, packed again where a value or moment was rebound."""
+        weights = sorted(self._named_weights(), key=lambda w: not w[2])  # stable: decay-flagged first
+        if self._buffer is None or not self._buffer.holds(weights, self.moments):
+            self._buffer = WeightBuffer.pack(weights, self.moments)
+        return self._buffer
+
     def assert_finite(self) -> None:
+        """Raise ``NumericalError`` naming a parameter with a non-finite value.
+
+        One check covers the weight buffer and one each trainable table; the
+        parameters are searched one by one only when one fails.
+        """
+        arrays = [self.weights().values, *(table.value for _, table in self.trainable_tables())]
+        if all(np.isfinite(a).all() for a in arrays):
+            return
         for name, tensor, _ in self.named():
             if not np.all(np.isfinite(tensor.value)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
@@ -284,31 +368,32 @@ def adam_step(
 ) -> ModelParams:
     """In-place Adam update; L2 decay is added to decay-flagged gradients.
 
-    The moments are updated in place, and the decayed gradient and the step
-    are formed in two scratch rows that every tensor of the step reuses, in
-    the same arithmetic order as ``m = beta1 * m + (1 - beta1) * g`` and so
-    on. The arrays in ``grads`` are only read: one may be shared by several
-    tensors. The scratch is freed on return rather than kept for the next
-    step, so it does not add to the memory held through the next forward.
+    The update runs once per parameter group: over the weight buffer
+    (``ModelParams.weights()``, packed again first if a weight's value or
+    moments were rebound), then over each trainable initial table. So the
+    number of array operations follows the number of groups, not of
+    weights. Each element goes through the operations of
+    ``m = beta1 * m + (1 - beta1) * g`` and so on, in the same order as
+    for a tensor updated on its own, so every bit is the same.
+
+    The decayed gradient and the step are formed in two scratch rows, as
+    long as the largest group, that every group reuses. The weights'
+    gradients are gathered into the first row with one ``concatenate``
+    (zeros for a weight without one), and the decay term is added onto
+    them; for a table, the gradient is added onto the decay term, the same
+    sum. The moments are updated in place. The arrays in ``grads`` are only
+    read: one may be shared by several tensors. The scratch is freed on
+    return rather than kept for the next step, so it does not add to the
+    memory held through the next forward.
     """
     params.step += 1
     t = params.step
-    named = params.named()
-    size = max(tensor.value.size for _, tensor, _ in named)
-    scratch = np.empty((2, size))
-    for name, tensor, decay in named:
-        value = tensor.value
-        buf, step = (b[: value.size].reshape(value.shape) for b in scratch)
-        g = grads.get(tensor)
-        if g is None:
-            g = np.zeros_like(value)
-        if decay and weight_decay:
-            np.multiply(value, weight_decay, out=buf)
-            buf += g
-            g = buf
-        if name not in params.moments:
-            params.moments[name] = (np.zeros_like(value), np.zeros_like(value))
-        m, v = params.moments[name]
+    weights = params.weights()
+    tables = params.trainable_tables()
+    scratch = np.empty((2, max([weights.values.size, *(table.value.size for _, table in tables)])))
+
+    def update(value, m, v, g):
+        buf, step = (row[: value.size].reshape(value.shape) for row in scratch)
         m *= beta1
         np.multiply(g, 1.0 - beta1, out=step)
         m += step
@@ -324,6 +409,31 @@ def adam_step(
         step *= lr
         step /= buf
         value -= step
+
+    values, decayed = weights.values, slice(0, weights.num_decay)
+    g = scratch[0, : values.size]
+    np.concatenate([np.ravel(grads[tensor]) if tensor in grads else np.zeros(view.size)
+                    for _, tensor, view, _ in weights.layout], out=g)
+    if weight_decay:
+        term = scratch[1, decayed]
+        np.multiply(values[decayed], weight_decay, out=term)
+        g[decayed] += term
+    params.moments.update((name, pair) for name, _, _, pair in weights.layout)
+    update(values, weights.m, weights.v, g)
+
+    for name, table in tables:
+        value = table.value
+        g = grads.get(table)
+        if g is None:
+            g = np.zeros_like(value)
+        if weight_decay:
+            buf = scratch[0, : value.size].reshape(value.shape)
+            np.multiply(value, weight_decay, out=buf)
+            buf += g
+            g = buf
+        if name not in params.moments:
+            params.moments[name] = (np.zeros_like(value), np.zeros_like(value))
+        update(value, *params.moments[name], g)
     return params
 
 

@@ -385,6 +385,24 @@ def test_edge_map_matrix_shares_its_index_arrays():
     assert np.shares_memory(mat.indptr, emap.indptr)
 
 
+@pytest.mark.parametrize("n_rows,n_cols,n_edges", [(4, 6, 0), (1, 1, 3), (7, 3, 60), (50, 80, 400)])
+def test_edge_map_transpose_is_the_matrix_transpose_bitwise(n_rows, n_cols, n_edges):
+    # the layer backward multiplies with matrix_t; it must run the kernel on
+    # the arrays that matrix(v).T would hand it, and copy none of them
+    rng = np.random.default_rng(n_edges)
+    emap = ad.EdgeMap.from_edges(rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges),
+                                 n_rows, n_cols)
+    values = rng.normal(size=n_edges)
+    mat_t = emap.matrix_t(values)
+    assert mat_t.format == "csc" and mat_t.shape == (n_cols, n_rows)
+    assert np.shares_memory(mat_t.indices, emap.cols) or n_edges == 0
+    assert np.shares_memory(mat_t.indptr, emap.indptr)
+    for g in (rng.normal(size=n_rows), rng.normal(size=(n_rows, 5))):
+        want = emap.matrix(values).T @ g
+        got = mat_t @ g
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_segment_max_values():
     vals = np.array([1.0, 5.0, -2.0, 7.0, 0.0])
     indptr = np.array([0, 2, 3, 5])

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import _compressed as sparse_compressed
 
 from trustnet import experiment, train
 from trustnet.cli import CONFIG_FLAGS, _ablation_variants, _add_config_flags, build_config
@@ -369,6 +371,54 @@ class TestRun:
         assert len(watched) == cfg.epochs and leftovers == [[]] * cfg.epochs
         assert z_freed == [True] * cfg.epochs
 
+    @pytest.mark.parametrize("kind", ["filmtrust", "siot"])
+    def test_no_set_up_table_outlives_the_start_of_training(self, film_dir, siot_dir, monkeypatch, kind):
+        # the params keep a copy of each initial table; the tables that
+        # _initial_tables returned are freed before the first epoch
+        refs, alive = [], []
+        initial_tables, train_loop = experiment._initial_tables, experiment._train_loop
+
+        def spy_initial_tables(*args):
+            tables = initial_tables(*args)
+            refs.extend(weakref.ref(obj) for table in tables for obj in (table, getattr(table, "vectors", table)))
+            return tables
+
+        def spy_train_loop(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return train_loop(*args)
+
+        monkeypatch.setattr(experiment, "_initial_tables", spy_initial_tables)
+        monkeypatch.setattr(experiment, "_train_loop", spy_train_loop)
+        if kind == "siot":
+            cfg = small_config(siot_dir, kind="siot_csv", epochs=1)
+            cfg.user_embed.epochs = 1
+        else:
+            cfg = small_config(film_dir, epochs=1)
+        run_single(load_dataset(cfg), cfg, 42)
+        assert len(refs) == 4 and alive == [[False] * 4]
+
+    def test_a_step_builds_one_sparse_matrix_per_layer_pass(self, siot_dir, monkeypatch):
+        # per layer: the forward's beta matrix and the backward's transpose of
+        # it (8 for two roles of two layers), plus the pair loss backward's two
+        # row scatters; the role views' transposes are built once, with them
+        cfg = small_config(siot_dir, kind="siot_csv", epochs=1)
+        cfg.user_embed.epochs = 1
+        dataset = load_dataset(cfg)
+        prep = experiment.prepare_run(dataset, cfg, 42)
+        params = experiment.init_model(cfg, prep.seeds["params"])
+        params.set_initial_tables(*experiment._initial_tables(dataset, cfg, prep.seeds), trainable=False)
+        built = []
+        init = sparse_compressed._cs_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse_compressed._cs_matrix, "__init__", counted)
+        experiment._epoch(cfg, prep, params, 0, step=True)
+        assert len(built) == 10, built
+
     def test_disabled_role_runs(self, film_dir):
         cfg = small_config(film_dir)
         cfg.roles.trustee_enabled = False
@@ -463,6 +513,32 @@ class TestSweep:
         with pytest.raises(ConfigError, match=rf"^{field} must be int, got {value!r}$"):
             sweep(small_config(film_dir), param, [3, value], out_dir=tmp_path)
         assert not (tmp_path / "metrics.csv").exists()
+
+
+    def test_float_values_get_distinct_labels_and_trace_directories(self, film_dir, tmp_path):
+        cfg = small_config(film_dir, epochs=1)
+        summaries = sweep(cfg, "train_ratio", [0.8000001, 0.8000002, 0.9], out_dir=tmp_path)
+        labels = ["sweep:train_ratio=0.8000001", "sweep:train_ratio=0.8000002", "sweep:train_ratio=0.9"]
+        assert [s.variant for s in summaries] == labels
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [label.replace(":", "-") for label in labels]
+        with (tmp_path / "metrics.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1] for row in rows] == ["0.8000001"] * 2 + ["0.8000002"] * 2 + ["0.9"] * 2
+
+    @pytest.mark.parametrize("param,values", [("ppr_k", "5,5"), ("train_ratio", "0.5,0.50")])
+    def test_two_cells_with_one_label_are_a_config_error_before_data_loads(
+        self, film_dir, tmp_path, capsys, monkeypatch, param, values
+    ):
+        def no_loading(*a, **kw):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(experiment, "load_dataset", no_loading)
+        out = tmp_path / "o"
+        argv = ["sweep", *checkpoint_run_flags(film_dir), "--param", param, "--values", values, "--out", str(out)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: study cells must have distinct labels; repeated: sweep:{param}={values.split(',')[0]}\n"
+        assert not out.exists()
 
 
 def rewrite_meta(ckpt, edit) -> None:

@@ -192,6 +192,22 @@ class TestBuildView:
             oracle = dense_view_oracle(g, aug, role)
             assert np.allclose(both.toarray(), oracle, rtol=1e-12, atol=1e-12)
 
+    def test_transposes_are_csc_views_of_the_type_matrices(self):
+        rng = np.random.default_rng(6)
+        nu, no = 12, 7
+        trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(30, 2)) if i != j}
+        inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
+        g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1)])
+        for role in (Role.TRUSTOR, Role.TRUSTEE):
+            view = build_view(g, topk_augment(g, k=3), role)
+            for mat, mat_t in ((view.s_user, view.s_user_t), (view.s_obj, view.s_obj_t)):
+                assert mat_t.format == "csc" and mat_t.shape == mat.shape[::-1]
+                for name in ("data", "indices", "indptr"):
+                    got, kept = getattr(mat_t, name), getattr(mat, name)
+                    assert got.ctypes.data == kept.ctypes.data and got.size == kept.size, name
+                x = rng.normal(size=mat.shape[0])
+                assert np.array_equal((mat_t @ x).view(np.int64), (mat.T @ x).view(np.int64))
+
     def test_augmented_duplicates_collapse(self):
         g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1)])
         view = build_view(g, [(0, 1), (0, 2), (0, 2)], Role.TRUSTOR)

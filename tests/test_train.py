@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from trustnet.autodiff import TapeError, Tensor
 from trustnet.conv import GateParams
 from trustnet.predict import PredictorParams
-from trustnet.errors import DataError
+from trustnet.errors import DataError, NumericalError
 from trustnet import train as train_mod
 from trustnet.fixtures import make_pipeline_fixture
 from trustnet.train import (
@@ -207,6 +208,40 @@ def random_grads(rng, params, step):
     return grads
 
 
+def bits(array) -> np.ndarray:
+    return np.asarray(array, dtype=np.float64).view(np.int64)
+
+
+def scalar_params():
+    """A model whose projections are 0-d weights and that has no role encoder."""
+    return ModelParams(
+        fusion="gate",
+        proj_user=Tensor(np.array(0.5)),
+        proj_obj=Tensor(np.array(-2.0)),
+        trustor=None,
+        trustee=None,
+        gate=GateParams(Tensor(np.array([1.0, -1.0]))),
+        predictor=PredictorParams(Tensor(np.arange(4.0).reshape(2, 2)), Tensor(np.zeros(2))),
+    )
+
+
+def styled_params(fixture, style):
+    """SIoT-style parameters (frozen tables), FilmTrust-style (trainable tables), or 0-d weights."""
+    if style == "scalars":
+        return scalar_params()
+    params = fresh_params(fixture, seed=41)
+    params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=style == "filmtrust")
+    return params
+
+
+def drawn_grads(rng, params, step):
+    """Gradients of mixed scales for every trainable but one, a different one each step."""
+    named = params.named()
+    grads = {t: rng.normal(size=t.value.shape) * 10.0 ** rng.integers(-6, 2) for _, t, _ in named}
+    del grads[named[step % len(named)][1]]
+    return grads
+
+
 class TestAdamMatchesWholeArrayFormula:
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0], ids=["decay", "no_decay"])
     def test_twenty_steps_bitwise(self, fixture, weight_decay):
@@ -226,9 +261,9 @@ class TestAdamMatchesWholeArrayFormula:
             for g in grads.values():
                 assert np.array_equal(g, kept[id(g)])  # gradients are only read
         for name, tensor, _ in params.named():
-            assert np.array_equal(tensor.value, values[name]), name
+            assert np.array_equal(bits(tensor.value), bits(values[name])), name
             for got, want in zip(params.moments[name], moments[name]):
-                assert np.array_equal(got, want), name
+                assert np.array_equal(bits(got), bits(want)), name
 
     def test_checkpoint_round_trip_continues_identically(self, fixture, tmp_path):
         rng = np.random.default_rng(32)
@@ -245,9 +280,129 @@ class TestAdamMatchesWholeArrayFormula:
             adam_step(loaded, {t: by_name[n] for n, t, _ in loaded.named() if by_name[n] is not None})
         assert loaded.step == params.step == 7
         for (name, a, _), (_, b, _) in zip(params.named(), loaded.named()):
-            assert np.array_equal(a.value, b.value), name
+            assert np.array_equal(bits(a.value), bits(b.value)), name
             for x, y in zip(params.moments[name], loaded.moments[name]):
-                assert np.array_equal(x, y), name
+                assert np.array_equal(bits(x), bits(y)), name
+
+
+class TestFlatWeightBuffer:
+    def test_weights_are_views_into_one_buffer_decay_flagged_first(self, fixture):
+        params = styled_params(fixture, "filmtrust")
+        buffer = params.weights()
+        weights = [(n, t, d) for n, t, d in params.named() if not n.startswith("h0/")]
+        assert [name for name, *_ in buffer.layout] == [n for n, _, d in weights if d] + [
+            n for n, _, d in weights if not d
+        ]
+        start = 0
+        for name, tensor, view, (m, v) in buffer.layout:
+            end = start + tensor.value.size
+            assert tensor.value is view
+            for array, buf in ((view, buffer.values), (m, buffer.m), (v, buffer.v)):
+                assert np.shares_memory(array, buf[start:end]) and array.size == end - start
+            start = end
+        assert start == buffer.values.size
+        assert buffer.num_decay == sum(t.value.size for _, t, d in weights if d)
+        for _, table, _ in params.named()[len(weights):]:
+            assert not np.shares_memory(table.value, buffer.values)
+
+    # FilmTrust-style parameters (trainable tables) are test_twenty_steps_bitwise's
+    @pytest.mark.parametrize("weight_decay", [5e-4, 0.0], ids=["decay", "no_decay"])
+    @pytest.mark.parametrize("style", ["siot", "scalars"])
+    def test_steps_are_bitwise_the_whole_array_formula(self, fixture, style, weight_decay):
+        rng = np.random.default_rng(43)
+        params = styled_params(fixture, style)
+        tables = [t.value.copy() for t in (params.h0_users, params.h0_objects) if t is not None]
+        names = {id(t): n for n, t, _ in params.named()}
+        decays = {n: d for n, _, d in params.named()}
+        values = {n: t.value.copy() for n, t, _ in params.named()}
+        moments = {}
+        for step in range(1, 5):
+            grads = drawn_grads(rng, params, step)
+            adam_step(params, grads, lr=0.01, weight_decay=weight_decay)
+            oracle_adam_step(values, moments, step, {names[id(t)]: g for t, g in grads.items()},
+                             lr=0.01, weight_decay=weight_decay, decays=decays)
+            for name, tensor, _ in params.named():
+                assert np.array_equal(bits(tensor.value), bits(values[name])), (step, name)
+                for got, want in zip(params.moments[name], moments[name]):
+                    assert np.array_equal(bits(got), bits(want)), (step, name)
+        if style == "siot":
+            assert np.array_equal(params.h0_users.value, tables[0])
+            assert np.array_equal(params.h0_objects.value, tables[1])
+
+    @pytest.mark.parametrize("rebind", ["values", "moments"])
+    def test_a_rebound_weight_is_still_updated(self, fixture, rebind):
+        rng = np.random.default_rng(44)
+        params = styled_params(fixture, "siot")
+        names = {id(t): n for n, t, _ in params.named()}
+        decays = {n: d for n, _, d in params.named()}
+        adam_step(params, drawn_grads(rng, params, 1))
+        rebound = [params.proj_user, params.gate.raw_gate, params.trustee.layers[1].gamma]
+        for tensor in rebound:
+            name = names[id(tensor)]
+            if rebind == "values":
+                tensor.value = tensor.value + 1.0
+            else:
+                params.moments[name] = tuple(2.0 * a for a in params.moments[name])
+        values = {n: t.value.copy() for n, t, _ in params.named()}
+        moments = {n: tuple(a.copy() for a in pair) for n, pair in params.moments.items()}
+        grads = drawn_grads(rng, params, 2)
+        adam_step(params, grads)
+        oracle_adam_step(values, moments, 2, {names[id(t)]: g for t, g in grads.items()},
+                         lr=0.005, weight_decay=5e-4, decays=decays)
+        buffer = params.weights()
+        for name, tensor, _ in params.named():
+            assert np.array_equal(bits(tensor.value), bits(values[name])), name
+            assert np.shares_memory(tensor.value, buffer.values), name
+            for got, want in zip(params.moments[name], moments[name]):
+                assert np.array_equal(bits(got), bits(want)), name
+
+    def test_a_loaded_checkpoint_of_frozen_tables_continues_bitwise(self, fixture, tmp_path):
+        # trainable tables are test_checkpoint_round_trip_continues_identically's
+        rng = np.random.default_rng(45)
+        params = styled_params(fixture, "siot")
+        for step in range(1, 4):
+            adam_step(params, drawn_grads(rng, params, step))
+        save_params(params, tmp_path / "ckpt.npz")
+        loaded, _ = load_params(tmp_path / "ckpt.npz", builder(fixture))
+        for step in range(4, 8):
+            grads = drawn_grads(rng, params, step)
+            by_name = {n: grads.get(t) for n, t, _ in params.named()}
+            adam_step(params, grads)
+            adam_step(loaded, {t: by_name[n] for n, t, _ in loaded.named() if by_name[n] is not None})
+        assert loaded.step == params.step == 7
+        for (name, a, _), (_, b, _) in zip(params.named(), loaded.named(), strict=True):
+            assert np.array_equal(bits(a.value), bits(b.value)), name
+            for x, y in zip(params.moments[name], loaded.moments[name]):
+                assert np.array_equal(bits(x), bits(y)), name
+        assert np.array_equal(bits(loaded.h0_users.value), bits(params.h0_users.value))
+
+    def test_a_pickled_copy_trains_like_the_original(self, fixture):
+        rng = np.random.default_rng(46)
+        params = styled_params(fixture, "siot")
+        adam_step(params, drawn_grads(rng, params, 1))
+        copy = pickle.loads(pickle.dumps(params))
+        before = {n: t.value.copy() for n, t, _ in params.named()}
+        grads = drawn_grads(rng, copy, 2)
+        adam_step(copy, grads)
+        for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
+            assert np.array_equal(t.value, before[name]), name  # the original does not move
+            assert np.shares_memory(c.value, copy.weights().values), name
+        by_name = {n: grads.get(t) for n, t, _ in copy.named()}
+        adam_step(params, {t: by_name[n] for n, t, _ in params.named() if by_name[n] is not None})
+        for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
+            assert np.array_equal(bits(t.value), bits(c.value)), name
+
+    @pytest.mark.parametrize("target", ["trustee/layer1/gamma", "predictor/bias", "h0/users"])
+    @pytest.mark.parametrize("rebind", [False, True], ids=["in_place", "rebound"])
+    def test_a_non_finite_value_is_named(self, fixture, target, rebind):
+        params = styled_params(fixture, "filmtrust")
+        params.assert_finite()
+        tensor = {n: t for n, t, _ in params.named()}[target]
+        if rebind:
+            tensor.value = tensor.value.copy()
+        tensor.value.reshape(-1)[-1] = np.inf
+        with pytest.raises(NumericalError, match=f"^parameter {target} contains non-finite values$"):
+            params.assert_finite()
 
 
 class TestGradCheck:
