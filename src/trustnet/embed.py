@@ -10,9 +10,11 @@ users fully decoupled, so identical corpora give identical vectors and
 the whole table is permutation-equivariant over user ids. It also lets
 all documents step in lockstep, one numpy update over the active
 documents per SGD step, while each document keeps its own RNG stream.
-Noise tokens are drawn from the unigram^0.75 distribution (Mikolov et al.,
-2013), looked up through an exact guide table (Chen & Asau, 1974) rather
-than a binary search per draw.
+Each document's events are drawn an epoch at a time, when it starts one,
+so the ids held do not grow with the number of epochs. Noise tokens are
+drawn from the unigram^0.75 distribution (Mikolov et al., 2013), looked
+up through an exact guide table (Chen & Asau, 1974) rather than a binary
+search per draw.
 
 Object vectors come from translation-based triple embedding trained with
 a margin ranking loss; aligned objects take their entity vector, the rest
@@ -34,6 +36,9 @@ from .errors import DataError, ParseError
 from .graph import HeteroGraph, _read_csv
 
 _TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
+# most events whose noise ids ``embed_users`` looks up in one call (unless one
+# document's epoch is longer), which bounds the float64 draws held at once
+_LOOKUP_EVENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -118,15 +123,25 @@ def embed_users(
     step in lockstep: step ``s`` applies the ``s``-th event of every
     document that has one, as numpy updates over those documents' rows.
 
+    Events are drawn an epoch at a time. The stream is split after the
+    vector: the document's generator goes on to draw the noise, and a copy
+    advanced past every noise draw yields the permutations. A document of
+    ``L`` tokens starts epoch ``e`` at step ``e * L``; its ``L`` rows of
+    events are refilled then. The noise ids of the documents that start an
+    epoch at one step are looked up together, in runs of at most
+    ``_LOOKUP_EVENTS`` events (or one document's epoch).
+
     Noise ids come from the unigram^0.75 CDF through a guide table of ``B``
     buckets, ``B`` the power of two at or above 8x the vocabulary size: a
     draw reads its bucket's first CDF entry and compares once, and only
     draws in buckets holding several entries are binary-searched. The ids
     equal ``np.searchsorted(cdf, draws)``.
 
-    Memory: token and noise ids are stored flat as int32, O(total events x
-    (1 + negatives)); the guide table takes O(B), and one document's noise
-    draws are held as float64 while they are looked up.
+    Memory: a (documents, longest document, 1 + negatives) int32 buffer of
+    each document's current epoch, whatever the number of epochs; two
+    generators per document; the guide table, O(B); and one run's noise
+    draws and lookup temporaries, O(negatives x max(_LOOKUP_EVENTS,
+    longest document)).
     """
     if dim <= 0:
         raise DataError(f"embedding dim must be positive, got {dim}")
@@ -161,29 +176,56 @@ def embed_users(
     order = sorted(
         (d for d in range(len(docs)) if doc_ids[d].size), key=lambda d: -doc_ids[d].size
     )
-    n_events = np.array([doc_ids[d].size * epochs for d in order], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(n_events)))
-    pos = np.empty(starts[-1], dtype=np.int32)
-    neg = np.empty((starts[-1], negatives), dtype=np.int32)
+    doc_ids = [doc_ids[d] for d in order]
+    lens = [ids.size for ids in doc_ids]
     vecs = np.empty((len(order), dim))
+    noise_rngs, perm_rngs = [], []
     for r, d in enumerate(order):
-        ids = doc_ids[d]
         drng = np.random.default_rng(_hash_seed(b"doc", seed_bytes, docs[d].encode()))
         vecs[r] = drng.normal(0.0, 0.1, size=dim)
-        lo, hi = starts[r], starts[r + 1]
-        neg[lo:hi] = _noise_ids(noise_cdf, guide, drng.random((hi - lo, negatives)))
-        for e in range(lo, hi, ids.size):
-            pos[e : e + ids.size] = drng.permutation(ids)
+        noise_rngs.append(drng)
+        perm_rngs.append(_advanced_copy(drng, lens[r] * epochs * negatives))
 
-    steps = int(n_events[0]) if order else 0
-    active = np.searchsorted(-n_events, -np.arange(steps), side="left")
-    for s, n in enumerate(active):
+    # events[r, i] holds document r's i-th event of its current epoch: the
+    # positive id, then the noise ids
+    longest = lens[0] if order else 0
+    events = np.empty((len(order), longest, 1 + negatives), dtype=np.int32)
+    rows = events.reshape(-1, 1 + negatives)
+    base = np.arange(len(order)) * longest  # base[r] + s is document r's row at step s
+    # document r starts epoch e at step e * lens[r]; due[s] lists those starting at s
+    due = {0: list(range(len(order)))} if epochs else {}
+
+    def start_epoch(ranks, count, s):
+        """Fill the rows of documents ``ranks`` (``count`` events in all), which
+        start an epoch at step ``s``, looking up their noise ids in one call."""
+        draws = np.empty((count, negatives))
+        lo = 0
+        for r in ranks:
+            noise_rngs[r].random(out=draws[lo : lo + lens[r]])
+            lo += lens[r]
+        noise = _noise_ids(noise_cdf, guide, draws)
+        lo = 0
+        for r in ranks:
+            size = lens[r]
+            events[r, :size, 0] = perm_rngs[r].permutation(doc_ids[r])
+            events[r, :size, 1:] = noise[lo : lo + size]
+            lo += size
+            base[r] = r * longest - s
+            if s + size < size * epochs:
+                due.setdefault(s + size, []).append(r)
+
+    n = len(order)  # documents with events left, a prefix
+    for s in range(longest * epochs):
+        while lens[n - 1] * epochs <= s:
+            n -= 1
+        for ranks, count in _runs(due.pop(s, ()), lens):
+            start_epoch(ranks, count, s)
         v = vecs[:n]
-        events = starts[:n] + s
-        u = token_vecs.take(pos.take(events), axis=0)
+        step = rows.take(base[:n] + s, axis=0)
+        u = token_vecs.take(step[:, 0], axis=0)
         u *= (lr * (1.0 - logistic(_row_dot(v, u))))[:, None]
         v += u
-        for noise in neg.take(events, axis=0).T:
+        for noise in step[:, 1:].T:
             un = token_vecs.take(noise, axis=0)
             un *= (lr * logistic(_row_dot(v, un)))[:, None]
             v -= un
@@ -191,6 +233,33 @@ def embed_users(
     out = np.zeros((len(docs), dim))
     out[order] = vecs
     return EmbeddingTable(out)
+
+
+def _advanced_copy(rng: np.random.Generator, draws: int) -> np.random.Generator:
+    """A copy of PCG64 generator ``rng`` moved past its next ``draws`` doubles.
+
+    Each double takes one 64-bit output, and ``advance`` skips outputs. The
+    copy reuses ``rng``'s seed sequence, so no new seed is hashed, and then
+    takes its state; ``rng`` does not move.
+    """
+    bits = np.random.PCG64(rng.bit_generator.seed_seq)
+    bits.state = rng.bit_generator.state
+    bits.advance(draws)
+    return np.random.Generator(bits)
+
+
+def _runs(ranks, lens):
+    """``ranks`` in runs of at most ``_LOOKUP_EVENTS`` events (or of one
+    document), each with its number of events."""
+    run, count = [], 0
+    for r in ranks:
+        if run and count + lens[r] > _LOOKUP_EVENTS:
+            yield run, count
+            run, count = [], 0
+        run.append(r)
+        count += lens[r]
+    if run:
+        yield run, count
 
 
 def _noise_cdf(counts) -> np.ndarray:

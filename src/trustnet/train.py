@@ -349,10 +349,20 @@ def forward(
 
 
 def backward(tape: Tape) -> dict:
-    """Gradients for every recorded tensor; rejects non-finite values."""
+    """Gradients for every recorded tensor; rejects non-finite values.
+
+    A non-finite element makes its tensor's sum, and so the total of all
+    the sums, non-finite, so one check on that total covers every gradient.
+    The tensors are searched one by one only when it fails, which a finite
+    total that overflows can also cause.
+    """
     grads = tape.gradients()
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(np.add.reduce(g, axis=None) for g in grads.values())
+    if np.isfinite(total):
+        return grads
     for tensor, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for {tensor!r}")
     return grads
 

@@ -1,12 +1,17 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trustnet import embed as embed_mod
 from trustnet.embed import (
     EmbeddingTable,
     KnowledgeTriple,
     TransEModel,
+    _advanced_copy,
     _guide_table,
     _hash_seed,
     _noise_cdf,
@@ -214,6 +219,28 @@ class TestEmbedUsersOracle:
             drng = np.random.default_rng(_hash_seed(b"doc", b"6", corpus[d].encode()))
             assert np.array_equal(got[d], drng.normal(0.0, 0.1, size=5))
 
+    @pytest.mark.parametrize("lookup_events", [None, 3], ids=["default_runs", "runs_of_3"])
+    @pytest.mark.parametrize("negatives", [0, 4])
+    def test_epoch_refills_interleave(self, monkeypatch, negatives, lookup_events):
+        # in-vocabulary lengths 1, 2, 3, 7 and 40 start their epochs at steps
+        # that interleave; runs of 3 events split every step's lookups
+        if lookup_events is not None:
+            monkeypatch.setattr(embed_mod, "_LOOKUP_EVENTS", lookup_events)
+        pool = [f"w{i}" for i in range(10)]
+        rng = np.random.default_rng(12)
+        long_doc = pool * 2 + list(rng.choice(pool, size=20))
+        corpus = [
+            "w3 w1 w4 w1 w5 w9 w2",
+            " ".join(long_doc),
+            "w7",
+            "only once here",
+            "w2 w8",
+            "w0 w0 w6",
+        ]
+        assert sorted(len(tokenize(c)) for c in corpus if "once" not in c) == [1, 2, 3, 7, 40]
+        got = matches_oracle(corpus, dim=3, seed=21, epochs=6, negatives=negatives)
+        assert np.all(got[3] == 0.0) and np.all(got != 0.0, axis=1).sum() == 5
+
     @given(
         docs=st.lists(
             st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=12),
@@ -230,6 +257,53 @@ class TestEmbedUsersOracle:
         matches_oracle(
             corpus, dim=dim, epochs=epochs, seed=seed, negatives=negatives, min_count=min_count
         )
+
+
+@pytest.mark.parametrize("length,epochs,negatives", [(1, 5, 4), (7, 6, 0), (40, 5, 5), (3, 1, 1)])
+def test_split_stream_reproduces_the_unsplit_draws(length, epochs, negatives):
+    """The vector, then every noise draw, then one permutation per epoch: a
+    generator drawing noise an epoch at a time and its advanced copy drawing
+    the permutations yield what one generator yields in that order."""
+    ids = np.arange(10, 10 + length)
+    seed = _hash_seed(b"doc", b"0", b"split stream")
+    whole = np.random.default_rng(seed)
+    vector = whole.normal(0.0, 0.1, size=4)
+    noise = whole.random((length * epochs, negatives))
+    perms = [whole.permutation(ids) for _ in range(epochs)]
+    after = whole.random(3)
+
+    split = np.random.default_rng(seed)
+    assert np.array_equal(split.normal(0.0, 0.1, size=4), vector)
+    perm_rng = _advanced_copy(split, length * epochs * negatives)
+    for e in range(epochs):
+        rows = slice(e * length, (e + 1) * length)
+        assert np.array_equal(split.random((length, negatives)), noise[rows])
+        assert np.array_equal(perm_rng.permutation(ids), perms[e])
+    assert np.array_equal(perm_rng.random(3), after)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embed_users_memory_does_not_grow_with_epochs():
+    corpus = random_corpus(np.random.default_rng(8), num_docs=24, words=50, max_len=60)
+    tokens = sum(len(tokenize(c)) for c in corpus)
+    negatives = 5
+    peaks = {
+        epochs: traced_peak(lambda: embed_users(corpus, dim=4, epochs=epochs, negatives=negatives))
+        for epochs in (2, 20)
+    }
+    # holding one more epoch of every document's ids would take this much
+    one_epoch = tokens * (1 + negatives) * 4
+    assert peaks[20] - peaks[2] < one_epoch, (peaks, one_epoch)
 
 
 def vocabulary_counts(corpus, min_count=2):

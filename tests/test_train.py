@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from trustnet.autodiff import TapeError, Tensor
+from trustnet.autodiff import Tape, TapeError, Tensor, record
 from trustnet.conv import GateParams
 from trustnet.predict import PredictorParams
 from trustnet.errors import DataError, NumericalError
@@ -108,6 +108,33 @@ class TestForwardBackward:
         grads = backward(tape)
         for _, tensor, _ in params.named():
             assert tensor not in grads
+
+    @staticmethod
+    def planted_tape(grads: dict):
+        """A tape whose backward hands each named leaf the gradient given for it."""
+        leaves = {name: Tensor(np.zeros(np.shape(g)), name=name) for name, g in grads.items()}
+        with Tape() as tape:
+            out = Tensor(0.0)
+            record("plant", out, lambda _: [(leaves[n], np.array(g, dtype=float)) for n, g in grads.items()])
+            tape.mark_output(out)
+        return tape, leaves
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, np.nan], [np.inf, 2.0], [-np.inf, np.inf], [np.nan, -np.inf]],
+        ids=["nan", "inf", "inf_minus_inf", "nan_and_inf"],
+    )
+    def test_a_non_finite_gradient_is_named(self, bad):
+        tape, _ = self.planted_tape(
+            {"w_first": np.ones((2, 3)), "w_bad": np.reshape([0.5, *bad, 3.0], (2, 2)), "w_last": 4.0}
+        )
+        with pytest.raises(NumericalError, match=r"^non-finite gradient for Tensor\(w_bad, shape=\(2, 2\)"):
+            backward(tape)
+
+    def test_finite_gradients_whose_sum_overflows_pass(self):
+        big = np.full(3, np.finfo(np.float64).max)
+        tape, leaves = self.planted_tape({"a": big, "b": big, "c": -big[:1]})
+        grads = backward(tape)
+        assert np.array_equal(grads[leaves["a"]], big) and np.array_equal(grads[leaves["b"]], big)
 
 
 class TestAdam:
