@@ -239,8 +239,8 @@ def _advanced_copy(rng: np.random.Generator, draws: int) -> np.random.Generator:
     """A copy of PCG64 generator ``rng`` moved past its next ``draws`` doubles.
 
     Each double takes one 64-bit output, and ``advance`` skips outputs. The
-    copy reuses ``rng``'s seed sequence, so no new seed is hashed, and then
-    takes its state; ``rng`` does not move.
+    copy is built on ``rng``'s own seed sequence, so no fresh entropy is
+    drawn, and then takes ``rng``'s state; ``rng`` does not move.
     """
     bits = np.random.PCG64(rng.bit_generator.seed_seq)
     bits.state = rng.bit_generator.state
