@@ -24,6 +24,8 @@ from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
 
 CHECKPOINT_VERSION = 3
+# what reading a damaged npz archive or one of its members raises
+_READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -38,9 +40,9 @@ class WeightBuffer:
     A model weight is any tensor ``ModelParams.named()`` yields but the
     initial tables. The decay-flagged weights come first, so decay applies
     to ``values[:num_decay]``. Each weight's ``Tensor.value`` is a view into
-    ``values``, and its moments are views into ``m`` and ``v`` at the same
-    offsets. ``layout`` holds (name, tensor, value view, moment views) in
-    buffer order.
+    ``values`` for life, and its moments are views into ``m`` and ``v`` at
+    the same offsets: writes go into the views, never rebind them.
+    ``layout`` holds (name, tensor, value view, moment views) in buffer order.
     """
 
     values: np.ndarray
@@ -50,12 +52,10 @@ class WeightBuffer:
     layout: tuple
 
     @classmethod
-    def pack(cls, weights, moments: dict) -> "WeightBuffer":
+    def pack(cls, weights) -> "WeightBuffer":
         """Copy ``weights``, (name, tensor, decay) in buffer order, into fresh buffers.
 
-        Each tensor's value is rebound to its view. A weight with moments in
-        ``moments`` has them copied and rebound to views too; the others
-        start at zero and join ``moments`` at the next Adam step.
+        Each tensor's value is rebound to its view; the moments start at zero.
         """
         size = sum(tensor.value.size for _, tensor, _ in weights)
         values, m, v = np.empty(size), np.zeros(size), np.zeros(size)
@@ -65,21 +65,10 @@ class WeightBuffer:
             view, m_view, v_view = (a[start:end].reshape(tensor.value.shape) for a in (values, m, v))
             view[...] = tensor.value
             tensor.value = view
-            pair = (m_view, v_view)
-            if name in moments:
-                m_view[...], v_view[...] = moments[name]
-                moments[name] = pair
-            layout.append((name, tensor, view, pair))
+            layout.append((name, tensor, view, (m_view, v_view)))
             start = end
         num_decay = sum(tensor.value.size for _, tensor, decay in weights if decay)
         return cls(values, m, v, num_decay, tuple(layout))
-
-    def holds(self, weights, moments: dict) -> bool:
-        """Whether ``weights`` are this buffer's, with values and moments still its views."""
-        return len(weights) == len(self.layout) and all(
-            tensor is kept and tensor.value is view and moments.get(name, pair) is pair
-            for (name, tensor, _), (_, kept, view, pair) in zip(weights, self.layout)
-        )
 
 
 @dataclass
@@ -89,11 +78,10 @@ class ModelParams:
     Weight decay applies to weight matrices, attention vectors, and
     trainable embedding tables; never to the fusion gate or biases.
 
-    The Adam update runs over parameter groups: one ``WeightBuffer`` that
-    holds every model weight, and each trainable initial table on its own.
-    ``weights()`` returns the buffer. A weight whose ``.value`` or moments
-    were rebound to another array since (a checkpoint load does this) is
-    not dropped: the buffer is packed again from the current arrays.
+    The Adam update runs over parameter groups: one ``WeightBuffer`` of
+    every model weight and its moments, packed at construction and on
+    unpickling only, and each trainable initial table, whose moments
+    ``moments`` holds by name.
     """
 
     fusion: str
@@ -107,14 +95,21 @@ class ModelParams:
     h0_objects: Tensor | None = None
     step: int = 0
     moments: dict = field(default_factory=dict)
-    _buffer: WeightBuffer | None = field(default=None, init=False, repr=False, compare=False)
+    _buffer: WeightBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.weights()
+        weights = sorted(self._named_weights(), key=lambda w: not w[2])  # stable: decay-flagged first
+        self._buffer = WeightBuffer.pack(weights)
 
     def __getstate__(self) -> dict:
-        # a pickled view is a copy of its own, so the copy repacks on first use
-        return {**self.__dict__, "_buffer": None}
+        # a pickled view is a copy of its own: the copy packs again and takes the moments
+        return {**self.__dict__, "_buffer": (self._buffer.m, self._buffer.v)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+        for moment, stored in zip((self._buffer.m, self._buffer.v), state["_buffer"]):
+            np.copyto(moment, stored)
 
     def _named_weights(self):
         out = [
@@ -148,10 +143,7 @@ class ModelParams:
         return self._named_weights() + [(name, table, True) for name, table in self.trainable_tables()]
 
     def weights(self) -> WeightBuffer:
-        """The buffer of every model weight, packed again where a value or moment was rebound."""
-        weights = sorted(self._named_weights(), key=lambda w: not w[2])  # stable: decay-flagged first
-        if self._buffer is None or not self._buffer.holds(weights, self.moments):
-            self._buffer = WeightBuffer.pack(weights, self.moments)
+        """The buffer that holds every model weight and its Adam moments."""
         return self._buffer
 
     def assert_finite(self) -> None:
@@ -379,8 +371,8 @@ def adam_step(
     """In-place Adam update; L2 decay is added to decay-flagged gradients.
 
     The update runs once per parameter group: over the weight buffer
-    (``ModelParams.weights()``, packed again first if a weight's value or
-    moments were rebound), then over each trainable initial table. So the
+    (``ModelParams.weights()``) and its moments, then over each trainable
+    initial table and its moments in ``params.moments``. So the
     number of array operations follows the number of groups, not of
     weights. Each element goes through the operations of
     ``m = beta1 * m + (1 - beta1) * g`` and so on, in the same order as
@@ -428,7 +420,6 @@ def adam_step(
         term = scratch[1, decayed]
         np.multiply(values[decayed], weight_decay, out=term)
         g[decayed] += term
-    params.moments.update((name, pair) for name, _, _, pair in weights.layout)
     update(values, weights.m, weights.v, g)
 
     for name, table in tables:
@@ -524,39 +515,58 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
     a JSON-serialisable record of what the parameters were trained on,
     which ``load_params`` hands to its ``build`` and back unchanged.
     Initial tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
+    The weights' moments are read from the buffer, once Adam has stepped.
     """
     meta = {"version": CHECKPOINT_VERSION, "step": params.step, "provenance": provenance}
     arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named()}
     if params.h0_users is not None and not params.h0_users.requires_grad:
         arrays["frozen::h0/users"] = params.h0_users.value
         arrays["frozen::h0/objects"] = params.h0_objects.value
-    for name, (m, v) in params.moments.items():
+    weights = [(name, pair) for name, _, _, pair in params.weights().layout] if params.step else []
+    for name, (m, v) in [*weights, *params.moments.items()]:
         arrays[f"moment_m::{name}"] = m
         arrays[f"moment_v::{name}"] = v
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def _stored_array(data, key: str) -> np.ndarray:
+    """Checkpoint array ``key`` as float64; a ``DataError`` unless it is a finite integer or float array."""
+    try:
+        array = data[key]
+    except _READ_ERRORS as exc:  # a damaged member, or an object array, which would need unpickling
+        raise DataError(f"checkpoint array {key} cannot be read: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise DataError(f"checkpoint array {key} has dtype {array.dtype}, not integer or float")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise DataError(f"checkpoint array {key} has non-finite entries")
+    return array
 
 
 def load_params(path, build) -> tuple[ModelParams, dict | None]:
     """Fill ``build(provenance)``, fresh parameters without initial tables, from a checkpoint.
 
     Returns them and the provenance ``save_params`` stored. The initial
-    tables are attached, trainable or frozen, as the keys present say.
+    tables are attached, trainable or frozen, as the keys present say; the
+    weights and their moments are copied into the buffer's views.
     Raises ``DataError`` for a file that is not a readable npz archive with
     a JSON ``__meta__`` record, an unknown version, a step that is not a
     non-negative integer, one initial table without the other, a missing,
     misshapen or unknown parameter, and Adam moments that lack their pair, are
-    misshapen or belong to no parameter; ``build`` may raise it too.
+    misshapen or belong to no parameter; for an array that is not integer or
+    float, or has a non-finite entry, and for a negative second moment. Each
+    names the key; ``build`` may raise it too.
     """
     try:
         data = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except _READ_ERRORS as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise DataError(f"checkpoint {path} is not an npz archive")
     with data:
         try:
             meta = json.loads(bytes(data["__meta__"]).decode())
-        except (KeyError, ValueError) as exc:
+        except (KeyError, *_READ_ERRORS) as exc:
             raise DataError(f"checkpoint has no JSON __meta__ record: {exc}") from exc
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != CHECKPOINT_VERSION:
@@ -571,35 +581,43 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
         if any(key in data for key in tables):
             if not all(key in data for key in tables):
                 raise DataError(f"checkpoint missing initial tables {tables}")
-            params.set_initial_tables(*(data[key] for key in tables), trainable=kind == "param")
+            stored = [_stored_array(data, key) for key in tables]
+            params.set_initial_tables(*stored, trainable=kind == "param")
         shapes = {}
         for name, tensor, _ in params.named():
             key = f"param::{name}"
             if key not in data:
                 raise DataError(f"checkpoint missing parameter {name}")
-            stored = data[key]
+            stored = _stored_array(data, key)
             if stored.shape != tensor.value.shape:
                 raise DataError(
                     f"checkpoint shape mismatch for {name}: "
                     f"{stored.shape} vs {tensor.value.shape}"
                 )
-            tensor.value = stored.astype(np.float64)
+            np.copyto(tensor.value, stored)
             shapes[name] = stored.shape
         extra = [k for k in data.files if k.startswith("param::") and k.partition("::")[2] not in shapes]
         if extra:
             raise DataError(f"checkpoint has parameters {extra} that the model does not")
         moment_keys = [k for k in data.files if k.startswith(("moment_m::", "moment_v::"))]
+        views = {name: pair for name, _, _, pair in params.weights().layout}
         for name in dict.fromkeys(k.partition("::")[2] for k in moment_keys):
             if name not in shapes:
                 raise DataError(f"checkpoint has Adam moments for unknown parameter {name}")
             keys = (f"moment_m::{name}", f"moment_v::{name}")
             if not all(k in moment_keys for k in keys):
                 raise DataError(f"checkpoint has only one of the two Adam moments for {name}")
-            m, v = (data[k] for k in keys)
+            m, v = (_stored_array(data, k) for k in keys)
             if not m.shape == v.shape == shapes[name]:
                 raise DataError(
                     f"checkpoint moment shape mismatch for {name}: "
                     f"{m.shape} and {v.shape} vs {shapes[name]}"
                 )
-            params.moments[name] = (m, v)
+            if (v < 0).any():
+                raise DataError(f"checkpoint second moment {keys[1]} has negative entries")
+            if name in views:
+                for view, stored in zip(views[name], (m, v)):
+                    np.copyto(view, stored)
+            else:
+                params.moments[name] = (m, v)
     return params, meta.get("provenance")

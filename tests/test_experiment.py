@@ -467,6 +467,26 @@ class TestRun:
         assert {"ppr.k", "ppr.lam", "ppr.epsilon"} <= reads if ppr else "ppr.k" not in reads
         assert sorted(f for f in reads if not experiment._read_by_prepare_run(f)) == []
 
+    def test_a_loaded_checkpoint_is_views_into_its_buffer_bit_for_bit(self, film_dir, tmp_path):
+        cfg = small_config(film_dir, epochs=3)
+        dataset = load_dataset(cfg)
+        summary = run(cfg, keep_params=True, dataset=dataset)
+        path = tmp_path / "model.npz"
+        experiment.save_checkpoint(summary, dataset, path)
+        saved = summary.results[0].params.weights()
+        params, _ = train.load_params(
+            path, lambda provenance: experiment.init_model(experiment._trained_config(provenance, cfg), 0)
+        )
+        # read before weights() is called, which must find the load's values already its views
+        bound = {name: tensor.value for name, tensor, _ in params.named() if not name.startswith("h0/")}
+        buffer = params.weights()
+        assert sorted(bound) == sorted(name for name, *_ in buffer.layout)
+        for name, tensor, view, _ in buffer.layout:
+            assert bound[name] is view and tensor.value is view, name
+        assert params.step == cfg.epochs and saved.m.any() and saved.v.any()
+        for got, want in ((buffer.values, saved.values), (buffer.m, saved.m), (buffer.v, saved.v)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_siot_with_triples(self, siot_dir):
         cfg = ExperimentConfig(
             dataset=str(siot_dir),
@@ -1268,6 +1288,24 @@ def trained_checkpoint(film_dir, workdir):
     return path
 
 
+@pytest.fixture(scope="module")
+def frozen_checkpoint(film_dir, workdir):
+    path = workdir / "frozen.npz"
+    flags = [*checkpoint_run_flags(film_dir), "--train-initial", "false"]
+    assert cli_main(["run", *flags, "--checkpoint-out", str(path)]) == 0
+    return path
+
+
+# each corruption of a stored array, given the array and a draw of an entry
+ARRAY_CORRUPTIONS = {
+    "nan": lambda a, i: np.where(np.arange(a.size).reshape(a.shape) == i, np.nan, a),
+    "inf": lambda a, i: np.where(np.arange(a.size).reshape(a.shape) == i, -np.inf if i % 2 else np.inf, a),
+    "string": lambda a, i: a.astype(str),
+    "complex": lambda a, i: a + 0.5j,
+    "object": lambda a, i: a.astype(object),
+}
+
+
 class TestMalformedInput:
     @given(data=st.data())
     def test_config_field_of_another_type_is_one_config_error(self, film_dir, workdir, data):
@@ -1303,6 +1341,24 @@ class TestMalformedInput:
         rewrite_meta(ckpt, edited)
         rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
         assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and "checkpoint" in err
+
+    @given(data=st.data())
+    def test_checkpoint_array_of_a_wrong_kind_or_not_finite_is_one_data_error(
+        self, film_dir, workdir, trained_checkpoint, frozen_checkpoint, data
+    ):
+        kind = data.draw(st.sampled_from(["param", "frozen", "moment"]), label="kind")
+        source = frozen_checkpoint if kind == "frozen" else trained_checkpoint
+        with np.load(source) as stored:
+            arrays = dict(stored)
+        prefixes = {"param": ("param::",), "frozen": ("frozen::",), "moment": ("moment_m::", "moment_v::")}
+        key = data.draw(st.sampled_from(sorted(k for k in arrays if k.startswith(prefixes[kind]))), label="key")
+        corruption = data.draw(st.sampled_from(sorted(ARRAY_CORRUPTIONS)), label="corruption")
+        entry = data.draw(st.integers(0, arrays[key].size - 1), label="entry")
+        arrays[key] = ARRAY_CORRUPTIONS[corruption](arrays[key], entry)
+        ckpt = workdir / "corrupted.npz"
+        np.savez(ckpt, **arrays)
+        rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and key in err
 
     @given(data=st.data())
     def test_dataset_file_cut_at_any_byte_exits_0_or_2(self, film_dir, siot_dir, workdir, data):

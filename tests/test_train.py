@@ -1,5 +1,9 @@
+import ast
 import json
 import pickle
+import struct
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,11 @@ def builder(fixture, **kw):
 
     build.seen = seen
     return build
+
+
+def named_moments(params) -> dict:
+    """(m, v) by name: each weight's views into the buffer, then each trainable table's."""
+    return {**{name: pair for name, _, _, pair in params.weights().layout}, **params.moments}
 
 
 class TestForwardBackward:
@@ -199,7 +208,7 @@ class TestAdam:
         )
         adam_step(params, backward(tape))
         for name, tensor, _ in params.named():
-            m, v = params.moments[name]
+            m, v = named_moments(params)[name]
             assert m.shape == tensor.value.shape
             assert v.shape == tensor.value.shape
 
@@ -289,7 +298,7 @@ class TestAdamMatchesWholeArrayFormula:
                 assert np.array_equal(g, kept[id(g)])  # gradients are only read
         for name, tensor, _ in params.named():
             assert np.array_equal(bits(tensor.value), bits(values[name])), name
-            for got, want in zip(params.moments[name], moments[name]):
+            for got, want in zip(named_moments(params)[name], moments[name]):
                 assert np.array_equal(bits(got), bits(want)), name
 
     def test_checkpoint_round_trip_continues_identically(self, fixture, tmp_path):
@@ -308,7 +317,7 @@ class TestAdamMatchesWholeArrayFormula:
         assert loaded.step == params.step == 7
         for (name, a, _), (_, b, _) in zip(params.named(), loaded.named()):
             assert np.array_equal(bits(a.value), bits(b.value)), name
-            for x, y in zip(params.moments[name], loaded.moments[name]):
+            for x, y in zip(named_moments(params)[name], named_moments(loaded)[name]):
                 assert np.array_equal(bits(x), bits(y)), name
 
 
@@ -350,38 +359,11 @@ class TestFlatWeightBuffer:
                              lr=0.01, weight_decay=weight_decay, decays=decays)
             for name, tensor, _ in params.named():
                 assert np.array_equal(bits(tensor.value), bits(values[name])), (step, name)
-                for got, want in zip(params.moments[name], moments[name]):
+                for got, want in zip(named_moments(params)[name], moments[name]):
                     assert np.array_equal(bits(got), bits(want)), (step, name)
         if style == "siot":
             assert np.array_equal(params.h0_users.value, tables[0])
             assert np.array_equal(params.h0_objects.value, tables[1])
-
-    @pytest.mark.parametrize("rebind", ["values", "moments"])
-    def test_a_rebound_weight_is_still_updated(self, fixture, rebind):
-        rng = np.random.default_rng(44)
-        params = styled_params(fixture, "siot")
-        names = {id(t): n for n, t, _ in params.named()}
-        decays = {n: d for n, _, d in params.named()}
-        adam_step(params, drawn_grads(rng, params, 1))
-        rebound = [params.proj_user, params.gate.raw_gate, params.trustee.layers[1].gamma]
-        for tensor in rebound:
-            name = names[id(tensor)]
-            if rebind == "values":
-                tensor.value = tensor.value + 1.0
-            else:
-                params.moments[name] = tuple(2.0 * a for a in params.moments[name])
-        values = {n: t.value.copy() for n, t, _ in params.named()}
-        moments = {n: tuple(a.copy() for a in pair) for n, pair in params.moments.items()}
-        grads = drawn_grads(rng, params, 2)
-        adam_step(params, grads)
-        oracle_adam_step(values, moments, 2, {names[id(t)]: g for t, g in grads.items()},
-                         lr=0.005, weight_decay=5e-4, decays=decays)
-        buffer = params.weights()
-        for name, tensor, _ in params.named():
-            assert np.array_equal(bits(tensor.value), bits(values[name])), name
-            assert np.shares_memory(tensor.value, buffer.values), name
-            for got, want in zip(params.moments[name], moments[name]):
-                assert np.array_equal(bits(got), bits(want)), name
 
     def test_a_loaded_checkpoint_of_frozen_tables_continues_bitwise(self, fixture, tmp_path):
         # trainable tables are test_checkpoint_round_trip_continues_identically's
@@ -399,7 +381,7 @@ class TestFlatWeightBuffer:
         assert loaded.step == params.step == 7
         for (name, a, _), (_, b, _) in zip(params.named(), loaded.named(), strict=True):
             assert np.array_equal(bits(a.value), bits(b.value)), name
-            for x, y in zip(params.moments[name], loaded.moments[name]):
+            for x, y in zip(named_moments(params)[name], named_moments(loaded)[name]):
                 assert np.array_equal(bits(x), bits(y)), name
         assert np.array_equal(bits(loaded.h0_users.value), bits(params.h0_users.value))
 
@@ -419,8 +401,12 @@ class TestFlatWeightBuffer:
         for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
             assert np.array_equal(bits(t.value), bits(c.value)), name
 
-    @pytest.mark.parametrize("target", ["trustee/layer1/gamma", "predictor/bias", "h0/users"])
-    @pytest.mark.parametrize("rebind", [False, True], ids=["in_place", "rebound"])
+    # a weight is a view into the buffer for life; only a table may be rebound
+    @pytest.mark.parametrize(
+        ("rebind", "target"),
+        [(False, "trustee/layer1/gamma"), (False, "predictor/bias"), (False, "h0/users"), (True, "h0/users")],
+        ids=lambda x: {False: "in_place", True: "rebound"}.get(x, x),
+    )
     def test_a_non_finite_value_is_named(self, fixture, target, rebind):
         params = styled_params(fixture, "filmtrust")
         params.assert_finite()
@@ -430,6 +416,70 @@ class TestFlatWeightBuffer:
         tensor.value.reshape(-1)[-1] = np.inf
         with pytest.raises(NumericalError, match=f"^parameter {target} contains non-finite values$"):
             params.assert_finite()
+
+
+class ValueBindings(ast.NodeVisitor):
+    """(enclosing class and function names, line) of each binding of a ``.value`` attribute."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+    def visit_Attribute(self, node):
+        if node.attr == "value" and isinstance(node.ctx, (ast.Store, ast.Del)):
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        name = node.args[1] if len(node.args) > 1 else None
+        if getattr(node.func, "id", None) == "setattr" and getattr(name, "value", None) == "value":
+            self.found.append((".".join(self.scope), node.lineno))
+        self.generic_visit(node)
+
+
+def value_bindings(source: str) -> list:
+    visitor = ValueBindings()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+class TestValueBindingGuard:
+    ALLOWED = {("autodiff.py", "Tensor.__init__"), ("train.py", "WeightBuffer.pack")}
+
+    def test_only_construction_and_packing_bind_a_value(self):
+        # a weight is a view into the buffer for life: a rebound value would train apart from it
+        found = {
+            (path.name, scope, line)
+            for path in sorted(Path(train_mod.__file__).parent.glob("*.py"))
+            for scope, line in value_bindings(path.read_text())
+        }
+        assert {(name, scope) for name, scope, _ in found} >= self.ALLOWED
+        assert sorted(f for f in found if f[:2] not in self.ALLOWED) == []
+
+    def test_every_form_of_binding_is_seen(self):
+        source = """
+t.value = 1
+a, t.value = 1, 2
+t.value += 1
+t.value: float = 1
+for t.value in []: pass
+with f() as t.value: pass
+del t.value
+setattr(t, "value", 1)
+class C:
+    def f(self):
+        self.value = 1
+t.value[0] = 1
+t.value.shape = (1,)
+t.values = 1
+"""
+        assert value_bindings(source) == [("", line) for line in range(2, 10)] + [("C.f", 12)]
 
 
 class TestGradCheck:
@@ -580,6 +630,45 @@ class TestCheckpoint:
 
         self.trained_checkpoint(fixture, path, add_unknown)
         with pytest.raises(DataError, match="extra/weight"):
+            load_params(path, builder(fixture))
+
+    def test_a_negative_second_moment_is_a_data_error(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        key = "moment_v::trustor/layer0/gamma"
+
+        def negate(data):
+            data[key] = -1.0 - data[key]
+
+        self.trained_checkpoint(fixture, path, negate)
+        with pytest.raises(DataError, match=f"^checkpoint second moment {key} has negative entries$"):
+            load_params(path, builder(fixture))
+
+    def test_integer_arrays_load_as_float(self, fixture, tmp_path):
+        path = tmp_path / "model.npz"
+        ints = {"param::proj_user": np.int32, "moment_m::gate/raw": np.int64, "moment_v::gate/raw": np.uint8}
+
+        def to_integers(data):
+            for key, dtype in ints.items():
+                data[key] = np.round(100.0 * data[key]).astype(dtype)
+
+        self.trained_checkpoint(fixture, path, to_integers)
+        loaded, _ = load_params(path, builder(fixture))
+        with np.load(path) as stored:
+            assert np.array_equal(loaded.proj_user.value, stored["param::proj_user"])
+            for got, key in zip(named_moments(loaded)["gate/raw"], ("moment_m::gate/raw", "moment_v::gate/raw")):
+                assert got.dtype == np.float64 and np.array_equal(got, stored[key])
+
+    @pytest.mark.parametrize("key", ["__meta__", "param::proj_obj", "moment_v::gate/raw"])
+    def test_a_damaged_member_is_a_data_error(self, fixture, tmp_path, key):
+        path = tmp_path / "model.npz"
+        self.trained_checkpoint(fixture, path, lambda data: None)
+        with zipfile.ZipFile(path) as archive:
+            member = archive.getinfo(f"{key}.npy")
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack("<HH", raw[member.header_offset + 26 : member.header_offset + 30])
+        raw[member.header_offset + 30 + name_len + extra_len + member.compress_size - 1] ^= 0xFF
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=f"{key}.*Bad CRC-32"):
             load_params(path, builder(fixture))
 
     def test_version_check(self, fixture, tmp_path):
