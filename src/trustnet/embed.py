@@ -10,11 +10,11 @@ users fully decoupled, so identical corpora give identical vectors and
 the whole table is permutation-equivariant over user ids. It also lets
 all documents step in lockstep, one numpy update over the active
 documents per SGD step, while each document keeps its own RNG stream.
-Each document's events are drawn an epoch at a time, when it starts one,
-so the ids held do not grow with the number of epochs. Noise tokens are
-drawn from the unigram^0.75 distribution (Mikolov et al., 2013), looked
-up through an exact guide table (Chen & Asau, 1974) rather than a binary
-search per draw.
+Training runs epoch by epoch: every document's events are drawn at the
+start of each epoch, so the ids held do not grow with the number of
+epochs. Noise tokens are drawn from the unigram^0.75 distribution
+(Mikolov et al., 2013), looked up through an exact guide table (Chen &
+Asau, 1974) rather than a binary search per draw.
 
 Object vectors come from translation-based triple embedding trained with
 a margin ranking loss; aligned objects take their entity vector, the rest
@@ -119,17 +119,19 @@ def embed_users(
     Each document has its own RNG stream, seeded from its text. It draws,
     in order, the initial vector, the noise tokens of every event, and one
     token permutation per epoch. An event is one positive token followed
-    by ``negatives`` noise tokens, each an SGD step. All documents then
-    step in lockstep: step ``s`` applies the ``s``-th event of every
-    document that has one, as numpy updates over those documents' rows.
+    by ``negatives`` noise tokens, each an SGD step. Documents are
+    independent, so any schedule that keeps each document's own order of
+    events gives the same bits.
 
-    Events are drawn an epoch at a time. The stream is split after the
-    vector: the document's generator goes on to draw the noise, and a copy
-    advanced past every noise draw yields the permutations. A document of
-    ``L`` tokens starts epoch ``e`` at step ``e * L``; its ``L`` rows of
-    events are refilled then. The noise ids of the documents that start an
-    epoch at one step are looked up together, in runs of at most
-    ``_LOOKUP_EVENTS`` events (or one document's epoch).
+    Training runs epoch by epoch. The stream is split after the vector:
+    the document's generator goes on to draw the noise, and a copy
+    advanced past every noise draw yields the permutations. At the start
+    of each epoch every document's events are refilled, its noise ids
+    looked up together with other documents' in runs of at most
+    ``_LOOKUP_EVENTS`` events (or one document's epoch). Then all
+    documents step in lockstep: step ``s`` applies the ``s``-th event of
+    every document longer than ``s``, as numpy updates over those
+    documents' rows.
 
     Noise ids come from the unigram^0.75 CDF through a guide table of ``B``
     buckets, ``B`` the power of two at or above 8x the vocabulary size: a
@@ -137,8 +139,9 @@ def embed_users(
     draws in buckets holding several entries are binary-searched. The ids
     equal ``np.searchsorted(cdf, draws)``.
 
-    Memory: a (documents, longest document, 1 + negatives) int32 buffer of
-    each document's current epoch, whatever the number of epochs; two
+    Memory: a (longest document, documents, 1 + negatives) int32 buffer of
+    the current epoch's events, whatever the number of epochs, held
+    step-major so that one step's events are one contiguous block; two
     generators per document; the guide table, O(B); and one run's noise
     draws and lookup temporaries, O(negatives x max(_LOOKUP_EVENTS,
     longest document)).
@@ -186,49 +189,37 @@ def embed_users(
         noise_rngs.append(drng)
         perm_rngs.append(_advanced_copy(drng, lens[r] * epochs * negatives))
 
-    # events[r, i] holds document r's i-th event of its current epoch: the
+    # events[s, r] holds document r's s-th event of the current epoch: the
     # positive id, then the noise ids
     longest = lens[0] if order else 0
-    events = np.empty((len(order), longest, 1 + negatives), dtype=np.int32)
-    rows = events.reshape(-1, 1 + negatives)
-    base = np.arange(len(order)) * longest  # base[r] + s is document r's row at step s
-    # document r starts epoch e at step e * lens[r]; due[s] lists those starting at s
-    due = {0: list(range(len(order)))} if epochs else {}
-
-    def start_epoch(ranks, count, s):
-        """Fill the rows of documents ``ranks`` (``count`` events in all), which
-        start an epoch at step ``s``, looking up their noise ids in one call."""
-        draws = np.empty((count, negatives))
-        lo = 0
-        for r in ranks:
-            noise_rngs[r].random(out=draws[lo : lo + lens[r]])
-            lo += lens[r]
-        noise = _noise_ids(noise_cdf, guide, draws)
-        lo = 0
-        for r in ranks:
-            size = lens[r]
-            events[r, :size, 0] = perm_rngs[r].permutation(doc_ids[r])
-            events[r, :size, 1:] = noise[lo : lo + size]
-            lo += size
-            base[r] = r * longest - s
-            if s + size < size * epochs:
-                due.setdefault(s + size, []).append(r)
-
-    n = len(order)  # documents with events left, a prefix
-    for s in range(longest * epochs):
-        while lens[n - 1] * epochs <= s:
-            n -= 1
-        for ranks, count in _runs(due.pop(s, ()), lens):
-            start_epoch(ranks, count, s)
-        v = vecs[:n]
-        step = rows.take(base[:n] + s, axis=0)
-        u = token_vecs.take(step[:, 0], axis=0)
-        u *= (lr * (1.0 - logistic(_row_dot(v, u))))[:, None]
-        v += u
-        for noise in step[:, 1:].T:
-            un = token_vecs.take(noise, axis=0)
-            un *= (lr * logistic(_row_dot(v, un)))[:, None]
-            v -= un
+    events = np.empty((longest, len(order), 1 + negatives), dtype=np.int32)
+    for _ in range(epochs):
+        for ranks, count in _runs(range(len(order)), lens):
+            draws = np.empty((count, negatives))
+            lo = 0
+            for r in ranks:
+                noise_rngs[r].random(out=draws[lo : lo + lens[r]])
+                lo += lens[r]
+            noise = _noise_ids(noise_cdf, guide, draws)
+            lo = 0
+            for r in ranks:
+                size = lens[r]
+                events[:size, r, 0] = perm_rngs[r].permutation(doc_ids[r])
+                events[:size, r, 1:] = noise[lo : lo + size]
+                lo += size
+        n = len(order)  # documents longer than s, a prefix
+        for s in range(longest):
+            while lens[n - 1] <= s:
+                n -= 1
+            v = vecs[:n]
+            step = events[s, :n]
+            u = token_vecs.take(step[:, 0], axis=0)
+            u *= (lr * (1.0 - logistic(_row_dot(v, u))))[:, None]
+            v += u
+            for noise in step[:, 1:].T:
+                un = token_vecs.take(noise, axis=0)
+                un *= (lr * logistic(_row_dot(v, un)))[:, None]
+                v -= un
 
     out = np.zeros((len(docs), dim))
     out[order] = vecs

@@ -431,8 +431,8 @@ def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Run
         trainable = dataset.corpus is None
     else:
         trainable = config.train_initial
-    # the params keep a copy (Adam updates a trainable table in place), so
-    # training would otherwise hold each table twice
+    # the params copy a trainable table into their buffer, so training
+    # would otherwise hold it twice
     params.set_initial_tables(*tables, trainable=trainable)
     del tables
     return _train_loop(config, prep, params, run_seed)

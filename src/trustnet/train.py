@@ -35,11 +35,12 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 
 @dataclass(frozen=True)
 class WeightBuffer:
-    """Every model weight in one float64 buffer, and its Adam moments in two more.
+    """Every trainable tensor in one float64 buffer, and its Adam moments in two more.
 
-    A model weight is any tensor ``ModelParams.named()`` yields but the
-    initial tables. The decay-flagged weights come first, so decay applies
-    to ``values[:num_decay]``. Each weight's ``Tensor.value`` is a view into
+    The trainable tensors are those ``ModelParams.named()`` yields: the
+    model weights and, when they train, the initial tables. The
+    decay-flagged ones come first, so decay applies to
+    ``values[:num_decay]``. Each tensor's ``Tensor.value`` is a view into
     ``values`` for life, and its moments are views into ``m`` and ``v`` at
     the same offsets: writes go into the views, never rebind them.
     ``layout`` holds (name, tensor, value view, moment views) in buffer order.
@@ -78,10 +79,9 @@ class ModelParams:
     Weight decay applies to weight matrices, attention vectors, and
     trainable embedding tables; never to the fusion gate or biases.
 
-    The Adam update runs over parameter groups: one ``WeightBuffer`` of
-    every model weight and its moments, packed at construction and on
-    unpickling only, and each trainable initial table, whose moments
-    ``moments`` holds by name.
+    Every trainable tensor and its Adam moments live in one
+    ``WeightBuffer``, packed at construction, when ``set_initial_tables``
+    attaches tables, and on unpickling only. Frozen tables stay outside it.
     """
 
     fusion: str
@@ -94,11 +94,10 @@ class ModelParams:
     h0_users: Tensor | None = None
     h0_objects: Tensor | None = None
     step: int = 0
-    moments: dict = field(default_factory=dict)
     _buffer: WeightBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = sorted(self._named_weights(), key=lambda w: not w[2])  # stable: decay-flagged first
+        weights = sorted(self.named(), key=lambda w: not w[2])  # stable: decay-flagged first
         self._buffer = WeightBuffer.pack(weights)
 
     def __getstate__(self) -> dict:
@@ -111,7 +110,8 @@ class ModelParams:
         for moment, stored in zip((self._buffer.m, self._buffer.v), state["_buffer"]):
             np.copyto(moment, stored)
 
-    def _named_weights(self):
+    def named(self):
+        """Stable (name, tensor, decay) iteration over all trainables."""
         out = [
             ("proj_user", self.proj_user, True),
             ("proj_obj", self.proj_obj, True),
@@ -131,40 +131,40 @@ class ModelParams:
         out.append(("gate/raw", self.gate.raw_gate, False))
         out.append(("predictor/weight", self.predictor.weight, True))
         out.append(("predictor/bias", self.predictor.bias, False))
+        for name, table in (("h0/users", self.h0_users), ("h0/objects", self.h0_objects)):
+            if table is not None and table.requires_grad:
+                out.append((name, table, True))
         return out
 
-    def trainable_tables(self):
-        """(name, tensor) of each initial table that trains."""
-        tables = (("h0/users", self.h0_users), ("h0/objects", self.h0_objects))
-        return [(name, table) for name, table in tables if table is not None and table.requires_grad]
-
-    def named(self):
-        """Stable (name, tensor, decay) iteration over all trainables."""
-        return self._named_weights() + [(name, table, True) for name, table in self.trainable_tables()]
-
     def weights(self) -> WeightBuffer:
-        """The buffer that holds every model weight and its Adam moments."""
+        """The buffer that holds every trainable tensor and its Adam moments."""
         return self._buffer
 
     def assert_finite(self) -> None:
         """Raise ``NumericalError`` naming a parameter with a non-finite value.
 
-        One check covers the weight buffer and one each trainable table; the
-        parameters are searched one by one only when one fails.
+        One check covers the whole buffer; the parameters are searched one
+        by one only when it fails.
         """
-        arrays = [self.weights().values, *(table.value for _, table in self.trainable_tables())]
-        if all(np.isfinite(a).all() for a in arrays):
+        if np.isfinite(self.weights().values).all():
             return
         for name, tensor, _ in self.named():
             if not np.all(np.isfinite(tensor.value)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
 
     def set_initial_tables(self, h0_users, h0_objects, trainable: bool) -> None:
-        """Attach initial embedding tables; trainable tables join the tape."""
-        hu = np.asarray(h0_users.vectors if hasattr(h0_users, "vectors") else h0_users)
-        ho = np.asarray(h0_objects.vectors if hasattr(h0_objects, "vectors") else h0_objects)
-        self.h0_users = Tensor(hu.copy(), requires_grad=trainable, name="h0/users")
-        self.h0_objects = Tensor(ho.copy(), requires_grad=trainable, name="h0/objects")
+        """Attach copies of initial embedding tables and repack the buffer.
+
+        Trainable tables join the tape and the pack copies them into the
+        buffer; frozen ones are copied here and stay outside it. The repack
+        starts every Adam moment at zero, so tables are attached before
+        training.
+        """
+        copy = np.asarray if trainable else np.array
+        users, objects = (copy(getattr(t, "vectors", t)) for t in (h0_users, h0_objects))
+        self.h0_users = Tensor(users, requires_grad=trainable, name="h0/users")
+        self.h0_objects = Tensor(objects, requires_grad=trainable, name="h0/objects")
+        self.__post_init__()
 
 
 def _init_layer(rng, dim: int) -> LayerParams:
@@ -370,71 +370,46 @@ def adam_step(
 ) -> ModelParams:
     """In-place Adam update; L2 decay is added to decay-flagged gradients.
 
-    The update runs once per parameter group: over the weight buffer
-    (``ModelParams.weights()``) and its moments, then over each trainable
-    initial table and its moments in ``params.moments``. So the
-    number of array operations follows the number of groups, not of
-    weights. Each element goes through the operations of
+    The update runs once, over the whole buffer (``ModelParams.weights()``)
+    and its moments, so the number of array operations does not follow the
+    number of tensors. Each element goes through the operations of
     ``m = beta1 * m + (1 - beta1) * g`` and so on, in the same order as
     for a tensor updated on its own, so every bit is the same.
 
-    The decayed gradient and the step are formed in two scratch rows, as
-    long as the largest group, that every group reuses. The weights'
-    gradients are gathered into the first row with one ``concatenate``
-    (zeros for a weight without one), and the decay term is added onto
-    them; for a table, the gradient is added onto the decay term, the same
-    sum. The moments are updated in place. The arrays in ``grads`` are only
-    read: one may be shared by several tensors. The scratch is freed on
-    return rather than kept for the next step, so it does not add to the
-    memory held through the next forward.
+    The decayed gradient and the step are formed in two scratch rows as
+    long as the buffer. The gradients are gathered into the first row with
+    one ``concatenate`` (zeros for a tensor without one), and the decay
+    term is added onto them. The moments are updated in place. The arrays
+    in ``grads`` are only read: one may be shared by several tensors. The
+    scratch is freed on return rather than kept for the next step, so it
+    does not add to the memory held through the next forward.
     """
     params.step += 1
     t = params.step
     weights = params.weights()
-    tables = params.trainable_tables()
-    scratch = np.empty((2, max([weights.values.size, *(table.value.size for _, table in tables)])))
-
-    def update(value, m, v, g):
-        buf, step = (row[: value.size].reshape(value.shape) for row in scratch)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=step)
-        m += step
-        v *= beta2
-        np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v += step
-        # buf (the decayed gradient) is free again: it takes the v_hat root
-        np.divide(v, 1.0 - beta2**t, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += eps
-        np.divide(m, 1.0 - beta1**t, out=step)
-        step *= lr
-        step /= buf
-        value -= step
-
-    values, decayed = weights.values, slice(0, weights.num_decay)
-    g = scratch[0, : values.size]
+    values, m, v = weights.values, weights.m, weights.v
+    g, step = np.empty((2, values.size))
     np.concatenate([np.ravel(grads[tensor]) if tensor in grads else np.zeros(view.size)
                     for _, tensor, view, _ in weights.layout], out=g)
     if weight_decay:
-        term = scratch[1, decayed]
-        np.multiply(values[decayed], weight_decay, out=term)
-        g[decayed] += term
-    update(values, weights.m, weights.v, g)
-
-    for name, table in tables:
-        value = table.value
-        g = grads.get(table)
-        if g is None:
-            g = np.zeros_like(value)
-        if weight_decay:
-            buf = scratch[0, : value.size].reshape(value.shape)
-            np.multiply(value, weight_decay, out=buf)
-            buf += g
-            g = buf
-        if name not in params.moments:
-            params.moments[name] = (np.zeros_like(value), np.zeros_like(value))
-        update(value, *params.moments[name], g)
+        decayed = slice(0, weights.num_decay)
+        np.multiply(values[decayed], weight_decay, out=step[decayed])
+        g[decayed] += step[decayed]
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=step)
+    m += step
+    v *= beta2
+    np.multiply(g, g, out=step)
+    step *= 1.0 - beta2
+    v += step
+    # g (the decayed gradient) is free again: it takes the v_hat root
+    np.divide(v, 1.0 - beta2**t, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    np.divide(m, 1.0 - beta1**t, out=step)
+    step *= lr
+    step /= g
+    values -= step
     return params
 
 
@@ -515,15 +490,14 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
     a JSON-serialisable record of what the parameters were trained on,
     which ``load_params`` hands to its ``build`` and back unchanged.
     Initial tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
-    The weights' moments are read from the buffer, once Adam has stepped.
+    Every moment is read from the buffer's layout, once Adam has stepped.
     """
     meta = {"version": CHECKPOINT_VERSION, "step": params.step, "provenance": provenance}
     arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named()}
     if params.h0_users is not None and not params.h0_users.requires_grad:
         arrays["frozen::h0/users"] = params.h0_users.value
         arrays["frozen::h0/objects"] = params.h0_objects.value
-    weights = [(name, pair) for name, _, _, pair in params.weights().layout] if params.step else []
-    for name, (m, v) in [*weights, *params.moments.items()]:
+    for name, _, _, (m, v) in params.weights().layout if params.step else ():
         arrays[f"moment_m::{name}"] = m
         arrays[f"moment_v::{name}"] = v
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -547,15 +521,18 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
     """Fill ``build(provenance)``, fresh parameters without initial tables, from a checkpoint.
 
     Returns them and the provenance ``save_params`` stored. The initial
-    tables are attached, trainable or frozen, as the keys present say; the
-    weights and their moments are copied into the buffer's views.
+    tables are attached, trainable or frozen, as the keys present say, and
+    each is read once; every other parameter and every moment is copied
+    into its view in the buffer.
     Raises ``DataError`` for a file that is not a readable npz archive with
     a JSON ``__meta__`` record, an unknown version, a step that is not a
-    non-negative integer, one initial table without the other, a missing,
-    misshapen or unknown parameter, and Adam moments that lack their pair, are
-    misshapen or belong to no parameter; for an array that is not integer or
-    float, or has a non-finite entry, and for a negative second moment. Each
-    names the key; ``build`` may raise it too.
+    non-negative integer, one initial table without the other, a missing or
+    misshapen parameter, any array the model does not read (an unknown
+    key, a parameter or moment the model lacks, or frozen tables next to
+    trainable ones), and Adam moments that lack their pair or are
+    misshapen; for an array that is not integer or float, or has a
+    non-finite entry, and for a negative second moment. Each names the
+    key; ``build`` may raise it too.
     """
     try:
         data = np.load(path)
@@ -583,9 +560,15 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
                 raise DataError(f"checkpoint missing initial tables {tables}")
             stored = [_stored_array(data, key) for key in tables]
             params.set_initial_tables(*stored, trainable=kind == "param")
-        shapes = {}
+        prefixes = ("param", "moment_m", "moment_v")
+        known = {"__meta__", *tables, *(f"{p}::{name}" for name, _, _ in params.named() for p in prefixes)}
+        unknown = [key for key in data.files if key not in known]
+        if unknown:
+            raise DataError(f"checkpoint has arrays {unknown} that the model does not read")
         for name, tensor, _ in params.named():
             key = f"param::{name}"
+            if key in tables:  # attached above
+                continue
             if key not in data:
                 raise DataError(f"checkpoint missing parameter {name}")
             stored = _stored_array(data, key)
@@ -595,29 +578,20 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
                     f"{stored.shape} vs {tensor.value.shape}"
                 )
             np.copyto(tensor.value, stored)
-            shapes[name] = stored.shape
-        extra = [k for k in data.files if k.startswith("param::") and k.partition("::")[2] not in shapes]
-        if extra:
-            raise DataError(f"checkpoint has parameters {extra} that the model does not")
-        moment_keys = [k for k in data.files if k.startswith(("moment_m::", "moment_v::"))]
-        views = {name: pair for name, _, _, pair in params.weights().layout}
-        for name in dict.fromkeys(k.partition("::")[2] for k in moment_keys):
-            if name not in shapes:
-                raise DataError(f"checkpoint has Adam moments for unknown parameter {name}")
+        for name, tensor, _, views in params.weights().layout:
             keys = (f"moment_m::{name}", f"moment_v::{name}")
-            if not all(k in moment_keys for k in keys):
+            if not any(k in data for k in keys):
+                continue
+            if not all(k in data for k in keys):
                 raise DataError(f"checkpoint has only one of the two Adam moments for {name}")
             m, v = (_stored_array(data, k) for k in keys)
-            if not m.shape == v.shape == shapes[name]:
+            if not m.shape == v.shape == tensor.value.shape:
                 raise DataError(
                     f"checkpoint moment shape mismatch for {name}: "
-                    f"{m.shape} and {v.shape} vs {shapes[name]}"
+                    f"{m.shape} and {v.shape} vs {tensor.value.shape}"
                 )
             if (v < 0).any():
                 raise DataError(f"checkpoint second moment {keys[1]} has negative entries")
-            if name in views:
-                for view, stored in zip(views[name], (m, v)):
-                    np.copyto(view, stored)
-            else:
-                params.moments[name] = (m, v)
+            for view, array in zip(views, (m, v)):
+                np.copyto(view, array)
     return params, meta.get("provenance")

@@ -222,8 +222,9 @@ class TestEmbedUsersOracle:
     @pytest.mark.parametrize("lookup_events", [None, 3], ids=["default_runs", "runs_of_3"])
     @pytest.mark.parametrize("negatives", [0, 4])
     def test_epoch_refills_interleave(self, monkeypatch, negatives, lookup_events):
-        # in-vocabulary lengths 1, 2, 3, 7 and 40 start their epochs at steps
-        # that interleave; runs of 3 events split every step's lookups
+        # in-vocabulary lengths 1, 2, 3, 7 and 40 leave each epoch's steps at
+        # different points while the next epoch refills every document; runs
+        # of 3 events split each refill's lookups
         if lookup_events is not None:
             monkeypatch.setattr(embed_mod, "_LOOKUP_EVENTS", lookup_events)
         pool = [f"w{i}" for i in range(10)]

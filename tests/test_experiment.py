@@ -478,8 +478,9 @@ class TestRun:
             path, lambda provenance: experiment.init_model(experiment._trained_config(provenance, cfg), 0)
         )
         # read before weights() is called, which must find the load's values already its views
-        bound = {name: tensor.value for name, tensor, _ in params.named() if not name.startswith("h0/")}
+        bound = {name: tensor.value for name, tensor, _ in params.named()}
         buffer = params.weights()
+        assert {"h0/users", "h0/objects"} <= set(bound)
         assert sorted(bound) == sorted(name for name, *_ in buffer.layout)
         for name, tensor, view, _ in buffer.layout:
             assert bound[name] is view and tensor.value is view, name
@@ -1359,6 +1360,27 @@ class TestMalformedInput:
         np.savez(ckpt, **arrays)
         rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
         assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"junk::x": np.array([np.nan])},
+            {"moment_x::proj_user": np.array(["string"])},
+            {"frozen::h0/users": np.zeros((2, 2)), "frozen::h0/objects": np.zeros((2, 2))},
+        ],
+        ids=["junk_nan", "misspelt_moment_string", "frozen_next_to_trainable_tables"],
+    )
+    def test_a_checkpoint_array_the_model_does_not_read_is_one_data_error(
+        self, film_dir, workdir, trained_checkpoint, extra
+    ):
+        with np.load(trained_checkpoint) as stored:
+            arrays = dict(stored)
+        assert "param::h0/users" in arrays and not set(extra) & set(arrays)
+        ckpt = workdir / "extra.npz"
+        np.savez(ckpt, **arrays, **extra)
+        rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1
+        assert next(iter(extra)) in err
 
     @given(data=st.data())
     def test_dataset_file_cut_at_any_byte_exits_0_or_2(self, film_dir, siot_dir, workdir, data):

@@ -54,8 +54,8 @@ def builder(fixture, **kw):
 
 
 def named_moments(params) -> dict:
-    """(m, v) by name: each weight's views into the buffer, then each trainable table's."""
-    return {**{name: pair for name, _, _, pair in params.weights().layout}, **params.moments}
+    """(m, v) by name: each trainable's views into the buffer."""
+    return {name: pair for name, _, _, pair in params.weights().layout}
 
 
 class TestForwardBackward:
@@ -325,7 +325,8 @@ class TestFlatWeightBuffer:
     def test_weights_are_views_into_one_buffer_decay_flagged_first(self, fixture):
         params = styled_params(fixture, "filmtrust")
         buffer = params.weights()
-        weights = [(n, t, d) for n, t, d in params.named() if not n.startswith("h0/")]
+        weights = params.named()
+        assert {"h0/users", "h0/objects"} <= {name for name, *_ in weights}
         assert [name for name, *_ in buffer.layout] == [n for n, _, d in weights if d] + [
             n for n, _, d in weights if not d
         ]
@@ -338,12 +339,9 @@ class TestFlatWeightBuffer:
             start = end
         assert start == buffer.values.size
         assert buffer.num_decay == sum(t.value.size for _, t, d in weights if d)
-        for _, table, _ in params.named()[len(weights):]:
-            assert not np.shares_memory(table.value, buffer.values)
 
-    # FilmTrust-style parameters (trainable tables) are test_twenty_steps_bitwise's
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0], ids=["decay", "no_decay"])
-    @pytest.mark.parametrize("style", ["siot", "scalars"])
+    @pytest.mark.parametrize("style", ["siot", "filmtrust", "scalars"])
     def test_steps_are_bitwise_the_whole_array_formula(self, fixture, style, weight_decay):
         rng = np.random.default_rng(43)
         params = styled_params(fixture, style)
@@ -387,32 +385,29 @@ class TestFlatWeightBuffer:
 
     def test_a_pickled_copy_trains_like_the_original(self, fixture):
         rng = np.random.default_rng(46)
-        params = styled_params(fixture, "siot")
-        adam_step(params, drawn_grads(rng, params, 1))
-        copy = pickle.loads(pickle.dumps(params))
-        before = {n: t.value.copy() for n, t, _ in params.named()}
-        grads = drawn_grads(rng, copy, 2)
-        adam_step(copy, grads)
-        for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
-            assert np.array_equal(t.value, before[name]), name  # the original does not move
-            assert np.shares_memory(c.value, copy.weights().values), name
-        by_name = {n: grads.get(t) for n, t, _ in copy.named()}
-        adam_step(params, {t: by_name[n] for n, t, _ in params.named() if by_name[n] is not None})
-        for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
-            assert np.array_equal(bits(t.value), bits(c.value)), name
+        for style in ("siot", "filmtrust"):
+            params = styled_params(fixture, style)
+            adam_step(params, drawn_grads(rng, params, 1))
+            copy = pickle.loads(pickle.dumps(params))
+            before = {n: t.value.copy() for n, t, _ in params.named()}
+            grads = drawn_grads(rng, copy, 2)
+            adam_step(copy, grads)
+            for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
+                assert np.array_equal(t.value, before[name]), (style, name)  # the original does not move
+                assert np.shares_memory(c.value, copy.weights().values), (style, name)
+            by_name = {n: grads.get(t) for n, t, _ in copy.named()}
+            adam_step(params, {t: by_name[n] for n, t, _ in params.named() if by_name[n] is not None})
+            for (name, t, _), (_, c, _) in zip(params.named(), copy.named()):
+                assert np.array_equal(bits(t.value), bits(c.value)), (style, name)
 
-    # a weight is a view into the buffer for life; only a table may be rebound
+    # every trainable is a view into the buffer for life, so one check of the buffer covers it
     @pytest.mark.parametrize(
-        ("rebind", "target"),
-        [(False, "trustee/layer1/gamma"), (False, "predictor/bias"), (False, "h0/users"), (True, "h0/users")],
-        ids=lambda x: {False: "in_place", True: "rebound"}.get(x, x),
+        "target", ["trustee/layer1/gamma", "predictor/bias", "h0/users"], ids=lambda x: f"in_place-{x}"
     )
-    def test_a_non_finite_value_is_named(self, fixture, target, rebind):
+    def test_a_non_finite_value_is_named(self, fixture, target):
         params = styled_params(fixture, "filmtrust")
         params.assert_finite()
         tensor = {n: t for n, t, _ in params.named()}[target]
-        if rebind:
-            tensor.value = tensor.value.copy()
         tensor.value.reshape(-1)[-1] = np.inf
         with pytest.raises(NumericalError, match=f"^parameter {target} contains non-finite values$"):
             params.assert_finite()
@@ -718,6 +713,20 @@ class TestCheckpoint:
         for got, want in ((loaded.h0_users, fixture.h0_users), (loaded.h0_objects, fixture.h0_objects)):
             assert got.requires_grad is trainable
             assert np.array_equal(got.value, want)
+
+    @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+    def test_each_stored_array_is_read_once(self, fixture, tmp_path, monkeypatch, trainable):
+        params = fresh_params(fixture, seed=27)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        adam_step(params, {})
+        path = tmp_path / "model.npz"
+        save_params(params, path)
+        reads, exact = [], train_mod._stored_array
+        monkeypatch.setattr(train_mod, "_stored_array", lambda data, key: reads.append(key) or exact(data, key))
+        load_params(path, builder(fixture))
+        with np.load(path) as stored:
+            assert sorted(reads) == sorted(key for key in stored.files if key != "__meta__")
+        assert {f"{'param' if trainable else 'frozen'}::h0/users", "moment_v::gate/raw"} <= set(reads)
 
     @pytest.mark.parametrize("kind", ["param", "frozen"])
     def test_one_initial_table_without_the_other_is_a_data_error(self, fixture, tmp_path, kind):
