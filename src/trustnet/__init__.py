@@ -5,10 +5,10 @@ Library layout:
 - ``graph``: typed user/object graph, dataset loaders, role views, splits
 - ``embed``: comment-based user vectors, translation-based entity vectors
 - ``ppr``: sparse forward-push personalized PageRank and top-k trust augmentation
-- ``conv``: dual-role attention convolution and gated fusion
+- ``conv``: dual-role attention convolution
 - ``predict``: pairwise trust head, loss, classification metrics
-- ``train``: autodiff-driven training loop, Adam, gradient checking
-- ``experiment``: config-driven runs, ablations, sweeps
+- ``train``: parameters, forward pass with gated fusion, Adam, gradient checking, checkpoints
+- ``experiment``: config-driven runs and their training loop, ablations, sweeps
 - ``fixtures``: deterministic synthetic dataset generators
 - ``cli``: the ``trustnet`` command
 """

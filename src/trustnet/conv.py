@@ -27,7 +27,8 @@ contributions in place.
 
 Two stacked layers per role; the trustor view propagates along outgoing
 trust, the trustee view along incoming trust. The last layer computes only
-the user rows, which a learned sigmoid gate fuses elementwise.
+the user rows, which ``train.gate_fusion``'s learned sigmoid gate fuses
+elementwise.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import GraphView, Role
+from .graph import GraphView
 
 LEAKY_SLOPE = 0.2
 
@@ -52,21 +53,6 @@ class LayerParams:
     eta_user: Tensor  # (2d,), type-attention vector for the user type
     eta_obj: Tensor  # (2d,)
     gamma: Tensor  # (2d,), node-attention vector
-
-
-@dataclass
-class RoleEncoder:
-    """Stack of convolution layers bound to one role's view."""
-
-    role: Role
-    layers: list[LayerParams]
-
-
-@dataclass
-class GateParams:
-    """Raw (pre-sigmoid) fusion gate over the latent dimension."""
-
-    raw_gate: Tensor
 
 
 # ---------------------------------------------------------------------------

@@ -42,27 +42,6 @@ _LOOKUP_EVENTS = 4096
 
 
 @dataclass(frozen=True)
-class EmbeddingTable:
-    """Dense per-node vectors for one pipeline stage."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
-        if self.vectors.ndim != 2:
-            raise DataError("embedding table must be 2-D (nodes x dim)")
-        if not np.all(np.isfinite(self.vectors)):
-            raise DataError("embedding table contains non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
 class KnowledgeTriple:
     head: int
     relation: int
@@ -108,8 +87,8 @@ def embed_users(
     lr: float = 0.05,
     negatives: int = 5,
     min_count: int = 2,
-) -> EmbeddingTable:
-    """Train one vector per user from their concatenated comments.
+) -> np.ndarray:
+    """A (users, dim) array: one vector per user, trained on their concatenated comments.
 
     ``corpus`` holds one entry per user: a string or a list of comment
     strings. Vocabulary keeps tokens appearing at least ``min_count``
@@ -223,7 +202,7 @@ def embed_users(
 
     out = np.zeros((len(docs), dim))
     out[order] = vecs
-    return EmbeddingTable(out)
+    return out
 
 
 def _advanced_copy(rng: np.random.Generator, draws: int) -> np.random.Generator:
@@ -303,8 +282,13 @@ def _row_dot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
-    """Read precomputed user vectors: one line ``user_id v1 ... vd`` per user."""
+def load_user_vectors(path, num_users: int, dim: int) -> np.ndarray:
+    """A (users, dim) array of precomputed user vectors, one line ``user_id v1 ... vd`` each.
+
+    A line with the wrong width, a non-numeric or non-finite field, an id
+    out of range or a repeated id is a ``ParseError`` naming the file and
+    line; a user without a line is a ``DataError``.
+    """
     path = Path(path)
     vecs = np.zeros((num_users, dim))
     seen_at = np.zeros(num_users, dtype=np.int64)  # line of each user's vector, 0 if none yet
@@ -323,6 +307,8 @@ def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
             vals = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad numeric field") from exc
+        if not np.isfinite(vals).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value")
         if not 0 <= uid < num_users:
             raise ParseError(f"{path}:{lineno}: user id {uid} out of range")
         if seen_at[uid]:
@@ -332,7 +318,7 @@ def load_user_vectors(path, num_users: int, dim: int) -> EmbeddingTable:
     if not seen_at.all():
         missing = int(np.flatnonzero(seen_at == 0)[0])
         raise DataError(f"user vector file {path} is missing user {missing}")
-    return EmbeddingTable(vecs)
+    return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +400,8 @@ def init_objects(
     model: TransEModel,
     dim: int,
     seed: int = 0,
-) -> EmbeddingTable:
-    """Initial object vectors: entity vectors where aligned, else random.
+) -> np.ndarray:
+    """Initial (objects, dim) object vectors: entity vectors where aligned, else random.
 
     ``alignment`` maps local object id (0..num_objects-1) to an entity id
     in ``model``. Unaligned objects keep their rows of
@@ -423,16 +409,16 @@ def init_objects(
     """
     if model.dim != dim:
         raise DataError(f"model dim {model.dim} does not match requested dim {dim}")
-    vecs = random_table(graph.num_objects, dim, seed).vectors
+    vecs = random_table(graph.num_objects, dim, seed)
     for obj, entity in alignment.items():
         vecs[obj] = model.entity_vectors[entity]
-    return EmbeddingTable(vecs)
+    return vecs
 
 
-def random_table(count: int, dim: int, seed: int) -> EmbeddingTable:
-    """Seeded unit-norm random vectors (featureless-node fallback)."""
+def random_table(count: int, dim: int, seed: int) -> np.ndarray:
+    """Seeded unit-norm random vectors (featureless-node fallback), a (count, dim) array."""
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(_unit_rows(rng.normal(size=(count, dim))))
+    return _unit_rows(rng.normal(size=(count, dim)))
 
 
 def load_triples(path) -> tuple[list[KnowledgeTriple], dict[str, int], dict[str, int]]:

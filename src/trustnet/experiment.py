@@ -304,6 +304,8 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
         }
         if not config.triples.full_kg:
             triples = embed_mod.filter_object_head_triples(triples, set(alignment.values()))
+        if not alignment or not triples:
+            raise DataError(f"no triple in {triple_path} reaches an object of {path / 'objects.csv'}")
         dataset.alignment = alignment
         dataset.triples = triples
         dataset.num_entities = len(entities)
@@ -349,7 +351,7 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
     else:
         h0_users = embed_mod.random_table(nu, config.user_dim, seeds["user_embed"])
 
-    if config.triples.enabled and dataset.triples:
+    if config.triples.enabled:
         model = embed_mod.transe_train(
             dataset.triples,
             dataset.num_entities,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .conv import GateParams, LayerParams, RoleEncoder, layer_forward
+from .conv import LayerParams, layer_forward
 from .errors import DataError, NumericalError
 from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
@@ -76,8 +76,10 @@ class WeightBuffer:
 class ModelParams:
     """All trainable tensors plus Adam state.
 
-    Weight decay applies to weight matrices, attention vectors, and
-    trainable embedding tables; never to the fusion gate or biases.
+    ``trustor`` and ``trustee`` hold that role's layers, or None when it is
+    off; ``gate`` is the raw (pre-sigmoid) fusion gate. Weight decay applies
+    to weight matrices, attention vectors, and trainable embedding tables;
+    never to the fusion gate or biases.
 
     Every trainable tensor and its Adam moments live in one
     ``WeightBuffer``, packed at construction, when ``set_initial_tables``
@@ -87,9 +89,9 @@ class ModelParams:
     fusion: str
     proj_user: Tensor
     proj_obj: Tensor
-    trustor: RoleEncoder | None
-    trustee: RoleEncoder | None
-    gate: GateParams
+    trustor: list[LayerParams] | None
+    trustee: list[LayerParams] | None
+    gate: Tensor
     predictor: PredictorParams
     h0_users: Tensor | None = None
     h0_objects: Tensor | None = None
@@ -116,10 +118,8 @@ class ModelParams:
             ("proj_user", self.proj_user, True),
             ("proj_obj", self.proj_obj, True),
         ]
-        for role_name, enc in (("trustor", self.trustor), ("trustee", self.trustee)):
-            if enc is None:
-                continue
-            for li, lp in enumerate(enc.layers):
+        for role_name, layers in (("trustor", self.trustor), ("trustee", self.trustee)):
+            for li, lp in enumerate(layers or ()):
                 base = f"{role_name}/layer{li}"
                 out += [
                     (f"{base}/w_user", lp.w_user, True),
@@ -128,7 +128,7 @@ class ModelParams:
                     (f"{base}/eta_obj", lp.eta_obj, True),
                     (f"{base}/gamma", lp.gamma, True),
                 ]
-        out.append(("gate/raw", self.gate.raw_gate, False))
+        out.append(("gate/raw", self.gate, False))
         out.append(("predictor/weight", self.predictor.weight, True))
         out.append(("predictor/bias", self.predictor.bias, False))
         for name, table in (("h0/users", self.h0_users), ("h0/objects", self.h0_objects)):
@@ -153,7 +153,7 @@ class ModelParams:
                 raise NumericalError(f"parameter {name} contains non-finite values")
 
     def set_initial_tables(self, h0_users, h0_objects, trainable: bool) -> None:
-        """Attach copies of initial embedding tables and repack the buffer.
+        """Attach copies of the initial (rows, dim) arrays and repack the buffer.
 
         Trainable tables join the tape and the pack copies them into the
         buffer; frozen ones are copied here and stay outside it. The repack
@@ -161,7 +161,7 @@ class ModelParams:
         training.
         """
         copy = np.asarray if trainable else np.array
-        users, objects = (copy(getattr(t, "vectors", t)) for t in (h0_users, h0_objects))
+        users, objects = copy(h0_users), copy(h0_objects)
         self.h0_users = Tensor(users, requires_grad=trainable, name="h0/users")
         self.h0_objects = Tensor(objects, requires_grad=trainable, name="h0/objects")
         self.__post_init__()
@@ -202,12 +202,12 @@ def init_params(
     proj_obj = Tensor(_glorot(rng, object_dim, role_dim, (object_dim, role_dim)))
     # the trustor's layers draw from rng before the trustee's
     trustor, trustee = (
-        RoleEncoder(role, [_init_layer(rng, role_dim) for _ in range(num_layers)]) if enabled else None
-        for role, enabled in ((Role.TRUSTOR, trustor_enabled), (Role.TRUSTEE, trustee_enabled))
+        [_init_layer(rng, role_dim) for _ in range(num_layers)] if enabled else None
+        for enabled in (trustor_enabled, trustee_enabled)
     )
     # alternating-sign start biases alternate dimensions toward opposite
     # roles; a symmetric 0.5 start mixes the roles' gradients early on
-    gate = GateParams(Tensor(np.where(np.arange(role_dim) % 2 == 0, 1.0, -1.0)))
+    gate = Tensor(np.where(np.arange(role_dim) % 2 == 0, 1.0, -1.0))
     weight = Tensor(_glorot(rng, 2 * latent_dim, 2, (2 * latent_dim, 2)))
     predictor = PredictorParams(weight, Tensor(np.zeros(2)))
     return ModelParams(
@@ -285,6 +285,9 @@ def input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor
 def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     """Tape-aware pipeline up to the fused per-user embeddings.
 
+    ``h0_users`` and ``h0_objects`` are (rows, dim) arrays or tensors, or
+    None for the tables attached to ``params``.
+
     Records one entry for the input projection (``input_projection``,
     both tables' products in one array), one per convolution layer and one
     for the fusion (``gate_fusion`` or ``ad.concat_cols``) when both roles
@@ -293,31 +296,29 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     nothing downstream reads, are never formed.
     """
     hu, ho = (
-        kept if given is None else ad.as_tensor(getattr(given, "vectors", given))
+        kept if given is None else ad.as_tensor(given)
         for given, kept in ((h0_users, params.h0_users), (h0_objects, params.h0_objects))
     )
     if hu is None or ho is None:
         raise DataError("initial embeddings missing: pass tables or attach them to params")
 
     h0 = input_projection(hu, ho, params.proj_user, params.proj_obj)
-    role_users = {}
-    for enc in (params.trustor, params.trustee):
-        if enc is None:
+    role_users = []
+    for role, layers in ((Role.TRUSTOR, params.trustor), (Role.TRUSTEE, params.trustee)):
+        if layers is None:
             continue
-        view = views[enc.role]
-        *inner, last = enc.layers
+        view = views[role]
+        *inner, last = layers
         h = h0
         for layer in inner:
             h = layer_forward(h, view, layer)
-        role_users[enc.role] = layer_forward(h, view, last, out_rows=view.num_users)
+        role_users.append(layer_forward(h, view, last, out_rows=view.num_users))
 
     if len(role_users) == 2:
-        z_tor = role_users[Role.TRUSTOR]
-        z_tee = role_users[Role.TRUSTEE]
         if params.fusion == "concat":
-            return ad.concat_cols(z_tor, z_tee)
-        return gate_fusion(z_tor, z_tee, params.gate.raw_gate)
-    (only,) = role_users.values()
+            return ad.concat_cols(*role_users)
+        return gate_fusion(*role_users, params.gate)
+    (only,) = role_users
     return only
 
 
@@ -331,8 +332,6 @@ def forward(
 ) -> tuple[float, Tape]:
     """Full pipeline loss over ``(trustor, trustee, label)`` arrays; returns the recording tape."""
     i, j, y = samples
-    if len(y) == 0:
-        raise DataError("forward needs a non-empty sample batch")
     with Tape() as tape:
         z = fused_users(views, params, h0_users, h0_objects)
         loss = pair_loss(z, i, j, y, params.predictor)

@@ -11,8 +11,7 @@ import scipy.sparse as sp
 from trustnet import autodiff as ad
 from trustnet import conv, experiment, train
 from trustnet.autodiff import Tape, Tensor
-from trustnet.conv import LEAKY_SLOPE, GateParams, LayerParams, RoleEncoder, layer_forward
-from trustnet.embed import EmbeddingTable
+from trustnet.conv import LEAKY_SLOPE, LayerParams, layer_forward
 from trustnet.errors import DataError
 from trustnet.experiment import ExperimentConfig
 from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
@@ -32,26 +31,17 @@ from test_predict import chain_pair_loss, frozen
 # per-node oracles and inference wrappers around the production layer
 
 
-def _vectors(table) -> np.ndarray:
-    if isinstance(table, EmbeddingTable):
-        return table.vectors
-    if isinstance(table, Tensor):
-        return table.value
-    return np.asarray(table, dtype=np.float64)
-
-
 def adjacency(view: GraphView) -> sp.csr_matrix:
     """The view's whole normalized adjacency: its user and object column parts."""
     return (view.s_user + view.s_obj).tocsr()
 
 
-def type_embedding(target: int, node_type: int, view: GraphView, table) -> np.ndarray:
+def type_embedding(target: int, node_type: int, view: GraphView, h: np.ndarray) -> np.ndarray:
     """Sum of normalized-adjacency-weighted neighbors of one type.
 
     Includes the self-loop when the target's own type matches; returns a
     zero vector when the target has no neighbors of that type.
     """
-    h = _vectors(table)
     row = adjacency(view).getrow(target)
     out = np.zeros(h.shape[1])
     for j, a in zip(row.indices, row.data):
@@ -80,7 +70,7 @@ def type_attention(h_target: np.ndarray, type_embeddings: dict, params: LayerPar
 def node_attention(
     target: int,
     neighbors,
-    table,
+    h: np.ndarray,
     type_weights: dict,
     params: LayerParams,
     num_users: int | None = None,
@@ -91,7 +81,6 @@ def node_attention(
     self-loop term); an empty list degenerates to the self contribution
     and returns the single weight 1.
     """
-    h = _vectors(table)
     if num_users is None:
         num_users = h.shape[0]
     neighbors = list(neighbors)
@@ -109,36 +98,31 @@ def node_attention(
     return ex / ex.sum()
 
 
-def propagate_layer(table, view: GraphView, params: LayerParams) -> EmbeddingTable:
+def propagate_layer(h: np.ndarray, view: GraphView, params: LayerParams) -> np.ndarray:
     """Inference-time single production layer: plain arrays in, plain arrays out."""
-    h = Tensor(_vectors(table), requires_grad=False)
-    return EmbeddingTable(layer_forward(h, view, params).value)
+    return layer_forward(Tensor(h, requires_grad=False), view, params).value
 
 
-def encode_role(
-    graph: HeteroGraph, view: GraphView, table, encoder: RoleEncoder
-) -> EmbeddingTable:
+def encode_role(view: GraphView, h: np.ndarray, layers: list[LayerParams]) -> np.ndarray:
     """Stacked production layers over one role's view (all nodes, users and objects)."""
-    if view.role is not encoder.role:
-        raise DataError(f"view role {view.role} does not match encoder role {encoder.role}")
-    h = Tensor(_vectors(table), requires_grad=False)
-    for layer in encoder.layers:
-        h = layer_forward(h, view, layer)
-    return EmbeddingTable(h.value)
+    x = Tensor(h, requires_grad=False)
+    for layer in layers:
+        x = layer_forward(x, view, layer)
+    return x.value
 
 
-def gate_effective(gate: GateParams) -> np.ndarray:
+def gate_effective(raw_gate: Tensor) -> np.ndarray:
     """The fusion gate after its sigmoid, g = 1 / (1 + exp(-raw))."""
-    return 1.0 / (1.0 + np.exp(-gate.raw_gate.value))
+    return 1.0 / (1.0 + np.exp(-raw_gate.value))
 
 
-def fuse(h_trustor, h_trustee, gate: GateParams) -> np.ndarray:
+def fuse(h_trustor, h_trustee, raw_gate: Tensor) -> np.ndarray:
     """Elementwise convex combination g*h + (1-g)*h_bar with g = sigmoid(gate)."""
     a = np.asarray(h_trustor, dtype=np.float64)
     b = np.asarray(h_trustee, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"fuse expects matching shapes, got {a.shape} and {b.shape}")
-    g = gate_effective(gate)
+    g = gate_effective(raw_gate)
     if g.shape[0] != a.shape[-1]:
         raise DataError(f"gate dim {g.shape[0]} does not match embedding dim {a.shape[-1]}")
     return g * a + (1.0 - g) * b
@@ -429,14 +413,14 @@ class TestLayerForward:
         out = propagate_layer(h, view, lp)
         # beta_ii = 1, W = I: output is ELU(h)
         expected = np.where(h >= 0, h, np.exp(h) - 1)
-        assert np.allclose(out.vectors, expected)
+        assert np.allclose(out, expected)
 
     def test_zero_input_gives_zero_output(self, fixture_graph):
         rng = np.random.default_rng(8)
         lp = make_layer(rng, 3)
         view = build_view(fixture_graph, [], Role.TRUSTOR)
         out = propagate_layer(np.zeros((6, 3)), view, lp)
-        assert np.allclose(out.vectors, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_matches_per_node_reference(self, fixture_graph):
         rng = np.random.default_rng(9)
@@ -444,7 +428,7 @@ class TestLayerForward:
         for role in (Role.TRUSTOR, Role.TRUSTEE):
             view = build_view(fixture_graph, [(2, 0)], role)
             h = rng.normal(size=(6, 3))
-            fast = propagate_layer(h, view, lp).vectors
+            fast = propagate_layer(h, view, lp)
             slow = reference_layer(h, view, lp)
             assert np.allclose(fast, slow, atol=1e-7)
 
@@ -465,7 +449,7 @@ class TestLayerForward:
             lp = make_layer(rng, d)
             h = rng.normal(size=(nu + no, d))
             assert np.allclose(
-                propagate_layer(h, view, lp).vectors,
+                propagate_layer(h, view, lp),
                 reference_layer(h, view, lp),
                 atol=1e-7,
             )
@@ -487,50 +471,45 @@ class TestEncodeRole:
     def test_symmetric_trust_makes_roles_identical(self):
         sym = [(0, 1), (1, 0), (2, 3), (3, 2)]
         g, layers, h0 = self._setup(sym)
-        tor = encode_role(g, build_view(g, [], Role.TRUSTOR), h0, RoleEncoder(Role.TRUSTOR, layers))
-        tee = encode_role(g, build_view(g, [], Role.TRUSTEE), h0, RoleEncoder(Role.TRUSTEE, layers))
-        assert np.array_equal(tor.vectors, tee.vectors)
+        tor = encode_role(build_view(g, [], Role.TRUSTOR), h0, layers)
+        tee = encode_role(build_view(g, [], Role.TRUSTEE), h0, layers)
+        assert np.array_equal(tor, tee)
 
     def test_no_trust_edges_identical_roles(self):
         g, layers, h0 = self._setup([])
-        tor = encode_role(g, build_view(g, [], Role.TRUSTOR), h0, RoleEncoder(Role.TRUSTOR, layers))
-        tee = encode_role(g, build_view(g, [], Role.TRUSTEE), h0, RoleEncoder(Role.TRUSTEE, layers))
-        assert np.array_equal(tor.vectors, tee.vectors)
+        tor = encode_role(build_view(g, [], Role.TRUSTOR), h0, layers)
+        tee = encode_role(build_view(g, [], Role.TRUSTEE), h0, layers)
+        assert np.array_equal(tor, tee)
 
     def test_directed_trust_separates_roles(self):
         g, layers, h0 = self._setup([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
-        tor = encode_role(g, build_view(g, [], Role.TRUSTOR), h0, RoleEncoder(Role.TRUSTOR, layers))
-        tee = encode_role(g, build_view(g, [], Role.TRUSTEE), h0, RoleEncoder(Role.TRUSTEE, layers))
-        assert np.abs(tor.vectors - tee.vectors).max() > 1e-6
-
-    def test_role_mismatch_rejected(self):
-        g, layers, h0 = self._setup([(0, 1)])
-        with pytest.raises(DataError):
-            encode_role(g, build_view(g, [], Role.TRUSTOR), h0, RoleEncoder(Role.TRUSTEE, layers))
+        tor = encode_role(build_view(g, [], Role.TRUSTOR), h0, layers)
+        tee = encode_role(build_view(g, [], Role.TRUSTEE), h0, layers)
+        assert np.abs(tor - tee).max() > 1e-6
 
 
 class TestFuse:
     def test_saturated_gate_selects_trustor(self):
-        gate = GateParams(Tensor(np.full(3, 40.0)))
+        gate = Tensor(np.full(3, 40.0))
         a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, -3.0])
         assert np.allclose(fuse(a, b, gate), a)
 
     def test_zero_gate_averages(self):
-        gate = GateParams(Tensor(np.zeros(3)))
+        gate = Tensor(np.zeros(3))
         a, b = np.array([2.0, 0.0, 4.0]), np.array([0.0, 2.0, 0.0])
         assert np.allclose(fuse(a, b, gate), (a + b) / 2)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(12)
         raw = np.array([1.0, -1.0, 0.3, -0.7])
-        gate = GateParams(Tensor(raw))
+        gate = Tensor(raw)
         a, b = rng.normal(size=4), rng.normal(size=4)
         g = 1 / (1 + np.exp(-raw))
         assert np.allclose(fuse(a, b, gate), g * a + (1 - g) * b)
 
     def test_betweenness(self):
         rng = np.random.default_rng(13)
-        gate = GateParams(Tensor(rng.normal(size=6)))
+        gate = Tensor(rng.normal(size=6))
         a, b = rng.normal(size=(10, 6)), rng.normal(size=(10, 6))
         z = fuse(a, b, gate)
         assert np.all(z >= np.minimum(a, b) - 1e-12)
@@ -538,12 +517,12 @@ class TestFuse:
 
     def test_gate_strictly_inside_unit_interval(self):
         # +-30 is far into the tails but still resolvable in float64
-        gate = GateParams(Tensor(np.array([-30.0, 0.0, 30.0])))
+        gate = Tensor(np.array([-30.0, 0.0, 30.0]))
         g = gate_effective(gate)
         assert np.all(g > 0.0) and np.all(g < 1.0)
 
     def test_dim_mismatch(self):
-        gate = GateParams(Tensor(np.zeros(3)))
+        gate = Tensor(np.zeros(3))
         with pytest.raises(DataError):
             fuse(np.zeros(3), np.zeros(4), gate)
 
@@ -609,7 +588,7 @@ class TestLayerMatchesOpByOpOracle:
             seed=0, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=3
         )
         assert params.trustor is not None and params.trustee is not None
-        assert len(params.trustor.layers) == len(params.trustee.layers) == 2
+        assert len(params.trustor) == len(params.trustee) == 2
         return forward(fx.graph, fx.views, fx.h0_users, fx.h0_objects, params, fx.samples)[1]
 
     def default_forward_records(self) -> int:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from trustnet import embed as embed_mod
 from trustnet.embed import (
-    EmbeddingTable,
     KnowledgeTriple,
     TransEModel,
     _advanced_copy,
@@ -83,17 +82,17 @@ def oracle_embed_users(corpus, dim, epochs=10, seed=0, lr=0.05, negatives=5, min
                     v -= lr * expit(v @ un) * un
                 event += 1
         out[d] = v
-    return EmbeddingTable(out)
+    return out
 
 
-def project(table: EmbeddingTable, weight: np.ndarray) -> EmbeddingTable:
+def project(table: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Rowwise linear map into the shared latent space: out = vec @ weight."""
     weight = np.asarray(weight, dtype=np.float64)
-    if table.dim != weight.shape[0]:
+    if table.shape[1] != weight.shape[0]:
         raise DataError(
-            f"projection expects input dim {weight.shape[0]}, table has {table.dim}"
+            f"projection expects input dim {weight.shape[0]}, table has {table.shape[1]}"
         )
-    return EmbeddingTable(table.vectors @ weight)
+    return table @ weight
 
 
 def random_corpus(rng, num_docs, words, max_len):
@@ -113,14 +112,14 @@ class TestEmbedUsers:
     def test_identical_corpora_identical_vectors(self):
         corpus = ["great fast camera great", "great fast camera great", "slow dim lamp slow"]
         table = embed_users(corpus, dim=16, seed=3)
-        assert np.array_equal(table.vectors[0], table.vectors[1])
-        assert not np.array_equal(table.vectors[0], table.vectors[2])
+        assert np.array_equal(table[0], table[1])
+        assert not np.array_equal(table[0], table[2])
 
     def test_empty_corpus_gives_zero_vector(self):
         corpus = ["solid value solid value", "", "solid deal solid deal"]
         table = embed_users(corpus, dim=8, seed=0)
-        assert np.all(table.vectors[1] == 0.0)
-        assert np.any(table.vectors[0] != 0.0)
+        assert np.all(table[1] == 0.0)
+        assert np.any(table[0] != 0.0)
 
     def test_token_overlap_orders_cosine(self):
         # users 0/1 share 90% of tokens; user 2 is disjoint
@@ -128,8 +127,7 @@ class TestEmbedUsers:
         u0 = " ".join(base + ["kappa"])
         u1 = " ".join(base + ["lmbda"])
         u2 = " ".join(("mu nu xi omicron pi rho sigma tau upsilon " * 4).split())
-        table = embed_users([u0, u1, u2, u0 + " " + u1, u2 + " extra extra"], dim=24, seed=7)
-        v = table.vectors
+        v = embed_users([u0, u1, u2, u0 + " " + u1, u2 + " extra extra"], dim=24, seed=7)
         sim_overlap = cosine(v[0], v[1])
         sim_disjoint = cosine(v[0], v[2])
         assert sim_overlap > sim_disjoint
@@ -144,13 +142,13 @@ class TestEmbedUsers:
         table = embed_users(corpus, dim=12, seed=11)
         perm = [2, 0, 3, 1]
         permuted = embed_users([corpus[p] for p in perm], dim=12, seed=11)
-        assert np.allclose(permuted.vectors, table.vectors[perm])
+        assert np.allclose(permuted, table[perm])
 
     def test_deterministic_across_calls(self):
         corpus = ["one two three one two", "four five six four five"]
         a = embed_users(corpus, dim=10, seed=5)
         b = embed_users(corpus, dim=10, seed=5)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(DataError):
@@ -158,7 +156,7 @@ class TestEmbedUsers:
 
     def test_accepts_comment_lists(self):
         table = embed_users([["good phone", "good screen"], ["bad phone bad"]], dim=8, seed=1)
-        assert table.vectors.shape == (2, 8)
+        assert table.shape == (2, 8)
 
     def test_rejects_negative_epochs_and_negatives(self):
         with pytest.raises(DataError, match="epochs"):
@@ -172,13 +170,13 @@ class TestEmbedUsers:
         table = embed_users(corpus, dim=6, seed=2)
         perm = rng.permutation(len(corpus))
         permuted = embed_users([corpus[p] for p in perm], dim=6, seed=2)
-        assert np.array_equal(permuted.vectors, table.vectors[perm])
+        assert np.array_equal(permuted, table[perm])
 
 
 def matches_oracle(corpus, **kw):
     """``embed_users`` output after asserting it equals the oracle's bit for bit."""
-    got = embed_users(corpus, **kw).vectors
-    assert np.array_equal(got, oracle_embed_users(corpus, **kw).vectors)
+    got = embed_users(corpus, **kw)
+    assert np.array_equal(got, oracle_embed_users(corpus, **kw))
     return got
 
 
@@ -484,25 +482,25 @@ class TestInitObjects:
         model = transe_train(chain_triples(), 3, 1, dim=6, epochs=1, seed=0)
         a = init_objects(self.graph(), {}, model, dim=6, seed=5)
         c = init_objects(self.graph(), {}, model, dim=6, seed=6)
-        assert np.array_equal(a.vectors, random_table(4, 6, seed=5).vectors)
-        assert not np.array_equal(a.vectors, c.vectors)
-        assert np.allclose(np.linalg.norm(a.vectors, axis=1), 1.0)
+        assert np.array_equal(a, random_table(4, 6, seed=5))
+        assert not np.array_equal(a, c)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
 
     def test_full_alignment_passes_through(self):
         model = transe_train(chain_triples(), 3, 1, dim=6, epochs=5, seed=0)
         table = init_objects(
             self.graph(3), {0: 0, 1: 1, 2: 2}, model, dim=6, seed=0
         )
-        assert np.array_equal(table.vectors, model.entity_vectors[[0, 1, 2]])
+        assert np.array_equal(table, model.entity_vectors[[0, 1, 2]])
 
     def test_half_alignment_partition(self):
         model = transe_train(chain_triples(), 3, 1, dim=6, epochs=5, seed=0)
         table = init_objects(self.graph(4), {0: 2, 2: 1}, model, dim=6, seed=1)
-        assert np.array_equal(table.vectors[0], model.entity_vectors[2])
-        assert np.array_equal(table.vectors[2], model.entity_vectors[1])
+        assert np.array_equal(table[0], model.entity_vectors[2])
+        assert np.array_equal(table[2], model.entity_vectors[1])
         plain = random_table(4, 6, seed=1)
-        assert np.array_equal(table.vectors[1], plain.vectors[1])
-        assert np.array_equal(table.vectors[3], plain.vectors[3])
+        assert np.array_equal(table[1], plain[1])
+        assert np.array_equal(table[3], plain[3])
 
     def test_dim_mismatch(self):
         model = transe_train(chain_triples(), 3, 1, dim=6, epochs=1, seed=0)
@@ -514,22 +512,22 @@ class TestProject:
     def test_identity(self):
         table = random_table(5, 4, seed=0)
         out = project(table, np.eye(4))
-        assert np.allclose(out.vectors, table.vectors)
+        assert np.allclose(out, table)
 
     def test_zero_row_stays_zero(self):
-        table = EmbeddingTable(np.vstack([np.zeros(3), np.ones(3)]))
+        table = np.vstack([np.zeros(3), np.ones(3)])
         rng = np.random.default_rng(0)
         out = project(table, rng.normal(size=(3, 5)))
-        assert np.all(out.vectors[0] == 0.0)
+        assert np.all(out[0] == 0.0)
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(4, 3))
-        table = EmbeddingTable(rng.normal(size=(6, 4)))
+        table = rng.normal(size=(6, 4))
         out = project(table, w)
         for i in range(6):
-            expected = np.array([table.vectors[i] @ w[:, c] for c in range(3)])
-            assert np.allclose(out.vectors[i], expected)
+            expected = np.array([table[i] @ w[:, c] for c in range(3)])
+            assert np.allclose(out[i], expected)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -537,8 +535,8 @@ class TestProject:
         x = rng.normal(size=(1, 4))
         y = rng.normal(size=(1, 4))
         a, b = 0.7, -1.3
-        left = project(EmbeddingTable(a * x + b * y), w).vectors
-        right = a * project(EmbeddingTable(x), w).vectors + b * project(EmbeddingTable(y), w).vectors
+        left = project(a * x + b * y, w)
+        right = a * project(x, w) + b * project(y, w)
         assert np.allclose(left, right, atol=1e-9)
 
     def test_dim_mismatch(self):
@@ -598,7 +596,7 @@ class TestUserVectorFile:
         path = tmp_path / "vecs.txt"
         path.write_text("0 1.0 2.0\n1 -1.0 0.5\n")
         table = load_user_vectors(path, num_users=2, dim=2)
-        assert np.allclose(table.vectors, [[1.0, 2.0], [-1.0, 0.5]])
+        assert np.allclose(table, [[1.0, 2.0], [-1.0, 0.5]])
 
     def test_missing_user(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -617,3 +615,34 @@ class TestUserVectorFile:
         path.write_text("0 1.0\n")
         with pytest.raises(ParseError):
             load_user_vectors(path, num_users=1, dim=2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"0 1 2\n\n1 3 4\n2 5 {value}\n")
+        with pytest.raises(ParseError, match=r"vecs\.txt:4: non-finite value$"):
+            load_user_vectors(path, num_users=3, dim=2)
+
+
+def _vector_file(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("0 1 2\n1 3 4\n2 5 6\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        lambda tmp_path: embed_users(["solid value solid", "", "value deal solid"], dim=2, seed=1),
+        lambda tmp_path: load_user_vectors(_vector_file(tmp_path), num_users=3, dim=2),
+        lambda tmp_path: init_objects(
+            HeteroGraph(num_users=2, num_objects=3), {0: 2},
+            transe_train(chain_triples(), 3, 1, dim=2, epochs=1, seed=0), dim=2, seed=3,
+        ),
+        lambda tmp_path: random_table(3, 2, seed=4),
+    ],
+    ids=["embed_users", "load_user_vectors", "init_objects", "random_table"],
+)
+def test_table_producer_returns_float64_rows_by_dim(tmp_path, produce):
+    table = produce(tmp_path)
+    assert type(table) is np.ndarray and table.dtype == np.float64 and table.shape == (3, 2)

@@ -209,7 +209,7 @@ def test_setup_tables_are_byte_identical(tmp_path):
             seed=seeds["transe"],
         )
         tables = {
-            "users": users.vectors,
+            "users": users,
             "entities": model.entity_vectors,
             "relations": model.relation_vectors,
         }

@@ -35,7 +35,7 @@ from trustnet.experiment import (
     sweep,
 )
 from trustnet.fixtures import make_filmtrust_files, make_siot_files
-from trustnet.graph import Role
+from trustnet.graph import Role, load_siot_csv
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +380,7 @@ class TestRun:
 
         def spy_initial_tables(*args):
             tables = initial_tables(*args)
-            refs.extend(weakref.ref(obj) for table in tables for obj in (table, getattr(table, "vectors", table)))
+            refs.extend(weakref.ref(table) for table in tables)
             return tables
 
         def spy_train_loop(*args):
@@ -396,7 +396,7 @@ class TestRun:
         else:
             cfg = small_config(film_dir, epochs=1)
         run_single(load_dataset(cfg), cfg, 42)
-        assert len(refs) == 4 and alive == [[False] * 4]
+        assert len(refs) == 2 and alive == [[False] * 2]
 
     def test_a_step_builds_one_sparse_matrix_per_layer_pass(self, siot_dir, monkeypatch):
         # per layer: the forward's beta matrix and the backward's transpose of
@@ -750,6 +750,43 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path):
         rc = cli_main(["run", "--dataset", str(tmp_path / "missing"), "--kind", "filmtrust"])
         assert rc == 2
+
+    @staticmethod
+    def run_siot(data, tmp_path, *flags):
+        return cli_main(["run", "--dataset", str(data), "--kind", "siot_csv", "--runs", "1", "--epochs", "1",
+                         "--workers", "1", "--out", str(tmp_path / "o"), *flags])
+
+    def test_non_finite_user_vector_names_its_line(self, siot_dir, tmp_path, capsys):
+        rows = [f"{u} 0.5 -0.5" for u in range(load_siot_csv(siot_dir)[0].num_users)]
+        rows[3] = "3 0.5 nan"
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("\n".join(rows) + "\n")
+        rc = self.run_siot(siot_dir, tmp_path, "--user-vectors", str(vectors), "--user-dim", "2")
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1
+        assert "v.txt:4:" in err
+
+    @pytest.mark.parametrize(
+        "edit,flags",
+        [("blank_names", []), ("blank_names", ["--full-kg"]), ("swap_heads_and_tails", [])],
+    )
+    def test_triples_that_reach_no_object_exit_2(self, siot_dir, tmp_path, capsys, edit, flags):
+        # blank names align no object; swapped rows keep the alignment but
+        # leave no triple whose head is an object's entity
+        data = tmp_path / "data"
+        shutil.copytree(siot_dir, data)
+        name = "objects.csv" if edit == "blank_names" else "triples.csv"
+        header, *rows = (data / name).read_text().splitlines()
+        if edit == "blank_names":
+            rows = [row.split(",")[0] + "," for row in rows]
+        else:
+            rows = [",".join(row.split(",")[::-1]) for row in rows]
+        (data / name).write_text("\n".join([header, *rows]) + "\n")
+        rc = self.run_siot(data, tmp_path, "--triples", *flags)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: no triple in {data / 'triples.csv'} reaches an object of {data / 'objects.csv'}\n"
+        )
 
     def test_config_file_with_override(self, film_dir, tmp_path):
         cfg_path = tmp_path / "c.json"

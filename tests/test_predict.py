@@ -33,12 +33,11 @@ def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> T
     return mean(sub(lse, sub(picked, shift)))
 
 
-def batch_loss(samples, table, params: PredictorParams) -> float:
+def batch_loss(samples, z: np.ndarray, params: PredictorParams) -> float:
     """Mean cross-entropy of the predictor over (trustor, trustee, label) arrays (oracle for pair_loss)."""
     i, j, y = (np.asarray(a, dtype=np.int64) for a in samples)
     if len(y) == 0:
         raise DataError("batch_loss needs at least one sample")
-    z = np.asarray(table.vectors if hasattr(table, "vectors") else table, dtype=np.float64)
     probs = predict_pair(z[i], z[j], params)
     picked = probs[np.arange(len(y)), y]
     return float(-np.mean(np.log(picked)))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from trustnet.autodiff import Tape, TapeError, Tensor, record
-from trustnet.conv import GateParams
 from trustnet.predict import PredictorParams
 from trustnet.errors import DataError, NumericalError
 from trustnet import train as train_mod
@@ -79,18 +78,17 @@ class TestForwardBackward:
         # recompute through the public inference surfaces and compare
         from test_conv import encode_role, fuse
         from test_embed import project
-        from trustnet.embed import EmbeddingTable
         from trustnet.graph import Role
         from test_predict import batch_loss
 
         params = fresh_params(fixture, seed=5)
-        hu = project(EmbeddingTable(fixture.h0_users), params.proj_user.value)
-        ho = project(EmbeddingTable(fixture.h0_objects), params.proj_obj.value)
-        h0 = np.vstack([hu.vectors, ho.vectors])
-        tor = encode_role(fixture.graph, fixture.views[Role.TRUSTOR], h0, params.trustor)
-        tee = encode_role(fixture.graph, fixture.views[Role.TRUSTEE], h0, params.trustee)
+        hu = project(fixture.h0_users, params.proj_user.value)
+        ho = project(fixture.h0_objects, params.proj_obj.value)
+        h0 = np.vstack([hu, ho])
+        tor = encode_role(fixture.views[Role.TRUSTOR], h0, params.trustor)
+        tee = encode_role(fixture.views[Role.TRUSTEE], h0, params.trustee)
         nu = fixture.graph.num_users
-        z = fuse(tor.vectors[:nu], tee.vectors[:nu], params.gate)
+        z = fuse(tor[:nu], tee[:nu], params.gate)
         expected = batch_loss(fixture.samples, z, params.predictor)
         got, _ = forward(
             fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, fixture.samples
@@ -164,7 +162,7 @@ class TestAdam:
             proj_obj=Tensor(np.array(0.0)),
             trustor=None,
             trustee=None,
-            gate=GateParams(Tensor(np.zeros(1))),
+            gate=Tensor(np.zeros(1)),
             predictor=PredictorParams(Tensor(np.zeros((2, 2))), Tensor(np.zeros(2))),
         )
         adam_step(params, {w: np.array(1.0)}, lr=0.005, weight_decay=0.0)
@@ -179,7 +177,7 @@ class TestAdam:
             proj_obj=Tensor(np.zeros(1)),
             trustor=None,
             trustee=None,
-            gate=GateParams(Tensor(np.zeros(1))),
+            gate=Tensor(np.zeros(1)),
             predictor=PredictorParams(Tensor(np.zeros((2, 2))), Tensor(np.zeros(2))),
         )
         losses = []
@@ -191,13 +189,13 @@ class TestAdam:
 
     def test_weight_decay_spares_gate_and_bias(self, fixture):
         params = fresh_params(fixture, seed=4)
-        params.gate.raw_gate.value[:] = 1.0
+        params.gate.value[:] = 1.0
         params.predictor.bias.value[:] = 1.0
-        gate_before = params.gate.raw_gate.value.copy()
+        gate_before = params.gate.value.copy()
         bias_before = params.predictor.bias.value.copy()
         proj_before = params.proj_user.value.copy()
         adam_step(params, {}, weight_decay=5e-4)
-        assert np.array_equal(params.gate.raw_gate.value, gate_before)
+        assert np.array_equal(params.gate.value, gate_before)
         assert np.array_equal(params.predictor.bias.value, bias_before)
         assert not np.array_equal(params.proj_user.value, proj_before)
 
@@ -237,7 +235,7 @@ def random_grads(rng, params, step):
     grads = {
         t: rng.normal(size=t.value.shape) * 10.0 ** rng.integers(-6, 2) for _, t, _ in params.named()
     }
-    layer = params.trustor.layers[0]
+    layer = params.trustor[0]
     grads[layer.w_obj] = grads[layer.w_user]
     if step % 2:
         del grads[params.proj_obj]
@@ -256,7 +254,7 @@ def scalar_params():
         proj_obj=Tensor(np.array(-2.0)),
         trustor=None,
         trustee=None,
-        gate=GateParams(Tensor(np.array([1.0, -1.0]))),
+        gate=Tensor(np.array([1.0, -1.0])),
         predictor=PredictorParams(Tensor(np.arange(4.0).reshape(2, 2)), Tensor(np.zeros(2))),
     )
 
@@ -542,7 +540,7 @@ class TestGradCheck:
 
     def test_corrupted_gradient_fails(self, fixture, monkeypatch):
         params = fresh_params(fixture, seed=11)
-        target = params.trustor.layers[0].w_user
+        target = params.trustor[0].w_user
         exact = train_mod.backward
 
         def corrupted(tape):
