@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustnet import embed, ppr
+from trustnet import embed, fixtures, ppr
 from trustnet.cli import build_config, build_parser
 from trustnet.cli import main as cli_main
 from trustnet.experiment import (
@@ -151,6 +151,62 @@ PUSH_DIGESTS = {
     },
 }
 
+# The generators at every other argument set a caller passes: the experiment tests'
+# FilmTrust and SIoT datasets, the bench test's SIoT data and a sized CLI call, the path
+# the bench's fixtures take. SHA-256 of each file written.
+SIZED_FIXTURES = {
+    "bench-siot": lambda out: fixtures.make_siot_files(
+        out, seed=0, num_users=80, num_objects=40, num_trust=700, mean_comments=3.0
+    ),
+    "cli-filmtrust": lambda out: cli_main([
+        "fixtures", "filmtrust", "--out", str(out), "--seed", "5",
+        "--users", "70", "--objects", "50", "--trust", "160",
+    ]),
+    "experiment-film": lambda out: fixtures.make_filmtrust_files(
+        out, seed=3, num_users=90, num_objects=60, num_trust=220, communities=4,
+        mean_interactions=5.0,
+    ),
+    "experiment-siot": lambda out: fixtures.make_siot_files(
+        out, seed=3, num_users=60, num_objects=40, num_trust=220, communities=3
+    ),
+}
+
+SIZED_FIXTURE_DIGESTS = {
+    "bench-siot": {
+        "interactions.csv": "17da75eb958d765a18a1782180dd5b0e05bcd1bf1100e0f927ea9d5db9b1ddf3",
+        "objects.csv": "63b4b327894b19e70ccae4c54fc88b7ca5e24da1f5ff010f6fc1ee970d051409",
+        "triples.csv": "46e225a74c69106bcbc13688d8530419eccee400ab31e794a6b13a46a410eb64",
+        "trust.csv": "9b592eaf2b240452c0c09eb56d22e6ea622e796ac99f292b9eee0a23ef336d63",
+    },
+    "cli-filmtrust": {
+        "ratings.txt": "1ff901dd140f7ce7f5e56e3c9a6ce65738c22ff93db6587593d557297dd29a3d",
+        "trust.txt": "6c36d19395411e09807e7327ab1f62faf86f7199bac4ccef9fb985f8407e7cf7",
+    },
+    "experiment-film": {
+        "ratings.txt": "f0ff5c99d50c0d765de95dc6af7b1518675f7c69e0ba54c99ba848514cb9a9f1",
+        "trust.txt": "637654c58208f851c295b0945abb8cb4aa0793996c09e1d7e512e6eef6ccfcdc",
+    },
+    "experiment-siot": {
+        "interactions.csv": "5a2217e2b0b68c3dd4307929315592313273866cfc7bc220521e74725597e070",
+        "objects.csv": "fe61d6445d068aff316e225a13c2ee1dc5292dbc01cad406f2f4d3df5d404d9c",
+        "triples.csv": "9668e8c8602d8373cc764d7bda6ec1ab8a0695e125a48d07a80a56273badf0ce",
+        "trust.csv": "fe5a57b9849202897d07d68adb3207d2322313d4d0041f405a89651adbfc3ae5",
+    },
+}
+
+# SHA-256 of ``make_pipeline_fixture(seed=1)``'s pieces: the graph's edge arrays, each
+# role view's edge list, the two tables' float64 bytes and the sample columns.
+PIPELINE_FIXTURE_DIGESTS = {
+    "trust_edges": "f11b0dae749d8f62867c4f4d87ef6f3de6c2465b24d894ef6f6ea0d7639a5bc0",
+    "interaction_edges": "78bf19ba04a485d5d4d1dae221b5f12c6c98a5ac7005172691ba05c9fc08c391",
+    "object_edges": "493630ab4b4b7f42305ac0ec0a28cc67967dc24e9fba10b1c7b058f028a35b45",
+    "trustor_view": "0e215ba556dfeb84ebac77706242dc9b1e93f7fc7142f800f5d063ba9c89d708",
+    "trustee_view": "30c163577034ad52752c68662f594ab6a7e525e870255be089ee532c9fc9164b",
+    "h0_users": "234c3cdf02f2d043ed34d4b13be7d69c5e001a2753f3d712a1b990fbe476aabb",
+    "h0_objects": "d19c5903c58be8e81da104d62f7cf9ea8899484377d7580f31f54fb14299eb31",
+    "samples": "80a12bcffa182ca3508f84821808227a5ab2a7535019f0cf03712e48f1c51880",
+}
+
 HOST_NOTE = (
     "The stored digests were taken on one host. OpenBLAS (DYNAMIC_ARCH) may pick other "
     "kernels on another CPU and change the last bits of a product, so before treating a "
@@ -259,3 +315,25 @@ def test_push_scores_are_byte_identical(kind, tmp_path, monkeypatch):
         blob = p.data.tobytes() + p.indices.astype(np.int64).tobytes() + p.indptr.astype(np.int64).tobytes()
         got[run_seed] = hashlib.sha256(blob).hexdigest()
     assert got == PUSH_DIGESTS[kind], f"{kind} PPR scores changed. {HOST_NOTE}"
+
+
+@pytest.mark.parametrize("call", sorted(SIZED_FIXTURES))
+def test_sized_fixtures_are_byte_identical(call, tmp_path):
+    SIZED_FIXTURES[call](tmp_path)
+    assert digests(tmp_path) == SIZED_FIXTURE_DIGESTS[call], f"{call} fixture files changed. {HOST_NOTE}"
+
+
+def test_pipeline_fixture_is_byte_identical():
+    fx = fixtures.make_pipeline_fixture(seed=1)
+    g = fx.graph
+    pieces = {
+        "trust_edges": g.trust_edges,
+        "interaction_edges": g.interaction_edges,
+        "object_edges": g.object_edges,
+        **{f"{role.value}_view": np.concatenate([v.emap.rows, v.emap.cols]) for role, v in fx.views.items()},
+        "h0_users": fx.h0_users,
+        "h0_objects": fx.h0_objects,
+        "samples": np.stack(fx.samples),
+    }
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in pieces.items()}
+    assert got == PIPELINE_FIXTURE_DIGESTS, f"pipeline fixture changed. {HOST_NOTE}"
