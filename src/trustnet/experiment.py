@@ -279,7 +279,6 @@ def field_type(dotted: str):
 @dataclass
 class Dataset:
     name: str
-    kind: str
     graph: HeteroGraph
     corpus: list | None = None
     alignment: dict | None = None  # object local id -> entity id
@@ -293,9 +292,9 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     name = path.name or str(path)
     if config.kind == "filmtrust":
         graph = load_filmtrust(path / "ratings.txt", path / "trust.txt")
-        return Dataset(name=name, kind=config.kind, graph=graph)
+        return Dataset(name=name, graph=graph)
     graph, corpus, name_alignment = load_siot_csv(path)
-    dataset = Dataset(name=name, kind=config.kind, graph=graph, corpus=corpus)
+    dataset = Dataset(name=name, graph=graph, corpus=corpus)
     if config.triples.enabled:
         triple_path = Path(config.triples.path) if config.triples.path else path / "triples.csv"
         triples, entities, relations = embed_mod.load_triples(triple_path)
@@ -702,7 +701,7 @@ def _trained_config(provenance, config: ExperimentConfig) -> ExperimentConfig:
     return trained
 
 
-def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Dataset | None = None):
+def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path):
     """Score a saved model on the test split of the run it was trained in.
 
     Nothing is trained: ``init_model`` builds the model the checkpoint's
@@ -717,8 +716,7 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path, dataset: Data
     params, provenance = train_mod.load_params(
         checkpoint_path, lambda provenance: init_model(_trained_config(provenance, config), 0)
     )
-    if dataset is None:
-        dataset = load_dataset(config)
+    dataset = load_dataset(config)
     graph = dataset.graph
     if graph.fingerprint() != provenance["graph_sha256"]:
         raise DataError(f"checkpoint was trained on another dataset graph than {dataset.name}")

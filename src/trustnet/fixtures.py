@@ -4,8 +4,11 @@ The social generators plant community structure: users and objects belong
 to latent communities, interactions mostly stay inside a community, and
 trust edges concentrate on a social subset with distinct "activity"
 (outgoing) and "authority" (incoming) propensities, which makes the two
-roles genuinely asymmetric. A tunable fraction of trust edges is pure
-cross-community noise and caps attainable prediction accuracy.
+roles genuinely asymmetric. In 30% (FilmTrust) or 25% (SIoT) of the sampled
+trust pairs the trustee is a uniformly random user; this cross-community
+noise caps attainable prediction accuracy. Each generator writes its shape
+constants at its calls to the shared helpers; only the seed and the sizes
+are arguments.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ def _plan_communities(
     num_objects: int,
     communities: int,
     social_fraction: float,
-    role_split: float = 0.4,
-    comm_overlap: float = 0.0,
-    out_flatness: float = 1.6,
-    in_flatness: float = 2.2,
-    role_floor: float = 0.08,
+    role_split: float,
+    comm_overlap: float,
+    out_flatness: float,
+    in_flatness: float,
+    role_floor: float,
 ) -> CommunityPlan:
     weights = (np.arange(communities) + 1.0) ** -0.8
     weights /= weights.sum()
@@ -87,7 +90,7 @@ def _sample_trust_edges(
     num_trust: int,
     cross_noise: float,
     communities: int,
-    chain_fraction: float = 0.0,
+    chain_fraction: float,
 ) -> list[tuple[int, int]]:
     """Role-weighted within-community edges plus propagated closures.
 
@@ -167,15 +170,22 @@ def _sample_trust_edges(
     return sorted(edges)
 
 
+def _pick_object(rng: np.random.Generator, own: np.ndarray, rate: float, popularity: np.ndarray) -> int:
+    """An object of ``own`` at ``rate`` (when it has any), else any object; by popularity."""
+    if own.size > 0 and rng.random() < rate:
+        return int(rng.choice(own, p=popularity[own] / popularity[own].sum()))
+    return int(rng.choice(popularity.size, p=popularity / popularity.sum()))
+
+
 def _sample_interactions(
     rng: np.random.Generator,
     plan: CommunityPlan,
     num_users: int,
     num_objects: int,
     mean_per_user: float,
-    same_community_rate: float,
     communities: int,
 ) -> list[tuple[int, int]]:
+    """Popularity-weighted ratings, 85% of them inside the user's consumption community."""
     popularity = 1.0 + rng.pareto(1.5, size=num_objects)
     comm_objects = [np.flatnonzero(plan.obj_comm == c) for c in range(communities)]
     pairs: set[tuple[int, int]] = set()
@@ -183,17 +193,7 @@ def _sample_interactions(
         count = 1 + rng.poisson(max(mean_per_user - 1.0, 0.0))
         own = comm_objects[plan.consume_comm[u]]
         for _ in range(count):
-            if own.size > 0 and rng.random() < same_community_rate:
-                pool = own
-            else:
-                pool = None
-            if pool is None:
-                p = popularity / popularity.sum()
-                o = int(rng.choice(num_objects, p=p))
-            else:
-                p = popularity[pool] / popularity[pool].sum()
-                o = int(rng.choice(pool, p=p))
-            pairs.add((u, o))
+            pairs.add((u, _pick_object(rng, own, 0.85, popularity)))
     # every object shows up at least once so loaders see the full roster
     rated = {o for _, o in pairs}
     for o in range(num_objects):
@@ -209,16 +209,7 @@ def make_filmtrust_files(
     num_objects: int = 2071,
     num_trust: int = 1853,
     communities: int = 12,
-    social_fraction: float = 0.42,
-    cross_noise: float = 0.30,
     mean_interactions: float = 8.0,
-    same_community_rate: float = 0.85,
-    role_split: float = 0.4,
-    comm_overlap: float = 0.0,
-    out_flatness: float = 1.6,
-    in_flatness: float = 2.2,
-    role_floor: float = 0.08,
-    chain_fraction: float = 0.0,
 ) -> tuple[Path, Path]:
     """Write ratings.txt / trust.txt in the whitespace-separated format.
 
@@ -230,15 +221,13 @@ def make_filmtrust_files(
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     plan = _plan_communities(
-        rng, num_users, num_objects, communities, social_fraction, role_split, comm_overlap,
-        out_flatness, in_flatness, role_floor,
+        rng, num_users, num_objects, communities, social_fraction=0.42, role_split=0.4,
+        comm_overlap=0.0, out_flatness=1.6, in_flatness=2.2, role_floor=0.08,
     )
     trust = _sample_trust_edges(
-        rng, plan, num_users, num_trust, cross_noise, communities, chain_fraction
+        rng, plan, num_users, num_trust, cross_noise=0.30, communities=communities, chain_fraction=0.0
     )
-    interactions = _sample_interactions(
-        rng, plan, num_users, num_objects, mean_interactions, same_community_rate, communities
-    )
+    interactions = _sample_interactions(rng, plan, num_users, num_objects, mean_interactions, communities)
 
     ext_user = rng.permutation(num_users) + 1
     ext_obj = rng.permutation(num_objects) + 1
@@ -277,87 +266,62 @@ def make_siot_files(
     num_users: int = 300,
     num_objects: int = 220,
     communities: int = 6,
-    niches_per_community: int = 4,
     num_trust: int = 800,
-    social_fraction: float = 0.8,
-    cross_noise: float = 0.25,
     mean_comments: float = 22.0,
-    below_threshold_fraction: float = 0.08,
-    same_niche_rate: float = 0.9,
-    niche_share: float = 0.3,
-    kg_noise: float = 0.08,
-    unaligned_fraction: float = 0.08,
-    role_split: float = 0.35,
-    comm_overlap: float = 0.95,
-    out_flatness: float = 1.6,
-    in_flatness: float = 3.0,
-    role_floor: float = 0.05,
-    chain_fraction: float = 0.45,
 ) -> Path:
     """Write a CSV bundle: trust.csv, interactions.csv, objects.csv, triples.csv.
 
-    Consumption happens in narrow niches (``niches_per_community`` per
-    trust community): a user overwhelmingly rates objects of one niche,
-    and comment tokens also lean on the niche vocabulary. Trust forms at
-    the community level, so co-consumption alone cannot relate users of
-    sibling niches; the triple file links every object entity to its
-    community-level category (and a community brand), which is the only
-    bridge across niches. A ``kg_noise`` fraction of triples points at a
-    wrong category. A small user fraction gets too few comments and is
-    dropped by the loader's comment-count threshold, exercising the
-    filter.
+    Consumption happens in narrow niches (four per trust community): a
+    user rates objects of one niche 90% of the time, and 30% of comment
+    tokens come from the niche vocabulary. Trust forms at the community
+    level, so co-consumption alone cannot relate users of sibling niches;
+    the triple file links every object entity to its community-level
+    category (and a community brand), which is the only bridge across
+    niches. Each category and brand triple names a random community 8% of
+    the time, and 8% of objects have no entity. About 8% of users get at
+    most 15 comments, so the loader's comment-count threshold drops them,
+    exercising the filter.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     plan = _plan_communities(
-        rng, num_users, num_objects, communities, social_fraction, role_split, comm_overlap,
-        out_flatness, in_flatness, role_floor,
+        rng, num_users, num_objects, communities, social_fraction=0.8, role_split=0.35,
+        comm_overlap=0.95, out_flatness=1.6, in_flatness=3.0, role_floor=0.05,
     )
     trust = _sample_trust_edges(
-        rng, plan, num_users, num_trust, cross_noise, communities, chain_fraction
+        rng, plan, num_users, num_trust, cross_noise=0.25, communities=communities, chain_fraction=0.45
     )
 
     # niches partition each community's object pool; users consume inside
     # one niche of their (consumption) community
-    num_niches = communities * niches_per_community
-    obj_niche = plan.obj_comm * niches_per_community + rng.integers(
-        niches_per_community, size=num_objects
-    )
-    user_niche = plan.consume_comm * niches_per_community + rng.integers(
-        niches_per_community, size=num_users
-    )
+    niches = 4
+    obj_niche = plan.obj_comm * niches + rng.integers(niches, size=num_objects)
+    user_niche = plan.consume_comm * niches + rng.integers(niches, size=num_users)
     popularity = 1.0 + rng.pareto(1.5, size=num_objects)
-    niche_objects = [np.flatnonzero(obj_niche == nn) for nn in range(num_niches)]
+    niche_objects = [np.flatnonzero(obj_niche == nn) for nn in range(communities * niches)]
 
     inter_rows: list[tuple[str, str, str]] = []
     for u in range(num_users):
-        if rng.random() < below_threshold_fraction:
+        if rng.random() < 0.08:
             count = int(rng.integers(3, 16))  # at most 15 -> filtered out
         else:
             count = int(rng.integers(17, max(18, int(2 * mean_comments - 17))))
         own = niche_objects[user_niche[u]]
         for _ in range(count):
-            if own.size > 0 and rng.random() < same_niche_rate:
-                pool = own
-                p = popularity[pool] / popularity[pool].sum()
-                o = int(rng.choice(pool, p=p))
-            else:
-                o = int(rng.choice(num_objects, p=popularity / popularity.sum()))
-            inter_rows.append(
-                (f"u{u}", f"o{o}", _comment_text(rng, int(user_niche[u]), niche_share))
-            )
+            o = _pick_object(rng, own, 0.9, popularity)
+            inter_rows.append((f"u{u}", f"o{o}", _comment_text(rng, int(user_niche[u]), 0.3)))
 
     entity_names = [f"ent_obj_{o}" for o in range(num_objects)]
-    aligned = rng.random(num_objects) >= unaligned_fraction
+    aligned = rng.random(num_objects) >= 0.08
 
     triples: list[tuple[str, str, str]] = []
     brands_per_comm = 2
     for o in range(num_objects):
         c = plan.obj_comm[o]
-        cat = c if rng.random() >= kg_noise else int(rng.integers(communities))
+        cat = c if rng.random() >= 0.08 else int(rng.integers(communities))
         triples.append((entity_names[o], "category", f"cat_{cat}"))
-        brand_comm = c if rng.random() >= kg_noise else int(rng.integers(communities))
+        brand_comm = c if rng.random() >= 0.08 else int(rng.integers(communities))
         brand = int(rng.integers(brands_per_comm))
         triples.append((entity_names[o], "brand", f"brand_{brand_comm}_{brand}"))
 
@@ -379,40 +343,25 @@ def make_siot_files(
     return out_dir
 
 
-def make_pipeline_fixture(
-    seed: int = 0,
-    num_users: int = 5,
-    num_objects: int = 3,
-    user_dim: int = 4,
-    object_dim: int = 4,
-    ppr_k: int = 2,
-) -> PipelineFixture:
-    """A hand-sized graph with both role views, tables, and samples."""
+def make_pipeline_fixture(seed: int = 0) -> PipelineFixture:
+    """A hand-sized graph of 5 users and 3 objects: both role views, 4-wide tables, samples."""
     rng = np.random.default_rng(seed)
-    trust = [(0, 1), (1, 2), (2, 0), (3, 1), (0, 4)]
-    trust = [e for e in trust if e[0] < num_users and e[1] < num_users]
-    inter = []
-    for u in range(num_users):
-        o = num_users + int(rng.integers(num_objects))
-        inter.append((u, o))
-    inter = sorted(set(inter))
     graph = HeteroGraph(
-        num_users=num_users,
-        num_objects=num_objects,
-        trust_edges=trust,
-        interaction_edges=inter,
-        object_edges=[(num_users, num_users + 1)] if num_objects >= 2 else [],
+        num_users=5,
+        num_objects=3,
+        trust_edges=[(0, 1), (1, 2), (2, 0), (3, 1), (0, 4)],
+        interaction_edges=sorted({(u, 5 + int(rng.integers(3))) for u in range(5)}),
+        object_edges=[(5, 6)],
     )
-    augmented = topk_augment(graph, k=ppr_k, epsilon=1e-8)
+    augmented = topk_augment(graph, k=2, epsilon=1e-8)
     views = {
         Role.TRUSTOR: build_view(graph, augmented, Role.TRUSTOR),
         Role.TRUSTEE: build_view(graph, augmented, Role.TRUSTEE),
     }
-    h0_users = rng.normal(size=(num_users, user_dim))
-    h0_objects = rng.normal(size=(num_objects, object_dim))
+    h0_users = rng.normal(size=(5, 4))
+    h0_objects = rng.normal(size=(3, 4))
     # (trustor, trustee, label) rows
     samples = np.array([(0, 1, 1), (1, 2, 1), (2, 1, 0), (3, 4, 0), (0, 3, 0), (3, 1, 1)])
-    samples = samples[(samples[:, 0] < num_users) & (samples[:, 1] < num_users)]
     return PipelineFixture(
         graph=graph,
         views=views,

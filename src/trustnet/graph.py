@@ -27,6 +27,10 @@ logger = logging.getLogger(__name__)
 USER = 0
 OBJECT = 1
 
+# load_siot_csv keeps a user or an object only with strictly more comment rows
+MIN_USER_COMMENTS = 15
+MIN_OBJECT_COMMENTS = 10
+
 
 class Role(str, Enum):
     TRUSTOR = "trustor"
@@ -341,18 +345,14 @@ def _read_csv(path: Path, expected_header: list[str]) -> list[list[str]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def load_siot_csv(
-    directory,
-    min_user_comments: int = 15,
-    min_object_comments: int = 10,
-) -> tuple[HeteroGraph, list[list[str]], dict[int, str]]:
+def load_siot_csv(directory) -> tuple[HeteroGraph, list[list[str]], dict[int, str]]:
     """Load a CSV bundle: trust.csv, interactions.csv, objects.csv.
 
-    Users with at most ``min_user_comments`` comment rows and objects with
-    at most ``min_object_comments`` are removed (thresholds are strict:
-    a node needs strictly more comments to survive). Returns the remapped
-    graph, the per-user comment corpus, and the object -> entity-name
-    alignment for objects that have one.
+    Users with at most ``MIN_USER_COMMENTS`` (15) comment rows and objects
+    with at most ``MIN_OBJECT_COMMENTS`` (10) are removed, the paper's
+    filter (thresholds are strict: a node needs strictly more comments to
+    survive). Returns the remapped graph, the per-user comment corpus, and
+    the object -> entity-name alignment for objects that have one.
 
     An optional object_edges.csv (header ``object_a,object_b``) adds
     object-object edges.
@@ -368,8 +368,8 @@ def load_siot_csv(
         user_counts[u] = user_counts.get(u, 0) + 1
         object_counts[o] = object_counts.get(o, 0) + 1
 
-    kept_users = {u for u, c in user_counts.items() if c > min_user_comments}
-    kept_objects = {o for o, c in object_counts.items() if c > min_object_comments}
+    kept_users = {u for u, c in user_counts.items() if c > MIN_USER_COMMENTS}
+    kept_objects = {o for o, c in object_counts.items() if c > MIN_OBJECT_COMMENTS}
 
     user_ids = {u: i for i, u in enumerate(sorted(kept_users))}
     object_ids = {o: len(user_ids) + i for i, o in enumerate(sorted(kept_objects))}

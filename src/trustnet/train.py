@@ -5,7 +5,7 @@ arrays and the caller's provenance, not the model's shape: loading fills
 the model that the caller builds from that provenance.
 
 Everything runs in float64 so finite-difference verification at
-perturbation 1e-5 is meaningful.
+``PERTURBATION`` (1e-5) is meaningful.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
 
 CHECKPOINT_VERSION = 3
+# grad_check's central-difference step
+PERTURBATION = 1e-5
 # what reading a damaged npz archive or one of its members raises
 _READ_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
@@ -382,6 +384,10 @@ def adam_step(
     in ``grads`` are only read: one may be shared by several tensors. The
     scratch is freed on return rather than kept for the next step, so it
     does not add to the memory held through the next forward.
+
+    An overflow anywhere in the update raises ``NumericalError`` naming the
+    tensor. Left alone, a gradient entry above about 1.3e154 would make its
+    ``v`` infinite and freeze the entry with every value still finite.
     """
     params.step += 1
     t = params.step
@@ -390,26 +396,43 @@ def adam_step(
     g, step = np.empty((2, values.size))
     np.concatenate([np.ravel(grads[tensor]) if tensor in grads else np.zeros(view.size)
                     for _, tensor, view, _ in weights.layout], out=g)
-    if weight_decay:
-        decayed = slice(0, weights.num_decay)
-        np.multiply(values[decayed], weight_decay, out=step[decayed])
-        g[decayed] += step[decayed]
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=step)
-    m += step
-    v *= beta2
-    np.multiply(g, g, out=step)
-    step *= 1.0 - beta2
-    v += step
-    # g (the decayed gradient) is free again: it takes the v_hat root
-    np.divide(v, 1.0 - beta2**t, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    np.divide(m, 1.0 - beta1**t, out=step)
-    step *= lr
-    step /= g
-    values -= step
+    try:
+        with np.errstate(over="raise"):
+            if weight_decay:
+                decayed = slice(0, weights.num_decay)
+                np.multiply(values[decayed], weight_decay, out=step[decayed])
+                g[decayed] += step[decayed]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=step)
+            m += step
+            v *= beta2
+            np.multiply(g, g, out=step)
+            step *= 1.0 - beta2
+            v += step
+            # g (the decayed gradient) is free again: it takes the v_hat root
+            np.divide(v, 1.0 - beta2**t, out=g)
+            np.sqrt(g, out=g)
+            g += eps
+            np.divide(m, 1.0 - beta1**t, out=step)
+            step *= lr
+            step /= g
+            values -= step
+    except FloatingPointError:
+        raise NumericalError(f"Adam update of {_overflowed(weights, g, step)} overflows float64") from None
     return params
+
+
+def _overflowed(weights: WeightBuffer, g: np.ndarray, step: np.ndarray) -> str:
+    """Name of the first tensor, in buffer order, with an entry the failed update made infinite.
+
+    An operation that overflows still writes its result, and every one before
+    it left finite values. Only ``step``'s rows past the decayed ones can hold
+    unwritten scratch, and only when the decay term, in earlier rows, overflowed.
+    """
+    arrays = (weights.values, weights.m, weights.v, g, step)
+    first = np.argmax(~np.isfinite(np.stack(arrays)).all(axis=0))
+    ends = np.cumsum([view.size for _, _, view, _ in weights.layout])
+    return weights.layout[np.searchsorted(ends, first, side="right")][0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +469,8 @@ def grad_check(
     params: ModelParams,
     fixture: PipelineFixture,
     tolerance: float = 1e-4,
-    perturbation: float = 1e-5,
 ) -> GradCheckReport:
-    """Compare tape gradients with central differences, entry by entry."""
+    """Compare tape gradients with central differences of step ``PERTURBATION``, entry by entry."""
 
     def run() -> tuple[float, Tape]:
         f = fixture
@@ -464,12 +486,12 @@ def grad_check(
         worst = 0.0
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + perturbation
+            flat[idx] = orig + PERTURBATION
             up = run()[0]
-            flat[idx] = orig - perturbation
+            flat[idx] = orig - PERTURBATION
             down = run()[0]
             flat[idx] = orig
-            numeric = (up - down) / (2.0 * perturbation)
+            numeric = (up - down) / (2.0 * PERTURBATION)
             a = analytic[name].reshape(-1)[idx]
             denom = max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, abs(a - numeric) / denom)

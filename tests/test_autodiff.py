@@ -666,6 +666,72 @@ def test_every_export_has_a_caller():
     assert sorted(set(ad.__all__) - called) == []
 
 
+def defaulted_parameters(path: Path) -> list[tuple[str, str, int | None]]:
+    """(called name, parameter, position) of each defaulted parameter a module defines.
+
+    A method's position skips ``self``/``cls``; a keyword-only parameter has none.
+    A class is called by its own name, so its ``__init__`` is listed under it.
+    """
+    tree = ast.parse(path.read_text())
+    owner = {
+        id(item): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.FunctionDef)
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        bound = int(id(fn) in owner and not static)
+        name = owner[id(fn)] if fn.name == "__init__" and id(fn) in owner else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found += [(name, a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+        found += [(name, a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def parameters_set(path: Path) -> set[tuple]:
+    """(called name, keyword or position) of every argument a module's calls pass.
+
+    Calls match by the called name: ``f(...)``, ``x.f(...)``. A ``*args`` call may fill
+    every position from where it stands, and a ``**kwargs`` call any keyword, so both
+    count as setting them ("*" and "**" below).
+    """
+    given = set()
+    for call in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for i, arg in enumerate(call.args):
+            given.add((name, ("*", i) if isinstance(arg, ast.Starred) else i))
+        given.update((name, kw.arg or "**") for kw in call.keywords)
+    return given
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # a default that no call overrides is a constant in disguise: it belongs
+    # at the one place it is read
+    src = sorted((REPO / "src" / "trustnet").glob("*.py"))
+    calls = set()
+    for path in [*src, *(REPO / "tests").glob("*.py"), *(REPO / "bench").glob("*.py")]:
+        calls |= parameters_set(path)
+
+    def is_set(name, param, pos):
+        if (name, param) in calls or (name, "**") in calls:
+            return True
+        return pos is not None and any((name, at) in calls for at in (pos, *(("*", i) for i in range(pos + 1))))
+
+    unset = [
+        f"{path.stem}.{name}({param})"
+        for path in src
+        for name, param, pos in defaulted_parameters(path)
+        if not is_set(name, param, pos)
+    ]
+    assert unset == []
+
+
 # ---------------------------------------------------------------------------
 # gradient accumulation on the tape
 

@@ -1480,3 +1480,12 @@ class TestMalformedInput:
     def test_fixture_of_one_user_is_one_data_error(self, tmp_path):
         rc, err = run_cli(["fixtures", "filmtrust", "--users", "1", "--out", str(tmp_path / "fx")])
         assert rc == 2 and err == "data error: trust sampling failed: no user can emit trust\n"
+
+    def test_adam_overflow_is_one_numerical_failure(self, siot_dir, tmp_path):
+        # user vectors near 1e150 give projection gradients whose square
+        # overflows Adam's second moment, which would freeze the weights
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"user_embed": {"lr": 1e150}}))
+        argv = ["run", "--config", str(cfg), "--dataset", str(siot_dir), "--kind", "siot_csv", "--epochs", "2"]
+        rc, err = run_cli([*argv, "--runs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 3 and err == "numerical failure: Adam update of proj_user overflows float64\n"

@@ -199,6 +199,21 @@ class TestAdam:
         assert np.array_equal(params.predictor.bias.value, bias_before)
         assert not np.array_equal(params.proj_user.value, proj_before)
 
+    @pytest.mark.parametrize(
+        "name, value, grad, lr, weight_decay",
+        [
+            ("trustee/layer0/w_obj", 0.0, 1e160, 0.005, 0.0),  # g * g
+            ("predictor/weight", 1e300, 0.0, 0.005, 1e10),  # the decay term
+            ("gate/raw", 0.0, 1e10, 1e300, 0.0),  # the step times lr
+        ],
+    )
+    def test_overflow_names_the_tensor(self, fixture, name, value, grad, lr, weight_decay):
+        params = fresh_params(fixture, seed=8)
+        tensor = {n: t for n, t, _ in params.named()}[name]
+        tensor.value[...] = value
+        with pytest.raises(NumericalError, match=f"^Adam update of {name} overflows float64$"):
+            adam_step(params, {tensor: np.full(tensor.shape, grad)}, lr=lr, weight_decay=weight_decay)
+
     def test_moment_shapes_mirror_params(self, fixture):
         params = fresh_params(fixture, seed=6)
         _, tape = forward(
