@@ -39,6 +39,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", flags=re.UNICODE)
 # most events whose noise ids ``embed_users`` looks up in one call (unless one
 # document's epoch is longer), which bounds the float64 draws held at once
 _LOOKUP_EVENTS = 4096
+# transe_train's ranking margin and SGD step; it draws one corruption per triple and epoch
+TRANSE_MARGIN, TRANSE_LR = 1.0, 0.05
 
 
 @dataclass(frozen=True)
@@ -330,19 +332,17 @@ def transe_train(
     num_entities: int,
     num_relations: int,
     dim: int,
-    margin: float = 1.0,
     epochs: int = 100,
-    neg_per_pos: int = 1,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> TransEModel:
     """Margin-ranking training with uniform head-or-tail corruption.
 
-    Entity vectors are renormalized to unit length after every epoch (and
-    start unit-norm, so a zero-epoch call returns the raw initialization).
+    Each epoch corrupts every triple once and takes one full-batch SGD step
+    of size ``TRANSE_LR`` on the triples whose corruption scores within
+    ``TRANSE_MARGIN`` of them. Entity vectors are renormalized to unit
+    length after every epoch (and start unit-norm, so a zero-epoch call
+    returns the raw initialization).
     """
-    if margin <= 0:
-        raise DataError(f"margin must be positive, got {margin}")
     if not triples:
         raise DataError("cannot train on an empty triple set")
     if dim <= 0:
@@ -356,21 +356,19 @@ def transe_train(
     t = np.array([t.tail for t in triples], dtype=np.int64)
     m = len(triples)
 
-    for epoch in range(epochs):
-        for _ in range(neg_per_pos):
-            corrupt = rng.integers(num_entities, size=m)
-            corrupt_head = rng.random(m) < 0.5
-            hc = np.where(corrupt_head, corrupt, h)
-            tc = np.where(corrupt_head, t, corrupt)
+    for _ in range(epochs):
+        corrupt = rng.integers(num_entities, size=m)
+        corrupt_head = rng.random(m) < 0.5
+        hc = np.where(corrupt_head, corrupt, h)
+        tc = np.where(corrupt_head, t, corrupt)
 
-            pos_diff = ent[h] + rel[r] - ent[t]
-            neg_diff = ent[hc] + rel[r] - ent[tc]
-            f_pos = -np.einsum("ij,ij->i", pos_diff, pos_diff)
-            f_neg = -np.einsum("ij,ij->i", neg_diff, neg_diff)
-            viol = margin - f_pos + f_neg > 0
-            if not viol.any():
-                continue
-            scale = 2.0 * lr / m
+        pos_diff = ent[h] + rel[r] - ent[t]
+        neg_diff = ent[hc] + rel[r] - ent[tc]
+        f_pos = -np.einsum("ij,ij->i", pos_diff, pos_diff)
+        f_neg = -np.einsum("ij,ij->i", neg_diff, neg_diff)
+        viol = TRANSE_MARGIN - f_pos + f_neg > 0
+        if viol.any():
+            scale = 2.0 * TRANSE_LR / m
             gpos = pos_diff[viol] * scale
             gneg = neg_diff[viol] * scale
             _add_rows(ent, h[viol], -gpos)

@@ -84,9 +84,6 @@ class TriplesConfig:
     enabled: bool = False
     path: str | None = None
     epochs: int = 120
-    margin: float = 1.0
-    lr: float = 0.05
-    neg_per_pos: int = 1
     full_kg: bool = False
 
 
@@ -94,17 +91,12 @@ class TriplesConfig:
 class OptimConfig:
     lr: float = 0.005
     weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
 class UserEmbedConfig:
     epochs: int = 10
     lr: float = 0.05
-    negatives: int = 5
-    min_count: int = 2
     vectors_path: str | None = None
 
 
@@ -158,21 +150,16 @@ class ExperimentConfig:
             if self.ppr.epsilon <= 0:
                 raise ConfigError("ppr.epsilon must be positive")
         if self.triples.enabled:
-            for name, low in (("epochs", 0), ("neg_per_pos", 1)):
-                if getattr(self.triples, name) < low:
-                    raise ConfigError(f"triples.{name} must be >= {low}")
-            for name in ("lr", "margin"):
-                if getattr(self.triples, name) <= 0:
-                    raise ConfigError(f"triples.{name} must be positive")
+            if self.triples.epochs < 0:
+                raise ConfigError("triples.epochs must be >= 0")
             if self.kind != "siot_csv":
                 raise ConfigError(f"triples need kind 'siot_csv', got {self.kind!r}")
         if self.optim.lr <= 0:
             raise ConfigError("optim.lr must be positive")
         if self.optim.weight_decay < 0:
             raise ConfigError("optim.weight_decay must be >= 0")
-        for name, low in (("epochs", 0), ("negatives", 0), ("min_count", 1)):
-            if getattr(self.user_embed, name) < low:
-                raise ConfigError(f"user_embed.{name} must be >= {low}")
+        if self.user_embed.epochs < 0:
+            raise ConfigError("user_embed.epochs must be >= 0")
         if self.user_embed.lr <= 0:
             raise ConfigError("user_embed.lr must be positive")
         if self.workers is not None and self.workers < 1:
@@ -344,8 +331,6 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
             epochs=config.user_embed.epochs,
             seed=seeds["user_embed"],
             lr=config.user_embed.lr,
-            negatives=config.user_embed.negatives,
-            min_count=config.user_embed.min_count,
         )
     else:
         h0_users = embed_mod.random_table(nu, config.user_dim, seeds["user_embed"])
@@ -356,10 +341,7 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
             dataset.num_entities,
             dataset.num_relations,
             dim=config.object_dim,
-            margin=config.triples.margin,
             epochs=config.triples.epochs,
-            neg_per_pos=config.triples.neg_per_pos,
-            lr=config.triples.lr,
             seed=seeds["transe"],
         )
         h0_objects = embed_mod.init_objects(

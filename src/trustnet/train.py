@@ -1,8 +1,9 @@
 """Training machinery: parameter container, full-pipeline forward and
 backward passes on the autodiff tape, Adam with L2 weight decay, a
 central-difference gradient checker, and checkpoints. A checkpoint stores
-arrays and the caller's provenance, not the model's shape: loading fills
-the model that the caller builds from that provenance.
+the trained arrays and the caller's provenance, not the model's shape or
+Adam's state: loading fills the model that the caller builds from that
+provenance, for scoring, not for resuming training.
 
 Everything runs in float64 so finite-difference verification at
 ``PERTURBATION`` (1e-5) is meaningful.
@@ -23,7 +24,9 @@ from .errors import DataError, NumericalError
 from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # grad_check's central-difference step
 PERTURBATION = 1e-5
 # what reading a damaged npz archive or one of its members raises
@@ -43,9 +46,9 @@ class WeightBuffer:
     model weights and, when they train, the initial tables. The
     decay-flagged ones come first, so decay applies to
     ``values[:num_decay]``. Each tensor's ``Tensor.value`` is a view into
-    ``values`` for life, and its moments are views into ``m`` and ``v`` at
-    the same offsets: writes go into the views, never rebind them.
-    ``layout`` holds (name, tensor, value view, moment views) in buffer order.
+    ``values`` for life: writes go into the views, never rebind them. Its
+    moments sit at the same offsets of ``m`` and ``v``. ``layout`` holds
+    (name, tensor, value view) in buffer order.
     """
 
     values: np.ndarray
@@ -65,10 +68,10 @@ class WeightBuffer:
         layout, start = [], 0
         for name, tensor, _ in weights:
             end = start + tensor.value.size
-            view, m_view, v_view = (a[start:end].reshape(tensor.value.shape) for a in (values, m, v))
+            view = values[start:end].reshape(tensor.value.shape)
             view[...] = tensor.value
             tensor.value = view
-            layout.append((name, tensor, view, (m_view, v_view)))
+            layout.append((name, tensor, view))
             start = end
         num_decay = sum(tensor.value.size for _, tensor, decay in weights if decay)
         return cls(values, m, v, num_decay, tuple(layout))
@@ -76,7 +79,7 @@ class WeightBuffer:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus Adam state.
+    """All trainable tensors plus Adam state; ``step`` counts this run's Adam steps.
 
     ``trustor`` and ``trustee`` hold that role's layers, or None when it is
     off; ``gate`` is the raw (pre-sigmoid) fusion gate. Weight decay applies
@@ -84,8 +87,8 @@ class ModelParams:
     never to the fusion gate or biases.
 
     Every trainable tensor and its Adam moments live in one
-    ``WeightBuffer``, packed at construction, when ``set_initial_tables``
-    attaches tables, and on unpickling only. Frozen tables stay outside it.
+    ``WeightBuffer``, packed at construction and when ``set_initial_tables``
+    attaches tables only. Frozen tables stay outside it.
     """
 
     fusion: str
@@ -103,16 +106,6 @@ class ModelParams:
     def __post_init__(self) -> None:
         weights = sorted(self.named(), key=lambda w: not w[2])  # stable: decay-flagged first
         self._buffer = WeightBuffer.pack(weights)
-
-    def __getstate__(self) -> dict:
-        # a pickled view is a copy of its own: the copy packs again and takes the moments
-        return {**self.__dict__, "_buffer": (self._buffer.m, self._buffer.v)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
-        for moment, stored in zip((self._buffer.m, self._buffer.v), state["_buffer"]):
-            np.copyto(moment, stored)
 
     def named(self):
         """Stable (name, tensor, decay) iteration over all trainables."""
@@ -365,16 +358,16 @@ def adam_step(
     grads: dict,
     lr: float = 0.005,
     weight_decay: float = 5e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> ModelParams:
     """In-place Adam update; L2 decay is added to decay-flagged gradients.
+
+    The moments decay at ``BETA1`` and ``BETA2`` and the step divides by
+    the root of the second plus ``EPS``.
 
     The update runs once, over the whole buffer (``ModelParams.weights()``)
     and its moments, so the number of array operations does not follow the
     number of tensors. Each element goes through the operations of
-    ``m = beta1 * m + (1 - beta1) * g`` and so on, in the same order as
+    ``m = BETA1 * m + (1 - BETA1) * g`` and so on, in the same order as
     for a tensor updated on its own, so every bit is the same.
 
     The decayed gradient and the step are formed in two scratch rows as
@@ -395,25 +388,25 @@ def adam_step(
     values, m, v = weights.values, weights.m, weights.v
     g, step = np.empty((2, values.size))
     np.concatenate([np.ravel(grads[tensor]) if tensor in grads else np.zeros(view.size)
-                    for _, tensor, view, _ in weights.layout], out=g)
+                    for _, tensor, view in weights.layout], out=g)
     try:
         with np.errstate(over="raise"):
             if weight_decay:
                 decayed = slice(0, weights.num_decay)
                 np.multiply(values[decayed], weight_decay, out=step[decayed])
                 g[decayed] += step[decayed]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=step)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=step)
             m += step
-            v *= beta2
+            v *= BETA2
             np.multiply(g, g, out=step)
-            step *= 1.0 - beta2
+            step *= 1.0 - BETA2
             v += step
             # g (the decayed gradient) is free again: it takes the v_hat root
-            np.divide(v, 1.0 - beta2**t, out=g)
+            np.divide(v, 1.0 - BETA2**t, out=g)
             np.sqrt(g, out=g)
-            g += eps
-            np.divide(m, 1.0 - beta1**t, out=step)
+            g += EPS
+            np.divide(m, 1.0 - BETA1**t, out=step)
             step *= lr
             step /= g
             values -= step
@@ -431,7 +424,7 @@ def _overflowed(weights: WeightBuffer, g: np.ndarray, step: np.ndarray) -> str:
     """
     arrays = (weights.values, weights.m, weights.v, g, step)
     first = np.argmax(~np.isfinite(np.stack(arrays)).all(axis=0))
-    ends = np.cumsum([view.size for _, _, view, _ in weights.layout])
+    ends = np.cumsum([view.size for _, _, view in weights.layout])
     return weights.layout[np.searchsorted(ends, first, side="right")][0]
 
 
@@ -505,22 +498,19 @@ def grad_check(
 
 
 def save_params(params: ModelParams, path, provenance: dict | None = None) -> None:
-    """Versioned npz dump of all trainables, initial tables and moments.
+    """Versioned npz dump of all trainables and initial tables, for scoring.
 
-    ``__meta__`` holds only the version, the Adam step and ``provenance``,
-    a JSON-serialisable record of what the parameters were trained on,
-    which ``load_params`` hands to its ``build`` and back unchanged.
-    Initial tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
-    Every moment is read from the buffer's layout, once Adam has stepped.
+    ``__meta__`` holds only the version and ``provenance``, a
+    JSON-serialisable record of what the parameters were trained on, which
+    ``load_params`` hands to its ``build`` and back unchanged. Initial
+    tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
+    Adam's moments and step are not stored: nothing resumes training.
     """
-    meta = {"version": CHECKPOINT_VERSION, "step": params.step, "provenance": provenance}
+    meta = {"version": CHECKPOINT_VERSION, "provenance": provenance}
     arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named()}
     if params.h0_users is not None and not params.h0_users.requires_grad:
         arrays["frozen::h0/users"] = params.h0_users.value
         arrays["frozen::h0/objects"] = params.h0_objects.value
-    for name, _, _, (m, v) in params.weights().layout if params.step else ():
-        arrays[f"moment_m::{name}"] = m
-        arrays[f"moment_v::{name}"] = v
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
@@ -543,17 +533,15 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
 
     Returns them and the provenance ``save_params`` stored. The initial
     tables are attached, trainable or frozen, as the keys present say, and
-    each is read once; every other parameter and every moment is copied
-    into its view in the buffer.
+    each is read once; every other parameter is copied into its view in
+    the buffer. Adam starts afresh: step 0, zero moments.
     Raises ``DataError`` for a file that is not a readable npz archive with
-    a JSON ``__meta__`` record, an unknown version, a step that is not a
-    non-negative integer, one initial table without the other, a missing or
-    misshapen parameter, any array the model does not read (an unknown
-    key, a parameter or moment the model lacks, or frozen tables next to
-    trainable ones), and Adam moments that lack their pair or are
-    misshapen; for an array that is not integer or float, or has a
-    non-finite entry, and for a negative second moment. Each names the
-    key; ``build`` may raise it too.
+    a JSON ``__meta__`` record, a version other than ``CHECKPOINT_VERSION``,
+    one initial table without the other, a missing or misshapen parameter,
+    any array the model does not read (an unknown key such as an earlier
+    version's Adam moment, a parameter the model lacks, or frozen tables
+    next to trainable ones), and an array that is not integer or float or
+    has a non-finite entry. Each names the key; ``build`` may raise it too.
     """
     try:
         data = np.load(path)
@@ -569,11 +557,7 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version!r}")
-        step = meta.get("step")
-        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-            raise DataError(f"checkpoint step must be an integer >= 0, got {step!r}")
         params = build(meta.get("provenance"))
-        params.step = step
         kind = "param" if "param::h0/users" in data else "frozen"
         tables = [f"{kind}::h0/users", f"{kind}::h0/objects"]
         if any(key in data for key in tables):
@@ -581,8 +565,7 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
                 raise DataError(f"checkpoint missing initial tables {tables}")
             stored = [_stored_array(data, key) for key in tables]
             params.set_initial_tables(*stored, trainable=kind == "param")
-        prefixes = ("param", "moment_m", "moment_v")
-        known = {"__meta__", *tables, *(f"{p}::{name}" for name, _, _ in params.named() for p in prefixes)}
+        known = {"__meta__", *tables, *(f"param::{name}" for name, _, _ in params.named())}
         unknown = [key for key in data.files if key not in known]
         if unknown:
             raise DataError(f"checkpoint has arrays {unknown} that the model does not read")
@@ -599,20 +582,4 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
                     f"{stored.shape} vs {tensor.value.shape}"
                 )
             np.copyto(tensor.value, stored)
-        for name, tensor, _, views in params.weights().layout:
-            keys = (f"moment_m::{name}", f"moment_v::{name}")
-            if not any(k in data for k in keys):
-                continue
-            if not all(k in data for k in keys):
-                raise DataError(f"checkpoint has only one of the two Adam moments for {name}")
-            m, v = (_stored_array(data, k) for k in keys)
-            if not m.shape == v.shape == tensor.value.shape:
-                raise DataError(
-                    f"checkpoint moment shape mismatch for {name}: "
-                    f"{m.shape} and {v.shape} vs {tensor.value.shape}"
-                )
-            if (v < 0).any():
-                raise DataError(f"checkpoint second moment {keys[1]} has negative entries")
-            for view, array in zip(views, (m, v)):
-                np.copyto(view, array)
     return params, meta.get("provenance")

@@ -256,13 +256,11 @@ def test_setup_tables_are_byte_identical(tmp_path):
     for run_seed in derive_run_seeds(config.seed, 2):
         seeds = prepare_run(dataset, config, run_seed).seeds
         users = embed.embed_users(
-            dataset.corpus, config.user_dim, epochs=ue.epochs, seed=seeds["user_embed"],
-            lr=ue.lr, negatives=ue.negatives, min_count=ue.min_count,
+            dataset.corpus, config.user_dim, epochs=ue.epochs, seed=seeds["user_embed"], lr=ue.lr
         )
         model = embed.transe_train(
             dataset.triples, dataset.num_entities, dataset.num_relations, dim=config.object_dim,
-            margin=kg.margin, epochs=kg.epochs, neg_per_pos=kg.neg_per_pos, lr=kg.lr,
-            seed=seeds["transe"],
+            epochs=kg.epochs, seed=seeds["transe"],
         )
         tables = {
             "users": users,
