@@ -39,7 +39,8 @@ Kernels. Plain-array functions, each forward next to its gradient:
 ``segment_softmax``/``segment_softmax_grad`` and ``logistic``/
 ``sigmoid_grad``; ``leaky_slopes`` and ``elu_slopes`` are the activations'
 derivatives. ``scatter_values`` and ``scatter_rows`` are ``gather``'s 1-D
-and 2-D backward, and ``edge_dots`` is the per-edge half of
+and 2-D backward, ``scatter_matrix`` is the latter's matrix, for an index
+that never changes, and ``edge_dots`` is the per-edge half of
 ``edge_matmul``'s. The fused backwards call these kernels in the chain's
 reverse order, so no gradient is written twice; ``embed`` also calls
 ``logistic`` on every SGD step.
@@ -74,6 +75,7 @@ __all__ = [
     "concat_cols",
     "stack_halves",
     "gather",
+    "scatter_matrix",
     "scatter_rows",
     "scatter_values",
     "segment_max_values",
@@ -379,19 +381,20 @@ def stack_halves_grads(g: np.ndarray) -> list[np.ndarray]:
     return [g[:, 2 * i : 2 * i + 2].T.reshape(-1) for i in range(g.shape[1] // 2)]
 
 
-def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """The (n, d) sums of the rows of ``g`` at ``idx``: ``np.add.at(zeros, idx, g)``.
+def scatter_matrix(idx: np.ndarray, n: int) -> sp.csc_matrix:
+    """The (n, len(idx)) 0/1 matrix with a one at (idx[k], k) for every position k.
 
-    A product with the 0/1 matrix whose row r lists the positions k with
-    idx[k] == r in ascending order, so every output row sums its
-    contributions from +0 in the order ``np.add.at`` would.
+    Stored by columns, one entry each, so scipy's product adds position
+    k's row into output row idx[k] in ascending k, starting from +0, as
+    ``np.add.at`` does; building it sorts nothing. A caller whose ``idx``
+    never changes builds it once and multiplies with it at every step.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n), out=indptr[1:])
-    scatter = sp.csr_matrix(
-        (np.ones(idx.size), np.argsort(idx, kind="stable"), indptr), shape=(n, idx.size)
-    )
-    return scatter @ g
+    return sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(n, idx.size))
+
+
+def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) sums of the rows of ``g`` at ``idx``: ``np.add.at(zeros, idx, g)``."""
+    return scatter_matrix(idx, n) @ g
 
 
 def scatter_values(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
@@ -504,6 +507,13 @@ class EdgeMap:
     arrays read column-wise, without forming the CSR array first. The
     arrays are int64, numpy's index type, so gathers and bincounts over
     them convert nothing, and scipy keeps them without a copy.
+
+    Built once, with the map: one CSR and one CSC container over its index
+    arrays. ``product`` and ``product_t`` swap a call's edge values into
+    one of them for a single product and swap them out again, so no step
+    builds a sparse matrix, every product reads the values it was handed,
+    and no container keeps a step's values alive after its product. Two
+    threads must not multiply through one map at once.
     """
 
     rows: np.ndarray
@@ -511,6 +521,14 @@ class EdgeMap:
     n_rows: int
     n_cols: int
     indptr: np.ndarray
+    _csr: sp.csr_array = field(init=False, repr=False, compare=False)
+    _csc: sp.csc_array = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a zero-stride stand-in of the right length: no memory, never multiplied
+        unset = np.broadcast_to(np.float64(0.0), self.cols.shape)
+        object.__setattr__(self, "_csr", self.matrix(unset))
+        object.__setattr__(self, "_csc", self.matrix_t(unset))
 
     @classmethod
     def from_edges(cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> "EdgeMap":
@@ -520,12 +538,39 @@ class EdgeMap:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
         return cls(rows, cols, n_rows, n_cols, indptr)
 
+    def prefix(self, m: int) -> "EdgeMap":
+        """The (m, n_cols) map of the first ``m`` rows: views of a prefix of this map's arrays."""
+        if m == self.n_rows:
+            return self
+        e = self.indptr[m]
+        return EdgeMap(self.rows[:e], self.cols[:e], m, self.n_cols, self.indptr[: m + 1])
+
     def matrix(self, values: np.ndarray) -> sp.csr_array:
         return sp.csr_array((values, self.cols, self.indptr), shape=(self.n_rows, self.n_cols))
 
     def matrix_t(self, values: np.ndarray) -> sp.csc_array:
         """``matrix(values).T``, built as one CSC array."""
         return sp.csc_array((values, self.cols, self.indptr), shape=(self.n_cols, self.n_rows))
+
+    def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``matrix(values) @ x``, through the map's CSR container."""
+        return _swapped_product(self._csr, values, x)
+
+    def product_t(self, values: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``matrix_t(values) @ g``, through the map's CSC container."""
+        return _swapped_product(self._csc, values, g)
+
+
+def _swapped_product(mat, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` with ``values`` as the stored entries for this product only."""
+    if values.shape != mat.indices.shape:
+        # scipy's kernel would read past the end of a shorter array
+        raise ValueError(f"edge values of shape {values.shape} for {mat.indices.shape[0]} edges")
+    unset, mat.data = mat.data, values
+    try:
+        return mat @ x
+    finally:
+        mat.data = unset
 
 
 EDGE_BLOCK = 1024  # edges per block in the edge_matmul value gradient
@@ -561,14 +606,14 @@ def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
     order); gradients flow into both the edge values and ``x``.
     """
     values, x = as_tensor(values), as_tensor(x)
-    mat = emap.matrix(values.value)
-    out = Tensor(mat @ x.value, requires_grad=values.requires_grad or x.requires_grad)
+    out = Tensor(emap.product(values.value, x.value), requires_grad=values.requires_grad or x.requires_grad)
 
     def backward(g):
         dvals = None
         if values.requires_grad:
             dvals = edge_dots(g, x.value, emap)
-        dx = mat.T @ g if x.requires_grad else None
+        # this record's own values: another call may have used the map since
+        dx = emap.product_t(values.value, g) if x.requires_grad else None
         return [(values, dvals), (x, dx)]
 
     record("edge_matmul", out, backward)

@@ -72,9 +72,10 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
 
     Rows are sorted, so the first m rows' edges are a prefix of the edge
     list: the node attention, the aggregation and their gradients run over
-    that prefix, an (m, n) ``EdgeMap``, while ``projected``, the scores and
-    the type softmax stay over all n nodes, since the prefix's neighbors
-    include objects. The output is bitwise the full layer's first m rows
+    that prefix, an (m, n) ``EdgeMap`` (the view's ``user_emap``, built
+    with the view, when m is the user count), while ``projected``, the
+    scores and the type softmax stay over all n nodes, since the prefix's
+    neighbors include objects. The output is bitwise the full layer's first m rows
     and each gradient the full layer's under a zero-padded output gradient:
     rows and edges are computed independently, and every term the full
     layer adds beyond the prefix is a +-0 landing in a sum that starts at
@@ -104,9 +105,9 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     """
     n, nu = view.num_nodes, view.num_users
     m = n if out_rows is None else out_rows
-    e = view.emap.indptr[m]
-    emap = ad.EdgeMap(view.emap.rows[:e], view.emap.cols[:e], m, n, view.emap.indptr[: m + 1])
-    rows, cols, typed_rows = emap.rows, emap.cols, view.typed_rows[:e]
+    emap = view.user_emap if m == nu else view.emap.prefix(m)
+    rows, cols = emap.rows, emap.cols
+    typed_rows = view.typed_rows[: rows.shape[0]]
     x = h.value
     w_user, w_obj = params.w_user.value, params.w_obj.value
     attn = (params.eta_user, params.eta_obj, params.gamma)
@@ -152,11 +153,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
 
     def backward(g):
         # elu, then edge_matmul's value gradient (against ``projected``,
-        # rebuilt) and its input gradient, through the one sparse matrix
-        # the backward builds: beta's transpose, in CSC form
+        # rebuilt) and its input gradient, a product with beta's transpose
+        # through the map's CSC container
         d_pre = g * slope
         d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
-        d_proj = emap.matrix_t(beta) @ d_pre
+        d_proj = emap.product_t(beta, d_pre)
         del d_pre
         # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
         d_pair = ad.segment_softmax_grad(beta, d_beta, rows, m)

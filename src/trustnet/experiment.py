@@ -45,7 +45,7 @@ from .graph import (
     split_samples,
 )
 from .ppr import topk_augment
-from .predict import pair_loss, predict_scores, metrics as classification_metrics
+from .predict import PairScatter, pair_loss, pair_scatter, predict_scores, metrics as classification_metrics
 from .train import ModelParams, adam_step, backward, init_params
 
 METRICS_HEADER = ["dataset", "ratio", "seed", "variant", "accuracy", "f1"]
@@ -359,12 +359,18 @@ def _enabled_roles(roles: RolesConfig) -> list[Role]:
 
 @dataclass
 class PreparedRun:
-    """A seeded run up to the model: derived seeds, split pairs, role views."""
+    """A seeded run up to the model: derived seeds, split pairs, role views.
+
+    ``train_scatter`` is the train pairs' ``PairScatter``, built once: every
+    step's loss reads it in place of checking the pairs and building its
+    gradient's two scatter matrices again.
+    """
 
     seeds: dict  # split, user_embed, transe, obj_init, params
     train: tuple  # (trustor, trustee, label) arrays
     test: tuple
     views: dict  # Role -> GraphView, one per enabled role
+    train_scatter: PairScatter
 
 
 def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> PreparedRun:
@@ -391,7 +397,10 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
         # by keyword: the benchmark wraps this name and reads k, lam and epsilon by name
         aug_pairs = topk_augment(train_graph, k=ppr.k, lam=ppr.lam, epsilon=ppr.epsilon)
     views = {role: build_view(train_graph, aug_pairs, role) for role in _enabled_roles(config.roles)}
-    return PreparedRun(seeds=seeds, train=train, test=test, views=views)
+    return PreparedRun(
+        seeds=seeds, train=train, test=test, views=views,
+        train_scatter=pair_scatter(dataset.graph.num_users, *train),
+    )
 
 
 def init_model(config: ExperimentConfig, seed: int) -> ModelParams:
@@ -461,7 +470,7 @@ def _epoch(config, prep: PreparedRun, params, epoch: int, step: bool) -> tuple[f
     i_tr, j_tr, y_tr = prep.train
     with (Tape() if step else nullcontext()) as tape:
         z = train_mod.fused_users(prep.views, params, None, None)
-        loss = pair_loss(z, i_tr, j_tr, y_tr, params.predictor)
+        loss = pair_loss(z, i_tr, j_tr, y_tr, params.predictor, prep.train_scatter)
     loss_value = loss.item()
     if not np.isfinite(loss_value):
         raise NumericalError(f"non-finite training loss at epoch {epoch}")

@@ -149,9 +149,16 @@ class GraphView:
     three arrays, so they copy nothing and no step builds them again.
 
     ``emap`` holds the edge list once, sorted row-major with its CSR row
-    pointers. ``typed_rows`` is each edge's row plus ``num_nodes`` where
-    its column is an object: the edge's slot in a per-node vector of
-    user-type weights followed by one of object-type weights.
+    pointers, and ``user_emap`` the user rows' prefix of it, which a
+    role's last layer runs over. ``typed_rows`` is each edge's row plus
+    ``num_nodes`` where its column is an object: the edge's slot in a
+    per-node vector of user-type weights followed by one of object-type
+    weights.
+
+    Everything here is built once per run, with the view: the four
+    normalized-adjacency matrices, both edge maps and the sparse
+    containers each map multiplies through (see ``EdgeMap``), so a
+    training step builds no sparse matrix.
     """
 
     role: Role
@@ -159,6 +166,7 @@ class GraphView:
     num_nodes: int
     typed_rows: np.ndarray
     emap: EdgeMap
+    user_emap: EdgeMap
     s_user: sp.csr_matrix
     s_obj: sp.csr_matrix
     s_user_t: sp.csc_matrix
@@ -220,6 +228,7 @@ def build_view(graph: HeteroGraph, augmented, role: Role) -> GraphView:
         num_nodes=n,
         typed_rows=rows + n * ~user_col,
         emap=emap,
+        user_emap=emap.prefix(nu),
         s_user=s_user,
         s_obj=s_obj,
         s_user_t=s_user.T,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -80,7 +81,34 @@ def _pair_arrays(n_users: int, trustors, trustees, labels):
     return i, j, y
 
 
-def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) -> Tensor:
+@dataclass(frozen=True)
+class PairScatter:
+    """A fixed pair set, checked once, and the two matrices its loss gradient scatters through.
+
+    ``by_trustor`` and ``by_trustee`` are ``ad.scatter_matrix`` of the
+    checked trustor and trustee ids over ``n_users`` rows. A run builds
+    one for its train pairs (``pair_scatter``) and hands it to
+    ``pair_loss`` at every step, which then neither checks the pairs again
+    nor builds a matrix.
+    """
+
+    n_users: int
+    trustors: np.ndarray
+    trustees: np.ndarray
+    labels: np.ndarray
+    by_trustor: sp.csc_matrix
+    by_trustee: sp.csc_matrix
+
+
+def pair_scatter(n_users: int, trustors, trustees, labels) -> PairScatter:
+    """The pairs' ``PairScatter``; raises ``DataError`` where ``pair_loss`` would."""
+    i, j, y = _pair_arrays(n_users, trustors, trustees, labels)
+    return PairScatter(n_users, i, j, y, ad.scatter_matrix(i, n_users), ad.scatter_matrix(j, n_users))
+
+
+def pair_loss(
+    z: Tensor, trustors, trustees, labels, params: PredictorParams, scatter: PairScatter | None = None
+) -> Tensor:
     """Tape-aware mean cross-entropy from fused user embeddings, as one record.
 
     Numerically stable: computed as mean(logsumexp(logits) - logit_true)
@@ -93,11 +121,18 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
     of ``W`` as a matrix-vector product, which may round otherwise.
 
     The record keeps the softmax numerators ``ex``, their row sums, the
-    pair arrays and references to ``z``, ``W`` and ``b``. Its backward
-    never forms the m x 2d pair features or their gradient: each half of
-    ``W`` meets its own half of the features, and ``z`` gets the trustee
-    rows' scatter plus the trustor rows', in the chain's order. Every input
-    gets its gradient, and the tape drops a frozen one's.
+    scatter (the pair arrays and their two matrices) and references to
+    ``z``, ``W`` and ``b``. Its backward never forms the m x 2d pair
+    features or their gradient: each half of ``W`` meets its own half of
+    the features, and ``z`` gets the trustee rows' scatter plus the
+    trustor rows', in the chain's order. Every input gets its gradient,
+    and the tape drops a frozen one's.
+
+    The backward scatters through ``scatter``'s two matrices. A caller
+    whose pairs never change passes ``pair_scatter`` of these very pair
+    arrays (the same objects) over ``z``'s rows, built once; without it
+    each call checks the pairs and builds the matrices itself, with the
+    same bits. A ``scatter`` of other pairs is a ``ValueError``.
 
     Raises ``DataError`` for an empty batch, pair columns of different
     lengths or of a non-integer dtype, labels other than 0 and 1, and user
@@ -105,7 +140,14 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
     """
     zv, w, b = z.value, params.weight, params.bias
     n, d = zv.shape
-    i, j, y = _pair_arrays(n, trustors, trustees, labels)
+    if scatter is None:
+        scatter = pair_scatter(n, trustors, trustees, labels)
+    elif scatter.n_users != n or any(
+        given is not kept
+        for given, kept in zip((trustors, trustees, labels), (scatter.trustors, scatter.trustees, scatter.labels))
+    ):
+        raise ValueError("the scatter was built for other pairs")
+    i, j, y = scatter.trustors, scatter.trustees, scatter.labels
     m = y.shape[0]
     # row k of the (m, 2, d) gather is [z[i[k]], z[j[k]]]: the concatenated
     # pair features, with no separate copy of either half
@@ -131,8 +173,8 @@ def pair_loss(z: Tensor, trustors, trustees, labels, params: PredictorParams) ->
         d_w = np.empty_like(wv)
         np.matmul(zv[i].T, d_logits, out=d_w[:d])
         np.matmul(zv[j].T, d_logits, out=d_w[d:])
-        d_z = ad.scatter_rows(d_logits @ wv[d:].T, j, n)
-        d_z += ad.scatter_rows(d_logits @ wv[:d].T, i, n)
+        d_z = scatter.by_trustee @ (d_logits @ wv[d:].T)
+        d_z += scatter.by_trustor @ (d_logits @ wv[:d].T)
         return [(b, d_logits.sum(axis=0)), (w, d_w), (z, d_z)]
 
     ad.record("loss", out, backward)

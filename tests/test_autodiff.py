@@ -377,8 +377,8 @@ def test_edge_map_sorts_in_lexsort_order(n_rows, n_cols, n_edges):
 
 
 def test_edge_map_matrix_shares_its_index_arrays():
-    # edge_matmul builds this matrix on every forward: a converted copy of the
-    # index arrays would cost one more pass over the edges per call
+    # the map's two containers are built this way: a converted copy of the
+    # index arrays would hold every edge's column twice for the whole run
     emap = ad.EdgeMap.from_edges(np.array([2, 0, 1]), np.array([0, 1, 2]), 3, 3)
     mat = emap.matrix(np.ones(3))
     assert np.shares_memory(mat.indices, emap.cols)
@@ -401,6 +401,24 @@ def test_edge_map_transpose_is_the_matrix_transpose_bitwise(n_rows, n_cols, n_ed
         want = emap.matrix(values).T @ g
         got = mat_t @ g
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n_rows,n_cols,n_edges", [(4, 6, 0), (1, 1, 3), (50, 80, 400)])
+def test_edge_map_products_are_its_matrices_and_keep_no_values(n_rows, n_cols, n_edges):
+    rng = np.random.default_rng(n_edges + 1)
+    emap = ad.EdgeMap.from_edges(rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges),
+                                 n_rows, n_cols)
+    values = rng.normal(size=n_edges)
+    kept = weakref.ref(values)
+    for x, g in ((rng.normal(size=n_cols), rng.normal(size=n_rows)),
+                 (rng.normal(size=(n_cols, 3)), rng.normal(size=(n_rows, 3)))):
+        assert emap.product(values, x).tobytes() == (emap.matrix(values) @ x).tobytes()
+        assert emap.product_t(values, g).tobytes() == (emap.matrix_t(values) @ g).tobytes()
+    with pytest.raises(ValueError):
+        emap.product(np.ones(n_edges + 1), x)
+    # the containers hold a step's edge values only for its product
+    del values
+    assert kept() is None
 
 
 def test_segment_max_values():
@@ -496,6 +514,31 @@ def test_edge_matmul_backward_matches_oracle_at_block_boundaries(n_edges):
     dvals, dx = oracle_edge_matmul_backward(values, x, emap, g)
     assert np.array_equal(grads[tv], dvals)
     assert np.array_equal(grads[tx], dx)
+
+
+def test_edge_matmul_records_on_one_map_keep_their_own_values():
+    # the map multiplies through one container per direction; two records
+    # made on it before one backward must each read their own edge values
+    rng = np.random.default_rng(31)
+    n_rows, n_cols, n_edges, d = 9, 7, 40, 3
+    emap = ad.EdgeMap.from_edges(
+        rng.integers(n_rows, size=n_edges), rng.integers(n_cols, size=n_edges), n_rows, n_cols
+    )
+    values = [rng.normal(size=n_edges) for _ in range(2)]
+    xs = [rng.normal(size=(n_cols, d)) for _ in range(2)]
+    gs = [rng.normal(size=(n_rows, d)) for _ in range(2)]
+    tvs, txs = [ad.Tensor(v.copy()) for v in values], [ad.Tensor(x.copy()) for x in xs]
+    with ad.Tape() as tape:
+        outs = [ad.edge_matmul(tv, tx, emap) for tv, tx in zip(tvs, txs)]
+        weighted = [mul(out, ad.Tensor(g, requires_grad=False)) for out, g in zip(outs, gs)]
+        tape.mark_output(add(ad.reduce_sum(weighted[0]), ad.reduce_sum(weighted[1])))
+    grads = tape.gradients()
+    for v, x, g, tv, tx, out in zip(values, xs, gs, tvs, txs, outs):
+        dense = np.zeros((n_rows, n_cols))
+        np.add.at(dense, (emap.rows, emap.cols), v)
+        assert np.allclose(out.value, dense @ x, rtol=1e-13, atol=1e-13)
+        assert np.allclose(grads[tx], dense.T @ g, rtol=1e-13, atol=1e-13)
+        assert np.allclose(grads[tv], (g @ x.T)[emap.rows, emap.cols], rtol=1e-13, atol=1e-13)
 
 
 def test_edge_matmul_backward_allocates_less_than_one_gather():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.sparse import _compressed as sparse_compressed
+from scipy.sparse import _base as sparse_base
 
 from trustnet import experiment, train
 from trustnet.cli import CONFIG_FLAGS, _ablation_variants, _add_config_flags, build_config
@@ -407,26 +407,34 @@ class TestRun:
         run_single(load_dataset(cfg), cfg, 42)
         assert len(refs) == 2 and alive == [[False] * 2]
 
-    def test_a_step_builds_one_sparse_matrix_per_layer_pass(self, siot_dir, monkeypatch):
-        # per layer: the forward's beta matrix and the backward's transpose of
-        # it (8 for two roles of two layers), plus the pair loss backward's two
-        # row scatters; the role views' transposes are built once, with them
-        cfg = small_config(siot_dir, kind="siot_csv", epochs=1)
-        cfg.user_embed.epochs = 1
-        dataset = load_dataset(cfg)
-        prep = experiment.prepare_run(dataset, cfg, 42)
-        params = experiment.init_model(cfg, prep.seeds["params"])
-        params.set_initial_tables(*experiment._initial_tables(dataset, cfg, prep.seeds), trainable=False)
-        built = []
-        init = sparse_compressed._cs_matrix.__init__
+    @pytest.mark.parametrize("kind", ["siot", "filmtrust"])
+    def test_no_epoch_after_the_first_builds_a_sparse_matrix(self, tmp_path, monkeypatch, kind):
+        # the views' matrices, each view's two edge maps and their containers,
+        # and the train pairs' scatter matrices are built once per run; every
+        # scipy sparse constructor runs _spbase.__init__, so this counts them all
+        data = tmp_path / kind
+        assert cli_main(["fixtures", kind, "--out", str(data), "--seed", "0"]) == 0
+        cfg = ExperimentConfig(dataset=str(data), kind="siot_csv" if kind == "siot" else "filmtrust", epochs=3)
+        cfg.triples.enabled = kind == "siot"
+        built, per_epoch = [], []
+        init, epoch = sparse_base._spbase.__init__, experiment._epoch
 
         def counted(self, *args, **kwargs):
             built.append(type(self).__name__)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(sparse_compressed._cs_matrix, "__init__", counted)
-        experiment._epoch(cfg, prep, params, 0, step=True)
-        assert len(built) == 10, built
+        def spy_epoch(*args, **kwargs):
+            before = len(built)
+            out = epoch(*args, **kwargs)
+            per_epoch.append(built[before:])
+            return out
+
+        monkeypatch.setattr(sparse_base._spbase, "__init__", counted)
+        monkeypatch.setattr(experiment, "_epoch", spy_epoch)
+        run_single(load_dataset(cfg), cfg, 42)
+        assert len(built) > sum(map(len, per_epoch)), "the counter saw no set-up construction"
+        assert len(per_epoch) == cfg.epochs + 1
+        assert per_epoch[1:] == [[]] * cfg.epochs, per_epoch
 
     def test_disabled_role_runs(self, film_dir):
         cfg = small_config(film_dir)

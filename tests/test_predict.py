@@ -8,6 +8,7 @@ from trustnet.predict import (
     PredictorParams,
     metrics,
     pair_loss,
+    pair_scatter,
     predict_pair,
     predict_scores,
 )
@@ -221,6 +222,62 @@ class TestPairLossMatchesChainBitwise:
         assert tape.num_records == 1
 
 
+class TestPairLossWithPrebuiltScatter:
+    @staticmethod
+    def case(n, d, m):
+        """A random case whose ids repeat and leave the upper half of the users in no pair."""
+        rng = np.random.default_rng([n, d, m, 3])
+        z, params = Tensor(rng.normal(size=(n, d))), make_params(d, rng)
+        i, j = rng.integers(n // 2, size=m), rng.integers(n // 2, size=m)
+        i[0], j[-1] = n // 2 - 1, 0
+        return z, params, i, j, rng.integers(2, size=m)
+
+    @pytest.mark.parametrize("n, d, m", [(4, 2, 5), (40, 16, 300), (3000, 8, 5000)])
+    def test_same_bits_as_the_plain_arrays_and_add_at(self, n, d, m):
+        z, params, i, j, y = self.case(n, d, m)
+        scatter = pair_scatter(n, i, j, y)
+
+        def prebuilt(z, i, j, y, params):
+            return pair_loss(z, i, j, y, params, scatter)
+
+        got, got_grads = loss_grads(prebuilt, z, i, j, y, params)
+        want, want_grads = loss_grads(pair_loss, z, i, j, y, params)
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+        # each matrix sums rows exactly as np.add.at does
+        rows = np.random.default_rng(m).normal(size=(m, d))
+        for matrix, ids in ((scatter.by_trustor, i), (scatter.by_trustee, j)):
+            oracle = np.zeros((n, d))
+            np.add.at(oracle, ids, rows)
+            assert np.array_equal(matrix @ rows, oracle)
+
+        # the gradients from softmax minus one-hot, scattered by np.add.at
+        zv, wv, bv = z.value, params.weight.value, params.bias.value
+        logits = np.concatenate([zv[i], zv[j]], axis=1) @ wv + bv
+        d_logits = np.exp(logits - logits.max(axis=1, keepdims=True))
+        d_logits /= d_logits.sum(axis=1, keepdims=True)
+        d_logits[np.arange(m), y] -= 1.0
+        d_logits /= m
+        d_z = np.zeros_like(zv)
+        np.add.at(d_z, j, d_logits @ wv[d:].T)
+        np.add.at(d_z, i, d_logits @ wv[:d].T)
+        d_w = np.concatenate([zv[i], zv[j]], axis=1).T @ d_logits
+        for g, w in zip(got_grads, (d_z, d_w, d_logits.sum(axis=0))):
+            assert np.allclose(g, w, rtol=1e-12, atol=1e-15)
+        unpaired = np.setdiff1d(np.arange(n), np.concatenate([i, j]))
+        assert unpaired.size and np.array_equal(got_grads[0][unpaired], np.zeros((unpaired.size, d)))
+
+    def test_a_scatter_of_other_pairs_is_refused(self):
+        z, params, i, j, y = self.case(6, 2, 4)
+        scatter = pair_scatter(6, i, j, y)
+        with pytest.raises(ValueError):
+            pair_loss(z, i.copy(), j, y, params, scatter)
+        with pytest.raises(ValueError):
+            pair_loss(Tensor(np.zeros((7, 2))), i, j, y, params, scatter)
+
+
 class TestPairLossRejectsMalformedPairs:
     CASES = {
         "negative_label": ([0, 1], [1, 2], [1, -1]),
@@ -241,6 +298,11 @@ class TestPairLossRejectsMalformedPairs:
         z = Tensor(rng.normal(size=(4, 2)))
         with pytest.raises(DataError):
             pair_loss(z, *self.CASES[case], make_params(2, rng))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_building_its_scatter_raises_data_error(self, case):
+        with pytest.raises(DataError):
+            pair_scatter(4, *self.CASES[case])
 
 
 class TestMetrics:
