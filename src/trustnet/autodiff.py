@@ -26,24 +26,23 @@ Taped ops. The pipeline records four fused records made with ``record``:
 the input projection (``train.input_projection``), the convolution layer
 (``conv.layer_forward``), the fusion gate (``train.gate_fusion``) and the
 loss head (``predict.pair_loss``), plus ``concat_cols`` under concat
-fusion. The other taped ops are here for the benchmark: ``bench/child.py``
-wraps ``edge_matmul``, ``sparse_matmul``, ``elu``, ``gather`` and
-``matmul`` by name, ``bench/checks.HeldKinks`` patches ``leaky_relu`` and
-its test tapes ``reduce_sum``. The layer calls the wrapped and patched
-ops on plain arrays, which records nothing, and reads their values; every
-other step of the layer and the gate calls its kernel.
+fusion. Two more taped ops serve the benchmark: ``bench/checks.HeldKinks``
+patches ``leaky_relu`` and writes into its output's ``.value``, and its
+test tapes ``reduce_sum``. The layer calls ``leaky_relu`` on plain arrays,
+which records nothing, and reads its values.
 
 Kernels. Plain-array functions, each forward next to its gradient:
 ``row_block_product``/``row_block_grads``, ``stack_halves``/
 ``stack_halves_grads``, ``type_softmax``/``type_softmax_grads``,
-``segment_softmax``/``segment_softmax_grad`` and ``logistic``/
-``sigmoid_grad``; ``leaky_slopes`` and ``elu_slopes`` are the activations'
-derivatives. ``scatter_values`` and ``scatter_rows`` are ``gather``'s 1-D
-and 2-D backward, ``scatter_matrix`` is the latter's matrix, for an index
-that never changes, and ``edge_dots`` is the per-edge half of
-``edge_matmul``'s. The fused backwards call these kernels in the chain's
-reverse order, so no gradient is written twice; ``embed`` also calls
-``logistic`` on every SGD step.
+``segment_softmax``/``segment_softmax_grad``, ``edge_matmul``/
+``edge_dots`` and ``logistic``/``sigmoid_grad``; ``leaky_slopes`` and
+``elu_slopes`` are the activations' derivatives. ``matmul``,
+``sparse_matmul``, ``gather``, ``edge_matmul`` and ``elu`` keep their
+names because ``bench/child.py`` times the layer's calls to them.
+``scatter_values`` is a 1-D gather's gradient, and ``scatter_matrices``
+the 2-D one's matrices, for indices that never change. The fused
+backwards call these kernels in the chain's reverse order, so no gradient
+is written twice; ``embed`` also calls ``logistic`` on every SGD step.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ __all__ = [
     "concat_cols",
     "stack_halves",
     "gather",
-    "scatter_matrix",
-    "scatter_rows",
+    "scatter_matrices",
     "scatter_values",
     "segment_max_values",
     "type_softmax",
@@ -239,22 +237,9 @@ def record(name: str, out: Tensor, backward, fresh: bool = False) -> None:
 # products
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; supports (n,k)@(k,m) and (n,k)@(k,)."""
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value @ b.value, requires_grad=a.requires_grad or b.requires_grad)
-
-    def backward(g):
-        if b.value.ndim == 1:
-            da = np.einsum("i,j->ij", g, b.value) if a.requires_grad else None
-            db = a.value.T @ g if b.requires_grad else None
-        else:
-            da = g @ b.value.T if a.requires_grad else None
-            db = a.value.T @ g if b.requires_grad else None
-        return [(a, da), (b, db)]
-
-    record("matmul", out, backward)
-    return out
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product ``a @ b``."""
+    return a @ b
 
 
 def row_block_product(x, split: int, w_top, w_bottom) -> np.ndarray:
@@ -312,23 +297,16 @@ def elu_slopes(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0))
 
 
-def elu(a, slopes: np.ndarray | None = None) -> Tensor:
-    """The ELU, max(0, x) + exp(min(x, 0)) - 1.
+def elu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """The ELU, max(0, x) + exp(min(x, 0)) - 1, given ``slopes = elu_slopes(x)``.
 
-    ``slopes`` is ``elu_slopes`` of the input, for a caller that already
-    has it; it is computed here when None.
+    The derivative is also what the value needs: max(0, x) - (1 - slopes)
+    is x where x >= 0 and slopes - 1 below 0. The argument order keeps
+    max(0.0, -0.0) at -0.0.
     """
-    a = as_tensor(a)
-    x = a.value
-    # the derivative ex is also what the value needs: max(0, x) - (1 - ex)
-    # is x where x >= 0 and ex - 1 below 0. The argument order keeps
-    # max(0.0, -0.0) at -0.0.
-    ex = elu_slopes(x) if slopes is None else slopes
     value = np.maximum(0.0, x)
-    value -= 1.0 - ex
-    out = Tensor(value, requires_grad=a.requires_grad)
-    record("elu", out, lambda g: [(a, g * ex)])
-    return out
+    value -= 1.0 - slopes
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +359,29 @@ def stack_halves_grads(g: np.ndarray) -> list[np.ndarray]:
     return [g[:, 2 * i : 2 * i + 2].T.reshape(-1) for i in range(g.shape[1] // 2)]
 
 
-def scatter_matrix(idx: np.ndarray, n: int) -> sp.csc_matrix:
-    """The (n, len(idx)) 0/1 matrix with a one at (idx[k], k) for every position k.
+def scatter_matrices(n: int, *indices: np.ndarray) -> list[sp.csc_array]:
+    """Per index array idx of one length m, the (n, m) 0/1 matrix with a one at (idx[k], k).
 
     Stored by columns, one entry each, so scipy's product adds position
     k's row into output row idx[k] in ascending k, starting from +0, as
-    ``np.add.at`` does; building it sorts nothing. A caller whose ``idx``
-    never changes builds it once and multiplies with it at every step.
+    ``np.add.at`` does; building them sorts nothing. They share one array
+    of ones and one of int64 column pointers; scipy keeps both without a
+    copy, and int64 indices too. A caller whose indices never change
+    builds them once and multiplies with them at every step.
     """
-    return sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(n, idx.size))
-
-
-def scatter_rows(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """The (n, d) sums of the rows of ``g`` at ``idx``: ``np.add.at(zeros, idx, g)``."""
-    return scatter_matrix(idx, n) @ g
+    m = indices[0].size
+    ones, indptr = np.ones(m), np.arange(m + 1)
+    return [sp.csc_array((ones, idx, indptr), shape=(n, m)) for idx in indices]
 
 
 def scatter_values(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """The length-n sums of the entries of ``g`` at ``idx``: ``gather``'s 1-D backward."""
+    """The length-n sums of the entries of ``g`` at ``idx``: a 1-D gather's gradient."""
     return np.bincount(idx, weights=g, minlength=n)
 
 
-def gather(a, idx: np.ndarray) -> Tensor:
-    """Row gather a[idx]; scatter-add on the way back (``scatter_values``/``scatter_rows``).
-
-    ``idx`` is used as given, in any integer dtype: a converted copy would be
-    one more index array for the tape to hold until the backward runs.
-    """
-    a = as_tensor(a)
-    idx = np.asarray(idx)
-    out = Tensor(a.value[idx], requires_grad=a.requires_grad)
-
-    def backward(g):
-        n = a.value.shape[0]
-        if a.value.ndim == 1:
-            return [(a, scatter_values(g, idx, n))]
-        return [(a, scatter_rows(g, idx, n))]
-
-    record("gather", out, backward)
-    return out
+def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row gather ``a[idx]``, with ``idx`` used as given, in any integer dtype."""
+    return a[idx]
 
 
 def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -484,17 +446,9 @@ def segment_softmax_grad(beta: np.ndarray, g: np.ndarray, rows: np.ndarray, n: i
 # sparse structure
 
 
-def sparse_matmul(mat: sp.csr_matrix, x) -> Tensor:
-    """Product ``mat @ x`` with a constant sparse matrix.
-
-    The backward product ``mat.T @ g`` runs scipy's CSC kernel on the same
-    arrays, which sums each output row in ascending source-row order, as a
-    stored CSR transpose would.
-    """
-    x = as_tensor(x)
-    out = Tensor(mat @ x.value, requires_grad=x.requires_grad)
-    record("sparse_matmul", out, lambda g: [(x, mat.T @ g)])
-    return out
+def sparse_matmul(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """Product ``mat @ x`` with a constant sparse matrix."""
+    return mat @ x
 
 
 @dataclass(frozen=True)
@@ -599,22 +553,11 @@ def edge_dots(g: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
     return dots
 
 
-def edge_matmul(values, x, emap: EdgeMap) -> Tensor:
-    """Weighted-adjacency product: out[i] = sum_e values[e] * x[cols[e]].
+def edge_matmul(values: np.ndarray, x: np.ndarray, emap: EdgeMap) -> np.ndarray:
+    """Weighted-adjacency product out[i] = sum_e values[e] * x[cols[e]]: ``emap.product``.
 
-    ``values`` is a per-edge tensor aligned with ``emap`` (row-major
-    order); gradients flow into both the edge values and ``x``.
+    ``values`` holds one weight per edge of ``emap``, in its row-major
+    order. The gradients are ``edge_dots`` for the values and
+    ``emap.product_t(values, g)`` for ``x``.
     """
-    values, x = as_tensor(values), as_tensor(x)
-    out = Tensor(emap.product(values.value, x.value), requires_grad=values.requires_grad or x.requires_grad)
-
-    def backward(g):
-        dvals = None
-        if values.requires_grad:
-            dvals = edge_dots(g, x.value, emap)
-        # this record's own values: another call may have used the map since
-        dx = emap.product_t(values.value, g) if x.requires_grad else None
-        return [(values, dvals), (x, dx)]
-
-    record("edge_matmul", out, backward)
-    return out
+    return emap.product(values, x)

@@ -12,12 +12,13 @@ the logit is eta_t1 . h_i + sum_j a_ij (eta_t2 . h_j): the neighbor sum runs
 over per-node scalar scores, one sparse product over the edges, instead of
 over d-vectors, which would cost d times that and an n x d result per type.
 
-A whole layer is one tape record. Its forward calls the benchmark's taped
-ops, the names ``bench/child.py`` wraps to time them and
-``bench/checks.HeldKinks`` patches (``ad.leaky_relu``, to hold each kink on
-one side), on plain arrays, so none of them records anything; every other
-step calls its ``autodiff`` kernel (``row_block_product``, ``stack_halves``,
-``type_softmax``, ``segment_softmax``). Its backward composes the gradient
+A whole layer is one tape record. Its forward calls ``autodiff`` kernels
+on plain arrays: ``row_block_product``, ``stack_halves``, ``type_softmax``,
+``segment_softmax`` and the five ``bench/child.py`` times by name
+(``matmul``, ``sparse_matmul``, ``gather``, ``edge_matmul``, ``elu``). The
+one taped op it calls is ``ad.leaky_relu``, which ``bench/checks.HeldKinks``
+patches to hold each kink on one side; called on plain arrays, it records
+nothing, and the layer reads its values. Its backward composes the gradient
 kernels in the chain's reverse order, so no gradient is written here a
 second time. It keeps what those kernels read, the ELU's slope in place of
 its input among them, and recomputes the cheap intermediates, ``projected``
@@ -59,31 +60,32 @@ class LayerParams:
 # vectorized layer
 
 
-def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int | None = None) -> Tensor:
+def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: bool = False) -> Tensor:
     """One convolution layer over a view, recorded as one tape op.
 
-    Computes steps (1)-(4) at the first ``out_rows`` nodes (all of them when
-    None), with the self-loop treated as a neighbor of the node's own type.
+    Computes steps (1)-(4) at every node, or at the user rows alone with
+    ``users_only``, with the self-loop treated as a neighbor of the node's
+    own type.
     One product of ``h`` with the six attention half-vectors gives every
     per-node score; the type logits then aggregate the neighbor scores
     through ``view.s_user``/``view.s_obj`` rather than aggregating ``h`` and
     dotting the n x d sums. Each edge reads its neighbor type's weight from
     ``type_softmax``'s [alpha_u; alpha_o] at ``view.typed_rows``.
 
-    Rows are sorted, so the first m rows' edges are a prefix of the edge
-    list: the node attention, the aggregation and their gradients run over
-    that prefix, an (m, n) ``EdgeMap`` (the view's ``user_emap``, built
-    with the view, when m is the user count), while ``projected``, the
-    scores and the type softmax stay over all n nodes, since the prefix's
-    neighbors include objects. The output is bitwise the full layer's first m rows
+    Rows are sorted, users first, so the m user rows' edges are a prefix of
+    the edge list: with ``users_only`` the node attention, the aggregation
+    and their gradients run over that prefix, the view's (m, n)
+    ``user_emap``, built with the view, while ``projected``, the scores and
+    the type softmax stay over all n nodes, since the prefix's neighbors
+    include objects. The output is bitwise the full layer's first m rows
     and each gradient the full layer's under a zero-padded output gradient:
     rows and edges are computed independently, and every term the full
     layer adds beyond the prefix is a +-0 landing in a sum that starts at
     +0.0 (``bincount``, the sparse products), which changes no bit.
 
-    The forward reads the values the benchmark's taped ops return, so a
-    caller that patches one (as the gradient check patches ``leaky_relu``)
-    changes the layer's output exactly as it would change the taped chain's.
+    The forward reads the values ``ad.leaky_relu`` returns, so a caller
+    that patches it (as the gradient check does) changes the layer's output
+    exactly as it would change the taped chain's.
     The backward calls the gradient kernels in reverse chain order, except
     that the projection's runs before the score product's, which does not
     read it, so the projection's gradient is freed before ``h``'s attention
@@ -104,8 +106,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     ``d_h`` as ``h``'s gradient and adds ``d_x`` into it in place.
     """
     n, nu = view.num_nodes, view.num_users
-    m = n if out_rows is None else out_rows
-    emap = view.user_emap if m == nu else view.emap.prefix(m)
+    emap, m = (view.user_emap, nu) if users_only else (view.emap, n)
     rows, cols = emap.rows, emap.cols
     typed_rows = view.typed_rows[: rows.shape[0]]
     x = h.value
@@ -117,15 +118,15 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
 
     # per-node scores against each attention half-vector, one product for all six
     stacked = ad.stack_halves(*(p.value for p in attn))
-    scores = ad.matmul(x, stacked).value
+    scores = ad.matmul(x, stacked)
     su_own, su_nbr, so_own, so_nbr, _, _ = scores.T
     # the backward reads only the pair-score columns: copies let the rest go
     s_own, s_nbr = scores[:, 4].copy(), scores[:, 5].copy()
 
     # type logits eta_t . [h_i || h_t], the neighbor sum taken over scores
-    pre_u = su_own + ad.sparse_matmul(view.s_user, su_nbr).value
+    pre_u = su_own + ad.sparse_matmul(view.s_user, su_nbr)
     logit_u = ad.leaky_relu(pre_u, LEAKY_SLOPE).value
-    pre_o = so_own + ad.sparse_matmul(view.s_obj, so_nbr).value
+    pre_o = so_own + ad.sparse_matmul(view.s_obj, so_nbr)
     logit_o = ad.leaky_relu(pre_o, LEAKY_SLOPE).value
     nonneg_u, nonneg_o = pre_u >= 0, pre_o >= 0
     del pre_u, pre_o
@@ -135,8 +136,8 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     del logit_u, logit_o
 
     # node-level attention: the neighbor's type weight scales the pair logit
-    alpha_edge = ad.gather(alpha, typed_rows).value
-    pre_pair = alpha_edge * (ad.gather(s_own, rows).value + ad.gather(s_nbr, cols).value)
+    alpha_edge = ad.gather(alpha, typed_rows)
+    pre_pair = alpha_edge * (ad.gather(s_own, rows) + ad.gather(s_nbr, cols))
     del alpha_edge
     pair_logit = ad.leaky_relu(pre_pair, LEAKY_SLOPE).value
     nonneg_pair = pre_pair >= 0
@@ -144,11 +145,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, out_rows: int
     beta = ad.segment_softmax(pair_logit, rows, emap.indptr)
     del pair_logit
 
-    pre = ad.edge_matmul(beta, projected, emap).value
+    pre = ad.edge_matmul(beta, projected, emap)
     del projected
     slope = ad.elu_slopes(pre)
     trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
-    out = Tensor(ad.elu(pre, slope).value, requires_grad=trainable)
+    out = Tensor(ad.elu(pre, slope), requires_grad=trainable)
     del pre
 
     def backward(g):

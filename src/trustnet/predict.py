@@ -85,8 +85,9 @@ def _pair_arrays(n_users: int, trustors, trustees, labels):
 class PairScatter:
     """A fixed pair set, checked once, and the two matrices its loss gradient scatters through.
 
-    ``by_trustor`` and ``by_trustee`` are ``ad.scatter_matrix`` of the
-    checked trustor and trustee ids over ``n_users`` rows. A run builds
+    ``by_trustor`` and ``by_trustee`` are ``ad.scatter_matrices`` of the
+    checked trustor and trustee ids over ``n_users`` rows, which share
+    their data and column-pointer arrays. A run builds
     one for its train pairs (``pair_scatter``) and hands it to
     ``pair_loss`` at every step, which then neither checks the pairs again
     nor builds a matrix.
@@ -96,14 +97,14 @@ class PairScatter:
     trustors: np.ndarray
     trustees: np.ndarray
     labels: np.ndarray
-    by_trustor: sp.csc_matrix
-    by_trustee: sp.csc_matrix
+    by_trustor: sp.csc_array
+    by_trustee: sp.csc_array
 
 
 def pair_scatter(n_users: int, trustors, trustees, labels) -> PairScatter:
     """The pairs' ``PairScatter``; raises ``DataError`` where ``pair_loss`` would."""
     i, j, y = _pair_arrays(n_users, trustors, trustees, labels)
-    return PairScatter(n_users, i, j, y, ad.scatter_matrix(i, n_users), ad.scatter_matrix(j, n_users))
+    return PairScatter(n_users, i, j, y, *ad.scatter_matrices(n_users, i, j))
 
 
 def pair_loss(
@@ -184,15 +185,14 @@ def pair_loss(
 def metrics(predictions, labels) -> tuple[float, float]:
     """Accuracy and positive-class F1 at the 0.5 threshold.
 
-    ``predictions`` holds trust-class probabilities (or an (m, 2)
-    distribution per pair, of which the trust column is used).
+    ``predictions`` holds one trust-class probability per pair.
     """
     preds = np.asarray(predictions, dtype=np.float64)
-    if preds.ndim == 2:
-        preds = preds[:, TRUST_CLASS]
     y = np.asarray(labels, dtype=np.int64)
-    if preds.shape[0] != y.shape[0]:
-        raise DataError("predictions and labels must have equal length")
+    if not preds.shape == y.shape == (y.size,):
+        raise DataError(
+            f"predictions and labels must be 1-D of one length, got shapes {preds.shape} and {y.shape}"
+        )
     if preds.shape[0] == 0:
         raise DataError("metrics need at least one sample")
     hard = (preds >= 0.5).astype(np.int64)

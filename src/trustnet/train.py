@@ -254,8 +254,8 @@ def input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor
 
     Each block's product is written into its rows of one array, as
     ``ad.row_block_product`` does, so the tape holds that array and not two
-    products and their concatenation. The value is the concatenated
-    ``ad.matmul`` products', and the backward is their backwards on the
+    products and their concatenation. The value is the two products'
+    concatenation, and the backward is the two products' gradients on the
     output gradient's two row blocks, so every bit is the chain's.
     """
     nu = hu.value.shape[0]
@@ -307,7 +307,7 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
         h = h0
         for layer in inner:
             h = layer_forward(h, view, layer)
-        role_users.append(layer_forward(h, view, last, out_rows=view.num_users))
+        role_users.append(layer_forward(h, view, last, users_only=True))
 
     if len(role_users) == 2:
         if params.fusion == "concat":

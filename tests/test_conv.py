@@ -21,8 +21,8 @@ from trustnet.predict import PredictorParams, pair_loss
 from trustnet.train import backward, forward, init_params
 
 from test_autodiff import (
-    REPO, add, assert_close_grads, column, concat_rows, div, exp, mul, row_block_matmul, segment_softmax,
-    sigmoid, slice_rows, stack_halves, sub, type_softmax,
+    REPO, add, assert_close_grads, column, concat_rows, div, edge_matmul, elu, exp, gather, matmul, mul,
+    row_block_matmul, segment_softmax, sigmoid, slice_rows, sparse_matmul, stack_halves, sub, type_softmax,
 )
 from test_predict import chain_pair_loss, frozen
 
@@ -134,37 +134,35 @@ def chain_gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
     return add(mul(g, z_tor), mul(sub(1.0, g), z_tee))
 
 
-def chain_layer_forward(
-    h: Tensor, view: GraphView, params: LayerParams, out_rows: int | None = None
-) -> Tensor:
+def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: bool = False) -> Tensor:
     """``layer_forward`` as a chain of 25 tape ops, each with its own record.
 
-    The production layer runs this same chain untaped and replays its
-    gradient arithmetic in one record, so its output and gradients must be
-    bitwise equal to this chain's. With ``out_rows`` the chain computes
-    every row and slices off the first ``out_rows``, which the production
+    The production layer runs this same chain's kernels untaped and replays
+    its gradient arithmetic in one record, so its output and gradients must
+    be bitwise equal to this chain's. With ``users_only`` the chain
+    computes every row and slices off the user rows, which the production
     layer computes alone.
     """
     emap = view.emap
 
     projected = row_block_matmul(h, view.num_users, params.w_user, params.w_obj)
 
-    scores = ad.matmul(h, stack_halves(params.eta_user, params.eta_obj, params.gamma))
+    scores = matmul(h, stack_halves(params.eta_user, params.eta_obj, params.gamma))
     su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (column(scores, k) for k in range(6))
 
-    logit_u = ad.leaky_relu(add(su_own, ad.sparse_matmul(view.s_user, su_nbr)), LEAKY_SLOPE)
-    logit_o = ad.leaky_relu(add(so_own, ad.sparse_matmul(view.s_obj, so_nbr)), LEAKY_SLOPE)
+    logit_u = ad.leaky_relu(add(su_own, sparse_matmul(view.s_user, su_nbr)), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(add(so_own, sparse_matmul(view.s_obj, so_nbr)), LEAKY_SLOPE)
 
     alpha = type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
 
-    alpha_edge = ad.gather(alpha, view.typed_rows)
+    alpha_edge = gather(alpha, view.typed_rows)
     pair_logit = ad.leaky_relu(
-        mul(alpha_edge, add(ad.gather(s_own, emap.rows), ad.gather(s_nbr, emap.cols))), LEAKY_SLOPE
+        mul(alpha_edge, add(gather(s_own, emap.rows), gather(s_nbr, emap.cols))), LEAKY_SLOPE
     )
     beta = segment_softmax(pair_logit, emap.rows, emap.indptr)
 
-    out = ad.elu(ad.edge_matmul(beta, projected, emap))
-    return out if out_rows is None else slice_rows(out, 0, out_rows)
+    out = elu(edge_matmul(beta, projected, emap))
+    return slice_rows(out, 0, view.num_users) if users_only else out
 
 
 def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Tensor:
@@ -179,17 +177,17 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
 
     hu = slice_rows(h, 0, nu)
     ho = slice_rows(h, nu, n)
-    projected = concat_rows(ad.matmul(hu, params.w_user), ad.matmul(ho, params.w_obj))
+    projected = concat_rows(matmul(hu, params.w_user), matmul(ho, params.w_obj))
 
-    t_user = ad.sparse_matmul(view.s_user, h)
-    t_obj = ad.sparse_matmul(view.s_obj, h)
+    t_user = sparse_matmul(view.s_user, h)
+    t_obj = sparse_matmul(view.s_obj, h)
 
     eu1 = slice_rows(params.eta_user, 0, d)
     eu2 = slice_rows(params.eta_user, d, 2 * d)
     eo1 = slice_rows(params.eta_obj, 0, d)
     eo2 = slice_rows(params.eta_obj, d, 2 * d)
-    logit_u = ad.leaky_relu(add(ad.matmul(h, eu1), ad.matmul(t_user, eu2)), LEAKY_SLOPE)
-    logit_o = ad.leaky_relu(add(ad.matmul(h, eo1), ad.matmul(t_obj, eo2)), LEAKY_SLOPE)
+    logit_u = ad.leaky_relu(add(matmul(h, eu1), matmul(t_user, eu2)), LEAKY_SLOPE)
+    logit_o = ad.leaky_relu(add(matmul(h, eo1), matmul(t_obj, eo2)), LEAKY_SLOPE)
 
     mask_u, mask_o = view.has_user_neighbor, view.has_obj_neighbor
     shift = np.maximum(
@@ -204,22 +202,22 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
 
     is_user_col = (cols < nu).astype(np.float64)
     alpha_edge = add(
-        mul(ad.gather(alpha_u, rows), is_user_col), mul(ad.gather(alpha_o, rows), 1.0 - is_user_col)
+        mul(gather(alpha_u, rows), is_user_col), mul(gather(alpha_o, rows), 1.0 - is_user_col)
     )
     g1 = slice_rows(params.gamma, 0, d)
     g2 = slice_rows(params.gamma, d, 2 * d)
-    s_own = ad.gather(ad.matmul(h, g1), rows)
-    s_nbr = ad.gather(ad.matmul(h, g2), cols)
+    s_own = gather(matmul(h, g1), rows)
+    s_nbr = gather(matmul(h, g2), cols)
     pair_logit = ad.leaky_relu(mul(alpha_edge, add(s_own, s_nbr)), LEAKY_SLOPE)
 
     seg_shift = ad.segment_max_values(pair_logit.value, indptr)
     ex = exp(sub(pair_logit, seg_shift[rows]))
     # each row's edge weights summed in ascending edge order, through a 0/1 matrix
     members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), indptr), (n, rows.size))
-    denom_e = ad.sparse_matmul(members, ex)
-    beta = div(ex, ad.gather(denom_e, rows))
+    denom_e = sparse_matmul(members, ex)
+    beta = div(ex, gather(denom_e, rows))
 
-    return ad.elu(ad.edge_matmul(beta, projected, view.emap))
+    return elu(edge_matmul(beta, projected, view.emap))
 
 
 def make_layer(rng, dim):
@@ -721,24 +719,25 @@ def lonely_user_case(rng, d, role):
 
 
 class TestUsersOnlyLayer:
-    # the user rows alone are the full layer's first rows, and every gradient
-    # is the full layer's under an output gradient that is zero past them
+    # the user rows alone are the chain's first rows at every node, and every
+    # gradient is the chain's under an output gradient that is zero past them
     @pytest.mark.parametrize("trainable", ["all", "frozen_h"])
-    @pytest.mark.parametrize("rows", ["users", "nodes", "first"])
+    @pytest.mark.parametrize("rows", ["users", "nodes"])
     @pytest.mark.parametrize("role", [Role.TRUSTOR, Role.TRUSTEE], ids=["trustor", "trustee"])
     @pytest.mark.parametrize("d", [1, 4])
     def test_rows_and_gradients_are_the_full_layers(self, d, role, rows, trainable):
         rng = np.random.default_rng([d, role is Role.TRUSTEE, len(rows), 19])
+        users_only = rows == "users"
         for _ in range(4):
             view, h, lp = lonely_user_case(rng, d, role)
             h, lp = TRAINABLE[trainable](h, lp)
-            m = {"users": view.num_users, "nodes": view.num_nodes, "first": 1}[rows]
+            m = view.num_users if users_only else view.num_nodes
             weights = rng.normal(size=h.shape)
             weights[m:] = 0.0
-            want_out, want_grads = layer_grads(layer_forward, view, h, lp, weights)
+            want_out, want_grads = layer_grads(chain_layer_forward, view, h, lp, weights)
 
             def leading_rows(h, view, lp):
-                return layer_forward(h, view, lp, out_rows=m)
+                return layer_forward(h, view, lp, users_only=users_only)
 
             out, grads = layer_grads(leading_rows, view, h, lp, weights[:m])
             assert out.shape == (m, d) and np.array_equal(out, want_out[:m])
@@ -769,8 +768,13 @@ LAYER_KERNELS = [
     "type_softmax_grads",
     "segment_softmax_grad",
 ]
-# the forward kernels the layer calls in place of the chain's ops
-FORWARD_KERNELS = ["row_block_product", "stack_halves", "type_softmax", "segment_softmax"]
+# the forward kernels the layer calls in place of the chain's ops. Not the
+# ELU, whose doubled value moves no gradient, nor the gather, whose values the
+# chain's products differentiate through and the layer's backward re-gathers
+FORWARD_KERNELS = [
+    "row_block_product", "stack_halves", "type_softmax", "segment_softmax",
+    "matmul", "sparse_matmul", "edge_matmul",
+]
 
 
 @pytest.mark.parametrize("kernel", LAYER_KERNELS + FORWARD_KERNELS[1:])
@@ -857,8 +861,8 @@ PIPELINES = {
 
 
 def chain_input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor) -> Tensor:
-    """``train.input_projection`` as two ``ad.matmul`` records and their concatenation."""
-    return concat_rows(ad.matmul(hu, proj_user), ad.matmul(ho, proj_obj))
+    """``train.input_projection`` as two ``matmul`` records and their concatenation."""
+    return concat_rows(matmul(hu, proj_user), matmul(ho, proj_obj))
 
 
 def chains(monkeypatch) -> None:
@@ -977,10 +981,10 @@ def test_training_step_peaks_lower_than_the_chains(tmp_path, monkeypatch):
     assert fused <= 0.6 * chain
 
 
-def all_rows_then_sliced(h, view, params, out_rows=None):
-    """The production layer at every node, with its first ``out_rows`` rows sliced off after."""
+def all_rows_then_sliced(h, view, params, users_only=False):
+    """The production layer at every node, with the user rows sliced off after under ``users_only``."""
     out = layer_forward(h, view, params)
-    return out if out_rows is None else slice_rows(out, 0, out_rows)
+    return slice_rows(out, 0, view.num_users) if users_only else out
 
 
 def test_users_only_last_layer_lowers_the_training_step_peak(tmp_path, monkeypatch):
@@ -1046,18 +1050,19 @@ def test_projection_gradient_first_lowers_the_training_step_peak(tmp_path, monke
 
 
 # the layer's ELU and record as they are, and as they were: the record kept
-# ``pre``, the backward recomputed the slope and the gradients were not fresh
+# ``pre``, the ELU and the backward each computed the slope and the
+# gradients were not fresh
 SLOPE_KEPT = [
     (
         """\
     slope = ad.elu_slopes(pre)
     trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
-    out = Tensor(ad.elu(pre, slope).value, requires_grad=trainable)
+    out = Tensor(ad.elu(pre, slope), requires_grad=trainable)
     del pre
 """,
         """\
     trainable = any(t.requires_grad for t in (h, params.w_user, params.w_obj, *attn))
-    out = Tensor(ad.elu(pre).value, requires_grad=trainable)
+    out = Tensor(ad.elu(pre, ad.elu_slopes(pre)), requires_grad=trainable)
 """,
     ),
     ("        d_pre = g * slope\n", "        d_pre = g * ad.elu_slopes(pre)\n"),
@@ -1067,15 +1072,15 @@ SLOPE_KEPT = [
 
 def test_layer_computes_the_elu_slope_once_and_hands_it_to_elu(monkeypatch):
     slopes, handed = [], []
-    elu_slopes, elu = ad.elu_slopes, ad.elu
+    elu_slopes, elu_kernel = ad.elu_slopes, ad.elu
 
     def counted_slopes(x):
         slopes.append(elu_slopes(x))
         return slopes[-1]
 
-    def counted_elu(a, *args):
-        handed.extend(args)
-        return elu(a, *args)
+    def counted_elu(x, slope):
+        handed.append(slope)
+        return elu_kernel(x, slope)
 
     monkeypatch.setattr(ad, "elu_slopes", counted_slopes)
     monkeypatch.setattr(ad, "elu", counted_elu)
@@ -1137,14 +1142,16 @@ def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():
     assert_close_grads(run(moved, perm[aug], h[np.argsort(perm)], perm), run(graph, aug, h, np.arange(n)))
 
 
-# names the benchmark wraps (bench/child.py LAYERS) or patches (checks.HeldKinks)
-BENCH_WRAPPED = ("edge_matmul", "sparse_matmul", "elu", "gather", "matmul", "leaky_relu")
+# the autodiff names the benchmark times (bench/child.py LAYERS), and all it
+# holds, with the one it patches (checks.HeldKinks)
+BENCH_TIMED = ("edge_matmul", "sparse_matmul", "elu", "gather", "matmul")
+BENCH_WRAPPED = (*BENCH_TIMED, "leaky_relu")
 
 
 def test_bench_wrapped_is_what_the_bench_holds():
     # the autodiff names in bench/child.py's LAYERS and those HeldKinks assigns
-    # as self.module.<name>; once the bench stops wrapping a name, the layer
-    # may call its kernel instead
+    # as self.module.<name>: the layer calls each by that name, and
+    # leaky_relu stays taped, until the bench stops holding it
     child = ast.parse((REPO / "bench" / "child.py").read_text()).body
     layers = next(s.value for s in child if isinstance(s, ast.Assign) and s.targets[0].id == "LAYERS")
     held = {e.elts[1].value for e in layers.elts if e.elts[0].id == "autodiff"}
@@ -1172,3 +1179,23 @@ def test_layer_calls_every_name_the_bench_wraps(monkeypatch):
     assert calls == {
         "edge_matmul": 1, "sparse_matmul": 2, "elu": 1, "gather": 3, "matmul": 1, "leaky_relu": 3
     }
+
+
+def test_layer_makes_one_record_and_the_bench_timed_names_return_arrays(monkeypatch):
+    # the five names the bench times are kernels: whatever they return is a
+    # plain array, and the layer's one record is all the tape holds
+    returned = {}
+    for name in BENCH_TIMED:
+        original = getattr(ad, name)
+
+        def kept(*args, _name=name, _original=original):
+            out = _original(*args)
+            returned.setdefault(_name, set()).add(type(out))
+            return out
+
+        monkeypatch.setattr(ad, name, kept)
+    view, h, lp = random_oracle_case(np.random.default_rng(3), 3, Role.TRUSTEE)
+    with Tape() as tape:
+        layer_forward(h, view, lp)
+    assert tape.record_counts == {"layer": 1}
+    assert returned == {name: {np.ndarray} for name in BENCH_TIMED}

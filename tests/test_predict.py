@@ -13,7 +13,7 @@ from trustnet.predict import (
     predict_scores,
 )
 
-from test_autodiff import add, exp, gather_pairs, log, mean, sub
+from test_autodiff import add, exp, gather, gather_pairs, log, matmul, mean, sub
 
 
 def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> Tensor:
@@ -24,9 +24,9 @@ def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> T
     bitwise equal to this chain's.
     """
     m = len(labels)
-    zi = ad.gather(z, np.asarray(trustors))
-    zj = ad.gather(z, np.asarray(trustees))
-    logits = add(ad.matmul(ad.concat_cols(zi, zj), params.weight), params.bias)
+    zi = gather(z, np.asarray(trustors))
+    zj = gather(z, np.asarray(trustees))
+    logits = add(matmul(ad.concat_cols(zi, zj), params.weight), params.bias)
     shift = logits.value.max(axis=1)
     ex = exp(sub(logits, shift[:, None]))
     lse = log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
@@ -269,6 +269,15 @@ class TestPairLossWithPrebuiltScatter:
         unpaired = np.setdiff1d(np.arange(n), np.concatenate([i, j]))
         assert unpaired.size and np.array_equal(got_grads[0][unpaired], np.zeros((unpaired.size, d)))
 
+    def test_the_two_matrices_share_their_ones_and_pointers(self):
+        # at 33k train pairs a copy of either would hold 0.5 MB for the run
+        z, params, i, j, y = self.case(40, 2, 300)
+        scatter = pair_scatter(40, i, j, y)
+        by_i, by_j = scatter.by_trustor, scatter.by_trustee
+        assert np.shares_memory(by_i.data, by_j.data) and np.shares_memory(by_i.indptr, by_j.indptr)
+        # the int64 pair columns are the matrices' row indices, uncopied
+        assert np.shares_memory(by_i.indices, i) and np.shares_memory(by_j.indices, j)
+
     def test_a_scatter_of_other_pairs_is_refused(self):
         z, params, i, j, y = self.case(6, 2, 4)
         scatter = pair_scatter(6, i, j, y)
@@ -330,14 +339,15 @@ class TestMetrics:
             p, r = tp / (tp + fp), tp / (tp + fn)
             assert f1 == pytest.approx(2 * p * r / (p + r))
 
-    def test_accepts_two_column_distributions(self):
-        probs = np.array([[0.2, 0.8], [0.7, 0.3]])
-        acc, _ = metrics(probs, [1, 0])
-        assert acc == 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             metrics([], [])
+
+    @pytest.mark.parametrize("preds", [[[0.2, 0.8], [0.7, 0.3]], [0.9, 0.1, 0.8]], ids=["two_columns", "longer"])
+    def test_anything_but_one_probability_per_label_is_refused(self, preds):
+        # two rows of two columns would otherwise broadcast against two labels
+        with pytest.raises(DataError):
+            metrics(preds, [1, 0])
 
     def test_no_positive_predictions_f1_zero(self):
         acc, f1 = metrics([0.1, 0.2], [1, 1])
