@@ -76,7 +76,6 @@ __all__ = [
     "gather",
     "scatter_matrices",
     "scatter_values",
-    "segment_max_values",
     "type_softmax",
     "segment_softmax",
     "sparse_matmul",
@@ -242,21 +241,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def row_block_product(x, split: int, w_top, w_bottom) -> np.ndarray:
-    """[x[:split] @ w_top; x[split:] @ w_bottom], each block's product written into its rows."""
-    value = np.empty((x.shape[0], w_top.shape[1]))
-    np.matmul(x[:split], w_top, out=value[:split])
-    np.matmul(x[split:], w_bottom, out=value[split:])
+def row_block_product(top, bottom, w_top, w_bottom) -> np.ndarray:
+    """[top @ w_top; bottom @ w_bottom], each block's product written into its rows of one array."""
+    split = top.shape[0]
+    value = np.empty((split + bottom.shape[0], w_top.shape[1]))
+    np.matmul(top, w_top, out=value[:split])
+    np.matmul(bottom, w_bottom, out=value[split:])
     return value
 
 
-def row_block_grads(x, split: int, w_top, w_bottom, g: np.ndarray):
-    """Gradients of ``row_block_product`` for x, w_top and w_bottom, given the output's ``g``."""
+def row_block_grads(top, bottom, w_top, w_bottom, g: np.ndarray):
+    """Gradients of ``row_block_product``, given the output's ``g``.
+
+    They are the stacked input rows' [d_top; d_bottom], as one array, then
+    w_top's and w_bottom's.
+    """
+    split = top.shape[0]
     g_top, g_bottom = g[:split], g[split:]
-    dx = np.empty_like(x)
+    dx = np.empty((split + bottom.shape[0], top.shape[1]))
     np.matmul(g_top, w_top.T, out=dx[:split])
     np.matmul(g_bottom, w_bottom.T, out=dx[split:])
-    return dx, x[:split].T @ g_top, x[split:].T @ g_bottom
+    return dx, top.T @ g_top, bottom.T @ g_bottom
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +289,7 @@ def leaky_slopes(nonneg: np.ndarray, negative_slope: float) -> np.ndarray:
     return np.array([negative_slope, 1.0]).take(nonneg.view(np.uint8))
 
 
-def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
+def leaky_relu(a, negative_slope: float) -> Tensor:
     a = as_tensor(a)
     slopes = leaky_slopes(a.value >= 0, negative_slope)
     out = Tensor(a.value * slopes, requires_grad=a.requires_grad)
@@ -384,14 +389,6 @@ def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return a[idx]
 
 
-def segment_max_values(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-segment max of contiguous segments (plain ndarray helper, no grad).
-
-    Segments must be non-empty; used as a detached shift inside softmax.
-    """
-    return np.maximum.reduceat(values, indptr[:-1])
-
-
 # ---------------------------------------------------------------------------
 # attention softmaxes
 
@@ -429,9 +426,10 @@ def segment_softmax(x: np.ndarray, rows: np.ndarray, indptr: np.ndarray) -> np.n
     """Softmax of 1-D values within each row's contiguous run of edges.
 
     ``rows`` is sorted and ``indptr`` delimits its runs; every run must be
-    non-empty. The gradient is beta * (g - sum_segment beta * g).
+    non-empty, since each is shifted by its own max, a detached constant.
+    The gradient is beta * (g - sum_segment beta * g).
     """
-    beta = np.exp(x - segment_max_values(x, indptr)[rows])
+    beta = np.exp(x - np.maximum.reduceat(x, indptr[:-1])[rows])
     beta /= np.bincount(rows, weights=beta, minlength=indptr.shape[0] - 1)[rows]
     return beta
 

@@ -114,7 +114,8 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
     attn = (params.eta_user, params.eta_obj, params.gamma)
 
     # type-projected neighbor embeddings (users and objects use their own map)
-    projected = ad.row_block_product(x, nu, w_user, w_obj)
+    top, bottom = x[:nu], x[nu:]
+    projected = ad.row_block_product(top, bottom, w_user, w_obj)
 
     # per-node scores against each attention half-vector, one product for all six
     stacked = ad.stack_halves(*(p.value for p in attn))
@@ -157,7 +158,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
         # rebuilt) and its input gradient, a product with beta's transpose
         # through the map's CSC container
         d_pre = g * slope
-        d_beta = ad.edge_dots(d_pre, ad.row_block_product(x, nu, w_user, w_obj), emap)
+        d_beta = ad.edge_dots(d_pre, ad.row_block_product(top, bottom, w_user, w_obj), emap)
         d_proj = emap.product_t(beta, d_pre)
         del d_pre
         # segment_softmax, the pair leaky ReLU, and the product with alpha_edge
@@ -188,7 +189,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
         del d_logit_u, d_logit_o
         # row_block_product, then the score product and stack_halves: d_proj
         # goes before d_h is formed, so two n x d gradients are held, not three
-        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        d_x, *d_w = ad.row_block_grads(top, bottom, w_user, w_obj, d_proj)
         del d_proj
         d_h = d_scores @ stacked.T
         d_attn = ad.stack_halves_grads(x.T @ d_scores)

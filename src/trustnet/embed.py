@@ -84,9 +84,9 @@ def _unit_rows(mat: np.ndarray) -> np.ndarray:
 def embed_users(
     corpus,
     dim: int,
-    epochs: int = 10,
-    seed: int = 0,
-    lr: float = 0.05,
+    epochs: int,
+    seed: int,
+    lr: float,
     negatives: int = 5,
     min_count: int = 2,
 ) -> np.ndarray:
@@ -332,8 +332,8 @@ def transe_train(
     num_entities: int,
     num_relations: int,
     dim: int,
-    epochs: int = 100,
-    seed: int = 0,
+    epochs: int,
+    seed: int,
 ) -> TransEModel:
     """Margin-ranking training with uniform head-or-tail corruption.
 
@@ -397,7 +397,7 @@ def init_objects(
     alignment: dict[int, int],
     model: TransEModel,
     dim: int,
-    seed: int = 0,
+    seed: int,
 ) -> np.ndarray:
     """Initial (objects, dim) object vectors: entity vectors where aligned, else random.
 

@@ -352,11 +352,6 @@ def _initial_tables(dataset: Dataset, config: ExperimentConfig, seeds: dict):
     return h0_users, h0_objects
 
 
-def _enabled_roles(roles: RolesConfig) -> list[Role]:
-    flags = ((Role.TRUSTOR, roles.trustor_enabled), (Role.TRUSTEE, roles.trustee_enabled))
-    return [role for role, enabled in flags if enabled]
-
-
 @dataclass
 class PreparedRun:
     """A seeded run up to the model: derived seeds, split pairs, role views.
@@ -379,8 +374,7 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     Training and checkpoint scoring both start here, so a checkpoint is
     scored on the split and augmentation its run was trained with.
     """
-    state = np.random.SeedSequence(run_seed).generate_state(5)
-    seeds = dict(zip(("split", "user_embed", "transe", "obj_init", "params"), map(int, state)))
+    seeds = dict(zip(("split", "user_embed", "transe", "obj_init", "params"), derive_run_seeds(run_seed, 5)))
 
     train, test = split_samples(
         dataset.graph.trust_edges, config.train_ratio, seeds["split"], num_users=dataset.graph.num_users
@@ -390,13 +384,15 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     if test[0].size == 0:
         raise DataError("empty test split")
     i, j, y = train
-    train_graph = dataset.graph.with_trust_edges(np.stack([i[y == 1], j[y == 1]], axis=1))
+    train_graph = dataclasses.replace(dataset.graph, trust_edges=np.stack([i[y == 1], j[y == 1]], axis=1))
 
     ppr, aug_pairs = config.ppr, np.zeros((0, 2), dtype=np.int64)
     if ppr.enabled:
         # by keyword: the benchmark wraps this name and reads k, lam and epsilon by name
         aug_pairs = topk_augment(train_graph, k=ppr.k, lam=ppr.lam, epsilon=ppr.epsilon)
-    views = {role: build_view(train_graph, aug_pairs, role) for role in _enabled_roles(config.roles)}
+    roles = config.roles
+    flags = ((Role.TRUSTOR, roles.trustor_enabled), (Role.TRUSTEE, roles.trustee_enabled))
+    views = {role: build_view(train_graph, aug_pairs, role) for role, enabled in flags if enabled}
     return PreparedRun(
         seeds=seeds, train=train, test=test, views=views,
         train_scatter=pair_scatter(dataset.graph.num_users, *train),

@@ -353,7 +353,7 @@ def make_pipeline_fixture(seed: int = 0) -> PipelineFixture:
         interaction_edges=sorted({(u, 5 + int(rng.integers(3))) for u in range(5)}),
         object_edges=[(5, 6)],
     )
-    augmented = topk_augment(graph, k=2, epsilon=1e-8)
+    augmented = topk_augment(graph, k=2, lam=0.15, epsilon=1e-8)
     views = {
         Role.TRUSTOR: build_view(graph, augmented, Role.TRUSTOR),
         Role.TRUSTEE: build_view(graph, augmented, Role.TRUSTEE),

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -119,10 +119,6 @@ class HeteroGraph:
             digest.update(np.int64(len(edges)).tobytes())
             digest.update(np.ascontiguousarray(edges, dtype=np.int64).tobytes())
         return digest.hexdigest()
-
-    def with_trust_edges(self, edges) -> "HeteroGraph":
-        """Same graph with the trust edge set replaced (e.g. a train split)."""
-        return replace(self, trust_edges=_as_edge_array(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .autodiff import EdgeMap
 from .errors import DataError, NumericalError
 from .graph import HeteroGraph
 
@@ -44,10 +45,9 @@ def walk_transition(num_users: int, edges) -> sp.csr_matrix:
     repeat); a dangling user's row is empty.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edges = edges[np.argsort(edges[:, 0] * num_users + edges[:, 1], kind="stable")]
-    deg = np.bincount(edges[:, 0], minlength=num_users)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    return sp.csr_matrix((1.0 / deg[edges[:, 0]], edges[:, 1], indptr), shape=(num_users, num_users))
+    emap = EdgeMap.from_edges(edges[:, 0], edges[:, 1], num_users, num_users)
+    deg = np.diff(emap.indptr)
+    return sp.csr_matrix((1.0 / deg[emap.rows], emap.cols, emap.indptr), shape=(num_users, num_users))
 
 
 def forward_push(w: sp.csr_matrix, sources, lam: float, epsilon: float) -> sp.csr_matrix:
@@ -111,7 +111,7 @@ def _estimate(keys: np.ndarray, vals: np.ndarray, rho: np.ndarray, n: int) -> sp
     return sp.csr_matrix((data / (1.0 - rho)[row], col, indptr), shape=(rho.size, n))
 
 
-def topk_augment(graph: HeteroGraph, k: int, lam: float = 0.15, epsilon: float = 1e-6) -> np.ndarray:
+def topk_augment(graph: HeteroGraph, k: int, lam: float, epsilon: float) -> np.ndarray:
     """Augmented trust pairs: each user's top-k PPR neighbors, as an (m, 2) array.
 
     The scores come from one ``forward_push`` of every user over the

@@ -3,6 +3,8 @@
 The head concatenates the trustor's and trustee's fused embeddings in
 that order (so swapping the pair generally changes the output) and
 applies one affine layer followed by a softmax over {no-trust, trust}.
+The training loss and the evaluation's scores both compute it with
+``_pair_logits`` and ``_softmax_parts``.
 """
 
 from __future__ import annotations
@@ -24,36 +26,33 @@ class PredictorParams:
     weight: Tensor  # (2 * zdim, 2)
     bias: Tensor  # (2,)
 
-    @property
-    def input_dim(self) -> int:
-        return self.weight.value.shape[0]
+
+def _pair_logits(zv: np.ndarray, i: np.ndarray, j: np.ndarray, params: PredictorParams) -> np.ndarray:
+    """The head's logits ``concat([z[i], z[j]]) @ W + b``, one row per ordered pair.
+
+    Raises ``DataError`` when ``W`` does not read pair features of twice
+    the width of ``zv``'s rows.
+    """
+    m, d = i.shape[0], zv.shape[1]
+    w = params.weight.value
+    if w.shape[0] != 2 * d:
+        raise DataError(f"predictor expects input dim {w.shape[0]}, got {2 * d}")
+    # row k of the (m, 2, d) gather is [z[i[k]], z[j[k]]]: the concatenated
+    # pair features, with no separate copy of either half
+    return zv[np.stack((i, j), axis=1)].reshape(m, 2 * d) @ w + params.bias.value
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shift = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - shift)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def predict_pair(z_i, z_j, params: PredictorParams) -> np.ndarray:
-    """Probability pair (no-trust, trust) for the ordered pair (i, j)."""
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    if z_i.shape != z_j.shape:
-        raise DataError("pair embeddings must share a shape")
-    cat = np.concatenate([z_i, z_j], axis=-1)
-    if cat.shape[-1] != params.input_dim:
-        raise DataError(
-            f"predictor expects input dim {params.input_dim}, got {cat.shape[-1]}"
-        )
-    logits = cat @ params.weight.value + params.bias.value
-    return _softmax_rows(logits)
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's detached max ``shift``, the numerators ``ex = exp(logits - shift)`` and their ``sums``."""
+    shift = logits.max(axis=1)
+    ex = np.exp(logits - shift[:, None])
+    return shift, ex, ex.sum(axis=1)
 
 
 def predict_scores(z: np.ndarray, trustors, trustees, params: PredictorParams) -> np.ndarray:
-    """Trust-class probability for many ordered pairs at once."""
-    probs = predict_pair(z[np.asarray(trustors)], z[np.asarray(trustees)], params)
-    return probs[:, TRUST_CLASS]
+    """Trust-class probability for many ordered pairs at once: the loss's head and softmax."""
+    _, ex, sums = _softmax_parts(_pair_logits(z, np.asarray(trustors), np.asarray(trustees), params))
+    return ex[:, TRUST_CLASS] / sums
 
 
 def _pair_arrays(n_users: int, trustors, trustees, labels):
@@ -136,8 +135,8 @@ def pair_loss(
     same bits. A ``scatter`` of other pairs is a ``ValueError``.
 
     Raises ``DataError`` for an empty batch, pair columns of different
-    lengths or of a non-integer dtype, labels other than 0 and 1, and user
-    ids outside [0, n_users).
+    lengths or of a non-integer dtype, labels other than 0 and 1, user ids
+    outside [0, n_users), and a ``W`` whose rows are not twice ``z``'s width.
     """
     zv, w, b = z.value, params.weight, params.bias
     n, d = zv.shape
@@ -150,14 +149,8 @@ def pair_loss(
         raise ValueError("the scatter was built for other pairs")
     i, j, y = scatter.trustors, scatter.trustees, scatter.labels
     m = y.shape[0]
-    # row k of the (m, 2, d) gather is [z[i[k]], z[j[k]]]: the concatenated
-    # pair features, with no separate copy of either half
-    cat = zv[np.stack((i, j), axis=1)].reshape(m, 2 * d)
-    logits = cat @ w.value + b.value
-    del cat
-    shift = logits.max(axis=1)
-    ex = np.exp(logits - shift[:, None])
-    sums = ex.sum(axis=1)
+    logits = _pair_logits(zv, i, j, params)
+    shift, ex, sums = _softmax_parts(logits)
     loss = (np.log(sums) - (logits[np.arange(m), y] - shift)).mean()
     out = Tensor(loss, requires_grad=z.requires_grad or w.requires_grad or b.requires_grad)
     del logits, shift

@@ -48,7 +48,8 @@ class WeightBuffer:
     ``values[:num_decay]``. Each tensor's ``Tensor.value`` is a view into
     ``values`` for life: writes go into the views, never rebind them. Its
     moments sit at the same offsets of ``m`` and ``v``. ``layout`` holds
-    (name, tensor, value view) in buffer order.
+    (name, tensor, value view) in buffer order, and each tensor carries its
+    name as ``Tensor.name``, so an error about a tensor names it.
     """
 
     values: np.ndarray
@@ -61,7 +62,8 @@ class WeightBuffer:
     def pack(cls, weights) -> "WeightBuffer":
         """Copy ``weights``, (name, tensor, decay) in buffer order, into fresh buffers.
 
-        Each tensor's value is rebound to its view; the moments start at zero.
+        Each tensor's value is rebound to its view and its name set; the
+        moments start at zero.
         """
         size = sum(tensor.value.size for _, tensor, _ in weights)
         values, m, v = np.empty(size), np.zeros(size), np.zeros(size)
@@ -70,7 +72,7 @@ class WeightBuffer:
             end = start + tensor.value.size
             view = values[start:end].reshape(tensor.value.shape)
             view[...] = tensor.value
-            tensor.value = view
+            tensor.value, tensor.name = view, name
             layout.append((name, tensor, view))
             start = end
         num_decay = sum(tensor.value.size for _, tensor, decay in weights if decay)
@@ -87,8 +89,8 @@ class ModelParams:
     never to the fusion gate or biases.
 
     Every trainable tensor and its Adam moments live in one
-    ``WeightBuffer``, packed at construction and when ``set_initial_tables``
-    attaches tables only. Frozen tables stay outside it.
+    ``WeightBuffer``, ``buffer``, packed at construction and when
+    ``set_initial_tables`` attaches tables. Frozen tables stay outside it.
     """
 
     fusion: str
@@ -101,11 +103,11 @@ class ModelParams:
     h0_users: Tensor | None = None
     h0_objects: Tensor | None = None
     step: int = 0
-    _buffer: WeightBuffer = field(init=False, repr=False, compare=False)
+    buffer: WeightBuffer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = sorted(self.named(), key=lambda w: not w[2])  # stable: decay-flagged first
-        self._buffer = WeightBuffer.pack(weights)
+        self.buffer = WeightBuffer.pack(weights)
 
     def named(self):
         """Stable (name, tensor, decay) iteration over all trainables."""
@@ -131,17 +133,13 @@ class ModelParams:
                 out.append((name, table, True))
         return out
 
-    def weights(self) -> WeightBuffer:
-        """The buffer that holds every trainable tensor and its Adam moments."""
-        return self._buffer
-
     def assert_finite(self) -> None:
         """Raise ``NumericalError`` naming a parameter with a non-finite value.
 
         One check covers the whole buffer; the parameters are searched one
         by one only when it fails.
         """
-        if np.isfinite(self.weights().values).all():
+        if np.isfinite(self.buffer.values).all():
             return
         for name, tensor, _ in self.named():
             if not np.all(np.isfinite(tensor.value)):
@@ -157,8 +155,8 @@ class ModelParams:
         """
         copy = np.asarray if trainable else np.array
         users, objects = copy(h0_users), copy(h0_objects)
-        self.h0_users = Tensor(users, requires_grad=trainable, name="h0/users")
-        self.h0_objects = Tensor(objects, requires_grad=trainable, name="h0/objects")
+        self.h0_users = Tensor(users, requires_grad=trainable)
+        self.h0_objects = Tensor(objects, requires_grad=trainable)
         self.__post_init__()
 
 
@@ -252,16 +250,15 @@ def gate_fusion(z_tor: Tensor, z_tee: Tensor, raw_gate: Tensor) -> Tensor:
 def input_projection(hu: Tensor, ho: Tensor, proj_user: Tensor, proj_obj: Tensor) -> Tensor:
     """The layer input [hu @ proj_user; ho @ proj_obj], as one record.
 
-    Each block's product is written into its rows of one array, as
-    ``ad.row_block_product`` does, so the tape holds that array and not two
-    products and their concatenation. The value is the two products'
-    concatenation, and the backward is the two products' gradients on the
-    output gradient's two row blocks, so every bit is the chain's.
+    ``ad.row_block_product`` writes each block's product into its rows of
+    one array, so the tape holds that array and not two products and their
+    concatenation. The value is the two products' concatenation, and the
+    backward is the two products' gradients on the output gradient's two
+    row blocks, so every bit is the chain's. Unlike ``ad.row_block_grads``,
+    it forms no gradient for a frozen table.
     """
     nu = hu.value.shape[0]
-    value = np.empty((nu + ho.value.shape[0], proj_user.value.shape[1]))
-    np.matmul(hu.value, proj_user.value, out=value[:nu])
-    np.matmul(ho.value, proj_obj.value, out=value[nu:])
+    value = ad.row_block_product(hu.value, ho.value, proj_user.value, proj_obj.value)
     out = Tensor(value, requires_grad=any(t.requires_grad for t in (hu, ho, proj_user, proj_obj)))
 
     def backward(g):
@@ -353,18 +350,13 @@ def backward(tape: Tape) -> dict:
     return grads
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict,
-    lr: float = 0.005,
-    weight_decay: float = 5e-4,
-) -> ModelParams:
+def adam_step(params: ModelParams, grads: dict, lr: float, weight_decay: float) -> ModelParams:
     """In-place Adam update; L2 decay is added to decay-flagged gradients.
 
     The moments decay at ``BETA1`` and ``BETA2`` and the step divides by
     the root of the second plus ``EPS``.
 
-    The update runs once, over the whole buffer (``ModelParams.weights()``)
+    The update runs once, over the whole buffer (``ModelParams.buffer``)
     and its moments, so the number of array operations does not follow the
     number of tensors. Each element goes through the operations of
     ``m = BETA1 * m + (1 - BETA1) * g`` and so on, in the same order as
@@ -384,7 +376,7 @@ def adam_step(
     """
     params.step += 1
     t = params.step
-    weights = params.weights()
+    weights = params.buffer
     values, m, v = weights.values, weights.m, weights.v
     g, step = np.empty((2, values.size))
     np.concatenate([np.ravel(grads[tensor]) if tensor in grads else np.zeros(view.size)
@@ -458,11 +450,7 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def grad_check(
-    params: ModelParams,
-    fixture: PipelineFixture,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
+def grad_check(params: ModelParams, fixture: PipelineFixture, tolerance: float) -> GradCheckReport:
     """Compare tape gradients with central differences of step ``PERTURBATION``, entry by entry."""
 
     def run() -> tuple[float, Tape]:

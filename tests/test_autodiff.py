@@ -102,8 +102,9 @@ def sigmoid(a) -> ad.Tensor:
 def row_block_matmul(a, split: int, w_top, w_bottom) -> ad.Tensor:
     inputs = [ad.as_tensor(t) for t in (a, w_top, w_bottom)]
     x, top, bottom = (t.value for t in inputs)
-    value = ad.row_block_product(x, split, top, bottom)
-    return taped("row_block_matmul", value, inputs, lambda g: ad.row_block_grads(x, split, top, bottom, g))
+    halves = x[:split], x[split:]
+    value = ad.row_block_product(*halves, top, bottom)
+    return taped("row_block_matmul", value, inputs, lambda g: ad.row_block_grads(*halves, top, bottom, g))
 
 
 def stack_halves(*vectors) -> ad.Tensor:
@@ -468,12 +469,6 @@ def test_edge_map_products_are_its_matrices_and_keep_no_values(n_rows, n_cols, n
     # the containers hold a step's edge values only for its product
     del values
     assert kept() is None
-
-
-def test_segment_max_values():
-    vals = np.array([1.0, 5.0, -2.0, 7.0, 0.0])
-    indptr = np.array([0, 2, 3, 5])
-    assert np.array_equal(ad.segment_max_values(vals, indptr), [5.0, -2.0, 7.0])
 
 
 def test_tape_reuse_raises():
@@ -967,7 +962,7 @@ UNARY = {
     "neg": lambda t: sub(0.0, t),
     "sigmoid": sigmoid,
     "elu": elu,
-    "leaky_relu": ad.leaky_relu,
+    "leaky_relu": lambda t: ad.leaky_relu(t, 0.2),
     "gather": lambda t: gather(t, np.array([0, 2, 2, 1])),
 }
 BINARY = {
@@ -1076,7 +1071,7 @@ def chain_type_softmax(logit_u, logit_o, mask_u, mask_o):
 def chain_segment_softmax(x, rows, indptr):
     """The generic op chain ``segment_softmax`` replaces."""
     n = indptr.shape[0] - 1
-    ex = exp(sub(x, ad.segment_max_values(x.value, indptr)[rows]))
+    ex = exp(sub(x, np.maximum.reduceat(x.value, indptr[:-1])[rows]))
     return div(ex, gather(segment_sum(ex, rows, n), rows))
 
 

@@ -13,7 +13,7 @@ from trustnet import conv, experiment, train
 from trustnet.autodiff import Tape, Tensor
 from trustnet.conv import LEAKY_SLOPE, LayerParams, layer_forward
 from trustnet.errors import DataError
-from trustnet.experiment import ExperimentConfig
+from trustnet.experiment import ExperimentConfig, PprConfig
 from trustnet.fixtures import make_filmtrust_files, make_pipeline_fixture
 from trustnet.graph import OBJECT, USER, GraphView, HeteroGraph, Role, build_view
 from trustnet.ppr import topk_augment
@@ -210,7 +210,7 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     s_nbr = gather(matmul(h, g2), cols)
     pair_logit = ad.leaky_relu(mul(alpha_edge, add(s_own, s_nbr)), LEAKY_SLOPE)
 
-    seg_shift = ad.segment_max_values(pair_logit.value, indptr)
+    seg_shift = np.maximum.reduceat(pair_logit.value, indptr[:-1])
     ex = exp(sub(pair_logit, seg_shift[rows]))
     # each row's edge weights summed in ascending edge order, through a 0/1 matrix
     members = sp.csr_matrix((np.ones(rows.size), np.arange(rows.size), indptr), (n, rows.size))
@@ -1011,7 +1011,7 @@ def rewritten_layer_forward(*replacements):
 
 # the layer backward's last steps as they are, and in the old order (score product first)
 PROJECTION_FIRST = """\
-        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        d_x, *d_w = ad.row_block_grads(top, bottom, w_user, w_obj, d_proj)
         del d_proj
         d_h = d_scores @ stacked.T
         d_attn = ad.stack_halves_grads(x.T @ d_scores)
@@ -1021,7 +1021,7 @@ SCORES_FIRST = """\
         d_h = d_scores @ stacked.T
         d_attn = ad.stack_halves_grads(x.T @ d_scores)
         del d_scores
-        d_x, *d_w = ad.row_block_grads(x, nu, w_user, w_obj, d_proj)
+        d_x, *d_w = ad.row_block_grads(top, bottom, w_user, w_obj, d_proj)
         del d_proj
 """
 
@@ -1115,7 +1115,7 @@ def test_relabelling_nodes_within_their_blocks_permutes_outputs_and_gradients():
     rng, d = np.random.default_rng(31), 4
     graph, _ = random_graph(rng)
     nu, n = graph.num_users, graph.num_nodes
-    aug = topk_augment(graph, k=2)
+    aug = topk_augment(graph, k=2, lam=PprConfig.lam, epsilon=PprConfig.epsilon)
     perm = np.concatenate([rng.permutation(nu), nu + rng.permutation(n - nu)])
     assert aug.size and not np.array_equal(perm, np.arange(n))
     moved = HeteroGraph(

@@ -25,8 +25,13 @@ from trustnet.embed import (
     transe_train,
 )
 from trustnet.errors import DataError, ParseError
+from trustnet.experiment import UserEmbedConfig
 from trustnet.fixtures import make_siot_files
 from trustnet.graph import HeteroGraph, load_siot_csv
+
+
+# the user embedding's training length and step size as a run sets them
+EMBED = {"epochs": UserEmbedConfig.epochs, "lr": UserEmbedConfig.lr}
 
 
 def transe_score(model: TransEModel, triple: KnowledgeTriple) -> float:
@@ -111,13 +116,13 @@ def cosine(a, b):
 class TestEmbedUsers:
     def test_identical_corpora_identical_vectors(self):
         corpus = ["great fast camera great", "great fast camera great", "slow dim lamp slow"]
-        table = embed_users(corpus, dim=16, seed=3)
+        table = embed_users(corpus, dim=16, seed=3, **EMBED)
         assert np.array_equal(table[0], table[1])
         assert not np.array_equal(table[0], table[2])
 
     def test_empty_corpus_gives_zero_vector(self):
         corpus = ["solid value solid value", "", "solid deal solid deal"]
-        table = embed_users(corpus, dim=8, seed=0)
+        table = embed_users(corpus, dim=8, seed=0, **EMBED)
         assert np.all(table[1] == 0.0)
         assert np.any(table[0] != 0.0)
 
@@ -127,7 +132,7 @@ class TestEmbedUsers:
         u0 = " ".join(base + ["kappa"])
         u1 = " ".join(base + ["lmbda"])
         u2 = " ".join(("mu nu xi omicron pi rho sigma tau upsilon " * 4).split())
-        v = embed_users([u0, u1, u2, u0 + " " + u1, u2 + " extra extra"], dim=24, seed=7)
+        v = embed_users([u0, u1, u2, u0 + " " + u1, u2 + " extra extra"], dim=24, seed=7, **EMBED)
         sim_overlap = cosine(v[0], v[1])
         sim_disjoint = cosine(v[0], v[2])
         assert sim_overlap > sim_disjoint
@@ -139,42 +144,43 @@ class TestEmbedUsers:
             "wind rain sun wind rain",
             "red green blue sun sun",
         ]
-        table = embed_users(corpus, dim=12, seed=11)
+        table = embed_users(corpus, dim=12, seed=11, **EMBED)
         perm = [2, 0, 3, 1]
-        permuted = embed_users([corpus[p] for p in perm], dim=12, seed=11)
+        permuted = embed_users([corpus[p] for p in perm], dim=12, seed=11, **EMBED)
         assert np.allclose(permuted, table[perm])
 
     def test_deterministic_across_calls(self):
         corpus = ["one two three one two", "four five six four five"]
-        a = embed_users(corpus, dim=10, seed=5)
-        b = embed_users(corpus, dim=10, seed=5)
+        a = embed_users(corpus, dim=10, seed=5, **EMBED)
+        b = embed_users(corpus, dim=10, seed=5, **EMBED)
         assert np.array_equal(a, b)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(DataError):
-            embed_users(["hello world hello"], dim=0)
+            embed_users(["hello world hello"], dim=0, seed=0, **EMBED)
 
     def test_accepts_comment_lists(self):
-        table = embed_users([["good phone", "good screen"], ["bad phone bad"]], dim=8, seed=1)
+        table = embed_users([["good phone", "good screen"], ["bad phone bad"]], dim=8, seed=1, **EMBED)
         assert table.shape == (2, 8)
 
     def test_rejects_negative_epochs_and_negatives(self):
         with pytest.raises(DataError, match="epochs"):
-            embed_users(["hello world hello"], dim=4, epochs=-1)
+            embed_users(["hello world hello"], dim=4, epochs=-1, seed=0, lr=UserEmbedConfig.lr)
         with pytest.raises(DataError, match="negatives"):
-            embed_users(["hello world hello"], dim=4, negatives=-2)
+            embed_users(["hello world hello"], dim=4, seed=0, negatives=-2, **EMBED)
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(8)
         corpus = random_corpus(rng, num_docs=9, words=12, max_len=15)
-        table = embed_users(corpus, dim=6, seed=2)
+        table = embed_users(corpus, dim=6, seed=2, **EMBED)
         perm = rng.permutation(len(corpus))
-        permuted = embed_users([corpus[p] for p in perm], dim=6, seed=2)
+        permuted = embed_users([corpus[p] for p in perm], dim=6, seed=2, **EMBED)
         assert np.array_equal(permuted, table[perm])
 
 
 def matches_oracle(corpus, **kw):
     """``embed_users`` output after asserting it equals the oracle's bit for bit."""
+    kw = {**EMBED, **kw}
     got = embed_users(corpus, **kw)
     assert np.array_equal(got, oracle_embed_users(corpus, **kw))
     return got
@@ -297,7 +303,7 @@ def test_embed_users_memory_does_not_grow_with_epochs():
     tokens = sum(len(tokenize(c)) for c in corpus)
     negatives = 5
     peaks = {
-        epochs: traced_peak(lambda: embed_users(corpus, dim=4, epochs=epochs, negatives=negatives))
+        epochs: traced_peak(lambda: embed_users(corpus, 4, epochs, 0, UserEmbedConfig.lr, negatives))
         for epochs in (2, 20)
     }
     # holding one more epoch of every document's ids would take this much
@@ -469,7 +475,7 @@ class TestTransETrain:
 
     def test_rejects_an_empty_triple_set(self):
         with pytest.raises(DataError, match="^cannot train on an empty triple set$"):
-            transe_train([], 3, 1, dim=4)
+            transe_train([], 3, 1, dim=4, epochs=1, seed=0)
 
 
 class TestInitObjects:
@@ -503,7 +509,7 @@ class TestInitObjects:
     def test_dim_mismatch(self):
         model = transe_train(chain_triples(), 3, 1, dim=6, epochs=1, seed=0)
         with pytest.raises(DataError):
-            init_objects(self.graph(), {0: 0}, model, dim=8)
+            init_objects(self.graph(), {0: 0}, model, dim=8, seed=0)
 
 
 class TestProject:
@@ -631,7 +637,7 @@ def _vector_file(tmp_path):
 @pytest.mark.parametrize(
     "produce",
     [
-        lambda tmp_path: embed_users(["solid value solid", "", "value deal solid"], dim=2, seed=1),
+        lambda tmp_path: embed_users(["solid value solid", "", "value deal solid"], dim=2, seed=1, **EMBED),
         lambda tmp_path: load_user_vectors(_vector_file(tmp_path), num_users=3, dim=2),
         lambda tmp_path: init_objects(
             HeteroGraph(num_users=2, num_objects=3), {0: 2},

@@ -490,13 +490,13 @@ class TestRun:
         summary = run(cfg, keep_params=True, dataset=dataset)
         path = tmp_path / "model.npz"
         experiment.save_checkpoint(summary, dataset, path)
-        saved = summary.results[0].params.weights()
+        saved = summary.results[0].params.buffer
         params, _ = train.load_params(
             path, lambda provenance: experiment.init_model(experiment._trained_config(provenance, cfg), 0)
         )
-        # read before weights() is called, which must find the load's values already its views
+        # read before the buffer is, which must find the load's values already its views
         bound = {name: tensor.value for name, tensor, _ in params.named()}
-        buffer = params.weights()
+        buffer = params.buffer
         assert {"h0/users", "h0/objects"} <= set(bound)
         assert sorted(bound) == sorted(name for name, *_ in buffer.layout)
         for name, tensor, view in buffer.layout:

@@ -17,6 +17,7 @@ from trustnet.graph import (
     load_siot_csv,
     split_samples,
 )
+from trustnet.experiment import PprConfig
 from trustnet.ppr import topk_augment
 
 
@@ -174,7 +175,7 @@ class TestBuildView:
         trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(30, 2)) if i != j}
         inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
         g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1), (nu + 2, nu + 5)])
-        aug = topk_augment(g, k=3)
+        aug = topk_augment(g, k=3, lam=PprConfig.lam, epsilon=PprConfig.epsilon)
         for role in (Role.TRUSTOR, Role.TRUSTEE):
             view = build_view(g, aug, role)
             for mat in (view.s_user, view.s_obj):
@@ -199,7 +200,7 @@ class TestBuildView:
         inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
         g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1)])
         for role in (Role.TRUSTOR, Role.TRUSTEE):
-            view = build_view(g, topk_augment(g, k=3), role)
+            view = build_view(g, topk_augment(g, k=3, lam=PprConfig.lam, epsilon=PprConfig.epsilon), role)
             for mat, mat_t in ((view.s_user, view.s_user_t), (view.s_obj, view.s_obj_t)):
                 assert mat_t.format == "csc" and mat_t.shape == mat.shape[::-1]
                 for name in ("data", "indices", "indptr"):

@@ -294,19 +294,21 @@ class TestTopkAugment:
                 lo, hi = p.indptr[s], p.indptr[s + 1]
                 row = p.data[lo:hi][p.indices[lo:hi] != s]
                 tied_rows += np.unique(row).size < row.size
-            got = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k)
+            got = topk_augment(
+                HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, lam=0.15, epsilon=1e-6
+            )
             assert np.array_equal(got, oracle_topk_pairs(p, k)), edges
         assert tied_rows > 10
 
     def test_star_ties_break_to_smaller_ids(self):
         g = HeteroGraph(num_users=6, num_objects=0, trust_edges=[(0, j) for j in range(1, 6)])
-        pairs = topk_augment(g, k=3, epsilon=1e-9)
+        pairs = topk_augment(g, k=3, lam=0.15, epsilon=1e-9)
         from_center = sorted(tuple(p) for p in pairs if p[0] == 0)
         assert from_center == [(0, 1), (0, 2), (0, 3)]
 
     def test_k_larger_than_reachable(self):
         g = HeteroGraph(num_users=4, num_objects=0, trust_edges=[(0, 1)])
-        pairs = topk_augment(g, k=10, epsilon=1e-9)
+        pairs = topk_augment(g, k=10, lam=0.15, epsilon=1e-9)
         from_zero = [tuple(p) for p in pairs if p[0] == 0]
         assert from_zero == [(0, 1)]
 
@@ -320,7 +322,7 @@ class TestTopkAugment:
                 seen.add((int(i), int(j)))
         edges = sorted(seen)
         g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
-        got = pairs_by_source(topk_augment(g, k=4, epsilon=1e-10))
+        got = pairs_by_source(topk_augment(g, k=4, lam=0.15, epsilon=1e-10))
         expected = oracle_topk(n, edges, 4)
         for src in range(n):
             has_out = any(i == src for i, _ in edges)
@@ -331,16 +333,20 @@ class TestTopkAugment:
         rng = np.random.default_rng(77)
         n, edges = random_digraph(rng, max_nodes=30)
         g = HeteroGraph(num_users=n, num_objects=0, trust_edges=edges)
-        a = topk_augment(g, k=5)
-        b = topk_augment(g, k=5)
+        a = topk_augment(g, k=5, lam=0.15, epsilon=1e-6)
+        b = topk_augment(g, k=5, lam=0.15, epsilon=1e-6)
         assert np.array_equal(a, b)
 
     def test_edge_order_invariance(self):
         rng = np.random.default_rng(13)
         n, edges = random_digraph(rng, max_nodes=40)
         shuffled = np.asarray(edges)[rng.permutation(len(edges))]
-        a = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=5)
-        b = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=shuffled), k=5)
+        a = topk_augment(
+            HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=5, lam=0.15, epsilon=1e-6
+        )
+        b = topk_augment(
+            HeteroGraph(num_users=n, num_objects=0, trust_edges=shuffled), k=5, lam=0.15, epsilon=1e-6
+        )
         assert np.array_equal(a, b)
         # the scores the pairs are ranked by, bitwise
         users = np.arange(n)
@@ -356,7 +362,9 @@ class TestTopkAugment:
         rng = np.random.default_rng(k)
         graphs = structured_graphs() + [dangling_digraph(rng, max_nodes=30) for _ in range(6)]
         for n, edges in graphs:
-            pairs = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, epsilon=eps)
+            pairs = topk_augment(
+                HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, lam=0.15, epsilon=eps
+            )
             assert not np.any(pairs[:, 0] == pairs[:, 1])
             assert np.bincount(pairs[:, 0], minlength=n).max() <= k
             for src in {i for i, _ in edges}:
@@ -380,8 +388,12 @@ class TestTopkAugment:
             assert exact[k - 1] - exact[k] > 1e-9 or exact[k - 1] < 1e-12
         perm = rng.permutation(n)
         edges_p = [(int(perm[i]), int(perm[j])) for i, j in edges]
-        pairs = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k)
-        pairs_p = topk_augment(HeteroGraph(num_users=n, num_objects=0, trust_edges=edges_p), k=k)
+        pairs = topk_augment(
+            HeteroGraph(num_users=n, num_objects=0, trust_edges=edges), k=k, lam=0.15, epsilon=1e-6
+        )
+        pairs_p = topk_augment(
+            HeteroGraph(num_users=n, num_objects=0, trust_edges=edges_p), k=k, lam=0.15, epsilon=1e-6
+        )
         assert len(pairs) > 0
         assert {(int(perm[i]), int(perm[j])) for i, j in pairs} == {tuple(p) for p in pairs_p.tolist()}
 
@@ -389,7 +401,9 @@ class TestTopkAugment:
 def test_topk_excludes_source_and_breaks_ties_by_id():
     # source 1 keeps the highest score; targets 0 and 2 tie exactly
     edges = [(1, 0), (1, 2)]
-    pairs = topk_augment(HeteroGraph(num_users=3, num_objects=0, trust_edges=edges), k=5, epsilon=1e-9)
+    pairs = topk_augment(
+        HeteroGraph(num_users=3, num_objects=0, trust_edges=edges), k=5, lam=0.15, epsilon=1e-9
+    )
     assert not np.any(pairs[:, 0] == pairs[:, 1])
     assert pairs[pairs[:, 0] == 1].tolist() == [[1, 0], [1, 2]]
     scores = forward_push(walk_transition(3, edges), [1], 0.15, 1e-9).toarray()[0]

@@ -9,7 +9,6 @@ from trustnet.predict import (
     metrics,
     pair_loss,
     pair_scatter,
-    predict_pair,
     predict_scores,
 )
 
@@ -32,6 +31,16 @@ def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> T
     lse = log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
     picked = gather_pairs(logits, np.arange(m), np.asarray(labels))
     return mean(sub(lse, sub(picked, shift)))
+
+
+def predict_pair(z_i, z_j, params: PredictorParams) -> np.ndarray:
+    """Probability pair (no-trust, trust) for the ordered pair (i, j): the head's oracle.
+
+    ``z_i`` and ``z_j`` are one embedding each, or one row per pair.
+    """
+    logits = np.concatenate([z_i, z_j], axis=-1) @ params.weight.value + params.bias.value
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def batch_loss(samples, z: np.ndarray, params: PredictorParams) -> float:
@@ -355,9 +364,22 @@ class TestMetrics:
 
 
 def test_predict_scores_vectorized():
+    # the evaluation's scores are the oracle head's trust column, bit for bit
     rng = np.random.default_rng(8)
-    params = make_params(3, rng)
-    z = rng.normal(size=(5, 3))
-    scores = predict_scores(z, [0, 1], [2, 3], params)
-    assert scores.shape == (2,)
-    assert np.allclose(scores[0], predict_pair(z[0], z[2], params)[1])
+    for d in range(1, 6):
+        params = make_params(d, rng)
+        z = rng.normal(size=(20, d))
+        i, j = rng.integers(20, size=(2, 150))
+        scores = predict_scores(z, i, j, params)
+        assert scores.tobytes() == predict_pair(z[i], z[j], params)[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_predictor_of_another_width_is_refused(width):
+    # W reads 2 * 3 pair features: the loss and the evaluation both refuse z of another width
+    params = make_params(3, np.random.default_rng(10))
+    z = np.random.default_rng(11).normal(size=(4, width))
+    with pytest.raises(DataError, match="predictor expects input dim 6"):
+        predict_scores(z, [0, 1], [2, 3], params)
+    with pytest.raises(DataError, match="predictor expects input dim 6"):
+        pair_loss(Tensor(z), [0, 1], [2, 3], [1, 0], params)

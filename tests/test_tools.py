@@ -53,5 +53,16 @@ class TestSummarize:
             assert min(self.RATIOS) <= lo <= row["median_ratio"] <= hi <= max(self.RATIOS)
             assert lo < hi
 
+    def test_each_side_reports_its_median_and_interquartile_range(self):
+        base = [1.0, 3.0, 2.0, 4.0, 6.0, 5.0, 7.0]
+        change = [b * r for b, r in zip(base, self.RATIOS)]
+        failed = [(child(2.0), {"crashed": "timed out"}), (child(100.0, failures=["loss rose"]), child(2.0))]
+        report = duet.summarize([(child(b), child(c)) for b, c in zip(base, change)] + failed)
+        for row in report.values():
+            for side, values in (("base", base), ("change", change)):
+                q1, q3 = np.percentile(values, [25, 75])
+                assert row[side] == {"median": np.median(values), "iqr": q3 - q1}
+            assert row["base"] == {"median": 4.0, "iqr": 3.0}
+
     def test_no_passing_pair_reports_nothing(self):
         assert duet.summarize([(child(1.0), {"crashed": "timed out"})]) == {}

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import re
 import struct
 import zipfile
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from trustnet.autodiff import Tape, TapeError, Tensor, record
 from trustnet.predict import PredictorParams
 from trustnet.errors import DataError, NumericalError
+from trustnet.experiment import OptimConfig
 from trustnet import train as train_mod
 from trustnet.fixtures import make_pipeline_fixture
 from trustnet.train import (
@@ -22,6 +25,9 @@ from trustnet.train import (
     load_params,
     save_params,
 )
+
+# Adam's step size and decay as a run sets them
+OPTIM = dataclasses.asdict(OptimConfig())
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ def builder(fixture, **kw):
 
 def named_moments(params) -> dict:
     """(m, v) by name: each trainable's slices of the buffer's moments, at its offset and shape."""
-    buffer, moments, start = params.weights(), {}, 0
+    buffer, moments, start = params.buffer, {}, 0
     for name, _, view in buffer.layout:
         end = start + view.size
         moments[name] = tuple(a[start:end].reshape(view.shape) for a in (buffer.m, buffer.v))
@@ -141,6 +147,22 @@ class TestForwardBackward:
         with pytest.raises(NumericalError, match=r"^non-finite gradient for Tensor\(w_bad, shape=\(2, 2\)"):
             backward(tape)
 
+    @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+    def test_every_trainable_carries_its_checkpoint_key(self, fixture, trainable):
+        params = fresh_params(fixture, seed=3)
+        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        assert [tensor.name for _, tensor, _ in params.named()] == [name for name, _, _ in params.named()]
+
+    def test_a_diverged_model_names_its_parameter(self):
+        fixture = make_pipeline_fixture(1)
+        params = init_params(seed=11, user_dim=4, object_dim=4, latent_dim=3)
+        params.predictor.weight.value[0, 0] = np.inf
+        _, tape = forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects,
+                          params, fixture.samples)
+        keys = "|".join(re.escape(name) for name, _, _ in params.named())
+        with pytest.raises(NumericalError, match=rf"^non-finite gradient for Tensor\(({keys}), "):
+            backward(tape)
+
     def test_finite_gradients_whose_sum_overflows_pass(self):
         big = np.full(3, np.finfo(np.float64).max)
         tape, leaves = self.planted_tape({"a": big, "b": big, "c": -big[:1]})
@@ -152,7 +174,7 @@ class TestAdam:
     def test_zero_grads_zero_decay_no_move(self, fixture):
         params = fresh_params(fixture, seed=2)
         before = {n: t.value.copy() for n, t, _ in params.named()}
-        adam_step(params, {}, weight_decay=0.0)
+        adam_step(params, {}, lr=OptimConfig.lr, weight_decay=0.0)
         for name, tensor, _ in params.named():
             assert np.array_equal(tensor.value, before[name])
         assert params.step == 1
@@ -198,7 +220,7 @@ class TestAdam:
         gate_before = params.gate.value.copy()
         bias_before = params.predictor.bias.value.copy()
         proj_before = params.proj_user.value.copy()
-        adam_step(params, {}, weight_decay=5e-4)
+        adam_step(params, {}, lr=OptimConfig.lr, weight_decay=5e-4)
         assert np.array_equal(params.gate.value, gate_before)
         assert np.array_equal(params.predictor.bias.value, bias_before)
         assert not np.array_equal(params.proj_user.value, proj_before)
@@ -223,7 +245,7 @@ class TestAdam:
         _, tape = forward(
             fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects, params, fixture.samples
         )
-        adam_step(params, backward(tape))
+        adam_step(params, backward(tape), **OPTIM)
         for name, tensor, _ in params.named():
             m, v = named_moments(params)[name]
             assert m.shape == tensor.value.shape
@@ -321,7 +343,7 @@ class TestAdamMatchesWholeArrayFormula:
 class TestFlatWeightBuffer:
     def test_weights_are_views_into_one_buffer_decay_flagged_first(self, fixture):
         params = styled_params(fixture, "filmtrust")
-        buffer = params.weights()
+        buffer = params.buffer
         weights = params.named()
         assert {"h0/users", "h0/objects"} <= {name for name, *_ in weights}
         assert [name for name, *_ in buffer.layout] == [n for n, _, d in weights if d] + [
@@ -530,7 +552,7 @@ class TestCheckpoint:
         params = fresh_params(fixture, seed=21)
         params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
         _, tape = forward(fixture.graph, fixture.views, None, None, params, fixture.samples)
-        adam_step(params, backward(tape))
+        adam_step(params, backward(tape), **OPTIM)
         path = tmp_path / "model.npz"
         save_params(params, path, {"run_seed": 5, "config": {"train_ratio": 0.8}})
         build = builder(fixture)
@@ -551,7 +573,7 @@ class TestCheckpoint:
         params = fresh_params(fixture, seed=22)
         _, tape = forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects,
                           params, fixture.samples)
-        adam_step(params, backward(tape))
+        adam_step(params, backward(tape), **OPTIM)
         save_params(params, path)
         with np.load(path) as stored:
             data = dict(stored)
@@ -654,7 +676,7 @@ class TestCheckpoint:
     def test_each_stored_array_is_read_once(self, fixture, tmp_path, monkeypatch, trainable):
         params = fresh_params(fixture, seed=27)
         params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
-        adam_step(params, {})
+        adam_step(params, {}, **OPTIM)
         path = tmp_path / "model.npz"
         save_params(params, path)
         reads, exact = [], train_mod._stored_array

@@ -10,8 +10,10 @@ seed ``S * 1000 + k`` for pair k. The side that launches first alternates
 from pair to pair.
 
 Per end-to-end metric it prints the median ratio working tree / base, a
-95% bootstrap interval of that median, and the share of pairs in which the
-working tree is lower; then every child's ``correct``. The last line of
+95% bootstrap interval of that median, the share of pairs in which the
+working tree is lower, and each side's median and interquartile range, so
+that a change's median difference can be set against the base's own
+spread; then every child's ``correct``. The last line of
 standard output is the same as one JSON object. ``--base HEAD`` is the A/A
 control: with nothing uncommitted, both copies hold the same files.
 
@@ -89,8 +91,14 @@ def correct(result: dict) -> bool:
     return "crashed" not in result and not result["failures"]
 
 
+def spread(values: np.ndarray) -> dict:
+    """The median of one side's values and their interquartile range."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "iqr": float(q3 - q1)}
+
+
 def summarize(pairs: list[tuple[dict, dict]]) -> dict:
-    """Per metric over the pairs in which both children passed: ratios change / base."""
+    """Per metric over the pairs in which both children passed: ratios change / base, each side's spread."""
     rng = np.random.default_rng(0)
     both = [(base, change) for base, change in pairs if correct(base) and correct(change)]
     report = {}
@@ -105,6 +113,8 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
             "ci95": [float(lo), float(hi)],
             "lower": int((ratios < 1.0).sum()),
             "pairs": int(ratios.size),
+            "base": spread(np.array([base[metric] for base, _ in both])),
+            "change": spread(np.array([change[metric] for _, change in both])),
         }
     return report
 
@@ -152,8 +162,11 @@ def main(argv=None) -> int:
     report = summarize(pairs)
     for metric, row in report.items():
         lo, hi = row["ci95"]
+        sides = "  ".join(
+            f"{side} {row[side]['median']:.5g} iqr {row[side]['iqr']:.3g}" for side in ("base", "change")
+        )
         print(f"{metric:12s} median ratio {row['median_ratio']:.4f}  95% [{lo:.4f}, {hi:.4f}]  "
-              f"lower in {row['lower']}/{row['pairs']}")
+              f"lower in {row['lower']}/{row['pairs']}  {sides}")
     correctness = {side: [correct(pair[i]) for pair in pairs] for i, side in enumerate(("base", "change"))}
     for side, flags in correctness.items():
         print(f"{side} correct: {flags}")
