@@ -33,7 +33,8 @@ which records nothing, and reads its values.
 
 Kernels. Plain-array functions, each forward next to its gradient:
 ``row_block_product``/``row_block_grads``, ``stack_halves``/
-``stack_halves_grads``, ``type_softmax``/``type_softmax_grads``,
+``stack_halves_grads``, ``type_softmax``/``type_softmax_grads`` (on the
+layer's 2n vectors of user-type, then object-type entries),
 ``segment_softmax``/``segment_softmax_grad``, ``edge_matmul``/
 ``edge_dots`` and ``logistic``/``sigmoid_grad``; ``leaky_slopes`` and
 ``elu_slopes`` are the activations' derivatives. ``matmul``,
@@ -393,33 +394,28 @@ def gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 # attention softmaxes
 
 
-def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> np.ndarray:
-    """Per-node softmax over the types present there, as one 2n vector.
+def type_softmax(logit: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per-node softmax over the types present there, on 2n vectors.
 
-    ``mask_u``/``mask_o`` are 0/1 vectors marking the present types, at
-    least one per node. The output is [alpha_u; alpha_o]; an absent type
-    gets weight 0, so the gradient a * (g - sum_t a_t g_t) sends it none.
+    ``logit`` and the 0/1 ``mask`` hold every node's user-type entry, then
+    every node's object-type entry; the mask marks at least one present
+    type per node. The output is [alpha_u; alpha_o] in the same layout; an
+    absent type gets weight 0, so the gradient a * (g - sum_t a_t g_t)
+    sends it none.
     """
-    shift = np.maximum(
-        np.where(mask_u > 0, logit_u, -np.inf), np.where(mask_o > 0, logit_o, -np.inf)
-    )
-    exp_u = np.exp((logit_u - shift) * mask_u) * mask_u
-    exp_o = np.exp((logit_o - shift) * mask_o) * mask_o
-    denom = exp_u + exp_o
-    n = denom.shape[0]
-    alpha = np.empty(2 * n)
-    np.divide(exp_u, denom, out=alpha[:n])
-    np.divide(exp_o, denom, out=alpha[n:])
-    return alpha
+    logit, mask = logit.reshape(2, -1), mask.reshape(2, -1)
+    shift = np.where(mask > 0, logit, -np.inf)
+    shift = np.maximum(shift[0], shift[1])
+    ex = np.exp((logit - shift) * mask) * mask
+    ex /= ex[0] + ex[1]
+    return ex.reshape(-1)
 
 
-def type_softmax_grads(alpha: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both type logits' gradients from the output [alpha_u; alpha_o] and its gradient ``g``."""
-    n = alpha.shape[0] // 2
-    a_u, a_o = alpha[:n], alpha[n:]
-    g_u, g_o = g[:n], g[n:]
-    dot = a_u * g_u + a_o * g_o
-    return a_u * (g_u - dot), a_o * (g_o - dot)
+def type_softmax_grads(alpha: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The type logits' 2n gradient from the output [alpha_u; alpha_o] and its gradient ``g``."""
+    a, g = alpha.reshape(2, -1), g.reshape(2, -1)
+    dot = a[0] * g[0] + a[1] * g[1]
+    return (a * (g - dot)).reshape(-1)
 
 
 def segment_softmax(x: np.ndarray, rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -82,6 +82,9 @@ def _cmd_run(args) -> int:
     config = build_config(args)
     config.validate()
     if args.eval_checkpoint:
+        for flag, value in (("--out", args.out), ("--checkpoint-out", args.checkpoint_out)):
+            if value is not None:
+                raise ConfigError(f"{flag} writes nothing with --eval-checkpoint, which only scores")
         acc, f1 = experiment.evaluate_checkpoint(config, args.eval_checkpoint)
         print(f"eval-only: accuracy {acc:.4f}  f1 {f1:.4f}")
         return 0

@@ -8,9 +8,10 @@ attention-weighted aggregation of type-projected neighbor embeddings
 through an ELU. The self-loop counts as a neighbor of the node's own type.
 
 Steps (1)-(2) never form h_t. Splitting eta_t into halves (eta_t1, eta_t2),
-the logit is eta_t1 . h_i + sum_j a_ij (eta_t2 . h_j): the neighbor sum runs
-over per-node scalar scores, one sparse product over the edges, instead of
-over d-vectors, which would cost d times that and an n x d result per type.
+the logit is eta_t1 . h_i + sum_j a_ij (eta_t2 . h_j): the neighbor sums run
+over per-node scalar scores, both types' in one sparse product with the
+view's type-blocked adjacency, instead of over d-vectors, which would cost
+d times that and an n x d result per type.
 
 A whole layer is one tape record. Its forward calls ``autodiff`` kernels
 on plain arrays: ``row_block_product``, ``stack_halves``, ``type_softmax``,
@@ -68,9 +69,11 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
     own type.
     One product of ``h`` with the six attention half-vectors gives every
     per-node score; the type logits then aggregate the neighbor scores
-    through ``view.s_user``/``view.s_obj`` rather than aggregating ``h`` and
-    dotting the n x d sums. Each edge reads its neighbor type's weight from
-    ``type_softmax``'s [alpha_u; alpha_o] at ``view.typed_rows``.
+    in one product with ``view.s_typed``, over the 2n vector of the users'
+    type scores followed by the objects', rather than aggregating ``h`` and
+    dotting the n x d sums. The logits, the presence mask and
+    ``type_softmax``'s [alpha_u; alpha_o] share that layout, and each edge
+    reads its neighbor type's weight at ``view.typed_rows``.
 
     Rows are sorted, users first, so the m user rows' edges are a prefix of
     the edge list: with ``users_only`` the node attention, the aggregation
@@ -97,7 +100,7 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
     It keeps the ELU's slope exp(min(pre, 0)), which the forward computes
     once, hands to ``ad.elu`` and keeps in place of the pre-ELU product
     (the same memory); the edge and type weights, the two pair-score
-    columns, the stacked attention vectors, ``>= 0`` masks of the three
+    columns, the stacked attention vectors, ``>= 0`` masks of the two
     leaky-ReLU inputs and a reference to ``h``. It recomputes the E-sized
     gathers and ``projected``, whose rebuild by ``ad.row_block_product``
     goes straight into ``ad.edge_dots`` and is freed before
@@ -120,21 +123,20 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
     # per-node scores against each attention half-vector, one product for all six
     stacked = ad.stack_halves(*(p.value for p in attn))
     scores = ad.matmul(x, stacked)
-    su_own, su_nbr, so_own, so_nbr, _, _ = scores.T
     # the backward reads only the pair-score columns: copies let the rest go
     s_own, s_nbr = scores[:, 4].copy(), scores[:, 5].copy()
 
-    # type logits eta_t . [h_i || h_t], the neighbor sum taken over scores
-    pre_u = su_own + ad.sparse_matmul(view.s_user, su_nbr)
-    logit_u = ad.leaky_relu(pre_u, LEAKY_SLOPE).value
-    pre_o = so_own + ad.sparse_matmul(view.s_obj, so_nbr)
-    logit_o = ad.leaky_relu(pre_o, LEAKY_SLOPE).value
-    nonneg_u, nonneg_o = pre_u >= 0, pre_o >= 0
-    del pre_u, pre_o
+    # type logits eta_t . [h_i || h_t] as 2n vectors, the users' type then
+    # the objects', the neighbor sums taken over scores in one product
+    pre_type = scores.T[[0, 2]].ravel() + ad.sparse_matmul(view.s_typed, scores.T[[1, 3]].ravel())
+    del scores
+    type_logit = ad.leaky_relu(pre_type, LEAKY_SLOPE).value
+    nonneg_type = pre_type >= 0
+    del pre_type
 
     # softmax over the types present at each node
-    alpha = ad.type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
-    del logit_u, logit_o
+    alpha = ad.type_softmax(type_logit, view.has_type)
+    del type_logit
 
     # node-level attention: the neighbor's type weight scales the pair logit
     alpha_edge = ad.gather(alpha, typed_rows)
@@ -176,17 +178,14 @@ def layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_only: b
         del d_sum
         d_alpha = ad.scatter_values(d_alpha_edge, typed_rows, 2 * n)
         del d_alpha_edge
-        # type_softmax, then each type's leaky ReLU, sum and sparse product;
-        # the products' transposes are the view's CSC matrices, built once
-        d_logit_u, d_logit_o = ad.type_softmax_grads(alpha, d_alpha)
+        # type_softmax, the type leaky ReLU, the sum and the sparse product,
+        # whose transpose is the view's CSC matrix, built once
+        d_logit = ad.type_softmax_grads(alpha, d_alpha)
         del d_alpha
-        d_logit_o *= ad.leaky_slopes(nonneg_o, LEAKY_SLOPE)
-        d_scores[:, 2] += d_logit_o
-        d_scores[:, 3] += view.s_obj_t @ d_logit_o
-        d_logit_u *= ad.leaky_slopes(nonneg_u, LEAKY_SLOPE)
-        d_scores[:, 0] += d_logit_u
-        d_scores[:, 1] += view.s_user_t @ d_logit_u
-        del d_logit_u, d_logit_o
+        d_logit *= ad.leaky_slopes(nonneg_type, LEAKY_SLOPE)
+        d_scores[:, [0, 2]] += d_logit.reshape(2, n).T
+        d_scores[:, [1, 3]] += (view.s_typed_t @ d_logit).reshape(2, n).T
+        del d_logit
         # row_block_product, then the score product and stack_halves: d_proj
         # goes before d_h is formed, so two n x d gradients are held, not three
         d_x, *d_w = ad.row_block_grads(top, bottom, w_user, w_obj, d_proj)

@@ -107,28 +107,39 @@ def _sample_trust_edges(
     if not comm_mass.any():
         raise DataError("trust sampling failed: no user can emit trust")
     comm_p = comm_mass / comm_mass.sum()
-
-    base_target = num_trust - int(round(chain_fraction * num_trust))
-    edges: set[tuple[int, int]] = set()
-    attempts = 0
+    if num_trust > num_users * (num_users - 1):
+        raise DataError(
+            f"cannot sample {num_trust} trust pairs: {num_users} users have only "
+            f"{num_users * (num_users - 1)} ordered pairs"
+        )
     cap = 200 * num_trust
-    while len(edges) < base_target and attempts < cap:
-        attempts += 1
-        c = int(rng.choice(communities, p=comm_p))
-        members = comm_social[c]
-        if members.size < 2:
-            continue
-        out_w = plan.out_weight[members]
-        u = int(rng.choice(members, p=out_w / out_w.sum()))
-        if rng.random() < cross_noise:
-            v = int(rng.integers(num_users))
-        else:
-            in_w = plan.in_weight[members]
-            v = int(rng.choice(members, p=in_w / in_w.sum()))
-        if u != v:
-            edges.add((u, v))
-    if len(edges) < base_target:
-        raise DataError("trust sampling failed to reach the requested edge count")
+
+    def draw_pairs(edges: set, target: int, noise: float) -> None:
+        """Add role-weighted pairs within a community to ``edges`` until it holds ``target``.
+
+        A ``noise`` share of the trustees is any user instead; at 0 no coin is drawn.
+        """
+        attempts = 0
+        while len(edges) < target and attempts < cap:
+            attempts += 1
+            c = int(rng.choice(communities, p=comm_p))
+            members = comm_social[c]
+            if members.size < 2:
+                continue
+            out_w = plan.out_weight[members]
+            u = int(rng.choice(members, p=out_w / out_w.sum()))
+            if noise and rng.random() < noise:
+                v = int(rng.integers(num_users))
+            else:
+                in_w = plan.in_weight[members]
+                v = int(rng.choice(members, p=in_w / in_w.sum()))
+            if u != v:
+                edges.add((u, v))
+        if len(edges) < target:
+            raise DataError("trust sampling failed to reach the requested edge count")
+
+    edges: set[tuple[int, int]] = set()
+    draw_pairs(edges, num_trust - int(round(chain_fraction * num_trust)), cross_noise)
 
     edge_list = sorted(edges)
     out_adj: dict[int, list[int]] = {}
@@ -151,22 +162,8 @@ def _sample_trust_edges(
             edges.add((u, node))
             edge_list.append((u, node))
             out_adj.setdefault(u, []).append(node)
-    attempts = 0
-    while len(edges) < num_trust and attempts < cap:
-        # chain closure saturated; top up with ordinary pairs
-        attempts += 1
-        c = int(rng.choice(communities, p=comm_p))
-        members = comm_social[c]
-        if members.size < 2:
-            continue
-        out_w = plan.out_weight[members]
-        in_w = plan.in_weight[members]
-        u = int(rng.choice(members, p=out_w / out_w.sum()))
-        v = int(rng.choice(members, p=in_w / in_w.sum()))
-        if u != v:
-            edges.add((u, v))
-    if len(edges) < num_trust:
-        raise DataError("trust sampling failed to reach the requested edge count")
+    # chain closure saturated; top up with ordinary pairs
+    draw_pairs(edges, num_trust, 0.0)
     return sorted(edges)
 
 

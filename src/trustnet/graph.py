@@ -132,29 +132,31 @@ class GraphView:
     The normalized adjacency holds self-looped, symmetric-normalized
     entries 1/sqrt(deg_i * deg_j) where deg is the self-looped total degree
     (orientation-independent, so both role views share one degree vector
-    and differ only in the user-block orientation). ``s_user`` and ``s_obj``
-    split it by the column's node type and sum to it; each stores only its
-    own edges, in its own index arrays. The convolution multiplies them
-    with per-node attention scores, not with embeddings: since
-    eta . sum_j a_ij h_j = sum_j a_ij (eta . h_j), one sparse product over
-    an n-vector of scores gives each node's type-attention term, where
-    aggregating h first would cost d times the work and an n x d array.
-
-    ``s_user_t`` and ``s_obj_t`` are their transposes, which the
-    convolution's backward multiplies with: CSC matrices over the same
-    three arrays, so they copy nothing and no step builds them again.
+    and differ only in the user-block orientation).
 
     ``emap`` holds the edge list once, sorted row-major with its CSR row
     pointers, and ``user_emap`` the user rows' prefix of it, which a
     role's last layer runs over. ``typed_rows`` is each edge's row plus
-    ``num_nodes`` where its column is an object: the edge's slot in a
-    per-node vector of user-type weights followed by one of object-type
-    weights.
+    ``num_nodes`` where its column is an object: the edge's slot in a 2n
+    vector of per-node user-type entries followed by object-type ones,
+    the layout of the convolution's type attention.
 
-    Everything here is built once per run, with the view: the four
-    normalized-adjacency matrices, both edge maps and the sparse
-    containers each map multiplies through (see ``EdgeMap``), so a
-    training step builds no sparse matrix.
+    ``s_typed`` is the adjacency split by the column's node type into the
+    two diagonal blocks of one (2n, 2n) CSR matrix: edge e sits at row
+    ``typed_rows[e]`` and column ``cols[e] + n * [col is object]``, in its
+    own arrays. The convolution multiplies it with per-node attention
+    scores, not with embeddings: since eta . sum_j a_ij h_j =
+    sum_j a_ij (eta . h_j), one sparse product over a 2n vector of scores
+    gives each node's two type-attention terms, where aggregating h first
+    would cost d times the work and an n x d array per type.
+    ``s_typed_t`` is its transpose, which the backward multiplies with: a
+    CSC matrix over the same three arrays, so it copies nothing.
+    ``has_type`` marks with 1.0 the nonempty rows of ``s_typed``: the types
+    present among each node's neighbors, in the same 2n layout.
+
+    Everything here is built once per run, with the view: the typed
+    matrix, both edge maps and the sparse containers each map multiplies
+    through (see ``EdgeMap``), so a training step builds no sparse matrix.
     """
 
     role: Role
@@ -163,21 +165,9 @@ class GraphView:
     typed_rows: np.ndarray
     emap: EdgeMap
     user_emap: EdgeMap
-    s_user: sp.csr_matrix
-    s_obj: sp.csr_matrix
-    s_user_t: sp.csc_matrix
-    s_obj_t: sp.csc_matrix
-    has_user_neighbor: np.ndarray
-    has_obj_neighbor: np.ndarray
-
-
-def _edge_subset(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, keep: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """CSR matrix of the kept row-major edges, in freshly allocated arrays."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(n, n))
+    s_typed: sp.csr_matrix
+    s_typed_t: sp.csc_matrix
+    has_type: np.ndarray
 
 
 def build_view(graph: HeteroGraph, augmented, role: Role) -> GraphView:
@@ -212,25 +202,25 @@ def build_view(graph: HeteroGraph, augmented, role: Role) -> GraphView:
     rows, cols = emap.rows, emap.cols
     values = 1.0 / np.sqrt(deg[rows] * deg[cols])
 
-    user_col = cols < nu
-    s_user = _edge_subset(rows, cols, values, user_col, n)
-    s_obj = _edge_subset(rows, cols, values, ~user_col, n)
-    has_user = (np.diff(s_user.indptr) > 0).astype(np.float64)
-    has_obj = (np.diff(s_obj.indptr) > 0).astype(np.float64)
+    # the user-column edges, then the object-column ones, each in row-major
+    # order: the typed rows come out sorted, with no sort
+    is_obj = cols >= nu
+    typed_rows = rows + n * is_obj
+    order = np.concatenate([np.flatnonzero(~is_obj), np.flatnonzero(is_obj)])
+    indptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(typed_rows, minlength=2 * n), out=indptr[1:])
+    s_typed = sp.csr_matrix((values[order], (cols + n * is_obj)[order], indptr), shape=(2 * n, 2 * n))
 
     return GraphView(
         role=role,
         num_users=nu,
         num_nodes=n,
-        typed_rows=rows + n * ~user_col,
+        typed_rows=typed_rows,
         emap=emap,
         user_emap=emap.prefix(nu),
-        s_user=s_user,
-        s_obj=s_obj,
-        s_user_t=s_user.T,
-        s_obj_t=s_obj.T,
-        has_user_neighbor=has_user,
-        has_obj_neighbor=has_obj,
+        s_typed=s_typed,
+        s_typed_t=s_typed.T,
+        has_type=(np.diff(indptr) > 0).astype(np.float64),
     )
 
 

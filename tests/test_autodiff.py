@@ -113,10 +113,10 @@ def stack_halves(*vectors) -> ad.Tensor:
     return taped("stack_halves", value, vectors, lambda g: ad.stack_halves_grads(g))
 
 
-def type_softmax(logit_u, logit_o, mask_u: np.ndarray, mask_o: np.ndarray) -> ad.Tensor:
-    logits = [ad.as_tensor(logit_u), ad.as_tensor(logit_o)]
-    alpha = ad.type_softmax(*(t.value for t in logits), mask_u, mask_o)
-    return taped("type_softmax", alpha, logits, lambda g: ad.type_softmax_grads(alpha, g))
+def type_softmax(logit, mask: np.ndarray) -> ad.Tensor:
+    logit = ad.as_tensor(logit)
+    alpha = ad.type_softmax(logit.value, mask)
+    return taped("type_softmax", alpha, [logit], lambda g: [ad.type_softmax_grads(alpha, g)])
 
 
 def segment_softmax(a, rows: np.ndarray, indptr: np.ndarray) -> ad.Tensor:
@@ -1026,8 +1026,9 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-# node 0 has both types, node 1 only users, node 2 only objects
-TYPE_MASKS = (np.array([1.0, 1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 1.0]))
+# the users' type of nodes 0-3, then the objects': node 0 has both types, node 1
+# only users, node 2 only objects
+TYPE_MASK = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
 # rows of a CSR edge list: node 1 and node 3 have a single edge each
 SEG_ROWS = np.array([0, 0, 0, 1, 2, 2, 3])
 SEG_INDPTR = np.array([0, 3, 4, 6, 7])
@@ -1035,9 +1036,7 @@ SEG_INDPTR = np.array([0, 3, 4, 6, 7])
 
 def test_type_softmax_gradient():
     w = ad.Tensor(np.random.default_rng(21).normal(size=8), requires_grad=False)
-    check_op(
-        lambda lu, lo: ad.reduce_sum(mul(type_softmax(lu, lo, *TYPE_MASKS), w)), (4,), (4,)
-    )
+    check_op(lambda logit: ad.reduce_sum(mul(type_softmax(logit, TYPE_MASK), w)), (8,))
 
 
 def test_segment_softmax_gradient():
@@ -1106,7 +1105,7 @@ def test_type_softmax_forward_is_the_chain_bitwise():
     assert {(1, 0), (0, 1), (1, 1)} <= set(zip(mask_u.astype(int), mask_o.astype(int)))
     leaves = [ad.Tensor(rng.normal(size=n) * 5.0), ad.Tensor(rng.normal(size=n) * 5.0)]
     (got, got_g), (want, want_g) = fused_and_chain(
-        lambda lu, lo: type_softmax(lu, lo, mask_u, mask_o),
+        lambda lu, lo: type_softmax(concat_rows(lu, lo), np.concatenate([mask_u, mask_o])),
         lambda lu, lo: concat_rows(*chain_type_softmax(lu, lo, mask_u, mask_o)),
         leaves,
         rng.normal(size=2 * n),

@@ -24,16 +24,12 @@ from test_autodiff import (
     REPO, add, assert_close_grads, column, concat_rows, div, edge_matmul, elu, exp, gather, matmul, mul,
     row_block_matmul, segment_softmax, sigmoid, slice_rows, sparse_matmul, stack_halves, sub, type_softmax,
 )
+from test_graph import adjacency, type_blocks
 from test_predict import chain_pair_loss, frozen
 
 
 # ---------------------------------------------------------------------------
 # per-node oracles and inference wrappers around the production layer
-
-
-def adjacency(view: GraphView) -> sp.csr_matrix:
-    """The view's whole normalized adjacency: its user and object column parts."""
-    return (view.s_user + view.s_obj).tocsr()
 
 
 def type_embedding(target: int, node_type: int, view: GraphView, h: np.ndarray) -> np.ndarray:
@@ -150,10 +146,14 @@ def chain_layer_forward(h: Tensor, view: GraphView, params: LayerParams, users_o
     scores = matmul(h, stack_halves(params.eta_user, params.eta_obj, params.gamma))
     su_own, su_nbr, so_own, so_nbr, s_own, s_nbr = (column(scores, k) for k in range(6))
 
-    logit_u = ad.leaky_relu(add(su_own, sparse_matmul(view.s_user, su_nbr)), LEAKY_SLOPE)
-    logit_o = ad.leaky_relu(add(so_own, sparse_matmul(view.s_obj, so_nbr)), LEAKY_SLOPE)
+    # each type's own block of the view's typed adjacency; one leaky ReLU over
+    # both types' logits, as the layer calls it
+    s_user, s_obj = type_blocks(view)
+    pre_u = add(su_own, sparse_matmul(s_user, su_nbr))
+    pre_o = add(so_own, sparse_matmul(s_obj, so_nbr))
+    logit = ad.leaky_relu(concat_rows(pre_u, pre_o), LEAKY_SLOPE)
 
-    alpha = type_softmax(logit_u, logit_o, view.has_user_neighbor, view.has_obj_neighbor)
+    alpha = type_softmax(logit, view.has_type)
 
     alpha_edge = gather(alpha, view.typed_rows)
     pair_logit = ad.leaky_relu(
@@ -179,8 +179,9 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     ho = slice_rows(h, nu, n)
     projected = concat_rows(matmul(hu, params.w_user), matmul(ho, params.w_obj))
 
-    t_user = sparse_matmul(view.s_user, h)
-    t_obj = sparse_matmul(view.s_obj, h)
+    s_user, s_obj = type_blocks(view)
+    t_user = sparse_matmul(s_user, h)
+    t_obj = sparse_matmul(s_obj, h)
 
     eu1 = slice_rows(params.eta_user, 0, d)
     eu2 = slice_rows(params.eta_user, d, 2 * d)
@@ -189,7 +190,8 @@ def oracle_layer_forward(h: Tensor, view: GraphView, params: LayerParams) -> Ten
     logit_u = ad.leaky_relu(add(matmul(h, eu1), matmul(t_user, eu2)), LEAKY_SLOPE)
     logit_o = ad.leaky_relu(add(matmul(h, eo1), matmul(t_obj, eo2)), LEAKY_SLOPE)
 
-    mask_u, mask_o = view.has_user_neighbor, view.has_obj_neighbor
+    # a type is present at the nodes whose row of its block holds an edge
+    mask_u, mask_o = ((np.diff(s.indptr) > 0).astype(np.float64) for s in (s_user, s_obj))
     shift = np.maximum(
         np.where(mask_u > 0, logit_u.value, -np.inf),
         np.where(mask_o > 0, logit_o.value, -np.inf),
@@ -542,7 +544,8 @@ def random_oracle_case(rng, d, role):
     """A random graph's view, plus random input rows and parameters."""
     g, aug = random_graph(rng)
     view = build_view(g, aug, role)
-    assert view.has_obj_neighbor.min() == 0 and view.has_user_neighbor.min() == 0
+    # some node lacks user neighbors, and some node lacks object neighbors
+    assert (view.has_type.reshape(2, -1) == 0).any(axis=1).all()
     h = Tensor(rng.normal(size=(g.num_nodes, d)))
     return view, h, make_layer(rng, d)
 
@@ -714,7 +717,7 @@ def lonely_user_case(rng, d, role):
     indptr = view.emap.indptr
     assert indptr[nu + 1] - indptr[nu] == 1 and view.emap.cols[indptr[nu]] == nu
     # random_graph's last old user has no object neighbor
-    assert view.has_obj_neighbor[nu - 1] == 0
+    assert view.has_type[view.num_nodes + nu - 1] == 0
     return view, Tensor(rng.normal(size=(g.num_nodes, d))), make_layer(rng, d)
 
 
@@ -1177,7 +1180,7 @@ def test_layer_calls_every_name_the_bench_wraps(monkeypatch):
     view, h, lp = random_oracle_case(np.random.default_rng(1), 3, Role.TRUSTOR)
     layer_forward(h, view, lp)
     assert calls == {
-        "edge_matmul": 1, "sparse_matmul": 2, "elu": 1, "gather": 3, "matmul": 1, "leaky_relu": 3
+        "edge_matmul": 1, "sparse_matmul": 1, "elu": 1, "gather": 3, "matmul": 1, "leaky_relu": 2
     }
 
 

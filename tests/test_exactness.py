@@ -26,6 +26,8 @@ from trustnet.experiment import (
     prepare_run,
 )
 
+from test_graph import type_blocks
+
 FIXTURE_DIGESTS = {
     "siot": {
         "interactions.csv": "168346c24d1963fd1c1b05ad8d52c94a04c6ac3ea6e7174fd66015255e6d17c3",
@@ -132,6 +134,34 @@ VIEW_DIGESTS = {
         3939563265: {
             "trustor": "35aecd1710d8af311ec22e3a04456980675a9c85b9c7e994ed73827ff1424075",
             "trustee": "de968b50139a11423a513470bf02d36a3e75826a78662e0d03aff31e3655a06a",
+        },
+    },
+}
+
+# SHA-256 of each role view's normalized adjacency, split by the column's node type, for
+# each run seed of the two runs above: the user-column block's float64 ``data``, then the
+# object-column block's; both blocks' column ``indices`` (node ids), then their ``indptr``,
+# as int64. Recorded from the two per-type CSR matrices that ``GraphView.s_typed`` replaced,
+# so these pin that the typed matrix holds their values, in their order.
+ADJACENCY_DIGESTS = {
+    "siot": {
+        2083679832: {
+            "trustor": "40fc2dbcbe09a01a6937beda5cc1b3cb97a054d7f1c9c4445615ca25cf5d25e0",
+            "trustee": "9e4df7e3e8edf489d4d6a0b5624d15d7eefa7001de68d7daffc4cc00a8b5fbeb",
+        },
+        3939563265: {
+            "trustor": "6a1c9bb982837b0ac9eab8a7234a3cf24e135dc9300837b877050b04f4cfc760",
+            "trustee": "38c49e409db5585ea9fa5d8ba7a51cc476299258edb0956d0fc9d68eb7135f15",
+        },
+    },
+    "filmtrust": {
+        2083679832: {
+            "trustor": "59fb26938c39c0e8790432e60c915196f2d73aa1cd8815db8d9ab52666ff7e6b",
+            "trustee": "97ad6717313cc1b1b5420d8997a31cd3e09c9a6a90cdb92430955896d68ca532",
+        },
+        3939563265: {
+            "trustor": "16cbb32bd4fa0a53c626915b33a625591a4a42add612922486a4e996d30b1ed6",
+            "trustee": "f1b7d91516e73230065c074625bbe0689144f1910de809a311cc9962e80cf9a9",
         },
     },
 }
@@ -290,6 +320,28 @@ def test_role_views_are_byte_identical(kind, tmp_path):
             for role, view in views.items()
         }
     assert got == VIEW_DIGESTS[kind], f"{kind} role views changed. {HOST_NOTE}"
+
+
+def adjacency_digest(view) -> str:
+    """``ADJACENCY_DIGESTS``' hash of the user-column then object-column block of ``view.s_typed``."""
+    blocks = type_blocks(view)
+    blob = b"".join(m.data.tobytes() for m in blocks)
+    blob += b"".join(m.indices.astype(np.int64).tobytes() for m in blocks)
+    blob += b"".join(m.indptr.astype(np.int64).tobytes() for m in blocks)
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["siot", "filmtrust"])
+def test_typed_adjacency_is_byte_identical(kind, tmp_path):
+    data = tmp_path / kind
+    assert cli_main(["fixtures", kind, "--out", str(data), "--seed", "0"]) == 0
+    config = run_config(kind, data)
+    dataset = load_dataset(config)
+    got = {}
+    for run_seed in derive_run_seeds(config.seed, config.runs):
+        views = prepare_run(dataset, config, run_seed).views
+        got[run_seed] = {role.value: adjacency_digest(view) for role, view in views.items()}
+    assert got == ADJACENCY_DIGESTS[kind], f"{kind} adjacency values changed. {HOST_NOTE}"
 
 
 @pytest.mark.parametrize("kind", ["siot", "filmtrust"])

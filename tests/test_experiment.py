@@ -1387,6 +1387,15 @@ class TestMalformedInput:
         rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])
         assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1 and "checkpoint" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint-out"])
+    def test_eval_only_run_rejects_a_flag_it_would_ignore(self, film_dir, tmp_path, trained_checkpoint, flag):
+        target = tmp_path / "target"
+        rc, err = run_cli([
+            "run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(trained_checkpoint), flag, str(target)
+        ])
+        assert rc == 1 and err == f"config error: {flag} writes nothing with --eval-checkpoint, which only scores\n"
+        assert not target.exists()
+
     @given(data=st.data())
     def test_checkpoint_array_of_a_wrong_kind_or_not_finite_is_one_data_error(
         self, film_dir, workdir, trained_checkpoint, frozen_checkpoint, data
@@ -1486,6 +1495,12 @@ class TestMalformedInput:
     def test_fixture_of_one_user_is_one_data_error(self, tmp_path):
         rc, err = run_cli(["fixtures", "filmtrust", "--users", "1", "--out", str(tmp_path / "fx")])
         assert rc == 2 and err == "data error: trust sampling failed: no user can emit trust\n"
+
+    @pytest.mark.parametrize("kind", ["filmtrust", "siot"])
+    def test_fixture_of_more_trust_pairs_than_exist_is_one_data_error(self, tmp_path, kind):
+        # 20 users have 20 * 19 = 380 ordered pairs; the sampler would spin before failing
+        rc, err = run_cli(["fixtures", kind, "--users", "20", "--trust", "381", "--out", str(tmp_path / "fx")])
+        assert rc == 2 and err == "data error: cannot sample 381 trust pairs: 20 users have only 380 ordered pairs\n"
 
     def test_adam_overflow_is_one_numerical_failure(self, siot_dir, tmp_path):
         # user vectors near 1e150 give projection gradients whose square

@@ -44,9 +44,16 @@ def oracle_degrees(graph, augmented) -> np.ndarray:
     return deg
 
 
+def type_blocks(view):
+    """The user-column and object-column (n, n) blocks of ``view.s_typed``, columns in node ids."""
+    n = view.num_nodes
+    return view.s_typed[:n, :n].tocsr(), view.s_typed[n:, n:].tocsr()
+
+
 def adjacency(view):
-    """The view's whole normalized adjacency: its user and object column parts."""
-    return (view.s_user + view.s_obj).tocsr()
+    """The view's whole normalized adjacency: its user and object column blocks summed."""
+    s_user, s_obj = type_blocks(view)
+    return (s_user + s_obj).tocsr()
 
 
 def dense_view_oracle(graph, augmented, role):
@@ -176,22 +183,38 @@ class TestBuildView:
         inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
         g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1), (nu + 2, nu + 5)])
         aug = topk_augment(g, k=3, lam=PprConfig.lam, epsilon=PprConfig.epsilon)
+        n = g.num_nodes
         for role in (Role.TRUSTOR, Role.TRUSTEE):
             view = build_view(g, aug, role)
-            for mat in (view.s_user, view.s_obj):
+            typed = view.s_typed
+            assert typed.shape == (2 * n, 2 * n) and typed.nnz == view.emap.rows.size
+            for arr in (view.emap.rows, view.emap.cols, view.emap.indptr, view.typed_rows):
+                for own in (typed.data, typed.indices, typed.indptr):
+                    assert not np.shares_memory(own, arr)
+            # the off-diagonal blocks are empty: a user-type row holds user columns only
+            assert typed[:n, n:].nnz == 0 and typed[n:, :n].nnz == 0
+            s_user, s_obj = type_blocks(view)
+            for mat in (s_user, s_obj):
                 assert mat.nnz > 0 and np.all(mat.data != 0)
-                for arr in (view.emap.indptr, view.emap.cols):
-                    assert not np.shares_memory(mat.indptr, arr)
-                    assert not np.shares_memory(mat.indices, arr)
-            assert view.s_user.nnz + view.s_obj.nnz == view.emap.rows.size
-            assert np.all(view.s_user.indices < nu) and np.all(view.s_obj.indices >= nu)
-            # together the two hold every edge of the map, in its row-major order,
-            # with the normalized weights of the dense oracle
+            assert np.all(s_user.indices < nu) and np.all(s_obj.indices >= nu)
+            # edge e sits at (typed_rows[e], cols[e] + n * [col is object])
+            rows, cols = view.emap.rows, view.emap.cols
+            coo = typed.tocoo()
+            assert sorted(zip(coo.row.tolist(), coo.col.tolist())) == sorted(
+                zip(view.typed_rows.tolist(), (cols + n * (cols >= nu)).tolist())
+            )
+            assert np.array_equal(view.typed_rows, rows + n * (cols >= nu))
+            # together the two blocks hold every edge of the map, in its row-major
+            # order, with the normalized weights of the dense oracle
             both = adjacency(view)
             assert np.array_equal(both.indptr, view.emap.indptr)
             assert np.array_equal(both.indices, view.emap.cols)
             oracle = dense_view_oracle(g, aug, role)
             assert np.allclose(both.toarray(), oracle, rtol=1e-12, atol=1e-12)
+            # the presence mask marks each node's neighbor types, users' then objects'
+            present = np.concatenate([(oracle[:, :nu] != 0).any(axis=1), (oracle[:, nu:] != 0).any(axis=1)])
+            assert view.has_type.dtype == np.float64
+            assert np.array_equal(view.has_type, present.astype(np.float64))
 
     def test_transposes_are_csc_views_of_the_type_matrices(self):
         rng = np.random.default_rng(6)
@@ -199,15 +222,20 @@ class TestBuildView:
         trust = {(int(i), int(j)) for i, j in rng.integers(nu, size=(30, 2)) if i != j}
         inter = {(int(u), int(nu + o)) for u, o in rng.integers((nu, no), size=(25, 2))}
         g = HeteroGraph(nu, no, sorted(trust), sorted(inter), [(nu, nu + 1)])
+        n = g.num_nodes
         for role in (Role.TRUSTOR, Role.TRUSTEE):
             view = build_view(g, topk_augment(g, k=3, lam=PprConfig.lam, epsilon=PprConfig.epsilon), role)
-            for mat, mat_t in ((view.s_user, view.s_user_t), (view.s_obj, view.s_obj_t)):
-                assert mat_t.format == "csc" and mat_t.shape == mat.shape[::-1]
-                for name in ("data", "indices", "indptr"):
-                    got, kept = getattr(mat_t, name), getattr(mat, name)
-                    assert got.ctypes.data == kept.ctypes.data and got.size == kept.size, name
-                x = rng.normal(size=mat.shape[0])
-                assert np.array_equal((mat_t @ x).view(np.int64), (mat.T @ x).view(np.int64))
+            mat, mat_t = view.s_typed, view.s_typed_t
+            assert mat_t.format == "csc" and mat_t.shape == mat.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                got, kept = getattr(mat_t, name), getattr(mat, name)
+                assert got.ctypes.data == kept.ctypes.data and got.size == kept.size, name
+            # its product is each block's transpose product, bit for bit
+            x = rng.normal(size=2 * n)
+            s_user, s_obj = type_blocks(view)
+            want = np.concatenate([s_user.T @ x[:n], s_obj.T @ x[n:]])
+            assert np.array_equal((mat_t @ x).view(np.int64), want.view(np.int64))
+            assert np.allclose(mat_t @ x, mat.toarray().T @ x, rtol=1e-12, atol=1e-12)
 
     def test_augmented_duplicates_collapse(self):
         g = HeteroGraph(num_users=3, num_objects=0, trust_edges=[(0, 1)])

@@ -11,11 +11,23 @@ from pair to pair.
 
 Per end-to-end metric it prints the median ratio working tree / base, a
 95% bootstrap interval of that median, the share of pairs in which the
-working tree is lower, and each side's median and interquartile range, so
-that a change's median difference can be set against the base's own
-spread; then every child's ``correct``. The last line of
+working tree is lower, each side's median and interquartile range (IQR),
+so that a change's median difference can be set against the base's own
+spread, and a verdict; then every child's ``correct``. The last line of
 standard output is the same as one JSON object. ``--base HEAD`` is the A/A
 control: with nothing uncommitted, both copies hold the same files.
+
+The verdict reads the metric's ``bound`` and ``better`` from
+``BENCHMARK.json``; "beats" and "above" below mean better and worse in
+that direction, and the bound is a fraction of the base's median:
+
+- ``gain``: the change beats the base in at least 9 of 10 pairs, and the
+  medians differ by more than the base's IQR;
+- ``regressed``: the change's median is above the base's by more than the
+  bound;
+- ``unresolved``: the base's IQR exceeds the bound, unless every change
+  run beats every base run;
+- ``within bound``: everything else.
 
 Concurrent children share caches and memory bandwidth, so a change in
 memory traffic is measured under contention. Method: Bulej et al., *Duet
@@ -36,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("setup_s", "epoch_s", "train_s", "run_s", "peak_rss_mb")
+END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+METRICS = tuple(END_TO_END)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD_TIMEOUT_S = 900.0
 BOOTSTRAP_DRAWS = 2000
@@ -97,6 +110,21 @@ def spread(values: np.ndarray) -> dict:
     return {"median": float(median), "iqr": float(q3 - q1)}
 
 
+def verdict(base: np.ndarray, change: np.ndarray, bound: float, better: str) -> str:
+    """One metric's verdict from its paired runs (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    base, change = sign * np.asarray(base), sign * np.asarray(change)  # lower is better from here
+    b, c = spread(base), spread(change)
+    allowed = bound * abs(b["median"])
+    if np.mean(change < base) >= 0.9 and b["median"] - c["median"] > b["iqr"]:
+        return "gain"
+    if c["median"] - b["median"] > allowed:
+        return "regressed"
+    if b["iqr"] > allowed and not change.max() < base.min():
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     """Per metric over the pairs in which both children passed: ratios change / base, each side's spread."""
     rng = np.random.default_rng(0)
@@ -106,6 +134,7 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
         ratios = np.array([change[metric] / base[metric] for base, change in both])
         if ratios.size == 0:
             continue
+        sides = {side: np.array([pair[i][metric] for pair in both]) for i, side in enumerate(("base", "change"))}
         medians = np.median(ratios[rng.integers(ratios.size, size=(BOOTSTRAP_DRAWS, ratios.size))], axis=1)
         lo, hi = np.percentile(medians, [2.5, 97.5])
         report[metric] = {
@@ -113,8 +142,10 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
             "ci95": [float(lo), float(hi)],
             "lower": int((ratios < 1.0).sum()),
             "pairs": int(ratios.size),
-            "base": spread(np.array([base[metric] for base, _ in both])),
-            "change": spread(np.array([change[metric] for _, change in both])),
+            "base": spread(sides["base"]),
+            "change": spread(sides["change"]),
+            "verdict": verdict(sides["base"], sides["change"], END_TO_END[metric]["bound"],
+                               END_TO_END[metric]["better"]),
         }
     return report
 
@@ -166,7 +197,7 @@ def main(argv=None) -> int:
             f"{side} {row[side]['median']:.5g} iqr {row[side]['iqr']:.3g}" for side in ("base", "change")
         )
         print(f"{metric:12s} median ratio {row['median_ratio']:.4f}  95% [{lo:.4f}, {hi:.4f}]  "
-              f"lower in {row['lower']}/{row['pairs']}  {sides}")
+              f"lower in {row['lower']}/{row['pairs']}  {sides}  {row['verdict']}")
     correctness = {side: [correct(pair[i]) for pair in pairs] for i, side in enumerate(("base", "change"))}
     for side, flags in correctness.items():
         print(f"{side} correct: {flags}")
