@@ -18,7 +18,9 @@ A checkpoint stores its run's config, the only description of its model.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
 import numbers
 import os
@@ -410,8 +412,37 @@ def init_model(config: ExperimentConfig, seed: int) -> ModelParams:
                        roles.trustor_enabled, roles.trustee_enabled, config.num_layers)
 
 
+# glibc ``mallopt`` parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Keep a training step's freed arrays in the heap, mapped, for the next step.
+
+    By default glibc maps each block above 128 KiB on its own and trims a
+    free heap top above 128 KiB, raising the first to the largest mapped
+    block freed so far and the second to twice that. So a FilmTrust step
+    faulted its arrays in again every epoch, as often as set-up's frees
+    allowed. Fixing the mmap threshold at 32 MiB (glibc's 64-bit ceiling)
+    and the trim threshold at 1 GiB (above the 70 MB a 10x step frees)
+    ends that; setting either alone turns the dynamic rule off and leaves
+    the other at its start value. Once per process, so each pool worker
+    sets it too; without ``mallopt``, or if libc refuses the mmap
+    threshold, it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> RunResult:
     """Train once with every stochastic choice derived from ``run_seed``."""
+    _keep_heap_mapped()
     prep = prepare_run(dataset, config, run_seed)
     tables = _initial_tables(dataset, config, prep.seeds)
     params = init_model(config, prep.seeds["params"])

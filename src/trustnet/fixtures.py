@@ -100,10 +100,13 @@ def _sample_trust_edges(
     """
     comm_social: list[np.ndarray] = []
     comm_mass = np.zeros(communities)
+    reach = 0  # ordered pairs a draw or a closure can make: trustors in a pool of 2+
     for c in range(communities):
         members = np.flatnonzero((plan.social_comm == c) & plan.social)
         comm_social.append(members)
         comm_mass[c] = plan.out_weight[members].sum()
+        if members.size >= 2:
+            reach += members.size * ((num_users if cross_noise else members.size) - 1)
     if not comm_mass.any():
         raise DataError("trust sampling failed: no user can emit trust")
     comm_p = comm_mass / comm_mass.sum()
@@ -111,6 +114,11 @@ def _sample_trust_edges(
         raise DataError(
             f"cannot sample {num_trust} trust pairs: {num_users} users have only "
             f"{num_users * (num_users - 1)} ordered pairs"
+        )
+    if num_trust > reach:
+        raise DataError(
+            f"cannot sample {num_trust} trust pairs: the social communities' trust pools "
+            f"reach only {reach} ordered pairs"
         )
     cap = 200 * num_trust
 

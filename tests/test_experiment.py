@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import gc
 import hashlib
@@ -9,6 +10,8 @@ import json
 import logging
 import re
 import shutil
+import subprocess
+import sys
 import types
 import typing
 import weakref
@@ -22,7 +25,7 @@ from scipy.sparse import _base as sparse_base
 from trustnet import experiment, train
 from trustnet.cli import CONFIG_FLAGS, _ablation_variants, _add_config_flags, build_config
 from trustnet.cli import main as cli_main
-from trustnet.errors import ConfigError
+from trustnet.errors import ConfigError, DataError
 from trustnet.experiment import (
     ABLATION_VARIANTS,
     ExperimentConfig,
@@ -35,8 +38,10 @@ from trustnet.experiment import (
     sweep,
     with_fields,
 )
-from trustnet.fixtures import make_filmtrust_files, make_siot_files
+from trustnet.fixtures import CommunityPlan, _sample_trust_edges, make_filmtrust_files, make_siot_files
 from trustnet.graph import Role, load_siot_csv
+
+from test_autodiff import REPO
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +384,34 @@ class TestRun:
         assert all({"z", "loss", "tape", "grad0"} <= set(keys) for keys in watched)
         assert len(watched) == cfg.epochs and leftovers == [[]] * cfg.epochs
         assert z_freed == [True] * cfg.epochs
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="needs Linux page-fault counts and a libc with mallopt")
+    def test_stepping_epochs_after_the_first_fault_in_no_memory(self, tmp_path):
+        # a fresh process, so neither the allocator policy nor the heap comes
+        # from earlier tests; the minor page faults of each stepping epoch of
+        # one 1x FilmTrust run. Without the policy, glibc trims the freed step
+        # off the heap and every epoch faults it back in (about 2k faults)
+        make_filmtrust_files(tmp_path, seed=0)
+        probe = (
+            "import resource, sys\n"
+            "from trustnet import experiment\n"
+            "epoch, faults = experiment._epoch, []\n"
+            "def counted(*args, step):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    out = epoch(*args, step=step)\n"
+            "    if step:\n"
+            "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "    return out\n"
+            "experiment._epoch = counted\n"
+            "experiment.run(experiment.ExperimentConfig(dataset=sys.argv[1], epochs=6, runs=1))\n"
+            "print(*faults)\n"
+        )
+        env = {"PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        faults = [int(f) for f in out.stdout.split()]
+        assert len(faults) == 6 and max(faults[1:]) <= 64, faults
 
     @pytest.mark.parametrize("kind", ["filmtrust", "siot"])
     def test_no_set_up_table_outlives_the_start_of_training(self, film_dir, siot_dir, monkeypatch, kind):
@@ -1501,6 +1534,35 @@ class TestMalformedInput:
         # 20 users have 20 * 19 = 380 ordered pairs; the sampler would spin before failing
         rc, err = run_cli(["fixtures", kind, "--users", "20", "--trust", "381", "--out", str(tmp_path / "fx")])
         assert rc == 2 and err == "data error: cannot sample 381 trust pairs: 20 users have only 380 ordered pairs\n"
+
+    @pytest.mark.parametrize("kind, reach", [("filmtrust", 76), ("siot", 285)])
+    def test_fixture_of_more_trust_pairs_than_its_pools_reach_is_one_data_error(self, tmp_path, kind, reach):
+        # 380 is every ordered pair of 20 users, but trustors are only the
+        # social members of communities with at least two of them
+        rc, err = run_cli(["fixtures", kind, "--users", "20", "--trust", "380", "--out", str(tmp_path / "fx")])
+        assert rc == 2 and err == (
+            "data error: cannot sample 380 trust pairs: the social communities' trust pools "
+            f"reach only {reach} ordered pairs\n"
+        )
+
+    @pytest.mark.parametrize("noise, reach", [(0.0, 6), (0.5, 12)])
+    def test_trust_sampling_reaches_every_pair_its_pools_hold(self, noise, reach):
+        # community 0 has three social users, community 1 one (too few to
+        # pair), user 4 is not social; noise lets a trustee be any user
+        plan = CommunityPlan(
+            social_comm=np.array([0, 0, 0, 1, 0]), consume_comm=np.zeros(5, dtype=int),
+            obj_comm=np.zeros(1, dtype=int), social=np.array([True, True, True, True, False]),
+            out_weight=np.array([1.0, 2.0, 3.0, 1.0, 0.0]), in_weight=np.array([3.0, 2.0, 1.0, 1.0, 0.0]),
+        )
+
+        def sample(num_trust):
+            rng = np.random.default_rng(0)
+            return _sample_trust_edges(rng, plan, 5, num_trust, noise, communities=2, chain_fraction=0.0)
+
+        pairs = sample(reach)
+        assert len(pairs) == reach and {u for u, _ in pairs} == {0, 1, 2}
+        with pytest.raises(DataError, match=f"trust pools reach only {reach} ordered pairs"):
+            sample(reach + 1)
 
     def test_adam_overflow_is_one_numerical_failure(self, siot_dir, tmp_path):
         # user vectors near 1e150 give projection gradients whose square

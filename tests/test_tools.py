@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import mmap
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -122,3 +126,54 @@ class TestVerdict:
             spec = duet.END_TO_END[metric]
             want = duet.verdict(np.array(base), np.array(base) * 1.5, spec["bound"], spec["better"])
             assert row["verdict"] == want == "regressed"
+
+
+class TestChildRusage:
+    PAGES = 16384
+    # touches PAGES fresh pages of small-page memory, so each is one minor fault
+    TOUCH = (
+        "import mmap\n"
+        f"m = mmap.mmap(-1, {PAGES} * mmap.PAGESIZE)\n"
+        "m.madvise(mmap.MADV_NOHUGEPAGE)\n"
+        "for i in range(0, len(m), mmap.PAGESIZE):\n"
+        "    m[i] = 1\n"
+    )
+    WRITE_RESULT = "import json, sys\nopen(sys.argv[1], 'w').write(json.dumps({'failures': []}))\n"
+
+    def collect(self, tmp_path, name, code) -> dict:
+        out = tmp_path / name
+        out.mkdir()
+        (out / "stderr.txt").write_text("")
+        proc = subprocess.Popen([sys.executable, "-c", code, str(out / "result.json")])
+        return duet.collect(proc, {"out": str(out)})
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="no small-page madvise")
+    def test_each_child_reports_its_own_minor_faults_and_system_seconds(self, tmp_path):
+        idle = self.collect(tmp_path, "idle", self.WRITE_RESULT)
+        touch = self.collect(tmp_path, "touch", self.TOUCH + self.WRITE_RESULT)
+        for result in (idle, touch):
+            assert result["failures"] == [] and set(duet.RUSAGE) <= set(result)
+            assert isinstance(result["minor_faults"], int) and result["sys_s"] >= 0.0
+        assert touch["minor_faults"] - idle["minor_faults"] >= 0.9 * self.PAGES
+
+    def test_a_child_without_a_result_keeps_its_rusage(self, tmp_path):
+        result = self.collect(tmp_path, "crash", "raise SystemExit(3)")
+        assert "crashed" in result and result["minor_faults"] > 0 and not duet.correct(result)
+
+    def test_a_child_past_the_timeout_is_killed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(duet, "CHILD_TIMEOUT_S", 0.5)
+        start = time.monotonic()
+        assert self.collect(tmp_path, "slow", "import time\ntime.sleep(60)\n") == {"crashed": "timed out"}
+        assert time.monotonic() - start < 30.0
+
+    def test_the_rusage_summary_gives_each_sides_spread_over_passing_pairs_only(self):
+        base = [1000, 3000, 2000, 4000, 6000]
+        pairs = [(child(1.0, minor_faults=b, sys_s=b / 1e4), child(1.0, minor_faults=0, sys_s=0.0)) for b in base]
+        pairs.append((child(1.0, minor_faults=10**9, sys_s=9.0), {"crashed": "timed out"}))
+        rusage = duet.summarize_rusage(pairs)
+        assert sorted(rusage) == sorted(duet.RUSAGE)
+        q1, q3 = np.percentile(base, [25, 75])
+        assert rusage["minor_faults"] == {"base": {"median": 3000.0, "iqr": q3 - q1},
+                                          "change": {"median": 0.0, "iqr": 0.0}}
+        assert rusage["sys_s"]["base"]["median"] == pytest.approx(0.3)
+        assert duet.summarize_rusage([(child(1.0), {"crashed": "timed out"})]) == {}

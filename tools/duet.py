@@ -13,7 +13,9 @@ Per end-to-end metric it prints the median ratio working tree / base, a
 95% bootstrap interval of that median, the share of pairs in which the
 working tree is lower, each side's median and interquartile range (IQR),
 so that a change's median difference can be set against the base's own
-spread, and a verdict; then every child's ``correct``. The last line of
+spread, and a verdict. Then, with no verdict, each side's median and IQR of
+the children's minor page faults and system seconds, which the parent reads
+from ``os.wait4``; then every child's ``correct``. The last line of
 standard output is the same as one JSON object. ``--base HEAD`` is the A/A
 control: with nothing uncommitted, both copies hold the same files.
 
@@ -43,6 +45,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +53,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 METRICS = tuple(END_TO_END)
+RUSAGE = ("minor_faults", "sys_s")  # whole-child, from wait4; informational, no verdict
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD_TIMEOUT_S = 900.0
+POLL_S = 0.05
 BOOTSTRAP_DRAWS = 2000
 
 
@@ -87,17 +92,32 @@ def launch(tree: Path, spec: dict) -> subprocess.Popen:
         )
 
 
+def reap(proc: subprocess.Popen, timeout: float):
+    """The exited ``proc``'s resource usage, or None if it still runs after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            return usage
+        if time.monotonic() >= deadline:
+            return None
+        time.sleep(POLL_S)
+
+
 def collect(proc: subprocess.Popen, spec: dict) -> dict:
+    """The child's ``result.json`` and its ``RUSAGE`` columns, or why it has none."""
     out = Path(spec["out"])
-    try:
-        proc.wait(timeout=CHILD_TIMEOUT_S)
-        return json.loads((out / "result.json").read_text())
-    except subprocess.TimeoutExpired:
+    usage = reap(proc, CHILD_TIMEOUT_S)
+    if usage is None:
         proc.kill()
         proc.wait()
         return {"crashed": "timed out"}
+    rusage = {"minor_faults": usage.ru_minflt, "sys_s": usage.ru_stime}
+    try:
+        return {**json.loads((out / "result.json").read_text()), **rusage}
     except (OSError, ValueError) as exc:
-        return {"crashed": f"{exc}\n{(out / 'stderr.txt').read_text(errors='replace')[-2000:]}"}
+        return {"crashed": f"{exc}\n{(out / 'stderr.txt').read_text(errors='replace')[-2000:]}", **rusage}
 
 
 def correct(result: dict) -> bool:
@@ -125,10 +145,14 @@ def verdict(base: np.ndarray, change: np.ndarray, bound: float, better: str) -> 
     return "within bound"
 
 
+def passed(pairs: list[tuple[dict, dict]]) -> list[tuple[dict, dict]]:
+    return [(base, change) for base, change in pairs if correct(base) and correct(change)]
+
+
 def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     """Per metric over the pairs in which both children passed: ratios change / base, each side's spread."""
     rng = np.random.default_rng(0)
-    both = [(base, change) for base, change in pairs if correct(base) and correct(change)]
+    both = passed(pairs)
     report = {}
     for metric in METRICS:
         ratios = np.array([change[metric] / base[metric] for base, change in both])
@@ -148,6 +172,15 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
                                END_TO_END[metric]["better"]),
         }
     return report
+
+
+def summarize_rusage(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per ``RUSAGE`` column over the pairs in which both children passed: each side's spread."""
+    both = passed(pairs)
+    if not both:
+        return {}
+    return {name: {side: spread(np.array([pair[i][name] for pair in both]))
+                   for i, side in enumerate(("base", "change"))} for name in RUSAGE}
 
 
 def main(argv=None) -> int:
@@ -188,16 +221,20 @@ def main(argv=None) -> int:
             pairs.append((results["base"], results["change"]))
             print(f"pair {k} seed {seed} first {order[0][0]}: " + "  ".join(
                 f"{side} " + (f"epoch_s={r['epoch_s']:.5f} run_s={r['run_s']:.3f}" if correct(r) else "FAILED")
+                + (f" minor_faults={r['minor_faults']} sys_s={r['sys_s']:.3f}" if "sys_s" in r else "")
                 for side, r in results.items()), file=sys.stderr)
 
-    report = summarize(pairs)
+    report, rusage = summarize(pairs), summarize_rusage(pairs)
+
+    def sides(row: dict) -> str:
+        return "  ".join(f"{side} {row[side]['median']:.5g} iqr {row[side]['iqr']:.3g}" for side in ("base", "change"))
+
     for metric, row in report.items():
         lo, hi = row["ci95"]
-        sides = "  ".join(
-            f"{side} {row[side]['median']:.5g} iqr {row[side]['iqr']:.3g}" for side in ("base", "change")
-        )
         print(f"{metric:12s} median ratio {row['median_ratio']:.4f}  95% [{lo:.4f}, {hi:.4f}]  "
-              f"lower in {row['lower']}/{row['pairs']}  {sides}  {row['verdict']}")
+              f"lower in {row['lower']}/{row['pairs']}  {sides(row)}  {row['verdict']}")
+    for name, row in rusage.items():
+        print(f"{name:12s} {sides(row)}  no verdict")
     correctness = {side: [correct(pair[i]) for pair in pairs] for i, side in enumerate(("base", "change"))}
     for side, flags in correctness.items():
         print(f"{side} correct: {flags}")
@@ -208,7 +245,7 @@ def main(argv=None) -> int:
             elif result["failures"]:
                 print(f"pair {k} {side} failed: {'; '.join(result['failures'])}", file=sys.stderr)
     print(json.dumps({"base": args.base, "workload": args.workload, "seed": args.seed,
-                      "metrics": report, "correct": correctness}))
+                      "metrics": report, "rusage": rusage, "correct": correctness}))
     return 0 if all(all(flags) for flags in correctness.values()) else 1
 
 
