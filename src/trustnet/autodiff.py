@@ -319,16 +319,11 @@ def elu(x: np.ndarray, slopes: np.ndarray) -> np.ndarray:
 # reductions and reshaping
 
 
-def reduce_sum(a, axis: int | None = None) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """The sum of every entry of ``a``, as a 0-d tensor."""
     a = as_tensor(a)
-    out = Tensor(a.value.sum(axis=axis), requires_grad=a.requires_grad)
-
-    def backward(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.value.shape).copy())]
-        return [(a, np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy())]
-
-    record("reduce_sum", out, backward)
+    out = Tensor(a.value.sum(), requires_grad=a.requires_grad)
+    record("reduce_sum", out, lambda g: [(a, np.broadcast_to(g, a.value.shape).copy())])
     return out
 
 

@@ -401,15 +401,16 @@ def prepare_run(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Pr
     )
 
 
-def init_model(config: ExperimentConfig, seed: int) -> ModelParams:
-    """The untrained model a validated ``config`` describes, without initial tables.
+def init_model(config: ExperimentConfig, seed: int, tables, trainable: bool) -> ModelParams:
+    """The untrained model a validated ``config`` describes, built with its initial ``tables``.
 
     Training builds its model here, and so does checkpoint scoring, from
-    the stored config, before the file's arrays fill it.
+    the stored config and the file's frozen tables, before the file's other
+    arrays fill it.
     """
     roles = config.roles
     return init_params(seed, config.user_dim, config.object_dim, config.latent_dim, config.fusion,
-                       roles.trustor_enabled, roles.trustee_enabled, config.num_layers)
+                       roles.trustor_enabled, roles.trustee_enabled, config.num_layers, tables, trainable)
 
 
 # glibc ``mallopt`` parameters (malloc.h)
@@ -444,16 +445,13 @@ def run_single(dataset: Dataset, config: ExperimentConfig, run_seed: int) -> Run
     """Train once with every stochastic choice derived from ``run_seed``."""
     _keep_heap_mapped()
     prep = prepare_run(dataset, config, run_seed)
-    tables = _initial_tables(dataset, config, prep.seeds)
-    params = init_model(config, prep.seeds["params"])
     if config.train_initial is None:  # auto: only a dataset without comments (FilmTrust) trains them
         trainable = dataset.corpus is None
     else:
         trainable = config.train_initial
-    # the params copy a trainable table into their buffer, so training
-    # would otherwise hold it twice
-    params.set_initial_tables(*tables, trainable=trainable)
-    del tables
+    # the params copy each table, so no name here keeps the set-up
+    # tables alive through training
+    params = init_model(config, prep.seeds["params"], _initial_tables(dataset, config, prep.seeds), trainable)
     return _train_loop(config, prep, params, run_seed)
 
 
@@ -723,22 +721,24 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path):
     """Score a saved model on the test split of the run it was trained in.
 
     Nothing is trained: ``init_model`` builds the model the checkpoint's
-    stored config describes, the file fills it (embedding tables included)
-    and ``prepare_run`` gives the split, augmentation and views. The stored
-    config must validate, the fields ``prepare_run`` reads must equal
-    ``config``'s and the dataset graph must be the one it was trained on,
-    or the test split would not be that run's; the tables need a row per
-    node and the model's input width. Each failure is a ``DataError``.
+    stored config describes with the file's tables, frozen, the file's
+    other arrays fill it and ``prepare_run`` gives the split, augmentation
+    and views. The stored config must validate, the fields ``prepare_run``
+    reads must equal ``config``'s and the dataset graph must be the one it
+    was trained on, or the test split would not be that run's; the tables
+    need a row per node and the model's input width. Each failure is a
+    ``DataError``.
     """
     config.validate()
     params, provenance = train_mod.load_params(
-        checkpoint_path, lambda provenance: init_model(_trained_config(provenance, config), 0)
+        checkpoint_path,
+        lambda provenance, tables: init_model(_trained_config(provenance, config), 0, tables, False),
     )
     dataset = load_dataset(config)
     graph = dataset.graph
     if graph.fingerprint() != provenance["graph_sha256"]:
         raise DataError(f"checkpoint was trained on another dataset graph than {dataset.name}")
-    shapes = [table.value.shape for table in (params.h0_users, params.h0_objects) if table is not None]
+    shapes = [table.value.shape for table in (params.h0_users, params.h0_objects)]
     need = [(graph.num_users, len(params.proj_user.value)), (graph.num_objects, len(params.proj_obj.value))]
     if shapes != need:
         raise DataError(f"checkpoint initial tables have shapes {shapes}, the model and graph need {need}")

@@ -347,7 +347,8 @@ def load_siot_csv(directory) -> tuple[HeteroGraph, list[list[str]], dict[int, st
     with at most ``MIN_OBJECT_COMMENTS`` (10) are removed, the paper's
     filter (thresholds are strict: a node needs strictly more comments to
     survive). Returns the remapped graph, the per-user comment corpus, and
-    the object -> entity-name alignment for objects that have one.
+    the object -> entity-name alignment for objects that have one. An
+    object listed on two rows of objects.csv is a ``ParseError``.
 
     An optional object_edges.csv (header ``object_a,object_b``) adds
     object-object edges.
@@ -388,7 +389,11 @@ def load_siot_csv(directory) -> tuple[HeteroGraph, list[list[str]], dict[int, st
         logger.warning("skipped %d self-trust row(s) in %s", skipped_self, directory / "trust.csv")
 
     alignment: dict[int, str] = {}
+    listed: set[str] = set()
     for o, entity in object_rows:
+        if o in listed:
+            raise ParseError(f"{directory / 'objects.csv'}: object {o} is listed on more than one row")
+        listed.add(o)
         if o in object_ids and entity.strip():
             alignment[object_ids[o] - len(user_ids)] = entity.strip()
 

@@ -115,7 +115,7 @@ def pair_loss(
     with a detached per-row shift, where the logits are
     ``concat([z[i], z[j]]) @ W + b``. The forward and the backward replay
     the arithmetic of the op chain this record replaces (gather,
-    concat_cols, matmul, add, exp, reduce_sum, log, gather_pairs, sub,
+    concat_cols, matmul, add, exp, a row sum, log, gather_pairs, sub,
     mean), so the loss and its gradients are bitwise the chain's when ``z``
     has two or more columns. With one, numpy multiplies each one-row half
     of ``W`` as a matrix-vector product, which may round otherwise.

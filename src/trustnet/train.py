@@ -24,7 +24,9 @@ from .errors import DataError, NumericalError
 from .graph import HeteroGraph, Role
 from .predict import PredictorParams, pair_loss
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+# the initial tables' names; a checkpoint stores each as ``table::<name>``
+TABLES = ("h0/users", "h0/objects")
 # Adam's moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # grad_check's central-difference step
@@ -89,8 +91,8 @@ class ModelParams:
     never to the fusion gate or biases.
 
     Every trainable tensor and its Adam moments live in one
-    ``WeightBuffer``, ``buffer``, packed at construction and when
-    ``set_initial_tables`` attaches tables. Frozen tables stay outside it.
+    ``WeightBuffer``, ``buffer``, packed once, at construction (the
+    initial tables come with the model). Frozen tables stay outside it.
     """
 
     fusion: str
@@ -128,7 +130,7 @@ class ModelParams:
         out.append(("gate/raw", self.gate, False))
         out.append(("predictor/weight", self.predictor.weight, True))
         out.append(("predictor/bias", self.predictor.bias, False))
-        for name, table in (("h0/users", self.h0_users), ("h0/objects", self.h0_objects)):
+        for name, table in zip(TABLES, (self.h0_users, self.h0_objects)):
             if table is not None and table.requires_grad:
                 out.append((name, table, True))
         return out
@@ -144,20 +146,6 @@ class ModelParams:
         for name, tensor, _ in self.named():
             if not np.all(np.isfinite(tensor.value)):
                 raise NumericalError(f"parameter {name} contains non-finite values")
-
-    def set_initial_tables(self, h0_users, h0_objects, trainable: bool) -> None:
-        """Attach copies of the initial (rows, dim) arrays and repack the buffer.
-
-        Trainable tables join the tape and the pack copies them into the
-        buffer; frozen ones are copied here and stay outside it. The repack
-        starts every Adam moment at zero, so tables are attached before
-        training.
-        """
-        copy = np.asarray if trainable else np.array
-        users, objects = copy(h0_users), copy(h0_objects)
-        self.h0_users = Tensor(users, requires_grad=trainable)
-        self.h0_objects = Tensor(objects, requires_grad=trainable)
-        self.__post_init__()
 
 
 def _init_layer(rng, dim: int) -> LayerParams:
@@ -179,6 +167,8 @@ def init_params(
     trustor_enabled: bool = True,
     trustee_enabled: bool = True,
     num_layers: int = 2,
+    tables=None,
+    trainable: bool = False,
 ) -> ModelParams:
     """Fresh parameters; encoders for both roles are independent.
 
@@ -187,6 +177,10 @@ def init_params(
     compare at an equal budget; otherwise at the full width. The predictor
     reads 2 * latent_dim pair features. Callers pass a validated config's
     values (``experiment.init_model``) or constants.
+
+    ``tables``, the initial user and object arrays, are copied: into the
+    buffer when ``trainable``, else outside it. Without them ``forward``
+    takes the tables as arguments.
     """
     both = trustor_enabled and trustee_enabled
     role_dim = latent_dim // 2 if fusion == "concat" and both else latent_dim
@@ -203,6 +197,10 @@ def init_params(
     gate = Tensor(np.where(np.arange(role_dim) % 2 == 0, 1.0, -1.0))
     weight = Tensor(_glorot(rng, 2 * latent_dim, 2, (2 * latent_dim, 2)))
     predictor = PredictorParams(weight, Tensor(np.zeros(2)))
+    copy = np.asarray if trainable else np.array  # a trainable table is copied by the pack
+    h0_users, h0_objects = (None, None) if tables is None else (
+        Tensor(copy(table), requires_grad=trainable) for table in tables
+    )
     return ModelParams(
         fusion=fusion,
         proj_user=proj_user,
@@ -211,6 +209,8 @@ def init_params(
         trustee=trustee,
         gate=gate,
         predictor=predictor,
+        h0_users=h0_users,
+        h0_objects=h0_objects,
     )
 
 
@@ -278,7 +278,7 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
     """Tape-aware pipeline up to the fused per-user embeddings.
 
     ``h0_users`` and ``h0_objects`` are (rows, dim) arrays or tensors, or
-    None for the tables attached to ``params``.
+    None for the tables ``params`` was built with.
 
     Records one entry for the input projection (``input_projection``,
     both tables' products in one array), one per convolution layer and one
@@ -292,7 +292,7 @@ def fused_users(views: dict, params: ModelParams, h0_users, h0_objects):
         for given, kept in ((h0_users, params.h0_users), (h0_objects, params.h0_objects))
     )
     if hu is None or ho is None:
-        raise DataError("initial embeddings missing: pass tables or attach them to params")
+        raise DataError("initial embeddings missing: pass tables or build params with them")
 
     h0 = input_projection(hu, ho, params.proj_user, params.proj_obj)
     role_users = []
@@ -490,15 +490,18 @@ def save_params(params: ModelParams, path, provenance: dict | None = None) -> No
 
     ``__meta__`` holds only the version and ``provenance``, a
     JSON-serialisable record of what the parameters were trained on, which
-    ``load_params`` hands to its ``build`` and back unchanged. Initial
-    tables are ``param::h0/*`` when trainable, else ``frozen::h0/*``.
-    Adam's moments and step are not stored: nothing resumes training.
+    ``load_params`` hands to its ``build`` and back unchanged. Each initial
+    table is ``table::<name>``, trainable or not, and every other trainable
+    ``param::<name>``. Adam's moments and step are not stored: nothing
+    resumes training. A model without tables raises ``ValueError``: no
+    loader could score it.
     """
+    if params.h0_users is None or params.h0_objects is None:
+        raise ValueError("a model without initial tables cannot be saved")
     meta = {"version": CHECKPOINT_VERSION, "provenance": provenance}
-    arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named()}
-    if params.h0_users is not None and not params.h0_users.requires_grad:
-        arrays["frozen::h0/users"] = params.h0_users.value
-        arrays["frozen::h0/objects"] = params.h0_objects.value
+    arrays = {f"param::{name}": tensor.value for name, tensor, _ in params.named() if name not in TABLES}
+    for name, table in zip(TABLES, (params.h0_users, params.h0_objects)):
+        arrays[f"table::{name}"] = table.value
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
@@ -517,19 +520,20 @@ def _stored_array(data, key: str) -> np.ndarray:
 
 
 def load_params(path, build) -> tuple[ModelParams, dict | None]:
-    """Fill ``build(provenance)``, fresh parameters without initial tables, from a checkpoint.
+    """Fill ``build(provenance, tables)``, fresh parameters with those tables frozen, from a checkpoint.
 
     Returns them and the provenance ``save_params`` stored. The initial
-    tables are attached, trainable or frozen, as the keys present say, and
-    each is read once; every other parameter is copied into its view in
-    the buffer. Adam starts afresh: step 0, zero moments.
+    tables are read, once each, before ``build`` runs; every other
+    parameter is copied into its view in the buffer. A loaded model
+    scores: Adam starts afresh, at step 0 with zero moments, and the
+    tables do not train.
     Raises ``DataError`` for a file that is not a readable npz archive with
     a JSON ``__meta__`` record, a version other than ``CHECKPOINT_VERSION``,
-    one initial table without the other, a missing or misshapen parameter,
-    any array the model does not read (an unknown key such as an earlier
-    version's Adam moment, a parameter the model lacks, or frozen tables
-    next to trainable ones), and an array that is not integer or float or
-    has a non-finite entry. Each names the key; ``build`` may raise it too.
+    a missing initial table, a missing or misshapen parameter, any array the
+    model does not read (an unknown key such as an earlier version's Adam
+    moment or table spelling, or a parameter the model lacks), and an array
+    that is not integer or float or has a non-finite entry. Each names the
+    key; ``build`` may raise it too.
     """
     try:
         data = np.load(path)
@@ -545,22 +549,17 @@ def load_params(path, build) -> tuple[ModelParams, dict | None]:
         version = meta.get("version") if isinstance(meta, dict) else None
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version!r}")
-        params = build(meta.get("provenance"))
-        kind = "param" if "param::h0/users" in data else "frozen"
-        tables = [f"{kind}::h0/users", f"{kind}::h0/objects"]
-        if any(key in data for key in tables):
-            if not all(key in data for key in tables):
-                raise DataError(f"checkpoint missing initial tables {tables}")
-            stored = [_stored_array(data, key) for key in tables]
-            params.set_initial_tables(*stored, trainable=kind == "param")
+        tables = [f"table::{name}" for name in TABLES]
+        missing = [key for key in tables if key not in data]
+        if missing:
+            raise DataError(f"checkpoint missing initial tables {missing}")
+        params = build(meta.get("provenance"), [_stored_array(data, key) for key in tables])
         known = {"__meta__", *tables, *(f"param::{name}" for name, _, _ in params.named())}
         unknown = [key for key in data.files if key not in known]
         if unknown:
             raise DataError(f"checkpoint has arrays {unknown} that the model does not read")
         for name, tensor, _ in params.named():
             key = f"param::{name}"
-            if key in tables:  # attached above
-                continue
             if key not in data:
                 raise DataError(f"checkpoint missing parameter {name}")
             stored = _stored_array(data, key)

@@ -657,12 +657,12 @@ class TestLayerMatchesChainBitwise:
         # h0 feeds both roles' first layers, so its gradient sums four
         # contributions in the tape's order
         fx = make_pipeline_fixture(seed=2)
-        params = init_params(
-            seed=3, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=4
-        )
         tables = (fx.h0_users, fx.h0_objects)
+        params = init_params(
+            seed=3, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1], latent_dim=4,
+            tables=tables if trainable_tables else None, trainable=trainable_tables,
+        )
         if trainable_tables:
-            params.set_initial_tables(*tables, trainable=True)
             tables = (None, None)
 
         def run():
@@ -881,13 +881,13 @@ class TestPipelineMatchesChainsBitwise:
     @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
     def test_loss_and_gradients_equal(self, monkeypatch, pipeline, trainable_tables):
         fx = make_pipeline_fixture(seed=4)
+        tables = (fx.h0_users, fx.h0_objects)
         params = init_params(
             seed=5, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1],
             latent_dim=4, **PIPELINES[pipeline],
+            tables=tables if trainable_tables else None, trainable=trainable_tables,
         )
-        tables = (fx.h0_users, fx.h0_objects)
         if trainable_tables:
-            params.set_initial_tables(*tables, trainable=True)
             tables = (None, None)
 
         def run():
@@ -914,8 +914,8 @@ class TestPipelineMatchesChainsBitwise:
         params = init_params(
             seed=7, user_dim=fx.h0_users.shape[1], object_dim=fx.h0_objects.shape[1],
             latent_dim=4, num_layers=num_layers, **PIPELINES[pipeline],
+            tables=(fx.h0_users, fx.h0_objects), trainable=True,
         )
-        params.set_initial_tables(fx.h0_users, fx.h0_objects, trainable=True)
 
         def run():
             loss, tape = forward(fx.graph, fx.views, None, None, params, fx.samples)
@@ -953,13 +953,11 @@ def small_filmtrust_run(tmp_path, num_users=300, num_objects=410, num_trust=370)
     make_filmtrust_files(tmp_path, seed=0, num_users=num_users, num_objects=num_objects, num_trust=num_trust)
     config = ExperimentConfig(dataset=str(tmp_path), kind="filmtrust")
     run = experiment.prepare_run(experiment.load_dataset(config), config, run_seed=1)
-    params = init_params(seed=0, user_dim=32, object_dim=32, latent_dim=32)
     rng = np.random.default_rng(0)
     num_users = run.views[Role.TRUSTOR].num_users
     num_objects = run.views[Role.TRUSTOR].num_nodes - num_users
-    params.set_initial_tables(
-        rng.normal(size=(num_users, 32)), rng.normal(size=(num_objects, 32)), trainable=True
-    )
+    tables = rng.normal(size=(num_users, 32)), rng.normal(size=(num_objects, 32))
+    params = init_params(seed=0, user_dim=32, object_dim=32, latent_dim=32, tables=tables, trainable=True)
     return run, params
 
 

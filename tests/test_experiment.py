@@ -413,6 +413,16 @@ class TestRun:
         faults = [int(f) for f in out.stdout.split()]
         assert len(faults) == 6 and max(faults[1:]) <= 64, faults
 
+    def test_a_run_packs_its_weight_buffer_once(self, film_dir, monkeypatch):
+        # the model is built with its initial tables, so nothing packs it again
+        packed, pack = [], train.WeightBuffer.pack
+        monkeypatch.setattr(train.WeightBuffer, "pack",
+                            staticmethod(lambda weights: packed.append([w[0] for w in weights]) or pack(weights)))
+        cfg = small_config(film_dir, epochs=2)
+        run_single(load_dataset(cfg), cfg, 42)
+        assert len(packed) == 1
+        assert {"h0/users", "h0/objects", "proj_user", "gate/raw"} <= set(packed[0])
+
     @pytest.mark.parametrize("kind", ["filmtrust", "siot"])
     def test_no_set_up_table_outlives_the_start_of_training(self, film_dir, siot_dir, monkeypatch, kind):
         # the params keep a copy of each initial table; the tables that
@@ -523,18 +533,26 @@ class TestRun:
         summary = run(cfg, keep_params=True, dataset=dataset)
         path = tmp_path / "model.npz"
         experiment.save_checkpoint(summary, dataset, path)
-        saved = summary.results[0].params.buffer
+        trained = summary.results[0].params
+        saved = {name: view for name, _, view in trained.buffer.layout}
+        assert {"h0/users", "h0/objects"} <= set(saved)  # FilmTrust trains its tables
         params, _ = train.load_params(
-            path, lambda provenance: experiment.init_model(experiment._trained_config(provenance, cfg), 0)
+            path,
+            lambda provenance, tables: experiment.init_model(
+                experiment._trained_config(provenance, cfg), 0, tables, False),
         )
         # read before the buffer is, which must find the load's values already its views
         bound = {name: tensor.value for name, tensor, _ in params.named()}
         buffer = params.buffer
-        assert {"h0/users", "h0/objects"} <= set(bound)
         assert sorted(bound) == sorted(name for name, *_ in buffer.layout)
+        assert sorted(bound) == sorted(set(saved) - {"h0/users", "h0/objects"})
         for name, tensor, view in buffer.layout:
             assert bound[name] is view and tensor.value is view, name
-        assert np.array_equal(buffer.values.view(np.int64), saved.values.view(np.int64))
+            assert np.array_equal(view.view(np.int64), saved[name].view(np.int64)), name
+        # the tables come back frozen, outside the buffer, bit for bit
+        for table, name in ((params.h0_users, "h0/users"), (params.h0_objects, "h0/objects")):
+            assert not table.requires_grad
+            assert np.array_equal(table.value.view(np.int64), saved[name].view(np.int64))
         # no Adam state is stored: a loaded model scores, it does not resume
         assert params.step == 0 and not buffer.m.any() and not buffer.v.any()
 
@@ -1003,7 +1021,7 @@ class TestCli:
             meta = json.loads(bytes(stored["__meta__"]).decode())
             assert not [key for key in stored.files if key.startswith("moment_")]
         assert sorted(meta) == ["provenance", "version"]
-        assert meta["version"] == 4
+        assert meta["version"] == 5
         assert sorted(meta["provenance"]) == ["config", "graph_sha256", "run_seed"]
 
     def test_checkpoint_model_comes_from_its_stored_config(self, film_dir, tmp_path, capsys):
@@ -1022,10 +1040,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda data: data.update({"frozen::h0/users": data["frozen::h0/users"][:-1]}),
-            lambda data: data.update({"frozen::h0/objects": np.vstack([data["frozen::h0/objects"]] * 2)}),
-            lambda data: data.update({"frozen::h0/users": np.hstack([data["frozen::h0/users"]] * 2)}),
-            lambda data: [data.pop("frozen::h0/users"), data.pop("frozen::h0/objects")],
+            lambda data: data.update({"table::h0/users": data["table::h0/users"][:-1]}),
+            lambda data: data.update({"table::h0/objects": np.vstack([data["table::h0/objects"]] * 2)}),
+            lambda data: data.update({"table::h0/users": np.hstack([data["table::h0/users"]] * 2)}),
+            lambda data: [data.pop("table::h0/users"), data.pop("table::h0/objects")],
         ],
         ids=["user_row_short", "object_rows_doubled", "user_columns_doubled", "no_tables"],
     )
@@ -1040,9 +1058,11 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["run", *flags, "--eval-checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: checkpoint initial tables have shapes ") and err.count("\n") == 1
+        # without tables nothing is built, so there is no shape to compare
+        want = "missing initial tables [" if "table::h0/users" not in data else "initial tables have shapes "
+        assert err.startswith(f"data error: checkpoint {want}") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_version_2_checkpoint_is_a_data_error(self, film_dir, tmp_path, capsys, version):
         ckpt = tmp_path / "model.npz"
         base = checkpoint_run_flags(film_dir)
@@ -1177,7 +1197,7 @@ class TestCli:
         [
             (config_edit("latent_dim", MISSING), "checkpoint shape mismatch for proj_user"),
             (config_edit("fusion", MISSING), "checkpoint shape mismatch for proj_user"),
-            (drop_array("param::h0/objects"), "checkpoint missing initial tables"),
+            (drop_array("table::h0/objects"), "checkpoint missing initial tables"),
             (config_edit("num_layers", "2"), f"{INVALID}num_layers must be int, got '2'"),
             (config_edit("num_layers", 0), f"{INVALID}num_layers must be >= 1"),
             (config_edit("latent_dim", "3"), f"{INVALID}latent_dim must be int, got '3'"),
@@ -1433,11 +1453,11 @@ class TestMalformedInput:
     def test_checkpoint_array_of_a_wrong_kind_or_not_finite_is_one_data_error(
         self, film_dir, workdir, trained_checkpoint, frozen_checkpoint, data
     ):
-        kind = data.draw(st.sampled_from(["param", "frozen"]), label="kind")
+        kind = data.draw(st.sampled_from(["trainable", "frozen"]), label="kind")
         source = frozen_checkpoint if kind == "frozen" else trained_checkpoint
         with np.load(source) as stored:
             arrays = dict(stored)
-        key = data.draw(st.sampled_from(sorted(k for k in arrays if k.startswith(f"{kind}::"))), label="key")
+        key = data.draw(st.sampled_from(sorted(k for k in arrays if k != "__meta__")), label="key")
         corruption = data.draw(st.sampled_from(sorted(ARRAY_CORRUPTIONS)), label="corruption")
         entry = data.draw(st.integers(0, arrays[key].size - 1), label="entry")
         arrays[key] = ARRAY_CORRUPTIONS[corruption](arrays[key], entry)
@@ -1453,14 +1473,14 @@ class TestMalformedInput:
             {"moment_x::proj_user": np.array(["string"])},
             {"frozen::h0/users": np.zeros((2, 2)), "frozen::h0/objects": np.zeros((2, 2))},
         ],
-        ids=["junk_nan", "misspelt_moment_string", "frozen_next_to_trainable_tables"],
+        ids=["junk_nan", "misspelt_moment_string", "version_4_frozen_tables"],
     )
     def test_a_checkpoint_array_the_model_does_not_read_is_one_data_error(
         self, film_dir, workdir, trained_checkpoint, extra
     ):
         with np.load(trained_checkpoint) as stored:
             arrays = dict(stored)
-        assert "param::h0/users" in arrays and not set(extra) & set(arrays)
+        assert "table::h0/users" in arrays and not set(extra) & set(arrays)
         ckpt = workdir / "extra.npz"
         np.savez(ckpt, **arrays, **extra)
         rc, err = run_cli(["run", *checkpoint_run_flags(film_dir), "--eval-checkpoint", str(ckpt)])

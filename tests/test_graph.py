@@ -571,6 +571,13 @@ class TestLoadSiotCsv:
         with pytest.raises(DataError, match="trust.csv"):
             load_siot_csv(tmp_path)
 
+    def test_an_object_listed_twice_is_a_parse_error(self, tmp_path):
+        # the second row would otherwise silently replace the first's entity
+        inter = [(u, "obj", f"c{i}") for u in ("a", "b") for i in range(20)]
+        write_siot_fixture(tmp_path, inter, [("a", "b")], [("obj", "ent_obj"), ("obj", "ent_other")])
+        with pytest.raises(ParseError, match=r"objects\.csv: object obj is listed on more than one row$"):
+            load_siot_csv(tmp_path)
+
     @pytest.mark.parametrize("damage", ["directory", "not_utf8"])
     def test_unreadable_file_is_a_data_error(self, tmp_path, damage):
         write_siot_fixture(tmp_path, [("a", "obj", "text")] * 20, [], [("obj", "ent_obj")])

@@ -12,7 +12,7 @@ from trustnet.predict import (
     predict_scores,
 )
 
-from test_autodiff import add, exp, gather, gather_pairs, log, matmul, mean, sub
+from test_autodiff import add, exp, gather, gather_pairs, log, matmul, mean, row_sum, sub
 
 
 def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> Tensor:
@@ -28,7 +28,7 @@ def chain_pair_loss(z, trustors, trustees, labels, params: PredictorParams) -> T
     logits = add(matmul(ad.concat_cols(zi, zj), params.weight), params.bias)
     shift = logits.value.max(axis=1)
     ex = exp(sub(logits, shift[:, None]))
-    lse = log(ad.reduce_sum(ex, axis=1))  # = logsumexp(logits) - shift
+    lse = log(row_sum(ex))  # = logsumexp(logits) - shift
     picked = gather_pairs(logits, np.arange(m), np.asarray(labels))
     return mean(sub(lse, sub(picked, shift)))
 

@@ -45,13 +45,19 @@ def fresh_params(fixture, seed=0, latent_dim=3, **kw):
     )
 
 
+def with_tables(fixture, seed, trainable, **kw):
+    """``fresh_params`` built with the fixture's initial tables, trainable or frozen."""
+    return fresh_params(fixture, seed=seed, tables=(fixture.h0_users, fixture.h0_objects), trainable=trainable, **kw)
+
+
 def builder(fixture, **kw):
-    """A ``load_params`` build: the provenances it is given, and fresh parameters of ``fresh_params``."""
+    """A ``load_params`` build: the provenances it is given, and fresh parameters
+    of ``fresh_params`` built with the tables it is given, frozen."""
     seen = []
 
-    def build(provenance):
+    def build(provenance, tables):
         seen.append(provenance)
-        return fresh_params(fixture, seed=99, **kw)
+        return fresh_params(fixture, seed=99, tables=tables, **kw)
 
     build.seen = seen
     return build
@@ -149,8 +155,7 @@ class TestForwardBackward:
 
     @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
     def test_every_trainable_carries_its_checkpoint_key(self, fixture, trainable):
-        params = fresh_params(fixture, seed=3)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        params = with_tables(fixture, 3, trainable)
         assert [tensor.name for _, tensor, _ in params.named()] == [name for name, _, _ in params.named()]
 
     def test_a_diverged_model_names_its_parameter(self):
@@ -304,9 +309,7 @@ def styled_params(fixture, style):
     """SIoT-style parameters (frozen tables), FilmTrust-style (trainable tables), or 0-d weights."""
     if style == "scalars":
         return scalar_params()
-    params = fresh_params(fixture, seed=41)
-    params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=style == "filmtrust")
-    return params
+    return with_tables(fixture, 41, style == "filmtrust")
 
 
 def drawn_grads(rng, params, step):
@@ -321,8 +324,7 @@ class TestAdamMatchesWholeArrayFormula:
     @pytest.mark.parametrize("weight_decay", [5e-4, 0.0], ids=["decay", "no_decay"])
     def test_twenty_steps_bitwise(self, fixture, weight_decay):
         rng = np.random.default_rng(31)
-        params = fresh_params(fixture, seed=7)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
+        params = with_tables(fixture, 7, True)
         names = {id(t): n for n, t, _ in params.named()}
         decays = {n: d for n, _, d in params.named()}
         values = {n: t.value.copy() for n, t, _ in params.named()}
@@ -506,8 +508,7 @@ class TestGradCheck:
         assert report.passed, str(report)
 
     def test_trainable_initial_tables_gradients(self, fixture):
-        params = fresh_params(fixture, seed=17)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
+        params = with_tables(fixture, 17, True)
         from trustnet.train import PipelineFixture
 
         fix = PipelineFixture(
@@ -549,8 +550,7 @@ class TestGradCheck:
 
 class TestCheckpoint:
     def test_roundtrip(self, fixture, tmp_path):
-        params = fresh_params(fixture, seed=21)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=True)
+        params = with_tables(fixture, 21, True)
         _, tape = forward(fixture.graph, fixture.views, None, None, params, fixture.samples)
         adam_step(params, backward(tape), **OPTIM)
         path = tmp_path / "model.npz"
@@ -559,10 +559,13 @@ class TestCheckpoint:
         loaded, provenance = load_params(path, build)
         assert provenance == {"run_seed": 5, "config": {"train_ratio": 0.8}}
         assert build.seen == [provenance]
-        assert loaded.h0_users.requires_grad and loaded.h0_objects.requires_grad
-        for (name_a, t_a, _), (name_b, t_b, _) in zip(params.named(), loaded.named()):
-            assert name_a == name_b
-            assert np.array_equal(t_a.value, t_b.value)
+        # the trained tables come back frozen: a loaded model scores
+        for got, want in ((loaded.h0_users, params.h0_users), (loaded.h0_objects, params.h0_objects)):
+            assert not got.requires_grad and np.array_equal(bits(got.value), bits(want.value))
+        weights = [(name, t) for name, t, _ in params.named() if name not in train_mod.TABLES]
+        assert [name for name, _ in weights] == [name for name, _, _ in loaded.named()]
+        for (_, t_a), (_, t_b, _) in zip(weights, loaded.named()):
+            assert np.array_equal(bits(t_a.value), bits(t_b.value))
         loss_a, _ = forward(fixture.graph, fixture.views, None, None, params, fixture.samples)
         loss_b, _ = forward(fixture.graph, fixture.views, None, None, loaded, fixture.samples)
         assert loss_a == loss_b
@@ -570,9 +573,8 @@ class TestCheckpoint:
     @staticmethod
     def trained_checkpoint(fixture, path, edit) -> None:
         """A checkpoint after one Adam step, its arrays rewritten by ``edit``."""
-        params = fresh_params(fixture, seed=22)
-        _, tape = forward(fixture.graph, fixture.views, fixture.h0_users, fixture.h0_objects,
-                          params, fixture.samples)
+        params = with_tables(fixture, 22, False)
+        _, tape = forward(fixture.graph, fixture.views, None, None, params, fixture.samples)
         adam_step(params, backward(tape), **OPTIM)
         save_params(params, path)
         with np.load(path) as stored:
@@ -623,7 +625,7 @@ class TestCheckpoint:
             load_params(path, builder(fixture))
 
     def test_version_check(self, fixture, tmp_path):
-        params = fresh_params(fixture)
+        params = with_tables(fixture, 0, False)
         path = tmp_path / "model.npz"
         save_params(params, path)
         import json
@@ -644,9 +646,9 @@ class TestCheckpoint:
         with np.load(path) as stored:
             meta = json.loads(bytes(stored["__meta__"]).decode())
             assert not [key for key in stored.files if key.startswith("moment_")]
-        assert meta == {"version": 4, "provenance": None}
+        assert meta == {"version": 5, "provenance": None}
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_version_2_is_unsupported(self, fixture, tmp_path, version):
         path = tmp_path / "model.npz"
 
@@ -660,22 +662,20 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
     def test_initial_tables_come_back_as_stored(self, fixture, tmp_path, trainable):
-        params = fresh_params(fixture, seed=24)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        params = with_tables(fixture, 24, trainable)
         path = tmp_path / "model.npz"
         save_params(params, path)
-        kind = "param" if trainable else "frozen"
         with np.load(path) as stored:
-            assert {f"{kind}::h0/users", f"{kind}::h0/objects"} <= set(stored.files)
+            assert {"table::h0/users", "table::h0/objects"} <= set(stored.files)
+            assert not [key for key in stored.files if key.startswith(("frozen::", "param::h0/"))]
         loaded, _ = load_params(path, builder(fixture))
         for got, want in ((loaded.h0_users, fixture.h0_users), (loaded.h0_objects, fixture.h0_objects)):
-            assert got.requires_grad is trainable
-            assert np.array_equal(got.value, want)
+            assert not got.requires_grad
+            assert np.array_equal(bits(got.value), bits(want))
 
     @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
     def test_each_stored_array_is_read_once(self, fixture, tmp_path, monkeypatch, trainable):
-        params = fresh_params(fixture, seed=27)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=trainable)
+        params = with_tables(fixture, 27, trainable)
         adam_step(params, {}, **OPTIM)
         path = tmp_path / "model.npz"
         save_params(params, path)
@@ -684,20 +684,21 @@ class TestCheckpoint:
         load_params(path, builder(fixture))
         with np.load(path) as stored:
             assert sorted(reads) == sorted(key for key in stored.files if key != "__meta__")
-        assert {f"{'param' if trainable else 'frozen'}::h0/users", "param::gate/raw"} <= set(reads)
+        assert {"table::h0/users", "param::gate/raw"} <= set(reads)
 
     @pytest.mark.parametrize("kind", ["param", "frozen"])
     def test_one_initial_table_without_the_other_is_a_data_error(self, fixture, tmp_path, kind):
-        params = fresh_params(fixture, seed=25)
-        params.set_initial_tables(fixture.h0_users, fixture.h0_objects, trainable=kind == "param")
+        params = with_tables(fixture, 25, kind == "param")
         path = tmp_path / "model.npz"
         save_params(params, path)
         with np.load(path) as stored:
             data = dict(stored)
-        del data[f"{kind}::h0/objects"]
+        del data["table::h0/objects"]
         np.savez(path, **data)
-        with pytest.raises(DataError, match="missing initial tables"):
-            load_params(path, builder(fixture))
+        build = builder(fixture)
+        with pytest.raises(DataError, match=r"^checkpoint missing initial tables \['table::h0/objects'\]$"):
+            load_params(path, build)
+        assert build.seen == []  # raised before the model is built
 
     def test_a_build_of_another_model_is_a_shape_mismatch(self, fixture, tmp_path):
         path = tmp_path / "model.npz"
@@ -710,17 +711,24 @@ class TestCheckpoint:
             load_params(path, builder(fixture, num_layers=1))
 
     def test_parameters_the_model_lacks_are_a_data_error_without_moments(self, fixture, tmp_path):
-        params = fresh_params(fixture, seed=26)
+        params = with_tables(fixture, 26, False)
         path = tmp_path / "model.npz"
         save_params(params, path)
         with pytest.raises(DataError, match="trustee/layer1/gamma"):
             load_params(path, builder(fixture, trustee_enabled=False))
 
+    def test_a_model_without_tables_is_not_saved(self, fixture, tmp_path):
+        # no loader could score it: loading builds the model with the stored tables
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError, match="without initial tables"):
+            save_params(fresh_params(fixture), path)
+        assert not path.exists()
+
     def test_a_build_error_is_raised_as_it_is(self, fixture, tmp_path):
         path = tmp_path / "model.npz"
         self.trained_checkpoint(fixture, path, lambda data: None)
 
-        def reject(provenance):
+        def reject(provenance, tables):
             raise DataError(f"no model for {provenance!r}")
 
         with pytest.raises(DataError, match="^no model for None$"):
